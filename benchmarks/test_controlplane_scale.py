@@ -10,10 +10,10 @@ including a replica that returns from a partition after log compaction
 
 ``benchmarks/reports/controlplane_1m.json`` is written unconditionally
 (CI publishes it to the step summary; the checked-in copy documents a
-reference run).  The headline ≥2x-at-4-shards claim needs 4 real cores
-to be physics, so it is gated on ``os.cpu_count()``; the single-shard
-floor vs ``CookieServer`` and the staleness-bound assertion hold
-everywhere.
+reference run).  Shards are a partitioning and replication unit inside
+one process, so no sharded-speedup floor is asserted (PROTOCOL.md §14.4);
+the single-shard floor vs ``CookieServer``, the whole-schedule check and
+the staleness-bound assertions hold on any core count.
 
 ``REPRO_CP_SUBSCRIBERS`` scales the population (CI's soak runs 50k; the
 checked-in report is the full million).
@@ -30,8 +30,6 @@ from repro.experiments.controlplane import (
 
 SHARD_COUNTS = (1, 2, 4)
 SUBSCRIBERS = int(os.environ.get("REPRO_CP_SUBSCRIBERS", 1_000_000))
-#: 4 shards must beat 1 shard by at least this much on a ≥4-core box.
-SHARDED_SPEEDUP_FLOOR = 2.0
 #: Ungated: one shard of the full delta-logged, breaker-gated control
 #: plane must stay within striking distance of the bare dict-backed
 #: CookieServer — the lifecycle machinery cannot cost an order of
@@ -102,14 +100,3 @@ def test_controlplane_scale(benchmark, report):
     assert revocation["max_broadcast_lag_s"] <= (
         result["staleness_bound_s"]
     ), revocation
-
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        assert not four["degraded"], result
-        assert four["speedup_vs_1_shard"] >= SHARDED_SPEEDUP_FLOOR, result
-    else:
-        report()
-        report(
-            f"only {cores} core(s): {SHARDED_SPEEDUP_FLOOR}x sharded "
-            "speedup floor not asserted"
-        )

@@ -475,9 +475,7 @@ def run_stats_workload(
         from repro.core.cp import ShardedControlPlane, VerifierReplica
         from repro.core.server import ServiceOffering
 
-        controlplane = ShardedControlPlane(
-            clock=clock, shards=2, mode="in-process"
-        )
+        controlplane = ShardedControlPlane(clock=clock, shards=2)
         controlplane.offer(ServiceOffering(name="zero-rate"))
         controlplane.register_replica(VerifierReplica("stats-verifier"))
         issued = [

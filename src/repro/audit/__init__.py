@@ -2,8 +2,7 @@
 auditor.
 
 :mod:`repro.audit.log` is the append-only control-plane record (grants,
-denials, revocations) the cookie server writes — promoted here from
-``repro.core.audit``, which remains as a compat re-export.
+denials, revocations) the cookie server writes.
 
 :mod:`repro.audit.auditor` is the record/replay differential harness
 that verifies the data plane enforces exactly the advertised policy, and

@@ -11,7 +11,8 @@ store.  This package is the control-plane counterpart:
   skipped), which is what makes replica catch-up after a partition safe.
 * :mod:`.shard` — one :class:`ControlPlaneShard` owns the descriptors
   whose ids rendezvous-hash to it: a store, its delta log, and the op
-  counters.
+  counters.  Shards are plain objects in the dispatcher's process — a
+  partitioning and replication unit, not a speedup (§14.4).
 * :mod:`.replica` — :class:`VerifierReplica`, a data-path descriptor
   store fed by snapshot + delta replay with per-shard applied offsets
   and a partition switch for drills.

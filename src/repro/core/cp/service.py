@@ -20,18 +20,13 @@ themselves stay ignorant of:
   :class:`~repro.core.resilience.CircuitBreaker`; over-limit or
   breaker-open arrivals get a structured ``{"shed": true}`` error
   instead of unbounded queueing.
-* **Process mode** — each shard can run in a worker process served over
-  a pipe (§14.4).  The parent retains an authoritative delta log +
-  descriptor mirror per worker shard, so replica sync never blocks on a
-  worker round-trip and a crashed worker is respawned and re-seeded
-  from the mirror.  ``mode="auto"`` picks process workers only when the
-  host has cores to back them, mirroring the PR-6 degrade ladder.
+
+Shards live in this process.  They are a partitioning and replication
+unit, not a speedup: the dispatcher visits them one at a time (§14.4).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import secrets
 import time
 from dataclasses import dataclass
@@ -44,9 +39,9 @@ from ..policy import AccessPolicy, OpenAccessPolicy
 from ..resilience import CircuitBreaker
 from ..server import ServiceOffering
 from ...telemetry.metrics import Histogram, TelemetrySnapshot
-from .deltalog import DeltaLog, LogTruncated, StoreSnapshot
+from .deltalog import LogTruncated
 from .replica import ReplicaUnreachable, VerifierReplica
-from .shard import ControlPlaneShard, offering_to_json, shard_worker_main
+from .shard import ControlPlaneShard
 
 __all__ = ["ControlPlaneStats", "ShardedControlPlane", "BROADCAST_LAG_BUCKETS"]
 
@@ -56,10 +51,6 @@ __all__ = ["ControlPlaneStats", "ShardedControlPlane", "BROADCAST_LAG_BUCKETS"]
 BROADCAST_LAG_BUCKETS = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
 )
-
-
-class _ShardFailure(Exception):
-    """A worker shard's pipe died mid-request."""
 
 
 @dataclass
@@ -73,308 +64,12 @@ class ControlPlaneStats:
     renewed: int = 0
     shed_pending: int = 0
     shed_breaker: int = 0
-    worker_failures: int = 0
+    worker_failures: int = 0  # always 0; bench/acquisition_path.py's oracle reads it
     syncs: int = 0
     snapshot_catchups: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
-
-
-class _LocalShard:
-    """In-process shard handle: direct calls, the shard's log is ours."""
-
-    mode = "in-process"
-
-    def __init__(self, shard: ControlPlaneShard) -> None:
-        self.shard = shard
-        self.degraded = False
-
-    @property
-    def log(self) -> DeltaLog:
-        return self.shard.log
-
-    def offer(self, offering: ServiceOffering) -> None:
-        self.shard.offer(offering)
-
-    def withdraw(self, name: str) -> None:
-        self.shard.withdraw_offering(name)
-
-    def acquire_batch(
-        self, requests: list[tuple], now: float
-    ) -> tuple[list[dict[str, Any] | None], list[str | None]]:
-        descriptors: list[dict[str, Any] | None] = []
-        errors: list[str | None] = []
-        for entry in requests:
-            try:
-                descriptor = self.shard.acquire(
-                    entry[0],
-                    entry[1],
-                    now,
-                    cookie_id=entry[2],
-                    credentials=entry[3] if len(entry) > 3 else None,
-                    preferences=entry[4] if len(entry) > 4 else None,
-                )
-            except AcquisitionDenied as exc:
-                descriptors.append(None)
-                errors.append(str(exc))
-            else:
-                descriptors.append(descriptor.to_json())
-                errors.append(None)
-        return descriptors, errors
-
-    def revoke_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        return [self.shard.revoke(cid, now) for cid in cookie_ids]
-
-    def remove_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        return [self.shard.remove(cid, now) for cid in cookie_ids]
-
-    def purge_expired(self, now: float) -> int:
-        return len(self.shard.purge_expired(now))
-
-    def lookup(self, cookie_id: int) -> dict[str, Any] | None:
-        descriptor = self.shard.lookup(cookie_id)
-        return None if descriptor is None else descriptor.to_json()
-
-    def snapshot(self) -> StoreSnapshot:
-        return self.shard.snapshot()
-
-    def stats(self) -> dict[str, int]:
-        return self.shard.stats()
-
-    def close(self) -> None:
-        pass
-
-
-class _WorkerShard:
-    """Process-mode shard handle: §14.4 frames over a pipe.
-
-    The parent-side :class:`DeltaLog` and descriptor mirror are the
-    authoritative replication feed — the worker owns *serving* state
-    (policy checks, key minting, its own store), the parent owns
-    *replication* state.  The mirror is copy-on-write under revocation
-    so logged ``add`` records keep their original descriptor payloads.
-    """
-
-    mode = "process"
-
-    def __init__(
-        self,
-        index: int,
-        policy: AccessPolicy | None,
-        ctx: multiprocessing.context.BaseContext,
-    ) -> None:
-        self.index = index
-        self.policy = policy
-        self.ctx = ctx
-        self.log = DeltaLog()
-        self.mirror: dict[int, dict[str, Any]] = {}
-        self.offerings: dict[str, dict[str, Any]] = {}
-        self.degraded = False
-        self.restarts = 0
-        self._local: ControlPlaneShard | None = None
-        self._conn: Any = None
-        self._process: Any = None
-        self._spawn()
-
-    def _spawn(self) -> None:
-        parent_conn, child_conn = self.ctx.Pipe()
-        process = self.ctx.Process(
-            target=shard_worker_main,
-            args=(child_conn, self.index, self.policy),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._conn, self._process = parent_conn, process
-        # Re-seed a fresh worker with the authoritative parent state.
-        if self.mirror or self.log.next_offset:
-            self._roundtrip(
-                {
-                    "op": "install",
-                    "snapshot": StoreSnapshot(
-                        offset=self.log.next_offset,
-                        descriptors=list(self.mirror.values()),
-                    ).to_json(),
-                }
-            )
-        for offering in self.offerings.values():
-            self._roundtrip({"op": "offer", "offering": offering})
-
-    def _roundtrip(self, frame: dict[str, Any]) -> dict[str, Any]:
-        try:
-            self._conn.send(frame)
-            return self._conn.recv()
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            raise _ShardFailure(str(exc)) from exc
-
-    def _request(self, frame: dict[str, Any]) -> dict[str, Any]:
-        """One frame with a single restart-and-retry on worker death."""
-        try:
-            return self._roundtrip(frame)
-        except _ShardFailure:
-            self.restart()
-            return self._roundtrip(frame)
-
-    def restart(self) -> None:
-        """Respawn the worker, re-seeded from the parent mirror; falls
-        back to a degraded in-process shard when spawning itself fails."""
-        self.close(graceful=False)
-        self.restarts += 1
-        try:
-            self._spawn()
-        except OSError:
-            self.degraded = True
-            self._local = ControlPlaneShard(self.index, policy=self.policy)
-            StoreSnapshot(
-                offset=self.log.next_offset,
-                descriptors=list(self.mirror.values()),
-            ).install(self._local.store)
-            self._local.log = DeltaLog(base_offset=self.log.next_offset)
-            from .shard import _offering_from_json
-
-            for offering in self.offerings.values():
-                self._local.offer(_offering_from_json(offering))
-
-    def offer(self, offering: ServiceOffering) -> None:
-        if offering.attribute_factory is not None:
-            raise ValueError(
-                "process-mode shards cannot ship attribute_factory "
-                "closures; use lifetime-based offerings or in-process mode"
-            )
-        data = offering_to_json(offering)
-        self.offerings[offering.name] = data
-        if self.degraded:
-            assert self._local is not None
-            self._local.offer(offering)
-        else:
-            self._request({"op": "offer", "offering": data})
-
-    def withdraw(self, name: str) -> None:
-        self.offerings.pop(name, None)
-        if self.degraded:
-            assert self._local is not None
-            self._local.withdraw_offering(name)
-        else:
-            self._request({"op": "withdraw", "name": name})
-
-    def acquire_batch(
-        self, requests: list[tuple[str, str, int]], now: float
-    ) -> tuple[list[dict[str, Any] | None], list[str | None]]:
-        if self.degraded:
-            assert self._local is not None
-            descriptors, errors = _LocalShard(self._local).acquire_batch(
-                requests, now
-            )
-        else:
-            response = self._request(
-                {"op": "acquire_batch", "now": now, "requests": requests}
-            )
-            descriptors = response["descriptors"]
-            errors = response["errors"]
-        for data in descriptors:
-            if data is not None:
-                cookie_id = int(data["cookie_id"])
-                self.mirror[cookie_id] = data
-                self.log.append("add", cookie_id, now, data)
-        return descriptors, errors
-
-    def revoke_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        if self.degraded:
-            assert self._local is not None
-            revoked = [self._local.revoke(cid, now) for cid in cookie_ids]
-        else:
-            response = self._request(
-                {"op": "revoke_batch", "now": now, "cookie_ids": cookie_ids}
-            )
-            revoked = response["revoked"]
-        for cookie_id, ok in zip(cookie_ids, revoked):
-            if ok:
-                # Copy-on-write: the "add" record in the log still
-                # references the original un-revoked payload.
-                self.mirror[cookie_id] = {**self.mirror[cookie_id], "revoked": True}
-                self.log.append("revoke", cookie_id, now)
-        return revoked
-
-    def remove_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        if self.degraded:
-            assert self._local is not None
-            removed = [self._local.remove(cid, now) for cid in cookie_ids]
-        else:
-            response = self._request(
-                {"op": "remove_batch", "now": now, "cookie_ids": cookie_ids}
-            )
-            removed = response["removed"]
-        for cookie_id, ok in zip(cookie_ids, removed):
-            if ok:
-                self.mirror.pop(cookie_id, None)
-                self.log.append("remove", cookie_id, now)
-        return removed
-
-    def purge_expired(self, now: float) -> int:
-        if self.degraded:
-            assert self._local is not None
-            removed_ids = [r for r in self._local.purge_expired(now)]
-        else:
-            response = self._request({"op": "purge_expired", "now": now})
-            removed_ids = [int(cid) for cid in response["removed_ids"]]
-        for cookie_id in removed_ids:
-            self.mirror.pop(cookie_id, None)
-            self.log.append("remove", cookie_id, now)
-        return len(removed_ids)
-
-    def lookup(self, cookie_id: int) -> dict[str, Any] | None:
-        # The mirror is authoritative and saves a worker round-trip.
-        return self.mirror.get(cookie_id)
-
-    def snapshot(self) -> StoreSnapshot:
-        return StoreSnapshot(
-            offset=self.log.next_offset,
-            descriptors=list(self.mirror.values()),
-        )
-
-    def stats(self) -> dict[str, int]:
-        if self.degraded:
-            assert self._local is not None
-            stats = self._local.stats()
-        else:
-            try:
-                stats = self._request({"op": "stats"})["stats"]
-            except _ShardFailure:
-                stats = {"shard": self.index}
-        stats["log_len"] = len(self.log)
-        stats["log_base"] = self.log.base_offset
-        stats["log_next"] = self.log.next_offset
-        stats["descriptors"] = len(self.mirror)
-        stats["restarts"] = self.restarts
-        stats["degraded"] = self.degraded
-        return stats
-
-    def kill(self) -> None:
-        """Hard-kill the worker (drill hook for crash-recovery tests)."""
-        if self._process is not None and self._process.is_alive():
-            self._process.kill()
-            self._process.join(timeout=5.0)
-
-    def close(self, graceful: bool = True) -> None:
-        if self._conn is not None:
-            if graceful:
-                try:
-                    self._conn.send({"op": "quit"})
-                    self._conn.recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-        if self._process is not None:
-            self._process.join(timeout=5.0)
-            if self._process.is_alive():
-                self._process.kill()
-                self._process.join(timeout=5.0)
-            self._process = None
 
 
 class ShardedControlPlane:
@@ -384,7 +79,7 @@ class ShardedControlPlane:
         self,
         clock: Callable[[], float] = time.monotonic,
         shards: int = 1,
-        mode: str = "auto",
+        mode: str = "in-process",  # only value; bench/ passes it by keyword
         policy: AccessPolicy | None = None,
         staleness_bound: float = 1.0,
         max_pending: int = 1024,
@@ -393,8 +88,11 @@ class ShardedControlPlane:
     ) -> None:
         if shards < 1:
             raise ValueError("shard count must be >= 1")
-        if mode not in ("in-process", "process", "auto"):
-            raise ValueError(f"unknown mode {mode!r}")
+        if mode != "in-process":
+            raise ValueError(
+                f"unsupported mode {mode!r}: shards run in-process only "
+                "(docs/PROTOCOL.md §14.4)"
+            )
         if staleness_bound <= 0:
             raise ValueError("staleness bound must be positive")
         self.clock = clock
@@ -408,10 +106,6 @@ class ShardedControlPlane:
             if breaker is not None
             else CircuitBreaker(failure_threshold=5, reset_timeout=5.0, clock=clock)
         )
-        if mode == "auto":
-            cores = os.cpu_count() or 1
-            mode = "process" if shards > 1 and cores >= 2 else "in-process"
-        self.mode = mode
         self.offerings: dict[str, ServiceOffering] = {}
         self.stats = ControlPlaneStats()
         self.inflight = 0
@@ -421,20 +115,9 @@ class ShardedControlPlane:
         self._replicas: dict[str, VerifierReplica] = {}
         #: unconfirmed revocations: [shard, offset, revoke_time, {replica}]
         self._pending_revocations: list[list[Any]] = []
-        self._shards: list[Any]
-        if mode == "process":
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-            self._shards = [
-                _WorkerShard(i, self.policy, ctx) for i in range(shards)
-            ]
-        else:
-            self._shards = [
-                _LocalShard(ControlPlaneShard(i, policy=self.policy))
-                for i in range(shards)
-            ]
+        self._shards = [
+            ControlPlaneShard(i, policy=self.policy) for i in range(shards)
+        ]
 
     # ------------------------------------------------------------------
     # Configuration
@@ -442,14 +125,14 @@ class ShardedControlPlane:
     def offer(self, offering: ServiceOffering) -> ServiceOffering:
         """Advertise a service on every shard (any id can land anywhere)."""
         self.offerings[offering.name] = offering
-        for handle in self._shards:
-            handle.offer(offering)
+        for shard in self._shards:
+            shard.offer(offering)
         return offering
 
     def withdraw_offering(self, name: str) -> None:
         self.offerings.pop(name, None)
-        for handle in self._shards:
-            handle.withdraw(name)
+        for shard in self._shards:
+            shard.withdraw_offering(name)
 
     def list_services(self) -> list[dict[str, Any]]:
         return [o.advertisement() for o in self.offerings.values()]
@@ -514,20 +197,10 @@ class ShardedControlPlane:
                 (requests[p][0], requests[p][1], ids[p], *requests[p][2:])
                 for p in positions
             ]
-            try:
-                descriptors, errors = self._shards[shard_index].acquire_batch(
-                    shard_requests, now
-                )
-                self.breaker.record_success()
-            except _ShardFailure as exc:
-                self.breaker.record_failure()
-                self.stats.worker_failures += 1
-                for p in positions:
-                    results[p] = {
-                        "ok": False,
-                        "error": f"shard {shard_index} unavailable: {exc}",
-                    }
-                continue
+            descriptors, errors = self._shards[shard_index].acquire_batch(
+                shard_requests, now
+            )
+            self.breaker.record_success()
             for p, descriptor, error in zip(positions, descriptors, errors):
                 if descriptor is None:
                     self.stats.denied += 1
@@ -564,16 +237,9 @@ class ShardedControlPlane:
         revoked: list[bool] = [False] * len(cookie_ids)
         touched: set[int] = set()
         for shard_index, positions in by_shard.items():
-            handle = self._shards[shard_index]
-            try:
-                outcome = handle.revoke_batch(
-                    [cookie_ids[p] for p in positions], now
-                )
-                self.breaker.record_success()
-            except _ShardFailure:
-                self.breaker.record_failure()
-                self.stats.worker_failures += 1
-                continue
+            shard = self._shards[shard_index]
+            outcome = [shard.revoke(cookie_ids[p], now) for p in positions]
+            self.breaker.record_success()
             for p, ok in zip(positions, outcome):
                 revoked[p] = ok
             if any(outcome):
@@ -583,7 +249,7 @@ class ShardedControlPlane:
                     self._pending_revocations.append(
                         [
                             shard_index,
-                            handle.log.next_offset - 1,
+                            shard.log.next_offset - 1,
                             now,
                             set(self._replicas),
                         ]
@@ -614,18 +280,12 @@ class ShardedControlPlane:
         return descriptor
 
     def lookup(self, cookie_id: int) -> CookieDescriptor | None:
-        data = self._shards[self.shard_of(cookie_id)].lookup(cookie_id)
-        return None if data is None else CookieDescriptor.from_json(data)
+        return self._shards[self.shard_of(cookie_id)].lookup(cookie_id)
 
     def purge_expired(self, now: float | None = None) -> int:
         if now is None:
             now = self.clock()
-        purged = 0
-        for handle in self._shards:
-            try:
-                purged += handle.purge_expired(now)
-            except _ShardFailure:
-                self.stats.worker_failures += 1
+        purged = sum(len(shard.purge_expired(now)) for shard in self._shards)
         self.stats.removed += purged
         return purged
 
@@ -673,15 +333,15 @@ class ShardedControlPlane:
             if replica is None or replica.partitioned:
                 continue
             for shard_index in shard_indices:
-                handle = self._shards[shard_index]
+                shard = self._shards[shard_index]
                 applied = replica.applied_offset(shard_index)
-                if applied >= handle.log.next_offset:
+                if applied >= shard.log.next_offset:
                     continue
                 try:
                     try:
-                        records = handle.log.since(applied)
+                        records = shard.log.since(applied)
                     except LogTruncated:
-                        snapshot = handle.snapshot()
+                        snapshot = shard.snapshot()
                         replica.install_snapshot(
                             shard_index, snapshot, self.shard_count
                         )
@@ -720,17 +380,17 @@ class ShardedControlPlane:
         returning replica down the snapshot-then-replay path.
         """
         dropped = 0
-        for shard_index, handle in enumerate(self._shards):
+        for shard_index, shard in enumerate(self._shards):
             if aggressive:
-                horizon = handle.log.next_offset
+                horizon = shard.log.next_offset
             elif self._replicas:
                 horizon = min(
                     r.applied_offset(shard_index)
                     for r in self._replicas.values()
                 )
             else:
-                horizon = handle.log.next_offset
-            dropped += handle.log.compact_to(horizon)
+                horizon = shard.log.next_offset
+            dropped += shard.log.compact_to(horizon)
         return dropped
 
     # ------------------------------------------------------------------
@@ -802,11 +462,7 @@ class ShardedControlPlane:
     # Introspection / telemetry
     # ------------------------------------------------------------------
     def shard_stats(self) -> list[dict[str, int]]:
-        return [handle.stats() for handle in self._shards]
-
-    @property
-    def worker_restarts(self) -> int:
-        return sum(getattr(handle, "restarts", 0) for handle in self._shards)
+        return [shard.stats() for shard in self._shards]
 
     def max_broadcast_lag(self) -> float:
         """Largest settled revocation-to-enforcement lag seen so far."""
@@ -817,7 +473,6 @@ class ShardedControlPlane:
 
     def describe(self) -> dict[str, Any]:
         return {
-            "mode": self.mode,
             "shards": self.shard_count,
             "staleness_bound": self.staleness_bound,
             "max_pending": self.max_pending,
@@ -828,7 +483,6 @@ class ShardedControlPlane:
                 for name, replica in self._replicas.items()
             },
             "pending_revocations": len(self._pending_revocations),
-            "worker_restarts": self.worker_restarts,
             "dispatcher": self.stats.as_dict(),
             "shard_stats": self.shard_stats(),
         }
@@ -848,8 +502,6 @@ class ShardedControlPlane:
                 f"{prefix}.renewed": self.stats.renewed,
                 f"{prefix}.shed_pending": self.stats.shed_pending,
                 f"{prefix}.shed_breaker": self.stats.shed_breaker,
-                f"{prefix}.worker_restarts": self.worker_restarts,
-                f"{prefix}.worker_failures": self.stats.worker_failures,
                 f"{prefix}.syncs": self.stats.syncs,
                 f"{prefix}.snapshot_catchups": self.stats.snapshot_catchups,
             }
@@ -884,8 +536,7 @@ class ShardedControlPlane:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        for handle in self._shards:
-            handle.close()
+        """Nothing to release; kept so callers can use ``with``."""
 
     def __enter__(self) -> "ShardedControlPlane":
         return self

@@ -7,29 +7,26 @@ counterpart agree on ownership for free).  The dispatcher mints cookie
 ids and routes; the shard authorizes, stores, and logs.
 
 Every successful mutation appends a :class:`~.deltalog.DeltaRecord`, so
-``shard.snapshot()`` + ``shard.deltas_since(offset)`` is always a
-complete replication feed.
+``shard.snapshot()`` + ``shard.log.since(offset)`` is always a complete
+replication feed.
 
-:meth:`ControlPlaneShard.handle` is the shard's whole wire surface — the
-in-process service calls it directly, and :func:`shard_worker_main`
-serves the identical dict protocol over a :mod:`multiprocessing` pipe,
-one shard per worker process (PROTOCOL.md §14.4).
+Shards are plain objects in the dispatcher's process (PROTOCOL.md
+§14.4 gives the measurement behind that).
 """
 
 from __future__ import annotations
 
 import secrets
-from typing import Any, Callable
+from typing import Any
 
-from ..attributes import CookieAttributes
 from ..descriptor import COOKIE_ID_BITS, CookieDescriptor
 from ..errors import AcquisitionDenied
 from ..policy import AccessPolicy, AcquisitionRequest, OpenAccessPolicy
 from ..server import ServiceOffering
 from ..store import DescriptorStore
-from .deltalog import DeltaLog, LogTruncated, StoreSnapshot
+from .deltalog import DeltaLog, StoreSnapshot
 
-__all__ = ["ControlPlaneShard", "shard_worker_main"]
+__all__ = ["ControlPlaneShard"]
 
 
 class ControlPlaneShard:
@@ -51,7 +48,6 @@ class ControlPlaneShard:
         self.denied = 0
         self.revoked = 0
         self.removed = 0
-        self.renew_lookups = 0
 
     # ------------------------------------------------------------------
     # Configuration
@@ -115,6 +111,32 @@ class ControlPlaneShard:
         self.acquired += 1
         return descriptor
 
+    def acquire_batch(
+        self, requests: list[tuple], now: float
+    ) -> tuple[list[dict[str, Any] | None], list[str | None]]:
+        """Acquire for ``(user, service, cookie_id[, credentials,
+        preferences])`` tuples; parallel lists of descriptor JSON (None
+        when denied) and denial reasons (None when granted)."""
+        descriptors: list[dict[str, Any] | None] = []
+        errors: list[str | None] = []
+        for entry in requests:
+            try:
+                descriptor = self.acquire(
+                    entry[0],
+                    entry[1],
+                    now,
+                    cookie_id=entry[2],
+                    credentials=entry[3] if len(entry) > 3 else None,
+                    preferences=entry[4] if len(entry) > 4 else None,
+                )
+            except AcquisitionDenied as exc:
+                descriptors.append(None)
+                errors.append(str(exc))
+            else:
+                descriptors.append(descriptor.to_json())
+                errors.append(None)
+        return descriptors, errors
+
     def revoke(self, cookie_id: int, now: float) -> bool:
         if not self.store.revoke(cookie_id):
             return False
@@ -150,13 +172,6 @@ class ControlPlaneShard:
     def snapshot(self) -> StoreSnapshot:
         return StoreSnapshot.take(self.store, self.log.next_offset)
 
-    def deltas_since(self, offset: int):
-        """Raises :class:`~.deltalog.LogTruncated` past the horizon."""
-        return self.log.since(offset)
-
-    def compact_to(self, offset: int) -> int:
-        return self.log.compact_to(offset)
-
     def stats(self) -> dict[str, int]:
         return {
             "shard": self.index,
@@ -169,155 +184,3 @@ class ControlPlaneShard:
             "log_base": self.log.base_offset,
             "log_next": self.log.next_offset,
         }
-
-    # ------------------------------------------------------------------
-    # Wire surface (in-process dispatch and the worker pipe protocol)
-    # ------------------------------------------------------------------
-    def handle(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Serve one §14.4 shard frame; never raises."""
-        op = request.get("op")
-        try:
-            if op == "acquire_batch":
-                now = float(request["now"])
-                descriptors: list[dict[str, Any] | None] = []
-                errors: list[str | None] = []
-                for entry in request["requests"]:
-                    user, service, cookie_id = entry[0], entry[1], entry[2]
-                    try:
-                        descriptor = self.acquire(
-                            str(user),
-                            str(service),
-                            now,
-                            cookie_id=int(cookie_id),
-                            credentials=entry[3] if len(entry) > 3 else None,
-                            preferences=entry[4] if len(entry) > 4 else None,
-                        )
-                    except AcquisitionDenied as exc:
-                        descriptors.append(None)
-                        errors.append(str(exc))
-                    else:
-                        descriptors.append(descriptor.to_json())
-                        errors.append(None)
-                return {
-                    "ok": True,
-                    "descriptors": descriptors,
-                    "errors": errors,
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "revoke_batch":
-                now = float(request["now"])
-                revoked = [
-                    self.revoke(int(cid), now) for cid in request["cookie_ids"]
-                ]
-                return {
-                    "ok": True,
-                    "revoked": revoked,
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "remove_batch":
-                now = float(request["now"])
-                removed = [
-                    self.remove(int(cid), now) for cid in request["cookie_ids"]
-                ]
-                return {
-                    "ok": True,
-                    "removed": removed,
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "purge_expired":
-                removed_ids = self.purge_expired(float(request["now"]))
-                return {
-                    "ok": True,
-                    "removed_ids": removed_ids,
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "lookup":
-                descriptor = self.lookup(int(request["cookie_id"]))
-                return {
-                    "ok": True,
-                    "descriptor": None if descriptor is None else descriptor.to_json(),
-                }
-            if op == "snapshot":
-                return {"ok": True, "snapshot": self.snapshot().to_json()}
-            if op == "deltas_since":
-                try:
-                    records = self.deltas_since(int(request["offset"]))
-                except LogTruncated as exc:
-                    return {"ok": False, "truncated": True, "error": str(exc)}
-                return {
-                    "ok": True,
-                    "records": [r.to_json() for r in records],
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "compact_to":
-                return {"ok": True, "dropped": self.compact_to(int(request["offset"]))}
-            if op == "offer":
-                self.offer(_offering_from_json(request["offering"]))
-                return {"ok": True}
-            if op == "withdraw":
-                self.withdraw_offering(str(request["name"]))
-                return {"ok": True}
-            if op == "stats":
-                return {"ok": True, "stats": self.stats()}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-        except (KeyError, TypeError, ValueError) as exc:
-            return {"ok": False, "error": f"bad request: {exc}"}
-
-
-def _offering_from_json(data: dict[str, Any]) -> ServiceOffering:
-    """Rebuild an offering in a worker process.
-
-    Only the JSON-shaped fields travel; an ``attribute_factory`` closure
-    cannot cross a process boundary, so process mode supports the
-    lifetime-based default (the service refuses to ship anything else).
-    """
-    return ServiceOffering(
-        name=str(data["name"]),
-        description=str(data.get("description", "")),
-        lifetime=data.get("lifetime"),
-        service_data=data.get("service_data"),
-        extra=dict(data.get("extra", {})),
-    )
-
-
-def offering_to_json(offering: ServiceOffering) -> dict[str, Any]:
-    return {
-        "name": offering.name,
-        "description": offering.description,
-        "lifetime": offering.lifetime,
-        "service_data": offering.service_data,
-        "extra": offering.extra,
-    }
-
-
-def shard_worker_main(conn: Any, index: int, policy: AccessPolicy | None) -> None:
-    """Worker entry point: serve one shard's §14.4 frames over a pipe.
-
-    The parent retains the authoritative delta log + mirror, so a killed
-    worker is re-seeded with an ``install`` frame on respawn.
-    """
-    shard = ControlPlaneShard(index, policy=policy)
-    while True:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            break
-        op = request.get("op")
-        if op == "quit":
-            try:
-                conn.send({"ok": True})
-            except (BrokenPipeError, OSError):
-                pass
-            break
-        if op == "install":
-            snapshot = StoreSnapshot.from_json(request["snapshot"])
-            snapshot.install(shard.store)
-            shard.log = DeltaLog(base_offset=snapshot.offset)
-            response: dict[str, Any] = {"ok": True, "installed": len(snapshot.descriptors)}
-        else:
-            response = shard.handle(request)
-        try:
-            conn.send(response)
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..netsim.packet import Packet
-from .audit import AuditEvent, AuditLog
+from ..audit.log import AuditEvent, AuditLog
 from .cookie import Cookie
 from .descriptor import CookieDescriptor
 from .errors import DelegationError

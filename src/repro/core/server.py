@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .attributes import CookieAttributes
-from .audit import AuditEvent, AuditLog
+from ..audit.log import AuditEvent, AuditLog
 from .descriptor import CookieDescriptor
 from .errors import AcquisitionDenied
 from .policy import AccessPolicy, AcquisitionRequest, OpenAccessPolicy

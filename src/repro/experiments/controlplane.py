@@ -373,7 +373,6 @@ def run_controlplane(
     churn_events: int = DEFAULT_CHURN_EVENTS,
     open_loop_ops: int = DEFAULT_OPEN_LOOP_OPS,
     open_loop_rate: float = DEFAULT_OPEN_LOOP_RATE,
-    mode: str = "auto",
     seed: int = 20160822,
     staleness_bound: float = DEFAULT_STALENESS_BOUND,
 ) -> dict[str, Any]:
@@ -393,7 +392,6 @@ def run_controlplane(
         "subscribers": subscribers,
         "seed": seed,
         "cpu_count": os.cpu_count(),
-        "mode_requested": mode,
         "staleness_bound_s": staleness_bound,
         "workload": {
             "churn_events": len(events),
@@ -416,7 +414,6 @@ def run_controlplane(
         controlplane = ShardedControlPlane(
             clock=time.monotonic,
             shards=shards,
-            mode=mode,
             staleness_bound=staleness_bound,
         )
         try:
@@ -428,11 +425,6 @@ def run_controlplane(
             )
             config = {
                 "shards": shards,
-                "mode": controlplane.mode,
-                "degraded": any(
-                    s.get("degraded", False)
-                    for s in controlplane.shard_stats()
-                ),
                 "closed_loop": closed,
                 "open_loop": open_loop,
             }
@@ -471,18 +463,16 @@ def format_controlplane_report(report: dict[str, Any]) -> str:
         f"{report['cpu_count']} CPU core(s)",
         f"baseline CookieServer: "
         f"{report['baseline']['ops_per_s']:,} ops/s",
-        f"{'config':<26}{'ops/s':>10}{'p50 ms':>9}{'p99 ms':>9}"
+        f"{'config':<12}{'ops/s':>10}{'p50 ms':>9}{'p99 ms':>9}"
         f"{'shed':>7}{'vs 1 shard':>12}{'vs baseline':>13}",
     ]
     for config in report["configs"]:
-        name = f"{config['shards']} shard(s) [{config['mode']}]"
-        if config.get("degraded"):
-            name += " degraded"
+        name = f"{config['shards']} shard(s)"
         open_loop = config["open_loop"]
         vs_one = config.get("speedup_vs_1_shard")
         vs_base = config.get("speedup_vs_baseline")
         lines.append(
-            f"{name:<26}{config['closed_loop']['ops_per_s']:>10,}"
+            f"{name:<12}{config['closed_loop']['ops_per_s']:>10,}"
             f"{open_loop['p50_ms']:>9.2f}{open_loop['p99_ms']:>9.2f}"
             f"{open_loop['shed']:>7}"
             f"{(f'{vs_one:.2f}x' if vs_one else '—'):>12}"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.audit import AuditEvent, AuditLog
+from repro.audit.log import AuditEvent, AuditLog
 from repro.core.attributes import CookieAttributes
 from repro.core.delegation import DelegatedParty, delegate_descriptor, make_ack_cookie
 from repro.core.descriptor import CookieDescriptor

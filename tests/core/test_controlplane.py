@@ -4,8 +4,7 @@ Covers the PR-8 tentpole end to end at unit scale: rendezvous routing
 parity with the data plane, the CookieServer-compatible JSON API plus
 the §14 extensions, revocation broadcast under the staleness bound,
 partition recovery by snapshot-then-replay, load shedding through the
-admission gate, process-mode parity with a worker kill drill, and the
-telemetry collector.
+admission gate, and the telemetry collector.
 """
 
 import asyncio
@@ -39,10 +38,7 @@ class ManualClock:
 
 def _controlplane(shards: int = 2, **kwargs) -> ShardedControlPlane:
     clock = kwargs.pop("clock", ManualClock())
-    controlplane = ShardedControlPlane(
-        clock=clock, shards=shards, mode=kwargs.pop("mode", "in-process"),
-        **kwargs,
-    )
+    controlplane = ShardedControlPlane(clock=clock, shards=shards, **kwargs)
     controlplane.offer(ServiceOffering(name="Boost", description="fast lane"))
     return controlplane
 
@@ -89,6 +85,27 @@ class TestRoutingAndLifecycle:
             with pytest.raises(AcquisitionDenied):
                 controlplane.acquire("alice", "nope")
             assert controlplane.stats.denied == 1
+
+    def test_shard_snapshots_partition_the_issued_ids(self):
+        with _controlplane(shards=2) as controlplane:
+            issued = {
+                controlplane.acquire(f"user{i}", "Boost").cookie_id
+                for i in range(12)
+            }
+            assert controlplane.revoke(min(issued))
+            assert controlplane.lookup(min(issued)).revoked
+            snapshotted = [
+                int(d["cookie_id"])
+                for shard in controlplane._shards
+                for d in shard.snapshot().descriptors
+            ]
+            assert sorted(snapshotted) == sorted(issued)
+
+    @pytest.mark.parametrize("mode", ["process", "auto"])
+    def test_only_in_process_mode_is_accepted(self, mode):
+        with pytest.raises(ValueError, match="14.4"):
+            ShardedControlPlane(shards=2, mode=mode)
+        ShardedControlPlane(shards=2, mode="in-process").close()
 
     def test_json_api_cookieserver_compatible_plus_extensions(self):
         with _controlplane(shards=2) as controlplane:
@@ -179,8 +196,8 @@ class TestReplication:
             replica.partition()
             revoked = controlplane.acquire("carol", "Boost")
             controlplane.revoke(revoked.cookie_id)
-            for handle in controlplane._shards:
-                handle.remove_batch([removed.cookie_id], clock())
+            for shard in controlplane._shards:
+                shard.remove(removed.cookie_id, clock())
             # Compaction drops the window the replica still needed.
             controlplane.compact_logs(aggressive=True)
             clock.advance(0.2)
@@ -235,56 +252,6 @@ class TestLoadShedding:
             assert shed is not None and shed["shed"]
             assert "circuit breaker" in shed["error"]
             assert controlplane.stats.shed_breaker == 1
-
-
-class TestProcessMode:
-    def test_worker_kill_drill_recovers_state(self):
-        """Kill a worker mid-stream: the parent respawns it, re-seeds it
-        from the mirror, and serving continues with nothing lost."""
-        import time
-
-        controlplane = ShardedControlPlane(
-            clock=time.monotonic, shards=2, mode="process"
-        )
-        try:
-            controlplane.offer(ServiceOffering(name="Boost"))
-            before = [
-                controlplane.acquire(f"user{i}", "Boost") for i in range(20)
-            ]
-            controlplane._shards[0].kill()
-            after = [
-                controlplane.acquire(f"late{i}", "Boost") for i in range(10)
-            ]
-            for descriptor in before + after:
-                found = controlplane.lookup(descriptor.cookie_id)
-                assert found is not None
-                assert found.cookie_id == descriptor.cookie_id
-            assert controlplane.worker_restarts >= 1
-            assert controlplane.revoke(before[0].cookie_id)
-            assert controlplane.lookup(before[0].cookie_id).revoked
-        finally:
-            controlplane.close()
-
-    def test_process_mode_snapshot_matches_mirror(self):
-        import time
-
-        controlplane = ShardedControlPlane(
-            clock=time.monotonic, shards=2, mode="process"
-        )
-        try:
-            controlplane.offer(ServiceOffering(name="Boost"))
-            issued = {
-                controlplane.acquire(f"user{i}", "Boost").cookie_id
-                for i in range(12)
-            }
-            mirrored = {
-                int(d["cookie_id"])
-                for handle in controlplane._shards
-                for d in handle.snapshot().descriptors
-            }
-            assert mirrored == issued
-        finally:
-            controlplane.close()
 
 
 class TestAsyncServer:
