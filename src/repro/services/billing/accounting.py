@@ -1,7 +1,8 @@
 """Billing accountant: data path -> catalog decision -> journal flush.
 
 The accountant sits between a zero-rating element (stateful or
-stateless) and the durable journal.  Every accounted packet gets a
+stateless) and the durable journal.  Every accounted packet — or run
+of packets that differ only in size, see :meth:`account_run` — gets a
 :class:`~repro.services.zerorate.catalog.BillingDecision` from the
 :class:`~repro.services.zerorate.catalog.CatalogSet`; the resulting
 byte delta accumulates in a *pending* buffer and is written to the
@@ -23,7 +24,7 @@ the caller clears the disk and flushes again.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..zerorate.catalog import BillingDecision, CatalogSet
 from .journal import BillingJournal, JournalFull
@@ -45,6 +46,9 @@ class BillingAccountant:
         self.journal = journal
         #: (operator, subscriber) -> {(app, byte_class, free): bytes}
         self._pending: dict[tuple[str, str], dict[_Bucket, int]] = {}
+        #: subscriber -> its keys in ``_pending``, oldest first (two
+        #: after a re-``assign``), so a flush touches only its own
+        self._pending_keys: dict[str, list[tuple[str, str]]] = {}
         #: (operator, subscriber) -> free bytes counted against the cap
         self._cap_used: dict[tuple[str, str], int] = {}
         self.packets_accounted = 0
@@ -72,29 +76,81 @@ class BillingAccountant:
         The returned bool is what the data path mirrors into its own
         free/charged counters and the packet's ``zero_rated`` meta, so
         the wire-visible decision and the invoice can never disagree.
+        The one-packet case of :meth:`account_run`.
         """
-        decision = self.catalogs.decide(
-            subscriber_ip,
-            app,
-            server_ip,
-            nbytes,
-            cookied=cookied,
-            cap_used=self._cap_used.get(
-                (self.catalogs.operator_of(subscriber_ip), subscriber_ip), 0
-            ),
+        return self.account_run(
+            subscriber_ip, app, server_ip, (nbytes,), cookied=cookied, now=now
+        )[0]
+
+    def account_run(
+        self,
+        subscriber_ip: str,
+        app: str | None,
+        server_ip: str | None,
+        sizes: Sequence[int],
+        *,
+        cookied: bool,
+        now: float = 0.0,
+    ) -> list[bool]:
+        """Classify + buffer a run of packets that share everything but
+        their sizes; returns each packet's freeness, in order.
+
+        Operator, coverage, tranche, roaming and catalog version are
+        constants of a run, so one catalog decision on the run's total
+        settles every packet unless the cap is in the way: a total that
+        fits means every prefix fits (sizes are non-negative), and a
+        charge for any reason but the cap does not depend on size.  Only
+        a total the cap refuses is walked packet by packet under the
+        catalog's own rule (``cap_used + nbytes > cap_bytes``) — a
+        packet too big for what is left does not stop a later, smaller
+        one from fitting, so freeness is per packet, not a prefix.
+        Buckets, cap state and counters end exactly where ``len(sizes)``
+        calls to :meth:`account` would leave them.
+        """
+        total = sum(sizes)
+        used = self.cap_used(subscriber_ip)
+        decide = self.catalogs.decide
+        decision = decide(
+            subscriber_ip, app, server_ip, total, cookied=cookied, cap_used=used
         )
-        key = (decision.operator, subscriber_ip)
-        bucket = (decision.app, decision.byte_class, decision.free)
-        pending = self._pending.setdefault(key, {})
-        pending[bucket] = pending.get(bucket, 0) + nbytes
-        if decision.free:
-            self._cap_used[key] = self._cap_used.get(key, 0) + nbytes
-            self.free_bytes += nbytes
+        if decision.byte_class != "cap_exhausted":
+            flags = [decision.free] * len(sizes)
+            free = total if decision.free else 0
+            parts = ((decision, total),)
         else:
-            self.charged_bytes += nbytes
-        self.packets_accounted += 1
-        self.bytes_accounted += nbytes
-        return decision.free
+            cap = self.catalogs.cap_of(decision.operator)
+            flags = []
+            free = 0
+            for nbytes in sizes:
+                fits = used + free + nbytes <= cap
+                flags.append(fits)
+                if fits:
+                    free += nbytes
+            parts = ((decision, total - free),)
+            if free:
+                # What fitted, asked about as one piece: it fits, so the
+                # answer names the class those bytes ride free under.
+                fitted = decide(
+                    subscriber_ip, app, server_ip, free,
+                    cookied=cookied, cap_used=used,
+                )
+                parts += ((fitted, free),)
+        key = (decision.operator, subscriber_ip)
+        pending = self._pending.get(key)
+        if pending is None:
+            pending = self._pending[key] = {}
+            self._pending_keys.setdefault(subscriber_ip, []).append(key)
+        for verdict, nbytes in parts:
+            if nbytes:
+                bucket = (verdict.app, verdict.byte_class, verdict.free)
+                pending[bucket] = pending.get(bucket, 0) + nbytes
+        if free:
+            self._cap_used[key] = used + free
+            self.free_bytes += free
+        self.charged_bytes += total - free
+        self.packets_accounted += len(sizes)
+        self.bytes_accounted += total
+        return flags
 
     def decide_only(
         self,
@@ -112,9 +168,7 @@ class BillingAccountant:
             server_ip,
             nbytes,
             cookied=cookied,
-            cap_used=self._cap_used.get(
-                (self.catalogs.operator_of(subscriber_ip), subscriber_ip), 0
-            ),
+            cap_used=self.cap_used(subscriber_ip),
         )
 
     # ------------------------------------------------------------------
@@ -130,7 +184,7 @@ class BillingAccountant:
         progress is recorded.
         """
         written = 0
-        for key in [k for k in self._pending if k[1] == subscriber_ip]:
+        for key in list(self._pending_keys.get(subscriber_ip, ())):
             written += self._flush_key(key, now=now)
         return written
 
@@ -144,10 +198,7 @@ class BillingAccountant:
 
     def _flush_key(self, key: tuple[str, str], *, now: float) -> int:
         operator, subscriber = key
-        buckets = self._pending.get(key)
-        if not buckets:
-            self._pending.pop(key, None)
-            return 0
+        buckets = self._pending[key]
         written = 0
         for bucket in sorted(buckets):
             app, byte_class, free = bucket
@@ -170,8 +221,11 @@ class BillingAccountant:
                 raise
             del buckets[bucket]
             written += 1
-        if not buckets:
-            self._pending.pop(key, None)
+        del self._pending[key]
+        keys = self._pending_keys[subscriber]
+        keys.remove(key)
+        if not keys:
+            del self._pending_keys[subscriber]
         self.flushes += 1
         return written
 
@@ -194,7 +248,7 @@ class BillingAccountant:
 
     @property
     def pending_subscribers(self) -> int:
-        return len({key[1] for key in self._pending})
+        return len(self._pending_keys)
 
     @property
     def pending_bytes(self) -> int:

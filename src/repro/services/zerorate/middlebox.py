@@ -23,6 +23,7 @@ property the paper's line-rate argument rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Callable
 
 from ...core.matcher import CookieMatcher
@@ -56,6 +57,12 @@ class BillingFlushRequired(RuntimeError):
     constructor installs the journal-flush callback automatically when
     ``billing=`` is given; this raise means someone cleared
     ``on_subscriber_evicted`` afterwards."""
+
+
+_NO_FLUSH_CALLBACK = (
+    "billing-enabled middlebox cannot evict subscriber counters without "
+    "a flush callback"
+)
 
 
 def flow_key_to_fivetuple(key: tuple) -> FiveTuple:
@@ -178,7 +185,8 @@ class ZeroRatingMiddlebox(Element):
         self.flow_idle_timeout = flow_idle_timeout
         self.max_subscribers = max_subscribers
         #: Optional :class:`~repro.services.billing.BillingAccountant`
-        #: (duck-typed: ``account(...)`` + ``flush_subscriber(ip)``).
+        #: (duck-typed: ``account(...)`` + ``account_run(...)`` +
+        #: ``flush_subscriber(ip, now=)``).
         #: With billing, packet freeness comes from the subscriber's
         #: operator catalog (coverage, caps, roaming) instead of the
         #: bare cookie verdict, and every eviction flushes the pending
@@ -192,7 +200,10 @@ class ZeroRatingMiddlebox(Element):
             def _flush_then_notify(
                 ip: str, counters: SubscriberCounters
             ) -> None:
-                billing.flush_subscriber(ip)
+                # ``clock``, not ``self.clock``: a closure over ``self``
+                # would make every billing box a reference cycle that
+                # only the cyclic collector frees.
+                billing.flush_subscriber(ip, now=clock())
                 if user_callback is not None:
                     user_callback(ip, counters)
 
@@ -221,21 +232,16 @@ class ZeroRatingMiddlebox(Element):
     # Fast path
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:
-        self.emit(self._handle_one(packet, self.clock()))
-
-    def _handle_one(self, packet: Packet, now: float) -> Packet:
-        """Classify, account, and tag one packet; returns it for emit.
-
-        Shared by the scalar path (one clock read per packet) and the
-        billing-enabled batch path (one clock read per batch — billing
-        needs per-packet catalog decisions, so the resolved-run
-        coalescing of the counter-only batch path does not apply).
-        """
+        """Classify, account, tag and emit one packet: the scalar path,
+        and the reference :meth:`process_batch` is held bit-identical
+        to."""
+        now = self.clock()
         self.packets_processed += 1
         ip = packet.ip
         l4 = packet.l4
         if ip is None or l4 is None:
-            return packet
+            self.emit(packet)
+            return
         # Canonical bidirectional key without FlowTable overhead.
         a = (ip.src, l4.src_port)
         b = (ip.dst, l4.dst_port)
@@ -278,10 +284,9 @@ class ZeroRatingMiddlebox(Element):
                 # offload hook must still fire.
                 self._resolve(key, state)
 
-        free = self._account(state, packet, now)
-        if free:
+        if self._account(state, packet, now):
             packet.meta["zero_rated"] = True
-        return packet
+        self.emit(packet)
 
     def process_batch(self, packets: list[Packet]) -> None:
         """Batched fast path: one tick's packets, one observation time.
@@ -303,18 +308,21 @@ class ZeroRatingMiddlebox(Element):
           of one key neither move it relative to other keys nor bill a
           different total.
 
-        With billing enabled the coalescing is unsound (a cap can cross
-        mid-run, flipping freeness per packet), so the batch degrades to
-        the shared per-packet path with one clock read.
+        Billing rides the same loop.  The run head is billed through
+        ``billing.account``; the rest of the run only collects wire
+        lengths and is billed by one ``billing.account_run``, which
+        splits the run only where a cap bites and hands back each
+        packet's freeness for its ``zero_rated`` mark and the
+        free/charged split — the subscriber, app and server are the
+        flow's, so they are constants of the run.
         """
         now = self.clock()
-        if self.billing is not None:
-            self.emit_batch([self._handle_one(p, now) for p in packets])
-            return
         flows = self._flows
         counters = self.counters
+        billing = self.billing
         extract = self.registry.extract
         match = self._match_failsafe
+        new_flow_state = self._new_flow_state
         sniff = self.sniff_packets
         idle = self.flow_idle_timeout
         max_subscribers = self.max_subscribers
@@ -346,10 +354,10 @@ class ZeroRatingMiddlebox(Element):
             state = flows.pop(key, None)
             if state is None:
                 self._evict_for_space(now)
-                state = _FlowState(subscriber_ip=self._subscriber_of(src, dst))
+                state = new_flow_state(src, dst)
             elif now - state.last_seen > idle:
                 self.flows_evicted_idle += 1
-                state = _FlowState(subscriber_ip=self._subscriber_of(src, dst))
+                state = new_flow_state(src, dst)
             state.last_seen = now
             flows[key] = state
             packets_seen = state.packets_seen + 1
@@ -375,6 +383,8 @@ class ZeroRatingMiddlebox(Element):
             sub_counters = counters.get(subscriber_ip)
             if sub_counters is None:
                 while len(counters) >= max_subscribers:
+                    if billing is not None and on_subscriber_evicted is None:
+                        raise BillingFlushRequired(_NO_FLUSH_CALLBACK)
                     evicted_ip = next(iter(counters))
                     evicted = counters.pop(evicted_ip)
                     self.subscribers_evicted += 1
@@ -386,11 +396,21 @@ class ZeroRatingMiddlebox(Element):
                 del counters[subscriber_ip]
                 counters[subscriber_ip] = sub_counters
             zero_rated = state.zero_rated
-            if zero_rated:
-                sub_counters.free_bytes += packet.wire_length
+            wire = packet.wire_length
+            if billing is None:
+                free = zero_rated
+            else:
+                app = state.service if zero_rated else None
+                remote_ip = state.remote_ip
+                free = billing.account(
+                    subscriber_ip, app, remote_ip, wire,
+                    cookied=zero_rated, now=now,
+                )
+            if free:
+                sub_counters.free_bytes += wire
                 packet.meta["zero_rated"] = True
             else:
-                sub_counters.charged_bytes += packet.wire_length
+                sub_counters.charged_bytes += wire
             append(packet)
 
             if not state.resolved:
@@ -401,7 +421,9 @@ class ZeroRatingMiddlebox(Element):
             # scalar path would do for these packets survives skipping:
             # the LRU entry is already at the recent end with
             # last_seen == now, the verdict is final (resolved flows
-            # skip cookie work), and byte accounting is additive.
+            # skip cookie work), and byte accounting is additive —
+            # under billing up to the cap, which account_run applies
+            # to the collected sizes once the run ends.
             # Header *types* are per-flow constants, so the run head's
             # types pick constant-size wire-length arithmetic and only
             # packets carrying options/extensions fall back to the
@@ -410,6 +432,9 @@ class ZeroRatingMiddlebox(Element):
             l4_is_tcp = type(l4) is _TCPHeader
             run_packets = 0
             run_bytes = 0
+            if billing is not None:
+                sizes: list[int] = []
+                sizes_append = sizes.append
             while index < total:
                 nxt = packets[index]
                 nip = nxt.ip
@@ -453,14 +478,28 @@ class ZeroRatingMiddlebox(Element):
                     wire += nl4.wire_length
                 else:
                     wire += 20  # TCPHeader.BASE_WIRE_LENGTH
-                run_bytes += wire
-                if zero_rated:
-                    nxt.meta["zero_rated"] = True
+                if billing is not None:
+                    sizes_append(wire)
+                else:
+                    run_bytes += wire
+                    if zero_rated:
+                        nxt.meta["zero_rated"] = True
                 append(nxt)
             if run_packets:
                 processed += run_packets
                 state.packets_seen = packets_seen + run_packets
-                if zero_rated:
+                if billing is not None:
+                    flags = billing.account_run(
+                        subscriber_ip, app, remote_ip, sizes,
+                        cookied=zero_rated, now=now,
+                    )
+                    run_free = sum(compress(sizes, flags))
+                    sub_counters.free_bytes += run_free
+                    sub_counters.charged_bytes += sum(sizes) - run_free
+                    run = packets[index - run_packets : index]
+                    for nxt in compress(run, flags):
+                        nxt.meta["zero_rated"] = True
+                elif zero_rated:
                     sub_counters.free_bytes += run_bytes
                 else:
                     sub_counters.charged_bytes += run_bytes
@@ -529,15 +568,15 @@ class ZeroRatingMiddlebox(Element):
         cap state, roaming) and the journal-backed accountant buffers
         the delta.  The middlebox counters mirror the billed decision so
         wire-visible accounting and invoices can never disagree.
+
+        Scalar only: :meth:`process_batch` inlines this for a run's head
+        and bills the rest of the run with one ``account_run``.
         """
         counters = self.counters.get(state.subscriber_ip)
         if counters is None:
             while len(self.counters) >= self.max_subscribers:
                 if self.billing is not None and self.on_subscriber_evicted is None:
-                    raise BillingFlushRequired(
-                        "billing-enabled middlebox cannot evict subscriber "
-                        "counters without a flush callback"
-                    )
+                    raise BillingFlushRequired(_NO_FLUSH_CALLBACK)
                 evicted_ip = next(iter(self.counters))
                 evicted = self.counters.pop(evicted_ip)
                 self.subscribers_evicted += 1

@@ -58,7 +58,9 @@ class StatelessZeroRater(Element):
         #: catalog decides freeness, and the accountant journals the
         #: delta.  Because every packet is judged alone, the stateless
         #: and stateful paths produce identical billing decisions for
-        #: the same bytes (pinned by the parity property test).
+        #: the same bytes (pinned by the parity property test).  A
+        #: cookie is verified on every packet, so there are no runs to
+        #: bill at once: ``account()`` stays per packet here.
         self.billing = billing
         self.counters: dict[str, SubscriberCounters] = {}
         self.packets_processed = 0

@@ -9,10 +9,16 @@ their metadata, per-IP byte counters, flow-table state and LRU order,
 eviction/resolution counters, and telemetry snapshots.  Hypothesis
 drives adversarial traffic: interleaved flows with valid, malformed, and
 absent cookies, mixed free/charged subscribers, tiny state caps, and
-idle gaps between bursts.
+idle gaps between bursts.  ``TestBillingDifferential`` repeats the
+exercise with a ``billing=`` accountant, down to the journal's bytes.
 """
 
+import os
+import shutil
+import tempfile
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core import (
@@ -28,7 +34,14 @@ from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet
-from repro.services.zerorate import ZeroRatingMiddlebox
+from repro.services.billing import BillingAccountant, BillingJournal
+from repro.services.zerorate import (
+    AppCoverage,
+    BillingFlushRequired,
+    CatalogSet,
+    OperatorCatalog,
+    ZeroRatingMiddlebox,
+)
 from repro.telemetry import MetricsRegistry
 
 COOKIE_KINDS = ("valid", "bad_sig", "none")
@@ -339,6 +352,315 @@ class TestMiddleboxDifferential:
             ip: (c.free_bytes, c.charged_bytes)
             for ip, c in scalar.counters.items()
         }
+
+
+# ----------------------------------------------------------------------
+# Billing: the batch loop bills runs, the scalar path bills packets
+# ----------------------------------------------------------------------
+BILLING_SERVER = "93.184.216.34"
+#: unlimited / capped / CDN-not-covered / capped + roaming / no operator
+BILLING_SUBSCRIBERS = (
+    "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5",
+)
+PAYLOAD_SIZES = (1, 40, 512, 1400)
+
+
+def _billing_accountant(directory, cap):
+    origin = AppCoverage(
+        app="zero-rate", origin_ips=frozenset({BILLING_SERVER})
+    )
+    catalogs = CatalogSet([
+        OperatorCatalog("op-unlimited", apps=(origin,)),
+        OperatorCatalog("op-capped", apps=(origin,), cap_bytes=cap),
+        OperatorCatalog(
+            "op-cdn",
+            apps=(AppCoverage(
+                app="zero-rate", cdn_ips=frozenset({BILLING_SERVER}),
+                cdn_covered=False,
+            ),),
+        ),
+    ])
+    for ip, operator in zip(
+        BILLING_SUBSCRIBERS,
+        ("op-unlimited", "op-capped", "op-cdn", "op-capped"),
+    ):
+        catalogs.assign(ip, operator)
+    catalogs.set_roaming(BILLING_SUBSCRIBERS[3])
+    return BillingAccountant(
+        catalogs, BillingJournal(directory, source="diff", fsync="never")
+    )
+
+
+def _billing_flow(descriptor, clock, flow_index, subscriber, cookie_kind, tail):
+    """A cookied (or not) hello, then ``tail``: (upstream?, payload size)
+    packets in either direction."""
+    head = _flow_packets(descriptor, clock, flow_index, cookie_kind, 1)[0]
+    head.ip.src = subscriber
+    sport = head.l4.src_port
+    packets = [head]
+    for upstream, size in tail:
+        ends = (
+            (subscriber, sport, BILLING_SERVER, 443)
+            if upstream
+            else (BILLING_SERVER, 443, subscriber, sport)
+        )
+        packets.append(
+            make_tcp_packet(*ends, payload_size=size, encrypted=True)
+        )
+    return packets
+
+
+def _wire_lengths(tail):
+    """Wire lengths of a valid flow's packets (sizing a cap needs them
+    before the accountant it configures exists)."""
+    _, descriptor = _store()
+    flow = _billing_flow(
+        descriptor, Clock(), 0, BILLING_SUBSCRIBERS[1], "valid", tail
+    )
+    return [packet.wire_length for packet in flow]
+
+
+@st.composite
+def billed_traffic(draw):
+    """Flow plans plus a bursty schedule: (flow, burst length) turns, so
+    resolved runs of every length form, split and interleave."""
+    plans = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(BILLING_SUBSCRIBERS) - 1),
+                st.sampled_from(COOKIE_KINDS),
+                st.lists(
+                    st.tuples(st.booleans(), st.sampled_from(PAYLOAD_SIZES)),
+                    max_size=8,
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    turns = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(plans) - 1), st.integers(1, 6)),
+            max_size=12,
+        )
+    )
+    return plans, turns
+
+
+def _bursty(per_flow, turns):
+    cursors = [0] * len(per_flow)
+    stream = []
+    # Whatever the schedule leaves over drains flow by flow.
+    for flow_index, burst in turns + [(i, 10**6) for i in range(len(per_flow))]:
+        start = cursors[flow_index]
+        cursors[flow_index] = min(start + burst, len(per_flow[flow_index]))
+        stream.extend(per_flow[flow_index][start : cursors[flow_index]])
+    return stream
+
+
+def _directory_bytes(directory):
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            out[name] = handle.read()
+    return out
+
+
+def _billing_observables(middlebox, sink, accountant):
+    out = _middlebox_observables(middlebox, sink)
+    out["cookie_checked"] = [
+        packet.meta.get("cookie_checked") for packet in sink.packets
+    ]
+    # Lists, not dicts: LRU and flush order are part of the contract.
+    out["counters"] = [
+        (ip, counters.free_bytes, counters.charged_bytes)
+        for ip, counters in middlebox.counters.items()
+    ]
+    out["flow_billing"] = [
+        (state.remote_ip, state.service, state.last_seen)
+        for state in middlebox._flows.values()
+    ]
+    out["accountant"] = accountant.stats_dict()
+    out["cap_used"] = dict(accountant._cap_used)
+    out["pending"] = [
+        (key, dict(buckets)) for key, buckets in accountant._pending.items()
+    ]
+    out["pending_subscribers"] = accountant.pending_subscribers
+    out["pending_bytes"] = accountant.pending_bytes
+    return out
+
+
+class _BillingPair:
+    """Scalar and batched middleboxes over one store and one clock, each
+    billing into a journal directory of its own."""
+
+    def __init__(self, cap, **kwargs):
+        self.store, self.descriptor = _store()
+        self.clock = Clock(now=1.0)
+        self.directories = [
+            tempfile.mkdtemp(prefix="repro-billing-diff-") for _ in range(2)
+        ]
+        self.sides = []
+        for directory in self.directories:
+            accountant = _billing_accountant(directory, cap)
+            middlebox = ZeroRatingMiddlebox(
+                CookieMatcher(self.store), clock=self.clock,
+                billing=accountant, **kwargs
+            )
+            sink = Sink()
+            middlebox >> sink
+            self.sides.append((middlebox, sink, accountant))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for _, _, accountant in self.sides:
+            accountant.journal.close()
+        for directory in self.directories:
+            shutil.rmtree(directory, ignore_errors=True)
+
+    def feed(self, stream, chunk=None):
+        """The same chunks, at the same tick times, down both paths."""
+        (scalar, _, _), (batched, _, _) = self.sides
+        chunk = chunk or max(1, len(stream))
+        for tick, start in enumerate(range(0, len(stream), chunk)):
+            self.clock.now = 1.0 + 0.01 * tick
+            burst = stream[start : start + chunk]
+            for packet in burst:
+                scalar.handle(packet.clone())
+            batched.process_batch([packet.clone() for packet in burst])
+
+    def assert_identical(self):
+        scalar, batched = (
+            _billing_observables(*side) for side in self.sides
+        )
+        assert batched == scalar
+        for _, _, accountant in self.sides:
+            accountant.flush_all(now=self.clock.now)
+        scalar_bytes, batched_bytes = (
+            _directory_bytes(directory) for directory in self.directories
+        )
+        assert batched_bytes == scalar_bytes
+        return scalar
+
+    def flow(self, subscriber, tail, flow_index=0):
+        return _billing_flow(
+            self.descriptor, self.clock, flow_index, subscriber, "valid", tail
+        )
+
+
+class TestBillingDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        plan=billed_traffic(),
+        cap=st.integers(0, 6000),
+        chunk=st.one_of(st.none(), st.integers(1, 7)),
+        max_subscribers=st.sampled_from((1, 2)),
+        max_flows=st.sampled_from((2, 100)),
+    )
+    def test_batch_equals_scalar(
+        self, plan, cap, chunk, max_subscribers, max_flows
+    ):
+        plans, turns = plan
+        with _BillingPair(
+            cap, max_subscribers=max_subscribers, max_flows=max_flows
+        ) as pair:
+            per_flow = [
+                _billing_flow(
+                    pair.descriptor, pair.clock, index,
+                    BILLING_SUBSCRIBERS[subscriber], kind, tail,
+                )
+                for index, (subscriber, kind, tail) in enumerate(plans)
+            ]
+            pair.feed(_bursty(per_flow, turns), chunk=chunk)
+            pair.assert_identical()
+
+    def test_small_packet_fits_after_a_large_one_did_not(self):
+        """Freeness is per packet, not a prefix of the run: 1400 B does
+        not fit under what is left of the cap, the 40 B packets behind
+        it do — the second one to the cap's last byte."""
+        tail = [(False, 1400), (False, 40), (True, 40), (False, 1400)]
+        head, big, small = _wire_lengths(tail)[:3]
+        cap = head + 2 * small
+        assert small < big and cap < head + big
+        with _BillingPair(cap) as pair:
+            pair.feed(pair.flow(BILLING_SUBSCRIBERS[1], tail))
+            _, batched_sink, accountant = pair.sides[1]
+            assert [
+                packet.meta.get("zero_rated") for packet in batched_sink.packets
+            ] == [True, None, True, True, None]
+            assert accountant.cap_used(BILLING_SUBSCRIBERS[1]) == cap
+            observed = pair.assert_identical()
+        assert observed["pending"] == [(
+            ("op-capped", BILLING_SUBSCRIBERS[1]),
+            {
+                ("zero-rate", "origin", True): cap,
+                ("zero-rate", "cap_exhausted", False): 2 * big,
+            },
+        )]
+
+    def test_run_total_landing_exactly_on_the_cap_is_all_free(self):
+        tail = [(False, 1400), (True, 1), (False, 512)]
+        cap = sum(_wire_lengths(tail))
+        with _BillingPair(cap) as pair:
+            pair.feed(pair.flow(BILLING_SUBSCRIBERS[1], tail))
+            middlebox, _, accountant = pair.sides[1]
+            assert accountant.cap_used(BILLING_SUBSCRIBERS[1]) == cap
+            counters = middlebox.counters_for(BILLING_SUBSCRIBERS[1])
+            assert (counters.free_bytes, counters.charged_bytes) == (cap, 0)
+            # The cap is spent to the byte: the next flow is all charged.
+            pair.feed(pair.flow(BILLING_SUBSCRIBERS[1], tail, flow_index=1))
+            assert counters.free_bytes == cap
+            pair.assert_identical()
+
+    def test_batch_eviction_without_flush_hook_raises(self):
+        with _BillingPair(None, max_subscribers=1) as pair:
+            batched = pair.sides[1][0]
+            batched.on_subscriber_evicted = None
+            stream = pair.flow(BILLING_SUBSCRIBERS[0], [(False, 512)]) + (
+                pair.flow(BILLING_SUBSCRIBERS[1], [], flow_index=1)
+            )
+            with pytest.raises(BillingFlushRequired):
+                batched.process_batch(stream)
+
+    def test_account_is_the_one_element_run(self):
+        calls = [
+            (BILLING_SUBSCRIBERS[0], "zero-rate", BILLING_SERVER, 700, True),
+            (BILLING_SUBSCRIBERS[1], "zero-rate", BILLING_SERVER, 900, True),
+            (BILLING_SUBSCRIBERS[1], "zero-rate", BILLING_SERVER, 200, True),
+            (BILLING_SUBSCRIBERS[1], "zero-rate", BILLING_SERVER, 50, True),
+            (BILLING_SUBSCRIBERS[1], "zero-rate", "198.51.100.7", 60, True),
+            (BILLING_SUBSCRIBERS[2], "zero-rate", BILLING_SERVER, 300, True),
+            (BILLING_SUBSCRIBERS[3], "zero-rate", BILLING_SERVER, 300, True),
+            (BILLING_SUBSCRIBERS[4], "zero-rate", BILLING_SERVER, 300, True),
+            (BILLING_SUBSCRIBERS[0], "other-app", BILLING_SERVER, 80, True),
+            (BILLING_SUBSCRIBERS[0], None, BILLING_SERVER, 80, False),
+            (BILLING_SUBSCRIBERS[1], "zero-rate", BILLING_SERVER, 0, True),
+        ]
+        directories = [tempfile.mkdtemp(prefix="repro-acct-") for _ in range(2)]
+        try:
+            single, run = (_billing_accountant(d, 1000) for d in directories)
+            for ip, app, server, nbytes, cookied in calls:
+                free = single.account(ip, app, server, nbytes, cookied=cookied)
+                assert run.account_run(
+                    ip, app, server, [nbytes], cookied=cookied
+                ) == [free]
+            assert single.free_bytes == 700 + 900 + 50
+            for accountant in (single, run):
+                accountant.journal.close()
+            observed = [
+                (
+                    accountant.stats_dict(), accountant._cap_used,
+                    list(accountant._pending.items()),
+                    accountant.pending_subscribers, accountant.pending_bytes,
+                )
+                for accountant in (single, run)
+            ]
+            assert observed[0] == observed[1]
+        finally:
+            for directory in directories:
+                shutil.rmtree(directory, ignore_errors=True)
 
 
 def _switch_observables(switch, sink):

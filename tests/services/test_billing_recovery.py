@@ -149,6 +149,64 @@ def test_user_eviction_callback_still_runs_after_flush(tmp_path):
     accountant.journal.close()
 
 
+def test_eviction_flush_records_carry_the_observation_time(tmp_path):
+    """A record written because the LRU evicted its subscriber is
+    stamped with the middlebox's clock, like a ``flush_all(now=)`` one —
+    not with the accountant's ``now=0.0`` default."""
+    store = DescriptorStore()
+    descriptor = store.add(CookieDescriptor.create(service_data="zero-rate"))
+    clock = _Clock()
+    clock.now = 100.0
+    accountant = _accountant(str(tmp_path))
+    evicted_at = []
+    middlebox = ZeroRatingMiddlebox(
+        CookieMatcher(store), clock=clock, max_subscribers=1,
+        billing=accountant,
+        on_subscriber_evicted=lambda ip, counters: evicted_at.append(clock.now),
+    )
+    middlebox >> Sink()
+    _drive(middlebox, descriptor, clock, flows=2, packets=2)
+    assert len(evicted_at) == 1 and 100.0 < evicted_at[0] < clock.now
+    accountant.flush_all(now=clock.now)
+    accountant.journal.close()
+    records, _ = BillingJournal.read_directory(str(tmp_path))
+    assert [(r.subscriber, r.time) for r in records] == [
+        (SUBSCRIBERS[0], evicted_at[0]),
+        (SUBSCRIBERS[1], clock.now),
+    ]
+
+
+def test_flush_subscriber_touches_only_its_own_buckets(tmp_path):
+    """A subscriber re-assigned mid-flight holds pending deltas under
+    two operators: one flush journals both, oldest first, and leaves
+    every other subscriber's deltas pending."""
+    accountant = _accountant(str(tmp_path))
+    accountant.catalogs.add_catalog(OperatorCatalog(operator="op-new"))
+    moved, other = SUBSCRIBERS[0], SUBSCRIBERS[1]
+    accountant.account(moved, "zero-rate", ORIGIN, 700, cookied=True)
+    accountant.account(other, "zero-rate", ORIGIN, 500, cookied=True)
+    accountant.catalogs.assign(moved, "op-new")
+    accountant.account(moved, "zero-rate", ORIGIN, 300, cookied=True)
+    assert accountant.pending_subscribers == 2
+    assert accountant.pending_bytes == 1500
+    assert accountant.flush_subscriber(moved, now=7.0) == 2
+    assert accountant.pending_subscribers == 1
+    assert accountant.pending_bytes == 500
+    assert accountant.flush_subscriber(moved) == 0
+    assert accountant.flush_all() == 1
+    assert accountant.pending_subscribers == 0
+    accountant.journal.close()
+    records, _ = BillingJournal.read_directory(str(tmp_path))
+    assert [
+        (r.operator, r.subscriber, r.free_bytes, r.charged_bytes)
+        for r in records
+    ] == [
+        ("op-ev", moved, 700, 0),
+        ("op-new", moved, 0, 300),
+        ("op-ev", other, 500, 0),
+    ]
+
+
 def test_journal_full_keeps_delta_pending_for_retry(tmp_path):
     """ENOSPC during a flush loses nothing: the failed bucket stays
     pending and a retry lands it."""
