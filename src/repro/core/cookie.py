@@ -18,7 +18,6 @@ Two encodings are provided:
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 import hmac
 import struct
@@ -31,9 +30,15 @@ __all__ = [
     "Cookie",
     "sign_cookie_fields",
     "SignerCache",
+    "keyed_mac",
+    "sign_message",
     "COOKIE_WIRE_BYTES",
+    "REPLAY_KEY_BYTES",
     "SIGNATURE_BYTES",
+    "SIGNED_BYTES",
+    "TIMESTAMP_SCALE",
     "UUID_BYTES",
+    "WIRE_VERIFY_FIELDS",
 ]
 
 UUID_BYTES = 16
@@ -41,9 +46,62 @@ SIGNATURE_BYTES = 16
 # id (8) + uuid (16) + timestamp (8) + signature (16)
 COOKIE_WIRE_BYTES = 8 + UUID_BYTES + 8 + SIGNATURE_BYTES
 
-_TIMESTAMP_SCALE = 1_000_000  # store seconds as integer microseconds
+TIMESTAMP_SCALE = 1_000_000  # store seconds as integer microseconds
 
 _WIRE = struct.Struct(f"!Q{UUID_BYTES}sQ{SIGNATURE_BYTES}s")
+_U64 = struct.Struct("!Q")
+
+#: The signature covers the first 32 wire bytes (id | uuid | timestamp);
+#: the first 24 of those (id | uuid) are the replay-cache key.
+SIGNED_BYTES = 8 + UUID_BYTES + 8
+REPLAY_KEY_BYTES = 8 + UUID_BYTES
+#: What a verifier unpacks of a wire cookie — (id, µs timestamp,
+#: signature); the uuid it only ever uses in place, inside those slices.
+WIRE_VERIFY_FIELDS = struct.Struct(f"!Q{UUID_BYTES}xQ{SIGNATURE_BYTES}s")
+
+# RFC 2104: HMAC(K, m) = H((K' ^ opad) | H((K' ^ ipad) | m)), K' the key
+# zero-padded to H's 64-byte block (hashed first when longer).
+_BLOCK_BYTES = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+_sha256 = hashlib.sha256
+
+
+def _padded_keys(key: bytes) -> tuple[bytes, bytes]:
+    """``(K' ^ ipad, K' ^ opad)``: the two 64-byte blocks HMAC absorbs
+    before the message and before the inner digest."""
+    if len(key) > _BLOCK_BYTES:
+        key = _sha256(key).digest()
+    key = key.ljust(_BLOCK_BYTES, b"\0")
+    return key.translate(_IPAD), key.translate(_OPAD)
+
+
+def keyed_mac(inner, outer, message: bytes) -> bytes:
+    """Truncated HMAC-SHA256 of ``message`` from the two pre-absorbed
+    states :meth:`SignerCache.states` keeps per key: two
+    ``copy()/update()/digest()`` instead of re-hashing the key blocks."""
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()[:SIGNATURE_BYTES]
+
+
+def sign_message(key: bytes, message: bytes) -> bytes:
+    """:func:`keyed_mac` without the cache: each key block is hashed
+    together with what follows it, in one call per SHA-256."""
+    inner_key, outer_key = _padded_keys(key)
+    return _sha256(outer_key + _sha256(inner_key + message).digest()).digest()[
+        :SIGNATURE_BYTES
+    ]
+
+
+def _signed_fields(cookie_id: int, uuid: bytes, timestamp: float) -> bytes:
+    return (
+        _U64.pack(cookie_id)
+        + uuid
+        + _U64.pack(round(timestamp * TIMESTAMP_SCALE))
+    )
 
 
 def sign_cookie_fields(key: bytes, cookie_id: int, uuid: bytes, timestamp: float) -> bytes:
@@ -51,27 +109,27 @@ def sign_cookie_fields(key: bytes, cookie_id: int, uuid: bytes, timestamp: float
 
     Truncated HMAC-SHA256 retains its unforgeability at reduced output
     length (RFC 2104 §5); 128 bits is far beyond what an on-path attacker
-    can brute-force within a 5-second coherency window.
+    can brute-force within a 5-second coherency window.  Bit-identical to
+    ``hmac.digest(key, message, "sha256")[:16]``; this is the uncached
+    form of the one MAC every verifier path shares (:func:`sign_message`).
     """
-    message = struct.pack("!Q", cookie_id) + uuid + struct.pack(
-        "!Q", round(timestamp * _TIMESTAMP_SCALE)
-    )
-    return hmac.new(key, message, hashlib.sha256).digest()[:SIGNATURE_BYTES]
+    return sign_message(key, _signed_fields(cookie_id, uuid, timestamp))
 
 
 class SignerCache:
-    """Per-key HMAC context reuse for batched verification.
+    """Per-key pre-absorbed HMAC states for repeated verification.
 
-    ``hmac.new(key, ...)`` pads and hashes the key on every call — two
-    SHA-256 block transforms a verifier repeats for every cookie of the
-    same descriptor.  The cache keys one pre-initialised context per
-    descriptor key and serves each signature from ``ctx.copy()``, which
-    clones the already-absorbed key state.  Digests are bit-identical to
-    :func:`sign_cookie_fields` (HMAC is key-absorption then message
-    absorption, and ``copy`` snapshots the former).
+    HMAC hashes two key-derived 64-byte blocks before it sees a byte of
+    the message — two SHA-256 block transforms a verifier repeats for
+    every cookie of the same descriptor.  The cache keeps, per descriptor
+    key, the two ``hashlib.sha256`` states that have absorbed ``K ^ ipad``
+    and ``K ^ opad`` and serves each signature from their ``copy()``
+    (:func:`keyed_mac`).  Digests are bit-identical to
+    :func:`sign_cookie_fields`, which is the same construction with
+    nothing cached.
 
-    State is bounded: at most ``max_keys`` contexts are kept, evicted in
-    FIFO order — one context per descriptor, so the cap is really a cap
+    State is bounded: at most ``max_keys`` state pairs are kept, evicted
+    in FIFO order — one pair per descriptor, so the cap is really a cap
     on hot descriptors per verifier.
     """
 
@@ -79,29 +137,30 @@ class SignerCache:
         if max_keys < 1:
             raise ValueError("max_keys must be at least 1")
         self.max_keys = max_keys
-        self._contexts: dict[bytes, "hmac.HMAC"] = {}
+        self._states: dict[bytes, tuple] = {}
 
     def __len__(self) -> int:
-        return len(self._contexts)
+        return len(self._states)
+
+    def states(self, key: bytes) -> tuple:
+        """The ``(inner, outer)`` states for ``key``, built on first use.
+        Callers ``copy()`` them (via :func:`keyed_mac`), never update."""
+        states = self._states
+        pair = states.get(key)
+        if pair is None:
+            inner_key, outer_key = _padded_keys(key)
+            pair = (_sha256(inner_key), _sha256(outer_key))
+            while len(states) >= self.max_keys:
+                del states[next(iter(states))]
+            states[key] = pair
+        return pair
 
     def sign(
         self, key: bytes, cookie_id: int, uuid: bytes, timestamp: float
     ) -> bytes:
-        """Equivalent of :func:`sign_cookie_fields` via a cached context."""
-        contexts = self._contexts
-        base = contexts.get(key)
-        if base is None:
-            base = hmac.new(key, digestmod=hashlib.sha256)
-            while len(contexts) >= self.max_keys:
-                del contexts[next(iter(contexts))]
-            contexts[key] = base
-        mac = base.copy()
-        mac.update(
-            struct.pack("!Q", cookie_id)
-            + uuid
-            + struct.pack("!Q", round(timestamp * _TIMESTAMP_SCALE))
-        )
-        return mac.digest()[:SIGNATURE_BYTES]
+        """Equivalent of :func:`sign_cookie_fields` via the cached states."""
+        inner, outer = self.states(key)
+        return keyed_mac(inner, outer, _signed_fields(cookie_id, uuid, timestamp))
 
 
 @dataclass(frozen=True)
@@ -123,12 +182,24 @@ class Cookie:
                 f"signature must be {SIGNATURE_BYTES} bytes, got {len(self.signature)}"
             )
 
+    def signed_bytes(self) -> bytes:
+        """The 32 bytes the signature covers (id | uuid | µs timestamp).
+
+        A cookie that came off a wire (or was already serialised) holds
+        them as the head of its memoized encoding; only a cookie that
+        never touched a wire packs them.  The first
+        :data:`REPLAY_KEY_BYTES` of the result are the replay-cache key.
+        """
+        wire = self.__dict__.get("_wire")
+        if wire is not None:
+            return wire[:SIGNED_BYTES]
+        return _signed_fields(self.cookie_id, self.uuid, self.timestamp)
+
     def verify_signature(self, descriptor: CookieDescriptor) -> bool:
         """Constant-time check of the HMAC digest under the descriptor key."""
-        expected = sign_cookie_fields(
-            descriptor.key, self.cookie_id, self.uuid, self.timestamp
+        return hmac.compare_digest(
+            sign_message(descriptor.key, self.signed_bytes()), self.signature
         )
-        return hmac.compare_digest(expected, self.signature)
 
     # ------------------------------------------------------------------
     # Wire encodings
@@ -148,7 +219,7 @@ class Cookie:
             wire = _WIRE.pack(
                 self.cookie_id,
                 self.uuid,
-                round(self.timestamp * _TIMESTAMP_SCALE),
+                round(self.timestamp * TIMESTAMP_SCALE),
                 self.signature,
             )
             object.__setattr__(self, "_wire", wire)
@@ -162,16 +233,19 @@ class Cookie:
                 f"cookie must be {COOKIE_WIRE_BYTES} bytes, got {len(data)}"
             )
         cookie_id, uuid, ts_micros, signature = _WIRE.unpack(data)
-        cookie = cls(
+        # Filled directly, not through __init__: the ``16s`` fields are
+        # 16 bytes by construction, which is all __post_init__ checks.
+        cookie = object.__new__(cls)
+        cookie.__dict__.update(
             cookie_id=cookie_id,
             uuid=uuid,
-            timestamp=ts_micros / _TIMESTAMP_SCALE,
+            timestamp=ts_micros / TIMESTAMP_SCALE,
             signature=signature,
+            # µs quantization makes the re-encoding bit-identical to the
+            # input; seed the memo so a verify-and-forward path never
+            # re-packs what it already holds.
+            _wire=bytes(data),
         )
-        # µs quantization makes the re-encoding bit-identical to the
-        # input; seed the memo so a verify-and-forward path never
-        # re-packs what it already holds.
-        object.__setattr__(cookie, "_wire", bytes(data))
         return cookie
 
     def to_text(self) -> str:
@@ -179,11 +253,14 @@ class Cookie:
         return base64.b64encode(self.to_bytes()).decode("ascii")
 
     @classmethod
-    def from_text(cls, text: str) -> "Cookie":
-        """Parse the base64 text encoding; raises :class:`MalformedCookie`."""
+    def from_text(cls, text: str | bytes) -> "Cookie":
+        """Parse the base64 text encoding, given as ``str`` or as the
+        ASCII bytes a carrier holds; raises :class:`MalformedCookie`."""
         try:
-            raw = base64.b64decode(text.encode("ascii"), validate=True)
-        except (binascii.Error, UnicodeEncodeError) as exc:
+            # b64decode takes either form and, with validate=True, rejects
+            # every non-alphabet character (non-ASCII text included).
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error is a ValueError
             raise MalformedCookie(f"bad base64 cookie text: {exc}") from exc
         return cls.from_bytes(raw)
 

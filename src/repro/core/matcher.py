@@ -25,16 +25,27 @@ because rule 4 already rejects them.
 from __future__ import annotations
 
 import hmac as _hmac
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .cookie import Cookie, SignerCache
+from .cookie import (
+    COOKIE_WIRE_BYTES,
+    REPLAY_KEY_BYTES,
+    SIGNED_BYTES,
+    TIMESTAMP_SCALE,
+    WIRE_VERIFY_FIELDS,
+    Cookie,
+    SignerCache,
+    keyed_mac,
+    sign_message,
+)
 from .descriptor import CookieDescriptor
 from .errors import (
-    CookieError,
     DescriptorExpired,
     DescriptorRevoked,
     InvalidSignature,
+    MalformedCookie,
     ReplayDetected,
     StaleTimestamp,
     UnknownDescriptor,
@@ -46,6 +57,8 @@ __all__ = [
     "ShardedReplayCache",
     "MatchStats",
     "CookieMatcher",
+    "MATCH_OUTCOMES",
+    "VERDICT_RECORD",
     "NETWORK_COHERENCY_TIME",
 ]
 
@@ -102,9 +115,14 @@ class ReplayCache:
 
     def check_and_record(self, uuid: bytes, now: float) -> bool:
         """Atomically test-and-set; returns True if this is a replay."""
-        if self.seen_before(uuid, now):
+        # _rotate's own entry condition, tested here so the steady state
+        # (same generation) costs no call.
+        if now - self._generation_start >= self.window:
+            self._rotate(now)
+        current = self._current
+        if uuid in current or uuid in self._previous:
             return True
-        self._current.add(uuid)
+        current.add(uuid)
         return False
 
     @property
@@ -218,6 +236,54 @@ class MatchStats:
         }
 
 
+#: Verdict codes: code *i* is the *i*-th :class:`MatchStats` field, so 0
+#: is the only accept and every other code names its reject reason.
+MATCH_OUTCOMES: tuple[str, ...] = tuple(
+    field.name for field in fields(MatchStats)
+)
+(
+    _ACCEPTED,
+    _UNKNOWN_ID,
+    _BAD_SIGNATURE,
+    _STALE_TIMESTAMP,
+    _REPLAYED,
+    _REVOKED,
+    _EXPIRED,
+) = range(len(MATCH_OUTCOMES))
+
+#: One verdict record of :meth:`CookieMatcher.match_wire`: outcome code
+#: (1) + descriptor id (8, zero unless accepted).
+VERDICT_RECORD = struct.Struct("!BQ")
+
+#: Reject code -> the typed error :meth:`CookieMatcher.verify` raises.
+_REJECTIONS = {
+    _UNKNOWN_ID: (
+        UnknownDescriptor,
+        lambda cookie, now: f"no descriptor {cookie.cookie_id:#x}",
+    ),
+    _REVOKED: (
+        DescriptorRevoked,
+        lambda cookie, now: f"descriptor {cookie.cookie_id:#x} revoked",
+    ),
+    _EXPIRED: (
+        DescriptorExpired,
+        lambda cookie, now: f"descriptor {cookie.cookie_id:#x} expired",
+    ),
+    _BAD_SIGNATURE: (
+        InvalidSignature,
+        lambda cookie, now: f"bad digest for {cookie.cookie_id:#x}",
+    ),
+    _STALE_TIMESTAMP: (
+        StaleTimestamp,
+        lambda cookie, now: f"timestamp {cookie.timestamp} outside NCT of {now}",
+    ),
+    _REPLAYED: (
+        ReplayDetected,
+        lambda cookie, now: f"uuid {cookie.uuid.hex()} already seen",
+    ),
+}
+
+
 class CookieMatcher:
     """Verifies cookies against a descriptor store.
 
@@ -285,43 +351,75 @@ class CookieMatcher:
 
         registry.register_collector(collector_name or prefix, collect)
 
-    def verify(self, cookie: Cookie, now: float) -> CookieDescriptor:
-        """Full verification; returns the descriptor or raises."""
+    def _decide(
+        self, cookie: Cookie, now: float
+    ) -> tuple[CookieDescriptor | None, int]:
+        """The scalar checks, counted but never raised: the descriptor
+        and ``_ACCEPTED``, or ``None`` and the reject code."""
+        stats = self.stats
         descriptor = self.store.get(cookie.cookie_id)
         if descriptor is None:
-            self.stats.unknown_id += 1
-            raise UnknownDescriptor(f"no descriptor {cookie.cookie_id:#x}")
+            stats.unknown_id += 1
+            return None, _UNKNOWN_ID
         if descriptor.revoked:
-            self.stats.revoked += 1
-            raise DescriptorRevoked(f"descriptor {cookie.cookie_id:#x} revoked")
+            stats.revoked += 1
+            return None, _REVOKED
         if descriptor.attributes.is_expired(now):
-            self.stats.expired += 1
-            raise DescriptorExpired(f"descriptor {cookie.cookie_id:#x} expired")
-        if not cookie.verify_signature(descriptor):
-            self.stats.bad_signature += 1
-            raise InvalidSignature(f"bad digest for {cookie.cookie_id:#x}")
+            stats.expired += 1
+            return None, _EXPIRED
+        signed = cookie.signed_bytes()
+        if not _hmac.compare_digest(
+            sign_message(descriptor.key, signed), cookie.signature
+        ):
+            stats.bad_signature += 1
+            return None, _BAD_SIGNATURE
         if abs(cookie.timestamp - now) > self.nct:
-            self.stats.stale_timestamp += 1
-            raise StaleTimestamp(
-                f"timestamp {cookie.timestamp} outside NCT of {now}"
-            )
-        replay_key = cookie.cookie_id.to_bytes(8, "big") + cookie.uuid
-        if self.replay_cache.check_and_record(replay_key, now):
-            self.stats.replayed += 1
-            raise ReplayDetected(f"uuid {cookie.uuid.hex()} already seen")
-        self.stats.accepted += 1
+            stats.stale_timestamp += 1
+            return None, _STALE_TIMESTAMP
+        if self.replay_cache.check_and_record(signed[:REPLAY_KEY_BYTES], now):
+            stats.replayed += 1
+            return None, _REPLAYED
+        stats.accepted += 1
+        return descriptor, _ACCEPTED
+
+    def verify(self, cookie: Cookie, now: float) -> CookieDescriptor:
+        """Full verification; returns the descriptor or raises."""
+        descriptor, code = self._decide(cookie, now)
+        if descriptor is None:
+            error, describe = _REJECTIONS[code]
+            raise error(describe(cookie, now))
         return descriptor
 
     def match(self, cookie: Cookie, now: float) -> CookieDescriptor | None:
         """Data-path verification: descriptor on success, None on failure."""
-        try:
-            return self.verify(cookie, now)
-        except CookieError:
-            return None
+        return self._decide(cookie, now)[0]
 
     # ------------------------------------------------------------------
-    # Batched data path
+    # Batched data paths
     # ------------------------------------------------------------------
+    def _resolve(self, cookie_id: int, now: float) -> tuple:
+        """Per-batch memo entry for one cookie id: ``(descriptor, code,
+        inner, outer)`` — the usable descriptor with its pre-keyed MAC
+        states, or ``None`` with the reject code.  Sound within a batch
+        because ``now`` is fixed and descriptor revocation/expiry cannot
+        change between two cookies of the same batch (single-threaded
+        data path, one timestamp)."""
+        descriptor = self.store.get(cookie_id)
+        if descriptor is None:
+            return None, _UNKNOWN_ID, None, None
+        if descriptor.revoked:
+            return None, _REVOKED, None, None
+        if descriptor.attributes.is_expired(now):
+            return None, _EXPIRED, None, None
+        return (descriptor, _ACCEPTED, *self._signers.states(descriptor.key))
+
+    def _count(self, counts: list[int]) -> None:
+        """Add one batch's per-code tallies to :attr:`stats`."""
+        stats = self.stats
+        for outcome, count in zip(MATCH_OUTCOMES, counts):
+            if count:
+                setattr(stats, outcome, getattr(stats, outcome) + count)
+
     def match_batch(
         self,
         cookies: Sequence[Cookie],
@@ -339,27 +437,28 @@ class CookieMatcher:
 
         - descriptor lookup + revoked/expired checks are memoized per
           cookie id (a batch from one flow burst repeats few ids);
-        - HMAC contexts are pre-keyed once per descriptor and served by
-          ``copy()`` via :class:`~repro.core.cookie.SignerCache`;
-        - the NCT window check and stats/attribute lookups run inside a
-          single pass with locals bound once per batch.
+        - the descriptor's two pre-absorbed HMAC states ride in the same
+          memo entry (:class:`~repro.core.cookie.SignerCache`), so a
+          signature is two ``copy()/update()/digest()``;
+        - a cookie that came off a wire is not re-packed: the MAC
+          message and the replay key are slices of its memoized
+          encoding (:meth:`Cookie.signed_bytes`).
+
+        This is the *object* path; :meth:`match_wire` is the same loop
+        over a frame of wire cookies and shares everything with it but
+        the freshness operand.  Here that is ``cookie.timestamp`` as
+        given — the float of a cookie that never touched a wire is not
+        µs-quantised, and the scalar path judges that float.
 
         ``reasons``, if given, receives one :class:`MatchStats` field
-        name per cookie (``"accepted"``, ``"replayed"``, ...) — the
-        per-verdict detail the multi-process wire codec packs into its
-        verdict array without a second verification pass.
+        name per cookie (``"accepted"``, ``"replayed"``, ...).
         """
-        store_get = self.store.get
-        stats = self.stats
         nct = self.nct
-        sign = self._signers.sign
         compare = _hmac.compare_digest
         check_and_record = self.replay_cache.check_and_record
-        # Per-batch memo: cookie_id -> (descriptor|None, failure field).
-        # Sound within a batch because `now` is fixed and descriptor
-        # revocation/expiry cannot change between two cookies of the
-        # same batch (single-threaded data path, one timestamp).
-        decided: dict[int, tuple[CookieDescriptor | None, str | None]] = {}
+        resolve = self._resolve
+        decided: dict[int, tuple] = {}
+        counts = [0] * len(MATCH_OUTCOMES)
         results: list[CookieDescriptor | None] = []
         append = results.append
         note = reasons.append if reasons is not None else None
@@ -367,50 +466,75 @@ class CookieMatcher:
             cookie_id = cookie.cookie_id
             memo = decided.get(cookie_id)
             if memo is None:
-                descriptor = store_get(cookie_id)
-                if descriptor is None:
-                    memo = (None, "unknown_id")
-                elif descriptor.revoked:
-                    memo = (None, "revoked")
-                elif descriptor.attributes.is_expired(now):
-                    memo = (None, "expired")
-                else:
-                    memo = (descriptor, None)
-                decided[cookie_id] = memo
-            descriptor, failure = memo
-            if descriptor is None:
-                setattr(stats, failure, getattr(stats, failure) + 1)
-                append(None)
-                if note is not None:
-                    note(failure)
-                continue
-            expected = sign(
-                descriptor.key, cookie_id, cookie.uuid, cookie.timestamp
-            )
-            if not compare(expected, cookie.signature):
-                stats.bad_signature += 1
-                append(None)
-                if note is not None:
-                    note("bad_signature")
-                continue
-            # Same predicate as the scalar path (not a precomputed
-            # lo/hi window) so results are bit-identical for any float.
-            if abs(cookie.timestamp - now) > nct:
-                stats.stale_timestamp += 1
-                append(None)
-                if note is not None:
-                    note("stale_timestamp")
-                continue
-            if check_and_record(
-                cookie_id.to_bytes(8, "big") + cookie.uuid, now
-            ):
-                stats.replayed += 1
-                append(None)
-                if note is not None:
-                    note("replayed")
-                continue
-            stats.accepted += 1
+                memo = decided[cookie_id] = resolve(cookie_id, now)
+            descriptor, code, inner, outer = memo
+            if descriptor is not None:
+                signed = cookie.signed_bytes()
+                if not compare(keyed_mac(inner, outer, signed), cookie.signature):
+                    descriptor, code = None, _BAD_SIGNATURE
+                # Same predicate as the scalar path (not a precomputed
+                # lo/hi window) so results are bit-identical for any float.
+                elif abs(cookie.timestamp - now) > nct:
+                    descriptor, code = None, _STALE_TIMESTAMP
+                elif check_and_record(signed[:REPLAY_KEY_BYTES], now):
+                    descriptor, code = None, _REPLAYED
+            counts[code] += 1
             append(descriptor)
             if note is not None:
-                note("accepted")
+                note(MATCH_OUTCOMES[code])
+        self._count(counts)
         return results
+
+    def match_wire(
+        self, body: bytes, now: float, out: bytearray, offset: int = 0
+    ) -> int:
+        """Verify a frame of wire cookies in place.
+
+        ``body`` is n × 48 bytes exactly as the cookies sat on a binary
+        carrier; one :data:`VERDICT_RECORD` per cookie is packed into
+        ``out`` from ``offset`` on as it is decided, and the offset past
+        the last record is returned.  Observationally this is
+        ``match_batch(decode_batch(frame), now)`` — same verdicts, same
+        :class:`MatchStats`, same replay-cache contents — without ever
+        building a :class:`Cookie`: the fields come from one
+        ``iter_unpack`` pass, the MAC message is ``body[o:o+32]``, the
+        replay key ``body[o:o+24]``, and the freshness operand is
+        ``ts_micros / 1e6``, the float a decoded cookie would carry.
+        """
+        if len(body) % COOKIE_WIRE_BYTES:
+            raise MalformedCookie(
+                f"{len(body)} bytes is not a whole number of "
+                f"{COOKIE_WIRE_BYTES}-byte cookies"
+            )
+        nct = self.nct
+        compare = _hmac.compare_digest
+        check_and_record = self.replay_cache.check_and_record
+        resolve = self._resolve
+        pack_into = VERDICT_RECORD.pack_into
+        record_bytes = VERDICT_RECORD.size
+        decided: dict[int, tuple] = {}
+        counts = [0] * len(MATCH_OUTCOMES)
+        start = 0
+        for cookie_id, ts_micros, signature in WIRE_VERIFY_FIELDS.iter_unpack(body):
+            memo = decided.get(cookie_id)
+            if memo is None:
+                memo = decided[cookie_id] = resolve(cookie_id, now)
+            _descriptor, code, inner, outer = memo
+            if code == _ACCEPTED:
+                if not compare(
+                    keyed_mac(inner, outer, body[start : start + SIGNED_BYTES]),
+                    signature,
+                ):
+                    code = _BAD_SIGNATURE
+                elif abs(ts_micros / TIMESTAMP_SCALE - now) > nct:
+                    code = _STALE_TIMESTAMP
+                elif check_and_record(
+                    body[start : start + REPLAY_KEY_BYTES], now
+                ):
+                    code = _REPLAYED
+            counts[code] += 1
+            pack_into(out, offset, code, 0 if code else cookie_id)
+            start += COOKIE_WIRE_BYTES
+            offset += record_bytes
+        self._count(counts)
+        return offset

@@ -16,7 +16,12 @@ Three layers:
   48-byte :meth:`Cookie.to_bytes` form, and :func:`encode_verdicts` /
   :func:`decode_verdicts` pack the reply as ``(reason code, descriptor
   id)`` records.  No ``Cookie`` or descriptor **object** ever crosses
-  the process boundary, and nothing is pickled on the hot path.
+  the process boundary, and nothing is pickled on the hot path.  A
+  worker does not even rebuild the objects on its side:
+  :func:`batch_reply` verifies the cookies where they lie in the frame
+  (:meth:`CookieMatcher.match_wire`), so ``decode_batch`` and
+  ``encode_verdicts`` are the reference form of the frames, not code
+  the hot path runs.
 - a **transport ladder** (PROTOCOL.md §12) — batch frames travel over
   per-shard :class:`~repro.core.shm_ring.ShmRing` pairs by default: a
   dispatch is one bounded memcpy into shared memory per shard and one
@@ -59,7 +64,13 @@ from .cookie import COOKIE_WIRE_BYTES, Cookie
 from .descriptor import CookieDescriptor
 from .distributed import PoolStats, rendezvous_shard
 from .errors import MalformedCookie
-from .matcher import NETWORK_COHERENCY_TIME, CookieMatcher, MatchStats
+from .matcher import (
+    MATCH_OUTCOMES,
+    NETWORK_COHERENCY_TIME,
+    VERDICT_RECORD,
+    CookieMatcher,
+    MatchStats,
+)
 from .resilience import RetryPolicy
 from .shm_ring import (
     DEFAULT_SLOT_BYTES,
@@ -74,6 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from ..telemetry import MetricsRegistry
 
 __all__ = [
+    "batch_reply",
     "encode_batch",
     "decode_batch",
     "encode_verdicts",
@@ -92,18 +104,11 @@ __all__ = [
 
 _COUNT = struct.Struct("!I")
 
-#: Verdict reason codes, one per :class:`MatchStats` outcome.  Code 0 is
-#: the only accept; everything else names the reject reason, so a verdict
-#: array is also a per-cookie error report.
-VERDICT_REASONS: tuple[str, ...] = (
-    "accepted",
-    "unknown_id",
-    "bad_signature",
-    "stale_timestamp",
-    "replayed",
-    "revoked",
-    "expired",
-)
+#: Verdict reason codes, one per :class:`MatchStats` outcome (the
+#: matcher's own numbering).  Code 0 is the only accept; everything else
+#: names the reject reason, so a verdict array is also a per-cookie
+#: error report.
+VERDICT_REASONS: tuple[str, ...] = MATCH_OUTCOMES
 VERDICT_CODES: dict[str, int] = {
     reason: code for code, reason in enumerate(VERDICT_REASONS)
 }
@@ -115,10 +120,6 @@ VERDICT_ACCEPTED = VERDICT_CODES["accepted"]
 #: reply is by definition available), so :data:`VERDICT_REASONS` stays a
 #: bijection with :class:`MatchStats` outcomes.
 VERDICT_UNAVAILABLE = "verifier_unavailable"
-
-#: One verdict record: reason code (1) + descriptor id (8, zero unless
-#: accepted — ids, never descriptor objects, cross the wire).
-_VERDICT_RECORD = struct.Struct("!BQ")
 
 
 def encode_batch(cookies: Sequence[Cookie]) -> bytes:
@@ -162,16 +163,16 @@ def decode_batch(blob: bytes) -> list[Cookie]:
 
 def encode_verdicts(verdicts: Sequence[tuple[int, int]]) -> bytes:
     """Pack ``(reason code, descriptor id)`` records into one blob."""
-    out = bytearray(_COUNT.size + len(verdicts) * _VERDICT_RECORD.size)
+    out = bytearray(_COUNT.size + len(verdicts) * VERDICT_RECORD.size)
     _COUNT.pack_into(out, 0, len(verdicts))
-    pack_into = _VERDICT_RECORD.pack_into
+    pack_into = VERDICT_RECORD.pack_into
     offset = _COUNT.size
     reason_count = len(VERDICT_REASONS)
     for code, descriptor_id in verdicts:
         if not 0 <= code < reason_count:
             raise MalformedCookie(f"verdict code {code} out of range")
         pack_into(out, offset, code, descriptor_id)
-        offset += _VERDICT_RECORD.size
+        offset += VERDICT_RECORD.size
     return bytes(out)
 
 
@@ -185,12 +186,12 @@ def decode_verdicts(blob: bytes) -> list[tuple[int, int]]:
         )
     (count,) = _COUNT.unpack_from(blob)
     body = len(blob) - _COUNT.size
-    if body != count * _VERDICT_RECORD.size:
+    if body != count * VERDICT_RECORD.size:
         raise MalformedCookie(
             f"verdict frame announces {count} verdicts "
-            f"({count * _VERDICT_RECORD.size} bytes) but carries {body}"
+            f"({count * VERDICT_RECORD.size} bytes) but carries {body}"
         )
-    verdicts = list(_VERDICT_RECORD.iter_unpack(memoryview(blob)[_COUNT.size :]))
+    verdicts = list(VERDICT_RECORD.iter_unpack(memoryview(blob)[_COUNT.size :]))
     reason_count = len(VERDICT_REASONS)
     for code, _descriptor_id in verdicts:
         if code >= reason_count:
@@ -208,7 +209,8 @@ _OP_DELTA = b"D"  # + JSON delta ops              -> b"\x01" ack
 _OP_STATS = b"S"  #                               -> JSON stats
 _OP_QUIT = b"Q"   #                               -> b"\x01" ack, exit
 
-_NOW = struct.Struct("!d")
+#: A batch frame's header: opcode, ``now``, cookie count.
+_BATCH_HEADER = struct.Struct("!cdI")
 
 #: How many empty ring polls a worker burns after its last frame before
 #: parking on the control pipe; one poll is a handful of interpreted
@@ -222,6 +224,36 @@ _WORKER_IDLE_POLL_S = 0.001
 #: How long a worker pushes into a full response ring before concluding
 #: the dispatcher is gone and exiting (the executor would restart it).
 _WORKER_PUSH_TIMEOUT_S = 60.0
+
+
+def batch_reply(matcher: CookieMatcher, frame: bytes) -> bytes:
+    """A worker's answer to one batch frame, verified in place.
+
+    ``frame`` is what came off the ring or pipe — opcode, ``!d`` now,
+    ``!I`` count, count × 48 cookie bytes, nothing after — and the reply
+    is the verdict frame of :func:`encode_verdicts`.  The cookie bytes go
+    to :meth:`CookieMatcher.match_wire` as they are and the verdict
+    records are packed into the reply as they are decided: no ``Cookie``
+    is built, nothing is re-packed, no reason string exists
+    (:func:`decode_batch` / :func:`encode_verdicts` remain the reference
+    codec this must agree with).  Raises :class:`MalformedCookie` for
+    any frame that is short, mis-counted or over-long.
+    """
+    if len(frame) < _BATCH_HEADER.size:
+        raise MalformedCookie(
+            f"batch frame too short for header: {len(frame)} bytes"
+        )
+    _op, now, count = _BATCH_HEADER.unpack_from(frame)
+    body = frame[_BATCH_HEADER.size :]
+    if len(body) != count * COOKIE_WIRE_BYTES:
+        raise MalformedCookie(
+            f"batch frame announces {count} cookies "
+            f"({count * COOKIE_WIRE_BYTES} bytes) but carries {len(body)}"
+        )
+    reply = bytearray(_COUNT.size + count * VERDICT_RECORD.size)
+    _COUNT.pack_into(reply, 0, count)
+    matcher.match_wire(body, now, reply, _COUNT.size)
+    return bytes(reply)
 
 
 def _worker_main(
@@ -247,8 +279,6 @@ def _worker_main(
     for data in json.loads(seed_json):
         store.add(CookieDescriptor.from_json(data))
     matcher = CookieMatcher(store, nct=nct)
-    codes = VERDICT_CODES
-    accepted_code = VERDICT_ACCEPTED
 
     req_ring = resp_ring = None
     if rings is not None:
@@ -266,23 +296,6 @@ def _worker_main(
             # let the recovery ladder decide.
             conn.close()
             raise
-
-    def batch_reply(frame: bytes) -> bytes:
-        (now,) = _NOW.unpack_from(frame, 1)
-        cookies = decode_batch(frame[1 + _NOW.size :])
-        reasons: list[str] = []
-        matcher.match_batch(cookies, now, reasons=reasons)
-        return encode_verdicts(
-            [
-                (
-                    codes[reason],
-                    cookie.cookie_id
-                    if codes[reason] == accepted_code
-                    else 0,
-                )
-                for reason, cookie in zip(reasons, cookies)
-            ]
-        )
 
     hot = 0
     try:
@@ -309,7 +322,7 @@ def _worker_main(
                 hot = _WORKER_HOT_SPINS
             op = frame[:1]
             if op == _OP_BATCH:
-                reply = batch_reply(frame)
+                reply = batch_reply(matcher, frame)
                 if via_ring:
                     if not resp_ring.push(reply, _WORKER_PUSH_TIMEOUT_S):
                         break  # dispatcher stopped draining; restart cycle
@@ -1000,17 +1013,14 @@ class ProcessShardExecutor:
         frames: dict[int, bytes] = {}
         channels: dict[int, str] = {}
         failed: list[int] = []
-        header = _OP_BATCH + _NOW.pack(now)
         for shard, positions in per_shard.items():
             if shard in self._fallback_matchers:
                 local[shard] = positions
                 continue
-            frame = (
-                header
-                + _COUNT.pack(len(positions))
-                + b"".join(
-                    cookies[position].to_bytes() for position in positions
-                )
+            frame = _BATCH_HEADER.pack(
+                _OP_BATCH, now, len(positions)
+            ) + b"".join(
+                cookies[position].to_bytes() for position in positions
             )
             frames[shard] = frame
             channel = self._send_sub_batch(shard, frame)

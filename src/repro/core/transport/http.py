@@ -43,8 +43,18 @@ class HttpHeaderCarrier(CookieCarrier):
         packet.payload.size += self.overhead_bytes
 
     def extract(self, packet: Packet) -> Cookie | None:
-        cookies = self.extract_all(packet)
-        return cookies[0] if cookies else None
+        if not self.can_carry(packet):
+            return None
+        text = packet.payload.content.header(COOKIE_HEADER)
+        if text is None:
+            return None
+        try:
+            # One cookie, the common case; a comma-joined or padded list
+            # is not valid base64 and takes the tolerant path below.
+            return Cookie.from_text(text)
+        except MalformedCookie:
+            cookies = self.extract_all(packet)
+            return cookies[0] if cookies else None
 
     def extract_all(self, packet: Packet) -> list[Cookie]:
         if not self.can_carry(packet):

@@ -23,6 +23,16 @@ __all__ = ["Ipv6ExtensionCarrier", "COOKIE_OPTION_TYPE"]
 COOKIE_OPTION_TYPE = 0x1E
 
 
+def _extension_cookie(extension: IPv6ExtensionHeader) -> Cookie | None:
+    """The cookie in one extension header, or None if not ours / garbled."""
+    if extension.option_type != COOKIE_OPTION_TYPE:
+        return None
+    try:
+        return Cookie.from_bytes(extension.data)
+    except MalformedCookie:
+        return None
+
+
 class Ipv6ExtensionCarrier(CookieCarrier):
     """Carries the binary cookie in an IPv6 Destination-Options header."""
 
@@ -45,20 +55,19 @@ class Ipv6ExtensionCarrier(CookieCarrier):
         header.extensions.append(extension)
 
     def extract(self, packet: Packet) -> Cookie | None:
-        cookies = self.extract_all(packet)
-        return cookies[0] if cookies else None
+        header = packet.ip
+        if not isinstance(header, IPv6Header):
+            return None
+        for extension in header.extensions:
+            cookie = _extension_cookie(extension)
+            if cookie is not None:
+                return cookie
+        return None
 
     def extract_all(self, packet: Packet) -> list[Cookie]:
         """All cookie extension headers (extension chains compose)."""
         if not self.can_carry(packet):
             return []
         header: IPv6Header = packet.ip  # type: ignore[assignment]
-        cookies = []
-        for extension in header.extensions:
-            if extension.option_type != COOKIE_OPTION_TYPE:
-                continue
-            try:
-                cookies.append(Cookie.from_bytes(extension.data))
-            except MalformedCookie:
-                continue
-        return cookies
+        cookies = (_extension_cookie(ext) for ext in header.extensions)
+        return [cookie for cookie in cookies if cookie is not None]

@@ -23,6 +23,20 @@ COOKIE_OPTION_KIND = 253
 COOKIE_EXID = 0x4E43  # "NC"
 
 
+_EXID_PREFIX = struct.pack("!H", COOKIE_EXID)
+
+
+def _option_cookie(option: TCPOption) -> Cookie | None:
+    """The cookie in one TCP option, or None if it is not ours / garbled."""
+    data = option.data
+    if option.kind != COOKIE_OPTION_KIND or data[:2] != _EXID_PREFIX:
+        return None
+    try:
+        return Cookie.from_bytes(data[2:])
+    except MalformedCookie:
+        return None
+
+
 class TcpOptionCarrier(CookieCarrier):
     """Carries the binary cookie in an experimental TCP option."""
 
@@ -40,12 +54,18 @@ class TcpOptionCarrier(CookieCarrier):
         if not self.can_carry(packet):
             raise TransportError("packet has no TCP header")
         tcp: TCPHeader = packet.l4  # type: ignore[assignment]
-        data = struct.pack("!H", COOKIE_EXID) + cookie.to_bytes()
+        data = _EXID_PREFIX + cookie.to_bytes()
         tcp.options.append(TCPOption(kind=COOKIE_OPTION_KIND, data=data))
 
     def extract(self, packet: Packet) -> Cookie | None:
-        cookies = self.extract_all(packet)
-        return cookies[0] if cookies else None
+        tcp = packet.l4
+        if not isinstance(tcp, TCPHeader):
+            return None
+        for option in tcp.options:
+            cookie = _option_cookie(option)
+            if cookie is not None:
+                return cookie
+        return None
 
     def extract_all(self, packet: Packet) -> list[Cookie]:
         """All cookie options (TCP options repeat naturally, so composed
@@ -53,15 +73,5 @@ class TcpOptionCarrier(CookieCarrier):
         if not self.can_carry(packet):
             return []
         tcp: TCPHeader = packet.l4  # type: ignore[assignment]
-        cookies = []
-        for option in tcp.options:
-            if option.kind != COOKIE_OPTION_KIND or len(option.data) < 2:
-                continue
-            (exid,) = struct.unpack("!H", option.data[:2])
-            if exid != COOKIE_EXID:
-                continue
-            try:
-                cookies.append(Cookie.from_bytes(option.data[2:]))
-            except MalformedCookie:
-                continue
-        return cookies
+        cookies = (_option_cookie(option) for option in tcp.options)
+        return [cookie for cookie in cookies if cookie is not None]

@@ -45,8 +45,20 @@ class TlsExtensionCarrier(CookieCarrier):
         packet.payload.size += self.overhead_bytes
 
     def extract(self, packet: Packet) -> Cookie | None:
-        cookies = self.extract_all(packet)
-        return cookies[0] if cookies else None
+        hello = packet.payload.content
+        if not isinstance(hello, TLSClientHello):
+            return None
+        data = hello.extensions.get(COOKIE_EXTENSION_TYPE)
+        if data is None:
+            return None
+        try:
+            # One cookie, the common case: the extension bytes are its
+            # base64 text.  A comma-joined or space-padded value is not
+            # valid base64 and takes the tolerant list path below.
+            return Cookie.from_text(data)
+        except MalformedCookie:
+            cookies = self.extract_all(packet)
+            return cookies[0] if cookies else None
 
     def extract_all(self, packet: Packet) -> list[Cookie]:
         if not self.can_carry(packet):

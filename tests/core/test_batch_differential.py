@@ -10,6 +10,7 @@ uuids, timestamps straddling the 5 s NCT boundary, unknown descriptor
 ids, malformed signatures, revoked and expired descriptors, all mixed.
 """
 
+import hmac
 import math
 
 import hypothesis.strategies as st
@@ -320,7 +321,9 @@ class TestMatcherDifferential:
 class TestSignerCache:
     @settings(max_examples=60, deadline=None)
     @given(
-        key=st.binary(min_size=1, max_size=64),
+        # 1-200 bytes crosses SHA-256's 64-byte block: longer keys are
+        # hashed before padding (RFC 2104).
+        key=st.binary(min_size=1, max_size=200),
         cookie_id=st.integers(0, 2**64 - 1),
         tag=st.integers(0, 2**32 - 1),
         timestamp=st.floats(
@@ -333,17 +336,29 @@ class TestSignerCache:
         cache = SignerCache()
         uuid = _uuid(tag)
         expected = sign_cookie_fields(key, cookie_id, uuid, timestamp)
+        # The hand-rolled MAC is the stdlib's HMAC-SHA256, truncated.
+        message = (
+            cookie_id.to_bytes(8, "big")
+            + uuid
+            + round(timestamp * 1_000_000).to_bytes(8, "big")
+        )
+        assert expected == hmac.digest(key, message, "sha256")[:SIGNATURE_BYTES]
         assert cache.sign(key, cookie_id, uuid, timestamp) == expected
-        # Second call serves from the pre-keyed context: same digest.
+        # Second call serves from the pre-absorbed states: same digest.
         assert cache.sign(key, cookie_id, uuid, timestamp) == expected
 
-    def test_eviction_preserves_correctness(self):
-        cache = SignerCache(max_keys=2)
-        keys = [bytes([i]) * 32 for i in range(5)]
+    @settings(max_examples=30, deadline=None)
+    @given(
+        keys=st.lists(st.binary(min_size=1, max_size=200), min_size=1, max_size=12),
+        max_keys=st.integers(1, 3),
+    )
+    def test_eviction_preserves_correctness(self, keys, max_keys):
+        cache = SignerCache(max_keys=max_keys)
         for key in keys + keys:
             assert cache.sign(key, 1, _uuid(1), NOW) == sign_cookie_fields(
                 key, 1, _uuid(1), NOW
             )
+            assert len(cache) <= max_keys
 
 
 class TestShardedReplayCache:

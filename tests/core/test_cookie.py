@@ -59,6 +59,32 @@ class TestEncoding:
         with pytest.raises(MalformedCookie):
             Cookie.from_text("YWJj")  # "abc"
 
+    def test_from_text_takes_the_ascii_bytes_a_carrier_holds(self):
+        text = _cookie().to_text()
+        assert Cookie.from_text(text.encode("ascii")) == Cookie.from_text(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["caf\u00e9" * 16, b"\xff\xfe" * 32, " {} ", "{},{}", b"{}\n"],
+    )
+    def test_from_text_stays_strict(self, text):
+        """validate=True semantics for both input types: non-ASCII,
+        padding whitespace and list separators are all malformed."""
+        good = _cookie().to_text()
+        if isinstance(text, bytes):
+            text = text.replace(b"{}", good.encode("ascii"))
+        else:
+            text = text.replace("{}", good)
+        with pytest.raises(MalformedCookie):
+            Cookie.from_text(text)
+
+    def test_from_bytes_builds_the_same_cookie_as_the_constructor(self):
+        cookie = _cookie()
+        parsed = Cookie.from_bytes(cookie.to_bytes())
+        assert parsed == cookie and hash(parsed) == hash(cookie)
+        assert parsed.to_bytes() == cookie.to_bytes()
+        assert repr(parsed) == repr(cookie)
+
     @given(
         cookie_id=st.integers(0, 2**64 - 1),
         uuid=st.binary(min_size=16, max_size=16),

@@ -9,6 +9,8 @@ array can express every verdict the matcher can reach — one code per
 triggers all of them.
 """
 
+import struct
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.core.parallel import (
     VERDICT_ACCEPTED,
     VERDICT_CODES,
     VERDICT_REASONS,
+    batch_reply,
     decode_batch,
     decode_verdicts,
     encode_batch,
@@ -113,6 +116,65 @@ class TestMalformedBatchFrames:
         wrong = (len(cookies) + 1).to_bytes(4, "big") + blob[4:]
         with pytest.raises(MalformedCookie):
             decode_batch(wrong)
+
+
+def _worker_frame(blob: bytes, now: float = NOW) -> bytes:
+    """A batch frame as the dispatcher sends it: opcode + now + batch."""
+    return b"B" + struct.pack("!d", now) + blob
+
+
+class TestMalformedWorkerFrames:
+    """A worker parses the whole frame header itself (PROTOCOL.md §10):
+    every short, mis-counted or over-long ``B`` frame must surface as
+    :class:`MalformedCookie` — the exception the worker loop exits on —
+    never as a ``struct.error`` traceback."""
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_frame_shorter_than_its_header_rejected(self, length):
+        frame = _worker_frame(encode_batch([]))[:length]
+        with pytest.raises(MalformedCookie):
+            batch_reply(CookieMatcher(_Env().store), frame)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cookies=st.lists(_COOKIES, max_size=4),
+        cut=st.integers(1, COOKIE_WIRE_BYTES - 1),
+    )
+    def test_truncated_and_over_long_bodies_rejected(self, cookies, cut):
+        matcher = CookieMatcher(_Env().store)
+        frame = _worker_frame(encode_batch(cookies))
+        with pytest.raises(MalformedCookie):
+            batch_reply(matcher, (frame + b"\x00" * COOKIE_WIRE_BYTES)[:-cut])
+        with pytest.raises(MalformedCookie):
+            batch_reply(matcher, frame + b"\xff" * cut)
+        # A whole extra cookie the count does not announce is still a lie.
+        with pytest.raises(MalformedCookie):
+            batch_reply(matcher, frame + b"\x00" * COOKIE_WIRE_BYTES)
+        # Nothing was verified, nothing counted.
+        assert matcher.stats.total == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cookies=st.lists(_COOKIES, min_size=1, max_size=4),
+        delta=st.sampled_from([-1, 1, 2**31]),
+    )
+    def test_lying_count_rejected(self, cookies, delta):
+        blob = encode_batch(cookies)
+        wrong = (len(cookies) + delta).to_bytes(4, "big") + blob[4:]
+        with pytest.raises(MalformedCookie):
+            batch_reply(CookieMatcher(_Env().store), _worker_frame(wrong))
+
+    def test_empty_batch_is_well_formed(self):
+        reply = batch_reply(
+            CookieMatcher(_Env().store), _worker_frame(encode_batch([]))
+        )
+        assert decode_verdicts(reply) == []
+
+    def test_match_wire_rejects_a_ragged_body(self):
+        matcher = CookieMatcher(_Env().store)
+        with pytest.raises(MalformedCookie):
+            matcher.match_wire(b"\x00" * (COOKIE_WIRE_BYTES + 1), NOW, bytearray(18))
+        assert matcher.stats.total == 0
 
 
 class TestVerdictFrames:

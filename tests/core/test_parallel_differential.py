@@ -22,12 +22,32 @@ import signal
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.core.cookie import SIGNATURE_BYTES, Cookie
 from repro.core.distributed import ShardedVerifierPool
 from repro.core.matcher import CookieMatcher
-from repro.core.parallel import ProcessShardExecutor
+from repro.core.parallel import (
+    VERDICT_ACCEPTED,
+    VERDICT_CODES,
+    VERDICT_REASONS,
+    ProcessShardExecutor,
+    batch_reply,
+    decode_batch,
+    encode_batch,
+    encode_verdicts,
+)
 from repro.telemetry import MetricsRegistry
 
-from .test_batch_differential import NOW, _Env, _materialize, _signed, _uuid, batch_specs
+from .test_batch_differential import (
+    NCT,
+    NOW,
+    _cache_state,
+    _Env,
+    _materialize,
+    _signed,
+    _uuid,
+    batch_specs,
+)
+from .test_parallel_codec import _worker_frame
 
 WORKERS = 2
 #: Each example forks WORKERS processes; keep the example budget modest.
@@ -120,7 +140,185 @@ class TestExecutorDifferential:
             assert executor.stats.accepted == executor.stats.rejected == 0
 
 
+#: What one wire cookie is, relative to its batch's ``now``: a freshness
+#: offset inside the window, exactly on either NCT edge, or one wire
+#: tick (1 µs) beyond it.
+_WIRE_KINDS = (
+    "valid",
+    "valid",
+    "edge",
+    "bad_sig",
+    "stale",
+    "unknown",
+    "revoked",
+    "expired",
+)
+_MICRO = 1e-6
+
+_WIRE_BATCHES = st.lists(
+    st.tuples(
+        # Seconds since the previous batch: 0 keeps the generation, the
+        # middle values rotate it (window 2xNCT = 10 s), 31 idles past
+        # both generations.  The two odd-µs steps put ``now`` where
+        # ``ts_micros / 1e6`` and ``ts_micros * 1e-6`` land on different
+        # sides of the NCT edge: the wire path must judge the very float
+        # a decoded cookie carries.
+        st.sampled_from(
+            [0.0, 0.000023, 0.5, 2.0, 3.141593, 4.5, 6.0, 10.0, 11.0, 31.0]
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(_WIRE_KINDS),
+                st.integers(0, 3),  # descriptor
+                # uuid tag: a small range, so replays are common both
+                # inside a batch and across batches
+                st.integers(0, 7),
+                st.floats(-4.5, 4.5, allow_nan=False),
+                st.sampled_from([-1, 1]),
+                st.booleans(),
+            ),
+            max_size=24,
+        ),
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+
+def _wire_cookie(env: _Env, now: float, spec) -> Cookie:
+    kind, index, tag, offset, side, beyond = spec
+    uuid = _uuid(tag)
+    if kind == "unknown":
+        return Cookie(
+            cookie_id=env.unknown_id(tag),
+            uuid=uuid,
+            timestamp=now,
+            signature=b"\x00" * SIGNATURE_BYTES,
+        )
+    descriptor = {"revoked": env.revoked, "expired": env.expired}.get(
+        kind, env.active[index]
+    )
+    timestamp = now + offset
+    if kind == "edge":
+        timestamp = now + side * (NCT + (_MICRO if beyond else 0.0))
+    elif kind == "stale":
+        timestamp = now + side * (NCT + 1.0 + abs(offset))
+    cookie = _signed(descriptor, uuid, timestamp)
+    if kind == "bad_sig":
+        cookie = Cookie(
+            cookie_id=cookie.cookie_id,
+            uuid=uuid,
+            timestamp=timestamp,
+            signature=bytes([cookie.signature[0] ^ 0xFF]) + cookie.signature[1:],
+        )
+    return cookie
+
+
+class TestWireDifferential:
+    """The worker's in-place path against the reference codec + object
+    path: ``batch_reply(frame)`` (header parse, ``match_wire``, verdict
+    records packed as decided) must equal ``encode_verdicts`` over
+    ``match_batch(decode_batch(frame), reasons=...)`` byte for byte, and
+    leave the same :class:`MatchStats` and replay-cache state — over
+    several batches at advancing ``now``, so cross-batch replays meet
+    rotated and idle-reset generations."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(batches=_WIRE_BATCHES)
+    def test_match_wire_equals_object_path(self, batches):
+        env = _Env()
+        wire = CookieMatcher(env.store)
+        objects = CookieMatcher(env.store)
+        now = NOW
+        for step, specs in batches:
+            now += step
+            blob = encode_batch([_wire_cookie(env, now, spec) for spec in specs])
+            reply = batch_reply(wire, _worker_frame(blob, now))
+
+            cookies = decode_batch(blob)
+            reasons: list[str] = []
+            objects.match_batch(cookies, now, reasons=reasons)
+            expected = encode_verdicts(
+                [
+                    (
+                        VERDICT_CODES[reason],
+                        cookie.cookie_id if reason == "accepted" else 0,
+                    )
+                    for reason, cookie in zip(reasons, cookies)
+                ]
+            )
+            assert reply == expected
+            assert wire.stats.as_dict() == objects.stats.as_dict()
+            assert _cache_state(wire.replay_cache) == _cache_state(
+                objects.replay_cache
+            )
+
+    def test_every_outcome_and_both_edges_in_one_run(self):
+        """The deterministic floor under the property: one run that
+        provably reaches all seven codes, accepts exactly-NCT on both
+        sides, rejects one wire tick beyond, and catches a replay both
+        inside a batch and across a rotation."""
+        env = _Env()
+        wire = CookieMatcher(env.store)
+        first = [
+            ("valid", 0, 1, 0.0, 1, False),
+            ("valid", 0, 1, 1.0, 1, False),  # in-batch replay
+            ("edge", 1, 2, 0.0, 1, False),
+            ("edge", 1, 3, 0.0, -1, False),
+            ("edge", 1, 4, 0.0, 1, True),
+            ("edge", 1, 5, 0.0, -1, True),
+            ("bad_sig", 2, 6, 0.0, 1, False),
+            ("unknown", 0, 7, 0.0, 1, False),
+            ("revoked", 0, 0, 0.0, 1, False),
+            ("expired", 0, 0, 0.0, 1, False),
+        ]
+        second = [("valid", 0, 1, 0.0, 1, False)]  # cross-batch replay
+        codes = []
+        for now, specs in ((NOW, first), (NOW + 6.0, second)):
+            blob = encode_batch([_wire_cookie(env, now, spec) for spec in specs])
+            reply = batch_reply(wire, _worker_frame(blob, now))
+            codes.append([reply[4 + 9 * i] for i in range(len(specs))])
+        names = [[VERDICT_REASONS[code] for code in batch] for batch in codes]
+        assert names == [
+            [
+                "accepted",
+                "replayed",
+                "accepted",
+                "accepted",
+                "stale_timestamp",
+                "stale_timestamp",
+                "bad_signature",
+                "unknown_id",
+                "revoked",
+                "expired",
+            ],
+            ["replayed"],
+        ]
+        assert codes[0][0] == VERDICT_ACCEPTED
+        assert wire.stats.total == 11
+
+
 class TestWorkerFailureModel:
+    def test_truncated_batch_frame_exits_the_worker_cleanly(self):
+        """PROTOCOL.md §10: a worker that receives a malformed frame
+        *exits* (fail closed) — the documented ``MalformedCookie`` exit,
+        status 0, not an uncaught ``struct.error`` traceback — and the
+        next dispatch restarts the shard."""
+        env = _Env()
+        descriptor = env.active[0]
+        with ProcessShardExecutor(
+            env.store, workers=1, reply_timeout=10.0
+        ) as executor:
+            worker = executor.worker_process(0)
+            executor._conns[0].send_bytes(b"B\x00\x00")
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
+            assert worker.exitcode == 0
+            cookie = _signed(descriptor, _uuid(1), NOW)
+            assert executor.match(cookie, NOW) is descriptor
+            assert executor.stats.shard_restarts == 1
+
+
     def test_kill_worker_mid_run_restarts_and_completes(self):
         """The acceptance scenario: SIGKILL a worker between dispatches;
         the next batch touching its shard must complete (no deadlock),

@@ -191,6 +191,70 @@ class TestUdpCarrier:
         assert packet.l4.length == before + UdpShimCarrier.overhead_bytes
 
 
+class TestFirstHitEqualsListHead:
+    """``extract`` takes a direct path for the single-cookie case; it
+    must still answer what ``extract_all(...)[0]`` answers for the
+    values only the tolerant list parser accepts."""
+
+    @staticmethod
+    def _second():
+        descriptor = CookieDescriptor.create(service_data="Other")
+        return CookieGenerator(descriptor, clock=lambda: 2.0).generate()
+
+    @pytest.mark.parametrize(
+        "carrier, make_packet",
+        [
+            (HttpHeaderCarrier(), _http_packet),
+            (TlsExtensionCarrier(), _tls_packet),
+            (Ipv6ExtensionCarrier(), _ipv6_packet),
+            (TcpOptionCarrier(), _tls_packet),
+        ],
+        ids=["http", "tls", "ipv6", "tcp"],
+    )
+    def test_composed_cookies_first_wins(self, cookie, carrier, make_packet):
+        packet = make_packet()
+        second = self._second()
+        carrier.attach(packet, cookie)
+        carrier.attach(packet, second)
+        assert carrier.extract_all(packet) == [cookie, second]
+        assert carrier.extract(packet) == cookie
+
+    def test_padded_and_partly_garbled_text_values(self, cookie):
+        from repro.core.transport.tls import COOKIE_EXTENSION_TYPE
+
+        text = cookie.to_text()
+        for value in (f" {text} ", f"garbage!!,{text}", f"{text},"):
+            http = _http_packet()
+            http.payload.content.set_header(COOKIE_HEADER, value)
+            assert HttpHeaderCarrier().extract(http) == cookie
+            tls = _tls_packet()
+            tls.payload.content.extensions[COOKIE_EXTENSION_TYPE] = value.encode()
+            assert TlsExtensionCarrier().extract(tls) == cookie
+
+    def test_garbled_binary_cookie_skipped_for_the_next_one(self, cookie):
+        from repro.core.transport.ipv6 import COOKIE_OPTION_TYPE
+        from repro.core.transport.tcpopt import COOKIE_EXID, COOKIE_OPTION_KIND
+        from repro.netsim.headers import IPv6ExtensionHeader, TCPOption
+
+        ipv6 = _ipv6_packet()
+        ipv6.ip.extensions.append(
+            IPv6ExtensionHeader(
+                next_header=ipv6.ip.next_header,
+                option_type=COOKIE_OPTION_TYPE,
+                data=b"short",
+            )
+        )
+        Ipv6ExtensionCarrier().attach(ipv6, cookie)
+        assert Ipv6ExtensionCarrier().extract(ipv6) == cookie
+
+        tcp = _tls_packet()
+        for data in (b"", b"N", COOKIE_EXID.to_bytes(2, "big") + b"short"):
+            tcp.l4.options.append(TCPOption(kind=COOKIE_OPTION_KIND, data=data))
+        TcpOptionCarrier().attach(tcp, cookie)
+        assert TcpOptionCarrier().extract(tcp) == cookie
+        assert TcpOptionCarrier().extract_all(tcp) == [cookie]
+
+
 class TestRegistry:
     def test_default_registry_has_all_carriers(self):
         assert set(default_registry().names) == {"http", "tls", "udp", "ipv6", "tcp"}
