@@ -34,7 +34,7 @@ SUBSCRIBERS = int(os.environ.get("REPRO_CP_SUBSCRIBERS", 1_000_000))
 #: plane must stay within striking distance of the bare dict-backed
 #: CookieServer — the lifecycle machinery cannot cost an order of
 #: magnitude.
-SINGLE_SHARD_VS_BASELINE_FLOOR = 0.25
+SINGLE_SHARD_VS_BASELINE_FLOOR = 0.40
 CONTROLPLANE_JSON = (
     pathlib.Path(__file__).parent / "reports" / "controlplane_1m.json"
 )

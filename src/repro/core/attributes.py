@@ -46,23 +46,21 @@ class Granularity(str, Enum):
     PACKET = "packet"
 
 
+_DEFAULT_FLOW_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port", "proto")
+_DEFAULT_TRANSPORTS = ("http", "tls", "ipv6", "tcp", "udp")
+
+
 @dataclass
 class CookieAttributes:
     """Structured attribute block attached to a cookie descriptor."""
 
     granularity: Granularity = Granularity.FLOW
-    flow_fields: tuple[str, ...] = (
-        "src_ip",
-        "src_port",
-        "dst_ip",
-        "dst_port",
-        "proto",
-    )
+    flow_fields: tuple[str, ...] = _DEFAULT_FLOW_FIELDS
     apply_reverse: bool = True
     shared: bool = False
     ack_cookie: bool = False
     delivery_guarantee: bool = False
-    transports: tuple[str, ...] = ("http", "tls", "ipv6", "tcp", "udp")
+    transports: tuple[str, ...] = _DEFAULT_TRANSPORTS
     expires_at: float | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
@@ -107,6 +105,25 @@ class CookieAttributes:
             for key, expected in self.constraints.items()
         )
 
+    def clone(self) -> "CookieAttributes":
+        """A private copy with its own ``extra`` dict; every other field
+        is immutable and was normalized when the source was built, so
+        nothing is re-validated."""
+        # Field by field: going through ``__dict__`` would make CPython
+        # build a real dict for both instances (slower, and more memory
+        # for every descriptor a log or replica holds).
+        copy = object.__new__(CookieAttributes)
+        copy.granularity = self.granularity
+        copy.flow_fields = self.flow_fields
+        copy.apply_reverse = self.apply_reverse
+        copy.shared = self.shared
+        copy.ack_cookie = self.ack_cookie
+        copy.delivery_guarantee = self.delivery_guarantee
+        copy.transports = self.transports
+        copy.expires_at = self.expires_at
+        copy.extra = dict(self.extra)
+        return copy
+
     def to_json(self) -> dict[str, Any]:
         """Serialize for the descriptor-acquisition JSON API."""
         return {
@@ -124,36 +141,23 @@ class CookieAttributes:
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "CookieAttributes":
         """Inverse of :meth:`to_json`; unknown keys land in ``extra``."""
-        known = {
-            "granularity",
-            "flow_fields",
-            "apply_reverse",
-            "shared",
-            "ack_cookie",
-            "delivery_guarantee",
-            "transports",
-            "expires_at",
-            "extra",
-        }
         extra = dict(data.get("extra", {}))
         for key, value in data.items():
-            if key not in known:
+            if key not in _KNOWN_KEYS:
                 extra[key] = value
         return cls(
             granularity=Granularity(data.get("granularity", "flow")),
-            flow_fields=tuple(
-                data.get(
-                    "flow_fields",
-                    ("src_ip", "src_port", "dst_ip", "dst_port", "proto"),
-                )
-            ),
+            flow_fields=tuple(data.get("flow_fields", _DEFAULT_FLOW_FIELDS)),
             apply_reverse=bool(data.get("apply_reverse", True)),
             shared=bool(data.get("shared", False)),
             ack_cookie=bool(data.get("ack_cookie", False)),
             delivery_guarantee=bool(data.get("delivery_guarantee", False)),
-            transports=tuple(
-                data.get("transports", ("http", "tls", "ipv6", "tcp", "udp"))
-            ),
+            transports=tuple(data.get("transports", _DEFAULT_TRANSPORTS)),
             expires_at=data.get("expires_at"),
             extra=extra,
         )
+
+
+#: The keys ``to_json`` writes (one per field); anything else in a parsed
+#: block lands in ``extra``.
+_KNOWN_KEYS = frozenset(CookieAttributes.__dataclass_fields__)

@@ -47,17 +47,52 @@ class LogTruncated(Exception):
     """The requested offset precedes the log's compaction horizon."""
 
 
-@dataclass(frozen=True)
+def _as_json(payload: CookieDescriptor | dict[str, Any]) -> dict[str, Any]:
+    """The wire rendering of a descriptor held in either form."""
+    return payload.to_json() if isinstance(payload, CookieDescriptor) else payload
+
+
+def _materialize(payload: CookieDescriptor | dict[str, Any]) -> CookieDescriptor:
+    """A fresh descriptor no other holder references, from either form:
+    a clone of an object, a parse of JSON (never cached — the next
+    store needs an object of its own anyway)."""
+    if isinstance(payload, CookieDescriptor):
+        return payload.clone()
+    return CookieDescriptor.from_json(payload)
+
+
+@dataclass(frozen=True, eq=False)
 class DeltaRecord:
-    """One logged mutation.  ``descriptor`` is the full JSON form for
-    ``add`` (so replay needs no other source of truth) and ``None``
-    otherwise."""
+    """One logged mutation.
+
+    An ``add`` record holds the descriptor *as issued*, so replay needs
+    no other source of truth: either the record's own object (appended
+    in-process — never a view of the live store, which a later
+    ``revoke`` flips) or its JSON form (a record that came off the
+    wire).  JSON is the wire rendering: :attr:`descriptor` and
+    :meth:`to_json` derive it on demand, and two records are equal when
+    their JSON forms are, whichever way each arrived.  Other ops hold
+    ``None``.
+    """
 
     offset: int
     op: str
     cookie_id: int
     time: float
-    descriptor: dict[str, Any] | None = None
+    payload: CookieDescriptor | dict[str, Any] | None = None
+
+    @property
+    def descriptor(self) -> dict[str, Any] | None:
+        """The full JSON form for ``add``, ``None`` otherwise."""
+        return None if self.payload is None else _as_json(self.payload)
+
+    def materialize(self) -> CookieDescriptor:
+        """The ``add`` record's descriptor as a fresh object for one
+        store: as issued (unrevoked unless issued so), sharing no
+        mutable part with the record or any earlier materialization."""
+        if self.payload is None:
+            raise ValueError(f"{self.op!r} records carry no descriptor")
+        return _materialize(self.payload)
 
     def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -66,8 +101,9 @@ class DeltaRecord:
             "cookie_id": self.cookie_id,
             "time": self.time,
         }
-        if self.descriptor is not None:
-            data["descriptor"] = self.descriptor
+        descriptor = self.descriptor
+        if descriptor is not None:
+            data["descriptor"] = descriptor
         return data
 
     @classmethod
@@ -80,8 +116,13 @@ class DeltaRecord:
             op=op,
             cookie_id=int(data["cookie_id"]),
             time=float(data["time"]),
-            descriptor=data.get("descriptor"),
+            payload=data.get("descriptor"),
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeltaRecord):
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
 
 class DeltaLog:
@@ -114,18 +155,20 @@ class DeltaLog:
         op: str,
         cookie_id: int,
         time: float,
-        descriptor: dict[str, Any] | None = None,
+        descriptor: CookieDescriptor | dict[str, Any] | None = None,
     ) -> DeltaRecord:
+        """Log one mutation.  ``add`` takes the descriptor as an object
+        — the record keeps its own clone, taken here, so what the log
+        replays is the descriptor as issued whatever happens to the
+        caller's afterwards — or already rendered as JSON, kept as is."""
         if op not in DELTA_OPS:
             raise ValueError(f"unknown delta op {op!r}")
         if op == "add" and descriptor is None:
             raise ValueError("add records must carry the descriptor")
+        if isinstance(descriptor, CookieDescriptor):
+            descriptor = descriptor.clone()
         record = DeltaRecord(
-            offset=self.next_offset,
-            op=op,
-            cookie_id=cookie_id,
-            time=time,
-            descriptor=descriptor,
+            self.base_offset + len(self._records), op, cookie_id, time, descriptor
         )
         self._records.append(record)
         return record
@@ -171,29 +214,42 @@ class StoreSnapshot:
 
     ``offset`` is the log's ``next_offset`` at capture time: replaying
     records from ``offset`` onward lands exactly on the live state.
+    ``descriptors`` holds private clones when taken in-process and JSON
+    documents when parsed off the wire; :meth:`cookie_ids`,
+    :meth:`materialize` and :meth:`to_json` read either form.
     """
 
     offset: int
-    descriptors: list[dict[str, Any]]
+    descriptors: list[CookieDescriptor | dict[str, Any]]
 
     @classmethod
     def take(cls, store: Any, offset: int) -> "StoreSnapshot":
-        return cls(
-            offset=offset,
-            descriptors=[d.to_json() for d in store],
-        )
+        return cls(offset=offset, descriptors=[d.clone() for d in store])
+
+    def cookie_ids(self) -> set[int]:
+        return {
+            d.cookie_id if isinstance(d, CookieDescriptor) else int(d["cookie_id"])
+            for d in self.descriptors
+        }
+
+    def materialize(self) -> list[CookieDescriptor]:
+        """Fresh objects for one store (see :meth:`DeltaRecord.materialize`)."""
+        return [_materialize(d) for d in self.descriptors]
 
     def install(self, store: Any) -> int:
         """Replace ``store``'s contents with the snapshot; returns the
         descriptor count."""
         for cookie_id in [d.cookie_id for d in store]:
             store.remove(cookie_id)
-        for data in self.descriptors:
-            store.add(CookieDescriptor.from_json(data))
+        for descriptor in self.materialize():
+            store.add(descriptor)
         return len(self.descriptors)
 
     def to_json(self) -> dict[str, Any]:
-        return {"offset": self.offset, "descriptors": self.descriptors}
+        return {
+            "offset": self.offset,
+            "descriptors": [_as_json(d) for d in self.descriptors],
+        }
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "StoreSnapshot":
@@ -204,15 +260,15 @@ class StoreSnapshot:
 
 
 def apply_record(store: Any, record: DeltaRecord) -> None:
-    """Apply one record to a descriptor store.
+    """Apply one record to a descriptor store; an ``add`` puts in
+    ``record.materialize()``, an object only this store holds.
 
     Tolerant of redelivery on its own (``revoke``/``remove`` of a missing
     id are no-ops) but NOT of reordering — use :func:`replay` with an
     applied offset to get the full idempotence guarantee.
     """
     if record.op == "add":
-        assert record.descriptor is not None
-        store.add(CookieDescriptor.from_json(record.descriptor))
+        store.add(record.materialize())
     elif record.op == "revoke":
         store.revoke(record.cookie_id)
     elif record.op == "remove":

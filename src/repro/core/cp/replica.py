@@ -41,8 +41,10 @@ class VerifierReplica:
         self.records_applied = 0
         self.records_skipped = 0
         self.snapshots_installed = 0
-        #: (revoke_time, applied_time) pairs — revocation lag samples
-        self.revocation_lags: list[float] = []
+        # Revocation lag (apply time - revoke time): the worst sample and
+        # how many were taken — bounded, however long the replica lives.
+        self.revocation_lag_max = 0.0
+        self.revocation_lag_samples = 0
 
     def _check_reachable(self) -> None:
         if self.partitioned:
@@ -80,7 +82,10 @@ class VerifierReplica:
         if now is not None:
             for record in fresh:
                 if record.op == "revoke":
-                    self.revocation_lags.append(max(0.0, now - record.time))
+                    self.revocation_lag_samples += 1
+                    self.revocation_lag_max = max(
+                        self.revocation_lag_max, now - record.time
+                    )
         return len(fresh)
 
     def install_snapshot(
@@ -98,11 +103,10 @@ class VerifierReplica:
         log from ``snapshot.offset``.
         """
         self._check_reachable()
-        from ..descriptor import CookieDescriptor
         from ..distributed import rendezvous_shard
 
-        covered = {int(d["cookie_id"]) for d in snapshot.descriptors}
         if shard_count is not None:
+            covered = snapshot.cookie_ids()
             stale = [
                 d.cookie_id
                 for d in self.store
@@ -111,14 +115,14 @@ class VerifierReplica:
             ]
             for cookie_id in stale:
                 self.store.remove(cookie_id)
-        for data in snapshot.descriptors:
-            self.store.add(CookieDescriptor.from_json(data))
+        for descriptor in snapshot.materialize():
+            self.store.add(descriptor)
         self.applied[shard] = snapshot.offset
         self.snapshots_installed += 1
         return len(snapshot.descriptors)
 
     def max_revocation_lag(self) -> float:
-        return max(self.revocation_lags, default=0.0)
+        return self.revocation_lag_max
 
     def stats(self) -> dict[str, Any]:
         return {

@@ -138,6 +138,8 @@ class ShardedControlPlane:
         return [o.advertisement() for o in self.offerings.values()]
 
     def shard_of(self, cookie_id: int) -> int:
+        if self.shard_count == 1:
+            return 0  # rendezvous over one shard is the identity
         return rendezvous_shard(cookie_id, self.shard_count)
 
     # ------------------------------------------------------------------
@@ -176,6 +178,39 @@ class ShardedControlPlane:
     def _mint_ids(self, n: int) -> list[int]:
         return [secrets.randbits(COOKIE_ID_BITS) for _ in range(n)]
 
+    def _grant(
+        self, requests: Sequence[Sequence[Any]], now: float
+    ) -> tuple[list[CookieDescriptor | None], list[str | None]]:
+        """The grant core: mint ids, route, dispatch per shard, count.
+
+        Parallel lists in request order — the owning shard's live
+        descriptor (``None`` when denied) and the denial reason.  The
+        callers below decide how a descriptor leaves: rendered
+        (:meth:`acquire_batch`) or cloned (:meth:`acquire`).
+        """
+        ids = self._mint_ids(len(requests))
+        by_shard: dict[int, list[int]] = {}
+        for position, cookie_id in enumerate(ids):
+            by_shard.setdefault(self.shard_of(cookie_id), []).append(position)
+        descriptors: list[CookieDescriptor | None] = [None] * len(requests)
+        errors: list[str | None] = [None] * len(requests)
+        for shard_index, positions in by_shard.items():
+            shard_requests = [
+                (requests[p][0], requests[p][1], ids[p], *requests[p][2:])
+                for p in positions
+            ]
+            granted, denied = self._shards[shard_index].acquire_batch(
+                shard_requests, now
+            )
+            self.breaker.record_success()
+            for p, descriptor, error in zip(positions, granted, denied):
+                descriptors[p], errors[p] = descriptor, error
+                if descriptor is None:
+                    self.stats.denied += 1
+                else:
+                    self.stats.acquired += 1
+        return descriptors, errors
+
     def acquire_batch(
         self, requests: Sequence[Sequence[Any]], now: float | None = None
     ) -> list[dict[str, Any]]:
@@ -183,32 +218,18 @@ class ShardedControlPlane:
         preferences])`` tuples, routed and dispatched per shard.
 
         Returns one ``{"ok": ..., "descriptor"/"error": ...}`` per
-        request, in order.
+        request, in order — the wire shape, each descriptor rendered to
+        JSON here, once; the dicts are the caller's.
         """
-        if now is None:
-            now = self.clock()
-        ids = self._mint_ids(len(requests))
-        by_shard: dict[int, list[int]] = {}
-        for position, cookie_id in enumerate(ids):
-            by_shard.setdefault(self.shard_of(cookie_id), []).append(position)
-        results: list[dict[str, Any] | None] = [None] * len(requests)
-        for shard_index, positions in by_shard.items():
-            shard_requests = [
-                (requests[p][0], requests[p][1], ids[p], *requests[p][2:])
-                for p in positions
-            ]
-            descriptors, errors = self._shards[shard_index].acquire_batch(
-                shard_requests, now
-            )
-            self.breaker.record_success()
-            for p, descriptor, error in zip(positions, descriptors, errors):
-                if descriptor is None:
-                    self.stats.denied += 1
-                    results[p] = {"ok": False, "error": error}
-                else:
-                    self.stats.acquired += 1
-                    results[p] = {"ok": True, "descriptor": descriptor}
-        return results  # type: ignore[return-value]
+        descriptors, errors = self._grant(
+            requests, self.clock() if now is None else now
+        )
+        return [
+            {"ok": False, "error": error}
+            if descriptor is None
+            else {"ok": True, "descriptor": descriptor.to_json()}
+            for descriptor, error in zip(descriptors, errors)
+        ]
 
     def acquire(
         self,
@@ -217,13 +238,14 @@ class ShardedControlPlane:
         credentials: dict[str, Any] | None = None,
         preferences: dict[str, Any] | None = None,
     ) -> CookieDescriptor:
-        """Single-descriptor acquisition, CookieServer-compatible."""
-        result = self.acquire_batch(
-            [(user, service, credentials, preferences)]
-        )[0]
-        if not result["ok"]:
-            raise AcquisitionDenied(result["error"])
-        return CookieDescriptor.from_json(result["descriptor"])
+        """Single-descriptor acquisition, CookieServer-compatible.  The
+        descriptor returned is a clone: the caller's to keep or mutate."""
+        (descriptor,), (error,) = self._grant(
+            [(user, service, credentials, preferences)], self.clock()
+        )
+        if descriptor is None:
+            raise AcquisitionDenied(error)
+        return descriptor.clone()
 
     def revoke_batch(
         self, cookie_ids: list[int], now: float | None = None
@@ -238,13 +260,15 @@ class ShardedControlPlane:
         touched: set[int] = set()
         for shard_index, positions in by_shard.items():
             shard = self._shards[shard_index]
-            outcome = [shard.revoke(cookie_ids[p], now) for p in positions]
+            already = shard.revoked
+            for p in positions:
+                revoked[p] = shard.revoke(cookie_ids[p], now)
             self.breaker.record_success()
-            for p, ok in zip(positions, outcome):
-                revoked[p] = ok
-            if any(outcome):
+            # Repeat revokes answer True but log nothing: only a shard
+            # that appended has anything to count or broadcast.
+            if shard.revoked > already:
                 touched.add(shard_index)
-                self.stats.revoked += sum(outcome)
+                self.stats.revoked += shard.revoked - already
                 if self._replicas:
                     self._pending_revocations.append(
                         [
@@ -268,8 +292,9 @@ class ShardedControlPlane:
         cookie_id: int,
         credentials: dict[str, Any] | None = None,
     ) -> CookieDescriptor:
-        """Fresh descriptor for the old one's service; the old one stays
-        valid until expiry (matching :class:`CookieServer.renew`)."""
+        """Fresh descriptor (a clone, like :meth:`acquire`'s) for the old
+        one's service; the old one stays valid until expiry (matching
+        :class:`CookieServer.renew`)."""
         old = self.lookup(cookie_id)
         if old is None:
             raise AcquisitionDenied(f"descriptor {cookie_id:#x} unknown")

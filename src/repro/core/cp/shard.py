@@ -106,18 +106,20 @@ class ControlPlaneShard:
             attributes=offering.build_attributes(now),
         )
         self.store.add(descriptor)
-        self.log.append("add", descriptor.cookie_id, now, descriptor.to_json())
+        self.log.append("add", descriptor.cookie_id, now, descriptor)
         self.policy.on_granted(request)
         self.acquired += 1
         return descriptor
 
     def acquire_batch(
         self, requests: list[tuple], now: float
-    ) -> tuple[list[dict[str, Any] | None], list[str | None]]:
+    ) -> tuple[list[CookieDescriptor | None], list[str | None]]:
         """Acquire for ``(user, service, cookie_id[, credentials,
-        preferences])`` tuples; parallel lists of descriptor JSON (None
-        when denied) and denial reasons (None when granted)."""
-        descriptors: list[dict[str, Any] | None] = []
+        preferences])`` tuples; parallel lists of descriptors (None when
+        denied) and denial reasons (None when granted).  The descriptors
+        are the store's own objects: a caller that hands one out clones
+        or renders it first."""
+        descriptors: list[CookieDescriptor | None] = []
         errors: list[str | None] = []
         for entry in requests:
             try:
@@ -133,13 +135,20 @@ class ControlPlaneShard:
                 descriptors.append(None)
                 errors.append(str(exc))
             else:
-                descriptors.append(descriptor.to_json())
+                descriptors.append(descriptor)
                 errors.append(None)
         return descriptors, errors
 
     def revoke(self, cookie_id: int, now: float) -> bool:
-        if not self.store.revoke(cookie_id):
+        """False for an unknown id.  Revoking what is already revoked is
+        an idempotent success: nothing is logged or counted again, so a
+        client repeating itself cannot grow the log."""
+        descriptor = self.store.get(cookie_id)
+        if descriptor is None:
             return False
+        if descriptor.revoked:
+            return True
+        self.store.revoke(cookie_id)
         self.log.append("revoke", cookie_id, now)
         self.revoked += 1
         return True

@@ -77,6 +77,19 @@ class CookieDescriptor:
         """Neither revoked nor past its expiration attribute."""
         return not self.revoked and not self.attributes.is_expired(now)
 
+    def clone(self) -> "CookieDescriptor":
+        """A private copy: own ``revoked`` flag and attribute block, no
+        re-validation.  What ``from_json(to_json())`` gives a second
+        store in the same process, without the JSON in between."""
+        # Field by field, for the reason CookieAttributes.clone gives.
+        copy = object.__new__(CookieDescriptor)
+        copy.cookie_id = self.cookie_id
+        copy.key = self.key
+        copy.service_data = self.service_data
+        copy.attributes = self.attributes.clone()
+        copy.revoked = self.revoked
+        return copy
+
     def to_json(self, include_key: bool = True) -> dict[str, Any]:
         """Serialize for the acquisition API.
 

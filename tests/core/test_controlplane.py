@@ -8,8 +8,11 @@ admission gate, and the telemetry collector.
 """
 
 import asyncio
+import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import (
     AcquisitionDenied,
@@ -95,9 +98,9 @@ class TestRoutingAndLifecycle:
             assert controlplane.revoke(min(issued))
             assert controlplane.lookup(min(issued)).revoked
             snapshotted = [
-                int(d["cookie_id"])
+                cookie_id
                 for shard in controlplane._shards
-                for d in shard.snapshot().descriptors
+                for cookie_id in shard.snapshot().cookie_ids()
             ]
             assert sorted(snapshotted) == sorted(issued)
 
@@ -230,6 +233,112 @@ class TestReplication:
             controlplane.sync_replicas()
             assert controlplane.compact_logs() == 8
             assert fresh.applied_offset(0) == 8
+
+
+class TestDescriptorsStayObjects:
+    """§14.2: inside the plane a descriptor travels as an object; every
+    holder — shard store, log, each replica, the caller — has its own."""
+
+    @staticmethod
+    def _wire(controlplane, shard=0):
+        """What ``deltas_since`` / ``snapshot`` would put on the socket."""
+        return json.dumps(
+            [
+                controlplane.handle_request(
+                    {"op": "deltas_since", "shard": shard, "offset": 0}
+                ),
+                controlplane.handle_request({"op": "snapshot", "shard": shard}),
+            ],
+            sort_keys=True,
+        )
+
+    def test_nothing_handed_out_aliases_store_or_log(self):
+        with _controlplane(shards=1) as controlplane:
+            a = controlplane.register_replica(VerifierReplica("a"))
+            b = controlplane.register_replica(VerifierReplica("b"))
+            acquired = controlplane.acquire("alice", "Boost")
+            renewed = controlplane.renew("alice", acquired.cookie_id)
+            batch = controlplane.acquire_batch([("bob", "Boost")])
+            controlplane.sync_replicas()
+            before = self._wire(controlplane)
+
+            for descriptor in (acquired, renewed):
+                descriptor.revoke()
+                descriptor.attributes.extra["tampered"] = True
+                descriptor.attributes.expires_at = 0.0
+            batch[0]["descriptor"]["revoked"] = True
+            batch[0]["descriptor"]["attributes"]["extra"]["tampered"] = True
+            batched_id = int(batch[0]["descriptor"]["cookie_id"])
+            # Revoking on one replica's store is that replica's business.
+            assert a.store.revoke(acquired.cookie_id)
+
+            assert self._wire(controlplane) == before
+            for cookie_id in (acquired.cookie_id, renewed.cookie_id, batched_id):
+                for get in (controlplane.lookup, b.store.get):
+                    held = get(cookie_id)
+                    assert not held.revoked
+                    assert held.attributes.extra == {}
+                    assert held.attributes.expires_at != 0.0
+            # A late replica replays the log and sees what was issued.
+            late = controlplane.register_replica(VerifierReplica("late"))
+            assert not any(d.revoked for d in late.store)
+            assert len(late.store) == 3
+
+    def test_repeat_revocation_is_idempotent_and_grows_nothing(self):
+        with _controlplane(shards=1) as controlplane:
+            replica = controlplane.register_replica(VerifierReplica("mb0"))
+            cookie_id = controlplane.acquire("alice", "Boost").cookie_id
+            assert controlplane.revoke(cookie_id)
+            assert controlplane.revoke(cookie_id)
+            assert controlplane.revoke_batch([cookie_id, cookie_id]) == [True, True]
+            again = controlplane.handle_request(
+                {"op": "revoke", "cookie_id": cookie_id}
+            )
+            assert again == {"ok": True, "error": None}
+            unknown = controlplane.handle_request(
+                {"op": "revoke", "cookie_id": cookie_id ^ 1}
+            )
+            assert not unknown["ok"] and unknown["error"] == "unknown id"
+
+            assert controlplane.stats.revoked == 1
+            stats = controlplane.shard_stats()[0]
+            assert stats["revoked"] == 1
+            assert stats["log_len"] == 2  # the add and ONE revoke
+            assert replica.records_applied == 2
+            assert replica.revocation_lag_samples == 1
+            assert replica.stats()["max_revocation_lag"] == (
+                replica.max_revocation_lag()
+            )
+            described = controlplane.describe()
+            assert described["pending_revocations"] == 0
+            assert controlplane._lag_histogram.snapshot().count == 1
+            assert replica.store.get(cookie_id).revoked
+
+    def test_replica_keeps_the_worst_revocation_lag_not_every_sample(self):
+        clock = ManualClock()
+        with _controlplane(
+            shards=1, clock=clock, eager_broadcast=False
+        ) as controlplane:
+            replica = controlplane.register_replica(VerifierReplica("mb0"))
+            ids = [
+                controlplane.acquire(f"user{i}", "Boost").cookie_id
+                for i in range(3)
+            ]
+            for cookie_id, wait in zip(ids, (0.25, 0.75, 0.5)):
+                controlplane.revoke(cookie_id)
+                clock.advance(wait)
+                controlplane.sync_replicas()
+            assert replica.revocation_lag_samples == 3
+            assert replica.max_revocation_lag() == pytest.approx(0.75)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cookie_id=st.integers(0, 2**64 - 1))
+    def test_shard_of_is_the_rendezvous_hash_at_any_shard_count(self, cookie_id):
+        for shards in (1, 4):
+            controlplane = ShardedControlPlane(shards=shards)
+            assert controlplane.shard_of(cookie_id) == rendezvous_shard(
+                cookie_id, shards
+            )
 
 
 class TestLoadShedding:

@@ -10,17 +10,24 @@ here under arbitrary add/revoke/remove interleavings:
   later ``revoke``/``remove`` already changed).
 """
 
+import json
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from repro.core.attributes import CookieAttributes
 from repro.core.cp.deltalog import (
     DeltaLog,
+    DeltaRecord,
     LogTruncated,
     StoreSnapshot,
     replay,
 )
+from repro.core.cp.replica import VerifierReplica
+from repro.core.cp.shard import ControlPlaneShard
 from repro.core.descriptor import CookieDescriptor
+from repro.core.server import ServiceOffering
 from repro.core.store import DescriptorStore
 
 SLOTS = 6
@@ -166,8 +173,198 @@ def test_record_roundtrip_and_validation():
         log.append("add", 1, 0.0)
     descriptor = CookieDescriptor.create(service_data="Boost")
     record = log.append("add", descriptor.cookie_id, 1.5, descriptor.to_json())
-    from repro.core.cp.deltalog import DeltaRecord
-
     assert DeltaRecord.from_json(record.to_json()) == record
     snapshot = StoreSnapshot(offset=1, descriptors=[descriptor.to_json()])
     assert StoreSnapshot.from_json(snapshot.to_json()) == snapshot
+
+
+# ----------------------------------------------------------------------
+# Object form == JSON form (PROTOCOL.md §14.2): in-process, records hold
+# the descriptor as issued; JSON is only its wire rendering.
+# ----------------------------------------------------------------------
+
+FIELDS = ("cookie_id", "key", "service_data", "attributes", "revoked")
+
+#: ``sync`` drains the shard's log into both replicas; ``compact`` does
+#: that and then drops the whole log (nobody needs the prefix any more).
+shard_ops_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "revoke", "remove", "sync", "compact"]),
+        st.integers(0, SLOTS - 1),
+    ),
+    max_size=40,
+)
+
+
+def _fields(store) -> dict[int, tuple]:
+    return {
+        d.cookie_id: tuple(getattr(d, name) for name in FIELDS) for d in store
+    }
+
+
+def _geofenced(now: float) -> CookieAttributes:
+    return CookieAttributes(
+        expires_at=now + 60.0, extra={"constraints": {"ssid": "home"}}
+    )
+
+
+def _shard() -> ControlPlaneShard:
+    shard = ControlPlaneShard(0)
+    shard.offer(ServiceOffering(name="Boost", lifetime=3600.0))
+    shard.offer(ServiceOffering(name="Fenced", attribute_factory=_geofenced))
+    return shard
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=shard_ops_strategy)
+@example(
+    ops=[
+        ("add", 0), ("revoke", 0), ("revoke", 0), ("sync", 0), ("add", 1),
+        ("revoke", 0), ("compact", 0), ("revoke", 1), ("remove", 0), ("add", 0),
+    ]
+)
+def test_object_form_replication_equals_json_form(ops):
+    """A replica fed the shard's own records, a replica fed their JSON
+    round trip and the shard's store agree field for field, and the
+    wire rendering of every record is what ``descriptor.to_json()`` at
+    issue time would have logged."""
+    shard = _shard()
+    in_process = VerifierReplica("objects")
+    off_the_wire = VerifierReplica("json")
+    slot_ids: dict[int, int] = {}
+    revoked: set[int] = set()
+    expected_wire: list[str] = []
+    seen_wire: list[str] = []
+
+    def logged(op, cookie_id, t, descriptor=None):
+        document = {
+            "offset": len(expected_wire),
+            "op": op,
+            "cookie_id": cookie_id,
+            "time": t,
+        }
+        if descriptor is not None:
+            document["descriptor"] = descriptor.to_json()
+        expected_wire.append(json.dumps(document, sort_keys=True))
+
+    def sync():
+        records = shard.log.since(in_process.applied_offset(0))
+        seen_wire.extend(json.dumps(r.to_json(), sort_keys=True) for r in records)
+        copies = [DeltaRecord.from_json(r.to_json()) for r in records]
+        assert copies == records
+        in_process.apply_deltas(0, records)
+        off_the_wire.apply_deltas(0, copies)
+
+    for step, (op, slot) in enumerate(ops):
+        t = float(step)
+        cookie_id = slot_ids.get(slot)
+        if op == "add":
+            service = "Fenced" if slot % 2 else "Boost"
+            descriptor = shard.acquire(f"user{slot}", service, t)
+            slot_ids[slot] = descriptor.cookie_id
+            logged("add", descriptor.cookie_id, t, descriptor)
+        elif op == "revoke":
+            # A repeat revoke answers True and logs nothing.
+            if (
+                cookie_id is not None
+                and shard.revoke(cookie_id, t)
+                and cookie_id not in revoked
+            ):
+                revoked.add(cookie_id)
+                logged("revoke", cookie_id, t)
+        elif op == "remove":
+            if cookie_id is not None and shard.remove(cookie_id, t):
+                logged("remove", cookie_id, t)
+        else:
+            sync()
+            if op == "compact":
+                shard.log.compact_to(shard.log.next_offset)
+    sync()
+
+    assert seen_wire == expected_wire
+    assert in_process.records_applied == off_the_wire.records_applied
+    assert (
+        _fields(in_process.store)
+        == _fields(off_the_wire.store)
+        == _fields(shard.store)
+    )
+    # Equal, never shared: every store holds objects of its own.
+    for descriptor in shard.store:
+        twins = [
+            replica.store.get(descriptor.cookie_id)
+            for replica in (in_process, off_the_wire)
+        ]
+        for twin in twins:
+            assert twin is not descriptor
+            assert twin.attributes is not descriptor.attributes
+            assert twin.attributes.extra is not descriptor.attributes.extra
+        assert twins[0] is not twins[1]
+
+
+def test_late_replica_short_of_the_revoke_holds_the_descriptor_as_issued():
+    """The log's copy is the descriptor as issued, not a view of the
+    live object the shard later revoked."""
+    shard = _shard()
+    descriptor = shard.acquire("alice", "Boost", 1.0)
+    assert shard.revoke(descriptor.cookie_id, 2.0)
+    assert shard.lookup(descriptor.cookie_id).revoked
+    records = shard.log.since(0)
+    assert [r.op for r in records] == ["add", "revoke"]
+    assert records[0].descriptor["revoked"] is False
+
+    late = VerifierReplica("late")
+    late.apply_deltas(0, records[:-1])
+    assert not late.store.get(descriptor.cookie_id).revoked
+    late.apply_deltas(0, records)
+    assert late.store.get(descriptor.cookie_id).revoked
+    # Revoking on the replica did not reach back into the record either.
+    assert not records[0].materialize().revoked
+
+
+def test_materialize_hands_out_a_fresh_object_each_time_for_both_origins():
+    descriptor = _shard().acquire("alice", "Fenced", 1.0)
+    log = DeltaLog()
+    as_object = log.append("add", descriptor.cookie_id, 1.0, descriptor)
+    as_json = log.append("add", descriptor.cookie_id, 1.0, descriptor.to_json())
+    descriptor.revoke()  # after the append: the records are as issued
+    descriptor.attributes.extra["constraints"] = {}
+    for record in (as_object, as_json):
+        first, second = record.materialize(), record.materialize()
+        assert first == second and first is not second
+        assert not first.revoked
+        assert first.attributes.extra == {"constraints": {"ssid": "home"}}
+        first.revoke()
+        first.attributes.extra["tampered"] = True
+        assert record.materialize() == second
+        assert DeltaRecord.from_json(record.to_json()) == record
+    assert as_object.descriptor == as_json.descriptor
+    with pytest.raises(ValueError, match="carry no descriptor"):
+        log.append("revoke", descriptor.cookie_id, 2.0).materialize()
+
+
+def test_snapshot_installs_the_same_store_from_either_form():
+    shard = _shard()
+    ids = [shard.acquire(f"user{i}", "Fenced", float(i)).cookie_id for i in range(6)]
+    shard.revoke(ids[1], 7.0)
+    shard.remove(ids[2], 8.0)
+    taken = shard.snapshot()
+    parsed = StoreSnapshot.from_json(json.loads(json.dumps(taken.to_json())))
+    assert taken.cookie_ids() == parsed.cookie_ids() == set(ids) - {ids[2]}
+
+    from_objects, from_json = VerifierReplica("objects"), VerifierReplica("json")
+    for replica, snapshot in ((from_objects, taken), (from_json, parsed)):
+        # A leftover the snapshot no longer carries is purged on install.
+        replica.store.add(CookieDescriptor(cookie_id=ids[2], key=b"stale"))
+        assert replica.install_snapshot(0, snapshot, shard_count=1) == 5
+        assert replica.applied_offset(0) == shard.log.next_offset
+    assert (
+        _fields(from_objects.store) == _fields(from_json.store) == _fields(shard.store)
+    )
+    # The snapshot is a copy too: revoking after it was taken, or on one
+    # replica, moves nothing else.
+    shard.revoke(ids[0], 9.0)
+    from_objects.store.revoke(ids[3])
+    cold = DescriptorStore()
+    taken.install(cold)
+    assert not cold.get(ids[0]).revoked and not cold.get(ids[3]).revoked
+    assert not from_json.store.get(ids[3]).revoked

@@ -81,6 +81,31 @@ class TestSerialization:
         descriptor.revoke()
         assert CookieDescriptor.from_json(descriptor.to_json()).revoked
 
+    def test_clone_equals_its_source_and_shares_no_mutable_part(self):
+        descriptor = CookieDescriptor.create(
+            service_data="Boost",
+            attributes=CookieAttributes(
+                granularity="packet",
+                shared=True,
+                expires_at=10.0,
+                extra={"constraints": {"ssid": "home"}},
+            ),
+        )
+        copy = descriptor.clone()
+        assert copy == descriptor
+        assert copy == CookieDescriptor.from_json(descriptor.to_json())
+        assert copy.to_json() == descriptor.to_json()
+        assert copy.attributes is not descriptor.attributes
+        assert copy.attributes.extra is not descriptor.attributes.extra
+        copy.revoke()
+        copy.attributes.extra["tampered"] = True
+        assert not descriptor.revoked
+        assert descriptor.attributes.extra == {"constraints": {"ssid": "home"}}
+        descriptor.attributes.expires_at = 99.0
+        assert copy.attributes.expires_at == 10.0
+        # A revoked source clones revoked.
+        assert copy.clone().revoked
+
     def test_repr_hides_key(self):
         descriptor = CookieDescriptor.create()
         assert descriptor.key.hex() not in repr(descriptor)
