@@ -21,7 +21,7 @@ import base64
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .descriptor import CookieDescriptor
 from .errors import MalformedCookie
@@ -39,6 +39,7 @@ __all__ = [
     "TIMESTAMP_SCALE",
     "UUID_BYTES",
     "WIRE_VERIFY_FIELDS",
+    "verify_operands",
 ]
 
 UUID_BYTES = 16
@@ -142,6 +143,11 @@ class SignerCache:
     def __len__(self) -> int:
         return len(self._states)
 
+    def peek(self, key: bytes) -> tuple:
+        """The ``(inner, outer)`` states for ``key`` if they are cached,
+        else ``(None, None)`` — nothing is built, nothing evicted."""
+        return self._states.get(key, (None, None))
+
     def states(self, key: bytes) -> tuple:
         """The ``(inner, outer)`` states for ``key``, built on first use.
         Callers ``copy()`` them (via :func:`keyed_mac`), never update."""
@@ -165,7 +171,14 @@ class SignerCache:
 
 @dataclass(frozen=True)
 class Cookie:
-    """A single-use, signed token attached to packets."""
+    """A single-use, signed token attached to packets.
+
+    A cookie minted here holds its four fields.  A cookie parsed off a
+    wire (:meth:`from_bytes` / :meth:`from_text`) *is* its 48 validated
+    bytes: the fields decode once, on first access, and the verifier
+    (:class:`~repro.core.matcher.CookieMatcher`) reads what it needs
+    straight out of the bytes, so the data path never decodes them.
+    """
 
     cookie_id: int
     uuid: bytes
@@ -182,23 +195,11 @@ class Cookie:
                 f"signature must be {SIGNATURE_BYTES} bytes, got {len(self.signature)}"
             )
 
-    def signed_bytes(self) -> bytes:
-        """The 32 bytes the signature covers (id | uuid | µs timestamp).
-
-        A cookie that came off a wire (or was already serialised) holds
-        them as the head of its memoized encoding; only a cookie that
-        never touched a wire packs them.  The first
-        :data:`REPLAY_KEY_BYTES` of the result are the replay-cache key.
-        """
-        wire = self.__dict__.get("_wire")
-        if wire is not None:
-            return wire[:SIGNED_BYTES]
-        return _signed_fields(self.cookie_id, self.uuid, self.timestamp)
-
     def verify_signature(self, descriptor: CookieDescriptor) -> bool:
         """Constant-time check of the HMAC digest under the descriptor key."""
+        _, _, signature, signed = verify_operands(self)
         return hmac.compare_digest(
-            sign_message(descriptor.key, self.signed_bytes()), self.signature
+            sign_message(descriptor.key, signed), signature
         )
 
     # ------------------------------------------------------------------
@@ -227,25 +228,19 @@ class Cookie:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Cookie":
-        """Parse the binary encoding; raises :class:`MalformedCookie`."""
+        """Parse the binary encoding; raises :class:`MalformedCookie`.
+
+        Any 48 bytes are a well-formed cookie, so the length is the whole
+        parse: the result keeps the bytes and decodes fields on demand
+        (µs quantisation makes the re-encoding bit-identical to the
+        input, so a verify-and-forward path never re-packs either).
+        """
         if len(data) != COOKIE_WIRE_BYTES:
             raise MalformedCookie(
                 f"cookie must be {COOKIE_WIRE_BYTES} bytes, got {len(data)}"
             )
-        cookie_id, uuid, ts_micros, signature = _WIRE.unpack(data)
-        # Filled directly, not through __init__: the ``16s`` fields are
-        # 16 bytes by construction, which is all __post_init__ checks.
         cookie = object.__new__(cls)
-        cookie.__dict__.update(
-            cookie_id=cookie_id,
-            uuid=uuid,
-            timestamp=ts_micros / TIMESTAMP_SCALE,
-            signature=signature,
-            # µs quantization makes the re-encoding bit-identical to the
-            # input; seed the memo so a verify-and-forward path never
-            # re-packs what it already holds.
-            _wire=bytes(data),
-        )
+        cookie.__dict__["_wire"] = bytes(data)
         return cookie
 
     def to_text(self) -> str:
@@ -259,13 +254,94 @@ class Cookie:
         try:
             # b64decode takes either form and, with validate=True, rejects
             # every non-alphabet character (non-ASCII text included).
-            raw = base64.b64decode(text, validate=True)
+            wire = base64.b64decode(text, validate=True)
         except ValueError as exc:  # binascii.Error is a ValueError
             raise MalformedCookie(f"bad base64 cookie text: {exc}") from exc
-        return cls.from_bytes(raw)
+        if len(wire) != COOKIE_WIRE_BYTES:
+            raise MalformedCookie(
+                f"cookie must be {COOKIE_WIRE_BYTES} bytes, got {len(wire)}"
+            )
+        cookie = object.__new__(cls)
+        cookie.__dict__["_wire"] = wire
+        return cookie
 
     def __repr__(self) -> str:
         return (
             f"Cookie(id={self.cookie_id:#018x}, uuid={self.uuid.hex()[:8]}..., "
             f"t={self.timestamp:.6f})"
         )
+
+
+class _WireField:
+    """One field of a wire-born cookie, decoded on first access.
+
+    A non-data descriptor: the instance ``__dict__`` shadows it, so it is
+    reached only while the cookie holds nothing but ``_wire`` — a minted
+    cookie, or one decoded already, never comes here.  (``__getattr__``
+    would do the same job but replaces the type's attribute lookup, and
+    CPython then stops specialising *every* attribute and method access
+    on every cookie.)
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, cookie: Cookie | None, owner: type | None = None):
+        if cookie is None:
+            return self
+        state = cookie.__dict__
+        wire = state.get("_wire")
+        if wire is None:
+            raise AttributeError(
+                f"{type(cookie).__name__!r} object has no attribute {self.name!r}"
+            )
+        cookie_id, uuid, ts_micros, signature = _WIRE.unpack(wire)
+        # The ``16s`` fields are 16 bytes by construction, which is all
+        # __post_init__ checks.
+        state.update(
+            cookie_id=cookie_id,
+            uuid=uuid,
+            timestamp=ts_micros / TIMESTAMP_SCALE,
+            signature=signature,
+        )
+        return state[self.name]
+
+
+# Installed after @dataclass has read the class: a class attribute named
+# like a field would otherwise be taken for the field's default.
+for _field in fields(Cookie):
+    setattr(Cookie, _field.name, _WireField(_field.name))
+del _field
+
+
+def verify_operands(cookie: Cookie) -> tuple[int, float, bytes, bytes]:
+    """``(cookie_id, timestamp, signature, signed bytes)``: what a
+    verifier judges, read without decoding a wire-born cookie.
+
+    The signed bytes are the 32 the signature covers (id | uuid | µs
+    timestamp); their first :data:`REPLAY_KEY_BYTES` are the
+    replay-cache key.  A cookie that arrived as bytes and was never
+    decoded is read with one :data:`WIRE_VERIFY_FIELDS` unpack and one
+    slice; its freshness operand is ``ts_micros / 1e6``, the float its
+    decoded form would carry.  A minted cookie is read from its fields,
+    float timestamp as given — it is not µs-quantised, and freshness is
+    a predicate on that float — and packs the signed bytes only if it
+    was never serialised.
+    """
+    state = cookie.__dict__
+    wire = state.get("_wire")
+    if "cookie_id" not in state:
+        cookie_id, ts_micros, signature = WIRE_VERIFY_FIELDS.unpack(wire)
+        return (
+            cookie_id,
+            ts_micros / TIMESTAMP_SCALE,
+            signature,
+            wire[:SIGNED_BYTES],
+        )
+    cookie_id = state["cookie_id"]
+    timestamp = state["timestamp"]
+    if wire is None:
+        signed = _signed_fields(cookie_id, state["uuid"], timestamp)
+    else:
+        signed = wire[:SIGNED_BYTES]
+    return cookie_id, timestamp, state["signature"], signed

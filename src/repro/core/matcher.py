@@ -39,6 +39,7 @@ from .cookie import (
     SignerCache,
     keyed_mac,
     sign_message,
+    verify_operands,
 )
 from .descriptor import CookieDescriptor
 from .errors import (
@@ -355,9 +356,15 @@ class CookieMatcher:
         self, cookie: Cookie, now: float
     ) -> tuple[CookieDescriptor | None, int]:
         """The scalar checks, counted but never raised: the descriptor
-        and ``_ACCEPTED``, or ``None`` and the reject code."""
+        and ``_ACCEPTED``, or ``None`` and the reject code.
+
+        Judged on :func:`~repro.core.cookie.verify_operands`: the wire
+        bytes of a cookie that arrived as bytes — what :meth:`match_wire`
+        does to the same 48 bytes — and the fields of a minted one.
+        """
         stats = self.stats
-        descriptor = self.store.get(cookie.cookie_id)
+        cookie_id, timestamp, signature, signed = verify_operands(cookie)
+        descriptor = self.store.get(cookie_id)
         if descriptor is None:
             stats.unknown_id += 1
             return None, _UNKNOWN_ID
@@ -367,13 +374,12 @@ class CookieMatcher:
         if descriptor.attributes.is_expired(now):
             stats.expired += 1
             return None, _EXPIRED
-        signed = cookie.signed_bytes()
         if not _hmac.compare_digest(
-            sign_message(descriptor.key, signed), cookie.signature
+            sign_message(descriptor.key, signed), signature
         ):
             stats.bad_signature += 1
             return None, _BAD_SIGNATURE
-        if abs(cookie.timestamp - now) > self.nct:
+        if abs(timestamp - now) > self.nct:
             stats.stale_timestamp += 1
             return None, _STALE_TIMESTAMP
         if self.replay_cache.check_and_record(signed[:REPLAY_KEY_BYTES], now):
@@ -400,10 +406,16 @@ class CookieMatcher:
     def _resolve(self, cookie_id: int, now: float) -> tuple:
         """Per-batch memo entry for one cookie id: ``(descriptor, code,
         inner, outer)`` — the usable descriptor with its pre-keyed MAC
-        states, or ``None`` with the reject code.  Sound within a batch
-        because ``now`` is fixed and descriptor revocation/expiry cannot
-        change between two cookies of the same batch (single-threaded
-        data path, one timestamp)."""
+        states *if they are already cached*, or ``None`` with the reject
+        code.  Sound within a batch because ``now`` is fixed and
+        descriptor revocation/expiry cannot change between two cookies
+        of the same batch (single-threaded data path, one timestamp).
+
+        States are not built here: two SHA-256 states cost more than the
+        one-shot MAC they replace, and a batch of more hot descriptors
+        than ``SignerCache.max_keys`` would build and evict a pair per
+        cookie.  :meth:`_with_states` builds them when an id repeats in a batch.
+        """
         descriptor = self.store.get(cookie_id)
         if descriptor is None:
             return None, _UNKNOWN_ID, None, None
@@ -411,6 +423,12 @@ class CookieMatcher:
             return None, _REVOKED, None, None
         if descriptor.attributes.is_expired(now):
             return None, _EXPIRED, None, None
+        return (descriptor, _ACCEPTED, *self._signers.peek(descriptor.key))
+
+    def _with_states(self, memo: tuple) -> tuple:
+        """``memo`` with its descriptor's MAC states, built and cached:
+        the id came up a second time in one batch, so they pay."""
+        descriptor = memo[0]
         return (descriptor, _ACCEPTED, *self._signers.states(descriptor.key))
 
     def _count(self, counts: list[int]) -> None:
@@ -437,18 +455,19 @@ class CookieMatcher:
 
         - descriptor lookup + revoked/expired checks are memoized per
           cookie id (a batch from one flow burst repeats few ids);
-        - the descriptor's two pre-absorbed HMAC states ride in the same
-          memo entry (:class:`~repro.core.cookie.SignerCache`), so a
-          signature is two ``copy()/update()/digest()``;
-        - a cookie that came off a wire is not re-packed: the MAC
-          message and the replay key are slices of its memoized
-          encoding (:meth:`Cookie.signed_bytes`).
+        - a descriptor whose two pre-absorbed HMAC states are cached
+          (:class:`~repro.core.cookie.SignerCache`), or whose id repeats
+          in the batch, signs with two ``copy()/update()/digest()``;
+          a one-shot descriptor gets the one-shot MAC and builds nothing;
+        - a cookie that came off a wire is neither decoded nor
+          re-packed: its fields, MAC message and replay key are read
+          out of its bytes (:func:`~repro.core.cookie.verify_operands`).
 
         This is the *object* path; :meth:`match_wire` is the same loop
         over a frame of wire cookies and shares everything with it but
-        the freshness operand.  Here that is ``cookie.timestamp`` as
-        given — the float of a cookie that never touched a wire is not
-        µs-quantised, and the scalar path judges that float.
+        the freshness operand of a *minted* cookie: the float of a
+        cookie that never touched a wire is not µs-quantised, and the
+        scalar path judges that float.
 
         ``reasons``, if given, receives one :class:`MatchStats` field
         name per cookie (``"accepted"``, ``"replayed"``, ...).
@@ -457,24 +476,31 @@ class CookieMatcher:
         compare = _hmac.compare_digest
         check_and_record = self.replay_cache.check_and_record
         resolve = self._resolve
+        with_states = self._with_states
         decided: dict[int, tuple] = {}
         counts = [0] * len(MATCH_OUTCOMES)
         results: list[CookieDescriptor | None] = []
         append = results.append
         note = reasons.append if reasons is not None else None
         for cookie in cookies:
-            cookie_id = cookie.cookie_id
+            cookie_id, timestamp, signature, signed = verify_operands(cookie)
             memo = decided.get(cookie_id)
             if memo is None:
                 memo = decided[cookie_id] = resolve(cookie_id, now)
+            elif memo[2] is None and memo[0] is not None:
+                memo = decided[cookie_id] = with_states(memo)
             descriptor, code, inner, outer = memo
             if descriptor is not None:
-                signed = cookie.signed_bytes()
-                if not compare(keyed_mac(inner, outer, signed), cookie.signature):
+                mac = (
+                    sign_message(descriptor.key, signed)
+                    if inner is None
+                    else keyed_mac(inner, outer, signed)
+                )
+                if not compare(mac, signature):
                     descriptor, code = None, _BAD_SIGNATURE
                 # Same predicate as the scalar path (not a precomputed
                 # lo/hi window) so results are bit-identical for any float.
-                elif abs(cookie.timestamp - now) > nct:
+                elif abs(timestamp - now) > nct:
                     descriptor, code = None, _STALE_TIMESTAMP
                 elif check_and_record(signed[:REPLAY_KEY_BYTES], now):
                     descriptor, code = None, _REPLAYED
@@ -510,6 +536,7 @@ class CookieMatcher:
         compare = _hmac.compare_digest
         check_and_record = self.replay_cache.check_and_record
         resolve = self._resolve
+        with_states = self._with_states
         pack_into = VERDICT_RECORD.pack_into
         record_bytes = VERDICT_RECORD.size
         decided: dict[int, tuple] = {}
@@ -519,12 +546,17 @@ class CookieMatcher:
             memo = decided.get(cookie_id)
             if memo is None:
                 memo = decided[cookie_id] = resolve(cookie_id, now)
-            _descriptor, code, inner, outer = memo
-            if code == _ACCEPTED:
-                if not compare(
-                    keyed_mac(inner, outer, body[start : start + SIGNED_BYTES]),
-                    signature,
-                ):
+            elif memo[2] is None and memo[0] is not None:
+                memo = decided[cookie_id] = with_states(memo)
+            descriptor, code, inner, outer = memo
+            if descriptor is not None:
+                signed = body[start : start + SIGNED_BYTES]
+                mac = (
+                    sign_message(descriptor.key, signed)
+                    if inner is None
+                    else keyed_mac(inner, outer, signed)
+                )
+                if not compare(mac, signature):
                     code = _BAD_SIGNATURE
                 elif abs(ts_micros / TIMESTAMP_SCALE - now) > nct:
                     code = _STALE_TIMESTAMP

@@ -43,9 +43,11 @@ class HttpHeaderCarrier(CookieCarrier):
         packet.payload.size += self.overhead_bytes
 
     def extract(self, packet: Packet) -> Cookie | None:
-        if not self.can_carry(packet):
+        payload = packet.payload
+        request = payload.content
+        if not isinstance(request, HTTPRequest) or payload.encrypted:
             return None
-        text = packet.payload.content.header(COOKIE_HEADER)
+        text = request.header(COOKIE_HEADER)
         if text is None:
             return None
         try:

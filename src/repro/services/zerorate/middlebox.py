@@ -68,13 +68,12 @@ _NO_FLUSH_CALLBACK = (
 def flow_key_to_fivetuple(key: tuple) -> FiveTuple:
     """Convert the middlebox's inline flow key to a canonical FiveTuple.
 
-    The inline key is ``((ip, port), (ip, port), proto)`` with endpoints
-    in lexicographic order — the same canonical ordering
+    The inline key is ``(ip, port, ip, port, proto)`` with the endpoints
+    in lexicographic ``(ip, port)`` order — the same canonical ordering
     :meth:`FiveTuple.canonical` uses — so the conversion is direct.  Used
     to hand resolved flows to :class:`repro.core.offload.HardwarePrefilter`.
     """
-    (a_ip, a_port), (b_ip, b_port), proto = key
-    return FiveTuple(a_ip, a_port, b_ip, b_port, proto)
+    return FiveTuple(*key)
 
 ZERO_RATE_SNIFF_PACKETS = 3
 
@@ -91,7 +90,7 @@ DEFAULT_MAX_SUBSCRIBERS = 1_000_000
 DEFAULT_FLOW_IDLE_TIMEOUT = 60.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SubscriberCounters:
     """The paper's two per-IP counters."""
 
@@ -106,6 +105,11 @@ class SubscriberCounters:
     def free_fraction(self) -> float:
         total = self.total_bytes
         return self.free_bytes / total if total else 0.0
+
+
+def _is_private(ip: str) -> bool:
+    """The default ``is_subscriber``: an RFC1918-ish address."""
+    return ip.startswith(("10.", "192.168."))
 
 
 @dataclass(slots=True)
@@ -173,9 +177,7 @@ class ZeroRatingMiddlebox(Element):
         self.matcher = matcher
         self.clock = clock
         self.registry = registry or default_registry()
-        self.is_subscriber = is_subscriber or (
-            lambda ip: ip.startswith("10.") or ip.startswith("192.168.")
-        )
+        self.is_subscriber = is_subscriber or _is_private
         self.sniff_packets = sniff_packets
         #: Invoked once per flow the moment its fate is final (cookie
         #: matched, or the sniff window closed without one).  The §4.6
@@ -242,21 +244,25 @@ class ZeroRatingMiddlebox(Element):
         if ip is None or l4 is None:
             self.emit(packet)
             return
-        # Canonical bidirectional key without FlowTable overhead.
-        a = (ip.src, l4.src_port)
-        b = (ip.dst, l4.dst_port)
-        key = (a, b, ip.proto) if a <= b else (b, a, ip.proto)
+        # Canonical bidirectional key without FlowTable overhead: one
+        # flat tuple (a nested key is three objects for the collector to
+        # track per flow, which showed on the new-flow path).
+        src, sport, dst, dport = ip.src, l4.src_port, ip.dst, l4.dst_port
+        if src < dst or (src == dst and sport <= dport):
+            key = (src, sport, dst, dport, ip.proto)
+        else:
+            key = (dst, dport, src, sport, ip.proto)
         # pop + reinsert moves the entry to the recent end of the dict.
         flows = self._flows
         state = flows.pop(key, None)
         if state is None:
             self._evict_for_space(now)
-            state = self._new_flow_state(ip.src, ip.dst)
+            state = self._new_flow_state(src, dst)
         elif now - state.last_seen > self.flow_idle_timeout:
             # The real box would have aged this entry out already; what it
             # sees now is a brand-new flow.
             self.flows_evicted_idle += 1
-            state = self._new_flow_state(ip.src, ip.dst)
+            state = self._new_flow_state(src, dst)
         state.last_seen = now
         flows[key] = state
         state.packets_seen += 1
@@ -294,11 +300,18 @@ class ZeroRatingMiddlebox(Element):
         Semantically identical to ``for p in packets: self.handle(p)``
         with the clock frozen for the batch (the scalar path reads the
         clock per packet; batch arrival means the whole vector is
-        observed at the tick's start).  The per-packet savings:
+        observed at the tick's start) — also when something raises
+        mid-burst: tallies and the packets already processed are flushed
+        on the way out, as the scalar loop would have counted and
+        emitted them.  The per-packet savings:
 
         - the clock is read once per batch, telemetry counters are
           aggregated in locals and flushed once;
         - every ``self.`` attribute used on the hot path is bound once;
+        - a new flow pays no method hop: the eviction check, the flow
+          state, the fail-safe ``try`` around the verifier and the
+          resolve hook are inline (``handle`` keeps the helpers; the
+          differential suites hold the two bit-identical);
         - consecutive packets of a *resolved* flow (the common burst
           shape — think GRO) coalesce into a run: the head packet pays
           the full dict/LRU path, the rest of the run only compares
@@ -321,192 +334,238 @@ class ZeroRatingMiddlebox(Element):
         counters = self.counters
         billing = self.billing
         extract = self.registry.extract
-        match = self._match_failsafe
-        new_flow_state = self._new_flow_state
+        match = self.matcher.match
+        is_subscriber = self.is_subscriber
+        on_flow_resolved = self.on_flow_resolved
         sniff = self.sniff_packets
         idle = self.flow_idle_timeout
+        max_flows = self.max_flows
         max_subscribers = self.max_subscribers
         on_subscriber_evicted = self.on_subscriber_evicted
         processed = 0
         hits = 0
         misses = 0
+        resolved = 0
         out: list[Packet] = []
         append = out.append
         index = 0
         total = len(packets)
-        while index < total:
-            packet = packets[index]
-            index += 1
-            processed += 1
-            ip = packet.ip
-            l4 = packet.l4
-            if ip is None or l4 is None:
-                append(packet)
-                continue
-            src = ip.src
-            dst = ip.dst
-            sport = l4.src_port
-            dport = l4.dst_port
-            proto = ip.proto
-            a = (src, sport)
-            b = (dst, dport)
-            key = (a, b, proto) if a <= b else (b, a, proto)
-            state = flows.pop(key, None)
-            if state is None:
-                self._evict_for_space(now)
-                state = new_flow_state(src, dst)
-            elif now - state.last_seen > idle:
-                self.flows_evicted_idle += 1
-                state = new_flow_state(src, dst)
-            state.last_seen = now
-            flows[key] = state
-            packets_seen = state.packets_seen + 1
-            state.packets_seen = packets_seen
-
-            if not state.resolved and packets_seen <= sniff:
-                found = extract(packet)
-                if found is not None:
-                    packet.meta["cookie_checked"] = True
-                    descriptor = match(found[0], now)
-                    if descriptor is not None:
-                        state.zero_rated = True
-                        state.service = descriptor.service_data
-                        hits += 1
-                        self._resolve(key, state)
-                    else:
-                        misses += 1
-                if not state.resolved and packets_seen >= sniff:
-                    self._resolve(key, state)
-
-            # Inlined _account for the head packet.
-            subscriber_ip = state.subscriber_ip
-            sub_counters = counters.get(subscriber_ip)
-            if sub_counters is None:
-                while len(counters) >= max_subscribers:
-                    if billing is not None and on_subscriber_evicted is None:
-                        raise BillingFlushRequired(_NO_FLUSH_CALLBACK)
-                    evicted_ip = next(iter(counters))
-                    evicted = counters.pop(evicted_ip)
-                    self.subscribers_evicted += 1
-                    if on_subscriber_evicted is not None:
-                        on_subscriber_evicted(evicted_ip, evicted)
-                sub_counters = SubscriberCounters()
-                counters[subscriber_ip] = sub_counters
-            elif packets_seen == 1:
-                del counters[subscriber_ip]
-                counters[subscriber_ip] = sub_counters
-            zero_rated = state.zero_rated
-            wire = packet.wire_length
-            if billing is None:
-                free = zero_rated
-            else:
-                app = state.service if zero_rated else None
-                remote_ip = state.remote_ip
-                free = billing.account(
-                    subscriber_ip, app, remote_ip, wire,
-                    cookied=zero_rated, now=now,
-                )
-            if free:
-                sub_counters.free_bytes += wire
-                packet.meta["zero_rated"] = True
-            else:
-                sub_counters.charged_bytes += wire
-            append(packet)
-
-            if not state.resolved:
-                continue
-            # Resolved-run fast sub-loop: consume every immediately
-            # following packet of the same conversation (either
-            # direction) without re-touching the dicts.  Nothing the
-            # scalar path would do for these packets survives skipping:
-            # the LRU entry is already at the recent end with
-            # last_seen == now, the verdict is final (resolved flows
-            # skip cookie work), and byte accounting is additive —
-            # under billing up to the cap, which account_run applies
-            # to the collected sizes once the run ends.
-            # Header *types* are per-flow constants, so the run head's
-            # types pick constant-size wire-length arithmetic and only
-            # packets carrying options/extensions fall back to the
-            # header's own property.
-            ip_is_v4 = type(ip) is _IPv4Header
-            l4_is_tcp = type(l4) is _TCPHeader
-            run_packets = 0
-            run_bytes = 0
-            if billing is not None:
-                sizes: list[int] = []
-                sizes_append = sizes.append
+        try:
             while index < total:
-                nxt = packets[index]
-                nip = nxt.ip
-                nl4 = nxt.l4
-                if nip is None or nl4 is None:
-                    break
-                nsrc = nip.src
-                ndst = nip.dst
-                nsport = nl4.src_port
-                ndport = nl4.dst_port
-                if nip.proto != proto or not (
-                    (
-                        nsrc == src
-                        and ndst == dst
-                        and nsport == sport
-                        and ndport == dport
-                    )
-                    or (
-                        nsrc == dst
-                        and ndst == src
-                        and nsport == dport
-                        and ndport == sport
-                    )
-                ):
-                    break
+                packet = packets[index]
                 index += 1
-                run_packets += 1
-                wire = nxt.payload.size
-                header = nxt.eth
-                if header is not None:
+                processed += 1
+                ip = packet.ip
+                l4 = packet.l4
+                if ip is None or l4 is None:
+                    append(packet)
+                    continue
+                src = ip.src
+                dst = ip.dst
+                sport = l4.src_port
+                dport = l4.dst_port
+                proto = ip.proto
+                if src < dst or (src == dst and sport <= dport):
+                    key = (src, sport, dst, dport, proto)
+                else:
+                    key = (dst, dport, src, sport, proto)
+                state = flows.pop(key, None)
+                if state is not None and now - state.last_seen <= idle:
+                    state.last_seen = now
+                    packets_seen = state.packets_seen + 1
+                    state.packets_seen = packets_seen
+                else:
+                    if state is not None:
+                        self.flows_evicted_idle += 1
+                    # _evict_for_space's own entry conditions, tested here
+                    # so a table with room and a live oldest entry (every
+                    # new flow of a healthy box) costs no call.
+                    elif len(flows) >= max_flows or (
+                        flows
+                        and now - next(iter(flows.values())).last_seen > idle
+                    ):
+                        self._evict_for_space(now)
+                    # _new_flow_state, inline.
+                    if is_subscriber(src) or not is_subscriber(dst):
+                        subscriber_ip, remote_ip = src, dst
+                    else:
+                        subscriber_ip, remote_ip = dst, src
+                    packets_seen = 1
+                    state = _FlowState(
+                        packets_seen=1, subscriber_ip=subscriber_ip,
+                        remote_ip=remote_ip, last_seen=now,
+                    )
+                flows[key] = state
+
+                if not state.resolved and packets_seen <= sniff:
+                    found = extract(packet)
+                    if found is not None:
+                        packet.meta["cookie_checked"] = True
+                        # _match_failsafe, inline.
+                        try:
+                            descriptor = match(found[0], now)
+                        except Exception:
+                            self.verifier_failures += 1
+                            descriptor = None
+                        if descriptor is not None:
+                            state.zero_rated = True
+                            state.service = descriptor.service_data
+                            hits += 1
+                        else:
+                            misses += 1
+                    if state.zero_rated or packets_seen >= sniff:
+                        # _resolve, inline.
+                        state.resolved = True
+                        resolved += 1
+                        if on_flow_resolved is not None:
+                            on_flow_resolved(key, state)
+
+                # Inlined _account for the head packet.
+                subscriber_ip = state.subscriber_ip
+                sub_counters = counters.get(subscriber_ip)
+                if sub_counters is None:
+                    while len(counters) >= max_subscribers:
+                        if billing is not None and on_subscriber_evicted is None:
+                            raise BillingFlushRequired(_NO_FLUSH_CALLBACK)
+                        evicted_ip = next(iter(counters))
+                        evicted = counters.pop(evicted_ip)
+                        self.subscribers_evicted += 1
+                        if on_subscriber_evicted is not None:
+                            on_subscriber_evicted(evicted_ip, evicted)
+                    sub_counters = SubscriberCounters()
+                    counters[subscriber_ip] = sub_counters
+                elif packets_seen == 1:
+                    del counters[subscriber_ip]
+                    counters[subscriber_ip] = sub_counters
+                zero_rated = state.zero_rated
+                # Header *types* are per-flow constants, so the head's
+                # types pick constant-size wire-length arithmetic for the
+                # whole run and only packets carrying options/extensions
+                # fall back to the header's own property.
+                ip_is_v4 = type(ip) is _IPv4Header
+                l4_is_tcp = type(l4) is _TCPHeader
+                wire = packet.payload.size
+                if packet.eth is not None:
                     wire += 14  # EthernetHeader.WIRE_LENGTH
                 if ip_is_v4:
                     wire += 20  # IPv4Header.WIRE_LENGTH
-                elif nip.extensions:
-                    wire += nip.wire_length
+                elif ip.extensions:
+                    wire += ip.wire_length
                 else:
                     wire += 40  # IPv6Header.BASE_WIRE_LENGTH
                 if not l4_is_tcp:
                     wire += 8  # UDPHeader.WIRE_LENGTH
-                elif nl4.options:
-                    wire += nl4.wire_length
+                elif l4.options:
+                    wire += l4.wire_length
                 else:
                     wire += 20  # TCPHeader.BASE_WIRE_LENGTH
-                if billing is not None:
-                    sizes_append(wire)
+                if billing is None:
+                    free = zero_rated
                 else:
-                    run_bytes += wire
-                    if zero_rated:
-                        nxt.meta["zero_rated"] = True
-                append(nxt)
-            if run_packets:
-                processed += run_packets
-                state.packets_seen = packets_seen + run_packets
-                if billing is not None:
-                    flags = billing.account_run(
-                        subscriber_ip, app, remote_ip, sizes,
+                    app = state.service if zero_rated else None
+                    remote_ip = state.remote_ip
+                    free = billing.account(
+                        subscriber_ip, app, remote_ip, wire,
                         cookied=zero_rated, now=now,
                     )
-                    run_free = sum(compress(sizes, flags))
-                    sub_counters.free_bytes += run_free
-                    sub_counters.charged_bytes += sum(sizes) - run_free
-                    run = packets[index - run_packets : index]
-                    for nxt in compress(run, flags):
-                        nxt.meta["zero_rated"] = True
-                elif zero_rated:
-                    sub_counters.free_bytes += run_bytes
+                if free:
+                    sub_counters.free_bytes += wire
+                    packet.meta["zero_rated"] = True
                 else:
-                    sub_counters.charged_bytes += run_bytes
-        self.packets_processed += processed
-        self.cookie_hits += hits
-        self.cookie_misses += misses
-        self.emit_batch(out)
+                    sub_counters.charged_bytes += wire
+                append(packet)
+
+                if not state.resolved:
+                    continue
+                # Resolved-run fast sub-loop: consume every immediately
+                # following packet of the same conversation (either
+                # direction) without re-touching the dicts.  Nothing the
+                # scalar path would do for these packets survives skipping:
+                # the LRU entry is already at the recent end with
+                # last_seen == now, the verdict is final (resolved flows
+                # skip cookie work), and byte accounting is additive —
+                # under billing up to the cap, which account_run applies
+                # to the collected sizes once the run ends.
+                run_packets = 0
+                run_bytes = 0
+                if billing is not None:
+                    sizes: list[int] = []
+                    sizes_append = sizes.append
+                while index < total:
+                    nxt = packets[index]
+                    nip = nxt.ip
+                    nl4 = nxt.l4
+                    if nip is None or nl4 is None:
+                        break
+                    nsrc = nip.src
+                    ndst = nip.dst
+                    nsport = nl4.src_port
+                    ndport = nl4.dst_port
+                    if nip.proto != proto or not (
+                        (
+                            nsrc == src
+                            and ndst == dst
+                            and nsport == sport
+                            and ndport == dport
+                        )
+                        or (
+                            nsrc == dst
+                            and ndst == src
+                            and nsport == dport
+                            and ndport == sport
+                        )
+                    ):
+                        break
+                    index += 1
+                    run_packets += 1
+                    wire = nxt.payload.size
+                    if nxt.eth is not None:
+                        wire += 14
+                    if ip_is_v4:
+                        wire += 20
+                    elif nip.extensions:
+                        wire += nip.wire_length
+                    else:
+                        wire += 40
+                    if not l4_is_tcp:
+                        wire += 8
+                    elif nl4.options:
+                        wire += nl4.wire_length
+                    else:
+                        wire += 20
+                    if billing is not None:
+                        sizes_append(wire)
+                    else:
+                        run_bytes += wire
+                        if zero_rated:
+                            nxt.meta["zero_rated"] = True
+                    append(nxt)
+                if run_packets:
+                    processed += run_packets
+                    state.packets_seen = packets_seen + run_packets
+                    if billing is not None:
+                        flags = billing.account_run(
+                            subscriber_ip, app, remote_ip, sizes,
+                            cookied=zero_rated, now=now,
+                        )
+                        run_free = sum(compress(sizes, flags))
+                        sub_counters.free_bytes += run_free
+                        sub_counters.charged_bytes += sum(sizes) - run_free
+                        run = packets[index - run_packets : index]
+                        for nxt in compress(run, flags):
+                            nxt.meta["zero_rated"] = True
+                    elif zero_rated:
+                        sub_counters.free_bytes += run_bytes
+                    else:
+                        sub_counters.charged_bytes += run_bytes
+        finally:
+            # On a mid-burst raise too (a cleared flush callback, a hook
+            # or accountant that raises): what was processed is flushed.
+            self.packets_processed += processed
+            self.cookie_hits += hits
+            self.cookie_misses += misses
+            self.flows_resolved += resolved
+            self.emit_batch(out)
 
     def _match_failsafe(self, cookie, now: float):
         """``matcher.match`` with the fail-safe rule: a verifier *error*
@@ -544,19 +603,11 @@ class ZeroRatingMiddlebox(Element):
             del flows[next(iter(flows))]
             self.flows_evicted_cap += 1
 
-    def _subscriber_of(self, src: str, dst: str) -> str:
-        if self.is_subscriber(src):
-            return src
-        if self.is_subscriber(dst):
-            return dst
-        return src  # transit traffic: bill the sender
-
     def _new_flow_state(self, src: str, dst: str) -> _FlowState:
-        subscriber = self._subscriber_of(src, dst)
-        return _FlowState(
-            subscriber_ip=subscriber,
-            remote_ip=dst if subscriber == src else src,
-        )
+        # Transit traffic (neither end a subscriber) bills the sender.
+        if self.is_subscriber(src) or not self.is_subscriber(dst):
+            return _FlowState(subscriber_ip=src, remote_ip=dst)
+        return _FlowState(subscriber_ip=dst, remote_ip=src)
 
     def _account(self, state: _FlowState, packet: Packet, now: float) -> bool:
         """Bill one packet; returns whether its bytes rode free.

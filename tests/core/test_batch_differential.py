@@ -7,7 +7,9 @@ observable equivalence — verdicts (by position), :class:`MatchStats`,
 replay-cache internals (generation sets, rotation counters), and
 telemetry snapshots.  Hypothesis supplies adversarial batches: replayed
 uuids, timestamps straddling the 5 s NCT boundary, unknown descriptor
-ids, malformed signatures, revoked and expired descriptors, all mixed.
+ids, malformed signatures, revoked and expired descriptors, all mixed —
+and every cookie in one of its *births* (:data:`BIRTHS`): minted here,
+minted then serialised, or parsed off a wire and never decoded.
 """
 
 import hmac
@@ -28,6 +30,7 @@ from repro.core.descriptor import CookieDescriptor
 from repro.core.distributed import NaiveVerifierPool, ShardedVerifierPool
 from repro.core.matcher import (
     NETWORK_COHERENCY_TIME,
+    VERDICT_RECORD,
     CookieMatcher,
     ReplayCache,
     ShardedReplayCache,
@@ -42,6 +45,12 @@ N_ACTIVE = 4
 #: Failure-mode mix the batch strategy draws from.  Small uuid-tag ranges
 #: make within-batch replays common rather than rare.
 KINDS = ("valid", "valid", "bad_sig", "stale", "unknown", "revoked", "expired")
+
+#: How a cookie came to be.  The verifier judges a minted cookie on its
+#: fields (serialising it memoizes the encoding but changes nothing) and
+#: a wire-born one on its bytes, without decoding it.
+WIRE_BIRTHS = ("from_bytes", "from_text")
+BIRTHS = ("minted", "serialised", *WIRE_BIRTHS)
 
 
 class _Env:
@@ -86,17 +95,31 @@ def _signed(descriptor, uuid: bytes, timestamp: float) -> Cookie:
     )
 
 
+def _born(cookie: Cookie, birth: str) -> Cookie:
+    """``cookie`` (freshly minted) as the given birth delivers it."""
+    if birth == "from_bytes":
+        return Cookie.from_bytes(cookie.to_bytes())
+    if birth == "from_text":
+        return Cookie.from_text(cookie.to_text())
+    if birth == "serialised":
+        cookie.to_bytes()
+    return cookie
+
+
 def _materialize(env: _Env, specs) -> list[Cookie]:
     cookies = []
-    for kind, desc_index, tag, offset, skew in specs:
+    for kind, desc_index, tag, offset, skew, birth in specs:
         uuid = _uuid(tag)
         if kind == "unknown":
             cookies.append(
-                Cookie(
-                    cookie_id=env.unknown_id(tag),
-                    uuid=uuid,
-                    timestamp=NOW,
-                    signature=b"\x00" * SIGNATURE_BYTES,
+                _born(
+                    Cookie(
+                        cookie_id=env.unknown_id(tag),
+                        uuid=uuid,
+                        timestamp=NOW,
+                        signature=b"\x00" * SIGNATURE_BYTES,
+                    ),
+                    birth,
                 )
             )
             continue
@@ -118,7 +141,7 @@ def _materialize(env: _Env, specs) -> list[Cookie]:
                 timestamp=timestamp,
                 signature=flipped + cookie.signature[1:],
             )
-        cookies.append(cookie)
+        cookies.append(_born(cookie, birth))
     return cookies
 
 
@@ -132,6 +155,7 @@ def batch_specs(draw, max_size=32):
                 st.integers(0, 11),
                 st.floats(-4.5, 4.5, allow_nan=False),
                 st.floats(0.001, 30.0, allow_nan=False),
+                st.sampled_from(BIRTHS),
             ),
             max_size=max_size,
         )
@@ -153,10 +177,12 @@ def _cache_state(cache):
 
 def _differential(specs, cache_factory=lambda: None, chunk: int | None = None):
     env = _Env()
+    # A list per path: neither sees what the other did to a cookie.
+    scalar_cookies = _materialize(env, specs)
     cookies = _materialize(env, specs)
     scalar = CookieMatcher(env.store, replay_cache=cache_factory())
     batched = CookieMatcher(env.store, replay_cache=cache_factory())
-    scalar_verdicts = [scalar.match(cookie, NOW) for cookie in cookies]
+    scalar_verdicts = [scalar.match(cookie, NOW) for cookie in scalar_cookies]
     if chunk:
         batched_verdicts = []
         for start in range(0, len(cookies), chunk):
@@ -259,7 +285,11 @@ class TestMatcherDifferential:
 
     def test_nct_boundary_bit_exact(self):
         """Timestamps exactly at ±NCT are accepted; one ulp beyond is
-        stale — and the batched path agrees with scalar on every float."""
+        stale — and the batched path agrees with scalar on every float,
+        in every birth.  A wire carries whole microseconds, so the float
+        one ulp past the edge arrives stamped *on* the edge and is
+        accepted; the first timestamp a wire-born cookie can be stale
+        with is one microsecond out."""
         env = _Env()
         descriptor = env.active[0]
         timestamps = [
@@ -267,18 +297,27 @@ class TestMatcherDifferential:
             NOW - NCT,
             math.nextafter(NOW + NCT, math.inf),
             math.nextafter(NOW - NCT, -math.inf),
+            NOW + NCT + 1e-6,
+            NOW - NCT - 1e-6,
         ]
-        cookies = [
-            _signed(descriptor, _uuid(10 + i), ts)
-            for i, ts in enumerate(timestamps)
-        ]
-        scalar = CookieMatcher(env.store)
-        batched = CookieMatcher(env.store)
-        scalar_verdicts = [scalar.match(c, NOW) for c in cookies]
-        batched_verdicts = batched.match_batch(cookies, NOW)
-        assert batched_verdicts == scalar_verdicts
-        assert scalar_verdicts == [descriptor, descriptor, None, None]
-        assert batched.stats.stale_timestamp == 2
+        for birth in BIRTHS:
+            scalar_cookies, cookies = (
+                [
+                    _born(_signed(descriptor, _uuid(10 + i), ts), birth)
+                    for i, ts in enumerate(timestamps)
+                ]
+                for _ in range(2)
+            )
+            scalar = CookieMatcher(env.store)
+            batched = CookieMatcher(env.store)
+            scalar_verdicts = [scalar.match(c, NOW) for c in scalar_cookies]
+            batched_verdicts = batched.match_batch(cookies, NOW)
+            one_ulp_out = descriptor if birth in WIRE_BIRTHS else None
+            assert batched_verdicts == scalar_verdicts, birth
+            assert scalar_verdicts == [
+                descriptor, descriptor, one_ulp_out, one_ulp_out, None, None
+            ], birth
+            assert batched.stats.as_dict() == scalar.stats.as_dict(), birth
 
     def test_failed_checks_do_not_record_uuid(self):
         """A bad-signature or stale cookie must not poison its uuid: a
@@ -307,9 +346,15 @@ class TestMatcherDifferential:
         """The per-batch descriptor memo must still count every cookie."""
         env = _Env()
         batch = (
-            _materialize(env, [("unknown", 0, i, 0.0, 1.0) for i in range(3)])
-            + _materialize(env, [("revoked", 0, i, 0.0, 1.0) for i in range(4)])
-            + _materialize(env, [("expired", 0, i, 0.0, 1.0) for i in range(5)])
+            _materialize(
+                env, [("unknown", 0, i, 0.0, 1.0, BIRTHS[i]) for i in range(3)]
+            )
+            + _materialize(
+                env, [("revoked", 0, i, 0.0, 1.0, BIRTHS[i]) for i in range(4)]
+            )
+            + _materialize(
+                env, [("expired", 0, i, 0.0, 1.0, "minted") for i in range(5)]
+            )
         )
         matcher = CookieMatcher(env.store)
         assert matcher.match_batch(batch, NOW) == [None] * 12
@@ -319,6 +364,36 @@ class TestMatcherDifferential:
 
 
 class TestSignerCache:
+    def test_one_shot_descriptors_build_no_states(self):
+        """More distinct descriptors in a batch than the cache holds:
+        each cookie gets the one-shot MAC, nothing is built or evicted,
+        and verdicts equal scalar.  States are for an id that repeats."""
+        store = DescriptorStore()
+        descriptors = [
+            store.add(CookieDescriptor.create()) for _ in range(8192)
+        ]
+        cookies = [
+            _signed(descriptor, _uuid(i), NOW)
+            for i, descriptor in enumerate(descriptors)
+        ]
+        scalar, batched, wire = (CookieMatcher(store) for _ in range(3))
+        assert len(descriptors) > batched._signers.max_keys
+        verdicts = batched.match_batch(cookies, NOW)
+        assert verdicts == [scalar.match(c, NOW) for c in cookies] == descriptors
+        out = bytearray(VERDICT_RECORD.size * len(cookies))
+        wire.match_wire(b"".join(c.to_bytes() for c in cookies), NOW, out)
+        assert [code for code, _ in VERDICT_RECORD.iter_unpack(out)] == (
+            [0] * len(cookies)
+        )
+        assert wire.stats.as_dict() == batched.stats.as_dict()
+        assert len(batched._signers) == len(wire._signers) == 0
+
+        again = [_signed(descriptors[0], _uuid(9000 + i), NOW) for i in range(3)]
+        assert batched.match_batch(again, NOW) == [descriptors[0]] * 3
+        assert len(batched._signers) == 1
+        # Cached now: the next batch's first cookie already finds them.
+        assert batched._signers.peek(descriptors[0].key) != (None, None)
+
     @settings(max_examples=60, deadline=None)
     @given(
         # 1-200 bytes crosses SHA-256's 64-byte block: longer keys are

@@ -1,5 +1,9 @@
 """Cookie wire-format and signature tests."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +13,7 @@ from repro.core.cookie import (
     UUID_BYTES,
     Cookie,
     sign_cookie_fields,
+    verify_operands,
 )
 from repro.core.descriptor import CookieDescriptor
 from repro.core.errors import MalformedCookie
@@ -98,6 +103,82 @@ class TestEncoding:
         assert recovered.cookie_id == cookie_id
         assert recovered.uuid == uuid
         assert recovered.timestamp == pytest.approx(timestamp, abs=1e-5)
+
+
+WIRE_ONLY = {"_wire"}
+DECODED = {"_wire", "cookie_id", "uuid", "timestamp", "signature"}
+
+
+@pytest.mark.parametrize("parse", ["from_bytes", "from_text"])
+class TestWireBacked:
+    """A cookie parsed off a wire holds its 48 bytes and nothing else
+    until a field is asked for; everything observable about it equals
+    the eagerly built form."""
+
+    @staticmethod
+    def _pair(parse):
+        eager = _cookie()
+        if parse == "from_bytes":
+            return Cookie.from_bytes(eager.to_bytes()), eager
+        return Cookie.from_text(eager.to_text()), eager
+
+    def test_fields_decode_once_on_first_access(self, parse):
+        parsed, eager = self._pair(parse)
+        assert set(vars(parsed)) == WIRE_ONLY
+        assert parsed.to_bytes() == eager.to_bytes()
+        assert parsed.to_text() == eager.to_text()
+        assert verify_operands(parsed) == verify_operands(eager)
+        assert set(vars(parsed)) == WIRE_ONLY
+        assert parsed.timestamp == eager.timestamp
+        assert set(vars(parsed)) == DECODED
+        assert dataclasses.astuple(parsed) == dataclasses.astuple(eager)
+
+    def test_equality_hash_repr(self, parse):
+        parsed, eager = self._pair(parse)
+        twin, _ = self._pair(parse)
+        assert parsed == eager and eager == parsed and parsed == twin
+        assert hash(parsed) == hash(eager)
+        assert repr(twin) == repr(eager)
+        assert parsed != _cookie(cookie_id=43)
+        assert parsed.verify_signature(
+            CookieDescriptor(cookie_id=42, key=b"k" * 32)
+        )
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda cookie: pickle.loads(pickle.dumps(cookie)),
+        ],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_stay_wire_backed(self, parse, duplicate):
+        parsed, eager = self._pair(parse)
+        copied = duplicate(parsed)
+        assert set(vars(copied)) == set(vars(parsed)) == WIRE_ONLY
+        assert copied == eager
+        # ...and a decoded cookie copies as what it is.
+        assert duplicate(copied) == eager
+
+    def test_replace_builds_the_eager_form(self, parse):
+        parsed, eager = self._pair(parse)
+        signature = b"s" * SIGNATURE_BYTES
+        replaced = dataclasses.replace(parsed, signature=signature)
+        assert replaced == dataclasses.replace(eager, signature=signature)
+        assert "_wire" not in vars(replaced)
+        with pytest.raises(MalformedCookie):
+            dataclasses.replace(parsed, uuid=b"short")
+
+    def test_still_frozen_and_still_strict_about_names(self, parse):
+        parsed, _ = self._pair(parse)
+        for cookie in (parsed, _cookie()):
+            with pytest.raises(AttributeError):
+                cookie.nonesuch
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cookie.cookie_id = 7
+        assert not hasattr(parsed, "__setstate__")
+        assert set(vars(parsed)) == WIRE_ONLY
 
 
 class TestValidation:

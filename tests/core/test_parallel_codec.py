@@ -237,13 +237,13 @@ class TestVerdictFrames:
         on accepts."""
         env = _Env()
         specs = [
-            ("valid", 0, 1, 0.0, 1.0),
-            ("unknown", 0, 2, 0.0, 1.0),
-            ("bad_sig", 1, 3, 0.0, 1.0),
-            ("stale", 2, 4, 1.0, 2.0),
-            ("valid", 0, 5, 0.0, 1.0),  # same descriptor, fresh uuid
-            ("revoked", 0, 6, 0.0, 1.0),
-            ("expired", 0, 7, 0.0, 1.0),
+            ("valid", 0, 1, 0.0, 1.0, "minted"),
+            ("unknown", 0, 2, 0.0, 1.0, "minted"),
+            ("bad_sig", 1, 3, 0.0, 1.0, "minted"),
+            ("stale", 2, 4, 1.0, 2.0, "minted"),
+            ("valid", 0, 5, 0.0, 1.0, "minted"),  # same descriptor, fresh uuid
+            ("revoked", 0, 6, 0.0, 1.0, "minted"),
+            ("expired", 0, 7, 0.0, 1.0, "minted"),
         ]
         cookies = _materialize(env, specs)
         cookies.append(cookies[0])  # replayed uuid, same shard by design

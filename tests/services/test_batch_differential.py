@@ -9,10 +9,13 @@ their metadata, per-IP byte counters, flow-table state and LRU order,
 eviction/resolution counters, and telemetry snapshots.  Hypothesis
 drives adversarial traffic: interleaved flows with valid, malformed, and
 absent cookies, mixed free/charged subscribers, tiny state caps, and
-idle gaps between bursts.  ``TestBillingDifferential`` repeats the
+idle gaps between bursts — and, for the middlebox, cookies in every
+*birth* (:data:`BIRTHS`): parsed off a text or binary carrier, or handed
+over as the minted object.  ``TestBillingDifferential`` repeats the
 exercise with a ``billing=`` accountant, down to the journal's bytes.
 """
 
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -27,10 +30,11 @@ from repro.core import (
     CookieMatcher,
     DescriptorStore,
 )
+from repro.core.attributes import CookieAttributes
 from repro.core.cookie import Cookie
 from repro.core.offload import HardwarePrefilter
 from repro.core.switch import CookieSwitch
-from repro.core.transport import default_registry
+from repro.core.transport import CookieCarrier, default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet
@@ -45,6 +49,11 @@ from repro.services.zerorate import (
 from repro.telemetry import MetricsRegistry
 
 COOKIE_KINDS = ("valid", "bad_sig", "none")
+
+#: How the cookie reaches the verifier: undecoded off the TLS extension's
+#: base64 text or the TCP option's 48 bytes, or as the object the sender
+#: minted (serialised once, or never) through :class:`_ObjectCarrier`.
+BIRTHS = ("from_text", "from_bytes", "minted", "serialised")
 SUBSCRIBERS = ("10.0.0.1", "10.0.0.2", "10.0.1.9")
 
 
@@ -62,7 +71,31 @@ def _store():
     return store, descriptor
 
 
-def _flow_packets(descriptor, clock, flow_index, cookie_kind, count):
+class _ObjectCarrier(CookieCarrier):
+    """Hands the verifier the sender's own ``Cookie`` object: a cookie
+    that never crossed a wire (a co-located agent, a test harness)."""
+
+    name = "object"
+
+    def can_carry(self, packet):
+        return True
+
+    def attach(self, packet, cookie):
+        packet.meta["cookie"] = cookie
+
+    def extract(self, packet):
+        return packet.meta.get("cookie")
+
+
+def _registry():
+    registry = default_registry()
+    registry.register(_ObjectCarrier())
+    return registry
+
+
+def _flow_packets(
+    descriptor, clock, flow_index, cookie_kind, count, birth="from_text"
+):
     """One flow: a cookied (or not) TLS hello plus reverse-path data."""
     subscriber = SUBSCRIBERS[flow_index % len(SUBSCRIBERS)]
     sport = 5000 + flow_index
@@ -80,7 +113,12 @@ def _flow_packets(descriptor, clock, flow_index, cookie_kind, count):
                 signature=bytes([cookie.signature[0] ^ 0xFF])
                 + cookie.signature[1:],
             )
-        default_registry().attach(first, cookie)
+        if birth == "serialised":
+            cookie.to_bytes()
+        allowed = {"from_text": ("tls",), "from_bytes": ("tcp",)}.get(
+            birth, ("object",)
+        )
+        _registry().attach(first, cookie, allowed=allowed)
     packets = [first]
     for _ in range(count - 1):
         packets.append(
@@ -93,12 +131,14 @@ def _flow_packets(descriptor, clock, flow_index, cookie_kind, count):
 
 
 @st.composite
-def traffic(draw, max_flows=5, max_packets=6):
+def traffic(draw, max_flows=5, max_packets=6, births=BIRTHS[:1]):
     """Flow plans plus an interleaving that preserves per-flow order."""
     plans = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(COOKIE_KINDS), st.integers(1, max_packets)
+                st.sampled_from(COOKIE_KINDS),
+                st.integers(1, max_packets),
+                st.sampled_from(births),
             ),
             min_size=1,
             max_size=max_flows,
@@ -106,7 +146,7 @@ def traffic(draw, max_flows=5, max_packets=6):
     )
     tokens = [
         flow_index
-        for flow_index, (_, count) in enumerate(plans)
+        for flow_index, (_, count, _) in enumerate(plans)
         for _ in range(count)
     ]
     order = draw(st.permutations(tokens))
@@ -115,8 +155,8 @@ def traffic(draw, max_flows=5, max_packets=6):
 
 def _interleaved(descriptor, clock, plans, order):
     per_flow = [
-        _flow_packets(descriptor, clock, i, kind, count)
-        for i, (kind, count) in enumerate(plans)
+        _flow_packets(descriptor, clock, i, kind, count, birth)
+        for i, (kind, count, birth) in enumerate(plans)
     ]
     cursors = [0] * len(per_flow)
     stream = []
@@ -159,7 +199,7 @@ def _twin_middleboxes(store, **kwargs):
     for _ in range(2):
         clock = kwargs.pop("clock", None) or Clock()
         middlebox = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock, **kwargs
+            CookieMatcher(store), clock=clock, registry=_registry(), **kwargs
         )
         sink = Sink()
         middlebox >> sink
@@ -186,7 +226,7 @@ def _run_middlebox_differential(plans, order, chunk=None, **kwargs):
 
 class TestMiddleboxDifferential:
     @settings(max_examples=50, deadline=None)
-    @given(plan=traffic())
+    @given(plan=traffic(births=BIRTHS))
     def test_batch_equals_scalar(self, plan):
         plans, order = plan
         (scalar, scalar_sink), (batched, batched_sink) = (
@@ -197,7 +237,7 @@ class TestMiddleboxDifferential:
         ) == _middlebox_observables(scalar, scalar_sink)
 
     @settings(max_examples=30, deadline=None)
-    @given(plan=traffic(), chunk=st.integers(1, 7))
+    @given(plan=traffic(births=BIRTHS), chunk=st.integers(1, 7))
     def test_chunked_batches_equal_scalar(self, plan, chunk):
         plans, order = plan
         (scalar, scalar_sink), (batched, batched_sink) = (
@@ -208,7 +248,7 @@ class TestMiddleboxDifferential:
         ) == _middlebox_observables(scalar, scalar_sink)
 
     @settings(max_examples=30, deadline=None)
-    @given(plan=traffic())
+    @given(plan=traffic(births=BIRTHS))
     def test_telemetry_equals_scalar(self, plan):
         plans, order = plan
         (scalar, _), (batched, _) = _run_middlebox_differential(plans, order)
@@ -221,7 +261,7 @@ class TestMiddleboxDifferential:
         assert batched_snapshot.gauges == scalar_snapshot.gauges
 
     @settings(max_examples=30, deadline=None)
-    @given(plan=traffic(max_flows=5))
+    @given(plan=traffic(births=BIRTHS))
     def test_tiny_caps_evict_identically(self, plan):
         """Flow-cap and subscriber-cap evictions (and their callbacks)
         fire at the same points on both paths."""
@@ -231,13 +271,15 @@ class TestMiddleboxDifferential:
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_evicted, batched_evicted = [], []
         scalar = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock, max_flows=2, max_subscribers=2,
+            CookieMatcher(store), clock=clock, registry=_registry(),
+            max_flows=2, max_subscribers=2,
             on_subscriber_evicted=lambda ip, counters: scalar_evicted.append(
                 (ip, counters.free_bytes, counters.charged_bytes)
             ),
         )
         batched = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock, max_flows=2, max_subscribers=2,
+            CookieMatcher(store), clock=clock, registry=_registry(),
+            max_flows=2, max_subscribers=2,
             on_subscriber_evicted=lambda ip, counters: batched_evicted.append(
                 (ip, counters.free_bytes, counters.charged_bytes)
             ),
@@ -290,18 +332,22 @@ class TestMiddleboxDifferential:
     def test_resolution_callback_order_equal(self):
         store, descriptor = _store()
         clock = Clock()
-        plans = [("valid", 4), ("none", 4), ("bad_sig", 4)]
+        plans = [
+            ("valid", 4, "minted"),
+            ("none", 4, "from_text"),
+            ("bad_sig", 4, "from_bytes"),
+        ]
         order = [0, 1, 2] * 4
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_log, batched_log = [], []
         scalar = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock,
+            CookieMatcher(store), clock=clock, registry=_registry(),
             on_flow_resolved=lambda key, state: scalar_log.append(
                 (key, state.zero_rated)
             ),
         )
         batched = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock,
+            CookieMatcher(store), clock=clock, registry=_registry(),
             on_flow_resolved=lambda key, state: batched_log.append(
                 (key, state.zero_rated)
             ),
@@ -311,6 +357,104 @@ class TestMiddleboxDifferential:
         batched.process_batch([packet.clone() for packet in stream])
         assert batched_log == scalar_log
         assert len(scalar_log) == 3
+
+    def test_raising_hook_aborts_both_paths_at_the_same_state(self):
+        """A hook that raises mid-burst propagates, and the burst has
+        counted and emitted what the scalar loop had by that packet."""
+        store, descriptor = _store()
+        clock = Clock()
+        stream = _interleaved(
+            descriptor, clock,
+            [("valid", 2, "from_text"), ("valid", 3, "from_bytes")],
+            [0, 0, 1, 1, 1],
+        )
+
+        def refuse_second():
+            seen = []
+
+            def hook(key, state):
+                seen.append(key)
+                if len(seen) == 2:
+                    raise RuntimeError("offload table full")
+
+            return hook
+
+        sides = []
+        for feed in ("scalar", "batched"):
+            middlebox = ZeroRatingMiddlebox(
+                CookieMatcher(store), clock=clock,
+                on_flow_resolved=refuse_second(),
+            )
+            sink = Sink()
+            middlebox >> sink
+            with pytest.raises(RuntimeError):
+                if feed == "scalar":
+                    for packet in stream:
+                        middlebox.handle(packet.clone())
+                else:
+                    middlebox.process_batch([p.clone() for p in stream])
+            sides.append(_middlebox_observables(middlebox, sink))
+        assert sides[1] == sides[0]
+        assert sides[0]["stats"][:4] == (3, 2, 0, 2)
+        assert len(sides[0]["outputs"]) == 2
+
+    def test_first_packet_path_decodes_nothing(self, monkeypatch):
+        """Guard: a carrier-delivered cookie is verified out of its 48
+        bytes on both paths — accepted or rejected for any reason, its
+        fields are never decoded."""
+        store, descriptor = _store()
+        revoked = store.add(CookieDescriptor.create(service_data="revoked"))
+        expired = store.add(
+            CookieDescriptor.create(
+                service_data="expired",
+                attributes=CookieAttributes(expires_at=100.5),
+            )
+        )
+        rogue = CookieDescriptor.create(service_data="never stored")
+        clock = Clock(now=100.0)
+        good = CookieGenerator(descriptor, clock).generate()
+        cookies = [
+            good,
+            good,  # replayed
+            dataclasses.replace(good, signature=bytes(16)),
+            CookieGenerator(descriptor, Clock(now=50.0)).generate(),  # stale
+            CookieGenerator(rogue, clock).generate(),
+            CookieGenerator(revoked, clock).generate(),
+            CookieGenerator(expired, clock).generate(),
+        ]
+        revoked.revoke()
+        clock.now = 101.0
+        stream = []
+        for index, cookie in enumerate(cookies):
+            packet = make_tcp_packet(
+                SUBSCRIBERS[0], 6000 + index, "93.184.216.34", 443,
+                content=TLSClientHello(sni="app.example.com"),
+                payload_size=200,
+            )
+            carrier = ("tls", "tcp")[index % 2]
+            default_registry().attach(packet, cookie, allowed=(carrier,))
+            stream.append(packet)
+
+        def decode(field, cookie, owner=None):
+            raise AssertionError(f"data path decoded Cookie.{field.name}")
+
+        monkeypatch.setattr("repro.core.cookie._WireField.__get__", decode)
+        for feed in ("scalar", "batched"):
+            matcher = CookieMatcher(store)
+            middlebox = ZeroRatingMiddlebox(matcher, clock=clock)
+            clones = [packet.clone() for packet in stream]
+            if feed == "scalar":
+                for packet in clones:
+                    middlebox.handle(packet)
+            else:
+                middlebox.process_batch(clones)
+            assert middlebox.verifier_failures == 0, feed
+            assert (middlebox.cookie_hits, middlebox.cookie_misses) == (1, 6)
+            assert matcher.stats.as_dict() == {
+                "accepted": 1, "replayed": 1, "bad_signature": 1,
+                "stale_timestamp": 1, "unknown_id": 1, "revoked": 1,
+                "expired": 1,
+            }, feed
 
     def test_contiguous_run_uses_exact_wire_lengths(self):
         """The batched run-coalescing fast path must account the same
@@ -332,7 +476,7 @@ class TestMiddleboxDifferential:
     def test_mixed_free_and_charged_subscribers(self):
         store, descriptor = _store()
         clock = Clock()
-        plans = [("valid", 5), ("none", 5)]
+        plans = [("valid", 5, "from_text"), ("none", 5, "from_text")]
         order = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
         stream = _interleaved(descriptor, clock, plans, order)
         scalar = ZeroRatingMiddlebox(CookieMatcher(store), clock=clock)
@@ -615,14 +759,27 @@ class TestBillingDifferential:
             pair.assert_identical()
 
     def test_batch_eviction_without_flush_hook_raises(self):
+        """...and the aborted burst leaves what the scalar loop aborted
+        at the same packet leaves: everything before it counted, billed
+        and emitted (regression: the burst used to drop its tallies and
+        its already-processed prefix on the way out)."""
         with _BillingPair(None, max_subscribers=1) as pair:
-            batched = pair.sides[1][0]
-            batched.on_subscriber_evicted = None
-            stream = pair.flow(BILLING_SUBSCRIBERS[0], [(False, 512)]) + (
-                pair.flow(BILLING_SUBSCRIBERS[1], [], flow_index=1)
-            )
+            (scalar, scalar_sink, _), (batched, batched_sink, _) = pair.sides
+            scalar.on_subscriber_evicted = batched.on_subscriber_evicted = None
+            stream = pair.flow(
+                BILLING_SUBSCRIBERS[0], [(False, 512), (True, 40)]
+            ) + pair.flow(BILLING_SUBSCRIBERS[1], [(False, 512)], flow_index=1)
             with pytest.raises(BillingFlushRequired):
-                batched.process_batch(stream)
+                for packet in stream:
+                    scalar.handle(packet.clone())
+            with pytest.raises(BillingFlushRequired):
+                batched.process_batch([packet.clone() for packet in stream])
+            # The fourth packet was verified before its bill raised.
+            assert (
+                batched.packets_processed, batched.cookie_hits,
+                batched.flows_resolved, len(batched_sink.packets),
+            ) == (4, 2, 2, 3)
+            pair.assert_identical()
 
     def test_account_is_the_one_element_run(self):
         calls = [
