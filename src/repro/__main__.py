@@ -527,7 +527,7 @@ def run_stats_workload(
             # flag — the CLI is where an operator would look for them.
             pool.register_transport_telemetry(registry, prefix="pool.shm")
             # Snapshot while workers are alive: the pool collector polls
-            # each worker process on demand.
+            # each worker's replay-cache numbers on demand.
             snapshot = registry.snapshot()
     if snapshot is None:
         snapshot = registry.snapshot()

@@ -26,28 +26,26 @@ Three layers:
   per-shard :class:`~repro.core.shm_ring.ShmRing` pairs by default: a
   dispatch is one bounded memcpy into shared memory per shard and one
   polled read back, zero syscalls in steady state.  Pipes remain the
-  control channel (descriptor deltas, stats, probes, shutdown) and the
-  fallback transport (ring setup failure, frames too large for a
-  slot, post-restart re-dispatch).  Below both sits the **in-process
-  degrade mode**: on boxes where worker processes cannot win
-  (``os.cpu_count() < 2``), :meth:`ProcessShardExecutor.auto` serves
-  every shard from in-process matchers so the abstraction never costs
-  2x on a CI box.
+  control channel (descriptor deltas, replay-cache stats, probes,
+  shutdown) and the fallback transport (ring setup failure, frames too
+  large for a slot).  Below both sits the **in-process degrade mode**:
+  on boxes where worker processes cannot win (``os.cpu_count() < 2``),
+  :meth:`ProcessShardExecutor.auto` serves every shard from in-process
+  matchers so the abstraction never costs 2x on a CI box.
 - a :class:`ProcessShardExecutor` — the multi-process drop-in for
   :class:`~repro.core.distributed.ShardedVerifierPool`: same
   ``match`` / ``match_batch`` / ``shard_for`` / telemetry surface, same
   descriptor-affine rendezvous dispatch, identical verdict semantics
   (per-shard ordering, replay/NCT rules of PROTOCOL.md §9-§10).
 
-Failure model (PROTOCOL.md §10): a crashed worker is detected at the
-next dispatch (broken pipe / EOF / reply timeout — on the ring
-transport, an unanswered sequence word plus a failed liveness check),
-restarted with a **cold replay cache** and fresh rings, re-seeded from
-the dispatcher's descriptor store, and counted in
-``PoolStats.shard_restarts`` — the same fail-closed trade-off an NFV
-pool makes when it replaces a dead instance: the pool keeps verifying
-(no deadlock, no dropped dispatch) at the cost of one shard's replay
-window starting empty.
+Failure model (PROTOCOL.md §10-§11; the ladder is spelled out on
+:class:`ProcessShardExecutor`): a crashed worker is detected at the next
+dispatch (broken pipe / EOF / reply timeout — on the ring transport, an
+unanswered sequence word plus a failed liveness check) and replaced with
+a **cold replay cache** — the same fail-closed trade-off an NFV pool
+makes when it replaces a dead instance: the pool keeps verifying (no
+deadlock, no dropped dispatch) at the cost of one shard's replay window
+starting empty.
 """
 
 from __future__ import annotations
@@ -57,8 +55,8 @@ import multiprocessing
 import os
 import struct
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import astuple, dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .cookie import COOKIE_WIRE_BYTES, Cookie
 from .descriptor import CookieDescriptor
@@ -74,7 +72,6 @@ from .matcher import (
 from .resilience import RetryPolicy
 from .shm_ring import (
     DEFAULT_SLOT_BYTES,
-    DEFAULT_SLOTS,
     RingFrameTooLarge,
     RingUnavailable,
     ShmRing,
@@ -206,7 +203,7 @@ def decode_verdicts(blob: bytes) -> list[tuple[int, int]]:
 # One-byte opcodes; every frame starts with one.
 _OP_BATCH = b"B"  # + !d now + batch frame        -> verdict frame
 _OP_DELTA = b"D"  # + JSON delta ops              -> b"\x01" ack
-_OP_STATS = b"S"  #                               -> JSON stats
+_OP_STATS = b"S"  #                               -> JSON replay-cache stats
 _OP_QUIT = b"Q"   #                               -> b"\x01" ack, exit
 
 #: A batch frame's header: opcode, ``now``, cookie count.
@@ -343,18 +340,8 @@ def _worker_main(
                         raise MalformedCookie(f"unknown delta op {action!r}")
                 conn.send_bytes(b"\x01")
             elif op == _OP_STATS:
-                cache = matcher.replay_cache
                 conn.send_bytes(
-                    json.dumps(
-                        {
-                            "match": matcher.stats.as_dict(),
-                            "replay_cache": {
-                                "rotations": cache.rotations,
-                                "idle_resets": cache.idle_resets,
-                                "size": cache.size,
-                            },
-                        }
-                    ).encode("utf-8")
+                    json.dumps(_replay_cache_stats(matcher)).encode("utf-8")
                 )
             elif op == _OP_QUIT:
                 conn.send_bytes(b"\x01")
@@ -370,21 +357,17 @@ def _worker_main(
                 ring.close()
 
 
-def _zero_worker_stats() -> dict:
+_NO_CACHE_STATS = {"rotations": 0, "idle_resets": 0, "size": 0}
+
+
+def _replay_cache_stats(matcher: CookieMatcher) -> dict[str, int]:
+    """What only the process that owns a replay cache knows."""
+    cache = matcher.replay_cache
     return {
-        "match": MatchStats().as_dict(),
-        "replay_cache": {"rotations": 0, "idle_resets": 0, "size": 0},
+        "rotations": cache.rotations,
+        "idle_resets": cache.idle_resets,
+        "size": cache.size,
     }
-
-
-def _sum_worker_stats(snapshots: Sequence[dict]) -> dict:
-    total = _zero_worker_stats()
-    for snapshot in snapshots:
-        for key, value in snapshot["match"].items():
-            total["match"][key] += value
-        for key, value in snapshot["replay_cache"].items():
-            total["replay_cache"][key] += value
-    return total
 
 
 @dataclass
@@ -394,7 +377,7 @@ class ShmTransportStats:
     #: Sub-batches that travelled request-ring → response-ring.
     ring_dispatches: int = 0
     #: Sub-batches that travelled the pipe instead (no ring for the
-    #: shard, oversize frame, or post-restart re-dispatch).
+    #: shard, or an oversize frame).
     pipe_dispatches: int = 0
     #: Frame bytes written to request rings / read from response rings.
     bytes_out: int = 0
@@ -408,16 +391,15 @@ class ShmTransportStats:
     #: Shard spawns whose ring allocation failed (shard degraded to the
     #: pipe transport).
     ring_setup_failures: int = 0
-    #: Worker stats polls actually sent vs served from the interval
-    #: cache (``stats_interval``).
-    stats_polls: int = 0
-    stats_cache_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
 
 
 _TRANSPORTS = ("auto", "shm", "pipe", "in-process")
+
+#: Below this many CPUs :meth:`ProcessShardExecutor.auto` serves in-process.
+_MIN_WORKER_CORES = 2
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +429,7 @@ class ProcessShardExecutor:
     shard is served by an in-process matcher over the dispatcher's
     store, for single-core boxes where process IPC can only lose; use
     :meth:`auto` to pick this automatically).  Pipes always remain the
-    control channel and the re-dispatch path.
+    control channel.
 
     Descriptors: the executor snapshots ``store`` into each worker at
     spawn and replays control-plane changes via :meth:`add_descriptor` /
@@ -457,27 +439,28 @@ class ProcessShardExecutor:
     route descriptor changes through the executor.
 
     Crash handling is a ladder (PROTOCOL.md §11): a dead worker is
-    detected at the next dispatch or stats poll and restarted cold with
-    backoff and fresh rings (``restart_backoff``, counted in
-    ``stats.shard_restarts``); the in-flight sub-batch is re-dispatched
-    once over the pipe.  A shard that dies *again* during the
-    re-dispatch fails its sub-batch closed — every cookie answers
-    ``None`` with the dispatcher-level reason
-    :data:`VERDICT_UNAVAILABLE` — rather than raising.  A shard that
-    burns through ``max_restarts`` is permanently served by an
-    **in-process fallback matcher** over the dispatcher's own store
-    (``stats.fallbacks``): slower, but a dispatch never raises because a
-    worker died.
+    detected at the next dispatch, delta, :meth:`ensure_healthy` or
+    telemetry snapshot and restarted cold with backoff and fresh rings
+    (``restart_backoff``, counted in ``stats.shard_restarts``); the
+    in-flight sub-batch is re-dispatched once, on the replacement's
+    transport.  A shard that dies *again* during the re-dispatch fails
+    its sub-batch closed — every cookie answers ``None`` with the
+    dispatcher-level reason :data:`VERDICT_UNAVAILABLE` — rather than
+    raising.  A shard that burns through ``max_restarts`` is permanently
+    served by an **in-process fallback matcher** over the dispatcher's
+    own store (``stats.fallbacks``): slower, but a dispatch never raises
+    because a worker died.
 
-    ``stats_interval`` > 0 amortizes worker stats polling: collections
-    within the interval are served from the last snapshot (plus live
-    in-process matchers) instead of a per-call pipe round-trip per
-    worker.  Per-worker snapshots are epoch-tagged so a worker that is
-    polled, restarted, and merged again inside one interval is never
-    summed twice (its last snapshot moves into the retired totals the
-    moment the old incarnation is reaped).
+    Match counters are kept here, not in the workers: every verdict
+    frame carries one :class:`MatchStats` outcome code per cookie, and
+    the dispatcher tallies them per shard as it decodes the frame, so
+    :meth:`collect_match_stats` never touches a worker and is exact
+    across a SIGKILL.  Only the replay-cache numbers live in the worker
+    and are polled (:meth:`collect_worker_stats`).
 
-    Use as a context manager, or call :meth:`close`.
+    Use as a context manager, or call :meth:`close`.  A closed executor
+    stays closed: dispatch and descriptor deltas raise, stats answer
+    from what the dispatcher already holds.
     """
 
     def __init__(
@@ -487,14 +470,10 @@ class ProcessShardExecutor:
         nct: float = NETWORK_COHERENCY_TIME,
         *,
         reply_timeout: float = 30.0,
-        start_method: str | None = None,
         max_restarts: int = 3,
         restart_backoff: RetryPolicy | None = None,
         sleep: Callable[[float], None] | None = time.sleep,
         transport: str = "auto",
-        ring_slots: int = DEFAULT_SLOTS,
-        ring_slot_bytes: int = DEFAULT_SLOT_BYTES,
-        stats_interval: float = 0.0,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -506,8 +485,6 @@ class ProcessShardExecutor:
             raise ValueError(
                 f"transport must be one of {_TRANSPORTS}, got {transport!r}"
             )
-        if stats_interval < 0:
-            raise ValueError("stats_interval must be non-negative")
         self.store = store
         self.nct = nct
         self.reply_timeout = reply_timeout
@@ -522,41 +499,30 @@ class ProcessShardExecutor:
         self.shm_stats = ShmTransportStats()
         self._use_rings = transport in ("auto", "shm")
         self._degraded = transport == "in-process"
-        self._ring_slots = ring_slots
-        self._ring_slot_bytes = ring_slot_bytes
-        self.stats_interval = stats_interval
-        if start_method is None:
-            # fork is milliseconds; spawn is the portable fallback.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._start_method = start_method
-        self._ctx = multiprocessing.get_context(start_method)
+        # fork is milliseconds; spawn is the portable fallback.
+        methods = multiprocessing.get_all_start_methods()
+        self._start_method = "fork" if "fork" in methods else "spawn"
+        self._ctx = multiprocessing.get_context(self._start_method)
         self._worker_count = workers
         self._conns: list = [None] * workers
         self._procs: list = [None] * workers
         self._rings: list[tuple[ShmRing, ShmRing] | None] = [None] * workers
-        # Stats carried over from crashed workers (last successful poll)
-        # so merged counters stay monotonic across restarts.  Cached
-        # per-worker snapshots are epoch-tagged: a snapshot only counts
-        # while its worker incarnation is alive — the moment that
-        # incarnation is reaped, the snapshot moves into the retired
-        # totals and its epoch tag goes stale, so retired + cached can
-        # never double-count one worker's history (the satellite bug
-        # class of ISSUE 6).
-        self._retired_stats = _zero_worker_stats()
-        self._last_polled = [_zero_worker_stats() for _ in range(workers)]
-        self._epoch = [0] * workers
-        self._polled_epoch = [0] * workers
-        self._stats_polled_at: float | None = None
+        #: One tally per shard (what shard i's matcher counts in the
+        #: in-process pool), filled from the code column of each verdict
+        #: frame decoded and by the shard's in-process matcher, if any.
+        self.match_stats = [MatchStats() for _ in range(workers)]
+        # Replay-cache numbers as each live worker last reported them;
+        # a reaped worker's last poll moves into the retired counters,
+        # so merged rotations / idle_resets stay monotonic.
+        self._last_polled = [dict(_NO_CACHE_STATS) for _ in range(workers)]
+        self._retired_cache_stats = {"rotations": 0, "idle_resets": 0}
         self._restart_counts = [0] * workers
         self._fallback_matchers: dict[int, CookieMatcher] = {}
         self._shard_memo: dict[int, int] = {}
         self._closed = False
         if self._degraded:
             for index in range(workers):
-                self._fallback_matchers[index] = CookieMatcher(
-                    self.store, nct=self.nct
-                )
+                self._serve_in_process(index)
         else:
             try:
                 for index in range(workers):
@@ -571,63 +537,34 @@ class ProcessShardExecutor:
         store: DescriptorStore,
         workers: int,
         nct: float = NETWORK_COHERENCY_TIME,
-        *,
-        min_cores: int = 2,
-        stats_interval: float = 0.25,
         **kwargs,
     ) -> "ProcessShardExecutor":
         """Build an executor on the best transport this box supports.
 
         The degrade ladder's bottom rung (PROTOCOL.md §12): on a box
-        with fewer than ``min_cores`` CPUs a worker process can only
-        time-slice against the dispatcher, so the multi-process
-        abstraction is served **in-process** (no workers, no IPC, ≈1x
-        the in-process pool instead of the 0.45x the pipe transport
-        measured on 1 core).  With enough cores, rings are tried first
-        and pipes remain the per-shard fallback.  Worker-stats polling
-        is interval-cached by default (``stats_interval``); pass ``0``
-        to poll every collection.
+        with fewer than two CPUs a worker process can only time-slice
+        against the dispatcher, so the multi-process abstraction is
+        served **in-process** (no workers, no IPC, ≈1x the in-process
+        pool instead of the 0.45x the pipe transport measured on 1
+        core).  With enough cores, rings are tried first and pipes
+        remain the per-shard fallback.
         """
-        if (os.cpu_count() or 1) < min_cores:
-            return cls(
-                store,
-                workers,
-                nct,
-                transport="in-process",
-                stats_interval=stats_interval,
-                **kwargs,
-            )
-        try:
-            return cls(
-                store,
-                workers,
-                nct,
-                transport="auto",
-                stats_interval=stats_interval,
-                **kwargs,
-            )
-        except OSError:
-            # Cannot even start worker processes: serve in-process.
-            return cls(
-                store,
-                workers,
-                nct,
-                transport="in-process",
-                stats_interval=stats_interval,
-                **kwargs,
-            )
+        if (os.cpu_count() or 1) >= _MIN_WORKER_CORES:
+            try:
+                return cls(store, workers, nct, transport="auto", **kwargs)
+            except OSError:
+                pass  # cannot even start worker processes: serve in-process
+        return cls(store, workers, nct, transport="in-process", **kwargs)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _make_rings(self, index: int) -> tuple[ShmRing, ShmRing] | None:
+    def _make_rings(self) -> tuple[ShmRing, ShmRing] | None:
         """A fresh request/response ring pair, or None (pipe shard)."""
         if not self._use_rings:
             return None
         try:
-            request = ShmRing.create(
-                slots=self._ring_slots, slot_bytes=self._ring_slot_bytes
-            )
+            request = ShmRing.create(slot_bytes=DEFAULT_SLOT_BYTES)
         except RingUnavailable:
             self.shm_stats.ring_setup_failures += 1
             return None
@@ -636,8 +573,7 @@ class ProcessShardExecutor:
             # so a quarter-size response slot still fits any batch whose
             # request fit.
             response = ShmRing.create(
-                slots=self._ring_slots,
-                slot_bytes=max(4096, self._ring_slot_bytes // 4),
+                slot_bytes=max(4096, DEFAULT_SLOT_BYTES // 4)
             )
         except RingUnavailable:
             request.close()
@@ -645,17 +581,10 @@ class ProcessShardExecutor:
             return None
         return request, response
 
-    def _close_rings(self, index: int) -> None:
-        rings = self._rings[index]
-        if rings is not None:
-            self._rings[index] = None
-            for ring in rings:
-                ring.close()
-
     def _spawn(self, index: int) -> None:
         seed = json.dumps([d.to_json() for d in self.store])
         parent_conn, child_conn = self._ctx.Pipe()
-        rings = self._make_rings(index)
+        rings = self._make_rings()
         if rings is None or self._start_method == "fork":
             args = (child_conn, self.nct, seed, rings, None)
         else:
@@ -672,16 +601,15 @@ class ProcessShardExecutor:
             name=f"cookie-shard-{index}",
             daemon=True,
         )
-        process.start()
-        child_conn.close()
+        # Recorded before start(): if it raises (EAGAIN), close() still
+        # finds the pipe end and both ring segments to release.
         self._conns[index] = parent_conn
-        self._procs[index] = process
         self._rings[index] = rings
-        # A fresh incarnation: open a new stats epoch with a clean
-        # snapshot (anything its predecessor reported is in retired).
-        self._epoch[index] += 1
-        self._polled_epoch[index] = self._epoch[index]
-        self._last_polled[index] = _zero_worker_stats()
+        try:
+            process.start()
+        finally:
+            child_conn.close()
+        self._procs[index] = process
 
     def _reap(self, index: int) -> None:
         """Close and join whatever is left of a shard's worker."""
@@ -698,23 +626,22 @@ class ProcessShardExecutor:
             if process.is_alive():  # pragma: no cover - terminate ignored
                 process.kill()
                 process.join(timeout=5.0)
-        self._close_rings(index)
-        # Retire whatever the dead incarnation last reported — exactly
-        # once: the epoch tag goes stale here, so no later merge can add
-        # the same snapshot again.  Everything it counted since that
-        # poll is lost with it (documented in §10).
-        if self._polled_epoch[index] == self._epoch[index]:
-            self._retired_stats = _sum_worker_stats(
-                [self._retired_stats, self._last_polled[index]]
-            )
-            self._polled_epoch[index] = -1
-        self._last_polled[index] = _zero_worker_stats()
+        rings, self._rings[index] = self._rings[index], None
+        for ring in rings or ():
+            ring.close()
+        # Retire the counters the dead incarnation last reported; the
+        # rotations it made since that poll are lost with it.
+        last = self._last_polled[index]
+        for counter in self._retired_cache_stats:
+            self._retired_cache_stats[counter] += last[counter]
+        self._last_polled[index] = dict(_NO_CACHE_STATS)
 
     def _restart(self, index: int) -> None:
         """One rung of the recovery ladder: restart the dead worker with
         backoff, or — once ``max_restarts`` is spent — retire the shard
         to an in-process fallback matcher.  Idempotent for fallback
         shards."""
+        self._require_open()
         if index in self._fallback_matchers:
             return
         if self._restart_counts[index] >= self.max_restarts:
@@ -728,6 +655,12 @@ class ProcessShardExecutor:
         self._restart_counts[index] += 1
         self.stats.shard_restarts += 1
 
+    def _serve_in_process(self, index: int) -> None:
+        matcher = CookieMatcher(self.store, nct=self.nct)
+        # The shard keeps one tally whoever verifies for it.
+        matcher.stats = self.match_stats[index]
+        self._fallback_matchers[index] = matcher
+
     def _enter_fallback(self, index: int) -> None:
         """Permanently serve this shard from an in-process matcher over
         the dispatcher's own store.  Verdict semantics are unchanged
@@ -736,7 +669,7 @@ class ProcessShardExecutor:
         self._reap(index)
         self._conns[index] = None
         self._procs[index] = None
-        self._fallback_matchers[index] = CookieMatcher(self.store, nct=self.nct)
+        self._serve_in_process(index)
         self.stats.fallbacks += 1
 
     def restart_shard(self, index: int) -> None:
@@ -800,24 +733,17 @@ class ProcessShardExecutor:
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
-    def probe_shard(self, index: int, timeout: float | None = None) -> bool:
-        """Liveness probe: one stats round-trip within ``timeout``
-        (default: the reply timeout).  Fallback shards are healthy by
-        definition (in-process, nothing to probe).  Never raises and
-        never mutates pool state — pair with :meth:`ensure_healthy` to
-        act on a failed probe."""
+    def probe_shard(self, index: int) -> bool:
+        """Liveness probe: one stats round-trip within the reply
+        timeout.  Fallback shards are healthy by definition (in-process,
+        nothing to probe).  Never raises and never mutates pool state —
+        pair with :meth:`ensure_healthy` to act on a failed probe."""
         if index in self._fallback_matchers:
             return True
-        conn = self._conns[index]
         try:
-            conn.send_bytes(_OP_STATS)
-            if not conn.poll(
-                self.reply_timeout if timeout is None else timeout
-            ):
-                return False
-            json.loads(conn.recv_bytes().decode("utf-8"))
+            json.loads(self._roundtrip(index, _OP_STATS))
             return True
-        except (OSError, EOFError, BrokenPipeError, ValueError):
+        except (OSError, EOFError, ValueError):  # incl. timeout
             return False
 
     def health(self) -> list[bool]:
@@ -840,8 +766,13 @@ class ProcessShardExecutor:
         """The shard's :class:`multiprocessing.Process` (tests, ops)."""
         return self._procs[index]
 
+    def _require_open(self) -> None:
+        """A closed executor must not come back to life behind close()."""
+        if self._closed:
+            raise RuntimeError("executor is closed")
+
     def close(self) -> None:
-        """Shut every worker down; idempotent."""
+        """Shut every worker down; idempotent and final."""
         if self._closed:
             return
         self._closed = True
@@ -854,19 +785,11 @@ class ProcessShardExecutor:
                     conn.recv_bytes()
             except (OSError, EOFError, BrokenPipeError):
                 pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        for process in self._procs:
-            if process is None:
-                continue
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
+        for index, process in enumerate(self._procs):
+            if process is not None:
+                # Let it exit on its own; the reap terminates a straggler.
                 process.join(timeout=5.0)
-        for index in range(self._worker_count):
-            self._close_rings(index)
+            self._reap(index)
 
     def __enter__(self) -> "ProcessShardExecutor":
         return self
@@ -897,8 +820,9 @@ class ProcessShardExecutor:
         return self._shard_index(descriptor.cookie_id)
 
     def _roundtrip(self, index: int, frame: bytes) -> bytes:
-        """Send one frame over the pipe and wait for the reply, bounded
-        by the timeout; raises on a dead or unresponsive worker."""
+        """One control op (delta, stats, probe): send the frame over the
+        pipe and wait for the reply, bounded by the timeout; raises on a
+        dead or unresponsive worker."""
         conn = self._conns[index]
         conn.send_bytes(frame)
         if not conn.poll(self.reply_timeout):
@@ -970,6 +894,38 @@ class ProcessShardExecutor:
         """Scalar verification — a batch of one through the same wire."""
         return self.match_batch([cookie], now)[0]
 
+    def _dispatch(
+        self, frames: Iterable[tuple[int, bytes]], expected: dict[int, list]
+    ) -> tuple[dict[int, list[tuple[int, int]]], list[int]]:
+        """One attempt at a set of sub-batches: publish each ``(shard,
+        frame)`` as it is produced, collect in publish order, decode and
+        length-check against ``expected[shard]``.  Returns the verdicts
+        by shard and the shards that failed: a worker whose reply is
+        garbled is trusted no more than one that is dead or silent.
+        Every verdict decoded is counted into the shard's tally, by the
+        code the worker sent."""
+        channels = {
+            shard: self._send_sub_batch(shard, frame) for shard, frame in frames
+        }
+        verdicts: dict[int, list[tuple[int, int]]] = {}
+        for shard, channel in channels.items():
+            reply = channel and self._collect_sub_batch(shard, channel)
+            try:
+                # No reply decodes like a garbled one: too short.
+                decoded = decode_verdicts(reply or b"")
+            except MalformedCookie:
+                continue
+            if len(decoded) != len(expected[shard]):
+                continue
+            verdicts[shard] = decoded
+            tally = self.match_stats[shard]
+            codes = reply[_COUNT.size :: VERDICT_RECORD.size]
+            for code, outcome in enumerate(VERDICT_REASONS):
+                count = codes.count(code)
+                if count:
+                    setattr(tally, outcome, getattr(tally, outcome) + count)
+        return verdicts, [shard for shard in channels if shard not in verdicts]
+
     def match_batch(
         self,
         cookies: Sequence[Cookie],
@@ -987,16 +943,14 @@ class ProcessShardExecutor:
         still serializes shard N+1 (double-buffering across shards);
         replies are then collected in publish order.
 
-        Never raises for worker death.  A shard that dies mid-dispatch
-        is restarted (with backoff, on fresh rings) and its sub-batch
-        re-dispatched once over the pipe; a second death fails that
-        sub-batch closed — ``None`` verdicts with the
-        :data:`VERDICT_UNAVAILABLE` reason — and a shard past
-        ``max_restarts`` is served by the in-process fallback matcher
-        instead.  ``reasons``, if given, receives one reason string per
-        cookie (:data:`VERDICT_REASONS` names, or
-        ``verifier_unavailable``).
+        Never raises for worker death: a shard that fails mid-dispatch
+        walks the class docstring's ladder — restart and one
+        re-dispatch, then the fallback matcher or ``None`` verdicts with
+        the :data:`VERDICT_UNAVAILABLE` reason.  ``reasons``, if given,
+        receives one reason string per cookie (:data:`VERDICT_REASONS`
+        names, or ``verifier_unavailable``).
         """
+        self._require_open()
         if not cookies:
             return []
         shard_index_for = self._shard_index
@@ -1005,57 +959,34 @@ class ProcessShardExecutor:
             per_shard.setdefault(
                 shard_index_for(cookie.cookie_id), []
             ).append(position)
-        # Pipelined fan-out: encode shard k's frame, publish it, only
-        # then encode shard k+1's — workers overlap the dispatcher's
-        # remaining serialization.  Shards already in fallback verify
-        # locally after the collection pass.
-        local: dict[int, list[int]] = {}
-        frames: dict[int, bytes] = {}
-        channels: dict[int, str] = {}
-        failed: list[int] = []
-        for shard, positions in per_shard.items():
-            if shard in self._fallback_matchers:
-                local[shard] = positions
-                continue
-            frame = _BATCH_HEADER.pack(
-                _OP_BATCH, now, len(positions)
-            ) + b"".join(
-                cookies[position].to_bytes() for position in positions
-            )
-            frames[shard] = frame
-            channel = self._send_sub_batch(shard, frame)
-            if channel is None:
-                failed.append(shard)
-            else:
-                channels[shard] = channel
-        # Collect in publish order.
-        replies: dict[int, bytes] = {}
-        for shard in channels:
-            reply = self._collect_sub_batch(shard, channels[shard])
-            if reply is None:
-                failed.append(shard)
-            else:
-                replies[shard] = reply
-        # Recover: restart each failed shard, re-dispatch over the pipe.
-        unavailable: list[int] = []
-        for shard in failed:
-            self._restart(shard)
-            if shard in self._fallback_matchers:
-                local[shard] = per_shard[shard]
-                continue
-            try:
-                replies[shard] = self._roundtrip(shard, frames[shard])
-            except (OSError, EOFError, TimeoutError, BrokenPipeError):
-                # Died again during the re-dispatch: burn another rung of
-                # the ladder (possibly tipping into fallback for *next*
-                # dispatch) and fail this sub-batch closed.
+
+        def encoded(shards: Iterable[int]) -> Iterator[tuple[int, bytes]]:
+            # A generator, so that _dispatch publishes shard k's frame
+            # before shard k+1's is encoded (the pipelining above).
+            # Shards in fallback verify locally below.
+            for shard in shards:
+                if shard not in self._fallback_matchers:
+                    positions = per_shard[shard]
+                    yield shard, _BATCH_HEADER.pack(
+                        _OP_BATCH, now, len(positions)
+                    ) + b"".join(
+                        cookies[position].to_bytes() for position in positions
+                    )
+
+        # Two attempts.  A shard that fails the first is restarted and,
+        # if that gave it a new worker, its sub-batch goes out once more;
+        # one that fails again burns another rung (possibly tipping into
+        # fallback) and is resolved below like any shard without verdicts.
+        verdicts: dict[int, list[tuple[int, int]]] = {}
+        attempt: Iterable[int] = per_shard
+        for _ in range(2):
+            decoded, failed = self._dispatch(encoded(attempt), per_shard)
+            verdicts.update(decoded)
+            if not failed:
+                break
+            for shard in failed:
                 self._restart(shard)
-                if shard in self._fallback_matchers:
-                    local[shard] = per_shard[shard]
-                else:
-                    unavailable.append(shard)
-        # Resolve descriptor ids against the dispatcher's own store —
-        # descriptor objects never cross the process boundary.
+            attempt = failed
         results: list[CookieDescriptor | None] = [None] * len(cookies)
         reason_arr: list[str] | None = (
             [VERDICT_UNAVAILABLE] * len(cookies)
@@ -1064,55 +995,43 @@ class ProcessShardExecutor:
         )
         store_get = self.store.get
         for shard, positions in per_shard.items():
-            if shard in local or shard in unavailable:
-                continue
-            try:
-                verdicts = decode_verdicts(replies[shard])
-                if len(verdicts) != len(positions):
-                    raise MalformedCookie(
-                        f"shard {shard} returned {len(verdicts)} verdicts "
-                        f"for {len(positions)} cookies"
-                    )
-            except MalformedCookie:
-                # A garbled reply means a worker we no longer trust:
-                # same treatment as a death after re-dispatch.
-                self._restart(shard)
-                if shard in self._fallback_matchers:
-                    local[shard] = positions
-                else:
-                    unavailable.append(shard)
-                continue
-            for position, (code, descriptor_id) in zip(positions, verdicts):
-                if code == VERDICT_ACCEPTED:
-                    descriptor = store_get(descriptor_id)
-                    if descriptor is not None:
-                        results[position] = descriptor
-                        if reason_arr is not None:
-                            reason_arr[position] = "accepted"
+            if shard in verdicts:
+                # Resolve descriptor ids against the dispatcher's own
+                # store — descriptor objects never cross the process
+                # boundary.
+                for position, (code, descriptor_id) in zip(
+                    positions, verdicts[shard]
+                ):
+                    if code == VERDICT_ACCEPTED:
+                        descriptor = store_get(descriptor_id)
+                        if descriptor is not None:
+                            results[position] = descriptor
+                            if reason_arr is not None:
+                                reason_arr[position] = "accepted"
+                        elif reason_arr is not None:
+                            # Removed from the dispatcher's store since
+                            # dispatch — fail closed, count as rejected.
+                            reason_arr[position] = "unknown_id"
                     elif reason_arr is not None:
-                        # Removed from the dispatcher's store since
-                        # dispatch — fail closed, count as rejected.
-                        reason_arr[position] = "unknown_id"
-                elif reason_arr is not None:
-                    reason_arr[position] = VERDICT_REASONS[code]
-        # Fallback shards: verify in-process against the shared store.
-        for shard, positions in local.items():
-            matcher = self._fallback_matchers[shard]
-            sub_reasons: list[str] | None = (
-                [] if reason_arr is not None else None
-            )
-            sub_results = matcher.match_batch(
-                [cookies[position] for position in positions],
-                now,
-                reasons=sub_reasons,
-            )
-            for offset, position in enumerate(positions):
-                results[position] = sub_results[offset]
-                if reason_arr is not None:
-                    assert sub_reasons is not None
-                    reason_arr[position] = sub_reasons[offset]
-        for shard in unavailable:
-            self.stats.unavailable_verdicts += len(per_shard[shard])
+                        reason_arr[position] = VERDICT_REASONS[code]
+            elif shard in self._fallback_matchers:
+                # Fallback shard: verified here, over the shared store.
+                sub_reasons: list[str] | None = (
+                    [] if reason_arr is not None else None
+                )
+                sub_results = self._fallback_matchers[shard].match_batch(
+                    [cookies[position] for position in positions],
+                    now,
+                    reasons=sub_reasons,
+                )
+                for offset, position in enumerate(positions):
+                    results[position] = sub_results[offset]
+                    if reason_arr is not None:
+                        assert sub_reasons is not None
+                        reason_arr[position] = sub_reasons[offset]
+            else:
+                # Failed twice and still has restarts left: fail closed.
+                self.stats.unavailable_verdicts += len(positions)
         accepted = sum(1 for result in results if result is not None)
         self.stats.accepted += accepted
         self.stats.rejected += len(cookies) - accepted
@@ -1145,18 +1064,21 @@ class ProcessShardExecutor:
 
     def add_descriptor(self, descriptor: CookieDescriptor) -> CookieDescriptor:
         """Insert/replace in the dispatcher store and every replica."""
+        self._require_open()
         self.store.add(descriptor)
         self._push_delta([{"op": "add", "descriptor": descriptor.to_json()}])
         return descriptor
 
     def revoke_descriptor(self, cookie_id: int) -> bool:
         """Revoke pool-wide; False if the id is unknown locally."""
+        self._require_open()
         known = self.store.revoke(cookie_id)
         self._push_delta([{"op": "revoke", "cookie_id": cookie_id}])
         return known
 
     def remove_descriptor(self, cookie_id: int) -> CookieDescriptor | None:
         """Delete pool-wide (stronger than revocation)."""
+        self._require_open()
         removed = self.store.remove(cookie_id)
         self._push_delta([{"op": "remove", "cookie_id": cookie_id}])
         return removed
@@ -1164,94 +1086,47 @@ class ProcessShardExecutor:
     # ------------------------------------------------------------------
     # Stats and telemetry
     # ------------------------------------------------------------------
-    def _live_fallback_stats(self, index: int) -> dict:
-        matcher = self._fallback_matchers[index]
-        cache = matcher.replay_cache
-        return {
-            "match": matcher.stats.as_dict(),
-            "replay_cache": {
-                "rotations": cache.rotations,
-                "idle_resets": cache.idle_resets,
-                "size": cache.size,
-            },
-        }
-
-    def collect_worker_stats(self, force: bool = False) -> list[dict]:
-        """Every worker's stats snapshot, one dict per shard.
-
-        With ``stats_interval`` > 0, collections inside the interval are
-        served from the cached snapshots (in-process matchers are always
-        read live — they cost nothing) instead of one pipe round-trip
-        per worker per call; pass ``force=True`` to poll regardless.
-
-        Polls are epoch-consistent: a worker that fails to answer is
-        restarted (counted in ``shard_restarts``) and reports **zeros**
-        for the new incarnation — its last snapshot has just moved into
-        the retired totals, so merged views count it exactly once.  The
-        collection itself can never hang the caller.
-        """
-        now = time.monotonic()
-        if (
-            not force
-            and self.stats_interval > 0
-            and self._stats_polled_at is not None
-            and now - self._stats_polled_at < self.stats_interval
-        ):
-            self.shm_stats.stats_cache_hits += 1
-            return [
-                self._live_fallback_stats(index)
-                if index in self._fallback_matchers
-                else (
-                    self._last_polled[index]
-                    if self._polled_epoch[index] == self._epoch[index]
-                    else _zero_worker_stats()
-                )
-                for index in range(self._worker_count)
-            ]
-        snapshots: list[dict] = []
-        for index in range(self._worker_count):
-            if index in self._fallback_matchers:
-                snapshots.append(self._live_fallback_stats(index))
-                continue
-            try:
-                self.shm_stats.stats_polls += 1
-                reply = self._roundtrip(index, _OP_STATS)
-                snapshot = json.loads(reply.decode("utf-8"))
-            except (OSError, EOFError, TimeoutError, BrokenPipeError,
-                    ValueError):
-                # The reap inside the restart retires this worker's last
-                # snapshot; the shard's contribution to *this* merge is
-                # the new incarnation's (empty) view — appending the old
-                # snapshot here as well would count it twice.
-                self._restart(index)
-                if index in self._fallback_matchers:
-                    snapshots.append(self._live_fallback_stats(index))
-                else:
-                    snapshots.append(_zero_worker_stats())
-                continue
-            self._last_polled[index] = snapshot
-            self._polled_epoch[index] = self._epoch[index]
-            snapshots.append(snapshot)
-        self._stats_polled_at = now
-        return snapshots
-
-    def _merged_worker_stats(self, force: bool = False) -> dict:
-        # Collect FIRST: a collection that trips a restart moves that
-        # worker's cached snapshot into the retired totals, and the
-        # retired totals must be read after that move, not before.
-        snapshots = self.collect_worker_stats(force=force)
-        return _sum_worker_stats([self._retired_stats] + snapshots)
-
     def collect_match_stats(self) -> MatchStats:
-        """Merged :class:`MatchStats` across live workers and any stats
-        retired by crashes — comparable to summing the in-process pool's
-        per-shard matcher stats."""
-        return MatchStats(**self._merged_worker_stats()["match"])
+        """:attr:`match_stats` merged across shards: one count for every
+        verdict this executor has handed out, whatever became of the
+        worker that produced it.  No worker is asked."""
+        per_outcome = zip(*(astuple(tally) for tally in self.match_stats))
+        return MatchStats(*map(sum, per_outcome))
+
+    def collect_worker_stats(self) -> list[dict[str, int]]:
+        """Every shard's replay-cache numbers (``rotations``,
+        ``idle_resets``, ``size``), one dict per shard — the only stats
+        a worker is polled for; in-process matchers are read live.
+
+        A worker that fails to answer is restarted (counted in
+        ``shard_restarts``) and reports **zeros** for the new
+        incarnation — the reap has just moved its last poll into the
+        retired counters, so merged views count it exactly once.  Never
+        hangs the caller; on a closed executor no worker is asked.
+        """
+        if not self._closed:
+            for index in range(self._worker_count):
+                if index in self._fallback_matchers:
+                    continue
+                try:
+                    self._last_polled[index] = json.loads(
+                        self._roundtrip(index, _OP_STATS)
+                    )
+                except (OSError, EOFError, ValueError):  # incl. timeout
+                    self._restart(index)
+        return [
+            _replay_cache_stats(self._fallback_matchers[index])
+            if index in self._fallback_matchers
+            else self._last_polled[index]
+            for index in range(self._worker_count)
+        ]
 
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "pool"
     ) -> None:
-        """Register a collector that polls workers at snapshot time.
+        """Register a collector that reads the dispatcher's match
+        tallies and polls workers for their replay-cache numbers at
+        snapshot time.
 
         Emits the same metric names as
         :meth:`ShardedVerifierPool.register_telemetry`, so dashboards
@@ -1264,17 +1139,20 @@ class ProcessShardExecutor:
         from ..telemetry import TelemetrySnapshot
 
         def collect() -> TelemetrySnapshot:
-            total = self._merged_worker_stats()
+            # Collect FIRST: a poll that trips a restart moves that
+            # worker's last numbers into the retired counters, which
+            # must be read after that move, not before.
+            caches = self.collect_worker_stats()
+            retired = self._retired_cache_stats
+            match = self.collect_match_stats().as_dict()
             counters = {
                 f"{prefix}.matcher.{outcome}": count
-                for outcome, count in total["match"].items()
+                for outcome, count in match.items()
             }
-            counters[f"{prefix}.matcher.replay_cache.rotations"] = (
-                total["replay_cache"]["rotations"]
-            )
-            counters[f"{prefix}.matcher.replay_cache.idle_resets"] = (
-                total["replay_cache"]["idle_resets"]
-            )
+            for counter in retired:
+                counters[f"{prefix}.matcher.replay_cache.{counter}"] = (
+                    retired[counter] + sum(cache[counter] for cache in caches)
+                )
             counters[f"{prefix}.accepted"] = self.stats.accepted
             counters[f"{prefix}.rejected"] = self.stats.rejected
             counters[f"{prefix}.shard_restarts"] = self.stats.shard_restarts
@@ -1285,8 +1163,8 @@ class ProcessShardExecutor:
             return TelemetrySnapshot(
                 counters=counters,
                 gauges={
-                    f"{prefix}.matcher.replay_cache.size": (
-                        total["replay_cache"]["size"]
+                    f"{prefix}.matcher.replay_cache.size": sum(
+                        cache["size"] for cache in caches
                     ),
                     f"{prefix}.shards": self._worker_count,
                     f"{prefix}.fallback_shards": len(self.fallback_shards),
@@ -1300,9 +1178,9 @@ class ProcessShardExecutor:
     ) -> None:
         """Export the shared-memory transport counters (PROTOCOL.md
         §12): ring vs pipe dispatch mix, ring bytes both ways, oversize
-        and backpressure events, stats-poll amortization, and gauges for
-        the live transport ladder position (ring/pipe shard counts and
-        the degrade flag)."""
+        and backpressure events, and gauges for the live transport
+        ladder position (ring/pipe shard counts and the degrade
+        flag)."""
         from ..telemetry import TelemetrySnapshot
 
         def collect() -> TelemetrySnapshot:

@@ -119,6 +119,11 @@ def _worker_main(conn, fn: CellFn) -> None:
 
 _UNSET = object()
 
+#: Below this many CPUs :meth:`SweepExecutor.auto` runs cells in-process.
+_MIN_WORKER_CORES = 2
+#: Crash re-dispatches per cell: exactly once, then fail loudly.
+_MAX_REDISPATCH = 1
+
 
 class SweepExecutor:
     """Runs sweep cells over a persistent pool of worker processes.
@@ -134,13 +139,10 @@ class SweepExecutor:
         Process count.  ``0`` selects the in-process mode; ``None`` lets
         :meth:`auto` decide (callers constructing directly must pass an
         explicit value).
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` where
-        available (milliseconds to warm a worker) with ``spawn`` as the
-        portable fallback — the same ladder the verifier pool uses.
-    max_redispatch:
-        Crash re-dispatches allowed per cell (default 1: exactly-once
-        re-dispatch, then fail loudly).
+
+    Workers start by ``fork`` where available (milliseconds to warm a
+    worker) with ``spawn`` as the portable fallback — the same pick the
+    verifier pool makes.
     """
 
     def __init__(
@@ -149,18 +151,14 @@ class SweepExecutor:
         *,
         workers: int,
         campaign_seed: int = 0,
-        start_method: str | None = None,
-        max_redispatch: int = 1,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.fn = fn
         self.campaign_seed = campaign_seed
-        self.max_redispatch = max_redispatch
         self.stats = SweepStats(workers=workers, in_process=workers == 0)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self._workers = workers
         self._conns: list = [None] * workers
@@ -183,21 +181,19 @@ class SweepExecutor:
         *,
         campaign_seed: int = 0,
         workers: int | None = None,
-        min_cores: int = 2,
-        **kwargs,
     ) -> "SweepExecutor":
         """Build an executor sized for this box.
 
-        When ``workers`` is None and the box has fewer than ``min_cores``
-        CPUs, worker processes would only add IPC over the same core —
+        When ``workers`` is None and the box has fewer than two CPUs,
+        worker processes would only add IPC over the same core —
         degrade to in-process (``workers=0``, recorded as configuration,
         not failure).  Otherwise default to ``min(4, cpu_count)``.  An
         explicit ``workers`` value is always honored.
         """
         if workers is None:
             cpus = os.cpu_count() or 1
-            workers = 0 if cpus < min_cores else min(4, cpus)
-        return cls(fn, campaign_seed=campaign_seed, workers=workers, **kwargs)
+            workers = 0 if cpus < _MIN_WORKER_CORES else min(4, cpus)
+        return cls(fn, campaign_seed=campaign_seed, workers=workers)
 
     @property
     def in_process(self) -> bool:
@@ -219,9 +215,13 @@ class SweepExecutor:
             name=f"sweep-worker-{index}",
             daemon=True,
         )
-        process.start()
-        child.close()
+        # Recorded before start(): if it raises (EAGAIN), close() still
+        # finds the pipe end to release.
         self._conns[index] = parent
+        try:
+            process.start()
+        finally:
+            child.close()
         self._procs[index] = process
 
     def _reap(self, index: int) -> None:
@@ -360,7 +360,7 @@ class SweepExecutor:
         self._reap(worker)
         self.stats.worker_restarts += 1
         redispatches[cell_index] += 1
-        if redispatches[cell_index] > self.max_redispatch:
+        if redispatches[cell_index] > _MAX_REDISPATCH:
             self.close()
             raise SweepError(
                 f"cell index {cell_index} lost its worker "
@@ -397,12 +397,9 @@ def run_sweep(
     workers: int | None = None,
     telemetry=None,
     telemetry_prefix: str = "sweep",
-    **kwargs,
 ) -> tuple[list[Any], SweepStats]:
     """One-shot convenience: build, run, close; returns (results, stats)."""
-    executor = SweepExecutor.auto(
-        fn, campaign_seed=campaign_seed, workers=workers, **kwargs
-    )
+    executor = SweepExecutor.auto(fn, campaign_seed=campaign_seed, workers=workers)
     try:
         if telemetry is not None:
             executor.register_telemetry(telemetry, prefix=telemetry_prefix)

@@ -58,15 +58,6 @@ class Fig4Point:
     cookie_hits: int
     mode: str = "scalar"
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "packet_size": self.sample.packet_size,
-            "packets_per_flow": self.sample.packets_per_flow,
-            "pps": round(self.sample.packets_per_second),
-            "gbps": round(self.sample.gbps, 4),
-            "new_flows_per_s": round(self.sample.new_flows_per_second),
-        }
-
 
 def run_point(
     packet_size: int,

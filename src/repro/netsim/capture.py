@@ -134,26 +134,6 @@ class PacketCapture(Element):
             raise ValueError("end must be after start")
         return sum(r.wire_length for r in self.between(start, end)) * 8 / (end - start)
 
-    def by_flow(self) -> dict[tuple, list[CaptureRecord]]:
-        """Records grouped per directed flow ``(src_ip, src_port,
-        dst_ip, dst_port, proto)``, in capture order.
-
-        The grouping the auditor's record/replay analysis runs on: one
-        probe stream in, one record list out.  Use
-        :meth:`conversations` for the bidirectional view.
-        """
-        flows: dict[tuple, list[CaptureRecord]] = {}
-        for record in self._records:
-            key = (
-                record.src_ip,
-                record.src_port,
-                record.dst_ip,
-                record.dst_port,
-                record.proto,
-            )
-            flows.setdefault(key, []).append(record)
-        return flows
-
     def conversations(self) -> dict[tuple, int]:
         """Packet counts per canonical (bidirectional) conversation."""
         counts: dict[tuple, int] = {}

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ..zerorate.catalog import BillingDecision, CatalogSet
+from ..zerorate.catalog import CatalogSet
 from .journal import BillingJournal, JournalFull
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -151,25 +151,6 @@ class BillingAccountant:
         self.packets_accounted += len(sizes)
         self.bytes_accounted += total
         return flags
-
-    def decide_only(
-        self,
-        subscriber_ip: str,
-        app: str | None,
-        server_ip: str | None,
-        nbytes: int,
-        *,
-        cookied: bool,
-    ) -> BillingDecision:
-        """Peek at the decision without accounting (diagnostics)."""
-        return self.catalogs.decide(
-            subscriber_ip,
-            app,
-            server_ip,
-            nbytes,
-            cookied=cookied,
-            cap_used=self.cap_used(subscriber_ip),
-        )
 
     # ------------------------------------------------------------------
     # Flush path (the durability contract)

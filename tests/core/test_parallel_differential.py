@@ -92,11 +92,17 @@ class TestExecutorDifferential:
                 executor.stats.rejected,
                 executor.stats.shard_restarts,
             ) == (pool.stats.accepted, pool.stats.rejected, 0)
-            # Per-worker matcher stats, merged, equal the in-process
-            # pool's merged per-shard stats: affinity routed the same
-            # cookies to the same shard indices.
-            assert executor.collect_match_stats().as_dict() == _shard_stats(
-                pool
+            # The dispatcher's per-shard tallies equal the in-process
+            # pool's per-shard matcher stats, shard by shard and merged:
+            # affinity routed the same cookies to the same shard indices.
+            assert executor.match_stats == [s.stats for s in pool.shards]
+            merged = executor.collect_match_stats()
+            assert merged.as_dict() == _shard_stats(pool)
+            # Every cookie dispatched was counted by exactly one matcher.
+            assert merged.total == (
+                executor.stats.accepted
+                + executor.stats.rejected
+                - executor.stats.unavailable_verdicts
             )
 
     @settings(max_examples=EXAMPLES, deadline=None)
@@ -364,21 +370,26 @@ class TestWorkerFailureModel:
             assert executor.match(cookie, NOW + 2.0) is descriptor
             assert executor.match(cookie, NOW + 3.0) is None
 
-    def test_stats_survive_restart_up_to_last_poll(self):
-        """Counters polled before a crash are retired, not lost; the
-        merged view stays monotonic across the restart."""
+    def test_match_stats_exact_across_sigkill(self):
+        """Match counters are counted where verdicts are decoded, so a
+        worker SIGKILLed with *no* stats poll since its verdicts takes
+        nothing with it — and reading them neither notices nor restarts
+        the dead worker; the next dispatch does."""
         env = _Env()
         descriptor = env.active[0]
         with ProcessShardExecutor(env.store, workers=WORKERS) as executor:
-            cookie = _signed(descriptor, _uuid(11), NOW)
-            assert executor.match(cookie, NOW) is descriptor
-            assert executor.collect_match_stats().accepted == 1  # polls
-            victim = executor.shard_for(cookie)
+            first = [_signed(descriptor, _uuid(10 + i), NOW) for i in range(5)]
+            assert executor.match_batch(first, NOW) == [descriptor] * 5
+            victim = executor.shard_for(first[0])
             os.kill(executor.worker_process(victim).pid, signal.SIGKILL)
             executor.worker_process(victim).join(timeout=5.0)
-            merged = executor.collect_match_stats()
-            assert merged.accepted == 1  # retired from the last poll
+            assert executor.collect_match_stats().accepted == 5
+            assert executor.stats.shard_restarts == 0
+            second = [_signed(descriptor, _uuid(20 + i), NOW) for i in range(3)]
+            assert executor.match_batch(second, NOW) == [descriptor] * 3
             assert executor.stats.shard_restarts == 1
+            assert executor.collect_match_stats().accepted == 8
+            assert executor.match_stats[victim].accepted == 8
 
     def test_restart_counter_in_telemetry(self):
         env = _Env()

@@ -19,6 +19,8 @@ from repro.core.parallel import (
     VERDICT_REASONS,
     VERDICT_UNAVAILABLE,
     ProcessShardExecutor,
+    decode_verdicts,
+    encode_verdicts,
 )
 from repro.core.resilience import RetryPolicy
 from repro.core.store import DescriptorStore
@@ -86,6 +88,13 @@ class TestKillRecovery:
             assert len(sleeps) == 2
             assert all(s > 0 for s in sleeps)
             assert pool.health() == [True, True]
+            # Three incarnations and a fallback matcher later, every
+            # verdict handed out is still counted exactly once.
+            assert pool.collect_match_stats().total == (
+                pool.stats.accepted
+                + pool.stats.rejected
+                - pool.stats.unavailable_verdicts
+            ) == 6 * 32
 
     def test_kill_between_dispatches_restarts_with_cold_cache(self):
         """A replay spanning a worker crash is re-granted (documented
@@ -120,21 +129,62 @@ class TestFailClosed:
     def test_second_death_during_redispatch_fails_closed(self, monkeypatch):
         """Satellite: a shard that dies again during the post-restart
         re-dispatch yields ``verifier_unavailable`` for its sub-batch —
-        not an exception, not a short array."""
+        not an exception, not a short array.  Both deaths are real: each
+        incarnation is stopped before its sub-batch is published (so it
+        provably never answers) and SIGKILLed right after."""
         store, generators = _env()
         with _fast_pool(store, workers=1, max_restarts=5) as pool:
             batch = _batch(generators, 12)
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            monkeypatch.setattr(
-                pool,
-                "_roundtrip",
-                lambda index, frame: (_ for _ in ()).throw(EOFError()),
-            )
+            original = pool._send_sub_batch
+
+            def send_to_the_doomed(shard, frame):
+                os.kill(pool.worker_pids()[shard], signal.SIGSTOP)
+                channel = original(shard, frame)
+                os.kill(pool.worker_pids()[shard], signal.SIGKILL)
+                pool.worker_process(shard).join(timeout=5.0)
+                return channel
+
+            monkeypatch.setattr(pool, "_send_sub_batch", send_to_the_doomed)
             reasons: list[str] = []
             verdicts = pool.match_batch(batch, NOW, reasons=reasons)
             assert verdicts == [None] * len(batch)
             assert reasons == [VERDICT_UNAVAILABLE] * len(batch)
             assert pool.stats.unavailable_verdicts == len(batch)
+            # One restart per death; nothing verified, nothing counted.
+            assert pool.stats.shard_restarts == 2
+            assert pool.collect_match_stats().total == 0
+            monkeypatch.undo()
+            assert all(v is not None for v in pool.match_batch(batch, NOW))
+
+    @pytest.mark.parametrize(
+        "garble",
+        [
+            lambda reply: reply[:-1],
+            lambda reply: encode_verdicts(decode_verdicts(reply)[:-1]),
+        ],
+        ids=["truncated", "one-verdict-short"],
+    )
+    def test_garbled_reply_costs_the_worker_a_restart(self, garble):
+        """A reply that does not decode, or decodes to the wrong number
+        of verdicts, comes from a worker we no longer trust: it is
+        replaced like a dead one and the sub-batch re-dispatched; only
+        the reply that was believed is counted."""
+        store, generators = _env()
+        with _fast_pool(store, workers=1) as pool:
+            batch = _batch(generators, 12)
+            original = pool._collect_sub_batch
+            replies = []
+
+            def collect_garbled_once(shard, channel):
+                replies.append(original(shard, channel))
+                return garble(replies[0]) if len(replies) == 1 else replies[-1]
+
+            pool._collect_sub_batch = collect_garbled_once
+            verdicts = pool.match_batch(batch, NOW)
+            assert all(v is not None for v in verdicts)
+            assert pool.stats.shard_restarts == 1
+            assert pool.collect_match_stats().accepted == 12
+            assert pool.collect_match_stats().total == 12
 
     def test_unavailable_is_not_a_wire_code(self):
         assert VERDICT_UNAVAILABLE not in VERDICT_REASONS

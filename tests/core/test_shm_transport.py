@@ -5,12 +5,17 @@ Covers what the differential and resilience suites (which now run on
 the shm transport by default) do not pin directly: the deterministic
 SIGKILL *between* a request's ring write and its response read, the
 per-shard pipe fallbacks (ring setup failure, oversize frames), the
-single-core in-process degrade mode behind :meth:`auto`, and the
-epoch-tagged interval cache of ``collect_worker_stats``.
+single-core in-process degrade mode behind :meth:`auto`, what a failed
+``Process.start`` and a closed executor leave behind in ``/dev/shm``,
+and the retire-on-reap of the polled replay-cache counters.
 """
 
+import glob
+import multiprocessing.process
 import os
 import signal
+
+import pytest
 
 from repro.core.descriptor import CookieDescriptor
 from repro.core.generator import CookieGenerator
@@ -39,6 +44,10 @@ def _batch(generators, n):
     return [generators[i % len(generators)].generate() for i in range(n)]
 
 
+def _segments():
+    return set(glob.glob("/dev/shm/nnn-ring-*"))
+
+
 def _fast_pool(store, workers=1, max_restarts=2, **kw):
     kw.setdefault("reply_timeout", 10.0)
     return ProcessShardExecutor(
@@ -60,7 +69,8 @@ class TestKillMidRingTransaction:
         is published into the ring, and only then is the worker
         SIGKILLed.  The dispatcher must take the existing dead-shard
         path — liveness-abort the ring wait, restart, re-dispatch once
-        over the pipe — and return a full verdict array, never hang."""
+        on the replacement's fresh ring — and return a full verdict
+        array, never hang."""
         store, generators = _env()
         with _fast_pool(store, workers=1) as pool:
             assert pool.shard_transports() == ["shm"]
@@ -73,8 +83,9 @@ class TestKillMidRingTransaction:
             def send_then_kill(shard, frame):
                 channel = original(shard, frame)
                 published.append(channel)
-                os.kill(victim, signal.SIGKILL)
-                pool.worker_process(shard).join(timeout=5.0)
+                if len(published) == 1:  # one-shot: spare the replacement
+                    os.kill(victim, signal.SIGKILL)
+                    pool.worker_process(shard).join(timeout=5.0)
                 return channel
 
             pool._send_sub_batch = send_then_kill
@@ -84,13 +95,18 @@ class TestKillMidRingTransaction:
                 verdicts = pool.match_batch(batch, NOW, reasons=reasons)
             finally:
                 pool._send_sub_batch = original
-            # The request really did go out on the ring before the kill.
-            assert published == ["ring"]
+            # The request really did go out on the ring before the kill,
+            # and the re-dispatch on the replacement's ring, not the pipe.
+            assert published == ["ring", "ring"]
+            assert pool.shm_stats.ring_dispatches == 2
+            assert pool.shm_stats.pipe_dispatches == 0
             # ...and the sub-batch still completed via restart+redispatch.
             assert all(v is not None for v in verdicts)
             assert reasons == ["accepted"] * len(batch)
             assert pool.stats.shard_restarts == 1
             assert pool.stats.unavailable_verdicts == 0
+            # Counted once, from the reply that was decoded.
+            assert pool.collect_match_stats().accepted == len(batch)
             # The replacement worker got fresh rings and keeps serving.
             assert pool.shard_transports() == ["shm"]
             again = pool.match_batch(_batch(generators, 8), NOW)
@@ -106,10 +122,13 @@ class TestKillMidRingTransaction:
             victim = pool.worker_pids()[0]
             os.kill(victim, signal.SIGSTOP)
             original = pool._collect_sub_batch
+            collected = []
 
             def kill_then_collect(shard, channel):
-                os.kill(victim, signal.SIGKILL)
-                pool.worker_process(shard).join(timeout=5.0)
+                collected.append(channel)
+                if len(collected) == 1:  # one-shot: spare the replacement
+                    os.kill(victim, signal.SIGKILL)
+                    pool.worker_process(shard).join(timeout=5.0)
                 return original(shard, channel)
 
             pool._collect_sub_batch = kill_then_collect
@@ -125,6 +144,10 @@ class TestKillMidRingTransaction:
             assert pool.stats.shard_restarts == 1
             # Well under the 30s reply timeout: the abort hook fired.
             assert elapsed < 15.0
+            # The re-dispatch travelled the replacement's fresh ring.
+            assert collected == ["ring", "ring"]
+            assert pool.shm_stats.ring_dispatches == 2
+            assert pool.shm_stats.pipe_dispatches == 0
 
 
 class TestTransportLadder:
@@ -152,14 +175,15 @@ class TestTransportLadder:
             verdicts = pool.match_batch(_batch(generators, 16), NOW)
             assert all(v is not None for v in verdicts)
 
-    def test_oversize_frame_falls_back_to_pipe_per_dispatch(self):
+    def test_oversize_frame_falls_back_to_pipe_per_dispatch(self, monkeypatch):
         """A frame too large for a ring slot travels the pipe for that
         dispatch only — never fragmented, never an error — and small
         frames keep using the ring."""
+        import repro.core.parallel as parallel
+
+        monkeypatch.setattr(parallel, "DEFAULT_SLOT_BYTES", 256)
         store, generators = _env()
-        with _fast_pool(
-            store, workers=1, ring_slot_bytes=256
-        ) as pool:
+        with _fast_pool(store, workers=1) as pool:
             assert pool.shard_transports() == ["shm"]
             small = pool.match_batch(_batch(generators, 4), NOW)  # 205 B
             big = pool.match_batch(_batch(generators, 64), NOW)  # ~3 KB
@@ -234,60 +258,80 @@ class TestDegradeMode:
         ]
 
 
-class TestStatsEpochsAndCache:
-    def test_interval_cache_serves_snapshots_without_polling(self):
-        store, generators = _env()
-        with _fast_pool(store, workers=1, stats_interval=60.0) as pool:
-            pool.match_batch(_batch(generators, 8), NOW)
-            assert pool.collect_match_stats().accepted == 8  # first poll
-            polls = pool.shm_stats.stats_polls
-            pool.match_batch(_batch(generators, 8), NOW)
-            # Inside the interval: served from cache, possibly stale.
-            cached = pool.collect_match_stats()
-            assert pool.shm_stats.stats_polls == polls
-            assert pool.shm_stats.stats_cache_hits == 1
-            assert cached.accepted == 8
-            # force=True bypasses the interval.
-            fresh = pool.collect_worker_stats(force=True)
-            assert pool.shm_stats.stats_polls > polls
-            assert fresh[0]["match"]["accepted"] == 16
+class TestNothingLeftBehind:
+    def test_failed_process_start_releases_rings_and_pipes(self, monkeypatch):
+        """``Process.start`` raising (EAGAIN) is the case ``auto()``
+        catches to degrade in-process; the shard's two ring segments and
+        its pipe ends, created before the failed start, must not be
+        orphaned by it."""
+        import repro.core.parallel as parallel
 
-    def test_no_double_count_when_poll_and_restart_share_a_window(self):
-        """The satellite bug: a worker polled, killed, and merged again
-        inside one cache window must contribute its history exactly
-        once — the snapshot moves to the retired totals at reap time
-        and its epoch tag goes stale."""
-        store, generators = _env()
-        with _fast_pool(store, workers=1, stats_interval=60.0) as pool:
-            pool.match_batch(_batch(generators, 8), NOW)
-            assert pool.collect_match_stats().accepted == 8  # cached
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            pool.worker_process(0).join(timeout=5.0)
-            # Dispatch trips the restart (snapshot retires) and the new
-            # incarnation accepts 8 more.
-            pool.match_batch(_batch(generators, 8), NOW)
-            assert pool.stats.shard_restarts == 1
-            merged = pool.collect_match_stats()
-            assert merged.accepted == 8  # 8 retired + 0 cached-for-epoch
-            merged_fresh = ProcessShardExecutor.collect_match_stats(pool)
-            pool.collect_worker_stats(force=True)
-            assert pool.collect_match_stats().accepted == 16
-            # Never 24: the pre-crash snapshot was not summed twice.
-            assert merged_fresh.accepted in (8, 16)
+        def refuse(self):
+            raise OSError(11, "Resource temporarily unavailable")
 
-    def test_restart_inside_stats_collection_retires_once(self):
-        """A worker that dies *during* a forced poll is restarted by the
-        collection itself; the merged view stays monotonic and counts
-        the dead incarnation exactly once."""
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         store, generators = _env()
+        before = _segments()
+        with ProcessShardExecutor.auto(store, workers=2) as pool:
+            assert pool.degraded is True
+            assert _segments() == before
+            verdicts = pool.match_batch(_batch(generators, 8), NOW)
+            assert all(v is not None for v in verdicts)
+        assert _segments() == before
+
+    def test_closed_executor_stays_closed(self):
+        """After ``close()`` a dispatch or a delta raises instead of
+        "restarting" shard 0 into a worker and two segments nobody will
+        release; stats and telemetry answer from what the dispatcher
+        holds, without touching a worker."""
+        store, generators = _env()
+        registry = MetricsRegistry()
+        before = _segments()
+        pool = _fast_pool(store, workers=1)
+        pool.register_telemetry(registry)
+        pool.match_batch(_batch(generators, 8), NOW)
+        pids = pool.worker_pids()
+        pool.close()
+        assert _segments() == before
+        with pytest.raises(RuntimeError, match="executor is closed"):
+            pool.match_batch(_batch(generators, 1), NOW)
+        with pytest.raises(RuntimeError, match="executor is closed"):
+            pool.revoke_descriptor(generators[0].descriptor.cookie_id)
+        assert not generators[0].descriptor.revoked
+        assert pool.collect_match_stats().accepted == 8
+        assert registry.snapshot().counters["pool.matcher.accepted"] == 8
+        pool.close()
+        assert pool.worker_pids() == pids
+        assert not pool.worker_process(0).is_alive()
+        assert pool.stats.shard_restarts == 0
+        assert _segments() == before
+
+
+class TestPolledCacheCounters:
+    def test_rotations_monotonic_across_restart(self):
+        """The replay-cache counters are the one thing still polled: a
+        snapshot that finds the worker dead restarts it there and then,
+        and the dead incarnation's last-polled rotations are retired
+        exactly once — merged telemetry never runs backwards."""
+        store, generators = _env()
+        registry = MetricsRegistry()
+        rotations = "pool.matcher.replay_cache.rotations"
         with _fast_pool(store, workers=2) as pool:
-            pool.match_batch(_batch(generators, 16), NOW)
-            before = pool.collect_match_stats()
-            assert before.accepted == 16
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            pool.worker_process(0).join(timeout=5.0)
-            after = pool.collect_match_stats()
-            assert after.accepted == 16  # retired + live, no loss, no double
+            pool.register_telemetry(registry)
+            batch = _batch(generators, 16)
+            pool.match_batch(batch, NOW)
+            # A cache's first check at NOW=100 rotates out of the epoch-0
+            # generation, so the victim has a rotation to lose.
+            victim = pool.shard_for(batch[0])
+            polled = registry.snapshot().counters[rotations]
+            assert polled >= 1
+            os.kill(pool.worker_pids()[victim], signal.SIGKILL)
+            pool.worker_process(victim).join(timeout=5.0)
+            tripped = registry.snapshot()
             assert pool.stats.shard_restarts == 1
-            # And it stays stable on the next poll.
-            assert pool.collect_match_stats().accepted == 16
+            assert tripped.counters[rotations] == polled
+            # The match counters never depended on the poll.
+            assert tripped.counters["pool.matcher.accepted"] == 16
+            # Retired once, not once per snapshot.
+            assert registry.snapshot().counters[rotations] == polled

@@ -9,6 +9,7 @@ runs where a worker was killed mid-cell and the cell re-dispatched.
 from __future__ import annotations
 
 import json
+import multiprocessing.process
 import os
 
 import hypothesis.strategies as st
@@ -179,6 +180,25 @@ def test_closed_executor_rejects_runs():
     with pytest.raises(SweepError, match="closed"):
         ex.run(make_cells(1))
     ex.close()  # idempotent
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="counts fds through /proc"
+)
+def test_failed_worker_start_releases_the_pipe(monkeypatch):
+    """``Process.start`` raising (EAGAIN) must not orphan the pipe pair
+    made for that worker: both ends are closed by the time the error
+    reaches the caller, not whenever its traceback is collected."""
+
+    def refuse(self):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError) as held:
+        SweepExecutor(echo_cell, workers=2)
+    assert len(os.listdir("/proc/self/fd")) == before
+    del held
 
 
 def test_negative_workers_rejected():
