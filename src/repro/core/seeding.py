@@ -25,11 +25,44 @@ from __future__ import annotations
 
 import hashlib
 
-__all__ = ["derive_seed"]
+__all__ = ["derive_seed", "extend_seed", "seed_prefix"]
 
 #: Derived seeds are 63-bit so they stay positive in a signed 64-bit slot
 #: (JSON round-trips, struct ``!q`` packing, SQLite INTEGER columns).
 _SEED_BITS = 63
+
+
+def _absorb(hasher: "hashlib._Hash", labels: tuple[object, ...]) -> None:
+    """Feed ``labels`` into ``hasher``, each rendered with ``str()`` and
+    length-prefixed — the one place the preimage encoding is written."""
+    for label in labels:
+        rendered = str(label).encode("utf-8")
+        hasher.update(len(rendered).to_bytes(4, "big") + rendered)
+
+
+def _finish(hasher: "hashlib._Hash") -> int:
+    return int.from_bytes(hasher.digest()[:8], "big") >> (64 - _SEED_BITS)
+
+
+def seed_prefix(campaign_seed: int, *labels: object) -> "hashlib._Hash":
+    """The hash state after ``campaign_seed`` and the leading ``labels``.
+
+    For a consumer that derives many seeds differing only in their last
+    labels (a journal's record ids differ only in the offset): absorb the
+    shared part once, then :func:`extend_seed` per seed.  The state is
+    never finished itself, only copied.
+    """
+    hasher = hashlib.sha256(b"repro.derive_seed/v1")
+    _absorb(hasher, (int(campaign_seed),) + labels)
+    return hasher
+
+
+def extend_seed(prefix: "hashlib._Hash", *labels: object) -> int:
+    """Finish a copy of ``prefix`` with the trailing ``labels``:
+    ``extend_seed(seed_prefix(s, *a), *b) == derive_seed(s, *a, *b)``."""
+    hasher = prefix.copy()
+    _absorb(hasher, labels)
+    return _finish(hasher)
 
 
 def derive_seed(campaign_seed: int, *labels: object) -> int:
@@ -43,13 +76,4 @@ def derive_seed(campaign_seed: int, *labels: object) -> int:
 
     Returns an integer in ``[0, 2**63)``.
     """
-    hasher = hashlib.sha256()
-    hasher.update(b"repro.derive_seed/v1")
-    seed_repr = str(int(campaign_seed)).encode("ascii")
-    hasher.update(len(seed_repr).to_bytes(4, "big"))
-    hasher.update(seed_repr)
-    for label in labels:
-        rendered = str(label).encode("utf-8")
-        hasher.update(len(rendered).to_bytes(4, "big"))
-        hasher.update(rendered)
-    return int.from_bytes(hasher.digest()[:8], "big") >> (64 - _SEED_BITS)
+    return _finish(seed_prefix(campaign_seed, *labels))

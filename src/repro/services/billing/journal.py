@@ -25,16 +25,25 @@ failure modes it must survive are physical:
 Wire format (all integers big-endian)::
 
     segment   := header record*
-    header    := magic "NNBJ1\\n" (6 B) | base_offset u64
+    header    := magic "NNBJ2\\n" (6 B) | base_offset u64
     record    := payload_len u32 | crc32(payload) u32 | payload
-    payload   := canonical JSON of BillingRecord (sorted keys)
+    payload   := offset u64 | record_id u64 | time f64
+                 | free_bytes i64 | charged_bytes i64
+                 | operator_len u16 | subscriber_len u16
+                 | app_len u16 | byte_class_len u16
+                 | operator | subscriber | app | byte_class   (UTF-8)
+
+The byte counts are signed so a negative delta reaches reconciliation's
+check instead of dying in the encoder.  ``NNBJ1`` segments (JSON
+payloads) are refused by the header check, not migrated.
 
 Segments are named ``billing-<base_offset 12 digits>.seg``; rotation
 starts a new segment once the active one exceeds ``max_segment_bytes``,
 and :meth:`BillingJournal.compact_to` deletes whole segments below a
-reconciled checkpoint.  Record identity (``record_id``) is derived via
-:func:`repro.core.seeding.derive_seed` from the journal's stream seed,
-source name, and offset — so replaying duplicated or overlapping
+reconciled checkpoint.  Record identity (``record_id``) is
+``derive_seed(stream_seed, "billing", source, offset)``
+(:mod:`repro.core.seeding`; the journal absorbs everything but the
+offset once) — so replaying duplicated or overlapping
 segments through :func:`repro.services.billing.reconcile.reconcile`
 dedupes to exactly-once no matter how many times a segment is read.
 """
@@ -42,14 +51,14 @@ dedupes to exactly-once no matter how many times a segment is read.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import struct
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from ...core.seeding import derive_seed
+from ...core.seeding import extend_seed, seed_prefix
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from ...netsim.faults import DiskFaultInjector
@@ -64,14 +73,21 @@ __all__ = [
     "record_identity",
 ]
 
-SEGMENT_MAGIC = b"NNBJ1\n"
+SEGMENT_MAGIC = b"NNBJ2\n"
 _HEADER = struct.Struct("!Q")
 _FRAME = struct.Struct("!II")
+#: The payload's fixed head: one slot per field below — the strings'
+#: slots hold their UTF-8 lengths, the strings themselves follow.
+_PAYLOAD = struct.Struct("!QQdqqHHHH")
+_PAYLOAD_FIELDS = (
+    "offset", "record_id", "time", "free_bytes", "charged_bytes",
+    "operator", "subscriber", "app", "byte_class",
+)
 HEADER_BYTES = len(SEGMENT_MAGIC) + _HEADER.size
 FRAME_BYTES = _FRAME.size
 
 #: Framing sanity bound: a length field above this is corruption, not a
-#: record (the largest honest payload is a few hundred bytes of JSON).
+#: record (the largest honest payload is 48 B plus four u16-length strings).
 MAX_RECORD_BYTES = 1 << 20
 
 #: Default rotation threshold — small enough that soaks rotate for real.
@@ -83,9 +99,10 @@ FSYNC_POLICIES = ("always", "rotate", "never")
 
 
 class JournalFull(OSError):
-    """The append could not complete (disk full); the record was NOT
-    written — the segment is restored to its pre-append length and the
-    caller must keep the delta pending."""
+    """The append could not complete (disk full, at the write or at the
+    rotation before it); the record was NOT written — the active segment
+    is restored to its pre-append length and the caller must keep the
+    delta pending."""
 
 
 def record_identity(stream_seed: int, source: str, offset: int) -> int:
@@ -96,16 +113,21 @@ def record_identity(stream_seed: int, source: str, offset: int) -> int:
     ``source`` labels differ; re-reading the same segment twice yields
     the same ids, which is what makes replay idempotent.
     """
-    return derive_seed(stream_seed, "billing", source, offset)
+    return extend_seed(_identity_prefix(stream_seed, source), offset)
 
 
-@dataclass(frozen=True)
-class BillingRecord:
+def _identity_prefix(stream_seed: int, source: str):
+    """Everything of a record's identity but its offset, absorbed."""
+    return seed_prefix(stream_seed, "billing", source)
+
+
+class BillingRecord(NamedTuple):
     """One journaled counter delta for (operator, subscriber, app, class).
 
     Exactly one of ``free_bytes`` / ``charged_bytes`` is normally
     non-zero (a byte class is either free or charged), but the codec
     carries both so reconciliation needs no catalog to split them.
+    An immutable value; a tuple because one is built per append.
     """
 
     offset: int
@@ -118,38 +140,62 @@ class BillingRecord:
     free_bytes: int = 0
     charged_bytes: int = 0
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "offset": self.offset,
-            "record_id": self.record_id,
-            "time": self.time,
-            "operator": self.operator,
-            "subscriber": self.subscriber,
-            "app": self.app,
-            "byte_class": self.byte_class,
-            "free_bytes": self.free_bytes,
-            "charged_bytes": self.charged_bytes,
-        }
+    def encode(self) -> bytes:
+        """The record's frame: length, CRC, payload.  A field the frame
+        cannot carry is a ``ValueError`` naming it."""
+        operator = self.operator.encode("utf-8")
+        subscriber = self.subscriber.encode("utf-8")
+        app = self.app.encode("utf-8")
+        byte_class = self.byte_class.encode("utf-8")
+        head = (
+            self.offset, self.record_id, self.time,
+            self.free_bytes, self.charged_bytes,
+            len(operator), len(subscriber), len(app), len(byte_class),
+        )
+        try:
+            payload = (
+                _PAYLOAD.pack(*head) + operator + subscriber + app + byte_class
+            )
+        except struct.error:
+            raise ValueError(_refused_field(head)) from None
+        return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "BillingRecord":
+    def decode(cls, payload: bytes) -> "BillingRecord":
+        """Inverse of :meth:`encode` on the payload (the frame without
+        its length and CRC); raises ``ValueError`` / ``struct.error`` on
+        anything but one well-formed record."""
+        (
+            offset, record_id, time, free_bytes, charged_bytes,
+            operator_len, subscriber_len, app_len, byte_class_len,
+        ) = _PAYLOAD.unpack_from(payload)
+        subscriber_at = _PAYLOAD.size + operator_len
+        app_at = subscriber_at + subscriber_len
+        byte_class_at = app_at + app_len
+        if byte_class_at + byte_class_len != len(payload):
+            raise ValueError("string lengths do not add up to the payload")
         return cls(
-            offset=int(data["offset"]),
-            record_id=int(data["record_id"]),
-            time=float(data["time"]),
-            operator=str(data["operator"]),
-            subscriber=str(data["subscriber"]),
-            app=str(data["app"]),
-            byte_class=str(data["byte_class"]),
-            free_bytes=int(data["free_bytes"]),
-            charged_bytes=int(data["charged_bytes"]),
+            offset=offset,
+            record_id=record_id,
+            time=time,
+            operator=payload[_PAYLOAD.size : subscriber_at].decode("utf-8"),
+            subscriber=payload[subscriber_at:app_at].decode("utf-8"),
+            app=payload[app_at:byte_class_at].decode("utf-8"),
+            byte_class=payload[byte_class_at:].decode("utf-8"),
+            free_bytes=free_bytes,
+            charged_bytes=charged_bytes,
         )
 
-    def encode(self) -> bytes:
-        payload = json.dumps(
-            self.to_json(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+def _refused_field(head: tuple) -> str:
+    """Name the field ``_PAYLOAD.pack`` refused (a string by the slot
+    its UTF-8 length goes in)."""
+    for name, code, value in zip(_PAYLOAD_FIELDS, _PAYLOAD.format[1:], head):
+        try:
+            struct.pack("!" + code, value)
+        except struct.error as exc:
+            return f"{name} does not fit the journal frame: {exc}"
+    raise AssertionError("every slot packs")  # pragma: no cover
 
 
 @dataclass
@@ -186,6 +232,10 @@ def _segment_name(base_offset: int) -> str:
     return f"billing-{base_offset:012d}.seg"
 
 
+def _segment_base(path: str) -> int:
+    return int(os.path.basename(path)[len("billing-") : -len(".seg")])
+
+
 def _scan_segment(
     path: str, *, is_last: bool, stats: JournalRecoveryStats
 ) -> tuple[list[BillingRecord], int]:
@@ -197,17 +247,24 @@ def _scan_segment(
     quarantine the remainder (the bytes are gone either way, but a
     sealed segment is never rewritten).  A CRC mismatch with intact
     framing quarantines just that record and keeps scanning.
+
+    A *last* segment that is a strict prefix of its own header (a kill
+    between creating the file and writing the header) is a torn tail
+    too: it is counted and ``good_end`` comes back 0.  Any other header
+    that is not the expected one is an error.
     """
     stats.segments_scanned += 1
     with open(path, "rb") as handle:
         blob = handle.read()
-    if len(blob) < HEADER_BYTES or blob[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
-        raise ValueError(f"{path}: bad segment header")
-    (base_offset,) = _HEADER.unpack(
-        blob[len(SEGMENT_MAGIC) : HEADER_BYTES]
-    )
-    expected_base = int(os.path.basename(path)[len("billing-") : -len(".seg")])
-    if base_offset != expected_base:
+    expected_base = _segment_base(path)
+    expected = SEGMENT_MAGIC + _HEADER.pack(expected_base)
+    if blob[:HEADER_BYTES] != expected:
+        if is_last and expected.startswith(blob):  # a strict prefix
+            _count_tail(stats, len(blob), is_last)
+            return [], 0
+        if len(blob) < HEADER_BYTES or not blob.startswith(SEGMENT_MAGIC):
+            raise ValueError(f"{path}: bad segment header")
+        (base_offset,) = _HEADER.unpack_from(blob, len(SEGMENT_MAGIC))
         raise ValueError(
             f"{path}: header base_offset {base_offset} != filename "
             f"{expected_base}"
@@ -240,8 +297,8 @@ def _scan_segment(
             good_end = position
             continue
         try:
-            record = BillingRecord.from_json(json.loads(payload))
-        except (ValueError, KeyError, TypeError):
+            record = BillingRecord.decode(payload)
+        except (ValueError, struct.error):
             stats.corrupt_records += 1
             stats.quarantined_bytes += FRAME_BYTES + length
             good_end = position
@@ -305,6 +362,7 @@ class BillingJournal:
         self.append_failures = 0
         self._file = None
         self._segment_size = 0
+        self._identity = _identity_prefix(stream_seed, source)
         os.makedirs(directory, exist_ok=True)
         self.recovery = JournalRecoveryStats()
         self.next_offset = 0
@@ -347,42 +405,49 @@ class BillingJournal:
 
     def _recover_and_open(self) -> None:
         paths = self.segment_paths(self.directory)
-        base_offset = 0
-        last_good_end = HEADER_BYTES
+        if not paths:
+            self._open_segment(0)
+            return
         for index, path in enumerate(paths):
-            is_last = index == len(paths) - 1
             records, good_end = _scan_segment(
-                path, is_last=is_last, stats=self.recovery
+                path, is_last=index == len(paths) - 1, stats=self.recovery
             )
             for record in records:
                 self.next_offset = max(self.next_offset, record.offset + 1)
-            if is_last:
-                base_offset = int(
-                    os.path.basename(path)[len("billing-") : -len(".seg")]
-                )
-                last_good_end = good_end
-                actual = os.path.getsize(path)
-                if actual > good_end:
-                    # Truncate the torn tail on disk: at most one record.
-                    with open(path, "r+b") as handle:
-                        handle.truncate(good_end)
-        if paths:
-            self.next_offset = max(self.next_offset, base_offset)
-            last = paths[-1]
-            self._file = open(last, "r+b")
-            self._file.seek(0, os.SEEK_END)
-            self._segment_size = last_good_end
-        else:
-            self._open_segment(0)
+        last = paths[-1]
+        base_offset = _segment_base(last)
+        self.next_offset = max(self.next_offset, base_offset)
+        if good_end < HEADER_BYTES:
+            # Torn header: the segment holds nothing, write it again.
+            self._open_segment(base_offset)
+            return
+        if os.path.getsize(last) > good_end:
+            # Truncate the torn tail on disk: at most one record.
+            with open(last, "r+b") as handle:
+                handle.truncate(good_end)
+        self._file = open(last, "r+b")
+        self._file.seek(0, os.SEEK_END)
+        self._segment_size = good_end
 
     def _open_segment(self, base_offset: int) -> None:
+        """Create segment ``base_offset`` and make it the active one; on
+        failure nothing changes (no partial file, ``_file`` as it was)."""
         path = os.path.join(self.directory, _segment_name(base_offset))
-        self._file = open(path, "wb")
-        self._file.write(SEGMENT_MAGIC + _HEADER.pack(base_offset))
-        self._file.flush()
-        if self.fsync_policy != "never":
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
+        handle = None
+        try:
+            handle = open(path, "wb")
+            handle.write(SEGMENT_MAGIC + _HEADER.pack(base_offset))
+            handle.flush()
+            if self.fsync_policy != "never":
+                os.fsync(handle.fileno())
+                self.fsyncs += 1
+        except OSError:
+            with suppress(OSError):
+                os.remove(path)
+                if handle is not None:
+                    handle.close()
+            raise
+        self._file = handle
         self._segment_size = HEADER_BYTES
 
     # ------------------------------------------------------------------
@@ -401,8 +466,13 @@ class BillingJournal:
     ) -> BillingRecord:
         """Durably append one counter delta; returns the record.
 
-        Raises :class:`JournalFull` (record NOT written, journal intact)
-        on disk-full, and propagates a torn-write injection as whatever
+        A field the frame cannot carry (a string over 65 535 UTF-8
+        bytes, a byte count outside i64) is a ``ValueError`` naming it,
+        raised before anything is written.  Raises :class:`JournalFull`
+        (record NOT written, journal intact, ``next_offset`` unmoved) on
+        disk-full — at the write, or at the rotation before it, which
+        then leaves the old segment active — so the same append can be
+        retried.  Propagates a torn-write injection as whatever
         the injector raises — after a torn write the writer is dead by
         definition (the process crashed mid-append); only recovery via a
         fresh :class:`BillingJournal` makes the directory writable again.
@@ -411,9 +481,7 @@ class BillingJournal:
             raise ValueError("journal is closed")
         record = BillingRecord(
             offset=self.next_offset,
-            record_id=record_identity(
-                self.stream_seed, self.source, self.next_offset
-            ),
+            record_id=extend_seed(self._identity, self.next_offset),
             time=time,
             operator=operator,
             subscriber=subscriber,
@@ -423,13 +491,12 @@ class BillingJournal:
             charged_bytes=charged_bytes,
         )
         frame = record.encode()
-        if (
-            self._segment_size + len(frame) > self.max_segment_bytes
-            and self._segment_size > HEADER_BYTES
-        ):
-            self._rotate()
-        pre_append = self._segment_size
         try:
+            if (
+                self._segment_size + len(frame) > self.max_segment_bytes
+                and self._segment_size > HEADER_BYTES
+            ):
+                self._rotate()
             if self.disk_faults is not None:
                 self.disk_faults.on_append(self._file, frame)
             else:
@@ -438,10 +505,11 @@ class BillingJournal:
             self.append_failures += 1
             if exc.errno == errno.ENOSPC:
                 # Restore the segment to its pre-append length so a
-                # partial frame never reaches recovery.
+                # partial frame never reaches recovery (a rotation that
+                # failed left the old segment active and untouched).
                 try:
-                    self._file.truncate(pre_append)
-                    self._file.seek(pre_append)
+                    self._file.truncate(self._segment_size)
+                    self._file.seek(self._segment_size)
                 except OSError:  # pragma: no cover - double fault
                     pass
                 raise JournalFull(errno.ENOSPC, "journal disk full") from exc
@@ -458,9 +526,10 @@ class BillingJournal:
 
     def _rotate(self) -> None:
         self.sync()
-        self._file.close()
+        sealed = self._file
+        self._open_segment(self.next_offset)  # raises: ``sealed`` stays active
+        sealed.close()
         self.segment_rotations += 1
-        self._open_segment(self.next_offset)
 
     def sync(self) -> None:
         """Flush + fsync the active segment (a durability barrier)."""
@@ -501,10 +570,7 @@ class BillingJournal:
         removed = 0
         paths = self.segment_paths(self.directory)
         for index, path in enumerate(paths[:-1]):  # never the active one
-            next_base = int(
-                os.path.basename(paths[index + 1])[len("billing-") : -len(".seg")]
-            )
-            if next_base <= offset:
+            if _segment_base(paths[index + 1]) <= offset:
                 os.remove(path)
                 removed += 1
         return removed

@@ -321,13 +321,16 @@ class ZeroRatingMiddlebox(Element):
           of one key neither move it relative to other keys nor bill a
           different total.
 
-        Billing rides the same loop.  The run head is billed through
-        ``billing.account``; the rest of the run only collects wire
-        lengths and is billed by one ``billing.account_run``, which
-        splits the run only where a cap bites and hands back each
-        packet's freeness for its ``zero_rated`` mark and the
-        free/charged split — the subscriber, app and server are the
-        flow's, so they are constants of the run.
+        Billing rides the same loop.  A resolved run — head included,
+        also a run of one — only collects wire lengths and is billed by
+        a single ``billing.account_run``, which splits the run only
+        where a cap bites and hands back each packet's freeness for its
+        ``zero_rated`` mark and the free/charged split — the subscriber,
+        app and server are the flow's, so they are constants of the
+        run.  The run is emitted once it is billed, so a bill that
+        raises drops it where the scalar loop would have dropped its
+        head.  Packets of flows still unresolved are billed one by one
+        through ``billing.account``.
         """
         now = self.clock()
         flows = self._flows
@@ -459,21 +462,26 @@ class ZeroRatingMiddlebox(Element):
                     wire += l4.wire_length
                 else:
                     wire += 20  # TCPHeader.BASE_WIRE_LENGTH
-                if billing is None:
-                    free = zero_rated
+                if billing is not None and state.resolved:
+                    # The head joins its run: billed, marked and emitted
+                    # with it, below.
+                    sizes = [wire]
+                    sizes_append = sizes.append
                 else:
-                    app = state.service if zero_rated else None
-                    remote_ip = state.remote_ip
-                    free = billing.account(
-                        subscriber_ip, app, remote_ip, wire,
-                        cookied=zero_rated, now=now,
-                    )
-                if free:
-                    sub_counters.free_bytes += wire
-                    packet.meta["zero_rated"] = True
-                else:
-                    sub_counters.charged_bytes += wire
-                append(packet)
+                    if billing is None:
+                        free = zero_rated
+                    else:
+                        free = billing.account(
+                            subscriber_ip,
+                            state.service if zero_rated else None,
+                            state.remote_ip, wire, cookied=zero_rated, now=now,
+                        )
+                    if free:
+                        sub_counters.free_bytes += wire
+                        packet.meta["zero_rated"] = True
+                    else:
+                        sub_counters.charged_bytes += wire
+                    append(packet)
 
                 if not state.resolved:
                     continue
@@ -488,9 +496,6 @@ class ZeroRatingMiddlebox(Element):
                 # to the collected sizes once the run ends.
                 run_packets = 0
                 run_bytes = 0
-                if billing is not None:
-                    sizes: list[int] = []
-                    sizes_append = sizes.append
                 while index < total:
                     nxt = packets[index]
                     nip = nxt.ip
@@ -539,25 +544,27 @@ class ZeroRatingMiddlebox(Element):
                         run_bytes += wire
                         if zero_rated:
                             nxt.meta["zero_rated"] = True
-                    append(nxt)
-                if run_packets:
-                    processed += run_packets
-                    state.packets_seen = packets_seen + run_packets
-                    if billing is not None:
-                        flags = billing.account_run(
-                            subscriber_ip, app, remote_ip, sizes,
-                            cookied=zero_rated, now=now,
-                        )
-                        run_free = sum(compress(sizes, flags))
-                        sub_counters.free_bytes += run_free
-                        sub_counters.charged_bytes += sum(sizes) - run_free
-                        run = packets[index - run_packets : index]
-                        for nxt in compress(run, flags):
-                            nxt.meta["zero_rated"] = True
-                    elif zero_rated:
+                        append(nxt)
+                if billing is not None:
+                    flags = billing.account_run(
+                        subscriber_ip, state.service if zero_rated else None,
+                        state.remote_ip, sizes, cookied=zero_rated, now=now,
+                    )
+                    run_free = sum(compress(sizes, flags))
+                    sub_counters.free_bytes += run_free
+                    sub_counters.charged_bytes += sum(sizes) - run_free
+                    run = packets[index - run_packets - 1 : index]
+                    for nxt in compress(run, flags):
+                        nxt.meta["zero_rated"] = True
+                    out += run
+                elif run_packets:
+                    if zero_rated:
                         sub_counters.free_bytes += run_bytes
                     else:
                         sub_counters.charged_bytes += run_bytes
+                if run_packets:
+                    processed += run_packets
+                    state.packets_seen = packets_seen + run_packets
         finally:
             # On a mid-burst raise too (a cleared flush callback, a hook
             # or accountant that raises): what was processed is flushed.
@@ -620,8 +627,9 @@ class ZeroRatingMiddlebox(Element):
         the delta.  The middlebox counters mirror the billed decision so
         wire-visible accounting and invoices can never disagree.
 
-        Scalar only: :meth:`process_batch` inlines this for a run's head
-        and bills the rest of the run with one ``account_run``.
+        Scalar only: :meth:`process_batch` inlines this, and under
+        billing bills a resolved run — head included — with one
+        ``account_run`` instead.
         """
         counters = self.counters.get(state.subscriber_ip)
         if counters is None:

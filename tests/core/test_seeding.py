@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core.seeding import derive_seed
+from repro.core.seeding import derive_seed, extend_seed, seed_prefix
 
 label = st.one_of(
     st.text(max_size=12),
@@ -68,6 +68,31 @@ def test_length_prefix_prevents_concatenation_collisions():
     assert derive_seed(0, "ab") != derive_seed(0, "a", "b")
     assert derive_seed(0, "a", "bc") != derive_seed(0, "ab", "c")
     assert derive_seed(12, "3") != derive_seed(1, "23")
+
+
+@given(
+    campaign=st.integers(),
+    labels=st.lists(label, max_size=5),
+    split=st.integers(0, 5),
+)
+@settings(max_examples=200, deadline=None)
+def test_prefix_then_extend_is_derive_seed(campaign, labels, split):
+    """Wherever the label tuple is cut, absorbing the head once and
+    finishing copies with the tail is ``derive_seed`` bit for bit — and
+    the prefix state is reusable (finishing a copy leaves it alone)."""
+    head, tail = labels[:split], labels[split:]
+    prefix = seed_prefix(campaign, *head)
+    expected = derive_seed(campaign, *labels)
+    assert extend_seed(prefix, *tail) == expected
+    assert extend_seed(prefix, *tail) == expected
+
+
+def test_prefix_keeps_the_length_prefixes():
+    assert extend_seed(seed_prefix(0, "ab")) != extend_seed(seed_prefix(0, "a"), "b")
+    assert extend_seed(seed_prefix(0, "a"), "b") == derive_seed(0, "a", "b")
+    assert extend_seed(seed_prefix(0), "ab") == derive_seed(0, "ab")
+    for (campaign, labels), expected in PINNED.items():
+        assert extend_seed(seed_prefix(campaign, *labels[:1]), *labels[1:]) == expected
 
 
 def test_adjacent_campaigns_do_not_collide():

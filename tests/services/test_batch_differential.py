@@ -694,6 +694,37 @@ class _BillingPair:
         )
 
 
+class _WatchedAccountant:
+    """Stands between a middlebox and its accountant: counts the data
+    path's ``account`` / ``account_run`` calls (``account``'s own inner
+    ``account_run`` runs on the real object and is not one), and fails
+    every bill for ``poisoned``."""
+
+    def __init__(self, accountant, poisoned=None):
+        self._accountant = accountant
+        self.poisoned = poisoned
+        self.calls = {"account": 0, "account_run": 0}
+        self.run_lengths = []
+
+    def account(self, subscriber_ip, *args, **kwargs):
+        self.calls["account"] += 1
+        if subscriber_ip == self.poisoned:
+            raise RuntimeError("tariff lookup failed")
+        return self._accountant.account(subscriber_ip, *args, **kwargs)
+
+    def account_run(self, subscriber_ip, app, server_ip, sizes, **kwargs):
+        self.calls["account_run"] += 1
+        self.run_lengths.append(len(sizes))
+        if subscriber_ip == self.poisoned:
+            raise RuntimeError("tariff lookup failed")
+        return self._accountant.account_run(
+            subscriber_ip, app, server_ip, sizes, **kwargs
+        )
+
+    def __getattr__(self, name):
+        return getattr(self._accountant, name)
+
+
 class TestBillingDifferential:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -743,6 +774,90 @@ class TestBillingDifferential:
                 ("zero-rate", "cap_exhausted", False): 2 * big,
             },
         )]
+
+    def test_a_resolved_run_is_billed_once_head_included(self):
+        """N resolved runs in a burst are N ``account_run`` calls and no
+        ``account`` call; packets of a flow still inside its sniff
+        window are ``account`` calls and nothing else."""
+        with _BillingPair(None) as pair:
+            batched, _, accountant = pair.sides[1]
+            batched.billing = watched = _WatchedAccountant(accountant)
+            resolved = [
+                packet
+                for length in (1, 2, 3, 4)
+                for packet in pair.flow(
+                    BILLING_SUBSCRIBERS[length % 3],
+                    [(length % 2 == 0, 512)] * (length - 1),
+                    flow_index=length,
+                )
+            ]
+            pair.feed(resolved)
+            assert watched.calls == {"account": 0, "account_run": 4}
+            assert watched.run_lengths == [1, 2, 3, 4]
+            unresolved = _billing_flow(
+                pair.descriptor, pair.clock, 9, BILLING_SUBSCRIBERS[0],
+                "none", [(False, 40)],
+            )
+            pair.feed(unresolved)
+            assert watched.calls == {"account": 2, "account_run": 4}
+            pair.assert_identical()
+
+    def test_head_crosses_the_cap_and_a_smaller_tail_packet_still_fits(self):
+        tail = [(False, 40), (True, 40)]
+        head, small, _ = _wire_lengths(tail)
+        cap = 2 * small
+        assert cap < head
+        with _BillingPair(cap) as pair:
+            pair.feed(pair.flow(BILLING_SUBSCRIBERS[1], tail))
+            middlebox, sink, accountant = pair.sides[1]
+            assert [
+                packet.meta.get("zero_rated") for packet in sink.packets
+            ] == [None, True, True]
+            assert accountant.cap_used(BILLING_SUBSCRIBERS[1]) == cap
+            counters = middlebox.counters_for(BILLING_SUBSCRIBERS[1])
+            assert (counters.free_bytes, counters.charged_bytes) == (cap, head)
+            observed = pair.assert_identical()
+        assert observed["pending"] == [(
+            ("op-capped", BILLING_SUBSCRIBERS[1]),
+            {
+                ("zero-rate", "cap_exhausted", False): head,
+                ("zero-rate", "origin", True): cap,
+            },
+        )]
+
+    def test_a_resolved_run_of_one(self):
+        """Two one-packet flows: the first lands exactly on the cap, the
+        second finds it spent."""
+        (head,) = _wire_lengths([])
+        with _BillingPair(head) as pair:
+            pair.feed(
+                pair.flow(BILLING_SUBSCRIBERS[1], [])
+                + pair.flow(BILLING_SUBSCRIBERS[1], [], flow_index=1)
+            )
+            _, sink, accountant = pair.sides[1]
+            assert [
+                packet.meta.get("zero_rated") for packet in sink.packets
+            ] == [True, None]
+            assert accountant.cap_used(BILLING_SUBSCRIBERS[1]) == head
+            pair.assert_identical()
+
+    def test_a_bill_that_raises_drops_the_run_where_scalar_drops_its_head(self):
+        with _BillingPair(None) as pair:
+            for middlebox, _, accountant in pair.sides:
+                middlebox.billing = _WatchedAccountant(
+                    accountant, poisoned=BILLING_SUBSCRIBERS[1]
+                )
+            (scalar, _, _), (batched, batched_sink, _) = pair.sides
+            stream = pair.flow(BILLING_SUBSCRIBERS[0], [(False, 512)]) + pair.flow(
+                BILLING_SUBSCRIBERS[1], [(False, 512), (True, 40)], flow_index=1
+            )
+            with pytest.raises(RuntimeError):
+                for packet in stream:
+                    scalar.handle(packet.clone())
+            with pytest.raises(RuntimeError):
+                batched.process_batch([packet.clone() for packet in stream])
+            assert (batched.packets_processed, len(batched_sink.packets)) == (3, 2)
+            pair.assert_identical()
 
     def test_run_total_landing_exactly_on_the_cap_is_all_free(self):
         tail = [(False, 1400), (True, 1), (False, 512)]

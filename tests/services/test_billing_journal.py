@@ -8,21 +8,30 @@ neighbours; and replaying the same segments twice reconciles to the
 same invoices (exactly-once by record identity).
 """
 
+import errno
 import os
+import struct
+import zlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.netsim import DiskFaultInjector, DiskFaultPlan, TornWrite
 from repro.services.billing import (
     BillingJournal,
+    BillingRecord,
     JournalFull,
     reconcile,
     reconcile_directories,
+    record_identity,
 )
+from repro.services.billing import journal as journal_module
 from repro.services.billing.journal import (
     FRAME_BYTES,
     HEADER_BYTES,
     SEGMENT_MAGIC,
+    _segment_name,
 )
 from repro.telemetry import MetricsRegistry
 
@@ -251,3 +260,267 @@ def test_corrupt_middle_segment_does_not_stop_later_segments(tmp_path):
     offsets = [record.offset for record in records]
     assert offsets[-1] == 11  # the tail segments survived
     assert len(records) < 12
+
+
+# ----------------------------------------------------------------------
+# Torn segment header (a kill between creating a segment and writing
+# its 14-byte header: every rotation, and first open)
+# ----------------------------------------------------------------------
+def _torn_header_directory(tmp_path, prefix_bytes):
+    """Three records, then a last segment holding only the first
+    ``prefix_bytes`` of its header."""
+    directory = str(tmp_path)
+    with BillingJournal(directory, stream_seed=5, fsync="never") as journal:
+        written = _fill(journal, 3)
+    torn = os.path.join(directory, _segment_name(3))
+    with open(torn, "wb") as handle:
+        handle.write((SEGMENT_MAGIC + struct.pack("!Q", 3))[:prefix_bytes])
+    return directory, torn, written
+
+
+@pytest.mark.parametrize("prefix_bytes", [0, 3, HEADER_BYTES - 1])
+def test_torn_segment_header_is_a_torn_tail(tmp_path, prefix_bytes):
+    directory, torn, written = _torn_header_directory(tmp_path, prefix_bytes)
+    # A pure read skips it, counts it and leaves the file alone.
+    records, stats = BillingJournal.read_directory(directory)
+    assert records == written
+    assert (stats.torn_tail_truncated, stats.torn_tail_bytes) == (
+        1, prefix_bytes
+    )
+    assert os.path.getsize(torn) == prefix_bytes
+    assert reconcile_directories([directory]).records_applied == 3
+    # Recovery rewrites the header and resumes at the filename's offset.
+    journal = BillingJournal(directory, stream_seed=5, fsync="never")
+    assert (
+        journal.recovery.torn_tail_truncated, journal.recovery.torn_tail_bytes,
+        journal.recovery.records_recovered, journal.next_offset,
+    ) == (1, prefix_bytes, 3, 3)
+    resumed = journal.append(operator="op-0", subscriber="10.5.0.2",
+                             app="app", byte_class="origin", free_bytes=1)
+    assert resumed.offset == 3
+    journal.close()
+    with open(torn, "rb") as handle:
+        assert handle.read(HEADER_BYTES) == SEGMENT_MAGIC + struct.pack("!Q", 3)
+    reopened = BillingJournal(directory, stream_seed=5, fsync="never")
+    assert reopened.recovery.torn_tail_truncated == 0
+    assert [r.offset for r in reopened.records()] == [0, 1, 2, 3]
+    reopened.close()
+
+
+def test_torn_header_on_first_open_recovers(tmp_path):
+    directory = str(tmp_path)
+    open(os.path.join(directory, _segment_name(0)), "wb").close()
+    assert BillingJournal.read_directory(directory)[0] == []
+    with BillingJournal(directory, fsync="never") as journal:
+        assert journal.recovery.torn_tail_truncated == 1
+        assert _fill(journal, 2)[-1].offset == 1
+
+
+@pytest.mark.parametrize("header", [
+    b"NNBJ1\n" + struct.pack("!Q", 3),          # the JSON-era format
+    SEGMENT_MAGIC + struct.pack("!Q", 4),       # base offset != filename
+    b"XXX",                                     # short, but not a prefix
+], ids=["nnbj1", "wrong-base", "not-a-prefix"])
+def test_wrong_segment_header_still_raises(tmp_path, header):
+    directory, torn, _ = _torn_header_directory(tmp_path, 0)
+    with open(torn, "wb") as handle:
+        handle.write(header)
+    for entry_point in (BillingJournal, BillingJournal.read_directory):
+        with pytest.raises(ValueError, match="header"):
+            entry_point(directory)
+
+
+def test_short_segment_that_is_not_last_still_raises(tmp_path):
+    directory, torn, _ = _torn_header_directory(tmp_path, 3)
+    with BillingJournal(directory, fsync="never") as journal:
+        _fill(journal, 1)
+        journal._rotate()
+    with open(torn, "wb") as handle:
+        handle.write(SEGMENT_MAGIC[:3])
+    for entry_point in (BillingJournal, BillingJournal.read_directory):
+        with pytest.raises(ValueError, match="bad segment header"):
+            entry_point(directory)
+
+
+# ----------------------------------------------------------------------
+# Disk full at the rotation boundary
+# ----------------------------------------------------------------------
+def test_rotation_disk_full_keeps_old_segment_active(tmp_path, monkeypatch):
+    """The new segment cannot be created: JournalFull, the record is not
+    written, the old segment stays active, and the retry rotates."""
+    directory = str(tmp_path)
+    journal = BillingJournal(directory, max_segment_bytes=256, fsync="rotate")
+    written = []
+    while journal._segment_size + FRAME_BYTES + 48 <= 256:  # room for a frame
+        written += _fill(journal, 1, start=len(written))
+    assert journal.segment_rotations == 0
+    blocked = journal.next_offset
+    disk_full = True
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        if disk_full and mode == "wb":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(journal_module, "open", full_disk_open, raising=False)
+    for attempt in (1, 2):
+        with pytest.raises(JournalFull):
+            _fill(journal, 1, start=blocked)
+        assert journal.append_failures == attempt
+        assert journal.next_offset == blocked
+        assert journal.segment_rotations == 0
+        assert BillingJournal.segment_paths(directory) == [
+            os.path.join(directory, _segment_name(0))
+        ]
+    disk_full = False
+    retried = _fill(journal, 1, start=blocked)
+    assert retried[0].offset == blocked
+    assert journal.segment_rotations == 1
+    written += retried + _fill(journal, 2, start=blocked + 1)
+    journal.close()
+    records, stats = BillingJournal.read_directory(directory)
+    assert records == written
+    assert [record.offset for record in records] == list(range(len(written)))
+    assert (stats.torn_tail_truncated, stats.corrupt_records) == (0, 0)
+
+
+def test_failed_header_write_leaves_no_partial_segment(tmp_path, monkeypatch):
+    """ENOSPC after the new file exists: the partial file is removed."""
+    directory = str(tmp_path)
+    journal = BillingJournal(directory, max_segment_bytes=256, fsync="rotate")
+    _fill(journal, 3)
+
+    def full_disk_fsync(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(journal_module.os, "fsync", full_disk_fsync)
+        with pytest.raises(OSError):
+            journal._open_segment(journal.next_offset)
+    assert len(BillingJournal.segment_paths(directory)) == 1
+    assert _fill(journal, 1, start=3)[0].offset == 3
+    journal.close()
+
+
+# ----------------------------------------------------------------------
+# What the frame cannot carry
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("field, too_wide, widest", [
+    ("operator", "o" * 65_536, "o" * 65_535),
+    ("subscriber", "é" * 32_768, "é" * 32_767),  # 65 536 UTF-8 bytes
+    ("app", "a" * 70_000, "a" * 65_535),
+    ("byte_class", "c" * 65_536, "c" * 65_535),
+    ("free_bytes", 2**63, 2**63 - 1),
+    ("charged_bytes", -(2**63) - 1, -(2**63)),
+])
+def test_append_refuses_what_the_frame_cannot_carry(
+    tmp_path, field, too_wide, widest
+):
+    directory = str(tmp_path)
+    journal = BillingJournal(directory, fsync="never")
+    _fill(journal, 2)
+    size = journal._segment_size
+    fields = dict(operator="op-0", subscriber="10.5.0.2", app="app",
+                  byte_class="origin", free_bytes=1, charged_bytes=0)
+    fields[field] = too_wide
+    with pytest.raises(ValueError, match=field):
+        journal.append(**fields)
+    assert (journal._segment_size, journal.next_offset,
+            journal.records_appended) == (size, 2, 2)
+    # The widest value that does fit goes through.
+    fields[field] = widest
+    assert journal.append(**fields).offset == 2
+    journal.close()
+    (*_, landed), _ = BillingJournal.read_directory(directory)
+    assert getattr(landed, field) == widest
+
+
+# ----------------------------------------------------------------------
+# Codec contract
+# ----------------------------------------------------------------------
+_text = st.text(max_size=24)
+_records = st.builds(
+    BillingRecord,
+    offset=st.integers(0, 2**64 - 1),
+    record_id=st.integers(0, 2**63 - 1),
+    time=st.floats(allow_nan=False, allow_infinity=False),
+    operator=_text,
+    subscriber=_text,
+    app=st.one_of(st.just(""), _text),
+    byte_class=_text,
+    free_bytes=st.integers(-(2**63), 2**63 - 1),
+    charged_bytes=st.integers(-(2**63), 2**63 - 1),
+)
+
+
+class TestCodecContract:
+    @settings(max_examples=200, deadline=None)
+    @given(record=_records)
+    def test_decode_inverts_encode(self, record):
+        frame = record.encode()
+        length, crc = struct.unpack_from("!II", frame)
+        payload = frame[FRAME_BYTES:]
+        assert (length, crc) == (len(payload), zlib.crc32(payload))
+        decoded = BillingRecord.decode(payload)
+        assert decoded == record
+        # ``==`` would let -0.0 pass for 0.0: the time is bit-exact.
+        assert struct.pack("!d", decoded.time) == struct.pack("!d", record.time)
+
+    @pytest.mark.parametrize("damage", ["lengths", "trailing", "utf8", "short"])
+    def test_malformed_payload_is_quarantined_alone(self, tmp_path, damage):
+        """Intact framing and CRC around a payload that is not one
+        record: that record is lost, its neighbours are not."""
+        directory = str(tmp_path)
+        with BillingJournal(directory, fsync="never") as journal:
+            before, victim, after = _fill(journal, 3)
+            path = journal.segment_paths(directory)[-1]
+        payload = bytearray(victim.encode()[FRAME_BYTES:])
+        if damage == "lengths":
+            payload[40:42] = struct.pack("!H", len(victim.operator) + 1)
+        elif damage == "trailing":
+            payload += b"\x00"
+        elif damage == "utf8":
+            payload[48] = 0xFF
+        else:
+            del payload[40:]
+        frames = [
+            before.encode(),
+            struct.pack("!II", len(payload), zlib.crc32(payload)) + payload,
+            after.encode(),
+        ]
+        with open(path, "r+b") as handle:
+            handle.seek(HEADER_BYTES)
+            handle.truncate()
+            handle.write(b"".join(frames))
+        records, stats = BillingJournal.read_directory(directory)
+        assert records == [before, after]
+        assert (stats.corrupt_records, stats.quarantined_bytes) == (
+            1, len(frames[1])
+        )
+        assert stats.torn_tail_truncated == 0
+        # Recovery agrees, truncates nothing and resumes past the victim.
+        with BillingJournal(directory, fsync="never") as journal:
+            assert journal.recovery.corrupt_records == 1
+            assert journal.next_offset == 3
+        assert os.path.getsize(path) == HEADER_BYTES + sum(map(len, frames))
+
+
+def test_record_ids_across_rotation_and_resume(tmp_path):
+    """``record_id`` is ``record_identity(stream_seed, source, offset)``
+    whichever segment the record lands in and whichever journal object
+    (first open, or a recover-and-resume) appends it."""
+    directory = str(tmp_path)
+    options = dict(source="ids", stream_seed=20160822,
+                   max_segment_bytes=256, fsync="never")
+    with BillingJournal(directory, **options) as journal:
+        written = _fill(journal, 7)
+        assert journal.segment_rotations >= 2
+    with BillingJournal(directory, **options) as journal:
+        written += _fill(journal, 5, start=7)
+    assert BillingJournal.read_directory(directory)[0] == written
+    assert [record.record_id for record in written] == [
+        record_identity(20160822, "ids", offset) for offset in range(12)
+    ]
+    # Pinned: the ids of the JSON-era journal, bit for bit.
+    assert written[0].record_id == 3175657445388198649
+    assert written[11].record_id == 7354410031816565759
