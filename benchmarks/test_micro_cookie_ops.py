@@ -144,19 +144,11 @@ def test_micro_sqlite_bulk_add(benchmark, tmp_path):
     assert bulk_s < per_row_s / 2, (bulk_s, per_row_s)
 
 
-def test_micro_sqlite_purge_indexed_vs_scan(benchmark, tmp_path):
-    """Indexed DELETE vs the legacy load-decode-delete scan."""
+def test_micro_sqlite_purge_indexed(benchmark, tmp_path):
+    """The indexed DELETE that is ``purge_expired``."""
     import time
 
     descriptors = _expiring_descriptors(2_000)
-
-    scan_store = _sqlite_store(tmp_path, "scan")
-    scan_store.add_many(descriptors)
-    start = time.perf_counter()
-    scan_purged = scan_store._purge_expired_scan(now=100.0)
-    scan_s = time.perf_counter() - start
-    scan_store.close()
-
     counter = [0]
 
     def indexed():
@@ -173,11 +165,8 @@ def test_micro_sqlite_purge_indexed_vs_scan(benchmark, tmp_path):
             store.close()
 
     purged, indexed_s = benchmark.pedantic(indexed, rounds=3, iterations=1)
-    assert purged == scan_purged == 1_000
-    benchmark.extra_info["scan_s"] = round(scan_s, 6)
+    assert purged == 1_000
     benchmark.extra_info["indexed_s"] = round(indexed_s, 6)
-    benchmark.extra_info["speedup"] = round(scan_s / indexed_s, 2)
-    assert indexed_s < scan_s, (indexed_s, scan_s)
 
 
 def test_micro_sqlite_wal_enabled(tmp_path):

@@ -7,13 +7,16 @@ Music Freedom's curated shortlist, *any* application works: the subscriber
 just gives its client her descriptor.
 
 The script runs the whole pipeline: authenticated descriptor acquisition,
-cookie-tagged flows through the two-counter middlebox, a flow of a
-different app counted against the cap, the monthly invoice, and the audit
-trail a regulator would inspect.  It closes by scoring real curated
-programs against simulated user demand (§2's coverage numbers).
+cookie-tagged flows through the two-counter middlebox billed under the
+carrier's catalog, a flow of a different app that is charged, the
+invoice reconciled from the billing journal, and the audit trail a
+regulator would inspect.  It closes by scoring real curated programs
+against simulated user demand (§2's coverage numbers).
 
 Run:  python examples/zero_rating_carrier.py
 """
+
+import tempfile
 
 from repro.core import (
     AuthenticatedUsersPolicy,
@@ -25,7 +28,17 @@ from repro.core import (
 )
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.packet import make_tcp_packet
-from repro.services.zerorate import AccountingLedger, BillingPlan, ZeroRatingMiddlebox
+from repro.services.billing import (
+    BillingAccountant,
+    BillingJournal,
+    reconcile_directories,
+)
+from repro.services.zerorate import (
+    AppCoverage,
+    CatalogSet,
+    OperatorCatalog,
+    ZeroRatingMiddlebox,
+)
 from repro.study import ZeroRatingSurvey, analyze_coverage
 
 
@@ -56,7 +69,21 @@ def main() -> None:
     subscriber.acquire("pick-your-app")
     print("subscriber sub-4471 zero-rates her pick: an obscure web radio\n")
 
-    middlebox = ZeroRatingMiddlebox(CookieMatcher(store), clock=clock)
+    # One operator, one catalog: whatever app a subscriber picked rides
+    # free from its own servers, up to a cap; everything else is charged.
+    catalog = OperatorCatalog(
+        "carrier",
+        apps=(AppCoverage("zero-rate", origin_ips=frozenset({"185.33.10.9"})),),
+        cap_bytes=250_000,
+    )
+    journal_dir = tempfile.TemporaryDirectory(prefix="carrier-journal-")
+    accountant = BillingAccountant(
+        CatalogSet([catalog], default_operator="carrier"),
+        BillingJournal(journal_dir.name, source="carrier"),
+    )
+    middlebox = ZeroRatingMiddlebox(
+        CookieMatcher(store), clock=clock, billing=accountant
+    )
 
     # Her radio app tags its flows; note the carrier never learns WHICH
     # app this is — the SNI below could be anything, even absent.
@@ -72,7 +99,7 @@ def main() -> None:
             "185.33.10.9", 443, "10.20.0.7", 40_001, payload_size=1400,
         ))
 
-    # Everything else counts against the cap.
+    # Everything else is charged.
     for _ in range(120):
         middlebox.handle(make_tcp_packet(
             "104.16.1.1", 443, "10.20.0.7", 40_002, payload_size=1400,
@@ -83,12 +110,22 @@ def main() -> None:
     print(f"charged bytes: {counters.charged_bytes:>10,}")
     print(f"zero-rated fraction: {counters.free_fraction:.0%}\n")
 
-    ledger = AccountingLedger(BillingPlan(monthly_cap_bytes=200_000))
-    invoice = ledger.invoice("10.20.0.7", counters)
-    print(f"invoice: base ${invoice.base_price:.2f} + overage "
-          f"${invoice.overage:.2f} = ${invoice.total:.2f}")
-    print(f"(cap used: {invoice.cap_used_fraction:.0%} — the radio stream "
-          f"never touched it)\n")
+    # The invoice is what the journal says, not what the counters say.
+    accountant.flush_all(now=clock())
+    accountant.journal.close()
+    report = reconcile_directories(
+        [journal_dir.name], rates={"carrier": catalog.charged_rate_per_gb}
+    )
+    journal_dir.cleanup()
+    invoice = report.invoices["carrier"]
+    for line in invoice.statements["10.20.0.7"].sorted_lines():
+        print(f"  {'free' if line.free else 'charged':<8}{line.byte_class:<14}"
+              f"{line.nbytes:>10,} B")
+    print(f"invoice: {invoice.charged_bytes:,} charged bytes at "
+          f"${invoice.charged_rate_per_gb:.2f}/GB = ${invoice.amount_due:.4f}")
+    print(f"(zero-rating cap used: "
+          f"{accountant.cap_used('10.20.0.7') / catalog.cap_bytes:.0%}; "
+          f"past it the radio stream is charged as cap_exhausted)\n")
 
     print("regulator's view (who got descriptors, ever):")
     print(" ", server.audit_log.regulator_report()["services"])

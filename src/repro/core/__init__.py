@@ -73,7 +73,6 @@ from .matcher import (
     CookieMatcher,
     MatchStats,
     ReplayCache,
-    ShardedReplayCache,
 )
 from .netserver import (
     AsyncCookieServer,
@@ -175,7 +174,6 @@ __all__ = [
     "CookieMatcher",
     "MatchStats",
     "ReplayCache",
-    "ShardedReplayCache",
     "AsyncCookieServer",
     "CookieClient",
     "JsonLineServer",

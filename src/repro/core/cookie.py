@@ -6,9 +6,11 @@ are unique (fresh uuid), bounded in time (timestamp must fall within the
 network coherency time), and verifiable without revealing anything about
 the traffic they ride on.
 
-Two encodings are provided:
+A :class:`Cookie` *is* its 48 wire bytes, however it was made — built
+from fields, minted by a generator or parsed off a carrier — and the
+fields are views of those bytes.  Two encodings are provided:
 
-- :meth:`Cookie.to_bytes` — the 48-byte binary form used by binary carriers
+- :meth:`Cookie.to_bytes` — the 48 bytes, as binary carriers hold them
   (IPv6 extension header, TCP option, UDP framing);
 - :meth:`Cookie.to_text` — base64 of the binary form, used by text carriers
   (HTTP header, TLS extension), matching the paper's "we send a
@@ -50,7 +52,7 @@ COOKIE_WIRE_BYTES = 8 + UUID_BYTES + 8 + SIGNATURE_BYTES
 TIMESTAMP_SCALE = 1_000_000  # store seconds as integer microseconds
 
 _WIRE = struct.Struct(f"!Q{UUID_BYTES}sQ{SIGNATURE_BYTES}s")
-_U64 = struct.Struct("!Q")
+_SIGNED = struct.Struct(f"!Q{UUID_BYTES}sQ")
 
 #: The signature covers the first 32 wire bytes (id | uuid | timestamp);
 #: the first 24 of those (id | uuid) are the replay-cache key.
@@ -98,11 +100,20 @@ def sign_message(key: bytes, message: bytes) -> bytes:
 
 
 def _signed_fields(cookie_id: int, uuid: bytes, timestamp: float) -> bytes:
-    return (
-        _U64.pack(cookie_id)
-        + uuid
-        + _U64.pack(round(timestamp * TIMESTAMP_SCALE))
-    )
+    """The 32 bytes a signature covers — id | uuid | timestamp in whole
+    microseconds — or :class:`MalformedCookie` for fields that have no
+    such encoding (an id or a µs value outside u64, a NaN, a short uuid).
+    """
+    if len(uuid) != UUID_BYTES:
+        raise MalformedCookie(
+            f"uuid must be {UUID_BYTES} bytes, got {len(uuid)}"
+        )
+    try:
+        return _SIGNED.pack(cookie_id, uuid, round(timestamp * TIMESTAMP_SCALE))
+    except (struct.error, ValueError, OverflowError) as exc:
+        raise MalformedCookie(
+            f"no wire form for id {cookie_id!r} at t={timestamp!r}: {exc}"
+        ) from exc
 
 
 def sign_cookie_fields(key: bytes, cookie_id: int, uuid: bytes, timestamp: float) -> bytes:
@@ -169,15 +180,20 @@ class SignerCache:
         return keyed_mac(inner, outer, _signed_fields(cookie_id, uuid, timestamp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cookie:
     """A single-use, signed token attached to packets.
 
-    A cookie minted here holds its four fields.  A cookie parsed off a
-    wire (:meth:`from_bytes` / :meth:`from_text`) *is* its 48 validated
-    bytes: the fields decode once, on first access, and the verifier
-    (:class:`~repro.core.matcher.CookieMatcher`) reads what it needs
-    straight out of the bytes, so the data path never decodes them.
+    Every cookie holds its 48 wire bytes (``_wire``) from birth, and two
+    cookies are equal iff those bytes are.  The constructor packs them —
+    fields with no wire form raise :class:`MalformedCookie` — and keeps
+    the timestamp it packed: whole microseconds, which is all the
+    signature ever covered.  :meth:`from_bytes` / :meth:`from_text` keep
+    the validated bytes and decode the fields once, on first access.
+    The verifier (:class:`~repro.core.matcher.CookieMatcher`) reads what
+    it judges straight out of the bytes (:func:`verify_operands`), so
+    how a cookie was made cannot change its verdict and the data path
+    never decodes one.
     """
 
     cookie_id: int
@@ -186,14 +202,26 @@ class Cookie:
     signature: bytes
 
     def __post_init__(self) -> None:
-        if len(self.uuid) != UUID_BYTES:
-            raise MalformedCookie(
-                f"uuid must be {UUID_BYTES} bytes, got {len(self.uuid)}"
-            )
         if len(self.signature) != SIGNATURE_BYTES:
             raise MalformedCookie(
                 f"signature must be {SIGNATURE_BYTES} bytes, got {len(self.signature)}"
             )
+        state = self.__dict__
+        wire = state["_wire"] = (
+            _signed_fields(self.cookie_id, self.uuid, self.timestamp)
+            + self.signature
+        )
+        state["timestamp"] = (
+            WIRE_VERIFY_FIELDS.unpack(wire)[1] / TIMESTAMP_SCALE
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._wire == other._wire
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._wire)
 
     def verify_signature(self, descriptor: CookieDescriptor) -> bool:
         """Constant-time check of the HMAC digest under the descriptor key."""
@@ -206,34 +234,16 @@ class Cookie:
     # Wire encodings
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """48-byte binary encoding.
-
-        Memoized: the instance is frozen, so the encoding is computed at
-        most once and cookies parsed by :meth:`from_bytes` re-emit the
-        very bytes they arrived as.  Batch encoding (one frame per shard
-        per dispatch) runs on the dispatcher's serial path, where this
-        is the difference between one ``bytes`` concat per cookie and a
-        dict lookup.
-        """
-        wire = self.__dict__.get("_wire")
-        if wire is None:
-            wire = _WIRE.pack(
-                self.cookie_id,
-                self.uuid,
-                round(self.timestamp * TIMESTAMP_SCALE),
-                self.signature,
-            )
-            object.__setattr__(self, "_wire", wire)
-        return wire
+        """The 48-byte binary encoding: the bytes this cookie holds, so
+        one parsed by :meth:`from_bytes` re-emits what it arrived as."""
+        return self._wire
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Cookie":
         """Parse the binary encoding; raises :class:`MalformedCookie`.
 
         Any 48 bytes are a well-formed cookie, so the length is the whole
-        parse: the result keeps the bytes and decodes fields on demand
-        (µs quantisation makes the re-encoding bit-identical to the
-        input, so a verify-and-forward path never re-packs either).
+        parse: the result keeps the bytes and decodes fields on demand.
         """
         if len(data) != COOKIE_WIRE_BYTES:
             raise MalformedCookie(
@@ -273,11 +283,11 @@ class Cookie:
 
 
 class _WireField:
-    """One field of a wire-born cookie, decoded on first access.
+    """One field of a parsed cookie, decoded on first access.
 
     A non-data descriptor: the instance ``__dict__`` shadows it, so it is
-    reached only while the cookie holds nothing but ``_wire`` — a minted
-    cookie, or one decoded already, never comes here.  (``__getattr__``
+    reached only while the cookie holds nothing but ``_wire`` — one built
+    from fields, or decoded already, never comes here.  (``__getattr__``
     would do the same job but replaces the type's attribute lookup, and
     CPython then stops specialising *every* attribute and method access
     on every cookie.)
@@ -295,9 +305,9 @@ class _WireField:
             raise AttributeError(
                 f"{type(cookie).__name__!r} object has no attribute {self.name!r}"
             )
-        cookie_id, uuid, ts_micros, signature = _WIRE.unpack(wire)
-        # The ``16s`` fields are 16 bytes by construction, which is all
+        # Whatever 48 bytes unpack to has a wire form, which is all
         # __post_init__ checks.
+        cookie_id, uuid, ts_micros, signature = _WIRE.unpack(wire)
         state.update(
             cookie_id=cookie_id,
             uuid=uuid,
@@ -316,32 +326,19 @@ del _field
 
 def verify_operands(cookie: Cookie) -> tuple[int, float, bytes, bytes]:
     """``(cookie_id, timestamp, signature, signed bytes)``: what a
-    verifier judges, read without decoding a wire-born cookie.
+    verifier judges, read out of the cookie's bytes without decoding it.
 
     The signed bytes are the 32 the signature covers (id | uuid | µs
     timestamp); their first :data:`REPLAY_KEY_BYTES` are the
-    replay-cache key.  A cookie that arrived as bytes and was never
-    decoded is read with one :data:`WIRE_VERIFY_FIELDS` unpack and one
-    slice; its freshness operand is ``ts_micros / 1e6``, the float its
-    decoded form would carry.  A minted cookie is read from its fields,
-    float timestamp as given — it is not µs-quantised, and freshness is
-    a predicate on that float — and packs the signed bytes only if it
-    was never serialised.
+    replay-cache key.  The freshness operand is ``ts_micros / 1e6`` —
+    the one :meth:`~repro.core.matcher.CookieMatcher.match_wire` derives
+    from the same 48 bytes in a frame.
     """
-    state = cookie.__dict__
-    wire = state.get("_wire")
-    if "cookie_id" not in state:
-        cookie_id, ts_micros, signature = WIRE_VERIFY_FIELDS.unpack(wire)
-        return (
-            cookie_id,
-            ts_micros / TIMESTAMP_SCALE,
-            signature,
-            wire[:SIGNED_BYTES],
-        )
-    cookie_id = state["cookie_id"]
-    timestamp = state["timestamp"]
-    if wire is None:
-        signed = _signed_fields(cookie_id, state["uuid"], timestamp)
-    else:
-        signed = wire[:SIGNED_BYTES]
-    return cookie_id, timestamp, state["signature"], signed
+    wire = cookie._wire
+    cookie_id, ts_micros, signature = WIRE_VERIFY_FIELDS.unpack(wire)
+    return (
+        cookie_id,
+        ts_micros / TIMESTAMP_SCALE,
+        signature,
+        wire[:SIGNED_BYTES],
+    )

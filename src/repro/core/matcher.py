@@ -55,7 +55,6 @@ from .store import DescriptorStore
 
 __all__ = [
     "ReplayCache",
-    "ShardedReplayCache",
     "MatchStats",
     "CookieMatcher",
     "MATCH_OUTCOMES",
@@ -135,67 +134,6 @@ class ReplayCache:
     def generation_age(self) -> float:
         """Window start of the current generation (simulation seconds)."""
         return self._generation_start
-
-
-class ShardedReplayCache:
-    """N independent :class:`ReplayCache` shards behind one facade.
-
-    Each uuid maps deterministically to one shard, so test-and-set for a
-    given uuid always touches the same two generation sets — a cookie
-    replayed after its shard rotated is still caught by that shard's
-    previous generation, exactly as in the unsharded cache.  Sharding
-    exists to cut per-dict contention when the batched data path is split
-    across workers: a worker holding shard *i* never touches shard *j*'s
-    sets, and per-shard rotation/idle-reset bookkeeping is byte-identical
-    to running N unsharded caches side by side.
-
-    Rotation is per shard and lazily driven by the traffic that reaches
-    it (same as the unsharded cache, whose rotation is driven by calls):
-    a shard's generations advance only when one of *its* uuids is looked
-    up.  Aggregate telemetry (``size``/``rotations``/``idle_resets``)
-    sums the shards.
-    """
-
-    def __init__(
-        self, window: float = NETWORK_COHERENCY_TIME, shards: int = 4
-    ) -> None:
-        if shards < 1:
-            raise ValueError("need at least one replay shard")
-        self.window = window
-        self._shards = [ReplayCache(window=window) for _ in range(shards)]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def shard_for(self, uuid: bytes) -> int:
-        """Deterministic uuid → shard mapping (stable across calls)."""
-        return int.from_bytes(uuid[-4:], "big") % len(self._shards)
-
-    def shard(self, index: int) -> ReplayCache:
-        """Direct access to one shard (tests and per-worker dispatch)."""
-        return self._shards[index]
-
-    def seen_before(self, uuid: bytes, now: float) -> bool:
-        return self._shards[self.shard_for(uuid)].seen_before(uuid, now)
-
-    def record(self, uuid: bytes, now: float) -> None:
-        self._shards[self.shard_for(uuid)].record(uuid, now)
-
-    def check_and_record(self, uuid: bytes, now: float) -> bool:
-        return self._shards[self.shard_for(uuid)].check_and_record(uuid, now)
-
-    @property
-    def size(self) -> int:
-        return sum(shard.size for shard in self._shards)
-
-    @property
-    def rotations(self) -> int:
-        return sum(shard.rotations for shard in self._shards)
-
-    @property
-    def idle_resets(self) -> int:
-        return sum(shard.idle_resets for shard in self._shards)
 
 
 @dataclass
@@ -298,7 +236,7 @@ class CookieMatcher:
         self,
         store: DescriptorStore,
         nct: float = NETWORK_COHERENCY_TIME,
-        replay_cache: ReplayCache | ShardedReplayCache | None = None,
+        replay_cache: ReplayCache | None = None,
         telemetry: "object | None" = None,
         telemetry_prefix: str = "matcher",
     ) -> None:
@@ -358,9 +296,9 @@ class CookieMatcher:
         """The scalar checks, counted but never raised: the descriptor
         and ``_ACCEPTED``, or ``None`` and the reject code.
 
-        Judged on :func:`~repro.core.cookie.verify_operands`: the wire
-        bytes of a cookie that arrived as bytes — what :meth:`match_wire`
-        does to the same 48 bytes — and the fields of a minted one.
+        The reference ladder.  Judged on the cookie's 48 bytes
+        (:func:`~repro.core.cookie.verify_operands`), which is what
+        :meth:`match_batch` and :meth:`match_wire` judge too.
         """
         stats = self.stats
         cookie_id, timestamp, signature, signed = verify_operands(cookie)
@@ -459,15 +397,13 @@ class CookieMatcher:
           (:class:`~repro.core.cookie.SignerCache`), or whose id repeats
           in the batch, signs with two ``copy()/update()/digest()``;
           a one-shot descriptor gets the one-shot MAC and builds nothing;
-        - a cookie that came off a wire is neither decoded nor
-          re-packed: its fields, MAC message and replay key are read
-          out of its bytes (:func:`~repro.core.cookie.verify_operands`).
+        - no cookie is decoded or re-packed: its fields, MAC message
+          and replay key are read out of its bytes
+          (:func:`~repro.core.cookie.verify_operands`).
 
-        This is the *object* path; :meth:`match_wire` is the same loop
-        over a frame of wire cookies and shares everything with it but
-        the freshness operand of a *minted* cookie: the float of a
-        cookie that never touched a wire is not µs-quantised, and the
-        scalar path judges that float.
+        This is the *object* path; :meth:`match_wire` is the same loop,
+        with the same predicates on the same operands, over a frame of
+        wire cookies.
 
         ``reasons``, if given, receives one :class:`MatchStats` field
         name per cookie (``"accepted"``, ``"replayed"``, ...).
@@ -525,7 +461,8 @@ class CookieMatcher:
         building a :class:`Cookie`: the fields come from one
         ``iter_unpack`` pass, the MAC message is ``body[o:o+32]``, the
         replay key ``body[o:o+24]``, and the freshness operand is
-        ``ts_micros / 1e6``, the float a decoded cookie would carry.
+        ``ts_micros / 1e6`` — :func:`~repro.core.cookie.verify_operands`
+        for cookies that sit in a frame.
         """
         if len(body) % COOKIE_WIRE_BYTES:
             raise MalformedCookie(

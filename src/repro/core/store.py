@@ -89,10 +89,10 @@ class SQLiteDescriptorStore:
 
     * **WAL journal** + ``synchronous=NORMAL`` — writers append to the
       log instead of rewriting pages, and readers never block on them.
-    * **Expiry column + partial index** — expiry used to live only
-      inside the attributes JSON, so :meth:`purge_expired` was a
-      full-table scan and JSON-decode per row; it is now one indexed
-      ``DELETE``.
+    * **Expiry column + partial index** — :meth:`purge_expired` is one
+      indexed ``DELETE``, not a scan that JSON-decodes every row's
+      attributes.  A database file without the column is refused, not
+      migrated.
     * **Single-transaction bulk ops** — :meth:`add_many` does one
       ``executemany`` commit instead of a commit per descriptor.
     """
@@ -116,7 +116,6 @@ class SQLiteDescriptorStore:
             )
             """
         )
-        self._migrate_expiry_column()
         self._conn.execute(
             """
             CREATE INDEX IF NOT EXISTS idx_descriptors_expires_at
@@ -124,29 +123,6 @@ class SQLiteDescriptorStore:
             """
         )
         self._conn.commit()
-
-    def _migrate_expiry_column(self) -> None:
-        """Upgrade a pre-PR-8 database: add the expiry column and backfill
-        it from the attributes JSON."""
-        columns = {
-            row[1]
-            for row in self._conn.execute("PRAGMA table_info(descriptors)")
-        }
-        if "expires_at" in columns:
-            return
-        self._conn.execute(
-            "ALTER TABLE descriptors ADD COLUMN expires_at REAL"
-        )
-        rows = self._conn.execute(
-            "SELECT cookie_id, attributes FROM descriptors"
-        ).fetchall()
-        self._conn.executemany(
-            "UPDATE descriptors SET expires_at = ? WHERE cookie_id = ?",
-            [
-                (json.loads(attributes).get("expires_at"), cookie_id)
-                for cookie_id, attributes in rows
-            ],
-        )
 
     def close(self) -> None:
         self._conn.close()
@@ -250,25 +226,6 @@ class SQLiteDescriptorStore:
             )
             self._conn.commit()
         return cursor.rowcount
-
-    def _purge_expired_scan(self, now: float) -> int:
-        """The pre-index implementation: load every row, JSON-decode the
-        attributes, delete one id at a time.  Kept (non-public) as the
-        baseline the micro benchmark measures the indexed path against.
-        """
-        stale = [
-            descriptor.cookie_id
-            for descriptor in self
-            if descriptor.attributes.is_expired(now)
-        ]
-        with self._lock:
-            for cookie_id in stale:
-                self._conn.execute(
-                    "DELETE FROM descriptors WHERE cookie_id = ?",
-                    (_id_to_db(cookie_id),),
-                )
-            self._conn.commit()
-        return len(stale)
 
     @staticmethod
     def _row_to_descriptor(row: tuple) -> CookieDescriptor:

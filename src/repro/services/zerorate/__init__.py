@@ -1,6 +1,6 @@
-"""Cookie-based zero-rating: the two-counter middlebox and billing."""
+"""Cookie-based zero-rating: the two-counter middleboxes and the operator
+catalogs that decide freeness (invoices: :mod:`repro.services.billing`)."""
 
-from .accounting import AccountingLedger, BillingPlan, Invoice
 from .catalog import (
     BYTE_CLASSES,
     COVERABLE_CLASSES,
@@ -24,15 +24,12 @@ from .middlebox import (
 )
 
 __all__ = [
-    "AccountingLedger",
     "AppCoverage",
     "BillingDecision",
     "BillingFlushRequired",
-    "BillingPlan",
     "BYTE_CLASSES",
     "CatalogSet",
     "COVERABLE_CLASSES",
-    "Invoice",
     "OperatorCatalog",
     "ROAMING_SUSPEND",
     "ROAMING_ZERO_RATE",

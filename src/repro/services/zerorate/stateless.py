@@ -20,7 +20,7 @@ from ...core.matcher import CookieMatcher
 from ...core.transport import TransportRegistry, default_registry
 from ...netsim.middlebox import Element
 from ...netsim.packet import Packet
-from .middlebox import SubscriberCounters
+from .middlebox import SubscriberCounters, _is_private
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from ...services.billing import BillingAccountant
@@ -50,9 +50,7 @@ class StatelessZeroRater(Element):
         self.matcher = matcher
         self.clock = clock
         self.registry = registry or default_registry()
-        self.is_subscriber = is_subscriber or (
-            lambda ip: ip.startswith("10.") or ip.startswith("192.168.")
-        )
+        self.is_subscriber = is_subscriber or _is_private
         #: Same contract as :class:`ZeroRatingMiddlebox`'s ``billing``:
         #: the cookie establishes the app, the subscriber's operator
         #: catalog decides freeness, and the accountant journals the
@@ -66,6 +64,9 @@ class StatelessZeroRater(Element):
         self.packets_processed = 0
         self.cookie_hits = 0
         self.cookie_misses = 0
+        #: Verifier *errors* (not clean rejections): the packet is
+        #: charged, as on the stateful box — never free, never dropped.
+        self.verifier_failures = 0
         if telemetry is not None:
             self.register_telemetry(telemetry, prefix=telemetry_prefix)
 
@@ -85,7 +86,11 @@ class StatelessZeroRater(Element):
             # the neutrality auditor — see the same annotations on both
             # implementations.
             packet.meta["cookie_checked"] = True
-            descriptor = self.matcher.match(found[0], now)
+            try:
+                descriptor = self.matcher.match(found[0], now)
+            except Exception:
+                self.verifier_failures += 1
+                descriptor = None
             if descriptor is not None:
                 cookied = True
                 service = descriptor.service_data
@@ -146,6 +151,7 @@ class StatelessZeroRater(Element):
                     f"{prefix}.packets_processed": self.packets_processed,
                     f"{prefix}.cookie_hits": self.cookie_hits,
                     f"{prefix}.cookie_misses": self.cookie_misses,
+                    f"{prefix}.verifier_failures": self.verifier_failures,
                     f"{prefix}.free_bytes": free,
                     f"{prefix}.charged_bytes": charged,
                 },

@@ -23,8 +23,6 @@ workload; :func:`repro.analysis.export.telemetry_to_csv` exports it.
 
 from .metrics import (
     DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     HistogramData,
     TelemetrySnapshot,
@@ -32,8 +30,6 @@ from .metrics import (
 from .registry import MetricsRegistry
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "HistogramData",
     "TelemetrySnapshot",

@@ -2,17 +2,18 @@
 
 One small vocabulary for every data-path component in the repository:
 
-``Counter``
-    A monotonically increasing count (packets processed, cookies
+counters
+    Monotonically increasing counts (packets processed, cookies
     accepted, flows evicted).  Merging snapshots *sums* counters, which
     is what makes per-shard middlebox telemetry aggregate correctly.
-``Gauge``
-    A point-in-time level (tracked flows, replay-cache size).  Merging
+gauges
+    Point-in-time levels (tracked flows, replay-cache size).  Merging
     sums gauges too — the merged view of N shards' flow tables is their
     total state footprint.
-``Histogram``
-    A bucketed distribution (flow lengths, per-flow bytes) with an exact
-    sum and count; merging adds bucket-wise.
+histograms
+    Bucketed distributions (flow lengths, per-flow bytes) with an exact
+    sum and count; merging adds bucket-wise.  :class:`Histogram` is the
+    one live instrument: a distribution cannot be read off a plain int.
 
 Snapshots — not live instruments — are the unit of exchange: a component
 is *read* into a :class:`TelemetrySnapshot`, snapshots merge into one
@@ -28,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "HistogramData",
     "TelemetrySnapshot",
@@ -42,42 +41,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000,
     float("inf"),
 )
-
-
-class Counter:
-    """A monotonically increasing metric."""
-
-    __slots__ = ("name", "help", "value")
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time level; may go up or down."""
-
-    __slots__ = ("name", "help", "value")
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 @dataclass

@@ -1,18 +1,16 @@
 """The metrics registry: one queryable view over every component.
 
-Two ways to get metrics into a registry:
-
-1. **Owned instruments** — ``registry.counter(...)`` / ``gauge`` /
-   ``histogram`` create (or return the existing) live instrument; code
-   increments them directly.  Suited to new code.
-2. **Collectors** — ``registry.register_collector(name, fn)`` registers a
-   zero-argument callable returning a :class:`TelemetrySnapshot` that is
-   polled at snapshot time.  Suited to existing components
-   (:class:`~repro.core.matcher.CookieMatcher`,
-   :class:`~repro.core.switch.CookieSwitch`,
-   :class:`~repro.services.zerorate.ZeroRatingMiddlebox`, ...) whose hot
-   paths keep plain ints: the data path pays nothing, and the registry
-   reads the current values only when asked.
+Counters and gauges reach a registry through **collectors**:
+``registry.register_collector(name, fn)`` registers a zero-argument
+callable returning a :class:`TelemetrySnapshot` that is polled at
+snapshot time.  Every component
+(:class:`~repro.core.matcher.CookieMatcher`,
+:class:`~repro.core.switch.CookieSwitch`,
+:class:`~repro.services.zerorate.ZeroRatingMiddlebox`, ...) keeps plain
+ints on its hot path: the data path pays nothing, and the registry reads
+the current values only when asked.  A distribution has no plain-int
+form, so ``registry.histogram(...)`` creates (or returns the existing)
+live :class:`Histogram` that code ``observe``s into directly.
 
 ``snapshot()`` returns everything merged into one
 :class:`TelemetrySnapshot`; duplicate metric names across collectors sum,
@@ -24,13 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    TelemetrySnapshot,
-)
+from .metrics import DEFAULT_BUCKETS, Histogram, TelemetrySnapshot
 
 __all__ = ["MetricsRegistry"]
 
@@ -38,53 +30,11 @@ CollectorFn = Callable[[], TelemetrySnapshot]
 
 
 class MetricsRegistry:
-    """Creates instruments, polls collectors, produces merged snapshots."""
+    """Owns histograms, polls collectors, produces merged snapshots."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._gauge_fns: dict[str, Callable[[], float]] = {}
         self._histograms: dict[str, Histogram] = {}
         self._collectors: dict[str, CollectorFn] = {}
-
-    # ------------------------------------------------------------------
-    # Owned instruments
-    # ------------------------------------------------------------------
-    def _check_name(self, name: str, kind: dict) -> None:
-        if not name:
-            raise ValueError("metric name must be non-empty")
-        for family in (self._counters, self._gauges, self._histograms):
-            if family is not kind and name in family:
-                raise ValueError(f"metric {name!r} already registered "
-                                 "with a different kind")
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        """Create or fetch the counter ``name`` (idempotent)."""
-        self._check_name(name, self._counters)
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name, help)
-        return instrument
-
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        fn: Callable[[], float] | None = None,
-    ) -> Gauge:
-        """Create or fetch the gauge ``name``.
-
-        With ``fn``, the gauge is *polled*: the callable is evaluated at
-        snapshot time (e.g. ``fn=lambda: len(table)``), so the level is
-        always current without anyone remembering to ``set`` it.
-        """
-        self._check_name(name, self._gauges)
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name, help)
-        if fn is not None:
-            self._gauge_fns[name] = fn
-        return instrument
 
     def histogram(
         self,
@@ -93,7 +43,8 @@ class MetricsRegistry:
         help: str = "",
     ) -> Histogram:
         """Create or fetch the histogram ``name`` (idempotent)."""
-        self._check_name(name, self._histograms)
+        if not name:
+            raise ValueError("metric name must be non-empty")
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._histograms[name] = Histogram(
@@ -126,12 +77,8 @@ class MetricsRegistry:
     # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> TelemetrySnapshot:
-        """Everything — owned instruments plus all collectors — merged."""
-        for name, fn in self._gauge_fns.items():
-            self._gauges[name].set(float(fn()))
+        """Everything — owned histograms plus all collectors — merged."""
         own = TelemetrySnapshot(
-            counters={n: c.value for n, c in self._counters.items()},
-            gauges={n: g.value for n, g in self._gauges.items()},
             histograms={n: h.snapshot() for n, h in self._histograms.items()},
         )
         return TelemetrySnapshot.merged(

@@ -8,12 +8,13 @@ replay-cache internals (generation sets, rotation counters), and
 telemetry snapshots.  Hypothesis supplies adversarial batches: replayed
 uuids, timestamps straddling the 5 s NCT boundary, unknown descriptor
 ids, malformed signatures, revoked and expired descriptors, all mixed —
-and every cookie in one of its *births* (:data:`BIRTHS`): minted here,
-minted then serialised, or parsed off a wire and never decoded.
+and every cookie in one of its *births* (:data:`BIRTHS`): built from its
+fields, or parsed off a binary or a text carrier and never decoded.
 """
 
 import hmac
 import math
+import struct
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -27,13 +28,21 @@ from repro.core.cookie import (
     sign_cookie_fields,
 )
 from repro.core.descriptor import CookieDescriptor
-from repro.core.distributed import NaiveVerifierPool, ShardedVerifierPool
+from repro.core.distributed import (
+    NaiveVerifierPool,
+    ShardedVerifierPool,
+    rendezvous_shard,
+)
 from repro.core.matcher import (
     NETWORK_COHERENCY_TIME,
     VERDICT_RECORD,
     CookieMatcher,
-    ReplayCache,
-    ShardedReplayCache,
+)
+from repro.core.parallel import (
+    ProcessShardExecutor,
+    batch_reply,
+    decode_verdicts,
+    encode_batch,
 )
 from repro.core.store import DescriptorStore
 from repro.telemetry import MetricsRegistry
@@ -46,11 +55,9 @@ N_ACTIVE = 4
 #: make within-batch replays common rather than rare.
 KINDS = ("valid", "valid", "bad_sig", "stale", "unknown", "revoked", "expired")
 
-#: How a cookie came to be.  The verifier judges a minted cookie on its
-#: fields (serialising it memoizes the encoding but changes nothing) and
-#: a wire-born one on its bytes, without decoding it.
-WIRE_BIRTHS = ("from_bytes", "from_text")
-BIRTHS = ("minted", "serialised", *WIRE_BIRTHS)
+#: How a cookie came to be.  It holds the same 48 bytes either way and
+#: the verifier judges those, so a birth cannot change a verdict.
+BIRTHS = ("constructed", "from_bytes", "from_text")
 
 
 class _Env:
@@ -96,13 +103,11 @@ def _signed(descriptor, uuid: bytes, timestamp: float) -> Cookie:
 
 
 def _born(cookie: Cookie, birth: str) -> Cookie:
-    """``cookie`` (freshly minted) as the given birth delivers it."""
+    """``cookie`` (freshly constructed) as the given birth delivers it."""
     if birth == "from_bytes":
         return Cookie.from_bytes(cookie.to_bytes())
     if birth == "from_text":
         return Cookie.from_text(cookie.to_text())
-    if birth == "serialised":
-        cookie.to_bytes()
     return cookie
 
 
@@ -163,9 +168,7 @@ def batch_specs(draw, max_size=32):
 
 
 def _cache_state(cache):
-    """Full observable state of a replay cache, shard-recursive."""
-    if isinstance(cache, ShardedReplayCache):
-        return [_cache_state(cache.shard(i)) for i in range(cache.shard_count)]
+    """Full observable state of a replay cache."""
     return (
         set(cache._current),
         set(cache._previous),
@@ -175,13 +178,13 @@ def _cache_state(cache):
     )
 
 
-def _differential(specs, cache_factory=lambda: None, chunk: int | None = None):
+def _differential(specs, chunk: int | None = None):
     env = _Env()
     # A list per path: neither sees what the other did to a cookie.
     scalar_cookies = _materialize(env, specs)
     cookies = _materialize(env, specs)
-    scalar = CookieMatcher(env.store, replay_cache=cache_factory())
-    batched = CookieMatcher(env.store, replay_cache=cache_factory())
+    scalar = CookieMatcher(env.store)
+    batched = CookieMatcher(env.store)
     scalar_verdicts = [scalar.match(cookie, NOW) for cookie in scalar_cookies]
     if chunk:
         batched_verdicts = []
@@ -234,14 +237,21 @@ class TestMatcherDifferential:
     @settings(max_examples=40, deadline=None)
     @given(specs=batch_specs(), shards=st.integers(1, 5))
     def test_sharded_replay_cache_equal_scalar(self, specs, shards):
-        scalar, batched, scalar_verdicts, batched_verdicts = _differential(
-            specs, cache_factory=lambda: ShardedReplayCache(shards=shards)
+        """The sharded deployment's replay state — one cache per pool
+        shard — ends up the same whether cookies arrive one at a time or
+        as a batch."""
+        env = _Env()
+        scalar = ShardedVerifierPool(env.store, shards=shards)
+        batched = ShardedVerifierPool(env.store, shards=shards)
+        scalar_verdicts = [
+            scalar.match(c, NOW) for c in _materialize(env, specs)
+        ]
+        assert batched.match_batch(_materialize(env, specs), NOW) == (
+            scalar_verdicts
         )
-        assert batched_verdicts == scalar_verdicts
-        assert batched.stats.as_dict() == scalar.stats.as_dict()
-        assert _cache_state(batched.replay_cache) == _cache_state(
-            scalar.replay_cache
-        )
+        assert [_cache_state(m.replay_cache) for m in batched.shards] == [
+            _cache_state(m.replay_cache) for m in scalar.shards
+        ]
 
     @settings(max_examples=40, deadline=None)
     @given(specs=batch_specs(), chunk=st.integers(1, 9))
@@ -284,12 +294,13 @@ class TestMatcherDifferential:
         assert matcher.stats.replayed == 1
 
     def test_nct_boundary_bit_exact(self):
-        """Timestamps exactly at ±NCT are accepted; one ulp beyond is
-        stale — and the batched path agrees with scalar on every float,
-        in every birth.  A wire carries whole microseconds, so the float
-        one ulp past the edge arrives stamped *on* the edge and is
-        accepted; the first timestamp a wire-born cookie can be stale
-        with is one microsecond out."""
+        """Timestamps exactly at ±NCT are accepted, and so is the float
+        one ulp beyond: a cookie carries whole microseconds, so that
+        float is stamped *on* the edge.  The first timestamp a cookie
+        can be stale with is one microsecond out — for every birth, and
+        whoever verifies it: the scalar ladder, the object batch, a pool
+        worker's in-place path, or the in-process matcher a crashed
+        shard falls back to."""
         env = _Env()
         descriptor = env.active[0]
         timestamps = [
@@ -300,24 +311,39 @@ class TestMatcherDifferential:
             NOW + NCT + 1e-6,
             NOW - NCT - 1e-6,
         ]
+        expected = [descriptor] * 4 + [None] * 2
+
+        def cookies():
+            return [
+                _born(_signed(descriptor, _uuid(10 + i), ts), birth)
+                for i, ts in enumerate(timestamps)
+            ]
+
+        def worker(matcher):
+            frame = b"B" + struct.pack("!d", NOW) + encode_batch(cookies())
+            return [
+                env.store.get(cookie_id) if code == 0 else None
+                for code, cookie_id in decode_verdicts(
+                    batch_reply(matcher, frame)
+                )
+            ]
+
         for birth in BIRTHS:
-            scalar_cookies, cookies = (
-                [
-                    _born(_signed(descriptor, _uuid(10 + i), ts), birth)
-                    for i, ts in enumerate(timestamps)
-                ]
-                for _ in range(2)
-            )
-            scalar = CookieMatcher(env.store)
-            batched = CookieMatcher(env.store)
-            scalar_verdicts = [scalar.match(c, NOW) for c in scalar_cookies]
-            batched_verdicts = batched.match_batch(cookies, NOW)
-            one_ulp_out = descriptor if birth in WIRE_BIRTHS else None
-            assert batched_verdicts == scalar_verdicts, birth
-            assert scalar_verdicts == [
-                descriptor, descriptor, one_ulp_out, one_ulp_out, None, None
-            ], birth
-            assert batched.stats.as_dict() == scalar.stats.as_dict(), birth
+            scalar, batched, wire = (CookieMatcher(env.store) for _ in range(3))
+            assert [scalar.match(c, NOW) for c in cookies()] == expected, birth
+            assert batched.match_batch(cookies(), NOW) == expected, birth
+            assert worker(wire) == expected, birth
+            with ProcessShardExecutor(
+                env.store, workers=2, transport="in-process"
+            ) as fallback:
+                assert fallback.shard_transports() == ["in-process"] * 2
+                assert fallback.match_batch(cookies(), NOW) == expected, birth
+            assert (
+                batched.stats.as_dict()
+                == wire.stats.as_dict()
+                == scalar.stats.as_dict()
+                == fallback.collect_match_stats().as_dict()
+            ), birth
 
     def test_failed_checks_do_not_record_uuid(self):
         """A bad-signature or stale cookie must not poison its uuid: a
@@ -350,10 +376,10 @@ class TestMatcherDifferential:
                 env, [("unknown", 0, i, 0.0, 1.0, BIRTHS[i]) for i in range(3)]
             )
             + _materialize(
-                env, [("revoked", 0, i, 0.0, 1.0, BIRTHS[i]) for i in range(4)]
+                env, [("revoked", 0, i, 0.0, 1.0, BIRTHS[i % 3]) for i in range(4)]
             )
             + _materialize(
-                env, [("expired", 0, i, 0.0, 1.0, "minted") for i in range(5)]
+                env, [("expired", 0, i, 0.0, 1.0, "constructed") for i in range(5)]
             )
         )
         matcher = CookieMatcher(env.store)
@@ -437,106 +463,105 @@ class TestSignerCache:
 
 
 class TestShardedReplayCache:
+    """Replay state in a sharded deployment is one :class:`ReplayCache`
+    per :class:`ShardedVerifierPool` shard, reached by descriptor
+    affinity — nothing is shared and there is no facade over them."""
+
+    @staticmethod
+    def _pool(shards):
+        env = _Env()
+        return env, ShardedVerifierPool(env.store, shards=shards)
+
     @settings(max_examples=40, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(st.integers(0, 20), st.floats(0.0, 4.0, allow_nan=False)),
+            st.tuples(
+                st.integers(0, N_ACTIVE - 1),
+                st.integers(0, 20),
+                st.floats(0.0, 8.0, allow_nan=False),
+            ),
             max_size=40,
         ),
         shards=st.integers(1, 6),
     )
     def test_matches_standalone_caches_per_shard(self, ops, shards):
-        """A sharded cache is observationally N unsharded caches: replay
-        the same op sequence against both and compare every answer and
-        every internal counter, per shard."""
-        sharded = ShardedReplayCache(shards=shards)
-        standalone = [ReplayCache() for _ in range(shards)]
-        now = 0.0
-        for tag, advance in ops:
+        """A pool is observationally N standalone matchers: route the
+        same cookies by hand and compare every answer and every cache's
+        internals, per shard."""
+        env, pool = self._pool(shards)
+        standalone = [CookieMatcher(env.store) for _ in range(shards)]
+        now = NOW
+        for desc_index, tag, advance in ops:
             now += advance
-            uuid = _uuid(tag)
-            index = sharded.shard_for(uuid)
-            assert sharded.check_and_record(uuid, now) == standalone[
-                index
-            ].check_and_record(uuid, now)
-        for index in range(shards):
-            assert _cache_state(sharded.shard(index)) == _cache_state(
-                standalone[index]
+            cookie = _signed(env.active[desc_index], _uuid(tag), now)
+            index = pool.shard_for(cookie)
+            assert pool.match(cookie, now) == standalone[index].match(
+                cookie, now
             )
-        assert sharded.size == sum(c.size for c in standalone)
-        assert sharded.rotations == sum(c.rotations for c in standalone)
-        assert sharded.idle_resets == sum(c.idle_resets for c in standalone)
+        for shard, alone in zip(pool.shards, standalone):
+            assert _cache_state(shard.replay_cache) == _cache_state(
+                alone.replay_cache
+            )
+            assert shard.stats.as_dict() == alone.stats.as_dict()
 
     @settings(max_examples=60, deadline=None)
-    @given(tag=st.integers(0, 2**64 - 1), shards=st.integers(1, 8))
-    def test_shard_for_stable_and_in_range(self, tag, shards):
-        cache = ShardedReplayCache(shards=shards)
-        uuid = _uuid(tag)
-        index = cache.shard_for(uuid)
+    @given(cookie_id=st.integers(0, 2**64 - 1), shards=st.integers(1, 8))
+    def test_shard_for_stable_and_in_range(self, cookie_id, shards):
+        _, pool = self._pool(shards)
+        cookie = Cookie(cookie_id, _uuid(1), NOW, b"\x00" * SIGNATURE_BYTES)
+        index = pool.shard_for(cookie)
         assert 0 <= index < shards
-        assert cache.shard_for(uuid) == index
+        assert pool.shard_for(cookie) == index
+        assert index == rendezvous_shard(cookie_id, shards)
 
     def test_single_shard_equals_unsharded(self):
-        sharded = ShardedReplayCache(shards=1)
-        plain = ReplayCache()
-        sequence = [(_uuid(1), 0.0), (_uuid(2), 3.0), (_uuid(1), 6.0),
-                    (_uuid(1), 9.0), (_uuid(3), 30.0), (_uuid(3), 30.5)]
-        for uuid, now in sequence:
-            assert sharded.check_and_record(uuid, now) == plain.check_and_record(
-                uuid, now
+        env, pool = self._pool(1)
+        plain = CookieMatcher(env.store)
+        sequence = [(1, 0.0), (2, 3.0), (1, 6.0), (1, 9.0), (3, 30.0), (3, 30.5)]
+        for tag, elapsed in sequence:
+            cookie = _signed(env.active[tag % N_ACTIVE], _uuid(tag), NOW + elapsed)
+            assert pool.match(cookie, NOW + elapsed) == plain.match(
+                cookie, NOW + elapsed
             )
-        assert _cache_state(sharded.shard(0)) == _cache_state(plain)
+        assert _cache_state(pool.shards[0].replay_cache) == _cache_state(
+            plain.replay_cache
+        )
 
     def test_replay_across_shard_rotation_regression(self):
-        """Regression (the satellite's scenario): a uuid recorded before
-        its shard rotates must still be caught afterwards — the rotation
-        moves it to the shard's previous generation, not out of memory —
-        and must be forgotten after two full windows, exactly like the
-        unsharded cache."""
-        window = NETWORK_COHERENCY_TIME
-        sharded = ShardedReplayCache(shards=4)
-        plain = ReplayCache()
-        uuid = _uuid(42)
-        index = sharded.shard_for(uuid)
-
-        for cache in (sharded, plain):
-            assert not cache.check_and_record(uuid, 0.0)
-        # Drive the shard across its generation boundary with *other*
-        # traffic that lands on the same shard (rotation is lazy).
-        same_shard_tag = next(
-            tag
-            for tag in range(1000)
-            if tag != 42 and sharded.shard_for(_uuid(tag)) == index
-        )
-        filler_time = window + 0.5
-        assert not sharded.check_and_record(_uuid(same_shard_tag), filler_time)
-        assert not plain.check_and_record(_uuid(same_shard_tag), filler_time)
-        assert sharded.shard(index).rotations == 1
-
-        # Replayed one rotation later: still within coverage, caught.
-        assert sharded.check_and_record(uuid, window + 1.0)
-        assert plain.check_and_record(uuid, window + 1.0)
-        # Two full windows after the record: both caches have forgotten.
-        late = 2 * window + 1.0
-        assert not sharded.seen_before(uuid, late)
-        assert not ReplayCache().seen_before(uuid, late)
+        """A cookie spent before its shard's cache rotates must still be
+        caught afterwards — rotation moves its key to the shard's
+        previous generation, not out of memory.  The cookie is stamped
+        NCT ahead, so it is still fresh a whole cache window (2 x NCT)
+        after it was first spent."""
+        env, pool = self._pool(4)
+        descriptor = env.active[0]
+        skewed = _signed(descriptor, _uuid(42), NOW + NCT)
+        cache = pool.shards[pool.shard_for(skewed)].replay_cache
+        # Pin the generation start, then spend the cookie at its end.
+        assert pool.match(_signed(descriptor, _uuid(1), NOW), NOW) is descriptor
+        rotations = cache.rotations
+        assert pool.match(skewed, NOW + 2 * NCT - 0.5) is descriptor
+        # Rotation is lazy: other traffic on the same shard drives it.
+        later = NOW + 2 * NCT
+        assert pool.match(_signed(descriptor, _uuid(2), later), later) is descriptor
+        assert cache.rotations == rotations + 1
+        assert pool.match(skewed, later) is None
+        assert pool.shards[pool.shard_for(skewed)].stats.replayed == 1
 
     def test_rotation_is_per_shard(self):
         """Traffic that only touches one shard must not rotate others."""
-        cache = ShardedReplayCache(shards=4)
-        uuid = _uuid(0)
-        index = cache.shard_for(uuid)
-        cache.record(uuid, 0.0)
-        cache.record(uuid, NETWORK_COHERENCY_TIME + 1.0)
-        assert cache.shard(index).rotations == 1
-        for other in range(cache.shard_count):
-            if other != index:
-                assert cache.shard(other).rotations == 0
-        assert cache.rotations == 1
+        env, pool = self._pool(4)
+        descriptor = env.active[0]
+        for tag, now in enumerate((NOW, NOW + 2 * NCT + 1.0)):
+            assert pool.match(_signed(descriptor, _uuid(tag), now), now)
+        busy = pool.shard_for_descriptor(descriptor)
+        assert [bool(m.replay_cache.rotations) for m in pool.shards] == [
+            index == busy for index in range(4)
+        ]
 
     def test_rejects_zero_shards(self):
         try:
-            ShardedReplayCache(shards=0)
+            ShardedVerifierPool(DescriptorStore(), shards=0)
         except ValueError:
             pass
         else:  # pragma: no cover - defensive

@@ -5,7 +5,7 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.cookie import (
     COOKIE_WIRE_BYTES,
@@ -17,6 +17,9 @@ from repro.core.cookie import (
 )
 from repro.core.descriptor import CookieDescriptor
 from repro.core.errors import MalformedCookie
+from repro.core.generator import CookieGenerator
+from repro.core.matcher import CookieMatcher
+from repro.core.store import DescriptorStore
 
 
 def _cookie(key=b"k" * 32, cookie_id=42, uuid=b"u" * 16, timestamp=123.456):
@@ -108,6 +111,70 @@ class TestEncoding:
 WIRE_ONLY = {"_wire"}
 DECODED = {"_wire", "cookie_id", "uuid", "timestamp", "signature"}
 
+_U64 = st.integers(0, 2**64 - 1)
+_UUIDS = st.binary(min_size=UUID_BYTES, max_size=UUID_BYTES)
+_SIGNATURES = st.binary(min_size=SIGNATURE_BYTES, max_size=SIGNATURE_BYTES)
+#: Every float whose µs value fits u64, sub-µs fractions included.
+_TIMESTAMPS = st.floats(0, 1.8e13)
+
+_DUPLICATES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda cookie: pickle.loads(pickle.dumps(cookie)),
+}
+
+
+class TestOneRepresentation:
+    """However a cookie is made it holds its 48 bytes, and those bytes
+    are all that equality, hashing and the encodings look at."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cookie_id=_U64, uuid=_UUIDS, timestamp=_TIMESTAMPS,
+        signature=_SIGNATURES, other=_SIGNATURES,
+    )
+    # Regression: the constructor used to keep the float it was given,
+    # so ``from_bytes(c.to_bytes()) != c`` for a sub-µs timestamp.
+    @example(
+        cookie_id=42, uuid=b"u" * 16, timestamp=1.00000049,
+        signature=b"s" * 16, other=b"t" * 16,
+    )
+    def test_a_cookie_is_its_48_bytes(
+        self, cookie_id, uuid, timestamp, signature, other
+    ):
+        cookie = Cookie(cookie_id, uuid, timestamp, signature)
+        wire = cookie.to_bytes()
+        parsed = [Cookie.from_bytes(wire), Cookie.from_text(cookie.to_text())]
+        copies = [duplicate(cookie) for duplicate in _DUPLICATES.values()]
+        copies += [duplicate(parsed[0]) for duplicate in _DUPLICATES.values()]
+        for made in parsed + copies:
+            assert made == cookie and cookie == made
+            assert hash(made) == hash(cookie)
+            assert made.to_bytes() == wire
+            assert "_wire" in vars(made)
+        # The constructor kept the timestamp it packed: whole µs.
+        assert "_wire" in vars(cookie)
+        assert cookie.timestamp == parsed[0].timestamp
+        assert dataclasses.astuple(cookie) == dataclasses.astuple(parsed[1])
+        for source in (cookie, Cookie.from_bytes(wire)):
+            replaced = dataclasses.replace(source, signature=other)
+            assert replaced.to_bytes()[-SIGNATURE_BYTES:] == other
+            assert (replaced == cookie) == (other == signature)
+            assert set(vars(replaced)) == DECODED
+
+    @given(timestamp=_TIMESTAMPS, uuid=_UUIDS)
+    def test_a_generated_cookie_is_its_48_bytes(self, timestamp, uuid):
+        descriptor = CookieDescriptor.create()
+        cookie = CookieGenerator(
+            descriptor, clock=lambda: timestamp, rng=lambda n: uuid
+        ).generate()
+        assert "_wire" in vars(cookie)
+        assert cookie.verify_signature(descriptor)
+        assert cookie == Cookie(
+            descriptor.cookie_id, uuid, timestamp,
+            sign_cookie_fields(descriptor.key, descriptor.cookie_id, uuid, timestamp),
+        )
+
 
 @pytest.mark.parametrize("parse", ["from_bytes", "from_text"])
 class TestWireBacked:
@@ -145,13 +212,7 @@ class TestWireBacked:
         )
 
     @pytest.mark.parametrize(
-        "duplicate",
-        [
-            copy.copy,
-            copy.deepcopy,
-            lambda cookie: pickle.loads(pickle.dumps(cookie)),
-        ],
-        ids=["copy", "deepcopy", "pickle"],
+        "duplicate", _DUPLICATES.values(), ids=_DUPLICATES
     )
     def test_copies_stay_wire_backed(self, parse, duplicate):
         parsed, eager = self._pair(parse)
@@ -166,7 +227,7 @@ class TestWireBacked:
         signature = b"s" * SIGNATURE_BYTES
         replaced = dataclasses.replace(parsed, signature=signature)
         assert replaced == dataclasses.replace(eager, signature=signature)
-        assert "_wire" not in vars(replaced)
+        assert set(vars(replaced)) == DECODED
         with pytest.raises(MalformedCookie):
             dataclasses.replace(parsed, uuid=b"short")
 
@@ -189,6 +250,43 @@ class TestValidation:
     def test_bad_signature_length(self):
         with pytest.raises(MalformedCookie):
             Cookie(cookie_id=1, uuid=b"u" * 16, timestamp=0.0, signature=b"s")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cookie_id=st.one_of(_U64, st.integers(-(2**70), 2**70)),
+        timestamp=st.one_of(
+            _TIMESTAMPS, st.floats(allow_nan=True, allow_infinity=True)
+        ),
+    )
+    @example(cookie_id=1, timestamp=-1.0)
+    @example(cookie_id=1, timestamp=float("nan"))
+    @example(cookie_id=1, timestamp=float("inf"))
+    @example(cookie_id=1, timestamp=1e30)
+    @example(cookie_id=-1, timestamp=0.0)
+    @example(cookie_id=2**64, timestamp=0.0)
+    def test_unserialisable_fields_never_reach_the_verifier(
+        self, cookie_id, timestamp
+    ):
+        """Regression: an id or a µs timestamp outside u64 used to
+        construct and then throw a bare ``struct.error`` out of
+        ``to_bytes()`` / ``CookieMatcher.match``.  Now either the fields
+        are refused where they are put together — by the constructor or
+        by ``replace`` — or the cookie verifies like any other."""
+        good = _cookie()
+        # NaN fails both comparisons; -1 µs and 1.85e19 µs are outside u64.
+        hopeless = not 0 <= cookie_id < 2**64 or not -1e-6 < timestamp < 1.85e13
+        try:
+            built = Cookie(cookie_id, good.uuid, timestamp, good.signature)
+            replaced = dataclasses.replace(
+                Cookie.from_bytes(good.to_bytes()),
+                cookie_id=cookie_id, timestamp=timestamp,
+            )
+        except MalformedCookie:
+            return
+        assert not hopeless and built == replaced
+        matcher = CookieMatcher(DescriptorStore())
+        assert matcher.match(built, 0.0) is None
+        assert matcher.match_batch([built, replaced], 0.0) == [None, None]
 
     def test_repr_does_not_leak_signature(self):
         cookie = _cookie()

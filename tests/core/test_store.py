@@ -129,8 +129,7 @@ class TestSQLitePersistence:
 
 
 class TestControlPlaneTuning:
-    """PR-8 SQLite tuning: WAL, bulk inserts, indexed expiry purge, and
-    the migration that upgrades a pre-PR-8 database in place."""
+    """SQLite tuning: WAL, bulk inserts, indexed expiry purge."""
 
     def _expiring(self, count, expired=0):
         return [
@@ -165,70 +164,42 @@ class TestControlPlaneTuning:
         assert len(store) == 10
 
     def test_indexed_purge_matches_scan_semantics(self, tmp_path):
-        """The indexed DELETE and the legacy scan must agree exactly —
-        including the strict ``now > expires_at`` boundary."""
-        for purge in ("purge_expired", "_purge_expired_scan"):
-            store = SQLiteDescriptorStore(
-                str(tmp_path / f"purge_{purge}.db")
-            )
-            store.add_many(self._expiring(20, expired=8))
-            boundary = CookieDescriptor.create(
-                service_data="Boost",
-                attributes=CookieAttributes(expires_at=100.0),
-            )
-            immortal = CookieDescriptor.create(service_data="Boost")
-            store.add_many([boundary, immortal])
-            assert getattr(store, purge)(now=100.0) == 8  # strict: not yet
-            assert getattr(store, purge)(now=100.5) == 1  # boundary goes
-            assert store.get(immortal.cookie_id) is not None
-            assert len(store) == 13
-            store.close()
+        """The indexed DELETE agrees exactly with the in-memory store's
+        scan over ``is_expired`` on the same descriptors — including the
+        strict ``now > expires_at`` boundary."""
+        boundary = CookieDescriptor.create(
+            service_data="Boost",
+            attributes=CookieAttributes(expires_at=100.0),
+        )
+        immortal = CookieDescriptor.create(service_data="Boost")
+        descriptors = self._expiring(20, expired=8) + [boundary, immortal]
+        indexed = SQLiteDescriptorStore(str(tmp_path / "purge.db"))
+        scanned = DescriptorStore()
+        for store in (indexed, scanned):
+            store.add_many(descriptors)
+        for now, purged in ((100.0, 8), (100.5, 1)):  # strict: not yet
+            assert indexed.purge_expired(now) == purged
+            assert scanned.purge_expired(now) == purged
+            assert {d.cookie_id for d in indexed} == {
+                d.cookie_id for d in scanned
+            }
+        assert indexed.get(immortal.cookie_id) is not None
+        assert len(indexed) == 13
+        indexed.close()
 
-    def test_migration_backfills_expiry_from_attributes(self, tmp_path):
-        """A database created before the expiry column existed is
-        upgraded on open, and the indexed purge then works on it."""
-        import json
+    def test_database_without_the_expiry_column_is_refused(self, tmp_path):
+        """No deployment has a database from before the expiry column,
+        so there is no migration: opening one fails, loudly."""
         import sqlite3
 
         path = str(tmp_path / "legacy.db")
-        stale = CookieDescriptor.create(
-            service_data="Boost",
-            attributes=CookieAttributes(expires_at=50.0),
-        )
-        fresh = CookieDescriptor.create(service_data="Boost")
         conn = sqlite3.connect(path)
         conn.execute(
-            """
-            CREATE TABLE descriptors (
-                cookie_id INTEGER PRIMARY KEY,
-                key_hex TEXT NOT NULL,
-                service_data TEXT NOT NULL,
-                attributes TEXT NOT NULL,
-                revoked INTEGER NOT NULL DEFAULT 0
-            )
-            """
+            "CREATE TABLE descriptors (cookie_id INTEGER PRIMARY KEY,"
+            " key_hex TEXT NOT NULL, service_data TEXT NOT NULL,"
+            " attributes TEXT NOT NULL, revoked INTEGER NOT NULL DEFAULT 0)"
         )
-        for descriptor in (stale, fresh):
-            conn.execute(
-                "INSERT INTO descriptors VALUES (?, ?, ?, ?, ?)",
-                (
-                    descriptor.cookie_id - 2**63,
-                    descriptor.key.hex(),
-                    json.dumps(descriptor.service_data),
-                    json.dumps(descriptor.attributes.to_json()),
-                    0,
-                ),
-            )
         conn.commit()
         conn.close()
-
-        store = SQLiteDescriptorStore(path)
-        columns = {
-            row[1]
-            for row in store._conn.execute("PRAGMA table_info(descriptors)")
-        }
-        assert "expires_at" in columns
-        assert store.purge_expired(now=100.0) == 1
-        assert store.get(stale.cookie_id) is None
-        assert store.get(fresh.cookie_id) is not None
-        store.close()
+        with pytest.raises(sqlite3.OperationalError, match="expires_at"):
+            SQLiteDescriptorStore(path)

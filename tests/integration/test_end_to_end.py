@@ -19,7 +19,7 @@ from repro.netsim.packet import make_tcp_packet
 from repro.netsim.topology import HomeNetwork, HomeNetworkConfig
 from repro.netsim.tcpmodel import TcpTransfer
 from repro.services.boost import BOOST_SERVICE, BoostAgent, BoostDaemon, make_boost_server
-from repro.services.zerorate import AccountingLedger, ZeroRatingMiddlebox
+from repro.services.zerorate import ZeroRatingMiddlebox
 from repro.web.browser import Browser
 from repro.web.sites import build_cnn
 
@@ -112,8 +112,6 @@ class TestZeroRatingEndToEnd:
 
         counters = middlebox.counters_for("10.0.0.5")
         assert counters.free_bytes > 0 and counters.charged_bytes > 0
-        invoice = AccountingLedger().invoice("10.0.0.5", counters)
-        assert invoice.free_bytes == counters.free_bytes
         # Auditability: the regulator sees who got the descriptor.
         report = server.audit_log.regulator_report()
         assert "sub-1" in report["services"]["zero-rate-music"]["grantees"]

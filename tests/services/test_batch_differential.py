@@ -9,9 +9,9 @@ their metadata, per-IP byte counters, flow-table state and LRU order,
 eviction/resolution counters, and telemetry snapshots.  Hypothesis
 drives adversarial traffic: interleaved flows with valid, malformed, and
 absent cookies, mixed free/charged subscribers, tiny state caps, and
-idle gaps between bursts — and, for the middlebox, cookies in every
-*birth* (:data:`BIRTHS`): parsed off a text or binary carrier, or handed
-over as the minted object.  ``TestBillingDifferential`` repeats the
+idle gaps between bursts — and, for the middlebox, cookies in either
+wire *birth* (:data:`BIRTHS`): parsed off a text or a binary carrier.
+``TestBillingDifferential`` repeats the
 exercise with a ``billing=`` accountant, down to the journal's bytes.
 """
 
@@ -34,7 +34,7 @@ from repro.core.attributes import CookieAttributes
 from repro.core.cookie import Cookie
 from repro.core.offload import HardwarePrefilter
 from repro.core.switch import CookieSwitch
-from repro.core.transport import CookieCarrier, default_registry
+from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet
@@ -51,9 +51,8 @@ from repro.telemetry import MetricsRegistry
 COOKIE_KINDS = ("valid", "bad_sig", "none")
 
 #: How the cookie reaches the verifier: undecoded off the TLS extension's
-#: base64 text or the TCP option's 48 bytes, or as the object the sender
-#: minted (serialised once, or never) through :class:`_ObjectCarrier`.
-BIRTHS = ("from_text", "from_bytes", "minted", "serialised")
+#: base64 text or the TCP option's 48 bytes.
+BIRTHS = ("from_text", "from_bytes")
 SUBSCRIBERS = ("10.0.0.1", "10.0.0.2", "10.0.1.9")
 
 
@@ -69,28 +68,6 @@ def _store():
     store = DescriptorStore()
     descriptor = store.add(CookieDescriptor.create(service_data="zero-rate"))
     return store, descriptor
-
-
-class _ObjectCarrier(CookieCarrier):
-    """Hands the verifier the sender's own ``Cookie`` object: a cookie
-    that never crossed a wire (a co-located agent, a test harness)."""
-
-    name = "object"
-
-    def can_carry(self, packet):
-        return True
-
-    def attach(self, packet, cookie):
-        packet.meta["cookie"] = cookie
-
-    def extract(self, packet):
-        return packet.meta.get("cookie")
-
-
-def _registry():
-    registry = default_registry()
-    registry.register(_ObjectCarrier())
-    return registry
 
 
 def _flow_packets(
@@ -113,12 +90,8 @@ def _flow_packets(
                 signature=bytes([cookie.signature[0] ^ 0xFF])
                 + cookie.signature[1:],
             )
-        if birth == "serialised":
-            cookie.to_bytes()
-        allowed = {"from_text": ("tls",), "from_bytes": ("tcp",)}.get(
-            birth, ("object",)
-        )
-        _registry().attach(first, cookie, allowed=allowed)
+        allowed = {"from_text": ("tls",), "from_bytes": ("tcp",)}[birth]
+        default_registry().attach(first, cookie, allowed=allowed)
     packets = [first]
     for _ in range(count - 1):
         packets.append(
@@ -199,7 +172,7 @@ def _twin_middleboxes(store, **kwargs):
     for _ in range(2):
         clock = kwargs.pop("clock", None) or Clock()
         middlebox = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock, registry=_registry(), **kwargs
+            CookieMatcher(store), clock=clock, **kwargs
         )
         sink = Sink()
         middlebox >> sink
@@ -271,14 +244,14 @@ class TestMiddleboxDifferential:
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_evicted, batched_evicted = [], []
         scalar = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock, registry=_registry(),
+            CookieMatcher(store), clock=clock,
             max_flows=2, max_subscribers=2,
             on_subscriber_evicted=lambda ip, counters: scalar_evicted.append(
                 (ip, counters.free_bytes, counters.charged_bytes)
             ),
         )
         batched = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock, registry=_registry(),
+            CookieMatcher(store), clock=clock,
             max_flows=2, max_subscribers=2,
             on_subscriber_evicted=lambda ip, counters: batched_evicted.append(
                 (ip, counters.free_bytes, counters.charged_bytes)
@@ -333,7 +306,7 @@ class TestMiddleboxDifferential:
         store, descriptor = _store()
         clock = Clock()
         plans = [
-            ("valid", 4, "minted"),
+            ("valid", 4, "from_text"),
             ("none", 4, "from_text"),
             ("bad_sig", 4, "from_bytes"),
         ]
@@ -341,13 +314,13 @@ class TestMiddleboxDifferential:
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_log, batched_log = [], []
         scalar = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock, registry=_registry(),
+            CookieMatcher(store), clock=clock,
             on_flow_resolved=lambda key, state: scalar_log.append(
                 (key, state.zero_rated)
             ),
         )
         batched = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock, registry=_registry(),
+            CookieMatcher(store), clock=clock,
             on_flow_resolved=lambda key, state: batched_log.append(
                 (key, state.zero_rated)
             ),

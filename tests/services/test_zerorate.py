@@ -6,12 +6,18 @@ from repro.core import CookieDescriptor, CookieGenerator, CookieMatcher, Descrip
 from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.packet import make_tcp_packet
+from repro.services.billing import (
+    BillingAccountant,
+    BillingJournal,
+    build_invoices,
+)
 from repro.services.zerorate import (
-    AccountingLedger,
-    BillingPlan,
-    SubscriberCounters,
+    AppCoverage,
+    CatalogSet,
+    OperatorCatalog,
     ZeroRatingMiddlebox,
 )
+from repro.services.zerorate.catalog import GB
 
 
 class Clock:
@@ -163,57 +169,130 @@ class TestCounting:
 
 
 class TestAccounting:
-    def _counters(self, free=0, charged=0):
-        return SubscriberCounters(free_bytes=free, charged_bytes=charged)
+    """A carrier's plan is one operator catalog: the middlebox bills
+    through a :class:`BillingAccountant` and the invoice is what its
+    journal holds."""
 
-    def test_invoice_under_cap(self):
-        ledger = AccountingLedger(BillingPlan(monthly_cap_bytes=10**9))
-        invoice = ledger.invoice("10.0.0.1", self._counters(charged=5 * 10**8))
-        assert invoice.overage == 0
-        assert invoice.total == invoice.base_price
+    SERVER = "93.184.216.34"
 
-    def test_invoice_overage(self):
-        plan = BillingPlan(monthly_cap_bytes=10**9, overage_per_gb=10.0)
-        ledger = AccountingLedger(plan)
-        invoice = ledger.invoice("10.0.0.1", self._counters(charged=3 * 10**9))
-        assert invoice.overage == pytest.approx(20.0)
+    def _catalog(self, operator="carrier", **plan):
+        origin = AppCoverage("zero-rate", origin_ips=frozenset({self.SERVER}))
+        return OperatorCatalog(operator, apps=(origin,), **plan)
 
-    def test_zero_rated_bytes_never_hit_cap(self):
-        ledger = AccountingLedger(BillingPlan(monthly_cap_bytes=10**9))
-        counters = self._counters(free=5 * 10**9, charged=10**8)
-        assert not ledger.over_cap("10.0.0.1", counters)
-        invoice = ledger.invoice("10.0.0.1", counters)
-        assert invoice.overage == 0
-        assert invoice.free_bytes == 5 * 10**9
+    @staticmethod
+    def _sizes(flows=((5000, True),)):
+        """Wire lengths of ``flows``' packets, five per flow."""
+        clock, _, descriptor, _ = _env()
+        return [
+            packet.wire_length
+            for sport, cookied in flows
+            for packet in _flow_packets(descriptor, clock, sport, cookied=cookied)
+        ]
 
-    def test_per_subscriber_plans(self):
-        ledger = AccountingLedger()
-        premium = BillingPlan(name="premium", monthly_cap_bytes=10**12)
-        ledger.enroll("10.0.0.9", premium)
-        assert ledger.plan_of("10.0.0.9") is premium
-        assert ledger.plan_of("10.0.0.1") is ledger.default_plan
+    def _bill(self, tmp_path, catalogs, flows=((5000, True),)):
+        """``flows`` through a billing middlebox; returns it, its
+        accountant and the journal's invoices."""
+        clock, store, descriptor, _ = _env()
+        accountant = BillingAccountant(
+            catalogs, BillingJournal(str(tmp_path), fsync="never")
+        )
+        middlebox = ZeroRatingMiddlebox(
+            CookieMatcher(store), clock=clock, billing=accountant
+        )
+        for sport, cookied in flows:
+            for packet in _flow_packets(descriptor, clock, sport, cookied=cookied):
+                middlebox.handle(packet)
+        accountant.flush_all()
+        rates = {
+            name: catalog.charged_rate_per_gb
+            for name, catalog in catalogs.catalogs.items()
+        }
+        invoices = build_invoices(accountant.journal.records(), rates=rates)
+        accountant.journal.close()
+        return middlebox, accountant, invoices
 
-    def test_invoice_all_from_middlebox(self):
-        clock, _store, descriptor, middlebox = _env()
-        for packet in _flow_packets(descriptor, clock):
-            middlebox.handle(packet)
-        ledger = AccountingLedger()
-        invoices = ledger.invoice_all(middlebox)
-        assert len(invoices) == 1
-        assert invoices[0].subscriber == "10.0.0.1"
+    def _carrier(self, **plan):
+        return CatalogSet([self._catalog(**plan)], default_operator="carrier")
 
-    def test_savings_report(self):
-        clock, _store, descriptor, middlebox = _env()
-        for packet in _flow_packets(descriptor, clock):
-            middlebox.handle(packet)
-        report = AccountingLedger().savings_report(middlebox)
-        assert report["10.0.0.1"] == 1.0
+    def test_invoice_under_cap(self, tmp_path):
+        _, _, invoices = self._bill(tmp_path, self._carrier(cap_bytes=10**9))
+        invoice = invoices["carrier"]
+        assert invoice.free_bytes == sum(self._sizes())
+        assert invoice.charged_bytes == 0 and invoice.amount_due == 0
 
-    def test_cap_used_fraction(self):
-        plan = BillingPlan(monthly_cap_bytes=10**9)
-        ledger = AccountingLedger(plan)
-        invoice = ledger.invoice("x", self._counters(charged=5 * 10**8))
-        assert invoice.cap_used_fraction == pytest.approx(0.5)
+    def test_invoice_overage(self, tmp_path):
+        """Past the cap the same bytes are charged, at the plan's rate."""
+        sizes = self._sizes()
+        cap = sum(sizes[:2])
+        _, _, invoices = self._bill(
+            tmp_path, self._carrier(cap_bytes=cap, charged_rate_per_gb=25.0)
+        )
+        invoice = invoices["carrier"]
+        assert invoice.free_bytes == cap
+        assert invoice.charged_bytes == sum(sizes[2:])
+        assert invoice.amount_due == pytest.approx(sum(sizes[2:]) / GB * 25.0)
+        (line,) = [
+            line for line in invoice.statements["10.0.0.1"].sorted_lines()
+            if not line.free
+        ]
+        assert line.byte_class == "cap_exhausted"
+
+    def test_zero_rated_bytes_never_hit_cap(self, tmp_path):
+        """Bytes that ride free are never billed, however many: an
+        uncapped catalog does not run out, and charged traffic does not
+        eat into a capped one."""
+        flows = ((5001, False), (5000, True))
+        sizes = self._sizes(flows)
+        for name, cap in (("uncapped", None), ("capped", sum(sizes[5:]))):
+            _, accountant, invoices = self._bill(
+                tmp_path / name, self._carrier(cap_bytes=cap), flows
+            )
+            assert invoices["carrier"].free_bytes == sum(sizes[5:])
+            assert invoices["carrier"].charged_bytes == sum(sizes[:5])
+            assert accountant.cap_used("10.0.0.1") == sum(sizes[5:])
+
+    def test_per_subscriber_plans(self, tmp_path):
+        catalogs = CatalogSet(
+            [
+                self._catalog("standard", cap_bytes=0),
+                self._catalog("premium", cap_bytes=10**12),
+            ],
+            default_operator="standard",
+        )
+        assert catalogs.operator_of("10.0.0.1") == "standard"
+        _, _, invoices = self._bill(tmp_path / "standard", catalogs)
+        assert invoices["standard"].charged_bytes == sum(self._sizes())
+        catalogs.assign("10.0.0.1", "premium")
+        _, _, invoices = self._bill(tmp_path / "premium", catalogs)
+        assert invoices["premium"].free_bytes == sum(self._sizes())
+
+    def test_invoice_all_from_middlebox(self, tmp_path):
+        """Invoiced == delivered: the statements are the middlebox's
+        counters, subscriber by subscriber."""
+        middlebox, _, invoices = self._bill(
+            tmp_path, self._carrier(), flows=((5000, True), (5001, False))
+        )
+        (invoice,) = invoices.values()
+        assert {
+            ip: (statement.free_bytes, statement.charged_bytes)
+            for ip, statement in invoice.statements.items()
+        } == {
+            ip: (counters.free_bytes, counters.charged_bytes)
+            for ip, counters in middlebox.counters.items()
+        }
+        assert list(invoice.statements) == ["10.0.0.1"]
+
+    def test_savings_report(self, tmp_path):
+        """Per-subscriber fraction of traffic that rode for free."""
+        middlebox, _, invoices = self._bill(tmp_path, self._carrier())
+        assert middlebox.counters_for("10.0.0.1").free_fraction == 1.0
+        invoice = invoices["carrier"]
+        assert invoice.free_bytes == invoice.total_bytes
+
+    def test_cap_used_fraction(self, tmp_path):
+        cap = 2 * sum(self._sizes())
+        _, accountant, _ = self._bill(tmp_path, self._carrier(cap_bytes=cap))
+        assert accountant.cap_used("10.0.0.1") / cap == pytest.approx(0.5)
 
 
 class TestFlowResolution:

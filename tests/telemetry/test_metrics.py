@@ -3,8 +3,6 @@
 import pytest
 
 from repro.telemetry import (
-    Counter,
-    Gauge,
     Histogram,
     HistogramData,
     MetricsRegistry,
@@ -13,23 +11,6 @@ from repro.telemetry import (
 
 
 class TestInstruments:
-    def test_counter_increments(self):
-        counter = Counter("x")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12
-
     def test_histogram_buckets_and_sum(self):
         histogram = Histogram("h", buckets=(1, 10, 100))
         for value in (0.5, 5, 50, 5000):
@@ -128,33 +109,32 @@ class TestSnapshotExport:
 class TestRegistry:
     def test_instruments_idempotent(self):
         registry = MetricsRegistry()
-        assert registry.counter("c") is registry.counter("c")
-        assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
-
-    def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.histogram("")
 
     def test_polled_gauge_reads_at_snapshot_time(self):
+        """A collector is evaluated by ``snapshot()``, not at
+        registration: the level is always current."""
         registry = MetricsRegistry()
         table = {}
-        registry.gauge("flows", fn=lambda: len(table))
+        registry.register_collector(
+            "table", lambda: TelemetrySnapshot(gauges={"flows": len(table)})
+        )
         table["a"] = 1
         table["b"] = 2
         assert registry.snapshot().gauges["flows"] == 2
 
     def test_collector_merged_into_snapshot(self):
         registry = MetricsRegistry()
-        registry.counter("own").inc(1)
+        registry.histogram("own", buckets=(1, 2)).observe(1)
         registry.register_collector(
             "component",
             lambda: TelemetrySnapshot(counters={"component.hits": 9}),
         )
         snapshot = registry.snapshot()
-        assert snapshot.counters == {"own": 1, "component.hits": 9}
+        assert snapshot.counters == {"component.hits": 9}
+        assert snapshot.histograms["own"].count == 1
 
     def test_collector_replacement_is_idempotent(self):
         registry = MetricsRegistry()
