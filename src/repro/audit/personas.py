@@ -281,10 +281,8 @@ class _StaleReplicaStore:
             return None
         cached = self._replica.get(cookie_id)
         if cached is None:
-            data = live.to_json()
-            data["revoked"] = False
-            cached = CookieDescriptor.from_json(data)
-            self._replica[cookie_id] = cached
+            cached = self._replica[cookie_id] = live.clone()
+            cached.revoked = False
         return cached
 
     def add(self, descriptor: CookieDescriptor) -> CookieDescriptor:

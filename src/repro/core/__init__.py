@@ -13,8 +13,6 @@ via :class:`CookieMatcher` and binds flows to services.
 """
 
 from .attributes import CookieAttributes, Granularity
-# The audit log lives in repro.audit.log since the module grew into the
-# adversarial-auditor package; ``.audit`` is kept as a compat re-export.
 from ..audit.log import AuditEvent, AuditLog, AuditRecord
 from .client import AgentStats, UserAgent
 from .cookie import (

@@ -28,15 +28,21 @@ transports:
 expires_at:
     Absolute expiry (seconds, simulation clock or epoch).  ``None`` means no
     expiry.  Expiry both revokes a service and bounds descriptor leakage.
+
+A block is written once, at the grant: it is a tuple, so assigning a
+field raises, and ``extra`` is a read-only mapping (depth-one: a value
+nested inside it is the caller's to leave alone).  Every holder of the
+descriptor can therefore point at the *same* block (PROTOCOL.md §1.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
-__all__ = ["Granularity", "CookieAttributes"]
+__all__ = ["Granularity", "CookieAttributes", "DEFAULT_ATTRIBUTES"]
 
 
 class Granularity(str, Enum):
@@ -48,50 +54,74 @@ class Granularity(str, Enum):
 
 _DEFAULT_FLOW_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port", "proto")
 _DEFAULT_TRANSPORTS = ("http", "tls", "ipv6", "tcp", "udp")
+#: The ``extra`` of every block built without one.
+_NO_EXTRA: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass
-class CookieAttributes:
-    """Structured attribute block attached to a cookie descriptor."""
+class CookieAttributes(
+    namedtuple(
+        "_Block",  # in the order of __new__'s parameters and to_json's keys
+        "granularity flow_fields apply_reverse shared ack_cookie"
+        " delivery_guarantee transports expires_at extra",
+    )
+):
+    """Immutable attribute block attached to a cookie descriptor."""
 
-    granularity: Granularity = Granularity.FLOW
-    flow_fields: tuple[str, ...] = _DEFAULT_FLOW_FIELDS
-    apply_reverse: bool = True
-    shared: bool = False
-    ack_cookie: bool = False
-    delivery_guarantee: bool = False
-    transports: tuple[str, ...] = _DEFAULT_TRANSPORTS
-    expires_at: float | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.granularity, str) and not isinstance(
-            self.granularity, Granularity
-        ):
-            self.granularity = Granularity(self.granularity)
-        self.flow_fields = tuple(self.flow_fields)
-        self.transports = tuple(self.transports)
+    # A tuple rather than a frozen dataclass: one block is built per
+    # grant, and nine ``object.__setattr__`` calls cost four times what
+    # one ``tuple.__new__`` does.
+    def __new__(
+        cls,
+        granularity: Granularity | str = Granularity.FLOW,
+        flow_fields: tuple[str, ...] = _DEFAULT_FLOW_FIELDS,
+        apply_reverse: bool = True,
+        shared: bool = False,
+        ack_cookie: bool = False,
+        delivery_guarantee: bool = False,
+        transports: tuple[str, ...] = _DEFAULT_TRANSPORTS,
+        expires_at: float | None = None,
+        extra: Mapping[str, Any] | None = None,
+    ) -> "CookieAttributes":
+        if granularity.__class__ is not Granularity:  # the lookup is slow
+            granularity = Granularity(granularity)
+        # ``extra`` is a private copy behind a read-only view: the
+        # caller's dict is no way to write to the block afterwards.
+        extra = MappingProxyType(dict(extra)) if extra else _NO_EXTRA
+        return tuple.__new__(
+            cls,
+            (granularity, tuple(flow_fields), apply_reverse, shared, ack_cookie,
+             delivery_guarantee, tuple(transports), expires_at, extra),
+        )
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and deepcopy rebuild a block through __new__; the
+        # read-only view cannot be pickled, a copy of its dict can.
+        return (*self[:-1], self.extra.copy())
 
     def is_expired(self, now: float) -> bool:
         """True when the descriptor has passed its expiration attribute."""
-        return self.expires_at is not None and now > self.expires_at
+        expires_at = self.expires_at
+        return expires_at is not None and now > expires_at
 
     def allows_transport(self, transport_name: str) -> bool:
         """Whether cookies may ride over the named carrier."""
         return transport_name in self.transports
 
     @property
-    def constraints(self) -> dict[str, Any]:
+    def constraints(self) -> Mapping[str, Any]:
         """Context constraints from the unformatted attribute block.
 
         The paper's examples: "a cookie might only be valid when the user
         is connected to a specific WiFi network, or in a specific
         geographic area, or in a specific network domain".  Constraints
         live under ``extra['constraints']`` as key/value pairs matched
-        against the verifying switch's context.
+        against the verifying switch's context; what is handed out is a
+        read-only view of them.
         """
-        value = self.extra.get("constraints", {})
-        return dict(value) if isinstance(value, dict) else {}
+        value = self.extra.get("constraints")
+        return MappingProxyType(value) if isinstance(value, dict) else _NO_EXTRA
 
     def matches_context(self, context: dict[str, Any]) -> bool:
         """True when every constraint equals the context's value for it.
@@ -105,25 +135,6 @@ class CookieAttributes:
             for key, expected in self.constraints.items()
         )
 
-    def clone(self) -> "CookieAttributes":
-        """A private copy with its own ``extra`` dict; every other field
-        is immutable and was normalized when the source was built, so
-        nothing is re-validated."""
-        # Field by field: going through ``__dict__`` would make CPython
-        # build a real dict for both instances (slower, and more memory
-        # for every descriptor a log or replica holds).
-        copy = object.__new__(CookieAttributes)
-        copy.granularity = self.granularity
-        copy.flow_fields = self.flow_fields
-        copy.apply_reverse = self.apply_reverse
-        copy.shared = self.shared
-        copy.ack_cookie = self.ack_cookie
-        copy.delivery_guarantee = self.delivery_guarantee
-        copy.transports = self.transports
-        copy.expires_at = self.expires_at
-        copy.extra = dict(self.extra)
-        return copy
-
     def to_json(self) -> dict[str, Any]:
         """Serialize for the descriptor-acquisition JSON API."""
         return {
@@ -135,7 +146,7 @@ class CookieAttributes:
             "delivery_guarantee": self.delivery_guarantee,
             "transports": list(self.transports),
             "expires_at": self.expires_at,
-            "extra": dict(self.extra),
+            "extra": self.extra.copy(),  # the view's dict's: a plain dict
         }
 
     @classmethod
@@ -146,13 +157,13 @@ class CookieAttributes:
             if key not in _KNOWN_KEYS:
                 extra[key] = value
         return cls(
-            granularity=Granularity(data.get("granularity", "flow")),
-            flow_fields=tuple(data.get("flow_fields", _DEFAULT_FLOW_FIELDS)),
+            granularity=data.get("granularity", "flow"),
+            flow_fields=data.get("flow_fields", _DEFAULT_FLOW_FIELDS),
             apply_reverse=bool(data.get("apply_reverse", True)),
             shared=bool(data.get("shared", False)),
             ack_cookie=bool(data.get("ack_cookie", False)),
             delivery_guarantee=bool(data.get("delivery_guarantee", False)),
-            transports=tuple(data.get("transports", _DEFAULT_TRANSPORTS)),
+            transports=data.get("transports", _DEFAULT_TRANSPORTS),
             expires_at=data.get("expires_at"),
             extra=extra,
         )
@@ -160,4 +171,7 @@ class CookieAttributes:
 
 #: The keys ``to_json`` writes (one per field); anything else in a parsed
 #: block lands in ``extra``.
-_KNOWN_KEYS = frozenset(CookieAttributes.__dataclass_fields__)
+_KNOWN_KEYS = frozenset(CookieAttributes._fields)
+
+#: The block of every descriptor granted without one.
+DEFAULT_ATTRIBUTES = CookieAttributes()

@@ -1,11 +1,12 @@
 """Append-only descriptor delta log + snapshots (PROTOCOL.md §14.2).
 
-This generalizes the PR-3 delta-push wire format (the ``add`` / ``revoke``
-/ ``remove`` JSON ops :class:`~repro.core.parallel.ProcessShardExecutor`
-pushes to its worker replicas) into a durable, offset-addressed log.  Each
-control-plane shard appends one :class:`DeltaRecord` per successful
-mutation; verifier replicas consume the log to converge on the shard's
-store state.
+``add`` / ``revoke`` / ``remove`` is the write vocabulary of every
+descriptor store and :func:`apply_record` the one place it is
+interpreted: replicas replay a shard's log through it, the workers of a
+:class:`~repro.core.parallel.ProcessShardExecutor` the frames their
+dispatcher pushes.  Each shard appends one :class:`DeltaRecord` per
+successful mutation; record, snapshot and replaying store each hold a
+descriptor shell of their own around the issuer's attribute block.
 
 The two invariants everything else leans on, property-tested in
 ``tests/core/test_deltalog.py``:
@@ -39,7 +40,7 @@ __all__ = [
     "replay",
 ]
 
-#: Ops a record may carry — the same vocabulary as the PR-3 delta push.
+#: Ops a record may carry.
 DELTA_OPS = ("add", "revoke", "remove")
 
 
@@ -53,9 +54,9 @@ def _as_json(payload: CookieDescriptor | dict[str, Any]) -> dict[str, Any]:
 
 
 def _materialize(payload: CookieDescriptor | dict[str, Any]) -> CookieDescriptor:
-    """A fresh descriptor no other holder references, from either form:
+    """A descriptor shell no other holder references, from either form:
     a clone of an object, a parse of JSON (never cached — the next
-    store needs an object of its own anyway)."""
+    store needs a shell of its own anyway)."""
     if isinstance(payload, CookieDescriptor):
         return payload.clone()
     return CookieDescriptor.from_json(payload)
@@ -87,9 +88,9 @@ class DeltaRecord:
         return None if self.payload is None else _as_json(self.payload)
 
     def materialize(self) -> CookieDescriptor:
-        """The ``add`` record's descriptor as a fresh object for one
-        store: as issued (unrevoked unless issued so), sharing no
-        mutable part with the record or any earlier materialization."""
+        """The ``add`` record's descriptor as a fresh shell for one
+        store: as issued (unrevoked unless issued so), its ``revoked``
+        flag shared with no other materialization."""
         if self.payload is None:
             raise ValueError(f"{self.op!r} records carry no descriptor")
         return _materialize(self.payload)
@@ -214,7 +215,7 @@ class StoreSnapshot:
 
     ``offset`` is the log's ``next_offset`` at capture time: replaying
     records from ``offset`` onward lands exactly on the live state.
-    ``descriptors`` holds private clones when taken in-process and JSON
+    ``descriptors`` holds clones when taken in-process and JSON
     documents when parsed off the wire; :meth:`cookie_ids`,
     :meth:`materialize` and :meth:`to_json` read either form.
     """
@@ -233,7 +234,7 @@ class StoreSnapshot:
         }
 
     def materialize(self) -> list[CookieDescriptor]:
-        """Fresh objects for one store (see :meth:`DeltaRecord.materialize`)."""
+        """Fresh shells for one store (see :meth:`DeltaRecord.materialize`)."""
         return [_materialize(d) for d in self.descriptors]
 
     def install(self, store: Any) -> int:
@@ -260,8 +261,8 @@ class StoreSnapshot:
 
 
 def apply_record(store: Any, record: DeltaRecord) -> None:
-    """Apply one record to a descriptor store; an ``add`` puts in
-    ``record.materialize()``, an object only this store holds.
+    """Apply one record to anything written like a descriptor store;
+    an ``add`` puts in ``record.materialize()``, a shell only it holds.
 
     Tolerant of redelivery on its own (``revoke``/``remove`` of a missing
     id are no-ops) but NOT of reordering — use :func:`replay` with an

@@ -239,7 +239,7 @@ class ShardedControlPlane:
         preferences: dict[str, Any] | None = None,
     ) -> CookieDescriptor:
         """Single-descriptor acquisition, CookieServer-compatible.  The
-        descriptor returned is a clone: the caller's to keep or mutate."""
+        descriptor returned is a clone: its ``revoked`` flag is the caller's."""
         (descriptor,), (error,) = self._grant(
             [(user, service, credentials, preferences)], self.clock()
         )

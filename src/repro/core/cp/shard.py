@@ -117,7 +117,7 @@ class ControlPlaneShard:
         """Acquire for ``(user, service, cookie_id[, credentials,
         preferences])`` tuples; parallel lists of descriptors (None when
         denied) and denial reasons (None when granted).  The descriptors
-        are the store's own objects: a caller that hands one out clones
+        are the store's own shells: a caller that hands one out clones
         or renders it first."""
         descriptors: list[CookieDescriptor | None] = []
         errors: list[str | None] = []

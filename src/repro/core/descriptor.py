@@ -10,10 +10,10 @@ many single-use cookies.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from .attributes import CookieAttributes
+from .attributes import DEFAULT_ATTRIBUTES, CookieAttributes
 
 __all__ = ["CookieDescriptor", "COOKIE_ID_BITS", "DEFAULT_KEY_BYTES"]
 
@@ -22,7 +22,7 @@ _COOKIE_ID_MAX = 2**COOKIE_ID_BITS - 1
 DEFAULT_KEY_BYTES = 32
 
 
-@dataclass
+@dataclass(slots=True)
 class CookieDescriptor:
     """The shared state between a cookie issuer and its verifiers.
 
@@ -30,12 +30,15 @@ class CookieDescriptor:
     lookup key; ``key`` signs cookies; ``service_data`` identifies the
     network service to apply (a plain name like ``"Boost"`` or any richer
     structure); ``attributes`` qualify when and how cookies may be used.
+
+    Only ``revoked`` ever changes after the grant, and each holder
+    (store, log record, replica, user) flips its own: :meth:`clone`.
     """
 
     cookie_id: int
     key: bytes
     service_data: Any = ""
-    attributes: CookieAttributes = field(default_factory=CookieAttributes)
+    attributes: CookieAttributes = DEFAULT_ATTRIBUTES
     revoked: bool = False
 
     def __post_init__(self) -> None:
@@ -60,7 +63,7 @@ class CookieDescriptor:
             cookie_id=secrets.randbits(COOKIE_ID_BITS),
             key=secrets.token_bytes(key_bytes),
             service_data=service_data,
-            attributes=attributes or CookieAttributes(),
+            attributes=attributes or DEFAULT_ATTRIBUTES,
         )
 
     def revoke(self) -> None:
@@ -78,15 +81,14 @@ class CookieDescriptor:
         return not self.revoked and not self.attributes.is_expired(now)
 
     def clone(self) -> "CookieDescriptor":
-        """A private copy: own ``revoked`` flag and attribute block, no
-        re-validation.  What ``from_json(to_json())`` gives a second
-        store in the same process, without the JSON in between."""
-        # Field by field, for the reason CookieAttributes.clone gives.
+        """A shell for another holder: own ``revoked`` flag, the *same*
+        attribute block (immutable, so safe to share), no
+        re-validation."""
         copy = object.__new__(CookieDescriptor)
         copy.cookie_id = self.cookie_id
         copy.key = self.key
         copy.service_data = self.service_data
-        copy.attributes = self.attributes.clone()
+        copy.attributes = self.attributes
         copy.revoked = self.revoked
         return copy
 

@@ -59,6 +59,7 @@ from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .cookie import COOKIE_WIRE_BYTES, Cookie
+from .cp.deltalog import DeltaRecord, apply_record
 from .descriptor import CookieDescriptor
 from .distributed import PoolStats, rendezvous_shard
 from .errors import MalformedCookie
@@ -202,7 +203,7 @@ def decode_verdicts(blob: bytes) -> list[tuple[int, int]]:
 
 # One-byte opcodes; every frame starts with one.
 _OP_BATCH = b"B"  # + !d now + batch frame        -> verdict frame
-_OP_DELTA = b"D"  # + JSON delta ops              -> b"\x01" ack
+_OP_DELTA = b"D"  # + JSON list of delta records  -> b"\x01" ack
 _OP_STATS = b"S"  #                               -> JSON replay-cache stats
 _OP_QUIT = b"Q"   #                               -> b"\x01" ack, exit
 
@@ -263,7 +264,8 @@ def _worker_main(
     """Verifier shard loop: one matcher over a replica store.
 
     The replica is seeded from JSON at start (control plane — the hot
-    path never serializes descriptors) and updated by delta frames.
+    path never serializes descriptors) and updated by delta frames,
+    lists of :class:`DeltaRecord` documents applied as any replica does.
     Batch frames arrive on the request ring when the shard has one
     (``rings`` under fork, ``ring_names`` under spawn) and their verdict
     frames return on the response ring; the pipe carries control ops and
@@ -326,18 +328,11 @@ def _worker_main(
                 else:
                     conn.send_bytes(reply)
             elif op == _OP_DELTA:
-                for delta in json.loads(frame[1:].decode("utf-8")):
-                    action = delta["op"]
-                    if action == "add":
-                        store.add(
-                            CookieDescriptor.from_json(delta["descriptor"])
-                        )
-                    elif action == "revoke":
-                        store.revoke(int(delta["cookie_id"]))
-                    elif action == "remove":
-                        store.remove(int(delta["cookie_id"]))
-                    else:
-                        raise MalformedCookie(f"unknown delta op {action!r}")
+                try:
+                    for delta in json.loads(frame[1:].decode("utf-8")):
+                        apply_record(store, DeltaRecord.from_json(delta))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise MalformedCookie(f"bad delta frame: {exc}") from exc
                 conn.send_bytes(b"\x01")
             elif op == _OP_STATS:
                 conn.send_bytes(
@@ -432,11 +427,13 @@ class ProcessShardExecutor:
     control channel.
 
     Descriptors: the executor snapshots ``store`` into each worker at
-    spawn and replays control-plane changes via :meth:`add_descriptor` /
-    :meth:`revoke_descriptor` / :meth:`remove_descriptor` (delta push to
-    all workers, so revocation takes effect pool-wide).  Mutating the
-    store behind the executor's back leaves worker replicas stale —
-    route descriptor changes through the executor.
+    spawn and from then on is written like it: :meth:`add` /
+    :meth:`revoke` / :meth:`remove` apply to ``store`` and push the
+    change to every worker before returning (so revocation takes effect
+    pool-wide); reads go to ``store``.  Mutating ``store`` behind the
+    executor's back leaves worker replicas stale — attach the executor
+    where you would attach its store (``attach_enforcement_store(pool)``,
+    ``VerifierReplica(store=pool)``, ``replay(pool, records)``).
 
     Crash handling is a ladder (PROTOCOL.md §11): a dead worker is
     detected at the next dispatch, delta, :meth:`ensure_healthy` or
@@ -1041,10 +1038,16 @@ class ProcessShardExecutor:
         return results
 
     # ------------------------------------------------------------------
-    # Descriptor deltas (control plane)
+    # Written and read like a descriptor store
     # ------------------------------------------------------------------
-    def _push_delta(self, ops: list[dict]) -> None:
-        frame = _OP_DELTA + json.dumps(ops).encode("utf-8")
+    def _push(
+        self, op: str, cookie_id: int, descriptor: CookieDescriptor | None = None
+    ) -> None:
+        """One delta record to every worker, acked by each.  ``offset``
+        and ``time`` are 0: nothing on this hop replays by offset, a
+        worker that misses a frame is reseeded from the store."""
+        record = DeltaRecord(0, op, cookie_id, 0.0, descriptor)
+        frame = _OP_DELTA + json.dumps([record.to_json()]).encode("utf-8")
         for index in range(self._worker_count):
             if index in self._fallback_matchers:
                 # Fallback matchers read the dispatcher's store directly;
@@ -1062,26 +1065,38 @@ class ProcessShardExecutor:
                     f"shard {index} rejected descriptor delta"
                 )
 
-    def add_descriptor(self, descriptor: CookieDescriptor) -> CookieDescriptor:
+    def add(self, descriptor: CookieDescriptor) -> CookieDescriptor:
         """Insert/replace in the dispatcher store and every replica."""
         self._require_open()
         self.store.add(descriptor)
-        self._push_delta([{"op": "add", "descriptor": descriptor.to_json()}])
+        self._push("add", descriptor.cookie_id, descriptor)
         return descriptor
 
-    def revoke_descriptor(self, cookie_id: int) -> bool:
+    def revoke(self, cookie_id: int) -> bool:
         """Revoke pool-wide; False if the id is unknown locally."""
         self._require_open()
         known = self.store.revoke(cookie_id)
-        self._push_delta([{"op": "revoke", "cookie_id": cookie_id}])
+        self._push("revoke", cookie_id)
         return known
 
-    def remove_descriptor(self, cookie_id: int) -> CookieDescriptor | None:
+    def remove(self, cookie_id: int) -> CookieDescriptor | None:
         """Delete pool-wide (stronger than revocation)."""
         self._require_open()
         removed = self.store.remove(cookie_id)
-        self._push_delta([{"op": "remove", "cookie_id": cookie_id}])
+        self._push("remove", cookie_id)
         return removed
+
+    def get(self, cookie_id: int) -> CookieDescriptor | None:
+        return self.store.get(cookie_id)
+
+    def __iter__(self) -> Iterator[CookieDescriptor]:
+        return iter(self.store)
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+    def __contains__(self, cookie_id: int) -> bool:
+        return cookie_id in self.store
 
     # ------------------------------------------------------------------
     # Stats and telemetry

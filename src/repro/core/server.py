@@ -90,7 +90,9 @@ class CookieServer:
 
     def attach_enforcement_store(self, store: Any) -> None:
         """Register a descriptor store used by data-path verifiers; every
-        issued descriptor is mirrored into it so switches can match."""
+        issued descriptor is mirrored into it so switches can match.
+        A :class:`~repro.core.parallel.ProcessShardExecutor` is attached
+        the same way (it forwards ``add`` / ``revoke`` to its workers)."""
         self._enforcement_stores.append(store)
 
     # ------------------------------------------------------------------

@@ -81,6 +81,7 @@ class SwitchStats:
     flows_bound: int = 0
     packets_served: int = 0
     acks_attached: int = 0
+    verifier_failures: int = 0  # errors, not rejections: forwarded unserved
 
 
 class CookieSwitch(Element):
@@ -126,19 +127,13 @@ class CookieSwitch(Element):
         from ..telemetry import TelemetrySnapshot
 
         def collect() -> TelemetrySnapshot:
-            stats = self.stats
+            counters = {
+                f"{prefix}.{name}": count
+                for name, count in vars(self.stats).items()
+            }
+            counters[f"{prefix}.flows_evicted"] = self.flows.evicted_count
             return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.packets": stats.packets,
-                    f"{prefix}.packets_sniffed": stats.packets_sniffed,
-                    f"{prefix}.cookies_found": stats.cookies_found,
-                    f"{prefix}.cookies_accepted": stats.cookies_accepted,
-                    f"{prefix}.cookies_rejected": stats.cookies_rejected,
-                    f"{prefix}.flows_bound": stats.flows_bound,
-                    f"{prefix}.packets_served": stats.packets_served,
-                    f"{prefix}.acks_attached": stats.acks_attached,
-                    f"{prefix}.flows_evicted": self.flows.evicted_count,
-                },
+                counters=counters,
                 gauges={f"{prefix}.tracked_flows": len(self.flows)},
             )
 
@@ -204,7 +199,13 @@ class CookieSwitch(Element):
         descriptor = None
         for cookie, _transport in self.registry.extract_all(packet):
             self.stats.cookies_found += 1
-            candidate = self.matcher.match(cookie, now)
+            try:
+                candidate = self.matcher.match(cookie, now)
+            except Exception:
+                # Fail-safe, as on the zero-rating boxes: a verifier that
+                # blows up has not said yes — best effort, never dropped.
+                self.stats.verifier_failures += 1
+                candidate = None
             if candidate is None:
                 self.stats.cookies_rejected += 1
                 continue

@@ -321,7 +321,7 @@ def _revocation_drill(
 
     # Phase 1: revoke with everyone reachable (eager broadcast path).
     assert controlplane.revoke(target.cookie_id)
-    stale = CookieDescriptor.from_json(target.to_json())  # pre-revocation key
+    stale = target.clone()  # pre-revocation key
     enforced_after = [
         not middlebox_grants_free(mb, stale) for mb in middleboxes
     ]
@@ -340,7 +340,7 @@ def _revocation_drill(
     victim.heal()
     controlplane.sync_replicas()
     partition_lag = clock() - revoke_started
-    stale2 = CookieDescriptor.from_json(target2.to_json())
+    stale2 = target2.clone()
     caught_up = not middlebox_grants_free(middleboxes[1], stale2)
     victim_descriptor = victim.store.get(target2.cookie_id)
 

@@ -102,6 +102,8 @@ class AnyLinkProxy(Element):
         self._flow_packets: dict[object, int] = {}
         self.flows_bound = 0
         self.flows_evicted = 0
+        #: Verifier errors (not rejections): the packet passes unshaped.
+        self.verifier_failures = 0
         if telemetry is not None:
             self.register_telemetry(telemetry, prefix=telemetry_prefix)
 
@@ -124,6 +126,7 @@ class AnyLinkProxy(Element):
                 counters={
                     f"{prefix}.flows_bound": self.flows_bound,
                     f"{prefix}.flows_evicted": self.flows_evicted,
+                    f"{prefix}.verifier_failures": self.verifier_failures,
                 },
                 gauges=gauges,
             )
@@ -166,7 +169,11 @@ class AnyLinkProxy(Element):
         if profile_name is None and count <= self.sniff_packets:
             found = self.registry.extract(packet)
             if found is not None:
-                descriptor = self.matcher.match(found[0], self.loop.now)
+                try:
+                    descriptor = self.matcher.match(found[0], self.loop.now)
+                except Exception:
+                    self.verifier_failures += 1
+                    descriptor = None
                 if descriptor is not None and descriptor.service_data in self.profiles:
                     profile_name = str(descriptor.service_data)
                     self._flow_profiles[key] = profile_name

@@ -1,8 +1,14 @@
 """Cookie attribute tests."""
 
+import copy
+import json
+import pickle
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.attributes import CookieAttributes, Granularity
+from repro.core.descriptor import CookieDescriptor
 
 
 class TestDefaults:
@@ -83,3 +89,121 @@ class TestSerialization:
             expires_at=expires,
         )
         assert CookieAttributes.from_json(attrs.to_json()) == attrs
+
+
+_scalars = st.one_of(st.integers(-5, 5), st.text(max_size=4), st.booleans())
+_constraints = st.dictionaries(st.sampled_from(["ssid", "region", "domain"]), _scalars)
+_contexts = _constraints
+
+#: Constructor arguments, in the loose forms callers use (a string for
+#: the granularity, lists for the tuples, any mapping for ``extra``).
+block_kwargs = st.fixed_dictionaries(
+    {},
+    optional={
+        "granularity": st.sampled_from(["flow", "packet", *Granularity]),
+        "flow_fields": st.lists(st.sampled_from(["src_ip", "dst_ip", "proto"])),
+        "apply_reverse": st.booleans(),
+        "shared": st.booleans(),
+        "ack_cookie": st.booleans(),
+        "delivery_guarantee": st.booleans(),
+        "transports": st.lists(st.sampled_from(["http", "tls", "udp"])),
+        "expires_at": st.one_of(st.none(), st.floats(0, 1e9, allow_nan=False)),
+        "extra": st.fixed_dictionaries(
+            {},
+            optional={
+                "constraints": st.one_of(_constraints, _scalars),
+                "region": _scalars,
+            },
+        ),
+    },
+)
+
+
+class TestWrittenOnce:
+    """A block never changes after construction, so holders share it."""
+
+    #: ``to_json`` output at the commit before blocks became immutable:
+    #: defaults; every field set; unknown keys folded into ``extra``.
+    PINNED = (
+        (
+            CookieAttributes(),
+            '{"granularity": "flow", "flow_fields": ["src_ip", "src_port",'
+            ' "dst_ip", "dst_port", "proto"], "apply_reverse": true,'
+            ' "shared": false, "ack_cookie": false, "delivery_guarantee":'
+            ' false, "transports": ["http", "tls", "ipv6", "tcp", "udp"],'
+            ' "expires_at": null, "extra": {}}',
+        ),
+        (
+            CookieAttributes(
+                granularity="packet",
+                flow_fields=["src_ip", "dst_ip"],
+                apply_reverse=False,
+                shared=True,
+                ack_cookie=True,
+                delivery_guarantee=True,
+                transports=["tls"],
+                expires_at=1234.5,
+                extra={"region": "us-west", "constraints": {"ssid": "home"}},
+            ),
+            '{"granularity": "packet", "flow_fields": ["src_ip", "dst_ip"],'
+            ' "apply_reverse": false, "shared": true, "ack_cookie": true,'
+            ' "delivery_guarantee": true, "transports": ["tls"],'
+            ' "expires_at": 1234.5, "extra": {"region": "us-west",'
+            ' "constraints": {"ssid": "home"}}}',
+        ),
+        (
+            CookieAttributes.from_json(
+                {"mystery": 7, "extra": {"zeta": 1}, "shared": 1, "alpha": [1, 2]}
+            ),
+            '{"granularity": "flow", "flow_fields": ["src_ip", "src_port",'
+            ' "dst_ip", "dst_port", "proto"], "apply_reverse": true,'
+            ' "shared": true, "ack_cookie": false, "delivery_guarantee":'
+            ' false, "transports": ["http", "tls", "ipv6", "tcp", "udp"],'
+            ' "expires_at": null, "extra": {"zeta": 1, "mystery": 7,'
+            ' "alpha": [1, 2]}}',
+        ),
+    )
+
+    def test_to_json_documents_are_pinned(self):
+        for block, document in self.PINNED:
+            assert json.dumps(block.to_json()) == document
+            assert type(block.to_json()["extra"]) is dict
+
+    @given(kwargs=block_kwargs, other=block_kwargs, context=_contexts)
+    def test_block_is_immutable_and_behaves_as_before(self, kwargs, other, context):
+        block = CookieAttributes(**kwargs)
+        # Normalised at construction, whatever form the caller used.
+        assert type(block.granularity) is Granularity
+        assert type(block.flow_fields) is type(block.transports) is tuple
+        assert CookieAttributes.from_json(block.to_json()) == block
+        assert json.loads(json.dumps(block.to_json())) == block.to_json()
+        assert pickle.loads(pickle.dumps(block)) == copy.deepcopy(block) == block
+        # Equality is field by field, as the dataclass's was.
+        assert block == CookieAttributes(**kwargs)
+        twin = CookieAttributes(**other)
+        assert (block == twin) == (block.to_json() == twin.to_json())
+        # Constraints fail closed on a key the context lacks.
+        wanted = kwargs.get("extra", {}).get("constraints")
+        wanted = wanted if isinstance(wanted, dict) else {}
+        assert block.constraints == wanted
+        assert block.matches_context(context) == all(
+            key in context and context[key] == value
+            for key, value in wanted.items()
+        )
+        # Written once: no field can be assigned, ``extra`` takes no
+        # item, and the caller's own dict is not a way in either.
+        for name in block._fields:
+            with pytest.raises(AttributeError):
+                setattr(block, name, getattr(block, name))
+        with pytest.raises(TypeError):
+            block.extra["k"] = 1
+        if "extra" in kwargs:
+            kwargs["extra"]["smuggled"] = True
+            assert "smuggled" not in block.extra
+        assert not hasattr(block, "__dict__")
+
+    def test_descriptors_without_a_block_share_the_default(self):
+        first = CookieDescriptor(1, b"k").attributes
+        assert first is CookieDescriptor(2, b"k").attributes
+        assert first is CookieDescriptor.create().attributes
+        assert first == CookieAttributes() and first.extra == {}

@@ -237,7 +237,8 @@ class TestReplication:
 
 class TestDescriptorsStayObjects:
     """§14.2: inside the plane a descriptor travels as an object; every
-    holder — shard store, log, each replica, the caller — has its own."""
+    holder — shard store, log, each replica, the caller — has a shell of
+    its own (its ``revoked`` flag) around the one immutable block."""
 
     @staticmethod
     def _wire(controlplane, shard=0):
@@ -261,27 +262,52 @@ class TestDescriptorsStayObjects:
             batch = controlplane.acquire_batch([("bob", "Boost")])
             controlplane.sync_replicas()
             before = self._wire(controlplane)
+            records = {
+                r.cookie_id: r for r in controlplane._shards[0].log.since(0)
+            }
 
-            for descriptor in (acquired, renewed):
-                descriptor.revoke()
-                descriptor.attributes.extra["tampered"] = True
-                descriptor.attributes.expires_at = 0.0
+            # One block per grant, whoever holds the descriptor ...
+            for handed_out in (acquired, renewed):
+                block = handed_out.attributes
+                holders = (
+                    handed_out,
+                    controlplane.lookup(handed_out.cookie_id),
+                    records[handed_out.cookie_id].payload,
+                    a.store.get(handed_out.cookie_id),
+                    b.store.get(handed_out.cookie_id),
+                )
+                assert len({id(holder) for holder in holders}) == len(holders)
+                assert all(holder.attributes is block for holder in holders)
+                # ... and nobody can write to it.
+                with pytest.raises(AttributeError):
+                    block.expires_at = 0.0
+                with pytest.raises(TypeError):
+                    block.extra["tampered"] = True
+                # The flag is each holder's own: flip the hand-out's,
+                # then replica a's — that replica's business alone.
+                handed_out.revoke()
+                assert [h.revoked for h in holders] == [True] + [False] * 4
+                assert a.store.revoke(handed_out.cookie_id)
+                assert [h.revoked for h in holders] == [True, False, False, True, False]
             batch[0]["descriptor"]["revoked"] = True
             batch[0]["descriptor"]["attributes"]["extra"]["tampered"] = True
             batched_id = int(batch[0]["descriptor"]["cookie_id"])
-            # Revoking on one replica's store is that replica's business.
-            assert a.store.revoke(acquired.cookie_id)
 
+            # The hand-outs' and replica a's flags reached nobody else.
             assert self._wire(controlplane) == before
             for cookie_id in (acquired.cookie_id, renewed.cookie_id, batched_id):
                 for get in (controlplane.lookup, b.store.get):
                     held = get(cookie_id)
                     assert not held.revoked
                     assert held.attributes.extra == {}
-                    assert held.attributes.expires_at != 0.0
+            # The store's flag is the one that travels the log: to the
+            # replicas, never back into the record of what was issued.
+            assert controlplane.revoke(batched_id)
+            assert b.store.get(batched_id).revoked
+            assert not records[batched_id].payload.revoked
             # A late replica replays the log and sees what was issued.
             late = controlplane.register_replica(VerifierReplica("late"))
-            assert not any(d.revoked for d in late.store)
+            assert [d.cookie_id for d in late.store if d.revoked] == [batched_id]
             assert len(late.store) == 3
 
     def test_repeat_revocation_is_idempotent_and_grows_nothing(self):

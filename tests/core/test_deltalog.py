@@ -288,17 +288,15 @@ def test_object_form_replication_equals_json_form(ops):
         == _fields(off_the_wire.store)
         == _fields(shard.store)
     )
-    # Equal, never shared: every store holds objects of its own.
+    # Every store holds shells of its own; an in-process replica's point
+    # at the shard's attribute blocks, a parsed one's at equal blocks.
     for descriptor in shard.store:
-        twins = [
-            replica.store.get(descriptor.cookie_id)
-            for replica in (in_process, off_the_wire)
-        ]
-        for twin in twins:
-            assert twin is not descriptor
-            assert twin.attributes is not descriptor.attributes
-            assert twin.attributes.extra is not descriptor.attributes.extra
-        assert twins[0] is not twins[1]
+        objects = in_process.store.get(descriptor.cookie_id)
+        parsed = off_the_wire.store.get(descriptor.cookie_id)
+        assert len({id(descriptor), id(objects), id(parsed)}) == 3
+        assert objects.attributes is descriptor.attributes
+        assert parsed.attributes == descriptor.attributes
+        assert parsed.attributes is not descriptor.attributes
 
 
 def test_late_replica_short_of_the_revoke_holds_the_descriptor_as_issued():
@@ -327,16 +325,22 @@ def test_materialize_hands_out_a_fresh_object_each_time_for_both_origins():
     as_object = log.append("add", descriptor.cookie_id, 1.0, descriptor)
     as_json = log.append("add", descriptor.cookie_id, 1.0, descriptor.to_json())
     descriptor.revoke()  # after the append: the records are as issued
-    descriptor.attributes.extra["constraints"] = {}
+    with pytest.raises(TypeError):
+        descriptor.attributes.extra["constraints"] = {}
     for record in (as_object, as_json):
         first, second = record.materialize(), record.materialize()
         assert first == second and first is not second
         assert not first.revoked
         assert first.attributes.extra == {"constraints": {"ssid": "home"}}
         first.revoke()
-        first.attributes.extra["tampered"] = True
+        with pytest.raises(TypeError):
+            first.attributes.extra["tampered"] = True
         assert record.materialize() == second
         assert DeltaRecord.from_json(record.to_json()) == record
+    # An object record's shells share the issuer's block; a JSON
+    # record parses one per materialization.
+    assert as_object.materialize().attributes is descriptor.attributes
+    assert as_json.materialize().attributes is not descriptor.attributes
     assert as_object.descriptor == as_json.descriptor
     with pytest.raises(ValueError, match="carry no descriptor"):
         log.append("revoke", descriptor.cookie_id, 2.0).materialize()

@@ -95,14 +95,24 @@ class TestSerialization:
         assert copy == descriptor
         assert copy == CookieDescriptor.from_json(descriptor.to_json())
         assert copy.to_json() == descriptor.to_json()
-        assert copy.attributes is not descriptor.attributes
-        assert copy.attributes.extra is not descriptor.attributes.extra
+        # The only mutable part is the flag, and that is not shared ...
+        second = descriptor.clone()
         copy.revoke()
-        copy.attributes.extra["tampered"] = True
-        assert not descriptor.revoked
-        assert descriptor.attributes.extra == {"constraints": {"ssid": "home"}}
-        descriptor.attributes.expires_at = 99.0
-        assert copy.attributes.expires_at == 10.0
+        assert not descriptor.revoked and not second.revoked
+        descriptor.revoke()
+        assert not second.revoked
+        # ... the attribute block is, because nobody can write to it.
+        attrs = descriptor.attributes
+        assert copy.attributes is attrs
+        for name in attrs._fields:
+            with pytest.raises(AttributeError):
+                setattr(attrs, name, getattr(attrs, name))
+        with pytest.raises(TypeError):
+            attrs.extra["tampered"] = True
+        with pytest.raises(TypeError):
+            attrs.constraints["ssid"] = "elsewhere"
+        assert not hasattr(attrs, "clone")
+        assert not hasattr(attrs, "__dict__") and not hasattr(copy, "__dict__")
         # A revoked source clones revoked.
         assert copy.clone().revoked
 

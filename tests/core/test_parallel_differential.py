@@ -417,7 +417,7 @@ class TestDescriptorDeltas:
         env = _Env()
         with ProcessShardExecutor(env.store, workers=3) as executor:
             added = [
-                executor.add_descriptor(
+                executor.add(
                     CookieDescriptor.create(service_data=f"late-{i}")
                 )
                 for i in range(8)
@@ -433,7 +433,7 @@ class TestDescriptorDeltas:
         with ProcessShardExecutor(env.store, workers=WORKERS) as executor:
             before = _signed(descriptor, _uuid(60), NOW)
             assert executor.match(before, NOW) is descriptor
-            assert executor.revoke_descriptor(descriptor.cookie_id)
+            assert executor.revoke(descriptor.cookie_id)
             after = _signed(descriptor, _uuid(61), NOW)
             assert executor.match(after, NOW) is None
             assert executor.collect_match_stats().revoked == 1
@@ -442,11 +442,74 @@ class TestDescriptorDeltas:
         env = _Env()
         descriptor = env.active[3]
         with ProcessShardExecutor(env.store, workers=WORKERS) as executor:
-            removed = executor.remove_descriptor(descriptor.cookie_id)
+            removed = executor.remove(descriptor.cookie_id)
             assert removed is descriptor
             cookie = _signed(descriptor, _uuid(70), NOW)
             assert executor.match(cookie, NOW) is None
             assert executor.collect_match_stats().unknown_id == 1
+
+    @staticmethod
+    def _worker_verdict(pool, descriptor, tag):
+        """(result, reason, the one worker's own tally) for a fresh cookie."""
+        reasons: list[str] = []
+        (result,) = pool.match_batch(
+            [_signed(descriptor, _uuid(tag), NOW)], NOW, reasons
+        )
+        return result, reasons[0], pool.match_stats[0].as_dict()[reasons[0]]
+
+    def test_attached_pool_follows_the_cookie_server(self):
+        """The executor is attached where its store would be: a grant
+        made after spawn verifies, and once the server revokes it the
+        *worker* refuses the next cookie."""
+        from repro.core.server import CookieServer, ServiceOffering
+        from repro.core.store import DescriptorStore
+
+        server = CookieServer(clock=lambda: NOW)
+        server.offer(ServiceOffering(name="Boost"))
+        with ProcessShardExecutor(DescriptorStore(), workers=1) as pool:
+            server.attach_enforcement_store(pool)
+            descriptor = server.acquire("alice", "Boost")
+            assert len(pool) == 1 and descriptor.cookie_id in pool
+            assert self._worker_verdict(pool, descriptor, 1) == (
+                descriptor, "accepted", 1,
+            )
+            assert server.revoke(descriptor.cookie_id)
+            assert self._worker_verdict(pool, descriptor, 2) == (
+                None, "revoked", 1,
+            )
+
+    def test_attached_pool_follows_a_replica_and_its_partition(self):
+        """Behind ``VerifierReplica(store=pool)`` the workers are as
+        current — and, partitioned, as stale — as the replica (§14.3)."""
+        from repro.core.cp import ShardedControlPlane, VerifierReplica
+        from repro.core.server import ServiceOffering
+        from repro.core.store import DescriptorStore
+
+        with ShardedControlPlane(clock=lambda: NOW, shards=1) as controlplane, \
+                ProcessShardExecutor(DescriptorStore(), workers=1) as pool:
+            controlplane.offer(ServiceOffering(name="Boost"))
+            replica = controlplane.register_replica(
+                VerifierReplica("mb0", store=pool)
+            )
+            descriptor = controlplane.acquire("alice", "Boost")
+            controlplane.sync_replicas()
+            held = pool.get(descriptor.cookie_id)
+            assert held == descriptor and held is not descriptor
+            assert self._worker_verdict(pool, descriptor, 1) == (
+                held, "accepted", 1,
+            )
+            replica.partition()
+            assert controlplane.revoke(descriptor.cookie_id)
+            # Cut off, the workers keep honouring what the shard revoked.
+            assert self._worker_verdict(pool, descriptor, 2) == (
+                held, "accepted", 2,
+            )
+            replica.heal()
+            controlplane.sync_replicas()
+            assert self._worker_verdict(pool, descriptor, 3) == (
+                None, "revoked", 1,
+            )
+            assert list(pool) == [held] and held.revoked
 
     @settings(max_examples=6, deadline=None)
     @given(specs=batch_specs(max_size=10), shards=st.integers(1, 3))
@@ -469,14 +532,14 @@ class TestDescriptorDeltas:
             assert [v is not None for v in executor_verdicts] == [
                 v is not None for v in pool_verdicts
             ]
-            executor.revoke_descriptor(executor_env.active[0].cookie_id)
+            executor.revoke(executor_env.active[0].cookie_id)
             pool_env.active[0].revoke()
             probe_pool = _signed(pool_env.active[0], _uuid(90), NOW)
             probe_executor = _signed(executor_env.active[0], _uuid(90), NOW)
             assert pool.match(probe_pool, NOW) is None
             assert executor.match(probe_executor, NOW) is None
             late = CookieDescriptor.create(service_data="late")
-            executor.add_descriptor(late)
+            executor.add(late)
             assert executor.match(
                 _signed(late, _uuid(91), NOW), NOW
             ) is late

@@ -297,7 +297,7 @@ class TestNothingLeftBehind:
         with pytest.raises(RuntimeError, match="executor is closed"):
             pool.match_batch(_batch(generators, 1), NOW)
         with pytest.raises(RuntimeError, match="executor is closed"):
-            pool.revoke_descriptor(generators[0].descriptor.cookie_id)
+            pool.revoke(generators[0].descriptor.cookie_id)
         assert not generators[0].descriptor.revoked
         assert pool.collect_match_stats().accepted == 8
         assert registry.snapshot().counters["pool.matcher.accepted"] == 8

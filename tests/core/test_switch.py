@@ -6,12 +6,14 @@ from repro.core.attributes import CookieAttributes, Granularity
 from repro.core.descriptor import CookieDescriptor
 from repro.core.generator import CookieGenerator
 from repro.core.matcher import CookieMatcher
+from repro.core.parallel import ProcessShardExecutor
 from repro.core.store import DescriptorStore
 from repro.core.switch import CookieSwitch, DscpServiceApplier, FAST_LANE_CLASS
 from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet
+from repro.telemetry import MetricsRegistry
 
 
 class Clock:
@@ -351,3 +353,30 @@ class TestRevocationRebinding:
         assert switch.stats.acks_attached == 1
         ack_cookie, _carrier = default_registry().extract(reverse)
         assert ack_cookie.cookie_id == second.cookie_id
+
+
+class TestFailSafe:
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_verifier_error_forwards_the_packet_unserved(self, batched):
+        """A verifier that raises is no verdict: best effort, counted,
+        and the packet still comes out the other side."""
+        clock, descriptor, switch, sink = _setup()
+        pool = ProcessShardExecutor(
+            DescriptorStore(), workers=1, transport="in-process"
+        )
+        pool.close()  # match() now raises RuntimeError
+        switch.matcher = pool
+        registry = MetricsRegistry()
+        switch.register_telemetry(registry)
+        packets = [_cookied_packet(descriptor, clock), _flow_packet()]
+        if batched:
+            switch.process_batch(packets)
+        else:
+            for packet in packets:
+                switch.push(packet)
+        assert sink.packets == packets
+        assert not any("qos_class" in packet.meta for packet in packets)
+        stats = switch.stats
+        assert (stats.verifier_failures, stats.cookies_found) == (1, 1)
+        assert (stats.cookies_rejected, stats.flows_bound) == (1, 0)
+        assert registry.snapshot().counters["switch.verifier_failures"] == 1

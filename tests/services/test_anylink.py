@@ -80,6 +80,27 @@ class TestProxy:
         assert sink.count == 10
         assert loop.now == 0.0  # never touched a shaper
 
+    def test_verifier_error_passes_the_packet_unshaped(self):
+        """A verifier that raises is treated as no cookie: the packet
+        goes out at full speed, uncounted as a binding, never dropped."""
+        from repro.telemetry import MetricsRegistry
+
+        class Broken:
+            def match(self, cookie, now):
+                raise RuntimeError("store backend down")
+
+        loop, _server, proxy, sink, agent = _env()
+        proxy.matcher = Broken()
+        registry = MetricsRegistry()
+        proxy.register_telemetry(registry)
+        packet = _request_packet()
+        agent.insert_cookie(packet, "anylink-2g")
+        proxy.process_batch([packet, _data_packet()])
+        assert sink.count == 2 and loop.now == 0.0
+        assert "anylink_profile" not in packet.meta
+        assert (proxy.verifier_failures, proxy.flows_bound) == (1, 0)
+        assert registry.snapshot().counters["anylink.verifier_failures"] == 1
+
     def test_profiles_have_distinct_rates(self):
         def drain_time(profile):
             loop, _server, proxy, sink, agent = _env()
