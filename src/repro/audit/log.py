@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-__all__ = ["AuditEvent", "AuditRecord", "AuditLog"]
+__all__ = ["AuditEvent", "AuditRecord", "AuditLog", "NullAuditLog"]
 
 
 class AuditEvent:
@@ -149,3 +149,11 @@ class AuditLog:
     def to_jsonl(self) -> str:
         """Serialize the full log as JSON lines (the public database)."""
         return "\n".join(json.dumps(r.to_json()) for r in self._records)
+
+
+class NullAuditLog(AuditLog):
+    """Keeps nothing: for an issuer that runs unaudited (a control-plane
+    shard — PROTOCOL.md §14.1 has the cost that decided it)."""
+
+    def record(self, *args: Any, **detail: Any) -> None:
+        return None

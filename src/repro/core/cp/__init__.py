@@ -10,14 +10,19 @@ store.  This package is the control-plane counterpart:
   from a stale offset is idempotent (records below the applied offset are
   skipped), which is what makes replica catch-up after a partition safe.
 * :mod:`.shard` — one :class:`ControlPlaneShard` owns the descriptors
-  whose ids rendezvous-hash to it: a store, its delta log, and the op
-  counters.  Shards are plain objects in the dispatcher's process — a
-  partitioning and replication unit, not a speedup (§14.4).
+  whose ids rendezvous-hash to it.  It *is* a
+  :class:`~repro.core.server.CookieServer` — the one acquire / renew /
+  revoke / remove / purge path and its op counters — with its delta log
+  attached as one more enforcement store.  Shards are plain objects in
+  the dispatcher's process — a partitioning and replication unit, not a
+  speedup (§14.4).
 * :mod:`.replica` — :class:`VerifierReplica`, a data-path descriptor
   store fed by snapshot + delta replay with per-shard applied offsets
   and a partition switch for drills.
-* :mod:`.service` — :class:`ShardedControlPlane`, the front door: routes
-  by :func:`~repro.core.distributed.rendezvous_shard`, sheds bursts via
+* :mod:`.service` — :class:`ShardedControlPlane`, the front door: mints
+  ids and routes each request to its shard by
+  :func:`~repro.core.distributed.rendezvous_shard`, answers the
+  ``CookieServer`` JSON ladder plus the §14 extensions, sheds bursts via
   the PR-4 :class:`~repro.core.resilience.CircuitBreaker` + a pending
   cap, broadcasts revocations to registered replicas under a measured
   staleness bound, and merges telemetry into the PR-1 registry.

@@ -27,7 +27,8 @@ catch up by snapshot-then-replay instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from time import monotonic
+from typing import Any, Callable, Iterable, NamedTuple
 
 from ..descriptor import CookieDescriptor
 
@@ -62,8 +63,7 @@ def _materialize(payload: CookieDescriptor | dict[str, Any]) -> CookieDescriptor
     return CookieDescriptor.from_json(payload)
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaRecord:
+class DeltaRecord(NamedTuple):
     """One logged mutation.
 
     An ``add`` record holds the descriptor *as issued*, so replay needs
@@ -120,10 +120,15 @@ class DeltaRecord:
             payload=data.get("descriptor"),
         )
 
+    # Not tuple equality: a record never equals a bare tuple, and an
+    # object payload equals its JSON rendering.
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeltaRecord):
-            return NotImplemented
-        return self.to_json() == other.to_json()
+        return isinstance(other, DeltaRecord) and self.to_json() == other.to_json()
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class DeltaLog:
@@ -131,13 +136,18 @@ class DeltaLog:
 
     Offsets are dense and monotonic: the first record ever appended has
     offset 0, and compaction never renumbers — it only advances
-    ``base_offset`` past the dropped prefix.
+    ``base_offset`` past the dropped prefix.  ``clock`` stamps the records
+    written through :meth:`add` / :meth:`revoke` / :meth:`remove`;
+    :meth:`append` takes its time from the caller.
     """
 
-    def __init__(self, base_offset: int = 0) -> None:
+    def __init__(
+        self, base_offset: int = 0, clock: Callable[[], float] = monotonic
+    ) -> None:
         if base_offset < 0:
             raise ValueError("base_offset must be >= 0")
         self.base_offset = base_offset
+        self.clock = clock
         self._records: list[DeltaRecord] = []
 
     def __len__(self) -> int:
@@ -173,6 +183,18 @@ class DeltaLog:
         )
         self._records.append(record)
         return record
+
+    # The store vocabulary, stamped from the injected clock: attached to
+    # a CookieServer (``attach_enforcement_store``) the log records every
+    # mutation the server pushes to its enforcement stores.
+    def add(self, descriptor: CookieDescriptor) -> None:
+        self.append("add", descriptor.cookie_id, self.clock(), descriptor)
+
+    def revoke(self, cookie_id: int) -> None:
+        self.append("revoke", cookie_id, self.clock())
+
+    def remove(self, cookie_id: int) -> None:
+        self.append("remove", cookie_id, self.clock())
 
     def covers(self, offset: int) -> bool:
         """Whether ``since(offset)`` can be served without a snapshot."""

@@ -3,9 +3,10 @@
 :class:`ShardedControlPlane` replaces a single
 :class:`~repro.core.server.CookieServer` with N
 :class:`~.shard.ControlPlaneShard` partitions keyed by the data plane's
-rendezvous hash.  The dispatcher mints cookie ids, routes every op to the
-owning shard, and layers on the distributed-systems duties the shards
-themselves stay ignorant of:
+rendezvous hash — each of them that same ``CookieServer`` with a delta
+log attached.  The dispatcher mints cookie ids, routes every op to the
+owning shard one request at a time, and layers on the
+distributed-systems duties the shards themselves stay ignorant of:
 
 * **Replication** — verifier replicas register here; revocations are
   broadcast eagerly to every reachable replica and an anti-entropy
@@ -37,7 +38,7 @@ from ..distributed import rendezvous_shard
 from ..errors import AcquisitionDenied
 from ..policy import AccessPolicy, OpenAccessPolicy
 from ..resilience import CircuitBreaker
-from ..server import ServiceOffering
+from ..server import ServiceOffering, serve_json
 from ...telemetry.metrics import Histogram, TelemetrySnapshot
 from .deltalog import LogTruncated
 from .replica import ReplicaUnreachable, VerifierReplica
@@ -55,7 +56,8 @@ BROADCAST_LAG_BUCKETS = (
 
 @dataclass
 class ControlPlaneStats:
-    """Dispatcher-level accounting (shards keep their own op counters)."""
+    """Dispatcher-level accounting (each shard, a ``CookieServer``, keeps
+    its own four op counters)."""
 
     acquired: int = 0
     denied: int = 0
@@ -73,7 +75,7 @@ class ControlPlaneStats:
 
 
 class ShardedControlPlane:
-    """N rendezvous-hashed shards behind one CookieServer-shaped API."""
+    """N rendezvous-hashed ``CookieServer`` shards behind that one API."""
 
     def __init__(
         self,
@@ -116,7 +118,7 @@ class ShardedControlPlane:
         #: unconfirmed revocations: [shard, offset, revoke_time, {replica}]
         self._pending_revocations: list[list[Any]] = []
         self._shards = [
-            ControlPlaneShard(i, policy=self.policy) for i in range(shards)
+            ControlPlaneShard(i, clock, policy=self.policy) for i in range(shards)
         ]
 
     # ------------------------------------------------------------------
@@ -175,61 +177,52 @@ class ShardedControlPlane:
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    def _mint_ids(self, n: int) -> list[int]:
-        return [secrets.randbits(COOKIE_ID_BITS) for _ in range(n)]
-
     def _grant(
-        self, requests: Sequence[Sequence[Any]], now: float
-    ) -> tuple[list[CookieDescriptor | None], list[str | None]]:
-        """The grant core: mint ids, route, dispatch per shard, count.
-
-        Parallel lists in request order — the owning shard's live
-        descriptor (``None`` when denied) and the denial reason.  The
-        callers below decide how a descriptor leaves: rendered
-        (:meth:`acquire_batch`) or cloned (:meth:`acquire`).
-        """
-        ids = self._mint_ids(len(requests))
-        by_shard: dict[int, list[int]] = {}
-        for position, cookie_id in enumerate(ids):
-            by_shard.setdefault(self.shard_of(cookie_id), []).append(position)
-        descriptors: list[CookieDescriptor | None] = [None] * len(requests)
-        errors: list[str | None] = [None] * len(requests)
-        for shard_index, positions in by_shard.items():
-            shard_requests = [
-                (requests[p][0], requests[p][1], ids[p], *requests[p][2:])
-                for p in positions
-            ]
-            granted, denied = self._shards[shard_index].acquire_batch(
-                shard_requests, now
+        self,
+        user: str,
+        service: str,
+        credentials: dict[str, Any] | None = None,
+        preferences: dict[str, Any] | None = None,
+    ) -> CookieDescriptor:
+        """Mint an id, route on it, count.  Returns the owning shard's
+        live descriptor; the callers below decide how it leaves —
+        rendered (:meth:`acquire_batch`) or cloned (:meth:`acquire`)."""
+        cookie_id = secrets.randbits(COOKIE_ID_BITS)
+        try:
+            descriptor = self._shards[self.shard_of(cookie_id)].acquire(
+                user, service, credentials, preferences, cookie_id=cookie_id
             )
-            self.breaker.record_success()
-            for p, descriptor, error in zip(positions, granted, denied):
-                descriptors[p], errors[p] = descriptor, error
-                if descriptor is None:
-                    self.stats.denied += 1
-                else:
-                    self.stats.acquired += 1
-        return descriptors, errors
+        except AcquisitionDenied:
+            self.stats.denied += 1
+            raise
+        self.stats.acquired += 1
+        return descriptor
 
     def acquire_batch(
-        self, requests: Sequence[Sequence[Any]], now: float | None = None
+        self, requests: Sequence[Sequence[Any]]
     ) -> list[dict[str, Any]]:
         """Issue descriptors for ``(user, service[, credentials,
-        preferences])`` tuples, routed and dispatched per shard.
+        preferences])`` entries, one shard visit each.
 
         Returns one ``{"ok": ..., "descriptor"/"error": ...}`` per
         request, in order — the wire shape, each descriptor rendered to
-        JSON here, once; the dicts are the caller's.
+        JSON here, once; the dicts are the caller's.  An entry no grant
+        can be made from fails alone: ``bad request`` in its slot,
+        counted ``denied``, nothing stored or logged for it.
         """
-        descriptors, errors = self._grant(
-            requests, self.clock() if now is None else now
-        )
-        return [
-            {"ok": False, "error": error}
-            if descriptor is None
-            else {"ok": True, "descriptor": descriptor.to_json()}
-            for descriptor, error in zip(descriptors, errors)
-        ]
+        results: list[dict[str, Any]] = []
+        for entry in requests:
+            try:
+                descriptor = self._grant(*entry)
+            except AcquisitionDenied as exc:
+                results.append({"ok": False, "error": str(exc)})
+            except (TypeError, ValueError) as exc:
+                self.stats.denied += 1
+                results.append({"ok": False, "error": f"bad request: {exc}"})
+            else:
+                results.append({"ok": True, "descriptor": descriptor.to_json()})
+        self.breaker.record_success()
+        return results
 
     def acquire(
         self,
@@ -238,52 +231,41 @@ class ShardedControlPlane:
         credentials: dict[str, Any] | None = None,
         preferences: dict[str, Any] | None = None,
     ) -> CookieDescriptor:
-        """Single-descriptor acquisition, CookieServer-compatible.  The
+        """Single-descriptor acquisition, as :meth:`CookieServer.acquire`.  The
         descriptor returned is a clone: its ``revoked`` flag is the caller's."""
-        (descriptor,), (error,) = self._grant(
-            [(user, service, credentials, preferences)], self.clock()
-        )
-        if descriptor is None:
-            raise AcquisitionDenied(error)
-        return descriptor.clone()
+        try:
+            return self._grant(user, service, credentials, preferences).clone()
+        finally:
+            self.breaker.record_success()
 
-    def revoke_batch(
-        self, cookie_ids: list[int], now: float | None = None
-    ) -> list[bool]:
+    def revoke_batch(self, cookie_ids: Sequence[int]) -> list[bool]:
         """Revoke many descriptors, then broadcast to replicas at once."""
-        if now is None:
-            now = self.clock()
-        by_shard: dict[int, list[int]] = {}
-        for position, cookie_id in enumerate(cookie_ids):
-            by_shard.setdefault(self.shard_of(cookie_id), []).append(position)
-        revoked: list[bool] = [False] * len(cookie_ids)
-        touched: set[int] = set()
-        for shard_index, positions in by_shard.items():
+        now = self.clock()
+        revoked: list[bool] = []
+        #: shard -> offset of the last revoke record this call appended
+        touched: dict[int, int] = {}
+        for cookie_id in cookie_ids:
+            shard_index = self.shard_of(cookie_id)
             shard = self._shards[shard_index]
             already = shard.revoked
-            for p in positions:
-                revoked[p] = shard.revoke(cookie_ids[p], now)
-            self.breaker.record_success()
+            revoked.append(shard.revoke(cookie_id))
             # Repeat revokes answer True but log nothing: only a shard
             # that appended has anything to count or broadcast.
             if shard.revoked > already:
-                touched.add(shard_index)
-                self.stats.revoked += shard.revoked - already
-                if self._replicas:
-                    self._pending_revocations.append(
-                        [
-                            shard_index,
-                            shard.log.next_offset - 1,
-                            now,
-                            set(self._replicas),
-                        ]
-                    )
-        if touched and self.eager_broadcast and self._replicas:
-            self.sync_replicas(shards=touched)
+                self.stats.revoked += 1
+                touched[shard_index] = shard.log.next_offset - 1
+        self.breaker.record_success()
+        if touched and self._replicas:
+            for shard_index, offset in touched.items():
+                self._pending_revocations.append(
+                    [shard_index, offset, now, set(self._replicas)]
+                )
+            if self.eager_broadcast:
+                self.sync_replicas(shards=set(touched))
         return revoked
 
     def revoke(self, cookie_id: int, by: str = "network") -> bool:
-        del by
+        del by  # shards run unaudited
         return self.revoke_batch([cookie_id])[0]
 
     def renew(
@@ -293,8 +275,8 @@ class ShardedControlPlane:
         credentials: dict[str, Any] | None = None,
     ) -> CookieDescriptor:
         """Fresh descriptor (a clone, like :meth:`acquire`'s) for the old
-        one's service; the old one stays valid until expiry (matching
-        :class:`CookieServer.renew`)."""
+        one's service, on whichever shard its new id routes to; the old
+        one stays valid until expiry (matching :class:`CookieServer.renew`)."""
         old = self.lookup(cookie_id)
         if old is None:
             raise AcquisitionDenied(f"descriptor {cookie_id:#x} unknown")
@@ -308,8 +290,6 @@ class ShardedControlPlane:
         return self._shards[self.shard_of(cookie_id)].lookup(cookie_id)
 
     def purge_expired(self, now: float | None = None) -> int:
-        if now is None:
-            now = self.clock()
         purged = sum(len(shard.purge_expired(now)) for shard in self._shards)
         self.stats.removed += purged
         return purged
@@ -419,69 +399,40 @@ class ShardedControlPlane:
         return dropped
 
     # ------------------------------------------------------------------
-    # JSON API (CookieServer-compatible, plus §14 extensions)
+    # JSON API: the CookieServer ladder, plus the §14 extensions
     # ------------------------------------------------------------------
     def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
         try:
-            if op == "list_services":
-                return {"ok": True, "services": self.list_services()}
-            if op == "acquire":
-                return self.acquire_batch(
-                    [
-                        (
-                            str(request.get("user", "anonymous")),
-                            str(request.get("service", "")),
-                            request.get("credentials"),
-                            request.get("preferences"),
-                        )
-                    ]
-                )[0]
             if op == "acquire_batch":
-                return {
-                    "ok": True,
-                    "results": self.acquire_batch(
-                        [
-                            (str(entry[0]), str(entry[1]), *entry[2:4])
-                            for entry in request["requests"]
-                        ]
-                    ),
-                }
-            if op == "revoke":
-                revoked = self.revoke(int(request["cookie_id"]))
-                return {"ok": revoked, "error": None if revoked else "unknown id"}
-            if op == "renew":
-                descriptor = self.renew(
-                    user=str(request.get("user", "anonymous")),
-                    cookie_id=int(request["cookie_id"]),
-                    credentials=request.get("credentials"),
-                )
-                return {"ok": True, "descriptor": descriptor.to_json()}
-            if op == "snapshot":
+                # Shape is checked before the first grant; what only a
+                # grant can find wrong with an entry fails in its slot.
+                requests = [
+                    (str(user), str(service), *rest)
+                    for user, service, *rest in request["requests"]
+                ]
+                return {"ok": True, "results": self.acquire_batch(requests)}
+            if op in ("snapshot", "deltas_since"):
                 shard_index = int(request["shard"])
-                snapshot = self._shards[shard_index].snapshot()
-                return {"ok": True, "snapshot": snapshot.to_json()}
-            if op == "deltas_since":
-                shard_index = int(request["shard"])
-                offset = int(request["offset"])
+                if not 0 <= shard_index < self.shard_count:
+                    return {"ok": False, "error": "unknown shard"}
+                shard = self._shards[shard_index]
+                if op == "snapshot":
+                    return {"ok": True, "snapshot": shard.snapshot().to_json()}
                 try:
-                    records = self._shards[shard_index].log.since(offset)
+                    records = shard.log.since(int(request["offset"]))
                 except LogTruncated as exc:
                     return {"ok": False, "truncated": True, "error": str(exc)}
                 return {
                     "ok": True,
                     "records": [r.to_json() for r in records],
-                    "next_offset": self._shards[shard_index].log.next_offset,
+                    "next_offset": shard.log.next_offset,
                 }
             if op == "stats":
                 return {"ok": True, "stats": self.describe()}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-        except AcquisitionDenied as exc:
-            return {"ok": False, "error": str(exc)}
-        except IndexError:
-            return {"ok": False, "error": "unknown shard"}
         except (KeyError, TypeError, ValueError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
+        return serve_json(self, request)
 
     # ------------------------------------------------------------------
     # Introspection / telemetry

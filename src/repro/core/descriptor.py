@@ -55,13 +55,15 @@ class CookieDescriptor:
         cls,
         service_data: Any = "",
         attributes: CookieAttributes | None = None,
-        *,
-        key_bytes: int = DEFAULT_KEY_BYTES,
+        cookie_id: int | None = None,
     ) -> "CookieDescriptor":
-        """Mint a fresh descriptor with a random id and key."""
+        """Mint a fresh descriptor with a random key and, unless the
+        caller routed on a pre-minted ``cookie_id``, a random id."""
         return cls(
-            cookie_id=secrets.randbits(COOKIE_ID_BITS),
-            key=secrets.token_bytes(key_bytes),
+            cookie_id=(
+                secrets.randbits(COOKIE_ID_BITS) if cookie_id is None else cookie_id
+            ),
+            key=secrets.token_bytes(DEFAULT_KEY_BYTES),
             service_data=service_data,
             attributes=attributes or DEFAULT_ATTRIBUTES,
         )

@@ -10,6 +10,12 @@ returning JSON-shaped dicts — the paper's "downloaded over an (optionally
 authenticated) out-of-band mechanism (e.g., a JSON API)".  Transports wrap
 it: in-process calls for simulations, and
 :class:`repro.core.netserver.AsyncCookieServer` for a real TCP service.
+
+This is the one acquisition core.  A control-plane shard
+(:class:`repro.core.cp.shard.ControlPlaneShard`) is this class with a
+delta log attached as one more enforcement store, and
+:func:`serve_json` is the one ladder both front doors answer
+``list_services`` / ``acquire`` / ``revoke`` / ``renew`` with.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from ..audit.log import AuditEvent, AuditLog
 from .descriptor import CookieDescriptor
 from .errors import AcquisitionDenied
 from .policy import AccessPolicy, AcquisitionRequest, OpenAccessPolicy
+from .store import DescriptorStore
 
-__all__ = ["ServiceOffering", "CookieServer"]
+__all__ = ["ServiceOffering", "CookieServer", "serve_json"]
 
 
 @dataclass
@@ -72,8 +79,14 @@ class CookieServer:
         # `is not None`: an empty AuditLog is falsy through __len__.
         self.audit_log = audit_log if audit_log is not None else AuditLog()
         self.offerings: dict[str, ServiceOffering] = {}
-        self.issued: dict[int, CookieDescriptor] = {}
+        #: every live descriptor, holding the server's own shells
+        self.issued = DescriptorStore()
         self._enforcement_stores: list[Any] = []
+        # Successful mutations and refusals, as flat ints on the op path.
+        self.acquired = 0
+        self.denied = 0
+        self.revoked = 0
+        self.removed = 0
 
     # ------------------------------------------------------------------
     # Configuration
@@ -89,10 +102,12 @@ class CookieServer:
         self.offerings.pop(name, None)
 
     def attach_enforcement_store(self, store: Any) -> None:
-        """Register a descriptor store used by data-path verifiers; every
-        issued descriptor is mirrored into it so switches can match.
-        A :class:`~repro.core.parallel.ProcessShardExecutor` is attached
-        the same way (it forwards ``add`` / ``revoke`` to its workers)."""
+        """Register anything that speaks ``add`` / ``revoke`` / ``remove``:
+        every grant, revocation and removal is mirrored into it.  A
+        data-path descriptor store, a
+        :class:`~repro.core.parallel.ProcessShardExecutor` (it forwards to
+        its workers) and a :class:`~repro.core.cp.deltalog.DeltaLog` are
+        all attached the same way."""
         self._enforcement_stores.append(store)
 
     # ------------------------------------------------------------------
@@ -102,18 +117,24 @@ class CookieServer:
         """The advertisement published on the well-known server."""
         return [o.advertisement() for o in self.offerings.values()]
 
+    def lookup(self, cookie_id: int) -> CookieDescriptor | None:
+        return self.issued.get(cookie_id)
+
     def acquire(
         self,
         user: str,
         service: str,
         credentials: dict[str, Any] | None = None,
         preferences: dict[str, Any] | None = None,
+        cookie_id: int | None = None,
     ) -> CookieDescriptor:
         """Issue a descriptor for ``service`` to ``user``.
 
         Raises :class:`AcquisitionDenied` when the service is unknown or
         the policy refuses.  On success the descriptor is mirrored to all
-        enforcement stores and the grant is audited.
+        enforcement stores and the grant is audited.  ``cookie_id`` is a
+        pre-minted id (a dispatcher routed on it); the server mints its
+        own otherwise.
         """
         now = self.clock()
         request = AcquisitionRequest(
@@ -125,16 +146,15 @@ class CookieServer:
         )
         self.audit_log.record(now, AuditEvent.REQUESTED, user, service)
         offering = self.offerings.get(service)
-        if offering is None:
-            self.audit_log.record(
-                now, AuditEvent.DENIED, user, service, reason="unknown service"
-            )
-            raise AcquisitionDenied(f"service {service!r} is not offered")
         try:
+            if offering is None:
+                raise AcquisitionDenied(f"service {service!r} is not offered")
             self.policy.authorize(request)
         except AcquisitionDenied as exc:
+            self.denied += 1
+            reason = "unknown service" if offering is None else str(exc)
             self.audit_log.record(
-                now, AuditEvent.DENIED, user, service, reason=str(exc)
+                now, AuditEvent.DENIED, user, service, reason=reason
             )
             raise
         descriptor = CookieDescriptor.create(
@@ -142,11 +162,13 @@ class CookieServer:
             if offering.service_data is not None
             else offering.name,
             attributes=offering.build_attributes(now),
+            cookie_id=cookie_id,
         )
-        self.issued[descriptor.cookie_id] = descriptor
+        self.issued.add(descriptor)
         for store in self._enforcement_stores:
             store.add(descriptor)
         self.policy.on_granted(request)
+        self.acquired += 1
         self.audit_log.record(
             now,
             AuditEvent.GRANTED,
@@ -158,18 +180,24 @@ class CookieServer:
         return descriptor
 
     def revoke(self, cookie_id: int, by: str = "network") -> bool:
-        """Revoke an issued descriptor everywhere; returns success.
+        """Revoke an issued descriptor everywhere; False for an unknown id.
 
         Either side may call this: users "ask the network to invalidate a
         descriptor (in case they cannot control the application)" and the
-        network "can similarly stop matching against a cookie".
+        network "can similarly stop matching against a cookie".  Revoking
+        what is already revoked is an idempotent success: nothing is
+        pushed, audited or counted again, so a client repeating itself
+        grows no log.
         """
         descriptor = self.issued.get(cookie_id)
         if descriptor is None:
             return False
+        if descriptor.revoked:
+            return True
         descriptor.revoke()
         for store in self._enforcement_stores:
             store.revoke(cookie_id)
+        self.revoked += 1
         self.audit_log.record(
             self.clock(),
             AuditEvent.REVOKED,
@@ -178,6 +206,25 @@ class CookieServer:
             cookie_id=cookie_id,
         )
         return True
+
+    def remove(self, cookie_id: int) -> bool:
+        """Forget a descriptor here and in every enforcement store
+        (stronger than revocation); False for an unknown id."""
+        if self.issued.remove(cookie_id) is None:
+            return False
+        for store in self._enforcement_stores:
+            store.remove(cookie_id)
+        self.removed += 1
+        return True
+
+    def purge_expired(self, now: float | None = None) -> list[int]:
+        """:meth:`remove` every descriptor past expiry; returns their ids."""
+        if now is None:
+            now = self.clock()
+        stale = [d.cookie_id for d in self.issued if d.attributes.is_expired(now)]
+        for cookie_id in stale:
+            self.remove(cookie_id)
+        return stale
 
     def renew(
         self,
@@ -203,42 +250,44 @@ class CookieServer:
         )
         return new
 
-    # ------------------------------------------------------------------
-    # JSON API
-    # ------------------------------------------------------------------
     def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Dispatch one JSON API call.
+        """Dispatch one JSON API call: :func:`serve_json`."""
+        return serve_json(self, request)
 
-        Operations: ``list_services``, ``acquire``, ``revoke``, ``renew``.
-        Responses carry ``ok`` plus either the result or an ``error``.
-        """
-        op = request.get("op")
-        try:
-            if op == "list_services":
-                return {"ok": True, "services": self.list_services()}
-            if op == "acquire":
-                descriptor = self.acquire(
-                    user=str(request.get("user", "anonymous")),
-                    service=str(request.get("service", "")),
-                    credentials=request.get("credentials"),
-                    preferences=request.get("preferences"),
-                )
-                return {"ok": True, "descriptor": descriptor.to_json()}
-            if op == "revoke":
-                revoked = self.revoke(
-                    int(request["cookie_id"]),
-                    by=str(request.get("user", "network")),
-                )
-                return {"ok": revoked, "error": None if revoked else "unknown id"}
-            if op == "renew":
-                descriptor = self.renew(
-                    user=str(request.get("user", "anonymous")),
-                    cookie_id=int(request["cookie_id"]),
-                    credentials=request.get("credentials"),
-                )
-                return {"ok": True, "descriptor": descriptor.to_json()}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-        except AcquisitionDenied as exc:
-            return {"ok": False, "error": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
-            return {"ok": False, "error": f"bad request: {exc}"}
+
+def serve_json(server: Any, request: dict[str, Any]) -> dict[str, Any]:
+    """The JSON API ladder: ``list_services``, ``acquire``, ``revoke``,
+    ``renew``.  Responses carry ``ok`` plus either the result or an
+    ``error``.  ``server`` is whatever owns those four operations — a
+    :class:`CookieServer`, or the sharded control plane routing to many.
+    """
+    op = request.get("op")
+    try:
+        if op == "list_services":
+            return {"ok": True, "services": server.list_services()}
+        if op == "acquire":
+            descriptor = server.acquire(
+                user=str(request.get("user", "anonymous")),
+                service=str(request.get("service", "")),
+                credentials=request.get("credentials"),
+                preferences=request.get("preferences"),
+            )
+            return {"ok": True, "descriptor": descriptor.to_json()}
+        if op == "revoke":
+            revoked = server.revoke(
+                int(request["cookie_id"]),
+                by=str(request.get("user", "network")),
+            )
+            return {"ok": revoked, "error": None if revoked else "unknown id"}
+        if op == "renew":
+            descriptor = server.renew(
+                user=str(request.get("user", "anonymous")),
+                cookie_id=int(request["cookie_id"]),
+                credentials=request.get("credentials"),
+            )
+            return {"ok": True, "descriptor": descriptor.to_json()}
+        return {"ok": False, "error": f"unknown op {op!r}"}
+    except AcquisitionDenied as exc:
+        return {"ok": False, "error": str(exc)}
+    except (KeyError, TypeError, ValueError) as exc:
+        return {"ok": False, "error": f"bad request: {exc}"}

@@ -5,7 +5,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.attributes import CookieAttributes, Granularity
 from repro.core.descriptor import CookieDescriptor
@@ -119,6 +119,7 @@ block_kwargs = st.fixed_dictionaries(
 )
 
 
+@pytest.mark.contract
 class TestWrittenOnce:
     """A block never changes after construction, so holders share it."""
 
@@ -169,6 +170,9 @@ class TestWrittenOnce:
             assert json.dumps(block.to_json()) == document
             assert type(block.to_json()["extra"]) is dict
 
+    # Generating three nested blocks is what is slow on a loaded box,
+    # not the assertions.
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(kwargs=block_kwargs, other=block_kwargs, context=_contexts)
     def test_block_is_immutable_and_behaves_as_before(self, kwargs, other, context):
         block = CookieAttributes(**kwargs)

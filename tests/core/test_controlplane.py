@@ -16,10 +16,14 @@ from hypothesis import given, settings
 
 from repro.core import (
     AcquisitionDenied,
+    AuthenticatedUsersPolicy,
+    CookieServer,
+    DescriptorStore,
     ServiceOffering,
 )
 from repro.core.cp import (
     AsyncControlPlaneServer,
+    DeltaLog,
     ShardedControlPlane,
     VerifierReplica,
 )
@@ -148,6 +152,179 @@ class TestRoutingAndLifecycle:
             )["ok"]
 
 
+def _batch(requests):
+    return {"op": "acquire_batch", "requests": requests}
+
+
+class TestRepliesMatchState:
+    @pytest.mark.contract
+    @pytest.mark.parametrize(
+        "payload, error, granted, denied",
+        [
+            # The malformed third entry fails alone, in its slot.
+            (_batch([["u", "Boost"], ["v", "Boost"], ["w", "Boost", [1]]]), None, 2, 1),
+            (_batch([[]]), "bad request", 0, 0),
+            (_batch([["u"]]), "bad request", 0, 0),
+            (_batch("ab"), "bad request", 0, 0),
+            ({"op": "snapshot", "shard": -1}, "unknown shard", 0, 0),
+            ({"op": "deltas_since", "shard": -1, "offset": 0}, "unknown shard", 0, 0),
+        ],
+        ids=["one-bad-entry", "empty-entry", "short-entry", "string", "snapshot-1", "deltas-1"],
+    )
+    def test_store_log_replica_and_stats_agree_with_the_reply(
+        self, payload, error, granted, denied
+    ):
+        with _controlplane(shards=2) as controlplane:
+            replica = controlplane.register_replica(VerifierReplica("mb0"))
+            reply = controlplane.handle_request(payload)
+            controlplane.sync_replicas()
+            handed_out = set()
+            if error is None:
+                assert reply["ok"]
+                for result in reply["results"]:
+                    if result["ok"]:
+                        handed_out.add(int(result["descriptor"]["cookie_id"]))
+                    else:
+                        assert result["error"].startswith("bad request")
+            else:
+                assert not reply["ok"] and reply["error"].startswith(error)
+            assert len(handed_out) == granted
+            shards = controlplane._shards
+            assert {d.cookie_id for shard in shards for d in shard.store} == handed_out
+            assert {r.cookie_id for shard in shards for r in shard.log} == handed_out
+            assert {d.cookie_id for d in replica.store} == handed_out
+            assert controlplane.stats.acquired == granted
+            assert controlplane.stats.denied == denied
+
+
+class _Calls:
+    """An enforcement store that only writes down what it was told."""
+
+    def __init__(self) -> None:
+        self.seen: list[tuple] = []
+
+    def add(self, descriptor) -> None:
+        self.seen.append(("add", descriptor.cookie_id))
+
+    def revoke(self, cookie_id: int) -> None:
+        self.seen.append(("revoke", cookie_id))
+
+    def remove(self, cookie_id: int) -> None:
+        self.seen.append(("remove", cookie_id))
+
+
+@pytest.mark.contract
+class TestPlainServerIsTheSameCore:
+    """What only the shard had, plain ``CookieServer`` has too."""
+
+    @staticmethod
+    def _server(lifetime: float = 3600.0):
+        clock = ManualClock()
+        server = CookieServer(clock=clock)
+        server.offer(ServiceOffering(name="Boost", lifetime=lifetime))
+        store, log, calls = DescriptorStore(), DeltaLog(clock=clock), _Calls()
+        for attached in (store, log, calls):
+            server.attach_enforcement_store(attached)
+        return clock, server, store, log, calls
+
+    def test_repeat_revoke_is_idempotent_everywhere(self):
+        clock, server, store, log, calls = self._server()
+        cookie_id = server.acquire("alice", "Boost").cookie_id
+        clock.advance(1.0)
+        assert server.revoke(cookie_id, by="alice")
+        assert server.revoke(cookie_id, by="alice")
+        assert not server.revoke(cookie_id ^ 1)
+        report = server.audit_log.regulator_report()
+        assert report["services"]["Boost"]["revoked"] == 1
+        assert calls.seen == [("add", cookie_id), ("revoke", cookie_id)]
+        assert [(r.op, r.cookie_id, r.time) for r in log] == [
+            ("add", cookie_id, 1000.0),
+            ("revoke", cookie_id, 1001.0),
+        ]
+        assert store.get(cookie_id).revoked and server.revoked == 1
+
+    def test_purge_and_remove_reach_every_attached_store(self):
+        clock, server, store, log, calls = self._server(lifetime=10.0)
+        expired = server.acquire("alice", "Boost").cookie_id
+        clock.advance(8.0)
+        removed = server.acquire("bob", "Boost").cookie_id
+        kept = server.acquire("carol", "Boost").cookie_id
+        assert server.purge_expired() == []
+        clock.advance(3.0)
+        assert server.purge_expired() == [expired]
+        assert server.remove(removed) and not server.remove(removed)
+        assert [d.cookie_id for d in server.issued] == [kept]
+        assert [d.cookie_id for d in store] == [kept]
+        assert server.lookup(expired) is None and server.removed == 2
+        gone = [("remove", expired), ("remove", removed)]
+        assert calls.seen[3:] == gone
+        assert [(r.op, r.cookie_id) for r in log][3:] == gone
+
+
+GRANTED, UNKNOWN = "<the first id this door granted>", 0xDEAD
+_ALICE = {"user": "alice", "credentials": {"secret": "s3"}}
+FRONT_DOOR_SCRIPT = [
+    {"op": "list_services"},
+    {"op": "acquire", "service": "Boost", **_ALICE},
+    {"op": "acquire", "service": "Boost", "user": "mallory"},
+    {"op": "acquire", "service": "Nope", **_ALICE},
+    {"op": "renew", "cookie_id": GRANTED, **_ALICE},
+    {"op": "renew", "cookie_id": UNKNOWN, **_ALICE},
+    {"op": "renew", "cookie_id": GRANTED, "user": "mallory"},
+    {"op": "revoke", "cookie_id": GRANTED, "user": "alice"},
+    {"op": "revoke", "cookie_id": GRANTED},
+    {"op": "revoke", "cookie_id": UNKNOWN},
+    {"op": "revoke"},
+    {"op": "renew", "cookie_id": "not-an-int", **_ALICE},
+    {"op": "acquire", "service": "Boost", "user": "alice", "credentials": "s3"},
+    {"op": "frobnicate"},
+]
+
+
+@pytest.mark.contract
+def test_two_front_doors_one_core():
+    """The plain server, a 1-shard and a 2-shard plane answer one script
+    identically (ids and keys masked) and end holding the same state."""
+
+    def drive(door):
+        replies, granted = [], None
+        for step in FRONT_DOOR_SCRIPT:
+            if step.get("cookie_id") == GRANTED:
+                step = {**step, "cookie_id": granted}
+            reply = door.handle_request(step)
+            if "descriptor" in reply:
+                if granted is None:
+                    granted = reply["descriptor"]["cookie_id"]
+                reply["descriptor"].update(cookie_id="*", key="*")
+            replies.append(reply)
+        return replies
+
+    def tally(store):
+        return sorted(d.revoked for d in store)
+
+    policy = AuthenticatedUsersPolicy({"alice": "s3"})
+    offering = ServiceOffering(name="Boost", description="fast lane")
+    server = CookieServer(clock=ManualClock(), policy=policy)
+    server.offer(offering)
+    mirror = DescriptorStore()
+    server.attach_enforcement_store(mirror)
+    expected = drive(server)
+    assert [r["ok"] for r in expected] == [
+        True, True, False, False, True, False, False,
+        True, True, False, False, False, False, False,
+    ]
+    assert tally(mirror) == [False, True]
+    for shards in (1, 2):
+        with _controlplane(shards=shards, policy=policy) as controlplane:
+            replica = controlplane.register_replica(VerifierReplica("mb0"))
+            assert drive(controlplane) == expected
+            controlplane.sync_replicas()
+            assert tally(replica.store) == tally(mirror)
+            assert controlplane.stats.acquired == server.acquired == 2
+            assert controlplane.stats.denied == server.denied == 3
+            assert controlplane.stats.revoked == server.revoked == 1
+
+
 class TestReplication:
     def test_eager_revocation_broadcast_within_bound(self):
         clock = ManualClock()
@@ -200,7 +377,7 @@ class TestReplication:
             revoked = controlplane.acquire("carol", "Boost")
             controlplane.revoke(revoked.cookie_id)
             for shard in controlplane._shards:
-                shard.remove(removed.cookie_id, clock())
+                shard.remove(removed.cookie_id)
             # Compaction drops the window the replica still needed.
             controlplane.compact_logs(aggressive=True)
             clock.advance(0.2)
@@ -253,6 +430,7 @@ class TestDescriptorsStayObjects:
             sort_keys=True,
         )
 
+    @pytest.mark.contract
     def test_nothing_handed_out_aliases_store_or_log(self):
         with _controlplane(shards=1) as controlplane:
             a = controlplane.register_replica(VerifierReplica("a"))

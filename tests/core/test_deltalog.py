@@ -178,6 +178,22 @@ def test_record_roundtrip_and_validation():
     assert StoreSnapshot.from_json(snapshot.to_json()) == snapshot
 
 
+@pytest.mark.contract
+def test_record_is_a_tuple_type_with_json_form_equality():
+    descriptor = CookieDescriptor.create(service_data="Boost")
+    as_object = DeltaRecord(0, "add", descriptor.cookie_id, 1.5, descriptor)
+    as_json = DeltaRecord(0, "add", descriptor.cookie_id, 1.5, descriptor.to_json())
+    assert isinstance(as_object, tuple) and as_object.offset == as_object[0] == 0
+    assert as_object == as_json and not as_object != as_json
+    bare = tuple(as_json)
+    assert as_json != bare and bare != as_json and not as_json == bare
+    assert as_json != as_json._replace(time=2.5)
+    with pytest.raises(TypeError):
+        hash(as_json)
+    with pytest.raises(AttributeError):
+        as_json.time = 2.5
+
+
 # ----------------------------------------------------------------------
 # Object form == JSON form (PROTOCOL.md §14.2): in-process, records hold
 # the descriptor as issued; JSON is only its wire rendering.
@@ -208,13 +224,27 @@ def _geofenced(now: float) -> CookieAttributes:
     )
 
 
+class _Clock:
+    now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
 def _shard() -> ControlPlaneShard:
-    shard = ControlPlaneShard(0)
+    shard = ControlPlaneShard(0, _Clock())
     shard.offer(ServiceOffering(name="Boost", lifetime=3600.0))
     shard.offer(ServiceOffering(name="Fenced", attribute_factory=_geofenced))
     return shard
 
 
+def _at(shard: ControlPlaneShard, now: float) -> ControlPlaneShard:
+    """Set the shard's clock: ``_at(shard, t).acquire(...)`` happens at t."""
+    shard.clock.now = now
+    return shard
+
+
+@pytest.mark.contract
 @settings(max_examples=60, deadline=None)
 @given(ops=shard_ops_strategy)
 @example(
@@ -260,20 +290,20 @@ def test_object_form_replication_equals_json_form(ops):
         cookie_id = slot_ids.get(slot)
         if op == "add":
             service = "Fenced" if slot % 2 else "Boost"
-            descriptor = shard.acquire(f"user{slot}", service, t)
+            descriptor = _at(shard, t).acquire(f"user{slot}", service)
             slot_ids[slot] = descriptor.cookie_id
             logged("add", descriptor.cookie_id, t, descriptor)
         elif op == "revoke":
             # A repeat revoke answers True and logs nothing.
             if (
                 cookie_id is not None
-                and shard.revoke(cookie_id, t)
+                and _at(shard, t).revoke(cookie_id)
                 and cookie_id not in revoked
             ):
                 revoked.add(cookie_id)
                 logged("revoke", cookie_id, t)
         elif op == "remove":
-            if cookie_id is not None and shard.remove(cookie_id, t):
+            if cookie_id is not None and _at(shard, t).remove(cookie_id):
                 logged("remove", cookie_id, t)
         else:
             sync()
@@ -303,8 +333,8 @@ def test_late_replica_short_of_the_revoke_holds_the_descriptor_as_issued():
     """The log's copy is the descriptor as issued, not a view of the
     live object the shard later revoked."""
     shard = _shard()
-    descriptor = shard.acquire("alice", "Boost", 1.0)
-    assert shard.revoke(descriptor.cookie_id, 2.0)
+    descriptor = _at(shard, 1.0).acquire("alice", "Boost")
+    assert _at(shard, 2.0).revoke(descriptor.cookie_id)
     assert shard.lookup(descriptor.cookie_id).revoked
     records = shard.log.since(0)
     assert [r.op for r in records] == ["add", "revoke"]
@@ -319,8 +349,9 @@ def test_late_replica_short_of_the_revoke_holds_the_descriptor_as_issued():
     assert not records[0].materialize().revoked
 
 
+@pytest.mark.contract
 def test_materialize_hands_out_a_fresh_object_each_time_for_both_origins():
-    descriptor = _shard().acquire("alice", "Fenced", 1.0)
+    descriptor = _at(_shard(), 1.0).acquire("alice", "Fenced")
     log = DeltaLog()
     as_object = log.append("add", descriptor.cookie_id, 1.0, descriptor)
     as_json = log.append("add", descriptor.cookie_id, 1.0, descriptor.to_json())
@@ -348,9 +379,9 @@ def test_materialize_hands_out_a_fresh_object_each_time_for_both_origins():
 
 def test_snapshot_installs_the_same_store_from_either_form():
     shard = _shard()
-    ids = [shard.acquire(f"user{i}", "Fenced", float(i)).cookie_id for i in range(6)]
-    shard.revoke(ids[1], 7.0)
-    shard.remove(ids[2], 8.0)
+    ids = [_at(shard, float(i)).acquire(f"user{i}", "Fenced").cookie_id for i in range(6)]
+    _at(shard, 7.0).revoke(ids[1])
+    _at(shard, 8.0).remove(ids[2])
     taken = shard.snapshot()
     parsed = StoreSnapshot.from_json(json.loads(json.dumps(taken.to_json())))
     assert taken.cookie_ids() == parsed.cookie_ids() == set(ids) - {ids[2]}
@@ -366,7 +397,7 @@ def test_snapshot_installs_the_same_store_from_either_form():
     )
     # The snapshot is a copy too: revoking after it was taken, or on one
     # replica, moves nothing else.
-    shard.revoke(ids[0], 9.0)
+    _at(shard, 9.0).revoke(ids[0])
     from_objects.store.revoke(ids[3])
     cold = DescriptorStore()
     taken.install(cold)

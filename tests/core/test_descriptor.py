@@ -81,6 +81,7 @@ class TestSerialization:
         descriptor.revoke()
         assert CookieDescriptor.from_json(descriptor.to_json()).revoked
 
+    @pytest.mark.contract
     def test_clone_equals_its_source_and_shares_no_mutable_part(self):
         descriptor = CookieDescriptor.create(
             service_data="Boost",
