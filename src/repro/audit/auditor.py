@@ -39,7 +39,9 @@ full personas-times-elements campaign.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from ..core.cookie import Cookie
@@ -60,9 +62,10 @@ from ..core.store import DescriptorStore
 from ..core.transport import default_registry
 from ..netsim.capture import PacketCapture
 from ..netsim.events import EventLoop
-from ..netsim.middlebox import Element, ShaperElement, Sink
+from ..netsim.middlebox import ShaperElement, Sink
 from ..netsim.packet import make_tcp_packet
 from ..netsim.queues import TokenBucket
+from .personas import HonestOperator
 from .stats import PairedTestResult, mean, paired_permutation_test, sign_test
 
 __all__ = [
@@ -94,6 +97,26 @@ _REASONS_BY_ERROR: tuple[tuple[type, str], ...] = (
 )
 
 
+# The harness geometry: constants, not knobs, because the probe catalog is
+# written against them and they constrain one another.
+#: The replay probes' offsets are multiples of the NCT the matchers run at.
+_NCT_S = NETWORK_COHERENCY_TIME
+#: Simulated seconds between trial starts; must exceed the replay probes'
+#: tail (~2×NCT) so trials stay independent.
+_TRIAL_SPACING_S = 20.0
+_PACKET_SPACING_S = 0.05
+_PAYLOAD_BYTES = 600
+#: Per-packet payload jitter (seeded, shared across a trial's matched
+#: streams so the pair stays byte-identical).
+_PAYLOAD_JITTER = 256
+#: Bottleneck for the Boost performance dimension: slow enough that a flow
+#: queued behind it finishes measurably later than send pacing.
+_BOTTLENECK_BPS = 40_000.0
+_BOTTLENECK_BURST_BYTES = 2_000
+#: The capture annotations :meth:`NeutralityAuditor._collect_outcomes` reads.
+_TAP_ANNOTATIONS = ("zero_rated", "qos_class", "anylink_profile")
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Knobs for one audit run; everything downstream is a pure function
@@ -104,24 +127,12 @@ class AuditConfig:
     #: pairs gives p ≈ 0.008, so this is the floor for alpha = 0.01.
     trials: int = 12
     packets_per_flow: int = 10
-    payload_bytes: int = 600
-    #: Per-packet payload jitter (seeded, shared across a trial's matched
-    #: streams so the pair stays byte-identical).
-    payload_jitter: int = 256
-    packet_spacing_s: float = 0.05
-    #: Simulated seconds between trial starts; must exceed the replay
-    #: probes' tail (~2×NCT) so trials stay independent.
-    trial_spacing_s: float = 20.0
-    nct_s: float = NETWORK_COHERENCY_TIME
     #: Significance level for the paired tests.
     alpha: float = 0.01
     #: "first-packet" rides the cookie on each flow's opening packet (the
     #: stateful sniff-window contract); "every-packet" mints a fresh
     #: cookie per packet (the stateless extreme, §4.6).
     cookie_mode: str = "first-packet"
-    #: Bottleneck rate for the boost/anylink performance dimension.
-    bottleneck_bps: float = 40_000.0
-    bottleneck_burst_bytes: int = 2_000
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -185,6 +196,10 @@ class FlowOutcome:
         }
 
 
+#: What a judge reads: per trial, probe name -> that probe's flow.
+_Trials = list[dict[str, FlowOutcome]]
+
+
 @dataclass(frozen=True)
 class VerificationRecord:
     """One cookie presented to the element's verifier: the auditor's
@@ -231,18 +246,26 @@ class RecordingVerifier:
                 if isinstance(exc, error_type):
                     reason = name
                     break
-        result = self.operator.match(cookie, now)
-        self.records.append(
-            VerificationRecord(
-                time=now,
-                probe=self.probe_of.get(
-                    (cookie.cookie_id, cookie.uuid), "unsolicited"
-                ),
-                reference_reason=reason,
-                operator_accepted=result is not None,
+        # Record in ``finally``: a verifier that *raises* is exactly the
+        # event the fail-safe guarantee (verifier failure => charged, never
+        # free) is about, so the ledger must hold it and the element under
+        # audit must still see the exception.
+        accepted = False
+        try:
+            result = self.operator.match(cookie, now)
+            accepted = result is not None
+            return result
+        finally:
+            self.records.append(
+                VerificationRecord(
+                    time=now,
+                    probe=self.probe_of.get(
+                        (cookie.cookie_id, cookie.uuid), "unsolicited"
+                    ),
+                    reference_reason=reason,
+                    operator_accepted=accepted,
+                )
             )
-        )
-        return result
 
     def by_probe(self, probe: str) -> list[VerificationRecord]:
         return [r for r in self.records if r.probe == probe]
@@ -376,6 +399,35 @@ class HarnessContext:
     element: Any = None
 
 
+def _invariant(name: str, violations: list[str], detail: str) -> DimensionResult:
+    return DimensionResult(
+        name=name, kind="invariant", violations=violations, detail=detail
+    )
+
+
+#: The zero-rating probes whose every byte the advertised policy charges:
+#: dimension -> (probes, what a free byte rode on, the invariant's wording).
+_MUST_BE_CHARGED: dict[str, tuple[tuple[str, ...], str, str]] = {
+    "replay": (
+        ("replayed", "replayed_skewed"),
+        "on a spent cookie",
+        "a spent cookie is never free again, including the future-skew "
+        "replay inside the 2xNCT window",
+    ),
+    "revocation": (
+        ("revoked",),
+        "on a revoked descriptor",
+        "cookies of a revoked descriptor are charged",
+    ),
+    "exclusivity": (
+        ("bare", "bare_collusion"),
+        "without a cookie",
+        "bare flows are charged, from the probing subscriber and from the "
+        "collusion subscriber alike",
+    ),
+}
+
+
 def _drain(loop: EventLoop, until: float) -> None:
     loop.run(until=until)
     loop.run_until_idle()
@@ -384,58 +436,243 @@ def _drain(loop: EventLoop, until: float) -> None:
 class NeutralityAuditor:
     """Runs record/replay audits against the stack's enforcement elements.
 
-    One auditor instance is reusable; each ``audit_*`` call builds a
+    One auditor instance is reusable; each :meth:`audit` call builds a
     fresh seeded topology, drives :attr:`AuditConfig.trials` matched
-    trials through it, and returns an :class:`AuditVerdict`.
+    trials through it, and returns an :class:`AuditVerdict`.  The harness
+    is written once (:meth:`_run_campaign`); an audit supplies how its
+    element and chain are built (``_build_*``), its per-trial probe plan
+    (``_plan_*``) and its judge (``_judge_*``).
     """
 
     def __init__(self, config: AuditConfig | None = None) -> None:
         self.config = config or AuditConfig()
 
     # ------------------------------------------------------------------
-    # Shared probe machinery
+    # Entry points
     # ------------------------------------------------------------------
-    def _payload_sizes(self, rng) -> list[int]:
-        """One trial's shared packet-size vector (identical across the
-        trial's matched streams — that is what 'byte-identical' means)."""
-        config = self.config
-        return [
-            config.payload_bytes + rng.randrange(config.payload_jitter + 1)
-            for _ in range(config.packets_per_flow)
-        ]
+    def audit(self, element: str, persona=None) -> AuditVerdict:
+        """Audit one element under ``persona`` (default: the honest
+        operator).  ``element`` is a campaign element name:
+        ``"zerorate-stateful"``, ``"zerorate-stateless"``, ``"boost"`` or
+        ``"anylink"`` (the 2G profile; ``"anylink-<profile>"`` otherwise)."""
+        kind, _, variant = element.partition("-")
+        if kind == "zerorate" and variant in ("stateful", "stateless"):
+            return self._run_campaign(
+                persona,
+                element=element,
+                service="zero-rate",
+                service_data="zero-rate",
+                seed_path=("zerorate",),
+                epoch=_EPOCH,
+                subnet=64,
+                build=partial(self._build_zero_rating, variant),
+                plan=self._plan_zero_rating,
+                judge=self._judge_zero_rating,
+            )
+        if element == "boost":
+            return self._run_campaign(
+                persona,
+                element=element,
+                service="boost",
+                service_data="boost",
+                seed_path=("boost",),
+                # The daemon's embedded CookieSwitch verifies at loop.now,
+                # so the auditor mints cookies on the same time base.
+                epoch=0.0,
+                subnet=96,
+                build=self._build_boost,
+                plan=partial(self._plan_matched_pair, "boosted", "plain"),
+                judge=self._judge_boost,
+            )
+        if kind == "anylink":
+            profile = variant or "2g"
+            return self._run_campaign(
+                persona,
+                element=kind,
+                service=f"anylink-{profile}",
+                # The proxy maps a descriptor to its shaper by profile name.
+                service_data=profile,
+                seed_path=("anylink", profile),
+                # AnyLinkProxy verifies at loop.now; mint on the same base.
+                epoch=0.0,
+                subnet=128,
+                build=self._build_anylink,
+                plan=partial(self._plan_matched_pair, "cookied", "bare"),
+                judge=self._judge_anylink,
+            )
+        raise ValueError(f"unknown element {element!r}")
 
-    def _schedule_flow(
+    def audit_zero_rating(
         self,
-        ctx: HarnessContext,
-        entry: Element,
-        outcome: FlowOutcome,
-        sport: int,
-        sizes: list[int],
-        start: float,
-        cookies: "list[Cookie | None]",
-    ) -> None:
-        """Schedule one probe flow: packet i at ``start + i*spacing``,
-        carrying ``cookies[i]`` when not None."""
-        spacing = self.config.packet_spacing_s
+        persona=None,
+        element: str = "stateful",
+    ) -> AuditVerdict:
+        """Audit the zero-rating data path (§4.6) against its advertised
+        policy: cookied traffic is free, everything else is charged, at
+        identical delivery performance, with exact byte accounting.
 
-        def send(index: int) -> None:
+        ``element`` selects the implementation under audit:
+        ``"stateful"`` (:class:`~repro.services.zerorate.ZeroRatingMiddlebox`)
+        or ``"stateless"``
+        (:class:`~repro.services.zerorate.StatelessZeroRater`).
+        """
+        return self.audit(f"zerorate-{element}", persona)
+
+    def audit_boost(self, persona=None) -> AuditVerdict:
+        """Audit the Boost fast lane (§5.2): cookied flows must ride the
+        fast lane (and measurably finish sooner through the bottleneck);
+        bare flows must never carry the fast-lane mark."""
+        return self.audit("boost", persona)
+
+    def audit_anylink(self, persona=None, profile: str = "2g") -> AuditVerdict:
+        """Audit the AnyLink slow lane (§5): here the *advertised* policy
+        is a performance difference in the opposite direction — cookied
+        flows must be slower (shaped to the emulated profile), bare flows
+        untouched.  The same instrument verifies an inverted policy."""
+        return self.audit(f"anylink-{profile}", persona)
+
+    # ------------------------------------------------------------------
+    # The campaign: harness -> schedule -> collect -> verdict
+    # ------------------------------------------------------------------
+    def _run_campaign(
+        self,
+        persona,
+        *,
+        element: str,
+        service: str,
+        service_data: str,
+        seed_path: tuple[str, ...],
+        epoch: float,
+        subnet: int,
+        build: Callable,
+        plan: Callable,
+        judge: Callable,
+    ) -> AuditVerdict:
+        """Run one element × persona audit.
+
+        The public control plane offers ``service`` and nothing else.
+        ``build(ctx, persona, recorder, operator_store)`` constructs the
+        element under audit behind ``recorder``, sets ``ctx.element``, and
+        returns the chain probes cross before the tap plus the element's
+        per-subscriber bill reader (None: no bill).  ``plan(ctx, base,
+        cookies_for)`` runs at each trial's start and returns its
+        ``(probe, host, start, cookies)`` rows; ``judge`` maps per-trial
+        outcomes to dimensions.  Probe subscribers live in
+        ``10.<subnet>.0.0/16``; every clock reads ``epoch + loop.now``.
+        """
+        persona = persona or HonestOperator()
+        config = self.config
+        rng = random.Random(derive_seed(config.seed, "audit", *seed_path))
+        loop = EventLoop()
+        clock = lambda: epoch + loop.now  # noqa: E731
+
+        honest_store = DescriptorStore()
+        server = CookieServer(clock=clock)
+        server.offer(
+            ServiceOffering(
+                name=service,
+                description=f"audited {service}",
+                lifetime=None,
+                service_data=service_data,
+            )
+        )
+        server.attach_enforcement_store(honest_store)
+        ctx = HarnessContext(
+            loop=loop,
+            clock=clock,
+            store=honest_store,
+            server=server,
+            transports=default_registry(),
+            service=service,
+            config=config,
+        )
+        persona.setup(ctx)
+
+        operator_store = persona.wrap_store(honest_store)
+        recorder = RecordingVerifier(
+            persona.wrap_matcher(CookieMatcher(operator_store, nct=_NCT_S)),
+            CookieMatcher(honest_store, nct=_NCT_S),
+            probe_of={},
+        )
+        chain, counters_of = build(ctx, persona, recorder, operator_store)
+        capture = PacketCapture(
+            clock=clock, keep_meta=_TAP_ANNOTATIONS, name="audit-tap"
+        )
+        chain = [*chain, capture, Sink(keep=False)]
+        for upstream, downstream in zip(chain, chain[1:]):
+            upstream >> downstream
+
+        def cookies_for(descriptor, skew: float = 0.0) -> "list[Cookie | None]":
+            """The per-packet cookie vector for one positive probe, minted
+            by a clock running ``skew`` seconds ahead."""
+            generator = CookieGenerator(
+                descriptor,
+                clock=(lambda: clock() + skew) if skew else clock,
+                rng=rng.randbytes,
+            )
+            count = config.packets_per_flow
+            if config.cookie_mode == "first-packet":
+                return [generator.generate()] + [None] * (count - 1)
+            return [generator.generate() for _ in range(count)]
+
+        def send(outcome: FlowOutcome, sport: int, size: int, cookie) -> None:
             packet = make_tcp_packet(
                 outcome.subscriber,
                 sport,
                 _SERVER_IP,
                 443,
-                payload_size=sizes[index],
-                created_at=ctx.loop.now,
+                payload_size=size,
+                created_at=loop.now,
             )
-            cookie = cookies[index]
             if cookie is not None:
+                # The ledger attributes a verification to whoever put the
+                # cookie on the wire: a spent cookie re-sent by a replay
+                # probe is that probe's attempt, not the original flow's.
+                recorder.probe_of[(cookie.cookie_id, cookie.uuid)] = outcome.probe
                 ctx.transports.attach(packet, cookie)
             outcome.sent_packets += 1
             outcome.sent_bytes += packet.wire_length
-            entry.push(packet)
+            chain[0].push(packet)
 
-        for index in range(len(sizes)):
-            ctx.loop.schedule_at(start + index * spacing, lambda i=index: send(i))
+        outcomes: dict[tuple[str, int], FlowOutcome] = {}
+        trial_probes: _Trials = [{} for _ in range(config.trials)]
+
+        def setup_trial(trial: int, base: float) -> None:
+            # One size vector per trial, shared by all its probes: that is
+            # what 'byte-identical' means.  Drawn before the plan's mints.
+            sizes = [
+                _PAYLOAD_BYTES + rng.randrange(_PAYLOAD_JITTER + 1)
+                for _ in range(config.packets_per_flow)
+            ]
+            for probe, host, start, cookies in plan(ctx, base, cookies_for):
+                subscriber = f"10.{subnet + (trial >> 8)}.{trial & 255}.{host}"
+                outcome = FlowOutcome(
+                    probe=probe, subscriber=subscriber, trial=trial, start=start
+                )
+                outcomes[(subscriber, 20_000 + host)] = outcome
+                trial_probes[trial][probe] = outcome
+                for index, (size, cookie) in enumerate(zip(sizes, cookies)):
+                    loop.schedule_at(
+                        start + index * _PACKET_SPACING_S,
+                        partial(send, outcome, 20_000 + host, size, cookie),
+                    )
+
+        for trial in range(config.trials):
+            base = trial * _TRIAL_SPACING_S
+            loop.schedule_at(base, partial(setup_trial, trial, base))
+
+        _drain(loop, config.trials * _TRIAL_SPACING_S + 4 * _NCT_S)
+        self._collect_outcomes(capture, outcomes, counters_of, epoch)
+        return AuditVerdict(
+            element=element,
+            persona=persona.name,
+            service=service,
+            seed=config.seed,
+            trials=config.trials,
+            dimensions=judge(trial_probes),
+            outcomes=trial_probes,
+            verifications=recorder.records,
+        )
 
     def _collect_outcomes(
         self,
@@ -480,13 +717,9 @@ class NeutralityAuditor:
         tests = [
             sign_test(deltas),
             paired_permutation_test(deltas, seed=config.seed),
+            *(extra_tests or ()),
         ]
         significant = [t for t in tests if t.significant(config.alpha)]
-        if extra_tests:
-            tests.extend(extra_tests)
-            significant.extend(
-                t for t in extra_tests if t.significant(config.alpha)
-            )
         direction = 0
         for test in significant:
             if test.direction:
@@ -508,210 +741,59 @@ class NeutralityAuditor:
     # ------------------------------------------------------------------
     # Zero-rating audit
     # ------------------------------------------------------------------
-    def audit_zero_rating(
-        self,
-        persona=None,
-        element: str = "stateful",
-    ) -> AuditVerdict:
-        """Audit the zero-rating data path (§4.6) against its advertised
-        policy: cookied traffic is free, everything else is charged, at
-        identical delivery performance, with exact byte accounting.
-
-        ``element`` selects the implementation under audit:
-        ``"stateful"`` (:class:`~repro.services.zerorate.ZeroRatingMiddlebox`)
-        or ``"stateless"``
-        (:class:`~repro.services.zerorate.StatelessZeroRater`).
-        """
-        import random
-
+    def _build_zero_rating(
+        self, variant: str, ctx: HarnessContext, persona, recorder, operator_store
+    ):
         from ..services.zerorate import StatelessZeroRater, ZeroRatingMiddlebox
-        from .personas import HonestOperator
 
-        persona = persona or HonestOperator()
-        config = self.config
-        service = "zero-rate"
-        rng = random.Random(derive_seed(config.seed, "audit", "zerorate"))
-        loop = EventLoop()
-        clock = lambda: _EPOCH + loop.now  # noqa: E731
+        box_type = {
+            "stateful": ZeroRatingMiddlebox,
+            "stateless": StatelessZeroRater,
+        }[variant]
+        box = ctx.element = box_type(recorder, clock=ctx.clock)
+        chain = [*persona.front_elements(ctx), box, *persona.rear_elements(ctx)]
+        return chain, box.counters_for
 
-        honest_store = DescriptorStore()
-        server = CookieServer(clock=clock)
-        server.offer(
-            ServiceOffering(
-                name=service,
-                description="audited zero-rating",
-                lifetime=None,
-                service_data=service,
-            )
+    def _plan_zero_rating(self, ctx: HarnessContext, base: float, cookies_for):
+        """The matched pair plus the negative probes: replays of spent
+        cookies, a revoked descriptor, and a second bare subscriber."""
+        server = ctx.server
+        nct = _NCT_S
+        bare = [None] * self.config.packets_per_flow
+        descriptor = server.acquire("auditor", ctx.service)
+        revoked_descriptor = server.acquire("auditor", ctx.service)
+
+        cookied = cookies_for(descriptor)
+        # The PR-4 double-spend window: a cookie stamped by a clock
+        # running ~NCT ahead stays timestamp-fresh for up to 2×NCT
+        # after its earliest spend instant.  Spend it now, replay it
+        # 1.5×NCT later — the replay cache (window 2×NCT) must still
+        # remember it even though a full NCT-wide cache would not.
+        skewed = cookies_for(descriptor, skew=nct * 0.98)
+        revoked_cookies = cookies_for(revoked_descriptor)
+        ctx.loop.schedule_at(
+            base + 0.3,
+            lambda: server.revoke(revoked_descriptor.cookie_id, by="auditor"),
         )
-        server.attach_enforcement_store(honest_store)
-        ctx = HarnessContext(
-            loop=loop,
-            clock=clock,
-            store=honest_store,
-            server=server,
-            transports=default_registry(),
-            service=service,
-            config=config,
-        )
-        persona.setup(ctx)
-
-        operator_store = persona.wrap_store(honest_store)
-        operator_matcher = persona.wrap_matcher(
-            CookieMatcher(operator_store, nct=config.nct_s)
-        )
-        probe_of: dict[tuple[int, bytes], str] = {}
-        recorder = RecordingVerifier(
-            operator_matcher,
-            CookieMatcher(honest_store, nct=config.nct_s),
-            probe_of,
-        )
-        if element == "stateful":
-            box = ZeroRatingMiddlebox(recorder, clock=clock)
-        elif element == "stateless":
-            box = StatelessZeroRater(recorder, clock=clock)
-        else:
-            raise ValueError(f"unknown zero-rating element {element!r}")
-        box = persona.wrap_element(box)
-        ctx.element = box
-
-        capture = PacketCapture(
-            clock=clock,
-            keep_meta=("zero_rated", "cookie_checked"),
-            name="audit-tap",
-        )
-        chain: list[Element] = [
-            *persona.front_elements(ctx),
-            box,
-            *persona.rear_elements(ctx),
-            capture,
-            Sink(keep=False),
-        ]
-        for upstream, downstream in zip(chain, chain[1:]):
-            upstream >> downstream
-        entry = chain[0]
-
-        def mint(descriptor, probe: str, skew: float = 0.0) -> Cookie:
-            generator = CookieGenerator(
-                descriptor,
-                clock=(lambda: clock() + skew) if skew else clock,
-                rng=rng.randbytes,
-            )
-            cookie = generator.generate()
-            probe_of[(cookie.cookie_id, cookie.uuid)] = probe
-            return cookie
-
-        def flow_cookies(descriptor, probe: str, skew: float = 0.0):
-            """The per-packet cookie vector for one positive probe."""
-            count = self.config.packets_per_flow
-            if config.cookie_mode == "first-packet":
-                return [mint(descriptor, probe, skew)] + [None] * (count - 1)
-            return [mint(descriptor, probe, skew) for _ in range(count)]
-
-        outcomes: dict[tuple[str, int], FlowOutcome] = {}
-        trial_probes: list[dict[str, FlowOutcome]] = []
-
-        def new_outcome(trial: int, probe: str, host: int, start: float):
-            subscriber = f"10.{64 + (trial >> 8)}.{trial & 255}.{host}"
-            outcome = FlowOutcome(
-                probe=probe, subscriber=subscriber, trial=trial, start=start
-            )
-            outcomes[(subscriber, 20_000 + host)] = outcome
-            trial_probes[trial][probe] = outcome
-            return outcome
-
-        def setup_trial(trial: int, base: float) -> None:
-            sizes = self._payload_sizes(rng)
-            nct = config.nct_s
-            descriptor = server.acquire("auditor", service)
-            revoked_descriptor = server.acquire("auditor", service)
-
-            cookied = flow_cookies(descriptor, "cookied")
-            # Replays re-send the exact cookie the element consumed on the
-            # cookied flow's opening packet (the chaos attacker's threat
-            # model: a sniffed, *spent* cookie).
-            spent = cookied[0]
-            probe_of[(spent.cookie_id, spent.uuid)] = "cookied"
-            replay_vector = [spent] + [None] * (config.packets_per_flow - 1)
-            # Once the original flow has spent the cookie, verifications of
-            # the same (id, uuid) belong to the replaying probe — keep the
-            # record/replay ledger attributing each attempt to its sender.
-            loop.schedule_at(
-                base + 1.5,
-                lambda: probe_of.__setitem__(
-                    (spent.cookie_id, spent.uuid), "replayed"
-                ),
-            )
-            # The PR-4 double-spend window: a cookie stamped by a clock
-            # running ~NCT ahead stays timestamp-fresh for up to 2×NCT
-            # after its earliest spend instant.  Spend it now, replay it
-            # 1.5×NCT later — the replay cache (window 2×NCT) must still
-            # remember it even though a full NCT-wide cache would not.
-            skew = nct * 0.98
-            skewed = flow_cookies(descriptor, "skewed_spend", skew=skew)
-            skewed_spent = skewed[0]
-            skew_replay = [skewed_spent] + [None] * (config.packets_per_flow - 1)
-            loop.schedule_at(
-                base + 2.0 + nct,
-                lambda: probe_of.__setitem__(
-                    (skewed_spent.cookie_id, skewed_spent.uuid),
-                    "replayed_skewed",
-                ),
-            )
-            revoked_cookies = flow_cookies(revoked_descriptor, "revoked")
-            loop.schedule_at(
-                base + 0.3,
-                lambda: server.revoke(revoked_descriptor.cookie_id, by="auditor"),
-            )
-
-            plan = (
-                ("cookied", 1, base + 0.5, cookied),
-                ("bare", 2, base + 0.5, [None] * config.packets_per_flow),
-                ("bare_collusion", 3, base + 1.5, [None] * config.packets_per_flow),
-                ("replayed", 4, base + 2.0, replay_vector),
-                ("skewed_spend", 5, base + 2.0, skewed),
-                ("replayed_skewed", 6, base + 2.0 + 1.5 * nct, skew_replay),
-                ("revoked", 7, base + 0.5, revoked_cookies),
-            )
-            for probe, host, start, cookies in plan:
-                outcome = new_outcome(trial, probe, host, start)
-                self._schedule_flow(
-                    ctx, entry, outcome, 20_000 + host, list(sizes), start, cookies
-                )
-
-        for trial in range(config.trials):
-            trial_probes.append({})
-            base = trial * config.trial_spacing_s
-            loop.schedule_at(base, lambda t=trial, b=base: setup_trial(t, b))
-
-        _drain(loop, config.trials * config.trial_spacing_s + 4 * config.nct_s)
-        self._collect_outcomes(capture, outcomes, box.counters_for, _EPOCH)
-        dimensions = self._judge_zero_rating(trial_probes)
-        return AuditVerdict(
-            element=f"zerorate-{element}",
-            persona=persona.name,
-            service=service,
-            seed=config.seed,
-            trials=config.trials,
-            dimensions=dimensions,
-            outcomes=trial_probes,
-            verifications=recorder.records,
+        # Replays re-send the exact cookie the element consumed on the
+        # original flow's opening packet (the chaos attacker's threat
+        # model: a sniffed, *spent* cookie).
+        return (
+            ("cookied", 1, base + 0.5, cookied),
+            ("bare", 2, base + 0.5, bare),
+            ("bare_collusion", 3, base + 1.5, bare),
+            ("replayed", 4, base + 2.0, cookied[:1] + bare[1:]),
+            ("skewed_spend", 5, base + 2.0, skewed),
+            ("replayed_skewed", 6, base + 2.0 + 1.5 * nct, skewed[:1] + bare[1:]),
+            ("revoked", 7, base + 0.5, revoked_cookies),
         )
 
-    def _judge_zero_rating(
-        self, trials: list[dict[str, FlowOutcome]]
-    ) -> dict[str, DimensionResult]:
+    def _judge_zero_rating(self, trials: _Trials) -> dict[str, DimensionResult]:
         accounting_deltas: list[float] = []
         fct_deltas: list[float] = []
         delivered_deltas: list[float] = []
         conservation: list[str] = []
-        replay: list[str] = []
-        revocation: list[str] = []
-        exclusivity: list[str] = []
-
-        def free_bytes_of(outcome: FlowOutcome) -> int:
-            # Either evidence stream convicts: the bill or the wire mark.
-            return max(outcome.billed_free, outcome.free_marked_bytes)
+        rode_free: dict[str, list[str]] = {name: [] for name in _MUST_BE_CHARGED}
 
         for index, probes in enumerate(trials):
             cookied = probes["cookied"]
@@ -731,26 +813,16 @@ class NeutralityAuditor:
                         f"{outcome.billed_total} B but delivered "
                         f"{outcome.delivered_bytes} B"
                     )
-            for probe in ("replayed", "replayed_skewed"):
-                free = free_bytes_of(probes[probe])
-                if free:
-                    replay.append(
-                        f"trial {index} {probe}: {free} B rode free on a "
-                        "spent cookie"
-                    )
-            free = free_bytes_of(probes["revoked"])
-            if free:
-                revocation.append(
-                    f"trial {index} revoked: {free} B rode free on a "
-                    "revoked descriptor"
-                )
-            for probe in ("bare", "bare_collusion"):
-                free = free_bytes_of(probes[probe])
-                if free:
-                    exclusivity.append(
-                        f"trial {index} {probe}: {free} B rode free "
-                        "without a cookie"
-                    )
+            for name, (charged_probes, how, _) in _MUST_BE_CHARGED.items():
+                for probe in charged_probes:
+                    outcome = probes[probe]
+                    # Either evidence stream convicts: the bill or the
+                    # wire mark.
+                    free = max(outcome.billed_free, outcome.free_marked_bytes)
+                    if free:
+                        rode_free[name].append(
+                            f"trial {index} {probe}: {free} B rode free {how}"
+                        )
 
         delivered_test = sign_test(delivered_deltas)
         performance = self._statistical_dimension(
@@ -767,7 +839,7 @@ class NeutralityAuditor:
         # Delivered-fraction loss points the same way as an FCT increase.
         if delivered_test.significant(self.config.alpha) and not performance.direction:
             performance.direction = -delivered_test.direction
-        dims = {
+        return {
             "accounting": self._statistical_dimension(
                 "accounting",
                 accounting_deltas,
@@ -779,172 +851,55 @@ class NeutralityAuditor:
                 ),
             ),
             "performance": performance,
-            "conservation": DimensionResult(
-                name="conservation",
-                kind="invariant",
-                violations=conservation,
-                detail="per-subscriber bill equals delivered wire bytes",
+            "conservation": _invariant(
+                "conservation",
+                conservation,
+                "per-subscriber bill equals delivered wire bytes",
             ),
-            "replay": DimensionResult(
-                name="replay",
-                kind="invariant",
-                violations=replay,
-                detail=(
-                    "a spent cookie is never free again, including the "
-                    "future-skew replay inside the 2xNCT window"
-                ),
-            ),
-            "revocation": DimensionResult(
-                name="revocation",
-                kind="invariant",
-                violations=revocation,
-                detail="cookies of a revoked descriptor are charged",
-            ),
-            "exclusivity": DimensionResult(
-                name="exclusivity",
-                kind="invariant",
-                violations=exclusivity,
-                detail=(
-                    "bare flows are charged, from the probing subscriber "
-                    "and from the collusion subscriber alike"
-                ),
-            ),
+            **{
+                name: _invariant(name, rode_free[name], detail)
+                for name, (_, _, detail) in _MUST_BE_CHARGED.items()
+            },
         }
-        return dims
 
     # ------------------------------------------------------------------
-    # Boost audit
+    # Boost and AnyLink audits
     # ------------------------------------------------------------------
-    def audit_boost(self, persona=None) -> AuditVerdict:
-        """Audit the Boost fast lane (§5.2): cookied flows must ride the
-        fast lane (and measurably finish sooner through the bottleneck);
-        bare flows must never carry the fast-lane mark."""
-        import random
+    def _plan_matched_pair(
+        self, cookied: str, bare: str, ctx: HarnessContext, base: float, cookies_for
+    ):
+        """One cookied flow and its bare twin, named per the audit."""
+        descriptor = ctx.server.acquire("auditor", ctx.service)
+        return (
+            (cookied, 1, base + 0.5, cookies_for(descriptor)),
+            (bare, 2, base + 0.5, [None] * self.config.packets_per_flow),
+        )
 
+    def _build_boost(self, ctx: HarnessContext, persona, recorder, operator_store):
         from ..services.boost.daemon import BoostDaemon
-        from .personas import HonestOperator
+        from ..services.boost.qos import FAST_LANE_CLASS
 
-        persona = persona or HonestOperator()
-        config = self.config
-        service = "boost"
-        rng = random.Random(derive_seed(config.seed, "audit", "boost"))
-        loop = EventLoop()
-        # The daemon's embedded CookieSwitch verifies at loop.now, so the
-        # auditor mints cookies on the same time base.
-        clock = lambda: loop.now  # noqa: E731
-
-        honest_store = DescriptorStore()
-        server = CookieServer(clock=clock)
-        server.offer(
-            ServiceOffering(
-                name=service,
-                description="audited fast lane",
-                lifetime=None,
-                service_data=service,
-            )
-        )
-        server.attach_enforcement_store(honest_store)
-        ctx = HarnessContext(
-            loop=loop,
-            clock=clock,
-            store=honest_store,
-            server=server,
-            transports=default_registry(),
-            service=service,
-            config=config,
-        )
-        persona.setup(ctx)
-
-        operator_store = persona.wrap_store(honest_store)
-        operator_matcher = persona.wrap_matcher(
-            CookieMatcher(operator_store, nct=config.nct_s)
-        )
-        probe_of: dict[tuple[int, bytes], str] = {}
-        recorder = RecordingVerifier(
-            operator_matcher,
-            CookieMatcher(honest_store, nct=config.nct_s),
-            probe_of,
-        )
-        daemon = BoostDaemon(
-            loop,
+        daemon = ctx.element = BoostDaemon(
+            ctx.loop,
             operator_store,
-            boost_lifetime=config.trial_spacing_s / 2,
+            boost_lifetime=_TRIAL_SPACING_S / 2,
             verifier=recorder,
         )
-        daemon = persona.wrap_daemon(daemon)
-        ctx.element = daemon
 
-        def default_stage() -> ShaperElement:
-            from ..services.boost.qos import FAST_LANE_CLASS
-
-            return ShaperElement(
-                loop,
-                TokenBucket(
-                    rate_bps=config.bottleneck_bps,
-                    burst_bytes=config.bottleneck_burst_bytes,
-                ),
-                predicate=(
-                    lambda packet: packet.meta.get("qos_class")
-                    != FAST_LANE_CLASS
-                ),
-                name="audit-bottleneck",
-            )
-
-        stage = persona.boost_stage(ctx, default_stage)
-        capture = PacketCapture(
-            clock=clock,
-            keep_meta=("qos_class", "service"),
-            name="audit-tap",
+        # The honest bottleneck: fast-lane packets bypass the shaper.
+        stage = ShaperElement(
+            ctx.loop,
+            TokenBucket(
+                rate_bps=_BOTTLENECK_BPS, burst_bytes=_BOTTLENECK_BURST_BYTES
+            ),
+            predicate=(
+                lambda packet: packet.meta.get("qos_class") != FAST_LANE_CLASS
+            ),
+            name="audit-bottleneck",
         )
-        daemon.switch >> stage >> capture >> Sink(keep=False)
+        return [daemon.switch, persona.boost_stage(ctx, stage)], None
 
-        outcomes: dict[tuple[str, int], FlowOutcome] = {}
-        trial_probes: list[dict[str, FlowOutcome]] = []
-
-        def mint(descriptor, probe: str) -> Cookie:
-            cookie = CookieGenerator(
-                descriptor, clock=clock, rng=rng.randbytes
-            ).generate()
-            probe_of[(cookie.cookie_id, cookie.uuid)] = probe
-            return cookie
-
-        def setup_trial(trial: int, base: float) -> None:
-            sizes = self._payload_sizes(rng)
-            descriptor = server.acquire("auditor", service)
-            count = config.packets_per_flow
-            boosted_cookies: list[Cookie | None]
-            if config.cookie_mode == "first-packet":
-                boosted_cookies = [mint(descriptor, "boosted")] + [None] * (
-                    count - 1
-                )
-            else:
-                boosted_cookies = [
-                    mint(descriptor, "boosted") for _ in range(count)
-                ]
-            plan = (
-                ("boosted", 1, base + 0.5, boosted_cookies),
-                ("plain", 2, base + 0.5, [None] * count),
-            )
-            for probe, host, start, cookies in plan:
-                subscriber = f"10.{96 + (trial >> 8)}.{trial & 255}.{host}"
-                outcome = FlowOutcome(
-                    probe=probe, subscriber=subscriber, trial=trial, start=start
-                )
-                outcomes[(subscriber, 20_000 + host)] = outcome
-                trial_probes[trial][probe] = outcome
-                self._schedule_flow(
-                    ctx, daemon.switch, outcome, 20_000 + host, list(sizes),
-                    start, cookies,
-                )
-
-        for trial in range(config.trials):
-            trial_probes.append({})
-            base = trial * config.trial_spacing_s
-            loop.schedule_at(base, lambda t=trial, b=base: setup_trial(t, b))
-
-        _drain(loop, config.trials * config.trial_spacing_s + 4 * config.nct_s)
-        self._collect_outcomes(capture, outcomes, None, 0.0)
-
+    def _judge_boost(self, trials: _Trials) -> dict[str, DimensionResult]:
         fct_deltas: list[float] = []
         marking: list[str] = []
         delivery: list[str] = []
@@ -953,9 +908,9 @@ class NeutralityAuditor:
         # is absolute, not relative: an operator shaping *both* lanes can
         # keep the paired delta positive while under-delivering the rate
         # the subscriber paid for.
-        nominal = (config.packets_per_flow - 1) * config.packet_spacing_s
-        fct_bound = nominal + 2 * config.packet_spacing_s
-        for index, probes in enumerate(trial_probes):
+        nominal = (self.config.packets_per_flow - 1) * _PACKET_SPACING_S
+        fct_bound = nominal + 2 * _PACKET_SPACING_S
+        for index, probes in enumerate(trials):
             boosted = probes["boosted"]
             plain = probes["plain"]
             if boosted.fct is not None and plain.fct is not None:
@@ -977,21 +932,17 @@ class NeutralityAuditor:
                     f"trial {index}: bare flow carried the fast-lane mark "
                     f"on {plain.fast_lane_packets} packet(s)"
                 )
-        dimensions = {
-            "marking": DimensionResult(
-                name="marking",
-                kind="invariant",
-                violations=marking,
-                detail="fast-lane QoS mark rides cookied flows, and only them",
+        return {
+            "marking": _invariant(
+                "marking",
+                marking,
+                "fast-lane QoS mark rides cookied flows, and only them",
             ),
-            "delivery": DimensionResult(
-                name="delivery",
-                kind="invariant",
-                violations=delivery,
-                detail=(
-                    "boosted flows complete at send pacing (the fast lane "
-                    "bypasses the bottleneck)"
-                ),
+            "delivery": _invariant(
+                "delivery",
+                delivery,
+                "boosted flows complete at send pacing (the fast lane "
+                "bypasses the bottleneck)",
             ),
             "performance": self._statistical_dimension(
                 "performance",
@@ -1004,123 +955,19 @@ class NeutralityAuditor:
                 ),
             ),
         }
-        return AuditVerdict(
-            element="boost",
-            persona=persona.name,
-            service=service,
-            seed=config.seed,
-            trials=config.trials,
-            dimensions=dimensions,
-            outcomes=trial_probes,
-            verifications=recorder.records,
+
+    def _build_anylink(self, ctx: HarnessContext, persona, recorder, operator_store):
+        from ..services.anylink.proxy import STANDARD_PROFILES, AnyLinkProxy
+
+        proxy = ctx.element = AnyLinkProxy(
+            ctx.loop, recorder, profiles=STANDARD_PROFILES
         )
+        return [proxy], None
 
-    # ------------------------------------------------------------------
-    # AnyLink audit
-    # ------------------------------------------------------------------
-    def audit_anylink(self, persona=None, profile: str = "2g") -> AuditVerdict:
-        """Audit the AnyLink slow lane (§5): here the *advertised* policy
-        is a performance difference in the opposite direction — cookied
-        flows must be slower (shaped to the emulated profile), bare flows
-        untouched.  The same instrument verifies an inverted policy."""
-        import random
-
-        from ..services.anylink.proxy import (
-            STANDARD_PROFILES,
-            AnyLinkProxy,
-            make_anylink_server,
-        )
-        from .personas import HonestOperator
-
-        persona = persona or HonestOperator()
-        config = self.config
-        service = f"anylink-{profile}"
-        rng = random.Random(derive_seed(config.seed, "audit", "anylink", profile))
-        loop = EventLoop()
-        # AnyLinkProxy verifies at loop.now; mint on the same time base.
-        clock = lambda: loop.now  # noqa: E731
-
-        honest_store = DescriptorStore()
-        server = make_anylink_server(clock)
-        server.attach_enforcement_store(honest_store)
-        ctx = HarnessContext(
-            loop=loop,
-            clock=clock,
-            store=honest_store,
-            server=server,
-            transports=default_registry(),
-            service=service,
-            config=config,
-        )
-        persona.setup(ctx)
-
-        operator_store = persona.wrap_store(honest_store)
-        operator_matcher = persona.wrap_matcher(
-            CookieMatcher(operator_store, nct=config.nct_s)
-        )
-        probe_of: dict[tuple[int, bytes], str] = {}
-        recorder = RecordingVerifier(
-            operator_matcher,
-            CookieMatcher(honest_store, nct=config.nct_s),
-            probe_of,
-        )
-        proxy = AnyLinkProxy(loop, recorder, profiles=STANDARD_PROFILES)
-        proxy = persona.wrap_element(proxy)
-        ctx.element = proxy
-        capture = PacketCapture(
-            clock=clock,
-            keep_meta=("anylink_profile",),
-            name="audit-tap",
-        )
-        proxy >> capture
-        capture >> Sink(keep=False)
-
-        outcomes: dict[tuple[str, int], FlowOutcome] = {}
-        trial_probes: list[dict[str, FlowOutcome]] = []
-
-        def setup_trial(trial: int, base: float) -> None:
-            sizes = self._payload_sizes(rng)
-            descriptor = server.acquire("auditor", service)
-            count = config.packets_per_flow
-
-            def mint() -> Cookie:
-                cookie = CookieGenerator(
-                    descriptor, clock=clock, rng=rng.randbytes
-                ).generate()
-                probe_of[(cookie.cookie_id, cookie.uuid)] = "cookied"
-                return cookie
-
-            if config.cookie_mode == "first-packet":
-                cookied: list[Cookie | None] = [mint()] + [None] * (count - 1)
-            else:
-                cookied = [mint() for _ in range(count)]
-            plan = (
-                ("cookied", 1, base + 0.5, cookied),
-                ("bare", 2, base + 0.5, [None] * count),
-            )
-            for probe, host, start, cookies in plan:
-                subscriber = f"10.{128 + (trial >> 8)}.{trial & 255}.{host}"
-                outcome = FlowOutcome(
-                    probe=probe, subscriber=subscriber, trial=trial, start=start
-                )
-                outcomes[(subscriber, 20_000 + host)] = outcome
-                trial_probes[trial][probe] = outcome
-                self._schedule_flow(
-                    ctx, proxy, outcome, 20_000 + host, list(sizes), start,
-                    cookies,
-                )
-
-        for trial in range(config.trials):
-            trial_probes.append({})
-            base = trial * config.trial_spacing_s
-            loop.schedule_at(base, lambda t=trial, b=base: setup_trial(t, b))
-
-        _drain(loop, config.trials * config.trial_spacing_s + 4 * config.nct_s)
-        self._collect_outcomes(capture, outcomes, None, 0.0)
-
+    def _judge_anylink(self, trials: _Trials) -> dict[str, DimensionResult]:
         fct_deltas: list[float] = []
         binding: list[str] = []
-        for index, probes in enumerate(trial_probes):
+        for index, probes in enumerate(trials):
             cookied = probes["cookied"]
             bare = probes["bare"]
             if cookied.fct is not None and bare.fct is not None:
@@ -1134,12 +981,11 @@ class NeutralityAuditor:
                     f"trial {index}: bare flow bound to a profile on "
                     f"{bare.profile_packets} packet(s)"
                 )
-        dimensions = {
-            "binding": DimensionResult(
-                name="binding",
-                kind="invariant",
-                violations=binding,
-                detail="profile binding rides cookied flows, and only them",
+        return {
+            "binding": _invariant(
+                "binding",
+                binding,
+                "profile binding rides cookied flows, and only them",
             ),
             "performance": self._statistical_dimension(
                 "performance",
@@ -1152,13 +998,3 @@ class NeutralityAuditor:
                 ),
             ),
         }
-        return AuditVerdict(
-            element="anylink",
-            persona=persona.name,
-            service=service,
-            seed=config.seed,
-            trials=config.trials,
-            dimensions=dimensions,
-            outcomes=trial_probes,
-            verifications=recorder.records,
-        )

@@ -29,9 +29,8 @@ from ..core.cookie import Cookie
 from ..core.descriptor import CookieDescriptor
 from ..core.errors import CookieError, ReplayDetected
 from ..core.generator import CookieGenerator
-from ..netsim.middlebox import Element, FunctionElement, ShaperElement
+from ..netsim.middlebox import Element, FunctionElement
 from ..netsim.packet import Packet
-from ..netsim.queues import TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from .auditor import HarnessContext
@@ -72,12 +71,6 @@ class OperatorPersona:
     def wrap_matcher(self, matcher: Any) -> Any:
         return matcher
 
-    def wrap_element(self, element: Any) -> Any:
-        return element
-
-    def wrap_daemon(self, daemon: Any) -> Any:
-        return daemon
-
     def front_elements(self, ctx: "HarnessContext") -> list[Element]:
         """Elements spliced in *before* the element under audit."""
         return []
@@ -86,12 +79,10 @@ class OperatorPersona:
         """Elements spliced in *after* it (before the capture tap)."""
         return []
 
-    def boost_stage(
-        self, ctx: "HarnessContext", default_factory: Callable[[], Element]
-    ) -> Element:
+    def boost_stage(self, ctx: "HarnessContext", stage: Element) -> Element:
         """The bottleneck stage behind the boost switch; the honest one
-        (from ``default_factory``) lets fast-lane packets bypass it."""
-        return default_factory()
+        (``stage``, as handed in) lets fast-lane packets bypass it."""
+        return stage
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -184,18 +175,10 @@ class BoostUnderDeliverer(OperatorPersona):
     description = "shapes fast-lane traffic at the bottleneck rate"
     targets = ("boost",)
 
-    def boost_stage(
-        self, ctx: "HarnessContext", default_factory: Callable[[], Element]
-    ) -> Element:
-        config = ctx.config
-        return ShaperElement(
-            ctx.loop,
-            TokenBucket(
-                rate_bps=config.bottleneck_bps,
-                burst_bytes=config.bottleneck_burst_bytes,
-            ),
-            name="persona-under-deliver",
-        )
+    def boost_stage(self, ctx: "HarnessContext", stage: Element) -> Element:
+        # The honest stage minus its bypass: every packet is shaped.
+        stage.predicate = lambda _packet: True
+        return stage
 
 
 class _ReplayHonoringMatcher:

@@ -21,8 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..audit.auditor import AUDIT_SEED, AuditConfig, AuditVerdict, NeutralityAuditor
-from ..audit.personas import PERSONAS, HonestOperator, OperatorPersona
+from ..audit.auditor import AUDIT_SEED, AuditConfig, NeutralityAuditor
+from ..audit.personas import PERSONAS
 
 __all__ = ["AuditCampaignConfig", "AuditCampaignReport", "run_audit"]
 
@@ -128,20 +128,6 @@ class AuditCampaignReport:
         return rows
 
 
-def _run_one(
-    auditor: NeutralityAuditor, persona: OperatorPersona, element: str
-) -> AuditVerdict:
-    if element == "zerorate-stateful":
-        return auditor.audit_zero_rating(persona, element="stateful")
-    if element == "zerorate-stateless":
-        return auditor.audit_zero_rating(persona, element="stateless")
-    if element == "boost":
-        return auditor.audit_boost(persona)
-    if element == "anylink":
-        return auditor.audit_anylink(persona)
-    raise ValueError(f"unknown element {element!r}")
-
-
 def run_audit(
     config: AuditCampaignConfig | None = None,
     telemetry=None,
@@ -172,16 +158,14 @@ def run_audit(
         for element in elements
     ]
     for element in honest_elements:
-        verdict = _run_one(auditor, HonestOperator(), element)
-        report.verdicts.append(verdict.to_json())
+        report.verdicts.append(auditor.audit(element).to_json())
 
     for name, factory in PERSONAS.items():
         if config.personas is not None and name not in config.personas:
             continue
         for target in factory().targets:
             for element in _TARGET_ELEMENTS[target]:
-                verdict = _run_one(auditor, factory(), element)
-                report.verdicts.append(verdict.to_json())
+                report.verdicts.append(auditor.audit(element, factory()).to_json())
 
     if telemetry is not None:
         register_audit_telemetry(telemetry, report)

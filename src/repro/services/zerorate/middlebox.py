@@ -112,6 +112,13 @@ def _is_private(ip: str) -> bool:
     return ip.startswith(("10.", "192.168."))
 
 
+def _subscriber_side(is_subscriber: Callable[[str], bool], src: str, dst: str) -> str:
+    """The end of a packet that is billed: ``src`` unless only ``dst`` is a
+    subscriber.  Transit traffic (neither end a subscriber) bills the
+    sender."""
+    return src if is_subscriber(src) or not is_subscriber(dst) else dst
+
+
 @dataclass(slots=True)
 class _FlowState:
     """Per-flow fast-path state: the decision plus the sniff countdown."""
@@ -388,7 +395,7 @@ class ZeroRatingMiddlebox(Element):
                         and now - next(iter(flows.values())).last_seen > idle
                     ):
                         self._evict_for_space(now)
-                    # _new_flow_state, inline.
+                    # _subscriber_side + _new_flow_state, inline.
                     if is_subscriber(src) or not is_subscriber(dst):
                         subscriber_ip, remote_ip = src, dst
                     else:
@@ -611,8 +618,7 @@ class ZeroRatingMiddlebox(Element):
             self.flows_evicted_cap += 1
 
     def _new_flow_state(self, src: str, dst: str) -> _FlowState:
-        # Transit traffic (neither end a subscriber) bills the sender.
-        if self.is_subscriber(src) or not self.is_subscriber(dst):
+        if _subscriber_side(self.is_subscriber, src, dst) == src:
             return _FlowState(subscriber_ip=src, remote_ip=dst)
         return _FlowState(subscriber_ip=dst, remote_ip=src)
 

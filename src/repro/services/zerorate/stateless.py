@@ -20,7 +20,7 @@ from ...core.matcher import CookieMatcher
 from ...core.transport import TransportRegistry, default_registry
 from ...netsim.middlebox import Element
 from ...netsim.packet import Packet
-from .middlebox import SubscriberCounters, _is_private
+from .middlebox import SubscriberCounters, _is_private, _subscriber_side
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from ...services.billing import BillingAccountant
@@ -97,7 +97,7 @@ class StatelessZeroRater(Element):
                 self.cookie_hits += 1
             else:
                 self.cookie_misses += 1
-        subscriber = self._subscriber_of(ip.src, ip.dst)
+        subscriber = _subscriber_side(self.is_subscriber, ip.src, ip.dst)
         if self.billing is not None:
             remote = ip.dst if subscriber == ip.src else ip.src
             free = self.billing.account(
@@ -121,13 +121,6 @@ class StatelessZeroRater(Element):
         else:
             counters.charged_bytes += packet.wire_length
         self.emit(packet)
-
-    def _subscriber_of(self, src: str, dst: str) -> str:
-        if self.is_subscriber(src):
-            return src
-        if self.is_subscriber(dst):
-            return dst
-        return src
 
     def counters_for(self, subscriber_ip: str) -> SubscriberCounters:
         return self.counters.get(subscriber_ip, SubscriberCounters())

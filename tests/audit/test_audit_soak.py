@@ -2,11 +2,12 @@
 seed.  Excluded from tier-1 (like the chaos soak) via the ``audit``
 marker; CI runs it in the dedicated audit job with ``-m audit``."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.audit import AUDIT_SEED, PERSONAS
+from repro.audit import AUDIT_SEED, PERSONAS, AuditConfig, NeutralityAuditor
 from repro.experiments.audit import (
     AuditCampaignConfig,
     AuditCampaignReport,
@@ -70,3 +71,44 @@ def test_campaign_telemetry_merges_into_registry(report):
     assert snapshot.counters["audit.personas_missed"] == 0
     assert snapshot.counters["audit.false_positives"] == 0
     assert snapshot.gauges["audit.ok"] == 1
+
+
+def _campaign_digest(config: AuditConfig, runs) -> str:
+    """SHA-256 over everything an audit observes — the verdict, every
+    flow outcome and every verification record — for each (element,
+    persona name) in ``runs``."""
+    auditor = NeutralityAuditor(config)
+    sha = hashlib.sha256()
+    for element, persona in runs:
+        verdict = auditor.audit(
+            element, None if persona == "honest" else PERSONAS[persona]()
+        )
+        document = {
+            "verdict": verdict.to_json(),
+            "outcomes": [
+                {probe: flow.to_json() for probe, flow in trial.items()}
+                for trial in verdict.outcomes
+            ],
+            "verifications": [
+                [r.time, r.probe, r.reference_reason, r.operator_accepted]
+                for r in verdict.verifications
+            ],
+        }
+        sha.update(json.dumps(document, sort_keys=True).encode())
+    return sha.hexdigest()
+
+
+def test_campaign_observations_are_pinned(report):
+    """The harness refactors underneath these bytes; they must not move.
+    Recorded at f056d41 (PR 21), before the three audits shared one
+    campaign runner."""
+    runs = [(v["element"], v["persona"]) for v in report.verdicts]
+    assert len(runs) == 15
+    assert _campaign_digest(AuditConfig(), runs) == (
+        "8e98db2915d3535a4fdd339366fa54afef1c393f535edcf4eac012d8dd1421b1"
+    )
+    honest = [run for run in runs if run[1] == "honest"]
+    assert len(honest) == 4
+    assert _campaign_digest(AuditConfig(cookie_mode="every-packet"), honest) == (
+        "35523a068c3fec05182000f1cc5e294b2ee47fc3be159ed0073c29bc6535ad85"
+    )

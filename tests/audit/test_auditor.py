@@ -90,3 +90,40 @@ def test_flow_outcomes_and_verifications_are_recorded():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         AuditConfig(**kwargs)
+
+
+def test_raising_operator_verifier_is_recorded_and_still_raises():
+    """Guarantee 3 ("verifier failure => charged, never free") is about
+    exactly this event, so the divergence log must hold it — and the box's
+    fail-safe must still see the exception."""
+    from repro.audit import RecordingVerifier
+    from repro.core import (
+        CookieDescriptor, CookieGenerator, CookieMatcher, DescriptorStore,
+    )
+    from repro.core.transport import default_registry
+    from repro.netsim.middlebox import Sink
+    from repro.netsim.packet import make_tcp_packet
+    from repro.services.zerorate import ZeroRatingMiddlebox
+
+    class BrokenVerifier:
+        def match(self, cookie, now):
+            raise RuntimeError("HSM unreachable")
+
+    store = DescriptorStore()
+    descriptor = store.add(CookieDescriptor.create(service_data="zero-rate"))
+    recorder = RecordingVerifier(BrokenVerifier(), CookieMatcher(store), {})
+    box = ZeroRatingMiddlebox(recorder, clock=lambda: 0.0)
+    sink = Sink()
+    box >> sink
+    packet = make_tcp_packet("10.0.0.1", 5000, "2.2.2.2", 443, payload_size=100)
+    cookie = CookieGenerator(descriptor, clock=lambda: 0.0).generate()
+    default_registry().attach(packet, cookie)
+    box.handle(packet)
+
+    assert box.verifier_failures == 1
+    counters = box.counters_for("10.0.0.1")
+    assert (counters.free_bytes, counters.charged_bytes) == (0, packet.wire_length)
+    assert len(sink.packets) == 1
+    [record] = recorder.records
+    assert record.reference_reason == "accepted"
+    assert not record.operator_accepted

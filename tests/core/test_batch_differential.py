@@ -17,6 +17,7 @@ import math
 import struct
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.attributes import CookieAttributes
@@ -197,6 +198,7 @@ def _differential(specs, chunk: int | None = None):
     return scalar, batched, scalar_verdicts, batched_verdicts
 
 
+@pytest.mark.contract
 class TestMatcherDifferential:
     @settings(max_examples=60, deadline=None)
     @given(specs=batch_specs())

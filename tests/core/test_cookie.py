@@ -124,6 +124,7 @@ _DUPLICATES = {
 }
 
 
+@pytest.mark.contract
 class TestOneRepresentation:
     """However a cookie is made it holds its 48 bytes, and those bytes
     are all that equality, hashing and the encodings look at."""
@@ -176,6 +177,7 @@ class TestOneRepresentation:
         )
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("parse", ["from_bytes", "from_text"])
 class TestWireBacked:
     """A cookie parsed off a wire holds its 48 bytes and nothing else
@@ -251,6 +253,7 @@ class TestValidation:
         with pytest.raises(MalformedCookie):
             Cookie(cookie_id=1, uuid=b"u" * 16, timestamp=0.0, signature=b"s")
 
+    @pytest.mark.contract
     @settings(max_examples=200, deadline=None)
     @given(
         cookie_id=st.one_of(_U64, st.integers(-(2**70), 2**70)),

@@ -20,6 +20,7 @@ import os
 import signal
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.cookie import SIGNATURE_BYTES, Cookie
@@ -220,6 +221,7 @@ def _wire_cookie(env: _Env, now: float, spec) -> Cookie:
     return cookie
 
 
+@pytest.mark.contract
 class TestWireDifferential:
     """The worker's in-place path against the reference codec + object
     path: ``batch_reply(frame)`` (header parse, ``match_wire``, verdict
@@ -370,6 +372,7 @@ class TestWorkerFailureModel:
             assert executor.match(cookie, NOW + 2.0) is descriptor
             assert executor.match(cookie, NOW + 3.0) is None
 
+    @pytest.mark.contract
     def test_match_stats_exact_across_sigkill(self):
         """Match counters are counted where verdicts are decoded, so a
         worker SIGKILLed with *no* stats poll since its verdicts takes
@@ -457,6 +460,7 @@ class TestDescriptorDeltas:
         )
         return result, reasons[0], pool.match_stats[0].as_dict()[reasons[0]]
 
+    @pytest.mark.contract
     def test_attached_pool_follows_the_cookie_server(self):
         """The executor is attached where its store would be: a grant
         made after spawn verifies, and once the server revokes it the
@@ -478,6 +482,7 @@ class TestDescriptorDeltas:
                 None, "revoked", 1,
             )
 
+    @pytest.mark.contract
     def test_attached_pool_follows_a_replica_and_its_partition(self):
         """Behind ``VerifierReplica(store=pool)`` the workers are as
         current — and, partitioned, as stale — as the replica (§14.3)."""

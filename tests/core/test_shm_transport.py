@@ -259,6 +259,7 @@ class TestDegradeMode:
 
 
 class TestNothingLeftBehind:
+    @pytest.mark.contract
     def test_failed_process_start_releases_rings_and_pipes(self, monkeypatch):
         """``Process.start`` raising (EAGAIN) is the case ``auto()``
         catches to degrade in-process; the shard's two ring segments and
@@ -280,6 +281,7 @@ class TestNothingLeftBehind:
             assert all(v is not None for v in verdicts)
         assert _segments() == before
 
+    @pytest.mark.contract
     def test_closed_executor_stays_closed(self):
         """After ``close()`` a dispatch or a delta raises instead of
         "restarting" shard 0 into a worker and two segments nobody will

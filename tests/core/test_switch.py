@@ -356,6 +356,7 @@ class TestRevocationRebinding:
 
 
 class TestFailSafe:
+    @pytest.mark.contract
     @pytest.mark.parametrize("batched", [False, True])
     def test_verifier_error_forwards_the_packet_unserved(self, batched):
         """A verifier that raises is no verdict: best effort, counted,

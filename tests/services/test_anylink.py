@@ -80,6 +80,7 @@ class TestProxy:
         assert sink.count == 10
         assert loop.now == 0.0  # never touched a shaper
 
+    @pytest.mark.contract
     def test_verifier_error_passes_the_packet_unshaped(self):
         """A verifier that raises is treated as no cookie: the packet
         goes out at full speed, uncounted as a binding, never dropped."""

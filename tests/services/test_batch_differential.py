@@ -197,6 +197,7 @@ def _run_middlebox_differential(plans, order, chunk=None, **kwargs):
     return (scalar, scalar_sink), (batched, batched_sink)
 
 
+@pytest.mark.contract
 class TestMiddleboxDifferential:
     @settings(max_examples=50, deadline=None)
     @given(plan=traffic(births=BIRTHS))
@@ -698,6 +699,7 @@ class _WatchedAccountant:
         return getattr(self._accountant, name)
 
 
+@pytest.mark.contract
 class TestBillingDifferential:
     @settings(max_examples=60, deadline=None)
     @given(

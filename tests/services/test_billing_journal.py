@@ -278,6 +278,7 @@ def _torn_header_directory(tmp_path, prefix_bytes):
     return directory, torn, written
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("prefix_bytes", [0, 3, HEADER_BYTES - 1])
 def test_torn_segment_header_is_a_torn_tail(tmp_path, prefix_bytes):
     directory, torn, written = _torn_header_directory(tmp_path, prefix_bytes)
@@ -345,6 +346,7 @@ def test_short_segment_that_is_not_last_still_raises(tmp_path):
 # ----------------------------------------------------------------------
 # Disk full at the rotation boundary
 # ----------------------------------------------------------------------
+@pytest.mark.contract
 def test_rotation_disk_full_keeps_old_segment_active(tmp_path, monkeypatch):
     """The new segment cannot be created: JournalFull, the record is not
     written, the old segment stays active, and the retry rotates."""
@@ -453,6 +455,7 @@ _records = st.builds(
 )
 
 
+@pytest.mark.contract
 class TestCodecContract:
     @settings(max_examples=200, deadline=None)
     @given(record=_records)

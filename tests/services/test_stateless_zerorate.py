@@ -127,12 +127,40 @@ class TestPerPacketAccounting:
         assert rater.counters == {}
 
 
+@pytest.mark.parametrize(
+    "src,dst,billed",
+    [
+        ("10.0.0.1", "2.2.2.2", "10.0.0.1"),   # upstream
+        ("2.2.2.2", "10.0.0.1", "10.0.0.1"),   # downstream
+        ("10.0.0.1", "10.0.0.2", "10.0.0.1"),  # subscriber to subscriber
+        ("2.2.2.2", "3.3.3.3", "2.2.2.2"),     # transit: the sender
+    ],
+)
+def test_both_boxes_bill_the_same_side(src, dst, billed):
+    """One subscriber-side rule: the stateless rater, the stateful box's
+    scalar path and its inlined batch path all bill the same end."""
+    store = DescriptorStore()
+    stateless = StatelessZeroRater(CookieMatcher(store), clock=lambda: 0.0)
+    scalar = ZeroRatingMiddlebox(CookieMatcher(store), clock=lambda: 0.0)
+    batch = ZeroRatingMiddlebox(CookieMatcher(store), clock=lambda: 0.0)
+    packets = [
+        make_tcp_packet(src, 5000, dst, 443, payload_size=100) for _ in range(3)
+    ]
+    stateless.handle(packets[0])
+    scalar.handle(packets[1])
+    batch.process_batch([packets[2]])
+    for box in (stateless, scalar, batch):
+        assert list(box.counters) == [billed]
+        assert box.counters_for(billed).charged_bytes == packets[0].wire_length
+
+
 class _BrokenVerifier(CookieMatcher):
     def match(self, cookie, now):
         raise RuntimeError("HSM unreachable")
 
 
 class TestFailSafe:
+    @pytest.mark.contract
     def test_raising_verifier_charges_like_the_stateful_box(self, tmp_path):
         """Regression: a verifier that raised used to propagate out of
         ``handle`` — the packet neither billed nor emitted.  "A
