@@ -391,10 +391,9 @@ def run_stats_workload(
     forged = CookieDescriptor.create(service_data="forged")
 
     registry = MetricsRegistry()
-    switch = CookieSwitch(
-        CookieMatcher(store, telemetry=registry), clock=clock,
-        telemetry=registry,
-    )
+    switch = CookieSwitch(CookieMatcher(store), clock=clock)
+    switch.register_telemetry(registry)
+    switch.matcher.register_telemetry(registry)
     accountant = None
     billing_dir = None
     if include_billing:
@@ -424,12 +423,10 @@ def run_stats_workload(
         )
         accountant.register_telemetry(registry)
     middlebox = ZeroRatingMiddlebox(
-        CookieMatcher(store, telemetry=registry,
-                      telemetry_prefix="middlebox.matcher"),
-        clock=clock,
-        billing=accountant,
-        telemetry=registry,
+        CookieMatcher(store), clock=clock, billing=accountant
     )
+    middlebox.register_telemetry(registry)
+    middlebox.matcher.register_telemetry(registry, prefix="middlebox.matcher")
     switch >> middlebox >> Sink()
     flow_sizes = registry.histogram(
         "workload.flow_packets", buckets=(1, 2, 4, 8, 16)

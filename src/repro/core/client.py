@@ -54,14 +54,8 @@ class AgentStats:
     by_transport: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, int]:
-        flat = {
-            "descriptors_acquired": self.descriptors_acquired,
-            "descriptors_renewed": self.descriptors_renewed,
-            "cookies_inserted": self.cookies_inserted,
-            "insertions_failed": self.insertions_failed,
-            "renewals_failed": self.renewals_failed,
-            "grace_signings": self.grace_signings,
-        }
+        flat = dict(vars(self))
+        del flat["by_transport"]
         for transport, count in sorted(self.by_transport.items()):
             flat[f"by_transport.{transport}"] = count
         return flat
@@ -272,17 +266,7 @@ class UserAgent:
         counters) as ``agent.*``; if the channel is a
         :class:`~repro.core.resilience.ResilientChannel`, its ``retry.*``
         and ``breaker.*`` metrics are registered alongside."""
-        from ..telemetry import TelemetrySnapshot
-
-        def collect() -> TelemetrySnapshot:
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.{name}": value
-                    for name, value in self.stats.as_dict().items()
-                }
-            )
-
-        registry.register_collector(prefix, collect)
+        registry.register(self, prefix, counters=("stats",))
         register_channel = getattr(self.channel, "register_telemetry", None)
         if callable(register_channel):
             register_channel(registry)

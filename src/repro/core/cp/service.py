@@ -39,7 +39,7 @@ from ..errors import AcquisitionDenied
 from ..policy import AccessPolicy, OpenAccessPolicy
 from ..resilience import CircuitBreaker
 from ..server import ServiceOffering, serve_json
-from ...telemetry.metrics import Histogram, TelemetrySnapshot
+from ...telemetry.metrics import Histogram
 from .deltalog import LogTruncated
 from .replica import ReplicaUnreachable, VerifierReplica
 from .shard import ControlPlaneShard
@@ -468,45 +468,24 @@ class ShardedControlPlane:
     ) -> None:
         """Fold per-shard ops, log lengths, shed counts, and the
         broadcast-lag histogram into a PR-1 metrics registry."""
+        registry.register(self, prefix, read=self._read_metrics)
 
-        def collect() -> TelemetrySnapshot:
-            counters: dict[str, float] = {
-                f"{prefix}.acquired": self.stats.acquired,
-                f"{prefix}.denied": self.stats.denied,
-                f"{prefix}.revoked": self.stats.revoked,
-                f"{prefix}.removed": self.stats.removed,
-                f"{prefix}.renewed": self.stats.renewed,
-                f"{prefix}.shed_pending": self.stats.shed_pending,
-                f"{prefix}.shed_breaker": self.stats.shed_breaker,
-                f"{prefix}.syncs": self.stats.syncs,
-                f"{prefix}.snapshot_catchups": self.stats.snapshot_catchups,
-            }
-            gauges: dict[str, float] = {
-                f"{prefix}.shards": self.shard_count,
-                f"{prefix}.replicas": len(self._replicas),
-                f"{prefix}.inflight": self.inflight,
-                f"{prefix}.pending_revocations": len(self._pending_revocations),
-            }
-            for stats in self.shard_stats():
-                shard_index = stats.get("shard", 0)
-                counters[f"{prefix}.shard{shard_index}.acquired"] = stats.get(
-                    "acquired", 0
-                )
-                gauges[f"{prefix}.shard{shard_index}.log_len"] = stats.get(
-                    "log_len", 0
-                )
-                gauges[f"{prefix}.shard{shard_index}.descriptors"] = stats.get(
-                    "descriptors", 0
-                )
-            return TelemetrySnapshot(
-                counters=counters,
-                gauges=gauges,
-                histograms={
-                    f"{prefix}.broadcast_lag_s": self._lag_histogram.snapshot()
-                },
-            )
-
-        registry.register_collector(f"{prefix}.controlplane", collect)
+    def _read_metrics(self):
+        counters = self.stats.as_dict()
+        del counters["worker_failures"]  # a bench-oracle field, not a metric
+        gauges = {
+            "shards": self.shard_count,
+            "replicas": len(self._replicas),
+            "inflight": self.inflight,
+            "pending_revocations": len(self._pending_revocations),
+        }
+        for stats in self.shard_stats():
+            shard = f"shard{stats['shard']}"
+            counters[f"{shard}.acquired"] = stats["acquired"]
+            gauges[f"{shard}.log_len"] = stats["log_len"]
+            gauges[f"{shard}.descriptors"] = stats["descriptors"]
+        histograms = {"broadcast_lag_s": self._lag_histogram.snapshot()}
+        return counters, gauges, histograms
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -67,7 +67,6 @@ class PoolStats:
 
     accepted: int = 0
     rejected: int = 0
-    double_spends_granted: int = 0  # populated by test harnesses
     #: Worker processes replaced after a crash (process executor only;
     #: always 0 for in-process pools).
     shard_restarts: int = 0
@@ -209,44 +208,26 @@ class ShardedVerifierPool(_VerifierPoolBase):
         """Export the pool into a :class:`~repro.telemetry.MetricsRegistry`.
 
         Each shard's :class:`~repro.core.matcher.CookieMatcher` registers
-        under its own collector name but a *shared* metric prefix
-        (``{prefix}.matcher``), so the registry's merge step sums shard
-        counters into pool totals; a pool-level collector adds the
+        under the *shared* prefix ``{prefix}.matcher``, so the registry
+        sums shard counters into pool totals; the pool itself adds the
         dispatcher's own :class:`PoolStats`.  The process-shard executor
         (:class:`repro.core.parallel.ProcessShardExecutor`) emits the
         same metric names, so in-process and multi-process deployments
         are interchangeable under one dashboard.
         """
-        from ..telemetry import TelemetrySnapshot
+        registry.register(
+            self,
+            prefix,
+            counters=("stats",),
+            read=self._read_metrics,
+            nested=[("matcher", shard) for shard in self.shards],
+        )
 
-        for index, shard in enumerate(self.shards):
-            shard.register_telemetry(
-                registry,
-                prefix=f"{prefix}.matcher",
-                collector_name=f"{prefix}.shard{index}",
-            )
-
-        def collect() -> TelemetrySnapshot:
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.accepted": self.stats.accepted,
-                    f"{prefix}.rejected": self.stats.rejected,
-                    f"{prefix}.shard_restarts": self.stats.shard_restarts,
-                    # Always zero in-process; emitted so dashboards (and
-                    # the differential suite) see one metric set across
-                    # in-process and multi-process pools.
-                    f"{prefix}.fallbacks": self.stats.fallbacks,
-                    f"{prefix}.unavailable_verdicts": (
-                        self.stats.unavailable_verdicts
-                    ),
-                },
-                gauges={
-                    f"{prefix}.shards": self.shard_count,
-                    f"{prefix}.fallback_shards": 0,
-                },
-            )
-
-        registry.register_collector(prefix, collect)
+    def _read_metrics(self):
+        # ``fallbacks`` / ``fallback_shards`` are always zero in-process;
+        # emitted so dashboards (and the differential suite) see one
+        # metric set across in-process and multi-process pools.
+        return {}, {"shards": self.shard_count, "fallback_shards": 0}
 
 
 class NaiveVerifierPool(_VerifierPoolBase):

@@ -164,15 +164,7 @@ class MatchStats:
         return self.accepted + self.rejected
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "accepted": self.accepted,
-            "unknown_id": self.unknown_id,
-            "bad_signature": self.bad_signature,
-            "stale_timestamp": self.stale_timestamp,
-            "replayed": self.replayed,
-            "revoked": self.revoked,
-            "expired": self.expired,
-        }
+        return dict(vars(self))
 
 
 #: Verdict codes: code *i* is the *i*-th :class:`MatchStats` field, so 0
@@ -237,8 +229,6 @@ class CookieMatcher:
         store: DescriptorStore,
         nct: float = NETWORK_COHERENCY_TIME,
         replay_cache: ReplayCache | None = None,
-        telemetry: "object | None" = None,
-        telemetry_prefix: str = "matcher",
     ) -> None:
         if nct <= 0:
             raise ValueError("network coherency time must be positive")
@@ -253,42 +243,17 @@ class CookieMatcher:
         self.replay_cache = replay_cache or ReplayCache(window=2 * nct)
         self.stats = MatchStats()
         self._signers = SignerCache()
-        if telemetry is not None:
-            self.register_telemetry(telemetry, prefix=telemetry_prefix)
 
-    def register_telemetry(
-        self,
-        registry,
-        prefix: str = "matcher",
-        collector_name: str | None = None,
-    ) -> None:
+    #: Telemetry declaration: :class:`MatchStats`' fields and the replay
+    #: cache's rotation counts are counters, its occupancy is a level.
+    COUNTERS = ("stats", "replay_cache.rotations", "replay_cache.idle_resets")
+    GAUGES = ("replay_cache.size",)
+
+    def register_telemetry(self, registry, prefix: str = "matcher") -> None:
         """Export :class:`MatchStats` and the replay cache's size/rotation
-        levels into a :class:`~repro.telemetry.MetricsRegistry`, as a
-        collector named ``collector_name`` (default: ``prefix``;
-        idempotent).  Passing a distinct ``collector_name`` lets N shard
-        matchers share one metric prefix — the registry sums duplicate
-        metric names across collectors into pool totals."""
-        from ..telemetry import TelemetrySnapshot
-
-        def collect() -> TelemetrySnapshot:
-            counters = {
-                f"{prefix}.{outcome}": count
-                for outcome, count in self.stats.as_dict().items()
-            }
-            counters[f"{prefix}.replay_cache.rotations"] = (
-                self.replay_cache.rotations
-            )
-            counters[f"{prefix}.replay_cache.idle_resets"] = (
-                self.replay_cache.idle_resets
-            )
-            return TelemetrySnapshot(
-                counters=counters,
-                gauges={
-                    f"{prefix}.replay_cache.size": self.replay_cache.size,
-                },
-            )
-
-        registry.register_collector(collector_name or prefix, collect)
+        levels into a :class:`~repro.telemetry.MetricsRegistry`.  N shard
+        matchers registered under one prefix sum into pool totals."""
+        registry.register(self, prefix, self.COUNTERS, self.GAUGES)
 
     def _decide(
         self, cookie: Cookie, now: float

@@ -1139,9 +1139,8 @@ class ProcessShardExecutor:
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "pool"
     ) -> None:
-        """Register a collector that reads the dispatcher's match
-        tallies and polls workers for their replay-cache numbers at
-        snapshot time.
+        """Export the dispatcher's match tallies and, polled from the
+        workers at snapshot time, their replay-cache numbers.
 
         Emits the same metric names as
         :meth:`ShardedVerifierPool.register_telemetry`, so dashboards
@@ -1151,42 +1150,29 @@ class ProcessShardExecutor:
         — precisely because the in-process pool has no counterpart for
         them.
         """
-        from ..telemetry import TelemetrySnapshot
+        registry.register(self, prefix, read=self._read_metrics)
 
-        def collect() -> TelemetrySnapshot:
-            # Collect FIRST: a poll that trips a restart moves that
-            # worker's last numbers into the retired counters, which
-            # must be read after that move, not before.
-            caches = self.collect_worker_stats()
-            retired = self._retired_cache_stats
-            match = self.collect_match_stats().as_dict()
-            counters = {
-                f"{prefix}.matcher.{outcome}": count
-                for outcome, count in match.items()
-            }
-            for counter in retired:
-                counters[f"{prefix}.matcher.replay_cache.{counter}"] = (
-                    retired[counter] + sum(cache[counter] for cache in caches)
-                )
-            counters[f"{prefix}.accepted"] = self.stats.accepted
-            counters[f"{prefix}.rejected"] = self.stats.rejected
-            counters[f"{prefix}.shard_restarts"] = self.stats.shard_restarts
-            counters[f"{prefix}.fallbacks"] = self.stats.fallbacks
-            counters[f"{prefix}.unavailable_verdicts"] = (
-                self.stats.unavailable_verdicts
+    def _read_metrics(self):
+        # Poll FIRST: a poll that trips a restart moves that worker's
+        # last numbers into the retired counters (and bumps
+        # ``shard_restarts``), which must be read after that move.
+        caches = self.collect_worker_stats()
+        retired = self._retired_cache_stats
+        counters = {
+            f"matcher.{outcome}": count
+            for outcome, count in self.collect_match_stats().as_dict().items()
+        }
+        for counter in retired:
+            counters[f"matcher.replay_cache.{counter}"] = (
+                retired[counter] + sum(cache[counter] for cache in caches)
             )
-            return TelemetrySnapshot(
-                counters=counters,
-                gauges={
-                    f"{prefix}.matcher.replay_cache.size": sum(
-                        cache["size"] for cache in caches
-                    ),
-                    f"{prefix}.shards": self._worker_count,
-                    f"{prefix}.fallback_shards": len(self.fallback_shards),
-                },
-            )
-
-        registry.register_collector(prefix, collect)
+        counters.update(vars(self.stats))
+        gauges = {
+            "matcher.replay_cache.size": sum(cache["size"] for cache in caches),
+            "shards": self._worker_count,
+            "fallback_shards": len(self.fallback_shards),
+        }
+        return counters, gauges
 
     def register_transport_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "pool.shm"
@@ -1196,20 +1182,17 @@ class ProcessShardExecutor:
         and backpressure events, and gauges for the live transport
         ladder position (ring/pipe shard counts and the degrade
         flag)."""
-        from ..telemetry import TelemetrySnapshot
+        registry.register(
+            self,
+            prefix,
+            counters=("shm_stats",),
+            gauges=("degraded",),
+            read=self._read_transport_metrics,
+        )
 
-        def collect() -> TelemetrySnapshot:
-            kinds = self.shard_transports()
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.{name}": value
-                    for name, value in self.shm_stats.as_dict().items()
-                },
-                gauges={
-                    f"{prefix}.ring_shards": kinds.count("shm"),
-                    f"{prefix}.pipe_shards": kinds.count("pipe"),
-                    f"{prefix}.degraded": 1 if self._degraded else 0,
-                },
-            )
-
-        registry.register_collector(prefix, collect)
+    def _read_transport_metrics(self):
+        kinds = self.shard_transports()
+        return {}, {
+            "ring_shards": kinds.count("shm"),
+            "pipe_shards": kinds.count("pipe"),
+        }

@@ -190,22 +190,16 @@ class CircuitBreaker:
         self._probe_in_flight = False
         self.opened += 1
 
+    COUNTERS = ("opened", "closed_from_half_open", "rejections")
+
     def register_telemetry(self, registry, prefix: str = "breaker") -> None:
-        from ..telemetry import TelemetrySnapshot
+        """``state`` is exported as a level: 0 closed, 1 half-open, 2 open
+        (summed when several breakers share the prefix)."""
+        registry.register(self, prefix, self.COUNTERS, read=self._read_metrics)
 
-        state_levels = {self.CLOSED: 0, self.HALF_OPEN: 1, self.OPEN: 2}
-
-        def collect() -> TelemetrySnapshot:
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.opened": self.opened,
-                    f"{prefix}.closed_from_half_open": self.closed_from_half_open,
-                    f"{prefix}.rejections": self.rejections,
-                },
-                gauges={f"{prefix}.state": state_levels[self.state]},
-            )
-
-        registry.register_collector(prefix, collect)
+    def _read_metrics(self):
+        levels = {self.CLOSED: 0, self.HALF_OPEN: 1, self.OPEN: 2}
+        return {}, {"state": levels[self.state]}
 
 
 @dataclass
@@ -220,14 +214,7 @@ class ChannelStats:
     rejected_open: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "failures": self.failures,
-            "retries": self.retries,
-            "exhausted": self.exhausted,
-            "rejected_open": self.rejected_open,
-        }
+        return dict(vars(self))
 
 
 class ResilientChannel:
@@ -309,15 +296,5 @@ class ResilientChannel:
     def register_telemetry(self, registry, prefix: str = "retry") -> None:
         """Export channel counters (``retry.*``) and the wrapped
         breaker's state (``breaker.*``) into one registry."""
-        from ..telemetry import TelemetrySnapshot
-
-        def collect() -> TelemetrySnapshot:
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.{name}": value
-                    for name, value in self.stats.as_dict().items()
-                }
-            )
-
-        registry.register_collector(prefix, collect)
+        registry.register(self, prefix, counters=("stats",))
         self.breaker.register_telemetry(registry)

@@ -87,15 +87,7 @@ class SweepStats:
     sweeps: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "workers": self.workers,
-            "in_process": int(self.in_process),
-            "cells_total": self.cells_total,
-            "cells_completed": self.cells_completed,
-            "cells_redispatched": self.cells_redispatched,
-            "worker_restarts": self.worker_restarts,
-            "sweeps": self.sweeps,
-        }
+        return {**vars(self), "in_process": int(self.in_process)}
 
 
 def _worker_main(conn, fn: CellFn) -> None:
@@ -374,19 +366,18 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
+    #: The two :class:`SweepStats` fields that are configuration levels
+    #: (an interval delta of them is meaningless); the rest are counts.
+    GAUGES = ("workers", "in_process")
+
     def register_telemetry(self, registry, prefix: str = "sweep") -> None:
-        """Register a collector exporting :class:`SweepStats` counters."""
-        from ..telemetry import TelemetrySnapshot
+        """Export :class:`SweepStats` into a metrics registry."""
+        registry.register(self, prefix, read=self._read_metrics)
 
-        def collect() -> TelemetrySnapshot:
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.{name}": float(value)
-                    for name, value in self.stats.as_dict().items()
-                }
-            )
-
-        registry.register_collector(prefix, collect)
+    def _read_metrics(self):
+        counters = self.stats.as_dict()
+        gauges = {name: counters.pop(name) for name in self.GAUGES}
+        return counters, gauges
 
 
 def run_sweep(
@@ -396,13 +387,12 @@ def run_sweep(
     campaign_seed: int = 0,
     workers: int | None = None,
     telemetry=None,
-    telemetry_prefix: str = "sweep",
 ) -> tuple[list[Any], SweepStats]:
     """One-shot convenience: build, run, close; returns (results, stats)."""
     executor = SweepExecutor.auto(fn, campaign_seed=campaign_seed, workers=workers)
     try:
         if telemetry is not None:
-            executor.register_telemetry(telemetry, prefix=telemetry_prefix)
+            executor.register_telemetry(telemetry)
         results = executor.run(cells)
     finally:
         executor.close()

@@ -97,8 +97,6 @@ class CookieSwitch(Element):
         sniff_packets: int = DEFAULT_SNIFF_PACKETS,
         flow_idle_timeout: float = 60.0,
         context: dict[str, Any] | None = None,
-        telemetry: "MetricsRegistry | None" = None,
-        telemetry_prefix: str = "switch",
         name: str = "cookie-switch",
     ) -> None:
         super().__init__(name)
@@ -116,28 +114,21 @@ class CookieSwitch(Element):
         #: domain, ...), matched against descriptor constraint attributes.
         self.context: dict[str, Any] = dict(context or {})
         self.stats = SwitchStats()
-        if telemetry is not None:
-            self.register_telemetry(telemetry, prefix=telemetry_prefix)
 
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "switch"
     ) -> None:
-        """Export :class:`SwitchStats` plus flow-table occupancy into a
-        metrics registry, as a collector named ``prefix`` (idempotent)."""
-        from ..telemetry import TelemetrySnapshot
+        """Export :class:`SwitchStats` plus flow-table evictions and
+        occupancy into a metrics registry."""
+        registry.register(
+            self, prefix, counters=("stats",), read=self._read_metrics
+        )
 
-        def collect() -> TelemetrySnapshot:
-            counters = {
-                f"{prefix}.{name}": count
-                for name, count in vars(self.stats).items()
-            }
-            counters[f"{prefix}.flows_evicted"] = self.flows.evicted_count
-            return TelemetrySnapshot(
-                counters=counters,
-                gauges={f"{prefix}.tracked_flows": len(self.flows)},
-            )
-
-        registry.register_collector(prefix, collect)
+    def _read_metrics(self):
+        return (
+            {"flows_evicted": self.flows.evicted_count},
+            {"tracked_flows": len(self.flows)},
+        )
 
     # ------------------------------------------------------------------
     # Data path

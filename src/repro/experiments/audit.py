@@ -176,9 +176,8 @@ def register_audit_telemetry(
     registry, report: AuditCampaignReport, prefix: str = "audit"
 ) -> None:
     """Expose a campaign report through the shared metrics registry."""
-    from ..telemetry import TelemetrySnapshot
 
-    def collect() -> TelemetrySnapshot:
+    def read():
         summary = report.summary()
         flagged_dimensions = sum(
             1
@@ -186,15 +185,13 @@ def register_audit_telemetry(
             for dim in v["dimensions"].values()
             if not dim["ok"]
         )
-        return TelemetrySnapshot(
-            counters={
-                f"{prefix}.audits": summary["audits"],
-                f"{prefix}.personas_flagged": summary["personas_flagged"],
-                f"{prefix}.personas_missed": summary["personas_missed"],
-                f"{prefix}.false_positives": len(report.false_positives),
-                f"{prefix}.flagged_dimensions": flagged_dimensions,
-            },
-            gauges={f"{prefix}.ok": int(summary["ok"])},
-        )
+        counters = {
+            "audits": summary["audits"],
+            "personas_flagged": summary["personas_flagged"],
+            "personas_missed": summary["personas_missed"],
+            "false_positives": len(report.false_positives),
+            "flagged_dimensions": flagged_dimensions,
+        }
+        return counters, {"ok": summary["ok"]}
 
-    registry.register_collector(prefix, collect)
+    registry.register(report, prefix, read=read)

@@ -185,7 +185,6 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
         OperatorCatalog,
         ZeroRatingMiddlebox,
     )
-    from ..telemetry import MetricsRegistry
 
     config = config or ChaosConfig()
     # All per-component randomness derives from the one campaign seed via
@@ -257,7 +256,6 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
         )
 
     # Data plane: injector → middlebox → attacker tap → accounting sink.
-    telemetry = MetricsRegistry()
     corrupted_flows: set = set()
     injector = FaultInjector(
         FaultPlan(
@@ -271,7 +269,6 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
         ),
         loop=loop,
         on_corrupt=lambda packet: corrupted_flows.add(flow_key_of(packet)),
-        telemetry=telemetry,
     )
     # Billing rides the same storm: three operator catalogs over the one
     # chaos service — op-a unlimited, op-b behind a cap that bites
@@ -308,7 +305,6 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
         CookieMatcher(store, nct=config.nct_s),
         clock=clock,
         billing=accountant,
-        telemetry=telemetry,
     )
 
     # The attacker sits past the middlebox and replays cookies the

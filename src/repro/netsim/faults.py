@@ -118,14 +118,7 @@ class FaultStats:
     delays: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "packets": self.packets,
-            "drops": self.drops,
-            "duplicates": self.duplicates,
-            "reorders": self.reorders,
-            "corruptions": self.corruptions,
-            "delays": self.delays,
-        }
+        return dict(vars(self))
 
 
 class FaultInjector(Element):
@@ -159,8 +152,6 @@ class FaultInjector(Element):
         loop: EventLoop | None = None,
         name: str = "fault-injector",
         on_corrupt: Callable[[Packet], None] | None = None,
-        telemetry=None,
-        telemetry_prefix: str = "faults",
     ) -> None:
         super().__init__(name)
         if plan.delay_rate > 0 and plan.delay_jitter_s > 0 and loop is None:
@@ -171,8 +162,6 @@ class FaultInjector(Element):
         self.on_corrupt = on_corrupt
         self.stats = FaultStats()
         self._held: Packet | None = None
-        if telemetry is not None:
-            self.register_telemetry(telemetry, prefix=telemetry_prefix)
 
     # ------------------------------------------------------------------
     # Scalar path
@@ -338,17 +327,7 @@ class FaultInjector(Element):
     # Telemetry
     # ------------------------------------------------------------------
     def register_telemetry(self, registry, prefix: str = "faults") -> None:
-        from ..telemetry import TelemetrySnapshot
-
-        def collect() -> TelemetrySnapshot:
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.{name}": value
-                    for name, value in self.stats.as_dict().items()
-                }
-            )
-
-        registry.register_collector(prefix, collect)
+        registry.register(self, prefix, counters=("stats",))
 
 
 class TornWrite(OSError):

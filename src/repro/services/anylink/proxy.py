@@ -10,6 +10,7 @@ traffic through, so no in-path deployment is needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,8 +83,6 @@ class AnyLinkProxy(Element):
         registry: TransportRegistry | None = None,
         sniff_packets: int = 3,
         max_flows: int = 100_000,
-        telemetry=None,
-        telemetry_prefix: str = "anylink",
         name: str = "anylink-proxy",
     ) -> None:
         super().__init__(name)
@@ -104,34 +103,23 @@ class AnyLinkProxy(Element):
         self.flows_evicted = 0
         #: Verifier errors (not rejections): the packet passes unshaped.
         self.verifier_failures = 0
-        if telemetry is not None:
-            self.register_telemetry(telemetry, prefix=telemetry_prefix)
+
+    COUNTERS = ("flows_bound", "flows_evicted", "verifier_failures")
 
     def register_telemetry(self, registry, prefix: str = "anylink") -> None:
         """Export proxy bindings and per-profile flow counts into a
         :class:`~repro.telemetry.MetricsRegistry`."""
-        from ...telemetry import TelemetrySnapshot
+        registry.register(self, prefix, self.COUNTERS, read=self._read_metrics)
 
-        def collect() -> TelemetrySnapshot:
-            gauges = {
-                f"{prefix}.tracked_flows": len(self._flow_packets),
-                f"{prefix}.active_shapers": len(self._shapers),
-            }
-            for profile_name in self.profiles:
-                bound = sum(
-                    1 for p in self._flow_profiles.values() if p == profile_name
-                )
-                gauges[f"{prefix}.profile.{profile_name}.flows"] = bound
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.flows_bound": self.flows_bound,
-                    f"{prefix}.flows_evicted": self.flows_evicted,
-                    f"{prefix}.verifier_failures": self.verifier_failures,
-                },
-                gauges=gauges,
-            )
-
-        registry.register_collector(prefix, collect)
+    def _read_metrics(self):
+        gauges = {
+            "tracked_flows": len(self._flow_packets),
+            "active_shapers": len(self._shapers),
+        }
+        bound = Counter(self._flow_profiles.values())
+        for profile_name in self.profiles:
+            gauges[f"profile.{profile_name}.flows"] = bound[profile_name]
+        return {}, gauges
 
     def _shaper_for(self, profile_name: str) -> ShaperElement:
         shaper = self._shapers.get(profile_name)

@@ -253,27 +253,16 @@ class BillingAccountant:
             "catalog_updates": self.catalogs.catalog_updates,
         }
 
+    GAUGES = ("pending_subscribers", "pending_bytes")
+
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "billing"
     ) -> None:
-        from ...telemetry import TelemetrySnapshot
-
-        def collect() -> TelemetrySnapshot:
-            counters = {
-                f"{prefix}.{name}": value
-                for name, value in self.stats_dict().items()
-            }
-            for name, value in self.journal.stats_dict().items():
-                if name == "next_offset":
-                    continue
-                counters[f"{prefix}.journal.{name}"] = value
-            return TelemetrySnapshot(
-                counters=counters,
-                gauges={
-                    f"{prefix}.pending_subscribers": self.pending_subscribers,
-                    f"{prefix}.pending_bytes": self.pending_bytes,
-                    f"{prefix}.journal.next_offset": self.journal.next_offset,
-                },
-            )
-
-        registry.register_collector(prefix, collect)
+        """Export the accountant, and its journal as ``{prefix}.journal``."""
+        registry.register(
+            self,
+            prefix,
+            gauges=self.GAUGES,
+            read=lambda: (self.stats_dict(),),
+            nested=[("journal", self.journal)],
+        )

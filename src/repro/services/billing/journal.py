@@ -210,22 +210,11 @@ class JournalRecoveryStats:
     quarantined_bytes: int = 0
 
     def merge(self, other: "JournalRecoveryStats") -> None:
-        self.segments_scanned += other.segments_scanned
-        self.records_recovered += other.records_recovered
-        self.torn_tail_truncated += other.torn_tail_truncated
-        self.torn_tail_bytes += other.torn_tail_bytes
-        self.corrupt_records += other.corrupt_records
-        self.quarantined_bytes += other.quarantined_bytes
+        for name, found in vars(other).items():
+            setattr(self, name, getattr(self, name) + found)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "segments_scanned": self.segments_scanned,
-            "records_recovered": self.records_recovered,
-            "torn_tail_truncated": self.torn_tail_truncated,
-            "torn_tail_bytes": self.torn_tail_bytes,
-            "corrupt_records": self.corrupt_records,
-            "quarantined_bytes": self.quarantined_bytes,
-        }
+        return dict(vars(self))
 
 
 def _segment_name(base_offset: int) -> str:
@@ -578,31 +567,23 @@ class BillingJournal:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
+    #: Telemetry declaration: what was appended and what ``recovery``
+    #: found are counters; the next dense offset is a level.
+    COUNTERS = (
+        "records_appended", "bytes_appended", "segment_rotations", "fsyncs",
+        "append_failures",
+    )
+    GAUGES = ("next_offset",)
+
     def stats_dict(self) -> dict[str, int]:
-        data = {
-            "records_appended": self.records_appended,
-            "bytes_appended": self.bytes_appended,
-            "segment_rotations": self.segment_rotations,
-            "fsyncs": self.fsyncs,
-            "append_failures": self.append_failures,
-            "next_offset": self.next_offset,
-        }
+        data = {name: getattr(self, name) for name in self.COUNTERS}
+        data["next_offset"] = self.next_offset
         data.update(self.recovery.as_dict())
         return data
 
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "billing.journal"
     ) -> None:
-        from ...telemetry import TelemetrySnapshot
-
-        def collect() -> TelemetrySnapshot:
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.{name}": value
-                    for name, value in self.stats_dict().items()
-                    if name != "next_offset"
-                },
-                gauges={f"{prefix}.next_offset": self.next_offset},
-            )
-
-        registry.register_collector(prefix, collect)
+        registry.register(
+            self, prefix, (*self.COUNTERS, "recovery"), self.GAUGES
+        )

@@ -52,8 +52,6 @@ class BoostDaemon:
         throttle_plan: ThrottlePlan | None = None,
         capacity_estimator: CapacityEstimator | None = None,
         sniff_packets: int = 3,
-        telemetry=None,
-        telemetry_prefix: str = "boost",
         verifier: "CookieMatcher | None" = None,
         degraded_mode: str = DEGRADED_FAIL_CLOSED,
     ) -> None:
@@ -91,34 +89,24 @@ class BoostDaemon:
         self.degraded_entered = 0
         self.degraded_activations_blocked = 0
         self._breaker = None
-        if telemetry is not None:
-            self.register_telemetry(telemetry, prefix=telemetry_prefix)
+
+    COUNTERS = (
+        "boost_events", "superseded_events", "degraded_entered",
+        "degraded_activations_blocked",
+    )
+    GAUGES = ("boost_active", "degraded")
 
     def register_telemetry(self, registry, prefix: str = "boost") -> None:
         """Export daemon state (boost events, throttle status) plus the
         embedded switch's and matcher's counters into a
         :class:`~repro.telemetry.MetricsRegistry`."""
-        from ...telemetry import TelemetrySnapshot
-
-        def collect() -> TelemetrySnapshot:
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.boost_events": self.boost_events,
-                    f"{prefix}.superseded_events": self.superseded_events,
-                    f"{prefix}.degraded_entered": self.degraded_entered,
-                    f"{prefix}.degraded_activations_blocked": (
-                        self.degraded_activations_blocked
-                    ),
-                },
-                gauges={
-                    f"{prefix}.boost_active": int(self.boost_active),
-                    f"{prefix}.degraded": int(self.degraded),
-                },
-            )
-
-        registry.register_collector(prefix, collect)
-        self.switch.register_telemetry(registry, prefix=f"{prefix}.switch")
-        self.matcher.register_telemetry(registry, prefix=f"{prefix}.matcher")
+        registry.register(
+            self,
+            prefix,
+            self.COUNTERS,
+            self.GAUGES,
+            nested=[("switch", self.switch), ("matcher", self.matcher)],
+        )
 
     def attach(self, home: HomeNetwork) -> None:
         """Bind to the home network whose throttle this daemon drives."""

@@ -23,8 +23,8 @@ property the paper's line-rate argument rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import TYPE_CHECKING, Callable
+from itertools import chain, compress
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ...core.matcher import CookieMatcher
 from ...core.transport import TransportRegistry, default_registry
@@ -107,6 +107,15 @@ class SubscriberCounters:
         return self.free_bytes / total if total else 0.0
 
 
+def byte_totals(pairs: Iterable[SubscriberCounters]) -> dict[str, int]:
+    """The exported ``free_bytes`` / ``charged_bytes`` over counter pairs."""
+    free = charged = 0
+    for pair in pairs:
+        free += pair.free_bytes
+        charged += pair.charged_bytes
+    return {"free_bytes": free, "charged_bytes": charged}
+
+
 def _is_private(ip: str) -> bool:
     """The default ``is_subscriber``: an RFC1918-ish address."""
     return ip.startswith(("10.", "192.168."))
@@ -142,9 +151,9 @@ class ZeroRatingMiddlebox(Element):
     ``max_flows`` / ``flow_idle_timeout`` bound flow state;
     ``max_subscribers`` bounds the counter map, with
     ``on_subscriber_evicted(ip, counters)`` invoked before a counter pair
-    is dropped so accounting can flush it.  ``telemetry`` (a
-    :class:`~repro.telemetry.MetricsRegistry`) registers a collector
-    exporting every counter below under the given prefix.
+    is dropped so accounting can flush it.  :meth:`register_telemetry`
+    exports every counter below into a
+    :class:`~repro.telemetry.MetricsRegistry`.
 
     ``matcher`` is any verifier exposing ``match(cookie, now)`` — a
     :class:`~repro.core.matcher.CookieMatcher` for a single-box deploy, or
@@ -170,8 +179,6 @@ class ZeroRatingMiddlebox(Element):
             Callable[[str, SubscriberCounters], None] | None
         ) = None,
         billing: "BillingAccountant | None" = None,
-        telemetry: "MetricsRegistry | None" = None,
-        telemetry_prefix: str = "middlebox",
         name: str = "zero-rating",
     ) -> None:
         super().__init__(name)
@@ -234,8 +241,9 @@ class ZeroRatingMiddlebox(Element):
         self.flows_evicted_idle = 0
         self.flows_evicted_cap = 0
         self.subscribers_evicted = 0
-        if telemetry is not None:
-            self.register_telemetry(telemetry, prefix=telemetry_prefix)
+        #: Bytes of evicted subscribers, so the exported byte totals stay
+        #: monotonic across LRU eviction (added in the eviction loop only).
+        self.evicted_bytes = SubscriberCounters()
 
     # ------------------------------------------------------------------
     # Fast path
@@ -440,6 +448,8 @@ class ZeroRatingMiddlebox(Element):
                         evicted_ip = next(iter(counters))
                         evicted = counters.pop(evicted_ip)
                         self.subscribers_evicted += 1
+                        self.evicted_bytes.free_bytes += evicted.free_bytes
+                        self.evicted_bytes.charged_bytes += evicted.charged_bytes
                         if on_subscriber_evicted is not None:
                             on_subscriber_evicted(evicted_ip, evicted)
                     sub_counters = SubscriberCounters()
@@ -645,6 +655,8 @@ class ZeroRatingMiddlebox(Element):
                 evicted_ip = next(iter(self.counters))
                 evicted = self.counters.pop(evicted_ip)
                 self.subscribers_evicted += 1
+                self.evicted_bytes.free_bytes += evicted.free_bytes
+                self.evicted_bytes.charged_bytes += evicted.charged_bytes
                 if self.on_subscriber_evicted is not None:
                     self.on_subscriber_evicted(evicted_ip, evicted)
             counters = SubscriberCounters()
@@ -724,37 +736,24 @@ class ZeroRatingMiddlebox(Element):
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
+    COUNTERS = (
+        "packets_processed", "cookie_hits", "cookie_misses", "verifier_failures",
+        "flows_resolved", "flows_evicted_idle", "flows_evicted_cap",
+        "subscribers_evicted",
+    )
+    GAUGES = ("tracked_flows", "tracked_subscribers")
+
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "middlebox"
     ) -> None:
-        """Export this middlebox's counters into a metrics registry.
+        """Export this middlebox's counters into a metrics registry;
+        hot-path counters stay plain ints, read only at snapshot time.
+        N shards registered under one prefix sum into fleet totals."""
+        registry.register(
+            self, prefix, self.COUNTERS, self.GAUGES, read=self._read_metrics
+        )
 
-        Registered as a collector named ``prefix`` (re-registration under
-        the same prefix replaces, so it is idempotent); hot-path counters
-        stay plain ints and are only read at snapshot time.
-        """
-        from ...telemetry import TelemetrySnapshot
-
-        def collect() -> TelemetrySnapshot:
-            free = sum(c.free_bytes for c in self.counters.values())
-            charged = sum(c.charged_bytes for c in self.counters.values())
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.packets_processed": self.packets_processed,
-                    f"{prefix}.cookie_hits": self.cookie_hits,
-                    f"{prefix}.cookie_misses": self.cookie_misses,
-                    f"{prefix}.verifier_failures": self.verifier_failures,
-                    f"{prefix}.flows_resolved": self.flows_resolved,
-                    f"{prefix}.flows_evicted_idle": self.flows_evicted_idle,
-                    f"{prefix}.flows_evicted_cap": self.flows_evicted_cap,
-                    f"{prefix}.subscribers_evicted": self.subscribers_evicted,
-                    f"{prefix}.free_bytes": free,
-                    f"{prefix}.charged_bytes": charged,
-                },
-                gauges={
-                    f"{prefix}.tracked_flows": len(self._flows),
-                    f"{prefix}.tracked_subscribers": len(self.counters),
-                },
-            )
-
-        registry.register_collector(prefix, collect)
+    def _read_metrics(self):
+        # Retained subscribers plus everything evicted: counters never
+        # step backwards when the LRU drops a subscriber.
+        return (byte_totals(chain([self.evicted_bytes], self.counters.values())),)

@@ -20,7 +20,12 @@ from ...core.matcher import CookieMatcher
 from ...core.transport import TransportRegistry, default_registry
 from ...netsim.middlebox import Element
 from ...netsim.packet import Packet
-from .middlebox import SubscriberCounters, _is_private, _subscriber_side
+from .middlebox import (
+    SubscriberCounters,
+    _is_private,
+    _subscriber_side,
+    byte_totals,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from ...services.billing import BillingAccountant
@@ -42,8 +47,6 @@ class StatelessZeroRater(Element):
         registry: TransportRegistry | None = None,
         is_subscriber: Callable[[str], bool] | None = None,
         billing: "BillingAccountant | None" = None,
-        telemetry=None,
-        telemetry_prefix: str = "stateless",
         name: str = "zero-rating-stateless",
     ) -> None:
         super().__init__(name)
@@ -67,8 +70,6 @@ class StatelessZeroRater(Element):
         #: Verifier *errors* (not clean rejections): the packet is
         #: charged, as on the stateful box — never free, never dropped.
         self.verifier_failures = 0
-        if telemetry is not None:
-            self.register_telemetry(telemetry, prefix=telemetry_prefix)
 
     def handle(self, packet: Packet) -> None:
         self.packets_processed += 1
@@ -130,27 +131,19 @@ class StatelessZeroRater(Element):
         """Always zero — the whole point."""
         return 0
 
+    COUNTERS = (
+        "packets_processed", "cookie_hits", "cookie_misses", "verifier_failures",
+    )
+
     def register_telemetry(self, registry, prefix: str = "stateless") -> None:
         """Export the per-packet counters into a
-        :class:`~repro.telemetry.MetricsRegistry` (same collector shape
-        as :meth:`ZeroRatingMiddlebox.register_telemetry`; idempotent)."""
-        from ...telemetry import TelemetrySnapshot
+        :class:`~repro.telemetry.MetricsRegistry` (same metric names as
+        :meth:`ZeroRatingMiddlebox.register_telemetry`)."""
+        registry.register(self, prefix, self.COUNTERS, read=self._read_metrics)
 
-        def collect() -> TelemetrySnapshot:
-            free = sum(c.free_bytes for c in self.counters.values())
-            charged = sum(c.charged_bytes for c in self.counters.values())
-            return TelemetrySnapshot(
-                counters={
-                    f"{prefix}.packets_processed": self.packets_processed,
-                    f"{prefix}.cookie_hits": self.cookie_hits,
-                    f"{prefix}.cookie_misses": self.cookie_misses,
-                    f"{prefix}.verifier_failures": self.verifier_failures,
-                    f"{prefix}.free_bytes": free,
-                    f"{prefix}.charged_bytes": charged,
-                },
-                gauges={
-                    f"{prefix}.tracked_subscribers": len(self.counters),
-                },
-            )
-
-        registry.register_collector(prefix, collect)
+    def _read_metrics(self):
+        # Subscriber counters are never evicted here, so the sums only grow.
+        return (
+            byte_totals(self.counters.values()),
+            {"tracked_subscribers": len(self.counters)},
+        )

@@ -1,11 +1,11 @@
 """Unified telemetry for every data-path component.
 
-The repository grew three incompatible stats styles — ``SwitchStats``
-dataclasses, ``MatchStats`` dataclasses, and bare ints on the zero-rating
-middlebox.  This package unifies them behind one registry: components
-register *collectors* (zero-cost on the hot path — plain ints are read
-only at snapshot time), and ``MetricsRegistry.snapshot()`` returns a
-single mergeable, exportable :class:`TelemetrySnapshot`.
+Components keep plain ints (or a stats dataclass) on their hot path and
+*declare* which are counters and which are gauges; ``register_telemetry``
+hands that declaration to :meth:`MetricsRegistry.register`, the one place
+a collector is built (zero cost per packet: attributes are read only at
+snapshot time), and ``MetricsRegistry.snapshot()`` returns a single
+mergeable, exportable :class:`TelemetrySnapshot`.
 
 Quick use::
 

@@ -225,21 +225,19 @@ class TelemetrySnapshot:
         """Flat ``{kind, name, value}`` records (histograms flattened to
         count / sum / mean / p50 / p99), ready for CSV export."""
         out: list[dict[str, Any]] = []
-        for name, value in sorted(self.counters.items()):
-            out.append({"kind": "counter", "name": name, "value": value})
-        for name, value in sorted(self.gauges.items()):
-            out.append({"kind": "gauge", "name": name, "value": value})
+        for kind, section in (("counter", self.counters), ("gauge", self.gauges)):
+            for name, value in sorted(section.items()):
+                out.append({"kind": kind, "name": name, "value": value})
         for name, data in sorted(self.histograms.items()):
-            out.append({"kind": "histogram", "name": f"{name}.count",
-                        "value": data.count})
-            out.append({"kind": "histogram", "name": f"{name}.sum",
-                        "value": data.sum})
-            out.append({"kind": "histogram", "name": f"{name}.mean",
-                        "value": data.mean})
-            out.append({"kind": "histogram", "name": f"{name}.p50",
-                        "value": data.quantile(0.5)})
-            out.append({"kind": "histogram", "name": f"{name}.p99",
-                        "value": data.quantile(0.99)})
+            for stat, value in (
+                ("count", data.count),
+                ("sum", data.sum),
+                ("mean", data.mean),
+                ("p50", data.quantile(0.5)),
+                ("p99", data.quantile(0.99)),
+            ):
+                out.append({"kind": "histogram", "name": f"{name}.{stat}",
+                            "value": value})
         return out
 
     def format_text(self) -> str:
@@ -251,16 +249,12 @@ class TelemetrySnapshot:
                 return str(int(value))
             return f"{value:.4g}"
 
-        if self.counters:
-            lines.append("counters:")
-            width = max(len(n) for n in self.counters)
-            for name, value in sorted(self.counters.items()):
-                lines.append(f"  {name:<{width}}  {fmt(value):>12}")
-        if self.gauges:
-            lines.append("gauges:")
-            width = max(len(n) for n in self.gauges)
-            for name, value in sorted(self.gauges.items()):
-                lines.append(f"  {name:<{width}}  {fmt(value):>12}")
+        for title, section in (("counters:", self.counters), ("gauges:", self.gauges)):
+            if section:
+                lines.append(title)
+                width = max(len(n) for n in section)
+                for name, value in sorted(section.items()):
+                    lines.append(f"  {name:<{width}}  {fmt(value):>12}")
         if self.histograms:
             lines.append("histograms:")
             for name, data in sorted(self.histograms.items()):

@@ -408,9 +408,8 @@ class TestMiddleboxFailSafe:
 
     def test_failure_counter_in_telemetry(self):
         registry = MetricsRegistry()
-        box = ZeroRatingMiddlebox(
-            _ExplodingMatcher(), clock=lambda: 1.0, telemetry=registry
-        )
+        box = ZeroRatingMiddlebox(_ExplodingMatcher(), clock=lambda: 1.0)
+        box.register_telemetry(registry)
         box.push(self._cookied_packet())
         assert (
             registry.snapshot().counters["middlebox.verifier_failures"] == 1
@@ -429,3 +428,36 @@ class TestMiddleboxFailSafe:
         box.push(packet)
         assert box.verifier_failures == 0
         assert box.counters["10.0.0.1"].free_bytes == packet.wire_length
+
+
+def test_two_channels_one_registry_keep_both_breakers():
+    """Two channels on one registry (different ``retry`` prefixes) both
+    chain their breaker under ``breaker``: neither may vanish.  Driving
+    the FIRST channel's breaker open must show in the snapshot."""
+    registry = MetricsRegistry()
+
+    def always_down(request):
+        raise ConnectionError("down")
+
+    def channel():
+        return ResilientChannel(
+            always_down,
+            policy=RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0),
+            breaker=CircuitBreaker(
+                failure_threshold=1, reset_timeout=60.0, clock=lambda: 0.0
+            ),
+            clock=lambda: 0.0,
+            sleep=None,
+        )
+
+    first, second = channel(), channel()
+    first.register_telemetry(registry, prefix="retry.a")
+    second.register_telemetry(registry, prefix="retry.b")
+    with pytest.raises(ChannelUnavailable):
+        first({"op": "ping"})
+    snapshot = registry.snapshot()
+    assert first.breaker.state == CircuitBreaker.OPEN
+    assert snapshot.counters["retry.a.failures"] == 1
+    assert snapshot.counters["retry.b.failures"] == 0
+    assert snapshot.counters["breaker.opened"] == 1
+    assert snapshot.gauges["breaker.state"] == 2  # open + closed, summed

@@ -243,5 +243,8 @@ def test_telemetry_exports_sweep_counters():
         snapshot = registry.snapshot()
     assert snapshot.counters["sweep.cells_total"] == 5.0
     assert snapshot.counters["sweep.cells_completed"] == 5.0
-    assert snapshot.counters["sweep.in_process"] == 1.0
     assert snapshot.counters["sweep.sweeps"] == 1.0
+    # Configuration levels are gauges: a delta of them means nothing.
+    assert snapshot.gauges["sweep.in_process"] == 1.0
+    assert snapshot.gauges["sweep.workers"] == 0.0
+    assert "sweep.in_process" not in snapshot.counters

@@ -267,9 +267,8 @@ class TestCorruption:
 class TestTelemetryAndClock:
     def test_registry_snapshot_carries_fault_counters(self):
         registry = MetricsRegistry()
-        injector = FaultInjector(
-            FaultPlan(drop_rate=1.0), telemetry=registry
-        )
+        injector = FaultInjector(FaultPlan(drop_rate=1.0))
+        injector.register_telemetry(registry)
         _drive(injector, [_packet(i) for i in range(5)])
         counters = registry.snapshot().counters
         assert counters["faults.packets"] == 5

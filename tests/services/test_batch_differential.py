@@ -980,12 +980,10 @@ class TestSwitchDifferential:
         clock = Clock()
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_registry, batched_registry = MetricsRegistry(), MetricsRegistry()
-        scalar = CookieSwitch(
-            CookieMatcher(store), clock=clock, telemetry=scalar_registry
-        )
-        batched = CookieSwitch(
-            CookieMatcher(store), clock=clock, telemetry=batched_registry
-        )
+        scalar = CookieSwitch(CookieMatcher(store), clock=clock)
+        batched = CookieSwitch(CookieMatcher(store), clock=clock)
+        scalar.register_telemetry(scalar_registry)
+        batched.register_telemetry(batched_registry)
         for packet in stream:
             scalar.push(packet.clone())
         batched.push_batch([packet.clone() for packet in stream])

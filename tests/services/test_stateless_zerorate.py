@@ -183,8 +183,8 @@ class TestFailSafe:
             registry = MetricsRegistry()
             element = box(
                 _BrokenVerifier(store), clock=lambda: 0.0, billing=accountant,
-                telemetry=registry, telemetry_prefix="box",
             )
+            element.register_telemetry(registry, prefix="box")
             sink = Sink()
             element >> sink
             packet = make_tcp_packet(
