@@ -8,16 +8,21 @@ its JSON API.
 The protocol is one JSON object per line in each direction.  It is
 deliberately boring: the interesting guarantees (authentication,
 revocability, auditability) live in :class:`CookieServer`, not in the
-framing.
+framing.  A client may pipeline: every complete line of one read is
+answered, in order, with one write.
 
 :class:`JsonLineServer` is the shared transport: it owns the socket
-lifecycle plus the two abuse guards every JSON-lines listener needs —
-a **concurrent-connection cap** (over-limit clients get a structured
+lifecycle plus the abuse guards every JSON-lines listener needs — a
+**concurrent-connection cap** (over-limit clients get a structured
 ``{"shed": true}`` error and a close instead of hanging in the accept
-queue) and a **per-request body cap** enforced by the stream reader's
-buffer limit, so a slow-loris client trickling bytes without a newline
-is bounded at ``max_request_bytes`` instead of growing the buffer
-forever.  :class:`AsyncCookieServer` plugs a :class:`CookieServer` into
+queue), a **per-request body cap** that is a length test on the
+unterminated residue (a line is served iff it fits in
+``max_request_bytes`` with its newline, so a slow-loris client trickling
+bytes without one is shed at the cap instead of growing the buffer
+forever) and **write back-pressure** (while a connection's write buffer is
+over the transport's high-water mark its reads are paused, so a client
+that pipelines and never reads cannot make the server buffer its
+replies).  :class:`AsyncCookieServer` plugs a :class:`CookieServer` into
 it; :class:`repro.core.cp.AsyncControlPlaneServer` does the same for the
 sharded control plane.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import deque
 from typing import Any
 
 from .server import CookieServer
@@ -43,9 +49,91 @@ MAX_LINE_BYTES = 1_000_000
 #: sheds instead of fd exhaustion.
 MAX_CONNECTIONS = 64
 
+# The one codec both ends share: what json.dumps / json.loads do with
+# default arguments (trailing garbage still refused), minus the wrappers.
+_encode = json.JSONEncoder().encode
+_decode = json.JSONDecoder().decode
+
+
+def _frame(replies: list[str]) -> bytes:
+    return ("\n".join(replies) + "\n").encode("utf-8")
+
+
+def _shed(error: str) -> str:
+    return _encode({"ok": False, "shed": True, "error": error})
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted socket of a :class:`JsonLineServer`."""
+
+    def __init__(self, server: JsonLineServer) -> None:
+        self.server = server
+        self.residue = b""
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        server = self.server
+        self.transport = transport
+        server.connections_handled += 1
+        if len(server._connections) >= server.max_connections:
+            # Shed, don't hang: the client gets a structured error and a
+            # clean close instead of an unexplained stall.
+            server.connections_shed += 1
+            cap = server.max_connections
+            transport.write(_frame([_shed(f"server at connection capacity ({cap})")]))
+            transport.close()
+        else:
+            server._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+
+    # Back-pressure: a peer that does not read its replies is not read
+    # from, so the write buffer stops at the high-water mark plus the
+    # replies to the read that crossed it.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        cap = server.max_request_bytes
+        *lines, self.residue = (self.residue + data).split(b"\n")
+        replies: list[str] = []
+        try:
+            for line in lines:
+                if len(line) >= cap:  # over the cap once its newline counts
+                    self.residue = line
+                    break
+                try:
+                    request = _decode(line.decode("utf-8"))
+                    if not isinstance(request, dict):
+                        raise ValueError("request must be a JSON object")
+                    response = server.handle(request)
+                except ValueError as exc:
+                    response = {"ok": False, "error": f"bad request: {exc}"}
+                replies.append(_encode(response))
+        finally:
+            # Also on the way out of a handle() that raised: the replies
+            # already computed are the peer's.  An oversize line, or a
+            # residue that can no longer fit, has lost framing: answer
+            # once and close rather than resynchronize.
+            oversize = len(self.residue) >= cap
+            if oversize:
+                server.oversize_requests += 1
+                replies.append(_shed(f"request exceeds {cap} bytes"))
+            if replies:
+                self.transport.write(_frame(replies))
+            if oversize:
+                self.transport.close()
+
 
 class JsonLineServer:
     """JSON-lines-over-TCP transport with connection and body caps."""
+
+    COUNTERS = ("connections_handled", "connections_shed", "oversize_requests")
+    GAUGES = ("open_connections",)
 
     def __init__(
         self,
@@ -63,10 +151,19 @@ class JsonLineServer:
         self.max_connections = max_connections
         self.max_request_bytes = max_request_bytes
         self._asyncio_server: asyncio.AbstractServer | None = None
-        self._open_writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
         self.connections_handled = 0
         self.connections_shed = 0
         self.oversize_requests = 0
+
+    @property
+    def open_connections(self) -> int:
+        return len(self._connections)
+
+    def register_telemetry(self, registry, prefix: str = "netserver") -> None:
+        """Export the transport's connection and shed counts into a
+        :class:`~repro.telemetry.MetricsRegistry`."""
+        registry.register(self, prefix, self.COUNTERS, self.GAUGES)
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
         """Serve one request dict; subclasses supply the application."""
@@ -75,14 +172,8 @@ class JsonLineServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start serving; returns the (host, port) actually bound
         (``port=0`` picks a free port)."""
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            # The reader refuses to buffer more than one request body:
-            # readline() past this raises instead of growing without
-            # bound under a newline-less trickle.
-            limit=self.max_request_bytes,
+        self._asyncio_server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockname = self._asyncio_server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -92,101 +183,14 @@ class JsonLineServer:
         """Stop listening and drop any connections still open."""
         if self._asyncio_server is not None:
             self._asyncio_server.close()
+            for connection in list(self._connections):
+                # abort, not close: a peer that never reads its replies
+                # would keep a flushing close open forever.
+                connection.transport.abort()
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
-        for writer in list(self._open_writers):
-            writer.close()
-        self._open_writers.clear()
-        # Give handler tasks a turn to observe the closed sockets.
+        # Give the closed transports their turn to report connection_lost.
         await asyncio.sleep(0)
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, response: dict[str, Any]
-    ) -> None:
-        writer.write(json.dumps(response).encode("utf-8") + b"\n")
-        await writer.drain()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_handled += 1
-        if len(self._open_writers) >= self.max_connections:
-            # Shed, don't hang: the client gets a structured error and a
-            # clean close instead of an unexplained stall.
-            self.connections_shed += 1
-            try:
-                await self._send(
-                    writer,
-                    {
-                        "ok": False,
-                        "shed": True,
-                        "error": (
-                            f"server at connection capacity "
-                            f"({self.max_connections})"
-                        ),
-                    },
-                )
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            return
-        self._open_writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.IncompleteReadError):
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    # Body cap tripped.  Framing is lost mid-line, so
-                    # answer once and close rather than resynchronize.
-                    self.oversize_requests += 1
-                    try:
-                        await self._send(
-                            writer,
-                            {
-                                "ok": False,
-                                "shed": True,
-                                "error": (
-                                    f"request exceeds "
-                                    f"{self.max_request_bytes} bytes"
-                                ),
-                            },
-                        )
-                    except (ConnectionResetError, BrokenPipeError):
-                        pass
-                    break
-                if not line:
-                    break
-                if len(line) > self.max_request_bytes:
-                    response = {
-                        "ok": False,
-                        "shed": True,
-                        "error": (
-                            f"request exceeds {self.max_request_bytes} bytes"
-                        ),
-                    }
-                    self.oversize_requests += 1
-                else:
-                    try:
-                        request = json.loads(line)
-                        if not isinstance(request, dict):
-                            raise ValueError("request must be a JSON object")
-                        response = self.handle(request)
-                    except (json.JSONDecodeError, ValueError) as exc:
-                        response = {"ok": False, "error": f"bad request: {exc}"}
-                await self._send(writer, response)
-        finally:
-            self._open_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionResetError:
-                pass
 
 
 class AsyncCookieServer(JsonLineServer):
@@ -212,48 +216,72 @@ class AsyncCookieServer(JsonLineServer):
         return self.server.handle_request(request)
 
 
-class CookieClient:
+class CookieClient(asyncio.Protocol):
     """Async client speaking the JSON-lines protocol.
 
-    One client holds one connection; :meth:`request` is safe to call
-    sequentially (requests are pipelined one at a time).
+    One client holds one connection.  Any number of :meth:`request` calls
+    may be in flight on it: replies resolve in request order, and a
+    caller that gave up (cancelled, timed out) still owns its reply, so
+    it never lands on the next caller.
     """
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._transport: asyncio.Transport | None = None
+        self._connecting = asyncio.Lock()
+        self._waiters: deque[asyncio.Future[Any]] = deque()
+        self._residue = b""
 
     async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
+        async with self._connecting:
+            if self._transport is None:
+                self._transport, _ = await asyncio.get_running_loop().create_connection(
+                    lambda: self, self.host, self.port
+                )
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except ConnectionResetError:
-                pass
-            self._reader = None
-            self._writer = None
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+            # The socket itself closes on the loop's next turn.
+            await asyncio.sleep(0)
 
     async def request(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Send one request and await its response."""
-        if self._reader is None or self._writer is None:
+        if self._transport is None:
             await self.connect()
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
+        assert self._transport is not None
+        if self._transport.is_closing():
             raise ConnectionError("cookie server closed the connection")
-        response = json.loads(line)
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        self._transport.write(_frame([_encode(payload)]))
+        response = await waiter
         if not isinstance(response, dict):
             raise ValueError("malformed response from cookie server")
         return response
+
+    def data_received(self, data: bytes) -> None:
+        *lines, self._residue = (self._residue + data).split(b"\n")
+        for line in lines:
+            if not self._waiters:
+                continue  # nobody asked (a connection-cap shed): dropped
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                try:
+                    waiter.set_result(_decode(line.decode("utf-8")))
+                except ValueError as exc:
+                    waiter.set_exception(exc)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._residue = b""
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(
+                    ConnectionError("cookie server closed the connection")
+                )
 
 
 def request_over_tcp(host: str, port: int, payload: dict[str, Any]) -> dict[str, Any]:

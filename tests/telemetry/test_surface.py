@@ -13,6 +13,7 @@ from repro.core import CookieMatcher, DescriptorStore
 from repro.core.client import UserAgent
 from repro.core.cp import ShardedControlPlane, VerifierReplica
 from repro.core.distributed import ShardedVerifierPool
+from repro.core.netserver import JsonLineServer
 from repro.core.parallel import ProcessShardExecutor
 from repro.core.resilience import ResilientChannel
 from repro.core.sweep import SweepExecutor
@@ -94,6 +95,8 @@ EXPECTED_COUNTERS = sorted(
                        "cells_total", "sweeps", "worker_restarts"])
     + _under("audit", ["audits", "false_positives", "flagged_dimensions",
                        "personas_flagged", "personas_missed"])
+    + _under("netserver", ["connections_handled", "connections_shed",
+                           "oversize_requests"])
 )
 
 EXPECTED_GAUGES = sorted(
@@ -112,7 +115,7 @@ EXPECTED_GAUGES = sorted(
      "billing.journal.next_offset",
      # Levels, not counts: gauges since PR 23 (counters before it).
      "sweep.in_process", "sweep.workers",
-     "audit.ok"]
+     "audit.ok", "netserver.open_connections"]
     + [f"anylink.profile.{name}.flows"
        for name in ("2g", "3g", "dialup", "dsl")]
 )
@@ -152,6 +155,7 @@ def test_metric_surface_is_pinned(tmp_path):
     sweep = SweepExecutor(lambda params, seed: 0, workers=0)
     sweep.register_telemetry(registry)
     register_audit_telemetry(registry, AuditCampaignReport(config={}))
+    JsonLineServer().register_telemetry(registry)
 
     snapshot = registry.snapshot()
     executor.close()
