@@ -95,6 +95,13 @@ class CookieAttributes(
              delivery_guarantee, tuple(transports), expires_at, extra),
         )
 
+    @classmethod
+    def expiring_at(cls, expires_at: float | None) -> "CookieAttributes":
+        """``CookieAttributes(expires_at=expires_at)``, the block of a
+        grant built without a factory: the default's fields, checked
+        once, with only the expiry new."""
+        return tuple.__new__(cls, _DEFAULT_HEAD + (expires_at, _NO_EXTRA))
+
     def __getnewargs__(self) -> tuple:
         # pickle and deepcopy rebuild a block through __new__; the
         # read-only view cannot be pickled, a copy of its dict can.
@@ -138,7 +145,7 @@ class CookieAttributes(
     def to_json(self) -> dict[str, Any]:
         """Serialize for the descriptor-acquisition JSON API."""
         return {
-            "granularity": self.granularity.value,
+            "granularity": self.granularity._value_,  # .value is a slow property
             "flow_fields": list(self.flow_fields),
             "apply_reverse": self.apply_reverse,
             "shared": self.shared,
@@ -175,3 +182,6 @@ _KNOWN_KEYS = frozenset(CookieAttributes._fields)
 
 #: The block of every descriptor granted without one.
 DEFAULT_ATTRIBUTES = CookieAttributes()
+#: Its fields before ``expires_at`` and ``extra``, the last two: what
+#: :meth:`CookieAttributes.expiring_at` copies.
+_DEFAULT_HEAD = DEFAULT_ATTRIBUTES[:-2]

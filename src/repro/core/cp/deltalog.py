@@ -188,7 +188,17 @@ class DeltaLog:
     # a CookieServer (``attach_enforcement_store``) the log records every
     # mutation the server pushes to its enforcement stores.
     def add(self, descriptor: CookieDescriptor) -> None:
-        self.append("add", descriptor.cookie_id, self.clock(), descriptor)
+        # One record a grant: what append would check is known here.
+        records = self._records
+        records.append(
+            DeltaRecord(
+                self.base_offset + len(records),
+                "add",
+                descriptor.cookie_id,
+                self.clock(),
+                descriptor.clone(),
+            )
+        )
 
     def revoke(self, cookie_id: int) -> None:
         self.append("revoke", cookie_id, self.clock())

@@ -22,6 +22,13 @@ _COOKIE_ID_MAX = 2**COOKIE_ID_BITS - 1
 DEFAULT_KEY_BYTES = 32
 
 
+def _check_id(cookie_id: int) -> None:
+    if not 0 <= cookie_id <= _COOKIE_ID_MAX:
+        raise ValueError(
+            f"cookie_id must fit in {COOKIE_ID_BITS} bits, got {cookie_id}"
+        )
+
+
 @dataclass(slots=True)
 class CookieDescriptor:
     """The shared state between a cookie issuer and its verifiers.
@@ -42,10 +49,7 @@ class CookieDescriptor:
     revoked: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.cookie_id <= _COOKIE_ID_MAX:
-            raise ValueError(
-                f"cookie_id must fit in {COOKIE_ID_BITS} bits, got {self.cookie_id}"
-            )
+        _check_id(self.cookie_id)
         if not isinstance(self.key, (bytes, bytearray)) or len(self.key) == 0:
             raise ValueError("descriptor key must be non-empty bytes")
         self.key = bytes(self.key)
@@ -58,15 +62,22 @@ class CookieDescriptor:
         cookie_id: int | None = None,
     ) -> "CookieDescriptor":
         """Mint a fresh descriptor with a random key and, unless the
-        caller routed on a pre-minted ``cookie_id``, a random id."""
-        return cls(
-            cookie_id=(
-                secrets.randbits(COOKIE_ID_BITS) if cookie_id is None else cookie_id
-            ),
-            key=secrets.token_bytes(DEFAULT_KEY_BYTES),
-            service_data=service_data,
-            attributes=attributes or DEFAULT_ATTRIBUTES,
-        )
+        caller routed on a pre-minted ``cookie_id``, a random id.
+
+        Built the way :meth:`clone` builds: what was just drawn from
+        ``secrets`` is valid by construction, so only a caller's id is
+        checked."""
+        if cookie_id is None:
+            cookie_id = secrets.randbits(COOKIE_ID_BITS)
+        else:
+            _check_id(cookie_id)
+        descriptor = object.__new__(cls)
+        descriptor.cookie_id = cookie_id
+        descriptor.key = secrets.token_bytes(DEFAULT_KEY_BYTES)
+        descriptor.service_data = service_data
+        descriptor.attributes = attributes or DEFAULT_ATTRIBUTES
+        descriptor.revoked = False
+        return descriptor
 
     def revoke(self) -> None:
         """Revoke the descriptor.

@@ -10,8 +10,8 @@ server takes any of them (or a composition) unchanged.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import AcquisitionDenied
 
@@ -24,17 +24,27 @@ __all__ = [
     "QuotaPolicy",
     "PrepaidPolicy",
     "AllOfPolicy",
+    "NO_ARGUMENTS",
 ]
 
+#: The ``credentials`` / ``preferences`` of every request that brought
+#: none.  One mapping serves them all, so it is read-only: a policy that
+#: writes to it raises instead of reaching the next request.
+NO_ARGUMENTS: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass
-class AcquisitionRequest:
-    """Everything a policy may consider when deciding on a grant."""
+
+class AcquisitionRequest(NamedTuple):
+    """Everything a policy may consider when deciding on a grant.
+
+    A tuple rather than a dataclass: the server builds one per grant.
+    The server's requests hold their own copies of the caller's
+    ``credentials`` / ``preferences``, or :data:`NO_ARGUMENTS`.
+    """
 
     user: str
     service: str
-    credentials: dict[str, Any] = field(default_factory=dict)
-    preferences: dict[str, Any] = field(default_factory=dict)
+    credentials: Mapping[str, Any] = NO_ARGUMENTS
+    preferences: Mapping[str, Any] = NO_ARGUMENTS
     time: float = 0.0
 
 
@@ -77,7 +87,7 @@ class AuthenticatedUsersPolicy(AccessPolicy):
     def __init__(
         self,
         accounts: dict[str, str],
-        verifier: Callable[[str, dict[str, Any]], bool] | None = None,
+        verifier: Callable[[str, Mapping[str, Any]], bool] | None = None,
     ) -> None:
         self.accounts = dict(accounts)
         self._verifier = verifier

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .attributes import CookieAttributes
-from ..audit.log import AuditEvent, AuditLog
+from ..audit.log import AuditEvent, AuditLog, NullAuditLog
 from .descriptor import CookieDescriptor
 from .errors import AcquisitionDenied
-from .policy import AccessPolicy, AcquisitionRequest, OpenAccessPolicy
+from .policy import NO_ARGUMENTS, AccessPolicy, AcquisitionRequest, OpenAccessPolicy
 from .store import DescriptorStore
 
 __all__ = ["ServiceOffering", "CookieServer", "serve_json"]
@@ -52,8 +52,9 @@ class ServiceOffering:
     def build_attributes(self, now: float) -> CookieAttributes:
         if self.attribute_factory is not None:
             return self.attribute_factory(now)
-        expires = None if self.lifetime is None else now + self.lifetime
-        return CookieAttributes(expires_at=expires)
+        lifetime = self.lifetime
+        expires = None if lifetime is None else now + lifetime
+        return CookieAttributes.expiring_at(expires)
 
     def advertisement(self) -> dict[str, Any]:
         """The JSON the server advertises for this offering."""
@@ -78,6 +79,8 @@ class CookieServer:
         self.policy = policy if policy is not None else OpenAccessPolicy()
         # `is not None`: an empty AuditLog is falsy through __len__.
         self.audit_log = audit_log if audit_log is not None else AuditLog()
+        # A log that keeps nothing is not called at all.
+        self._audited = not isinstance(self.audit_log, NullAuditLog)
         self.offerings: dict[str, ServiceOffering] = {}
         #: every live descriptor, holding the server's own shells
         self.issued = DescriptorStore()
@@ -137,14 +140,18 @@ class CookieServer:
         own otherwise.
         """
         now = self.clock()
+        # The copies are the request's own, and copying is what turns a
+        # non-object into a bad request; absent ones share NO_ARGUMENTS.
         request = AcquisitionRequest(
-            user=user,
-            service=service,
-            credentials=dict(credentials or {}),
-            preferences=dict(preferences or {}),
-            time=now,
+            user,
+            service,
+            dict(credentials) if credentials else NO_ARGUMENTS,
+            dict(preferences) if preferences else NO_ARGUMENTS,
+            now,
         )
-        self.audit_log.record(now, AuditEvent.REQUESTED, user, service)
+        audited = self._audited
+        if audited:
+            self.audit_log.record(now, AuditEvent.REQUESTED, user, service)
         offering = self.offerings.get(service)
         try:
             if offering is None:
@@ -152,31 +159,32 @@ class CookieServer:
             self.policy.authorize(request)
         except AcquisitionDenied as exc:
             self.denied += 1
-            reason = "unknown service" if offering is None else str(exc)
-            self.audit_log.record(
-                now, AuditEvent.DENIED, user, service, reason=reason
-            )
+            if audited:
+                reason = "unknown service" if offering is None else str(exc)
+                self.audit_log.record(
+                    now, AuditEvent.DENIED, user, service, reason=reason
+                )
             raise
+        service_data = offering.service_data
         descriptor = CookieDescriptor.create(
-            service_data=offering.service_data
-            if offering.service_data is not None
-            else offering.name,
-            attributes=offering.build_attributes(now),
-            cookie_id=cookie_id,
+            offering.name if service_data is None else service_data,
+            offering.build_attributes(now),
+            cookie_id,
         )
         self.issued.add(descriptor)
         for store in self._enforcement_stores:
             store.add(descriptor)
         self.policy.on_granted(request)
         self.acquired += 1
-        self.audit_log.record(
-            now,
-            AuditEvent.GRANTED,
-            user,
-            service,
-            cookie_id=descriptor.cookie_id,
-            expires_at=descriptor.attributes.expires_at,
-        )
+        if audited:
+            self.audit_log.record(
+                now,
+                AuditEvent.GRANTED,
+                user,
+                service,
+                cookie_id=descriptor.cookie_id,
+                expires_at=descriptor.attributes.expires_at,
+            )
         return descriptor
 
     def revoke(self, cookie_id: int, by: str = "network") -> bool:
@@ -198,13 +206,14 @@ class CookieServer:
         for store in self._enforcement_stores:
             store.revoke(cookie_id)
         self.revoked += 1
-        self.audit_log.record(
-            self.clock(),
-            AuditEvent.REVOKED,
-            by,
-            str(descriptor.service_data),
-            cookie_id=cookie_id,
-        )
+        if self._audited:
+            self.audit_log.record(
+                self.clock(),
+                AuditEvent.REVOKED,
+                by,
+                str(descriptor.service_data),
+                cookie_id=cookie_id,
+            )
         return True
 
     def remove(self, cookie_id: int) -> bool:
@@ -240,14 +249,15 @@ class CookieServer:
             raise AcquisitionDenied(f"descriptor {cookie_id:#x} unknown")
         service = str(old.service_data)
         new = self.acquire(user, service, credentials=credentials)
-        self.audit_log.record(
-            self.clock(),
-            AuditEvent.RENEWED,
-            user,
-            service,
-            cookie_id=new.cookie_id,
-            replaces=cookie_id,
-        )
+        if self._audited:
+            self.audit_log.record(
+                self.clock(),
+                AuditEvent.RENEWED,
+                user,
+                service,
+                cookie_id=new.cookie_id,
+                replaces=cookie_id,
+            )
         return new
 
     def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:

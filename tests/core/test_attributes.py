@@ -30,6 +30,15 @@ class TestDefaults:
         attrs = CookieAttributes(granularity="packet")
         assert attrs.granularity is Granularity.PACKET
 
+    @pytest.mark.parametrize("expires_at", [None, 0.0, 4600.5])
+    def test_expiring_at_is_the_default_block_with_that_expiry(self, expires_at):
+        attrs = CookieAttributes.expiring_at(expires_at)
+        expected = CookieAttributes(expires_at=expires_at)
+        assert type(attrs) is CookieAttributes and attrs == expected
+        assert attrs.to_json() == expected.to_json()
+        with pytest.raises(TypeError):
+            attrs.extra["tampered"] = True
+
 
 class TestExpiry:
     def test_no_expiry_never_expires(self):

@@ -8,7 +8,9 @@ admission gate, and the telemetry collector.
 """
 
 import asyncio
+import hashlib
 import json
+import secrets
 
 import hypothesis.strategies as st
 import pytest
@@ -25,6 +27,7 @@ from repro.core.cp import (
     AsyncControlPlaneServer,
     DeltaLog,
     ShardedControlPlane,
+    StoreSnapshot,
     VerifierReplica,
 )
 from repro.core.distributed import rendezvous_shard
@@ -323,6 +326,107 @@ def test_two_front_doors_one_core():
             assert controlplane.stats.acquired == server.acquired == 2
             assert controlplane.stats.denied == server.denied == 3
             assert controlplane.stats.revoked == server.revoked == 1
+
+
+class _Draws:
+    """Stands in for ``secrets``: numbered ids and keys, one per draw."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def randbits(self, bits: int) -> int:
+        self.count += 1
+        return (0x0123456789ABCDEF * self.count) % 2**bits
+
+    def token_bytes(self, nbytes: int) -> bytes:
+        self.count += 1
+        return bytes([self.count]) * nbytes
+
+
+#: The first grant either door makes below, as its reply carries it.
+FIRST_GRANT = (
+    '{"cookie_id": 81985529216486895, "service_data": "Boost", "attributes": '
+    '{"granularity": "flow", "flow_fields": ["src_ip", "src_port", "dst_ip", '
+    '"dst_port", "proto"], "apply_reverse": true, "shared": false, '
+    '"ack_cookie": false, "delivery_guarantee": false, "transports": ["http", '
+    '"tls", "ipv6", "tcp", "udp"], "expires_at": 4600.0, "extra": {}}, '
+    '"revoked": false, "key": "' + "02" * 32 + '"}'
+)
+
+
+@pytest.mark.contract
+def test_grant_bytes_are_the_recorded_ones(monkeypatch):
+    """Every byte a grant produces — replies, batch results, delta
+    records, snapshots, the replica's store, the audit log — equals what
+    was recorded before grants were built in one pass (SHA-256 over the
+    JSON lines; the first grant spelled out)."""
+    draws = _Draws()
+    monkeypatch.setattr(secrets, "randbits", draws.randbits)
+    monkeypatch.setattr(secrets, "token_bytes", draws.token_bytes)
+
+    def offer(door):
+        door.offer(ServiceOffering(name="Boost"))
+        door.offer(
+            ServiceOffering(name="Forever", lifetime=None, service_data={"tier": 1})
+        )
+
+    def plain():
+        clock = ManualClock()
+        server = CookieServer(clock=clock)
+        offer(server)
+        log = DeltaLog(clock=clock)
+        server.attach_enforcement_store(log)
+        ask = server.handle_request
+        first = ask({"op": "acquire", "service": "Boost", **_ALICE})
+        clock.advance(1.5)
+        alice = {"user": "alice", "cookie_id": first["descriptor"]["cookie_id"]}
+        out = [
+            first,
+            ask({"op": "renew", **alice}),
+            ask({"op": "acquire", "user": "bob", "service": "Forever"}),
+            ask({"op": "revoke", **alice}),
+            *(record.to_json() for record in log),
+            StoreSnapshot.take(server.issued, log.next_offset).to_json(),
+        ]
+        audit = server.audit_log.to_jsonl().splitlines()
+        return [json.dumps(item) for item in out] + audit
+
+    def plane():
+        clock = ManualClock()
+        controlplane = ShardedControlPlane(clock=clock, shards=1)
+        offer(controlplane)
+        replica = controlplane.register_replica(VerifierReplica("mb0"))
+        ask = controlplane.handle_request
+        batch = ask(_batch([["alice", "Boost"], ["bob", "Forever", {"k": 1}]]))
+        clock.advance(1.5)
+        cookie_id = batch["results"][0]["descriptor"]["cookie_id"]
+        out = [
+            batch,
+            ask({"op": "acquire", "user": "carol", "service": "Boost"}),
+            ask({"op": "renew", "user": "alice", "cookie_id": cookie_id}),
+            ask({"op": "revoke", "cookie_id": cookie_id}),
+            ask({"op": "deltas_since", "shard": 0, "offset": 0}),
+            ask({"op": "snapshot", "shard": 0}),
+            [descriptor.to_json() for descriptor in replica.store],
+        ]
+        return [json.dumps(item) for item in out]
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    lines = plain()
+    assert lines[0] == '{"ok": true, "descriptor": ' + FIRST_GRANT + "}"
+    assert (len(lines), digest(lines)) == (
+        17, "d39b61c8a80017b511a703f754a33abb63baa1852536faa878b4b6953b3ace28"
+    )
+    draws.count = 0
+    lines = plane()
+    assert lines[0].startswith(
+        '{"ok": true, "results": [{"ok": true, "descriptor": ' + FIRST_GRANT
+    )
+    assert (len(lines), digest(lines)) == (
+        7, "274ac2cb13340156c09783b5b80c12c2e4650d6be40ba86cfe1489f5c5871f20"
+    )
 
 
 class TestReplication:

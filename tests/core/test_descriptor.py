@@ -1,5 +1,7 @@
 """Cookie descriptor tests: creation, serialization, lifecycle."""
 
+import secrets
+
 import pytest
 
 from repro.core.attributes import CookieAttributes
@@ -21,6 +23,23 @@ class TestCreation:
             CookieDescriptor(cookie_id=2**64, key=b"k")
         with pytest.raises(ValueError):
             CookieDescriptor(cookie_id=-1, key=b"k")
+
+    def test_create_still_range_checks_a_callers_id(self):
+        for cookie_id in (2**64, -1):
+            with pytest.raises(ValueError, match="64 bits"):
+                CookieDescriptor.create(cookie_id=cookie_id)
+        assert CookieDescriptor.create(cookie_id=2**64 - 1).cookie_id == 2**64 - 1
+
+    def test_create_mints_what_the_constructor_would(self, monkeypatch):
+        monkeypatch.setattr(secrets, "randbits", lambda bits: 7)
+        monkeypatch.setattr(secrets, "token_bytes", lambda nbytes: b"k" * nbytes)
+        attributes = CookieAttributes(expires_at=5.0)
+        minted = CookieDescriptor.create("Boost", attributes)
+        assert minted == CookieDescriptor(
+            cookie_id=7, key=b"k" * 32, service_data="Boost", attributes=attributes
+        )
+        assert minted.attributes is attributes
+        assert CookieDescriptor.create() == CookieDescriptor(cookie_id=7, key=b"k" * 32)
 
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,16 @@ def _request(user="alice", service="Boost", time=0.0, **credentials):
     )
 
 
+class TestRequest:
+    def test_absent_arguments_are_one_read_only_mapping(self):
+        first = AcquisitionRequest("alice", "Boost")
+        second = AcquisitionRequest(user="bob", service="Boost", time=1.0)
+        assert first.credentials is second.preferences
+        with pytest.raises(TypeError):
+            first.credentials["secret"] = "planted"
+        assert len(second.credentials) == 0
+
+
 class TestOpenAccess:
     def test_everyone_allowed(self):
         OpenAccessPolicy().authorize(_request(user="anyone"))

@@ -10,9 +10,11 @@ from repro.core import (
     CookieMatcher,
     CookieServer,
     DescriptorStore,
+    OpenAccessPolicy,
     ServiceOffering,
     UserAgent,
 )
+from repro.audit.log import NullAuditLog
 from repro.netsim.appmsg import HTTPRequest
 from repro.netsim.packet import make_tcp_packet
 
@@ -98,6 +100,56 @@ class TestAcquisition:
         grants = server.audit_log.grants()
         assert grants[0].cookie_id == descriptor.cookie_id
         assert grants[0].user == "alice"
+
+    def test_policy_cannot_write_into_absent_arguments(self, clock):
+        seen = []
+
+        class Scribbler(OpenAccessPolicy):
+            def authorize(self, request):
+                seen.append(request)
+                if request.user == "mallory":
+                    request.credentials["secret"] = "planted"
+
+        server = CookieServer(clock=clock, policy=Scribbler())
+        server.offer(ServiceOffering(name="Boost"))
+        with pytest.raises(TypeError):
+            server.acquire("mallory", "Boost")
+        server.acquire("alice", "Boost", credentials={})
+        assert len(seen[1].credentials) == len(seen[1].preferences) == 0
+        reply = server.handle_request(
+            {"op": "acquire", "user": "mallory", "service": "Boost"}
+        )
+        assert reply["error"].startswith("bad request")
+
+    def test_callers_arguments_changed_after_the_grant_reach_no_policy(self, clock):
+        granted = []
+
+        class Recorder(OpenAccessPolicy):
+            def on_granted(self, request):
+                granted.append(request)
+
+        server = CookieServer(clock=clock, policy=Recorder())
+        server.offer(ServiceOffering(name="Boost"))
+        credentials, preferences = {"secret": "pw"}, {"tier": "gold"}
+        server.acquire("alice", "Boost", credentials, preferences)
+        credentials["secret"] = "changed"
+        preferences.clear()
+        assert granted[0].credentials == {"secret": "pw"}
+        assert granted[0].preferences == {"tier": "gold"}
+
+    def test_a_log_that_keeps_nothing_is_never_called(self, clock):
+        class Tripwire(NullAuditLog):
+            def record(self, *args, **detail):
+                raise AssertionError("an unaudited server wrote to its log")
+
+        server = CookieServer(clock=clock, audit_log=Tripwire())
+        server.offer(ServiceOffering(name="Boost"))
+        descriptor = server.acquire("alice", "Boost")
+        renewed = server.renew("alice", descriptor.cookie_id)
+        assert server.revoke(renewed.cookie_id)
+        with pytest.raises(AcquisitionDenied):
+            server.acquire("alice", "Nope")
+        assert (server.acquired, server.denied, server.revoked) == (2, 1, 1)
 
 
 class TestRevocation:
