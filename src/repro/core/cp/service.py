@@ -28,12 +28,12 @@ unit, not a speedup: the dispatcher visits them one at a time (§14.4).
 
 from __future__ import annotations
 
-import secrets
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..descriptor import COOKIE_ID_BITS, CookieDescriptor
+from ..descriptor import DEFAULT_KEY_BYTES, GRANT_DRAW_BYTES, CookieDescriptor
 from ..distributed import rendezvous_shard
 from ..errors import AcquisitionDenied
 from ..policy import AccessPolicy, OpenAccessPolicy
@@ -184,13 +184,16 @@ class ShardedControlPlane:
         credentials: dict[str, Any] | None = None,
         preferences: dict[str, Any] | None = None,
     ) -> CookieDescriptor:
-        """Mint an id, route on it, count.  Returns the owning shard's
-        live descriptor; the callers below decide how it leaves —
-        rendered (:meth:`acquire_batch`) or cloned (:meth:`acquire`)."""
-        cookie_id = secrets.randbits(COOKIE_ID_BITS)
+        """Mint an id and key in one draw, route on the id, count.
+        Returns the owning shard's live descriptor; the callers below
+        decide how it leaves — rendered (:meth:`acquire_batch`) or
+        cloned (:meth:`acquire`)."""
+        draw = os.urandom(GRANT_DRAW_BYTES)
+        cookie_id = int.from_bytes(draw[:-DEFAULT_KEY_BYTES], "big")
         try:
             descriptor = self._shards[self.shard_of(cookie_id)].acquire(
-                user, service, credentials, preferences, cookie_id=cookie_id
+                user, service, credentials, preferences,
+                cookie_id=cookie_id, key=draw[-DEFAULT_KEY_BYTES:],
             )
         except AcquisitionDenied:
             self.stats.denied += 1

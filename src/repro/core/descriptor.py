@@ -9,17 +9,21 @@ many single-use cookies.
 
 from __future__ import annotations
 
-import secrets
+import os
 from dataclasses import dataclass
 from typing import Any
 
 from .attributes import DEFAULT_ATTRIBUTES, CookieAttributes
 
-__all__ = ["CookieDescriptor", "COOKIE_ID_BITS", "DEFAULT_KEY_BYTES"]
+__all__ = ["CookieDescriptor", "COOKIE_ID_BITS", "DEFAULT_KEY_BYTES",
+           "GRANT_DRAW_BYTES"]
 
 COOKIE_ID_BITS = 64
 _COOKIE_ID_MAX = 2**COOKIE_ID_BITS - 1
 DEFAULT_KEY_BYTES = 32
+#: A grant's randomness is one ``os.urandom`` draw: the id's 8 bytes,
+#: read big-endian as ``secrets.randbits`` reads them, then the key.
+GRANT_DRAW_BYTES = COOKIE_ID_BITS // 8 + DEFAULT_KEY_BYTES
 
 
 def _check_id(cookie_id: int) -> None:
@@ -60,20 +64,26 @@ class CookieDescriptor:
         service_data: Any = "",
         attributes: CookieAttributes | None = None,
         cookie_id: int | None = None,
+        key: bytes | None = None,
     ) -> "CookieDescriptor":
-        """Mint a fresh descriptor with a random key and, unless the
-        caller routed on a pre-minted ``cookie_id``, a random id.
+        """Mint a fresh descriptor: id and key from one draw of
+        :data:`GRANT_DRAW_BYTES`, unless the caller routed on a
+        pre-minted ``cookie_id`` — then ``key`` is the rest of the draw
+        that id was read from, or a fresh key if none is given.
 
-        Built the way :meth:`clone` builds: what was just drawn from
-        ``secrets`` is valid by construction, so only a caller's id is
-        checked."""
+        Built the way :meth:`clone` builds: what was just drawn is valid
+        by construction, so only a caller's id is checked."""
         if cookie_id is None:
-            cookie_id = secrets.randbits(COOKIE_ID_BITS)
+            draw = os.urandom(GRANT_DRAW_BYTES)
+            cookie_id = int.from_bytes(draw[:-DEFAULT_KEY_BYTES], "big")
+            key = draw[-DEFAULT_KEY_BYTES:]
         else:
             _check_id(cookie_id)
+            if key is None:
+                key = os.urandom(DEFAULT_KEY_BYTES)
         descriptor = object.__new__(cls)
         descriptor.cookie_id = cookie_id
-        descriptor.key = secrets.token_bytes(DEFAULT_KEY_BYTES)
+        descriptor.key = key
         descriptor.service_data = service_data
         descriptor.attributes = attributes or DEFAULT_ATTRIBUTES
         descriptor.revoked = False

@@ -24,8 +24,9 @@ Three layers:
   the hot path runs.
 - a **transport ladder** (PROTOCOL.md §12) — batch frames travel over
   per-shard :class:`~repro.core.shm_ring.ShmRing` pairs by default: a
-  dispatch is one bounded memcpy into shared memory per shard and one
-  polled read back, zero syscalls in steady state.  Pipes remain the
+  dispatch is one bounded memcpy into shared memory per shard, announced
+  by a one-byte doorbell on the shard's pipe, and each side waits for
+  the other's doorbell blocked in the kernel.  Pipes remain the
   control channel (descriptor deltas, replay-cache stats, probes,
   shutdown) and the fallback transport (ring setup failure, frames too
   large for a slot).  Below both sits the **in-process degrade mode**:
@@ -40,8 +41,8 @@ Three layers:
 
 Failure model (PROTOCOL.md §10-§11; the ladder is spelled out on
 :class:`ProcessShardExecutor`): a crashed worker is detected at the next
-dispatch (broken pipe / EOF / reply timeout — on the ring transport, an
-unanswered sequence word plus a failed liveness check) and replaced with
+dispatch (broken pipe / EOF / reply timeout on its pipe, which carries
+every reply or its doorbell) and replaced with
 a **cold replay cache** — the same fail-closed trade-off an NFV pool
 makes when it replaces a dead instance: the pool keeps verifying (no
 deadlock, no dropped dispatch) at the cost of one shard's replay window
@@ -111,6 +112,7 @@ VERDICT_CODES: dict[str, int] = {
     reason: code for code, reason in enumerate(VERDICT_REASONS)
 }
 VERDICT_ACCEPTED = VERDICT_CODES["accepted"]
+_CODES = bytes(range(len(VERDICT_REASONS)))
 
 #: Dispatcher-level reason for cookies whose shard died twice within one
 #: dispatch: the sub-batch fails closed with this marker.  Deliberately
@@ -189,12 +191,12 @@ def decode_verdicts(blob: bytes) -> list[tuple[int, int]]:
             f"verdict frame announces {count} verdicts "
             f"({count * VERDICT_RECORD.size} bytes) but carries {body}"
         )
-    verdicts = list(VERDICT_RECORD.iter_unpack(memoryview(blob)[_COUNT.size :]))
-    reason_count = len(VERDICT_REASONS)
-    for code, _descriptor_id in verdicts:
-        if code >= reason_count:
-            raise MalformedCookie(f"unknown verdict code {code}")
-    return verdicts
+    # The code column, checked in one C-level pass: what is left once
+    # every known code is deleted is unknown.
+    unknown = blob[_COUNT.size :: VERDICT_RECORD.size].translate(None, _CODES)
+    if unknown:
+        raise MalformedCookie(f"unknown verdict code {unknown[0]}")
+    return list(VERDICT_RECORD.iter_unpack(memoryview(blob)[_COUNT.size :]))
 
 
 # ----------------------------------------------------------------------
@@ -206,22 +208,13 @@ _OP_BATCH = b"B"  # + !d now + batch frame        -> verdict frame
 _OP_DELTA = b"D"  # + JSON list of delta records  -> b"\x01" ack
 _OP_STATS = b"S"  #                               -> JSON replay-cache stats
 _OP_QUIT = b"Q"   #                               -> b"\x01" ack, exit
+#: The doorbell, both ways: "a frame waits in your ring".  A worker
+#: answers the batch frame in its request ring with a verdict frame in
+#: its response ring, then rings back.
+_OP_RING = b"R"
 
 #: A batch frame's header: opcode, ``now``, cookie count.
 _BATCH_HEADER = struct.Struct("!cdI")
-
-#: How many empty ring polls a worker burns after its last frame before
-#: parking on the control pipe; one poll is a handful of interpreted
-#: bytecodes, so this is roughly a millisecond of hot window — enough to
-#: catch the dispatcher's next frame of a streaming dispatch without a
-#: single syscall.
-_WORKER_HOT_SPINS = 4096
-#: Parked-worker wakeup quantum: the worker sleeps in ``conn.poll`` (so
-#: control frames wake it instantly) and re-checks the ring this often.
-_WORKER_IDLE_POLL_S = 0.001
-#: How long a worker pushes into a full response ring before concluding
-#: the dispatcher is gone and exiting (the executor would restart it).
-_WORKER_PUSH_TIMEOUT_S = 60.0
 
 
 def batch_reply(matcher: CookieMatcher, frame: bytes) -> bytes:
@@ -266,10 +259,11 @@ def _worker_main(
     The replica is seeded from JSON at start (control plane — the hot
     path never serializes descriptors) and updated by delta frames,
     lists of :class:`DeltaRecord` documents applied as any replica does.
-    Batch frames arrive on the request ring when the shard has one
-    (``rings`` under fork, ``ring_names`` under spawn) and their verdict
-    frames return on the response ring; the pipe carries control ops and
-    fallback batches, each answered on the channel it arrived on.
+    The worker blocks on its pipe for everything.  A doorbell there
+    means a batch frame waits in the request ring (``rings`` under fork,
+    ``ring_names`` under spawn); its verdict frame goes to the response
+    ring, announced by a doorbell back.  Control ops and fallback
+    batches travel the pipe itself and are answered there.
     Any malformed frame terminates the worker: the dispatcher treats
     that as a crash and restarts the shard — failing closed beats
     verifying against a state we no longer trust.
@@ -291,42 +285,27 @@ def _worker_main(
             resp_ring = ShmRing.attach(ring_names[1])
         except RingUnavailable:
             # The dispatcher believes this shard speaks shm; serving the
-            # pipe only would deadlock its ring waits.  Die loudly and
-            # let the recovery ladder decide.
+            # pipe only would leave its doorbells unanswered.  Die loudly
+            # and let the recovery ladder decide.
             conn.close()
             raise
 
-    hot = 0
     try:
         while True:
-            frame = None
-            via_ring = False
-            if req_ring is not None:
-                frame = req_ring.try_pop()
-                via_ring = frame is not None
-                if frame is None:
-                    if hot > 0:
-                        hot -= 1
-                        if hot & 127 == 0:
-                            time.sleep(0)
-                        continue
-                    if not conn.poll(_WORKER_IDLE_POLL_S):
-                        continue
-            if frame is None:
-                try:
-                    frame = conn.recv_bytes()
-                except (EOFError, OSError):
-                    break
-            if req_ring is not None:
-                hot = _WORKER_HOT_SPINS
+            try:
+                frame = conn.recv_bytes()
+            except (EOFError, OSError):
+                break
             op = frame[:1]
-            if op == _OP_BATCH:
-                reply = batch_reply(matcher, frame)
-                if via_ring:
-                    if not resp_ring.push(reply, _WORKER_PUSH_TIMEOUT_S):
-                        break  # dispatcher stopped draining; restart cycle
-                else:
-                    conn.send_bytes(reply)
+            if op == _OP_RING:
+                frame = req_ring.try_pop() if req_ring is not None else None
+                if frame is None:
+                    raise MalformedCookie("doorbell rang on an empty ring")
+                if not resp_ring.try_push(batch_reply(matcher, frame)):
+                    break  # the dispatcher left replies unread; restart
+                conn.send_bytes(_OP_RING)
+            elif op == _OP_BATCH:
+                conn.send_bytes(batch_reply(matcher, frame))
             elif op == _OP_DELTA:
                 try:
                     for delta in json.loads(frame[1:].decode("utf-8")):
@@ -380,9 +359,6 @@ class ShmTransportStats:
     #: Frames that exceeded a slot's payload capacity and fell back to
     #: the pipe for that dispatch (the frame is never fragmented).
     oversize_pipe_fallbacks: int = 0
-    #: Dispatches that found the request ring momentarily full and had
-    #: to spin before publishing.
-    backpressure_waits: int = 0
     #: Shard spawns whose ring allocation failed (shard degraded to the
     #: pipe transport).
     ring_setup_failures: int = 0
@@ -412,8 +388,9 @@ class ProcessShardExecutor:
     suite in ``tests/core/test_parallel_differential.py`` pins this).
     The speedup comes from real parallelism with cheap IPC: batch
     frames cross per-shard shared-memory rings (one bounded memcpy and
-    one sequence-word store per direction — no syscall, no kernel
-    copy), and the dispatch is pipelined — shard N's frame is encoded
+    one sequence-word store per direction, plus a one-byte doorbell on
+    the pipe — no kernel copy of the frame, no spinning), and the
+    dispatch is pipelined — shard N's frame is encoded
     and published while shard N-1's worker is already verifying, then
     replies are collected in publish order.
 
@@ -618,11 +595,10 @@ class ProcessShardExecutor:
                 pass
         if process is not None:
             if process.is_alive():
-                process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - terminate ignored
+                # SIGKILL: a stopped or wedged worker ignores SIGTERM,
+                # and a worker has nothing to clean up that SIGTERM runs.
                 process.kill()
-                process.join(timeout=5.0)
+            process.join(timeout=5.0)
         rings, self._rings[index] = self._rings[index], None
         for ring in rings or ():
             ring.close()
@@ -832,60 +808,50 @@ class ProcessShardExecutor:
         """Publish one sub-batch on the shard's best transport.
 
         Returns the channel the reply will arrive on (``"ring"`` or
-        ``"pipe"``), or None if the shard is unreachable (dead worker /
-        full ring past the timeout) — the caller walks the recovery
-        ladder.
+        ``"pipe"``), or None if the shard is unreachable — the caller
+        walks the recovery ladder.  Never waits: a dispatch has one
+        frame in flight per shard, so a full request ring means the
+        worker never took the last one.
         """
+        channel, wire = "pipe", frame
         rings = self._rings[shard]
         if rings is not None:
-            request, _response = rings
             try:
-                process = self._procs[shard]
-                if not request.try_push(frame):
-                    self.shm_stats.backpressure_waits += 1
-                    if not request.push(
-                        frame,
-                        timeout=self.reply_timeout,
-                        should_abort=lambda: not process.is_alive(),
-                    ):
-                        return None
-                self.shm_stats.ring_dispatches += 1
-                self.shm_stats.bytes_out += len(frame)
-                return "ring"
+                if not rings[0].try_push(frame):
+                    return None
+                channel, wire = "ring", _OP_RING
             except RingFrameTooLarge:
                 self.shm_stats.oversize_pipe_fallbacks += 1
-                # fall through to the pipe for this dispatch
         try:
-            self._conns[shard].send_bytes(frame)
-        except (OSError, BrokenPipeError, ValueError):
+            self._conns[shard].send_bytes(wire)
+        except (OSError, ValueError):
             return None
-        self.shm_stats.pipe_dispatches += 1
-        return "pipe"
+        if channel == "ring":
+            self.shm_stats.ring_dispatches += 1
+            self.shm_stats.bytes_out += len(frame)
+        else:
+            self.shm_stats.pipe_dispatches += 1
+        return channel
 
     def _collect_sub_batch(self, shard: int, channel: str) -> bytes | None:
         """The reply matching :meth:`_send_sub_batch`, or None on a
-        dead/unresponsive worker."""
-        if channel == "ring":
-            _request, response = self._rings[shard]
-            process = self._procs[shard]
-            reply = response.pop(
-                self.reply_timeout,
-                should_abort=lambda: not process.is_alive(),
-            )
-            if reply is None:
-                # The worker may have published and *then* died — drain
-                # one last time before declaring the sub-batch lost.
-                reply = response.try_pop()
-            if reply is not None:
-                self.shm_stats.bytes_in += len(reply)
-            return reply
+        dead (EOF) or silent worker.  Either channel's answer arrives on
+        the pipe: the verdict frame itself, or the doorbell announcing
+        it in the response ring."""
         try:
             conn = self._conns[shard]
             if not conn.poll(self.reply_timeout):
                 return None
-            return conn.recv_bytes()
+            reply = conn.recv_bytes()
         except (OSError, EOFError):
             return None
+        if channel == "ring":
+            if reply != _OP_RING:
+                return None
+            reply = self._rings[shard][1].try_pop()
+            if reply is not None:
+                self.shm_stats.bytes_in += len(reply)
+        return reply
 
     def match(self, cookie: Cookie, now: float) -> CookieDescriptor | None:
         """Scalar verification — a batch of one through the same wire."""
@@ -950,12 +916,17 @@ class ProcessShardExecutor:
         self._require_open()
         if not cookies:
             return []
-        shard_index_for = self._shard_index
-        per_shard: dict[int, list[int]] = {}
-        for position, cookie in enumerate(cookies):
-            per_shard.setdefault(
-                shard_index_for(cookie.cookie_id), []
-            ).append(position)
+        per_shard: dict[int, Sequence[int]]
+        if self._worker_count == 1:
+            # Rendezvous over one shard is the identity.
+            per_shard = {0: range(len(cookies))}
+        else:
+            shard_index_for = self._shard_index
+            per_shard = {}
+            for position, cookie in enumerate(cookies):
+                per_shard.setdefault(
+                    shard_index_for(cookie.cookie_id), []
+                ).append(position)
 
         def encoded(shards: Iterable[int]) -> Iterator[tuple[int, bytes]]:
             # A generator, so that _dispatch publishes shard k's frame
@@ -967,7 +938,7 @@ class ProcessShardExecutor:
                     yield shard, _BATCH_HEADER.pack(
                         _OP_BATCH, now, len(positions)
                     ) + b"".join(
-                        cookies[position].to_bytes() for position in positions
+                        [cookies[position].to_bytes() for position in positions]
                     )
 
         # Two attempts.  A shard that fails the first is restarted and,
@@ -992,25 +963,25 @@ class ProcessShardExecutor:
         )
         store_get = self.store.get
         for shard, positions in per_shard.items():
-            if shard in verdicts:
+            shard_verdicts = verdicts.get(shard)
+            if shard_verdicts is not None:
                 # Resolve descriptor ids against the dispatcher's own
                 # store — descriptor objects never cross the process
-                # boundary.
+                # boundary.  An id removed from it since dispatch
+                # resolves to None: fail closed, count as rejected.
                 for position, (code, descriptor_id) in zip(
-                    positions, verdicts[shard]
+                    positions, shard_verdicts
                 ):
                     if code == VERDICT_ACCEPTED:
-                        descriptor = store_get(descriptor_id)
-                        if descriptor is not None:
-                            results[position] = descriptor
-                            if reason_arr is not None:
-                                reason_arr[position] = "accepted"
-                        elif reason_arr is not None:
-                            # Removed from the dispatcher's store since
-                            # dispatch — fail closed, count as rejected.
-                            reason_arr[position] = "unknown_id"
-                    elif reason_arr is not None:
-                        reason_arr[position] = VERDICT_REASONS[code]
+                        results[position] = store_get(descriptor_id)
+                if reason_arr is not None:
+                    for position, (code, _id) in zip(positions, shard_verdicts):
+                        reason_arr[position] = (
+                            VERDICT_REASONS[code]
+                            if code != VERDICT_ACCEPTED
+                            or results[position] is not None
+                            else "unknown_id"
+                        )
             elif shard in self._fallback_matchers:
                 # Fallback shard: verified here, over the shared store.
                 sub_reasons: list[str] | None = (
@@ -1179,7 +1150,7 @@ class ProcessShardExecutor:
     ) -> None:
         """Export the shared-memory transport counters (PROTOCOL.md
         §12): ring vs pipe dispatch mix, ring bytes both ways, oversize
-        and backpressure events, and gauges for the live transport
+        and ring set-up fallbacks, and gauges for the live transport
         ladder position (ring/pipe shard counts and the degrade
         flag)."""
         registry.register(

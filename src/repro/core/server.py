@@ -130,14 +130,15 @@ class CookieServer:
         credentials: dict[str, Any] | None = None,
         preferences: dict[str, Any] | None = None,
         cookie_id: int | None = None,
+        key: bytes | None = None,
     ) -> CookieDescriptor:
         """Issue a descriptor for ``service`` to ``user``.
 
         Raises :class:`AcquisitionDenied` when the service is unknown or
         the policy refuses.  On success the descriptor is mirrored to all
         enforcement stores and the grant is audited.  ``cookie_id`` is a
-        pre-minted id (a dispatcher routed on it); the server mints its
-        own otherwise.
+        pre-minted id (a dispatcher routed on it) and ``key`` the rest of
+        its draw; the server mints its own otherwise.
         """
         now = self.clock()
         # The copies are the request's own, and copying is what turns a
@@ -170,6 +171,7 @@ class CookieServer:
             offering.name if service_data is None else service_data,
             offering.build_attributes(now),
             cookie_id,
+            key,
         )
         self.issued.add(descriptor)
         for store in self._enforcement_stores:

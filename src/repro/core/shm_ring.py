@@ -8,8 +8,11 @@ verification-bound stream (the 0.45x regression recorded in
 that hot path with a single-producer/single-consumer ring over
 :class:`multiprocessing.shared_memory.SharedMemory`: publishing a frame
 is one bounded ``memcpy`` into a mapped page plus one 8-byte sequence
-store, and consuming it is a polled load of the same sequence word —
-zero syscalls and zero kernel copies in steady state.
+store, and consuming it is a load of the same sequence word — no
+kernel copy of the frame.  The ring never waits: :meth:`ShmRing.try_push`
+and :meth:`ShmRing.try_pop` answer at once, and whoever needs to wait
+for a frame blocks on a one-byte doorbell elsewhere (the executor rings
+it on the shard's pipe, PROTOCOL.md §12).
 
 Layout (PROTOCOL.md §12)::
 
@@ -45,9 +48,7 @@ from __future__ import annotations
 
 import secrets
 import struct
-import time
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable
 
 __all__ = [
     "ShmRing",
@@ -115,9 +116,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 class ShmRing:
     """One direction of a dispatcher↔worker frame channel.
 
-    Exactly one process calls :meth:`push`/:meth:`try_push` and exactly
-    one calls :meth:`pop`/:meth:`try_pop`; each side keeps its own
-    cursor.  Both may share one attached segment object (fork) or
+    Exactly one process calls :meth:`try_push` and exactly one calls
+    :meth:`try_pop`; each side keeps its own cursor.  Both may share one attached segment object (fork) or
     attach by name (spawn).
     """
 
@@ -221,35 +221,6 @@ class ShmRing:
         self._head = head + 1
         return True
 
-    def push(
-        self,
-        frame: bytes,
-        timeout: float,
-        should_abort: Callable[[], bool] | None = None,
-    ) -> bool:
-        """Publish, spinning through backpressure up to ``timeout`` s.
-
-        ``should_abort`` is consulted on the slow path (e.g. "is the
-        peer dead?"); returning True gives up immediately.  Returns
-        False on timeout/abort, True once published.
-        """
-        if self.try_push(frame):
-            return True
-        deadline = time.monotonic() + timeout
-        spins = 0
-        while True:
-            if self.try_push(frame):
-                return True
-            spins += 1
-            if spins % 32 == 0:
-                if should_abort is not None and should_abort():
-                    return False
-                if time.monotonic() >= deadline:
-                    return False
-                time.sleep(0.0001)
-            else:
-                time.sleep(0)
-
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
@@ -270,39 +241,6 @@ class ShmRing:
         _SEQ.pack_into(buf, base, tail + self.slots)
         self._tail = tail + 1
         return frame
-
-    def pop(
-        self,
-        timeout: float,
-        should_abort: Callable[[], bool] | None = None,
-    ) -> bytes | None:
-        """Consume, spinning until a frame, abort, or ``timeout`` s.
-
-        The wait is hot for the first ~millisecond (cheap loads of one
-        sequence word), then backs off to sub-millisecond sleeps;
-        ``should_abort`` (e.g. a worker-liveness probe) is only called
-        on the slow path, so a prompt reply costs zero syscalls.
-        """
-        frame = self.try_pop()
-        if frame is not None:
-            return frame
-        deadline = time.monotonic() + timeout
-        spins = 0
-        while True:
-            frame = self.try_pop()
-            if frame is not None:
-                return frame
-            spins += 1
-            if spins < 1024:
-                if spins % 64 == 0:
-                    time.sleep(0)
-                continue
-            if spins % 16 == 0:
-                if should_abort is not None and should_abort():
-                    return None
-                if time.monotonic() >= deadline:
-                    return None
-            time.sleep(0.0001)
 
     # ------------------------------------------------------------------
     # Lifecycle

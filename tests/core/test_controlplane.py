@@ -10,7 +10,7 @@ admission gate, and the telemetry collector.
 import asyncio
 import hashlib
 import json
-import secrets
+import os
 
 import hypothesis.strategies as st
 import pytest
@@ -30,6 +30,7 @@ from repro.core.cp import (
     StoreSnapshot,
     VerifierReplica,
 )
+from repro.core.descriptor import GRANT_DRAW_BYTES
 from repro.core.distributed import rendezvous_shard
 from repro.core.netserver import CookieClient
 from repro.telemetry import MetricsRegistry
@@ -329,18 +330,17 @@ def test_two_front_doors_one_core():
 
 
 class _Draws:
-    """Stands in for ``secrets``: numbered ids and keys, one per draw."""
+    """Stands in for ``os.urandom``: one grant's draw at a time, a
+    numbered id (big-endian) then a key of that number's bytes."""
 
     def __init__(self) -> None:
         self.count = 0
 
-    def randbits(self, bits: int) -> int:
+    def urandom(self, nbytes: int) -> bytes:
+        assert nbytes == GRANT_DRAW_BYTES, "a grant draws once"
         self.count += 1
-        return (0x0123456789ABCDEF * self.count) % 2**bits
-
-    def token_bytes(self, nbytes: int) -> bytes:
-        self.count += 1
-        return bytes([self.count]) * nbytes
+        cookie_id = (0x0123456789ABCDEF * self.count) % 2**64
+        return cookie_id.to_bytes(8, "big") + bytes([self.count]) * (nbytes - 8)
 
 
 #: The first grant either door makes below, as its reply carries it.
@@ -350,7 +350,7 @@ FIRST_GRANT = (
     '"dst_port", "proto"], "apply_reverse": true, "shared": false, '
     '"ack_cookie": false, "delivery_guarantee": false, "transports": ["http", '
     '"tls", "ipv6", "tcp", "udp"], "expires_at": 4600.0, "extra": {}}, '
-    '"revoked": false, "key": "' + "02" * 32 + '"}'
+    '"revoked": false, "key": "' + "01" * 32 + '"}'
 )
 
 
@@ -359,10 +359,11 @@ def test_grant_bytes_are_the_recorded_ones(monkeypatch):
     """Every byte a grant produces — replies, batch results, delta
     records, snapshots, the replica's store, the audit log — equals what
     was recorded before grants were built in one pass (SHA-256 over the
-    JSON lines; the first grant spelled out)."""
+    JSON lines; the first grant spelled out).  Re-recorded when a
+    grant's id and key became one draw: the same ids and keys drawn two
+    at a time through ``secrets`` give these digests too."""
     draws = _Draws()
-    monkeypatch.setattr(secrets, "randbits", draws.randbits)
-    monkeypatch.setattr(secrets, "token_bytes", draws.token_bytes)
+    monkeypatch.setattr(os, "urandom", draws.urandom)
 
     def offer(door):
         door.offer(ServiceOffering(name="Boost"))
@@ -417,7 +418,7 @@ def test_grant_bytes_are_the_recorded_ones(monkeypatch):
     lines = plain()
     assert lines[0] == '{"ok": true, "descriptor": ' + FIRST_GRANT + "}"
     assert (len(lines), digest(lines)) == (
-        17, "d39b61c8a80017b511a703f754a33abb63baa1852536faa878b4b6953b3ace28"
+        17, "8eac1a6ccd6016eff00effad494743945feddf15da3db55a1d650a29c3b89e5e"
     )
     draws.count = 0
     lines = plane()
@@ -425,7 +426,7 @@ def test_grant_bytes_are_the_recorded_ones(monkeypatch):
         '{"ok": true, "results": [{"ok": true, "descriptor": ' + FIRST_GRANT
     )
     assert (len(lines), digest(lines)) == (
-        7, "274ac2cb13340156c09783b5b80c12c2e4650d6be40ba86cfe1489f5c5871f20"
+        7, "1c51aff3547744ebbe353412a57a69979ad52fb52d93c7acf5d08370d371ca36"
     )
 
 

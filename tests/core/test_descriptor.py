@@ -1,6 +1,6 @@
 """Cookie descriptor tests: creation, serialization, lifecycle."""
 
-import secrets
+import os
 
 import pytest
 
@@ -31,8 +31,9 @@ class TestCreation:
         assert CookieDescriptor.create(cookie_id=2**64 - 1).cookie_id == 2**64 - 1
 
     def test_create_mints_what_the_constructor_would(self, monkeypatch):
-        monkeypatch.setattr(secrets, "randbits", lambda bits: 7)
-        monkeypatch.setattr(secrets, "token_bytes", lambda nbytes: b"k" * nbytes)
+        monkeypatch.setattr(
+            os, "urandom", lambda nbytes: (7).to_bytes(8, "big") + b"k" * 32
+        )
         attributes = CookieAttributes(expires_at=5.0)
         minted = CookieDescriptor.create("Boost", attributes)
         assert minted == CookieDescriptor(

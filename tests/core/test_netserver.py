@@ -2,7 +2,7 @@
 
 import asyncio
 import json
-import secrets
+import os
 import socket
 
 import hypothesis.strategies as st
@@ -663,8 +663,7 @@ def test_pipelined_requests_get_the_bytes_sent_one_at_a_time(monkeypatch):
 
     async def exchange(pipelined):
         draws = _Draws()
-        monkeypatch.setattr(secrets, "randbits", draws.randbits)
-        monkeypatch.setattr(secrets, "token_bytes", draws.token_bytes)
+        monkeypatch.setattr(os, "urandom", draws.urandom)
         server = CookieServer(clock=lambda: 1000.0)
         for offering in _OFFERINGS:
             server.offer(offering)

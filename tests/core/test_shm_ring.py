@@ -102,30 +102,12 @@ class TestBackpressure:
             # Exactly full: the producer's next slot still holds lap-0
             # data the consumer has not freed.
             assert ring.try_push(b"overflow") is False
-            assert ring.push(b"overflow", timeout=0.0) is False
             assert ring.try_pop() == bytes([0])
             assert ring.try_push(b"overflow") is True
             drained = [ring.try_pop() for _ in range(slots)]
             assert drained == [bytes([i]) for i in range(1, slots)] + [
                 b"overflow"
             ]
-
-    def test_push_abort_hook_bounds_the_wait(self):
-        with ShmRing.create(slots=2, slot_bytes=64) as ring:
-            assert ring.try_push(b"a") and ring.try_push(b"b")
-            # A dead-peer check aborts the blocking push long before any
-            # timeout — this is what keeps a dispatcher from hanging on
-            # a SIGKILLed worker's full ring.
-            assert (
-                ring.push(b"c", timeout=60.0, should_abort=lambda: True)
-                is False
-            )
-
-    def test_pop_abort_hook_bounds_the_wait(self):
-        with ShmRing.create(slots=2, slot_bytes=64) as ring:
-            assert (
-                ring.pop(timeout=60.0, should_abort=lambda: True) is None
-            )
 
 
 class TestCrashSemantics:
@@ -155,7 +137,6 @@ class TestCrashSemantics:
             for frame in published:
                 assert ring.try_pop() == frame
             assert ring.try_pop() is None
-            assert ring.pop(timeout=0.0) is None
 
     def test_closed_ring_raises(self):
         ring = ShmRing.create(slots=2, slot_bytes=64)
@@ -212,13 +193,16 @@ class TestWireFrameRoundTrip:
             assert decode_verdicts(ring.try_pop()) == verdicts
 
 
-def _echo_child(request_name: str, response_name: str, count: int) -> None:
+def _echo_child(request_name: str, response_name: str, doorbell) -> None:
+    """The worker's side of the doorbell rule: block on the pipe, take
+    the frame the doorbell announces, publish the echo, ring back; any
+    other byte ends the echo."""
     request = ShmRing.attach(request_name)
     response = ShmRing.attach(response_name)
     try:
-        for _ in range(count):
-            frame = request.pop(timeout=30.0)
-            response.push(frame, timeout=30.0)
+        while doorbell.recv_bytes() == b"R":
+            assert response.try_push(request.try_pop())
+            doorbell.send_bytes(b"R")
     finally:
         request.close()
         response.close()
@@ -226,23 +210,30 @@ def _echo_child(request_name: str, response_name: str, count: int) -> None:
 
 class TestCrossProcess:
     def test_attach_by_name_echo_round_trip(self):
-        """A real second process attached by name echoes frames back:
-        the spawn-mode worker path, including untracked attach (the
+        """A real second process attached by name echoes frames back,
+        each way announced by a one-byte doorbell on a pipe: the
+        spawn-mode worker path, including untracked attach (the
         parent's segments survive the child's exit)."""
         frames = [encode_batch([]), b"x" * 100, b"", b"\x00" * 64]
+        context = multiprocessing.get_context("fork")
+        doorbell, child_end = context.Pipe()
         with ShmRing.create(slots=2, slot_bytes=128) as request, ShmRing.create(
             slots=2, slot_bytes=128
         ) as response:
-            child = multiprocessing.get_context("fork").Process(
+            child = context.Process(
                 target=_echo_child,
-                args=(request.name, response.name, len(frames)),
+                args=(request.name, response.name, child_end),
                 daemon=True,
             )
             child.start()
             try:
                 for frame in frames:
-                    assert request.push(frame, timeout=30.0)
-                    assert response.pop(timeout=30.0) == frame
+                    assert request.try_push(frame)
+                    doorbell.send_bytes(b"R")
+                    assert doorbell.poll(30.0)
+                    assert doorbell.recv_bytes() == b"R"
+                    assert response.try_pop() == frame
             finally:
+                doorbell.send_bytes(b"Q")
                 child.join(timeout=10.0)
                 assert child.exitcode == 0
