@@ -1,7 +1,8 @@
-"""Sweep executor scaling: single-worker floor + bit-identical merges.
+"""Sweep scaling: single-worker floor + bit-identical merges.
 
-One warm worker must stay within 10% of the in-process path on CPU-bound
-cells, i.e. the pool's IPC + pickle overhead is bounded (>= 0.9x).  And
+A one-worker pool must stay within 10% of the in-process path on
+CPU-bound cells, i.e. the pool's start-up, IPC and pickle overhead is
+bounded (>= 0.9x).  And
 the merged JSON must be byte-identical across worker counts — the whole
 point of label-derived per-cell seeds.
 

@@ -354,9 +354,9 @@ def run_stats_workload(
     collector pattern as every data-plane element.
 
     ``include_sweep`` additionally runs a small in-process grid sweep
-    through :class:`~repro.core.sweep.SweepExecutor` with its collector
+    through :func:`~repro.core.sweep.run_sweep` with its collector
     registered, so the snapshot includes ``sweep.*`` counters (cells
-    dispatched/completed, re-dispatches, worker restarts).
+    total/completed, re-dispatches, pool rebuilds).
 
     ``include_billing`` additionally backs the middlebox with a
     journal-backed :class:`~repro.services.billing.BillingAccountant`
@@ -488,7 +488,7 @@ def run_stats_workload(
         controlplane.register_telemetry(registry, prefix="cp")
 
     if include_sweep:
-        from repro.core.sweep import SweepCell, SweepExecutor
+        from repro.core.sweep import SweepCell, run_sweep
 
         def sweep_cell(params, seed):
             # A stand-in cell: enough work to produce honest counters.
@@ -496,12 +496,14 @@ def run_stats_workload(
 
         # In-process mode (workers=0): the cell function never crosses a
         # process boundary, so the CLI needs no picklable module-level fn.
-        with SweepExecutor(sweep_cell, workers=0, campaign_seed=7) as sweep:
-            sweep.register_telemetry(registry, prefix="sweep")
-            sweep.run(
-                [SweepCell(labels=("stats", i), params={"n": 1000})
-                 for i in range(8)]
-            )
+        run_sweep(
+            sweep_cell,
+            [SweepCell(labels=("stats", i), params={"n": 1000})
+             for i in range(8)],
+            campaign_seed=7,
+            workers=0,
+            telemetry=registry,
+        )
 
     if accountant is not None:
         # Journal every pending delta so the snapshot's billing.* and

@@ -105,7 +105,6 @@ from .server import CookieServer, ServiceOffering
 from .sweep import (
     SweepCell,
     SweepError,
-    SweepExecutor,
     SweepStats,
     run_sweep,
 )
@@ -200,7 +199,6 @@ __all__ = [
     "ServiceOffering",
     "SweepCell",
     "SweepError",
-    "SweepExecutor",
     "SweepStats",
     "run_sweep",
     "DescriptorStore",

@@ -211,7 +211,8 @@ class ShardedControlPlane:
         request, in order — the wire shape, each descriptor rendered to
         JSON here, once; the dicts are the caller's.  An entry no grant
         can be made from fails alone: ``bad request`` in its slot,
-        counted ``denied``, nothing stored or logged for it.
+        nothing stored, logged or counted for it (``denied`` counts
+        policy refusals only, as on a single :meth:`acquire`).
         """
         results: list[dict[str, Any]] = []
         for entry in requests:
@@ -220,7 +221,6 @@ class ShardedControlPlane:
             except AcquisitionDenied as exc:
                 results.append({"ok": False, "error": str(exc)})
             except (TypeError, ValueError) as exc:
-                self.stats.denied += 1
                 results.append({"ok": False, "error": f"bad request: {exc}"})
             else:
                 results.append({"ok": True, "descriptor": descriptor.to_json()})

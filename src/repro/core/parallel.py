@@ -247,7 +247,7 @@ def batch_reply(matcher: CookieMatcher, frame: bytes) -> bytes:
     return bytes(reply)
 
 
-def _worker_main(
+def _shard_main(
     conn,
     nct: float,
     seed_json: str,
@@ -570,7 +570,7 @@ class ProcessShardExecutor:
                 (rings[0].name, rings[1].name),
             )
         process = self._ctx.Process(
-            target=_worker_main,
+            target=_shard_main,
             args=args,
             name=f"cookie-shard-{index}",
             daemon=True,

@@ -38,7 +38,7 @@ d. **Competing-traffic fairness** — one boosted and one best-effort
    the throughput ratio and the Jain fairness index (the paper's §6
    "boost is deliberately unfair while active" trade-off, quantified).
 
-The grid is evaluated by :class:`repro.core.sweep.SweepExecutor`; every
+The grid is evaluated by :func:`repro.core.sweep.run_sweep`; every
 cell's seed derives from the campaign seed and the cell's labels, so the
 merged report is bit-identical no matter how many worker processes ran
 it (``LinklabReport.payload()`` is the deterministic surface; sweep
@@ -364,7 +364,7 @@ def run_cell(params: dict, seed: int) -> dict:
     """One grid cell: all four scenarios at (rate, latency, loss).
 
     Module-level and deterministic in ``(params, seed)`` — the shape
-    :class:`~repro.core.sweep.SweepExecutor` requires.
+    :func:`~repro.core.sweep.run_sweep` requires.
     """
     rate_mbps = params["rate_mbps"]
     latency_s = params["latency_s"]
@@ -407,8 +407,8 @@ class LinklabReport:
 
     :meth:`payload` is the deterministic surface — bit-identical for a
     given (grid, campaign_seed) across worker counts.  ``sweep_stats``
-    describes how this particular run executed (worker count, crash
-    re-dispatches) and is deliberately outside the payload.
+    describes how this particular run executed (worker count, pool
+    rebuilds) and is deliberately outside the payload.
     """
 
     campaign_seed: int

@@ -165,8 +165,9 @@ class TestRepliesMatchState:
     @pytest.mark.parametrize(
         "payload, error, granted, denied",
         [
-            # The malformed third entry fails alone, in its slot.
-            (_batch([["u", "Boost"], ["v", "Boost"], ["w", "Boost", [1]]]), None, 2, 1),
+            # The malformed third entry fails alone, in its slot, and
+            # counts nothing: ``denied`` is policy refusals only.
+            (_batch([["u", "Boost"], ["v", "Boost"], ["w", "Boost", [1]]]), None, 2, 0),
             (_batch([[]]), "bad request", 0, 0),
             (_batch([["u"]]), "bad request", 0, 0),
             (_batch("ab"), "bad request", 0, 0),

@@ -1,9 +1,9 @@
-"""The sweep executor's contract: determinism, crash containment, degrade.
+"""The sweep's contract: determinism, crash containment, degrade.
 
 The load-bearing property is **bit-identical merges**: the same cells
 with the same campaign seed must produce byte-for-byte identical merged
 JSON whether they ran in-process, on one worker, or on four — including
-runs where a worker was killed mid-cell and the cell re-dispatched.
+runs where a worker was killed mid-cell and the pool rebuilt.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core.seeding import derive_seed
 from repro.core.sweep import (
     SweepCell,
     SweepError,
-    SweepExecutor,
     run_sweep,
 )
 from repro.telemetry import MetricsRegistry
@@ -120,13 +119,14 @@ def test_crash_redispatches_exactly_once(tmp_path):
     cells[3] = SweepCell(
         labels=("cell", 3), params={"x": 3, "crash_marker": marker}
     )
-    with SweepExecutor(crash_once_cell, workers=2, campaign_seed=5) as ex:
-        results = ex.run(cells)
+    results, stats = run_sweep(crash_once_cell, cells, campaign_seed=5, workers=2)
     assert [r["value"] for r in results] == list(range(6))
     assert os.path.exists(marker)  # the first attempt really ran
-    assert ex.stats.cells_redispatched == 1
-    assert ex.stats.worker_restarts == 1
-    assert ex.stats.cells_completed == 6
+    # A dead worker breaks the whole pool: every cell unfinished at that
+    # moment (the crashed one at least) is resubmitted to one new pool.
+    assert stats.worker_restarts == 1
+    assert 1 <= stats.cells_redispatched <= 6
+    assert stats.cells_completed == 6
 
 
 def test_crash_does_not_change_merged_output(tmp_path):
@@ -138,30 +138,31 @@ def test_crash_does_not_change_merged_output(tmp_path):
     )
     clean, _ = run_sweep(crash_once_cell, clean_cells,
                          campaign_seed=11, workers=0)
-    with SweepExecutor(crash_once_cell, workers=2, campaign_seed=11) as ex:
-        crashed = ex.run(crash_cells)
-    assert ex.stats.cells_redispatched == 1
+    crashed, stats = run_sweep(crash_once_cell, crash_cells,
+                               campaign_seed=11, workers=2)
+    assert stats.worker_restarts == 1
     assert json.dumps(clean, sort_keys=True) == json.dumps(
         crashed, sort_keys=True
     )
 
 
 def test_repeated_crash_raises_sweep_error():
-    with SweepExecutor(always_crash_cell, workers=2) as ex:
-        with pytest.raises(SweepError, match="exactly-once"):
-            ex.run(make_cells(3))
+    with pytest.raises(SweepError, match="broke twice"):
+        run_sweep(always_crash_cell, make_cells(3), workers=2)
 
 
-def test_cell_exception_propagates_with_worker_traceback():
-    with SweepExecutor(raising_cell, workers=2) as ex:
-        with pytest.raises(SweepError, match="deliberate cell failure"):
-            ex.run(make_cells(2))
-
-
-def test_cell_exception_in_process_mode():
-    with SweepExecutor(raising_cell, workers=0) as ex:
-        with pytest.raises(ValueError, match="deliberate cell failure"):
-            ex.run(make_cells(1))
+@pytest.mark.parametrize("workers", [0, 2])
+def test_cell_exception_raises_sweep_error(workers):
+    """Both modes raise the same error: ``SweepError`` naming the cell,
+    chained from the cell's own exception.  Pooled, the message also
+    carries the worker-side traceback."""
+    with pytest.raises(SweepError, match=r"\('cell', 1\)") as held:
+        run_sweep(raising_cell, make_cells(2)[1:], workers=workers)
+    assert isinstance(held.value.__cause__, ValueError)
+    assert "deliberate cell failure" in str(held.value)
+    if workers:
+        assert "Traceback" in str(held.value)
+        assert "raising_cell" in str(held.value)
 
 
 # ----------------------------------------------------------------------
@@ -169,17 +170,8 @@ def test_cell_exception_in_process_mode():
 # ----------------------------------------------------------------------
 def test_duplicate_labels_rejected():
     cells = [SweepCell(labels=("dup",)), SweepCell(labels=("dup",))]
-    with SweepExecutor(echo_cell, workers=0) as ex:
-        with pytest.raises(SweepError, match="duplicate"):
-            ex.run(cells)
-
-
-def test_closed_executor_rejects_runs():
-    ex = SweepExecutor(echo_cell, workers=0)
-    ex.close()
-    with pytest.raises(SweepError, match="closed"):
-        ex.run(make_cells(1))
-    ex.close()  # idempotent
+    with pytest.raises(SweepError, match="duplicate"):
+        run_sweep(echo_cell, cells, workers=0)
 
 
 @pytest.mark.skipif(
@@ -196,40 +188,29 @@ def test_failed_worker_start_releases_the_pipe(monkeypatch):
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     before = len(os.listdir("/proc/self/fd"))
     with pytest.raises(OSError) as held:
-        SweepExecutor(echo_cell, workers=2)
+        run_sweep(echo_cell, make_cells(2), workers=2)
     assert len(os.listdir("/proc/self/fd")) == before
     del held
 
 
 def test_negative_workers_rejected():
     with pytest.raises(ValueError):
-        SweepExecutor(echo_cell, workers=-1)
+        run_sweep(echo_cell, make_cells(1), workers=-1)
 
 
 def test_auto_degrades_below_min_cores(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    with SweepExecutor.auto(echo_cell) as ex:
-        assert ex.in_process
-        results = ex.run(make_cells(4))
+    results, stats = run_sweep(echo_cell, make_cells(4))
+    assert stats.in_process and stats.workers == 0
     assert [r["value"] for r in results] == [1, 4, 7, 10]
 
 
 def test_auto_honors_explicit_workers(monkeypatch):
+    """An explicit worker count is always honored, whatever the box."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    with SweepExecutor.auto(echo_cell, workers=2) as ex:
-        assert not ex.in_process
-        assert ex.stats.workers == 2
-        ex.run(make_cells(3))
-
-
-def test_warm_workers_survive_across_sweeps():
-    with SweepExecutor(echo_cell, workers=2, campaign_seed=1) as ex:
-        ex.run(make_cells(4))
-        procs_before = [p.pid for p in ex._procs]
-        ex.run(make_cells(4))
-        assert [p.pid for p in ex._procs] == procs_before
-        assert ex.stats.sweeps == 2
-        assert ex.stats.worker_restarts == 0
+    results, stats = run_sweep(echo_cell, make_cells(3), workers=2)
+    assert not stats.in_process and stats.workers == 2
+    assert [r["value"] for r in results] == [1, 4, 7]
 
 
 # ----------------------------------------------------------------------
@@ -237,10 +218,9 @@ def test_warm_workers_survive_across_sweeps():
 # ----------------------------------------------------------------------
 def test_telemetry_exports_sweep_counters():
     registry = MetricsRegistry()
-    with SweepExecutor(echo_cell, workers=0, campaign_seed=2) as ex:
-        ex.register_telemetry(registry)
-        ex.run(make_cells(5))
-        snapshot = registry.snapshot()
+    run_sweep(echo_cell, make_cells(5), campaign_seed=2, workers=0,
+              telemetry=registry)
+    snapshot = registry.snapshot()
     assert snapshot.counters["sweep.cells_total"] == 5.0
     assert snapshot.counters["sweep.cells_completed"] == 5.0
     assert snapshot.counters["sweep.sweeps"] == 1.0

@@ -16,7 +16,7 @@ from repro.core.distributed import ShardedVerifierPool
 from repro.core.netserver import JsonLineServer
 from repro.core.parallel import ProcessShardExecutor
 from repro.core.resilience import ResilientChannel
-from repro.core.sweep import SweepExecutor
+from repro.core.sweep import run_sweep
 from repro.core.switch import CookieSwitch
 from repro.experiments.audit import (
     AuditCampaignReport,
@@ -158,14 +158,12 @@ def test_metric_surface_is_pinned(tmp_path):
     accountant.register_telemetry(registry)
     journal.register_telemetry(registry)
     FaultInjector(FaultPlan()).register_telemetry(registry)
-    sweep = SweepExecutor(lambda params, seed: 0, workers=0)
-    sweep.register_telemetry(registry)
+    run_sweep(lambda params, seed: 0, [], workers=0, telemetry=registry)
     register_audit_telemetry(registry, AuditCampaignReport(config={}))
     JsonLineServer().register_telemetry(registry)
 
     snapshot = registry.snapshot()
     executor.close()
-    sweep.close()
     journal.close()
 
     assert sorted(snapshot.counters) == EXPECTED_COUNTERS
