@@ -522,7 +522,7 @@ def run_stats_workload(
             pool.match_batch(cookies + cookies[: len(cookies) // 4],
                              clock_now)
             pool.register_telemetry(registry, prefix="pool")
-            # Transport internals too: ring/pipe dispatch mix, degrade
+            # Transport internals too: ring dispatches and bytes, degrade
             # flag — the CLI is where an operator would look for them.
             pool.register_transport_telemetry(registry, prefix="pool.shm")
             # Snapshot while workers are alive: the pool collector polls

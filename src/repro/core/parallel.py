@@ -22,17 +22,16 @@ Three layers:
   (:meth:`CookieMatcher.match_wire`), so ``decode_batch`` and
   ``encode_verdicts`` are the reference form of the frames, not code
   the hot path runs.
-- a **transport ladder** (PROTOCOL.md §12) — batch frames travel over
-  per-shard :class:`~repro.core.shm_ring.ShmRing` pairs by default: a
-  dispatch is one bounded memcpy into shared memory per shard, announced
-  by a one-byte doorbell on the shard's pipe, and each side waits for
-  the other's doorbell blocked in the kernel.  Pipes remain the
-  control channel (descriptor deltas, replay-cache stats, probes,
-  shutdown) and the fallback transport (ring setup failure, frames too
-  large for a slot).  Below both sits the **in-process degrade mode**:
-  on boxes where worker processes cannot win (``os.cpu_count() < 2``),
-  :meth:`ProcessShardExecutor.auto` serves every shard from in-process
-  matchers so the abstraction never costs 2x on a CI box.
+- **one wire** (PROTOCOL.md §12) — batch frames travel over per-shard
+  :class:`~repro.core.shm_ring.ShmRing` pairs: a dispatch is one bounded
+  memcpy into shared memory per shard, announced by a one-byte doorbell
+  on the shard's pipe, and each side waits for the other's doorbell
+  blocked in the kernel.  The pipe carries doorbells and control ops
+  (descriptor deltas, replay-cache stats, probes, shutdown), never a
+  batch.  The other rung is the **in-process degrade mode**: on boxes
+  where worker processes cannot win (``os.cpu_count() < 2``) or cannot
+  start, :meth:`ProcessShardExecutor.auto` serves every shard from
+  in-process matchers so the abstraction never costs 2x on a CI box.
 - a :class:`ProcessShardExecutor` — the multi-process drop-in for
   :class:`~repro.core.distributed.ShardedVerifierPool`: same
   ``match`` / ``match_batch`` / ``shard_for`` / telemetry surface, same
@@ -41,8 +40,8 @@ Three layers:
 
 Failure model (PROTOCOL.md §10-§11; the ladder is spelled out on
 :class:`ProcessShardExecutor`): a crashed worker is detected at the next
-dispatch (broken pipe / EOF / reply timeout on its pipe, which carries
-every reply or its doorbell) and replaced with
+dispatch (broken pipe / EOF / reply timeout on its pipe, where every
+doorbell arrives) and replaced with
 a **cold replay cache** — the same fail-closed trade-off an NFV pool
 makes when it replaces a dead instance: the pool keeps verifying (no
 deadlock, no dropped dispatch) at the cost of one shard's replay window
@@ -72,12 +71,7 @@ from .matcher import (
     MatchStats,
 )
 from .resilience import RetryPolicy
-from .shm_ring import (
-    DEFAULT_SLOT_BYTES,
-    RingFrameTooLarge,
-    RingUnavailable,
-    ShmRing,
-)
+from .shm_ring import DEFAULT_SLOT_BYTES, RingUnavailable, ShmRing
 from .store import DescriptorStore
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -204,7 +198,7 @@ def decode_verdicts(blob: bytes) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 
 # One-byte opcodes; every frame starts with one.
-_OP_BATCH = b"B"  # + !d now + batch frame        -> verdict frame
+_OP_BATCH = b"B"  # ring only: + !d now + batch   -> verdict frame in ring
 _OP_DELTA = b"D"  # + JSON list of delta records  -> b"\x01" ack
 _OP_STATS = b"S"  #                               -> JSON replay-cache stats
 _OP_QUIT = b"Q"   #                               -> b"\x01" ack, exit
@@ -220,7 +214,7 @@ _BATCH_HEADER = struct.Struct("!cdI")
 def batch_reply(matcher: CookieMatcher, frame: bytes) -> bytes:
     """A worker's answer to one batch frame, verified in place.
 
-    ``frame`` is what came off the ring or pipe — opcode, ``!d`` now,
+    ``frame`` is what came off the request ring — opcode, ``!d`` now,
     ``!I`` count, count × 48 cookie bytes, nothing after — and the reply
     is the verdict frame of :func:`encode_verdicts`.  The cookie bytes go
     to :meth:`CookieMatcher.match_wire` as they are and the verdict
@@ -251,8 +245,7 @@ def _shard_main(
     conn,
     nct: float,
     seed_json: str,
-    rings: tuple[ShmRing, ShmRing] | None = None,
-    ring_names: tuple[str, str] | None = None,
+    rings: tuple[ShmRing, ShmRing] | tuple[str, str],
 ) -> None:
     """Verifier shard loop: one matcher over a replica store.
 
@@ -260,10 +253,10 @@ def _shard_main(
     path never serializes descriptors) and updated by delta frames,
     lists of :class:`DeltaRecord` documents applied as any replica does.
     The worker blocks on its pipe for everything.  A doorbell there
-    means a batch frame waits in the request ring (``rings`` under fork,
-    ``ring_names`` under spawn); its verdict frame goes to the response
-    ring, announced by a doorbell back.  Control ops and fallback
-    batches travel the pipe itself and are answered there.
+    means a batch frame waits in the request ring (``rings`` is the
+    inherited pair under fork, their names under spawn); its verdict
+    frame goes to the response ring, announced by a doorbell back.
+    Control ops travel the pipe itself and are answered there.
     Any malformed frame terminates the worker: the dispatcher treats
     that as a crash and restarts the shard — failing closed beats
     verifying against a state we no longer trust.
@@ -273,22 +266,20 @@ def _shard_main(
         store.add(CookieDescriptor.from_json(data))
     matcher = CookieMatcher(store, nct=nct)
 
-    req_ring = resp_ring = None
-    if rings is not None:
+    if isinstance(rings[0], str):
+        try:
+            req_ring = ShmRing.attach(rings[0])
+            resp_ring = ShmRing.attach(rings[1])
+        except RingUnavailable:
+            # Doorbells nobody can answer: die loudly and let the
+            # recovery ladder decide.
+            conn.close()
+            raise
+    else:
         # fork: inherited mappings; the dispatcher owns their lifetime.
         req_ring, resp_ring = rings
         req_ring.disown()
         resp_ring.disown()
-    elif ring_names is not None:
-        try:
-            req_ring = ShmRing.attach(ring_names[0])
-            resp_ring = ShmRing.attach(ring_names[1])
-        except RingUnavailable:
-            # The dispatcher believes this shard speaks shm; serving the
-            # pipe only would leave its doorbells unanswered.  Die loudly
-            # and let the recovery ladder decide.
-            conn.close()
-            raise
 
     try:
         while True:
@@ -298,14 +289,12 @@ def _shard_main(
                 break
             op = frame[:1]
             if op == _OP_RING:
-                frame = req_ring.try_pop() if req_ring is not None else None
+                frame = req_ring.try_pop()
                 if frame is None:
                     raise MalformedCookie("doorbell rang on an empty ring")
                 if not resp_ring.try_push(batch_reply(matcher, frame)):
                     break  # the dispatcher left replies unread; restart
                 conn.send_bytes(_OP_RING)
-            elif op == _OP_BATCH:
-                conn.send_bytes(batch_reply(matcher, frame))
             elif op == _OP_DELTA:
                 try:
                     for delta in json.loads(frame[1:].decode("utf-8")):
@@ -326,9 +315,8 @@ def _shard_main(
         pass  # exit; the dispatcher restarts the shard fail-closed
     finally:
         conn.close()
-        for ring in (req_ring, resp_ring):
-            if ring is not None:
-                ring.close()
+        req_ring.close()
+        resp_ring.close()
 
 
 _NO_CACHE_STATS = {"rotations": 0, "idle_resets": 0, "size": 0}
@@ -350,24 +338,19 @@ class ShmTransportStats:
 
     #: Sub-batches that travelled request-ring → response-ring.
     ring_dispatches: int = 0
-    #: Sub-batches that travelled the pipe instead (no ring for the
-    #: shard, or an oversize frame).
-    pipe_dispatches: int = 0
     #: Frame bytes written to request rings / read from response rings.
     bytes_out: int = 0
     bytes_in: int = 0
-    #: Frames that exceeded a slot's payload capacity and fell back to
-    #: the pipe for that dispatch (the frame is never fragmented).
-    oversize_pipe_fallbacks: int = 0
-    #: Shard spawns whose ring allocation failed (shard degraded to the
-    #: pipe transport).
-    ring_setup_failures: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
 
 
-_TRANSPORTS = ("auto", "shm", "pipe", "in-process")
+_TRANSPORTS = ("shm", "in-process")
+
+#: The most cookies one batch frame carries: a frame fills at most one
+#: request-ring slot.  A larger dispatch goes out in consecutive slices.
+_FRAME_COOKIES = (DEFAULT_SLOT_BYTES - _BATCH_HEADER.size) // COOKIE_WIRE_BYTES
 
 #: Below this many CPUs :meth:`ProcessShardExecutor.auto` serves in-process.
 _MIN_WORKER_CORES = 2
@@ -394,14 +377,11 @@ class ProcessShardExecutor:
     and published while shard N-1's worker is already verifying, then
     replies are collected in publish order.
 
-    ``transport`` selects the hot path: ``"auto"`` (rings, falling back
-    to pipes per shard if shared memory is unavailable), ``"shm"``
-    (same; the name documents intent), ``"pipe"`` (PR-3 behaviour), or
+    ``transport`` is ``"shm"`` (worker processes fed over rings) or
     ``"in-process"`` (degrade mode: no worker processes at all — every
     shard is served by an in-process matcher over the dispatcher's
     store, for single-core boxes where process IPC can only lose; use
-    :meth:`auto` to pick this automatically).  Pipes always remain the
-    control channel.
+    :meth:`auto` to pick this automatically).
 
     Descriptors: the executor snapshots ``store`` into each worker at
     spawn and from then on is written like it: :meth:`add` /
@@ -417,13 +397,14 @@ class ProcessShardExecutor:
     telemetry snapshot and restarted cold with backoff and fresh rings
     (``restart_backoff``, counted in ``stats.shard_restarts``); the
     in-flight sub-batch is re-dispatched once, on the replacement's
-    transport.  A shard that dies *again* during the re-dispatch fails
+    rings.  A shard that dies *again* during the re-dispatch fails
     its sub-batch closed — every cookie answers ``None`` with the
     dispatcher-level reason :data:`VERDICT_UNAVAILABLE` — rather than
-    raising.  A shard that burns through ``max_restarts`` is permanently
-    served by an **in-process fallback matcher** over the dispatcher's
-    own store (``stats.fallbacks``): slower, but a dispatch never raises
-    because a worker died.
+    raising.  A shard that burns through ``max_restarts``, or whose
+    replacement cannot start, is permanently served by an **in-process
+    fallback matcher** over the dispatcher's own store
+    (``stats.fallbacks``): slower, but a dispatch never raises because
+    a worker died.
 
     Match counters are kept here, not in the workers: every verdict
     frame carries one :class:`MatchStats` outcome code per cookie, and
@@ -447,7 +428,7 @@ class ProcessShardExecutor:
         max_restarts: int = 3,
         restart_backoff: RetryPolicy | None = None,
         sleep: Callable[[float], None] | None = time.sleep,
-        transport: str = "auto",
+        transport: str = "shm",
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -471,7 +452,6 @@ class ProcessShardExecutor:
         self._sleep = sleep
         self.stats = PoolStats()
         self.shm_stats = ShmTransportStats()
-        self._use_rings = transport in ("auto", "shm")
         self._degraded = transport == "in-process"
         # fork is milliseconds; spawn is the portable fallback.
         methods = multiprocessing.get_all_start_methods()
@@ -515,33 +495,28 @@ class ProcessShardExecutor:
     ) -> "ProcessShardExecutor":
         """Build an executor on the best transport this box supports.
 
-        The degrade ladder's bottom rung (PROTOCOL.md §12): on a box
-        with fewer than two CPUs a worker process can only time-slice
-        against the dispatcher, so the multi-process abstraction is
+        The degrade ladder of PROTOCOL.md §12: on a box with fewer than
+        two CPUs a worker process can only time-slice against the
+        dispatcher, and on one without shared memory or room for another
+        process no worker can run, so the multi-process abstraction is
         served **in-process** (no workers, no IPC, ≈1x the in-process
-        pool instead of the 0.45x the pipe transport measured on 1
-        core).  With enough cores, rings are tried first and pipes
-        remain the per-shard fallback.
+        pool).  Otherwise every shard gets a worker on a ring pair.
         """
         if (os.cpu_count() or 1) >= _MIN_WORKER_CORES:
             try:
-                return cls(store, workers, nct, transport="auto", **kwargs)
-            except OSError:
-                pass  # cannot even start worker processes: serve in-process
+                return cls(store, workers, nct, transport="shm", **kwargs)
+            except (OSError, RingUnavailable):
+                pass  # no worker can start on its rings: serve in-process
         return cls(store, workers, nct, transport="in-process", **kwargs)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _make_rings(self) -> tuple[ShmRing, ShmRing] | None:
-        """A fresh request/response ring pair, or None (pipe shard)."""
-        if not self._use_rings:
-            return None
-        try:
-            request = ShmRing.create(slot_bytes=DEFAULT_SLOT_BYTES)
-        except RingUnavailable:
-            self.shm_stats.ring_setup_failures += 1
-            return None
+    @staticmethod
+    def _make_rings() -> tuple[ShmRing, ShmRing]:
+        """A fresh request/response ring pair; raises
+        :class:`RingUnavailable` when shared memory cannot hold one."""
+        request = ShmRing.create(slot_bytes=DEFAULT_SLOT_BYTES)
         try:
             # Verdict records are 9 B to the request's 48 B per cookie,
             # so a quarter-size response slot still fits any batch whose
@@ -551,34 +526,30 @@ class ProcessShardExecutor:
             )
         except RingUnavailable:
             request.close()
-            self.shm_stats.ring_setup_failures += 1
-            return None
+            raise
         return request, response
 
     def _spawn(self, index: int) -> None:
         seed = json.dumps([d.to_json() for d in self.store])
+        # Recorded before anything else can raise (EAGAIN, EMFILE):
+        # close() or the fallback then finds the ring segments and the
+        # pipe end to release.
+        rings = self._rings[index] = self._make_rings()
         parent_conn, child_conn = self._ctx.Pipe()
-        rings = self._make_rings()
-        if rings is None or self._start_method == "fork":
-            args = (child_conn, self.nct, seed, rings, None)
-        else:
-            args = (
+        self._conns[index] = parent_conn
+        process = self._ctx.Process(
+            target=_shard_main,
+            args=(
                 child_conn,
                 self.nct,
                 seed,
-                None,
-                (rings[0].name, rings[1].name),
-            )
-        process = self._ctx.Process(
-            target=_shard_main,
-            args=args,
+                rings
+                if self._start_method == "fork"
+                else (rings[0].name, rings[1].name),
+            ),
             name=f"cookie-shard-{index}",
             daemon=True,
         )
-        # Recorded before start(): if it raises (EAGAIN), close() still
-        # finds the pipe end and both ring segments to release.
-        self._conns[index] = parent_conn
-        self._rings[index] = rings
         try:
             process.start()
         finally:
@@ -611,9 +582,9 @@ class ProcessShardExecutor:
 
     def _restart(self, index: int) -> None:
         """One rung of the recovery ladder: restart the dead worker with
-        backoff, or — once ``max_restarts`` is spent — retire the shard
-        to an in-process fallback matcher.  Idempotent for fallback
-        shards."""
+        backoff, or — once ``max_restarts`` is spent, or when the
+        replacement cannot start — retire the shard to an in-process
+        fallback matcher.  Idempotent for fallback shards."""
         self._require_open()
         if index in self._fallback_matchers:
             return
@@ -624,7 +595,13 @@ class ProcessShardExecutor:
         if self._sleep is not None and delay > 0:
             self._sleep(delay)
         self._reap(index)
-        self._spawn(index)
+        try:
+            self._spawn(index)
+        except (OSError, RingUnavailable):
+            # No replacement can start (EAGAIN, no shared memory): serve
+            # the shard in-process rather than raise out of a dispatch.
+            self._enter_fallback(index)
+            return
         self._restart_counts[index] += 1
         self.stats.shard_restarts += 1
 
@@ -658,29 +635,18 @@ class ProcessShardExecutor:
 
     @property
     def transport(self) -> str:
-        """The batch transport actually in use: ``"in-process"``
-        (degrade mode), ``"shm"``, ``"pipe"``, or ``"mixed"`` (some
-        shards lost their rings and run on pipes)."""
-        if self._degraded:
+        """The batch transport actually in use: ``"shm"`` while any
+        worker serves, ``"in-process"`` in degrade mode or once every
+        shard has crashed into fallback."""
+        if len(self._fallback_matchers) == self._worker_count:
             return "in-process"
-        kinds = {
-            kind
-            for kind in self.shard_transports()
-            if kind != "in-process"  # crash-fallback shards don't vote
-        }
-        if not kinds:
-            return "in-process"  # every shard crashed into fallback
-        if len(kinds) > 1:
-            return "mixed"
-        return kinds.pop()
+        return "shm"
 
     def shard_transports(self) -> list[str]:
-        """Per-shard batch transport: ``"shm"``, ``"pipe"``, or
-        ``"in-process"`` (degrade mode or crash fallback)."""
+        """Per-shard batch transport: ``"shm"``, or ``"in-process"``
+        (degrade mode or crash fallback)."""
         return [
-            "in-process"
-            if index in self._fallback_matchers
-            else ("shm" if self._rings[index] is not None else "pipe")
+            "in-process" if index in self._fallback_matchers else "shm"
             for index in range(self._worker_count)
         ]
 
@@ -804,53 +770,38 @@ class ProcessShardExecutor:
             )
         return conn.recv_bytes()
 
-    def _send_sub_batch(self, shard: int, frame: bytes) -> str | None:
-        """Publish one sub-batch on the shard's best transport.
+    def _send_sub_batch(self, shard: int, frame: bytes) -> bool:
+        """Publish one sub-batch in the shard's request ring and ring
+        its doorbell.
 
-        Returns the channel the reply will arrive on (``"ring"`` or
-        ``"pipe"``), or None if the shard is unreachable — the caller
-        walks the recovery ladder.  Never waits: a dispatch has one
-        frame in flight per shard, so a full request ring means the
-        worker never took the last one.
+        Returns False if the shard is unreachable — the caller walks
+        the recovery ladder.  Never waits: a dispatch has one frame in
+        flight per shard, so a full request ring means the worker never
+        took the last one.
         """
-        channel, wire = "pipe", frame
-        rings = self._rings[shard]
-        if rings is not None:
-            try:
-                if not rings[0].try_push(frame):
-                    return None
-                channel, wire = "ring", _OP_RING
-            except RingFrameTooLarge:
-                self.shm_stats.oversize_pipe_fallbacks += 1
+        if not self._rings[shard][0].try_push(frame):
+            return False
         try:
-            self._conns[shard].send_bytes(wire)
+            self._conns[shard].send_bytes(_OP_RING)
         except (OSError, ValueError):
-            return None
-        if channel == "ring":
-            self.shm_stats.ring_dispatches += 1
-            self.shm_stats.bytes_out += len(frame)
-        else:
-            self.shm_stats.pipe_dispatches += 1
-        return channel
+            return False
+        self.shm_stats.ring_dispatches += 1
+        self.shm_stats.bytes_out += len(frame)
+        return True
 
-    def _collect_sub_batch(self, shard: int, channel: str) -> bytes | None:
-        """The reply matching :meth:`_send_sub_batch`, or None on a
-        dead (EOF) or silent worker.  Either channel's answer arrives on
-        the pipe: the verdict frame itself, or the doorbell announcing
-        it in the response ring."""
+    def _collect_sub_batch(self, shard: int) -> bytes | None:
+        """The verdict frame for :meth:`_send_sub_batch`'s sub-batch,
+        popped from the response ring once the worker's doorbell arrives
+        on the pipe; None on a dead (EOF), silent or confused worker."""
         try:
             conn = self._conns[shard]
-            if not conn.poll(self.reply_timeout):
+            if not conn.poll(self.reply_timeout) or conn.recv_bytes() != _OP_RING:
                 return None
-            reply = conn.recv_bytes()
         except (OSError, EOFError):
             return None
-        if channel == "ring":
-            if reply != _OP_RING:
-                return None
-            reply = self._rings[shard][1].try_pop()
-            if reply is not None:
-                self.shm_stats.bytes_in += len(reply)
+        reply = self._rings[shard][1].try_pop()
+        if reply is not None:
+            self.shm_stats.bytes_in += len(reply)
         return reply
 
     def match(self, cookie: Cookie, now: float) -> CookieDescriptor | None:
@@ -867,12 +818,12 @@ class ProcessShardExecutor:
         garbled is trusted no more than one that is dead or silent.
         Every verdict decoded is counted into the shard's tally, by the
         code the worker sent."""
-        channels = {
+        sent = {
             shard: self._send_sub_batch(shard, frame) for shard, frame in frames
         }
         verdicts: dict[int, list[tuple[int, int]]] = {}
-        for shard, channel in channels.items():
-            reply = channel and self._collect_sub_batch(shard, channel)
+        for shard, published in sent.items():
+            reply = self._collect_sub_batch(shard) if published else None
             try:
                 # No reply decodes like a garbled one: too short.
                 decoded = decode_verdicts(reply or b"")
@@ -887,7 +838,7 @@ class ProcessShardExecutor:
                 count = codes.count(code)
                 if count:
                     setattr(tally, outcome, getattr(tally, outcome) + count)
-        return verdicts, [shard for shard in channels if shard not in verdicts]
+        return verdicts, [shard for shard in sent if shard not in verdicts]
 
     def match_batch(
         self,
@@ -914,6 +865,17 @@ class ProcessShardExecutor:
         names, or ``verifier_unavailable``).
         """
         self._require_open()
+        if len(cookies) > _FRAME_COOKIES:
+            # No frame outgrows a ring slot.  Consecutive slices keep
+            # every shard's order, so verdicts, reasons and tallies are
+            # those of one dispatch.
+            return [
+                verdict
+                for start in range(0, len(cookies), _FRAME_COOKIES)
+                for verdict in self.match_batch(
+                    cookies[start : start + _FRAME_COOKIES], now, reasons
+                )
+            ]
         if not cookies:
             return []
         per_shard: dict[int, Sequence[int]]
@@ -1149,10 +1111,8 @@ class ProcessShardExecutor:
         self, registry: "MetricsRegistry", prefix: str = "pool.shm"
     ) -> None:
         """Export the shared-memory transport counters (PROTOCOL.md
-        §12): ring vs pipe dispatch mix, ring bytes both ways, oversize
-        and ring set-up fallbacks, and gauges for the live transport
-        ladder position (ring/pipe shard counts and the degrade
-        flag)."""
+        §12): ring dispatches, ring bytes both ways, and gauges for the
+        shards still on rings and the degrade flag."""
         registry.register(
             self,
             prefix,
@@ -1162,8 +1122,4 @@ class ProcessShardExecutor:
         )
 
     def _read_transport_metrics(self):
-        kinds = self.shard_transports()
-        return {}, {
-            "ring_shards": kinds.count("shm"),
-            "pipe_shards": kinds.count("pipe"),
-        }
+        return {}, {"ring_shards": self.shard_transports().count("shm")}

@@ -1,11 +1,9 @@
 """Shared-memory ring buffers for the multi-process data plane.
 
-The pipe transport of PROTOCOL.md §10 pays, per dispatch, two syscalls
-(``write``/``read``) and two kernel copies per direction — enough to
-make a 2-worker pool *lose* to the in-process pool on the
-verification-bound stream (the 0.45x regression recorded in
-``benchmarks/reports/scaleout_multicore.json``).  This module replaces
-that hot path with a single-producer/single-consumer ring over
+A batch frame sent down a pipe pays, per dispatch, two syscalls
+(``write``/``read``) and two kernel copies per direction.  The
+executor's batch frames therefore travel only over a
+single-producer/single-consumer ring on
 :class:`multiprocessing.shared_memory.SharedMemory`: publishing a frame
 is one bounded ``memcpy`` into a mapped page plus one 8-byte sequence
 store, and consuming it is a load of the same sequence word — no
@@ -68,18 +66,20 @@ _SLOT_OVERHEAD = _SEQ.size + _LEN.size
 
 DEFAULT_SLOTS = 4
 #: Fits the default 2048-cookie dispatch frame (13 + 2048·48 B) with
-#: headroom; oversize frames fall back to the pipe, they are never split.
+#: headroom.  A frame is never split across slots; the executor slices
+#: a larger dispatch into frames that fit.
 DEFAULT_SLOT_BYTES = 128 * 1024
 
 
 class RingUnavailable(RuntimeError):
     """Shared memory could not be created or attached (no /dev/shm,
-    permissions, exhausted names).  The executor degrades to pipes."""
+    permissions, exhausted names).  The executor serves in-process:
+    the whole pool at construction, one shard at a respawn."""
 
 
 class RingFrameTooLarge(ValueError):
-    """Frame exceeds one slot's payload capacity; the caller must use
-    the fallback transport (frames are never fragmented across slots)."""
+    """Frame exceeds one slot's payload capacity (frames are never
+    fragmented across slots; the sender must slice its batch)."""
 
 
 class RingClosed(RuntimeError):

@@ -21,8 +21,8 @@ in-process pool at 4 workers on ≥4-core machines and a ≥0.9x floor at
 by ``python -m repro scaleout`` for a human-readable table.
 
 Executors are built with :meth:`ProcessShardExecutor.auto`, so the
-measured transport is whatever the box supports (shm rings, pipes, or
-the single-core in-process degrade mode) and each config row records
+measured transport is whatever the box supports (shm rings, or the
+in-process degrade mode) and each config row records
 ``transport``/``degraded`` explicitly.
 """
 
@@ -217,11 +217,8 @@ def format_scaleout_report(report: dict) -> str:
             name = f"in-process x{config['shards']} shards"
         else:
             name = f"multi-process x{config['workers']}"
-            transport = config.get("transport")
             if config.get("degraded"):
                 name += " [degraded]"
-            elif transport and transport != "shm":
-                name += f" [{transport}]"
         vs_one = config.get("speedup_vs_1_worker")
         vs_inproc = config.get("speedup_vs_in_process")
         lines.append(

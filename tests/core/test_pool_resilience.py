@@ -175,8 +175,8 @@ class TestFailClosed:
             original = pool._collect_sub_batch
             replies = []
 
-            def collect_garbled_once(shard, channel):
-                replies.append(original(shard, channel))
+            def collect_garbled_once(shard):
+                replies.append(original(shard))
                 return garble(replies[0]) if len(replies) == 1 else replies[-1]
 
             pool._collect_sub_batch = collect_garbled_once

@@ -1,13 +1,13 @@
-"""The shm transport ladder of :class:`ProcessShardExecutor`
-(PROTOCOL.md §12): shm → pipe → in-process.
+"""The two rungs of :class:`ProcessShardExecutor` (PROTOCOL.md §12):
+shm rings, then in-process.
 
-Covers what the differential and resilience suites (which now run on
-the shm transport by default) do not pin directly: the deterministic
-SIGKILL *between* a request's ring write and its response read, the
-per-shard pipe fallbacks (ring setup failure, oversize frames), the
-single-core in-process degrade mode behind :meth:`auto`, what a failed
-``Process.start`` and a closed executor leave behind in ``/dev/shm``,
-and the retire-on-reap of the polled replay-cache counters.
+Covers what the differential and resilience suites (which run on the
+rings) do not pin directly: the deterministic SIGKILL *between* a
+request's ring write and its response read, an oversize dispatch going
+out in slices, the in-process degrade mode behind :meth:`auto` (one
+core, no shared memory), what a failed ``Process.start`` — at spawn or
+at a respawn — and a closed executor leave behind in ``/dev/shm``, and
+the retire-on-reap of the polled replay-cache counters.
 """
 
 import glob
@@ -68,8 +68,8 @@ class TestKillMidRingTransaction:
         SIGSTOPped so it provably never reads the request, the request
         is published into the ring, and only then is the worker
         SIGKILLed.  The dispatcher must take the existing dead-shard
-        path — liveness-abort the ring wait, restart, re-dispatch once
-        on the replacement's fresh ring — and return a full verdict
+        path — EOF where the doorbell should be, restart, re-dispatch
+        once on the replacement's fresh ring — and return a full verdict
         array, never hang."""
         store, generators = _env()
         with _fast_pool(store, workers=1) as pool:
@@ -81,12 +81,12 @@ class TestKillMidRingTransaction:
             original = pool._send_sub_batch
 
             def send_then_kill(shard, frame):
-                channel = original(shard, frame)
-                published.append(channel)
+                sent = original(shard, frame)
+                published.append(sent)
                 if len(published) == 1:  # one-shot: spare the replacement
                     os.kill(victim, signal.SIGKILL)
                     pool.worker_process(shard).join(timeout=5.0)
-                return channel
+                return sent
 
             pool._send_sub_batch = send_then_kill
             try:
@@ -96,10 +96,9 @@ class TestKillMidRingTransaction:
             finally:
                 pool._send_sub_batch = original
             # The request really did go out on the ring before the kill,
-            # and the re-dispatch on the replacement's ring, not the pipe.
-            assert published == ["ring", "ring"]
+            # and the re-dispatch on the replacement's ring.
+            assert published == [True, True]
             assert pool.shm_stats.ring_dispatches == 2
-            assert pool.shm_stats.pipe_dispatches == 0
             # ...and the sub-batch still completed via restart+redispatch.
             assert all(v is not None for v in verdicts)
             assert reasons == ["accepted"] * len(batch)
@@ -114,9 +113,8 @@ class TestKillMidRingTransaction:
 
     def test_sigkill_while_awaiting_ring_response(self):
         """Same window, other side: the worker dies while the
-        dispatcher is already blocked in the response-ring pop.  The
-        liveness hook aborts the wait instead of burning the full
-        reply timeout."""
+        dispatcher waits for its doorbell.  EOF on the pipe ends the
+        wait instead of the full reply timeout."""
         store, generators = _env()
         with _fast_pool(store, workers=1, reply_timeout=30.0) as pool:
             victim = pool.worker_pids()[0]
@@ -124,12 +122,12 @@ class TestKillMidRingTransaction:
             original = pool._collect_sub_batch
             collected = []
 
-            def kill_then_collect(shard, channel):
-                collected.append(channel)
+            def kill_then_collect(shard):
+                collected.append(shard)
                 if len(collected) == 1:  # one-shot: spare the replacement
                     os.kill(victim, signal.SIGKILL)
                     pool.worker_process(shard).join(timeout=5.0)
-                return original(shard, channel)
+                return original(shard)
 
             pool._collect_sub_batch = kill_then_collect
             try:
@@ -142,57 +140,71 @@ class TestKillMidRingTransaction:
                 pool._collect_sub_batch = original
             assert all(v is not None for v in verdicts)
             assert pool.stats.shard_restarts == 1
-            # Well under the 30s reply timeout: the abort hook fired.
+            # Well under the 30s reply timeout: EOF ended the wait.
             assert elapsed < 15.0
             # The re-dispatch travelled the replacement's fresh ring.
-            assert collected == ["ring", "ring"]
+            assert collected == [0, 0]
             assert pool.shm_stats.ring_dispatches == 2
-            assert pool.shm_stats.pipe_dispatches == 0
 
 
 class TestTransportLadder:
-    def test_forced_pipe_transport_still_verifies(self):
-        store, generators = _env()
-        with _fast_pool(store, workers=2, transport="pipe") as pool:
-            assert pool.transport == "pipe"
-            assert pool.shard_transports() == ["pipe", "pipe"]
-            verdicts = pool.match_batch(_batch(generators, 32), NOW)
-            assert all(v is not None for v in verdicts)
-            assert pool.shm_stats.ring_dispatches == 0
-            assert pool.shm_stats.pipe_dispatches > 0
+    def test_ring_setup_failure_serves_in_process(self, monkeypatch):
+        """Rings cannot be made: a worker has no wire, so the executor
+        refuses to start and :meth:`auto` serves in-process."""
+        import repro.core.parallel as parallel
 
-    def test_ring_setup_failure_degrades_shard_to_pipe(self, monkeypatch):
-        """Rung two of the ladder: shared memory unavailable at spawn —
-        the shard silently runs on the pipe transport instead."""
         def refuse(**_kwargs):
             raise RingUnavailable("no shared memory for the test")
 
         monkeypatch.setattr(ShmRing, "create", refuse)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
         store, generators = _env()
-        with _fast_pool(store, workers=2) as pool:
-            assert pool.transport == "pipe"
-            assert pool.shm_stats.ring_setup_failures == 2
+        with pytest.raises(RingUnavailable):
+            ProcessShardExecutor(store, workers=2)
+        with ProcessShardExecutor.auto(store, workers=2) as pool:
+            assert pool.degraded is True
+            assert pool.transport == "in-process"
+            assert pool.worker_pids() == [None, None]
             verdicts = pool.match_batch(_batch(generators, 16), NOW)
             assert all(v is not None for v in verdicts)
 
-    def test_oversize_frame_falls_back_to_pipe_per_dispatch(self, monkeypatch):
-        """A frame too large for a ring slot travels the pipe for that
-        dispatch only — never fragmented, never an error — and small
-        frames keep using the ring."""
+    def test_only_two_transports(self):
+        store, _generators = _env()
+        for transport in ("auto", "process", "SHM"):
+            with pytest.raises(ValueError, match="transport"):
+                ProcessShardExecutor(store, workers=1, transport=transport)
+
+    def test_oversize_dispatch_goes_out_in_slices(self, monkeypatch):
+        """A dispatch of more cookies than one ring slot holds goes out
+        as consecutive slices — same verdicts, reasons and per-shard
+        tallies as one unsliced dispatch, replays across a slice
+        boundary included."""
         import repro.core.parallel as parallel
 
-        monkeypatch.setattr(parallel, "DEFAULT_SLOT_BYTES", 256)
         store, generators = _env()
-        with _fast_pool(store, workers=1) as pool:
-            assert pool.shard_transports() == ["shm"]
-            small = pool.match_batch(_batch(generators, 4), NOW)  # 205 B
-            big = pool.match_batch(_batch(generators, 64), NOW)  # ~3 KB
-            assert all(v is not None for v in small + big)
-            assert pool.shm_stats.ring_dispatches == 1
-            assert pool.shm_stats.oversize_pipe_fallbacks == 1
-            assert pool.shm_stats.pipe_dispatches == 1
-            # Still an shm shard: the fallback was per-dispatch.
-            assert pool.shard_transports() == ["shm"]
+        batch = _batch(generators, 12)
+        # Cookies 12..18 replay cookies 0..6, always from another slice.
+        stream = batch + batch[:7]
+        expected_reasons: list[str] = []
+        with ProcessShardExecutor(
+            store, workers=2, transport="in-process"
+        ) as reference:
+            expected = reference.match_batch(
+                stream, NOW, reasons=expected_reasons
+            )
+        monkeypatch.setattr(parallel, "_FRAME_COOKIES", 5)
+        with _fast_pool(store, workers=2) as pool:
+            reasons: list[str] = []
+            verdicts = pool.match_batch(stream, NOW, reasons=reasons)
+            assert verdicts == expected
+            assert reasons == expected_reasons
+            assert reasons == ["accepted"] * 12 + ["replayed"] * 7
+            assert pool.match_stats == reference.match_stats
+            assert pool.stats.shard_restarts == 0
+            assert pool.shm_stats.ring_dispatches == sum(
+                len({pool.shard_for(c) for c in stream[i : i + 5]})
+                for i in range(0, len(stream), 5)
+            )
 
 
 class TestDegradeMode:
@@ -307,6 +319,51 @@ class TestNothingLeftBehind:
         assert pool.worker_pids() == pids
         assert not pool.worker_process(0).is_alive()
         assert pool.stats.shard_restarts == 0
+        assert _segments() == before
+
+    @pytest.mark.contract
+    @pytest.mark.parametrize("entry", ["dispatch", "revoke", "snapshot"])
+    def test_respawn_that_cannot_start_falls_back(self, monkeypatch, entry):
+        """PROTOCOL §11: no call raises because a worker died, also when
+        its replacement cannot start.  ``Process.start`` raising (EAGAIN)
+        at the respawn — reached from a dispatch, a delta or a telemetry
+        snapshot — retires the shard to the in-process fallback matcher;
+        the replacement's rings and pipe end, made before the failed
+        start, are released."""
+
+        def refuse(self):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        store, generators = _env()
+        # Signed up front: a generator will not sign a revoked descriptor.
+        later = [generators[0].generate(), generators[1].generate()]
+        registry = MetricsRegistry()
+        before = _segments()
+        with _fast_pool(store, workers=1) as pool:
+            pool.register_telemetry(registry)
+            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            pool.worker_process(0).join(timeout=5.0)
+            monkeypatch.setattr(
+                multiprocessing.process.BaseProcess, "start", refuse
+            )
+            if entry == "dispatch":
+                reasons: list[str] = []
+                pool.match_batch(_batch(generators, 8), NOW, reasons=reasons)
+                assert reasons == ["accepted"] * 8
+            elif entry == "revoke":
+                assert pool.revoke(generators[0].descriptor.cookie_id)
+            else:
+                assert registry.snapshot().counters["pool.fallbacks"] == 1
+            assert pool.fallback_shards == [0]
+            assert pool.stats.fallbacks == 1
+            assert pool.stats.shard_restarts == 0
+            assert pool.worker_pids() == [None]
+            assert _segments() == before
+            # The fallback matcher serves, revocation included.
+            reasons = []
+            pool.match_batch(later, NOW, reasons=reasons)
+            first = "revoked" if entry == "revoke" else "accepted"
+            assert reasons == [first, "accepted"]
         assert _segments() == before
 
 

@@ -79,9 +79,7 @@ EXPECTED_COUNTERS = sorted(
     + _under("pool", ["accepted", "fallbacks", "rejected", "shard_restarts",
                       "unavailable_verdicts"])
     + _under("pool.matcher", _MATCHER)
-    + _under("pool.shm", ["bytes_in", "bytes_out",
-                          "oversize_pipe_fallbacks", "pipe_dispatches",
-                          "ring_dispatches", "ring_setup_failures"])
+    + _under("pool.shm", ["bytes_in", "bytes_out", "ring_dispatches"])
     + _under("cp", ["acquired", "denied", "removed", "renewed", "revoked",
                     "shard0.acquired", "shed_breaker", "shed_pending",
                     "snapshot_catchups", "syncs"])
@@ -103,6 +101,10 @@ EXPECTED_COUNTERS = sorted(
 REMOVED = {
     "pool.shm.backpressure_waits": "a dispatch never waits on a full "
     "ring: one frame in flight per shard, so a full ring is a dead shard",
+    "pool.shm.pipe_dispatches": "no pipe rung",
+    "pool.shm.oversize_pipe_fallbacks": "no pipe rung",
+    "pool.shm.ring_setup_failures": "no pipe rung",
+    "pool.shm.pipe_shards": "no pipe rung",
 }
 
 EXPECTED_GAUGES = sorted(
@@ -114,7 +116,7 @@ EXPECTED_GAUGES = sorted(
      "boost.matcher.replay_cache.size", "boost.switch.tracked_flows",
      "breaker.state",
      "pool.fallback_shards", "pool.matcher.replay_cache.size", "pool.shards",
-     "pool.shm.degraded", "pool.shm.pipe_shards", "pool.shm.ring_shards",
+     "pool.shm.degraded", "pool.shm.ring_shards",
      "cp.inflight", "cp.pending_revocations", "cp.replicas", "cp.shards",
      "cp.shard0.descriptors", "cp.shard0.log_len",
      "billing.pending_bytes", "billing.pending_subscribers",
