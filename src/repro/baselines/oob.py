@@ -16,7 +16,9 @@ switches.  Two structural problems follow the paper's §3:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from ..netsim.middlebox import Element
@@ -134,26 +136,80 @@ class OobController:
         self.stats.rules_installed += 1
 
 
+def _shape_and_values(description: FlowDescription) -> tuple[tuple[int, ...], tuple]:
+    """Which of the five fields ``description`` sets, and all five."""
+    values = (
+        description.src_ip,
+        description.src_port,
+        description.dst_ip,
+        description.dst_port,
+        description.proto,
+    )
+    return tuple(i for i, value in enumerate(values) if value is not None), values
+
+
+def _key_of(shape: tuple[int, ...]) -> Callable[[tuple], object]:
+    """Project a five-field tuple onto the fields of ``shape``."""
+    if not shape:
+        return lambda values: ()
+    return itemgetter(*shape)
+
+
 class OobSwitch(Element):
-    """A switch matching packets against controller-installed rules."""
+    """A switch matching packets against controller-installed rules.
+
+    The first installed rule that matches wins, as a scan of ``rules`` in
+    order would find it.  Rules are indexed by shape (which of the five
+    fields are set); each shape maps its set values to ``(rank, service)``
+    so a packet costs two dict lookups per shape, in both orientations,
+    instead of a scan over every rule.  A re-install keeps its rank, as a
+    dict key keeps its place; a remove and re-add goes last.
+    """
 
     def __init__(self, qos_class: int = 0, name: str = "oob-switch") -> None:
         super().__init__(name)
         self.rules: dict[FlowDescription, str] = {}
         self.qos_class = qos_class
         self.matched = 0
+        self._index: dict[tuple[int, ...], tuple[Callable, dict]] = {}
+        self._ranks = itertools.count()
 
     def install_rule(self, description: FlowDescription, service: str) -> None:
+        shape, values = _shape_and_values(description)
+        entry = self._index.get(shape)
+        if entry is None:
+            entry = self._index[shape] = (_key_of(shape), {})
+        key_of, table = entry
+        key = key_of(values)
+        hit = table.get(key)
+        rank = hit[0] if hit is not None else next(self._ranks)
+        table[key] = (rank, service)
         self.rules[description] = service
 
     def remove_rule(self, description: FlowDescription) -> None:
-        self.rules.pop(description, None)
+        if description not in self.rules:
+            return
+        del self.rules[description]
+        shape, values = _shape_and_values(description)
+        key_of, table = self._index[shape]
+        del table[key_of(values)]
+        if not table:
+            del self._index[shape]
 
     def service_of(self, packet: Packet) -> str | None:
-        for description, service in self.rules.items():
-            if description.matches(packet):
-                return service
-        return None
+        if not self._index:
+            return None
+        src_ip, src_port = packet.src_ip, packet.src_port
+        dst_ip, dst_port = packet.dst_ip, packet.dst_port
+        proto = packet.proto
+        forward = (src_ip, src_port, dst_ip, dst_port, proto)
+        reverse = (dst_ip, dst_port, src_ip, src_port, proto)
+        best = None
+        for key_of, table in self._index.values():
+            for hit in (table.get(key_of(forward)), table.get(key_of(reverse))):
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = hit
+        return None if best is None else best[1]
 
     def handle(self, packet: Packet) -> None:
         service = self.service_of(packet)

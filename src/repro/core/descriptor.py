@@ -53,10 +53,15 @@ class CookieDescriptor:
     revoked: bool = False
 
     def __post_init__(self) -> None:
-        _check_id(self.cookie_id)
-        if not isinstance(self.key, (bytes, bytearray)) or len(self.key) == 0:
+        if not 0 <= self.cookie_id <= _COOKIE_ID_MAX:
+            _check_id(self.cookie_id)  # raises, with the message
+        key = self.key
+        if type(key) is not bytes:
+            if not isinstance(key, (bytes, bytearray)):
+                raise ValueError("descriptor key must be non-empty bytes")
+            self.key = key = bytes(key)
+        if not key:
             raise ValueError("descriptor key must be non-empty bytes")
-        self.key = bytes(self.key)
 
     @classmethod
     def create(

@@ -22,6 +22,7 @@ from ..core.descriptor import CookieDescriptor
 from ..core.generator import CookieGenerator
 from ..core.matcher import CookieMatcher
 from ..core.store import DescriptorStore
+from ..core.transport import default_registry
 from ..services.zerorate import ZeroRatingMiddlebox
 from ..trace.campus import PUBLISHED_TRACE, CampusTraceGenerator, CampusTraceStats
 from ..trace.records import flow_to_packets
@@ -103,6 +104,7 @@ def run_sec46(
     middlebox = ZeroRatingMiddlebox(matcher, clock=clock)
 
     rng = generator.rng
+    registry = default_registry()
     flows_with_cookie = 0
     # Pre-expand packets so the timed region is middlebox work only.
     expanded: list = []
@@ -111,7 +113,7 @@ def run_sec46(
         if rng.random() < cookie_fraction:
             cookie = cookie_generator.generate()
             flows_with_cookie += 1
-        expanded.append(list(flow_to_packets(record, cookie=cookie)))
+        expanded.append(list(flow_to_packets(record, cookie=cookie, registry=registry)))
 
     start = clock()
     handle = middlebox.handle

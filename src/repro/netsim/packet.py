@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .headers import (
+    DSCP_MAX,
     EthernetHeader,
+    HeaderError,
     IPProto,
     IPv4Header,
     IPv6Header,
@@ -144,6 +146,21 @@ class Packet:
         )
 
 
+# The two constructors below build the generator's packets, so they skip
+# the generated ``__init__`` / ``__post_init__`` and store each slot
+# directly (the idiom of ``CookieDescriptor.create``).  The result equals
+# what the dataclass constructors build, field for field, with the same
+# checks raising the same errors: a DSCP outside 0..63 (``HeaderError``)
+# and a negative payload (``ValueError``); ``packet_id`` is drawn only once
+# both pass.  ``tests/netsim/test_packet_constructors.py`` pins the
+# equality, so a field added to a header must be added here too.
+_new = object.__new__
+_TCP = IPProto.TCP
+_UDP = IPProto.UDP
+_TCP_HEADERS = IPv4Header.WIRE_LENGTH + TCPHeader.BASE_WIRE_LENGTH
+_UDP_HEADERS = IPv4Header.WIRE_LENGTH + UDPHeader.WIRE_LENGTH
+
+
 def make_tcp_packet(
     src_ip: str,
     src_port: int,
@@ -160,13 +177,39 @@ def make_tcp_packet(
     created_at: float = 0.0,
 ) -> Packet:
     """Convenience constructor for a TCP/IPv4 packet."""
-    ip = IPv4Header(src=src_ip, dst=dst_ip, proto=IPProto.TCP, dscp=dscp)
-    tcp = TCPHeader(
-        src_port=src_port, dst_port=dst_port, flags=flags, seq=seq, ack=ack
-    )
-    payload = Payload(size=payload_size, content=content, encrypted=encrypted)
-    packet = Packet(ip=ip, l4=tcp, payload=payload, created_at=created_at)
-    ip.total_length = ip.wire_length + tcp.wire_length + payload.size
+    if not 0 <= dscp <= DSCP_MAX:
+        raise HeaderError(f"DSCP {dscp} out of range 0..{DSCP_MAX}")
+    if payload_size < 0:
+        raise ValueError("payload size cannot be negative")
+    ip = _new(IPv4Header)
+    ip.src = src_ip
+    ip.dst = dst_ip
+    ip.proto = _TCP
+    ip.ttl = 64
+    ip.dscp = dscp
+    ip.ecn = 0
+    ip.total_length = _TCP_HEADERS + payload_size
+    ip.ident = 0
+    tcp = _new(TCPHeader)
+    tcp.src_port = src_port
+    tcp.dst_port = dst_port
+    tcp.seq = seq
+    tcp.ack = ack
+    tcp.flags = flags
+    tcp.window = 65535
+    tcp.options = []
+    payload = _new(Payload)
+    payload.size = payload_size
+    payload.content = content
+    payload.encrypted = encrypted
+    packet = _new(Packet)
+    packet.eth = None
+    packet.ip = ip
+    packet.l4 = tcp
+    packet.payload = payload
+    packet.created_at = created_at
+    packet.meta = {}
+    packet.packet_id = next(_packet_ids)
     return packet
 
 
@@ -182,11 +225,33 @@ def make_udp_packet(
     created_at: float = 0.0,
 ) -> Packet:
     """Convenience constructor for a UDP/IPv4 packet."""
-    ip = IPv4Header(src=src_ip, dst=dst_ip, proto=IPProto.UDP, dscp=dscp)
-    udp = UDPHeader(
-        src_port=src_port, dst_port=dst_port, length=UDPHeader.WIRE_LENGTH + payload_size
-    )
-    payload = Payload(size=payload_size, content=content)
-    packet = Packet(ip=ip, l4=udp, payload=payload, created_at=created_at)
-    ip.total_length = ip.wire_length + udp.wire_length + payload.size
+    if not 0 <= dscp <= DSCP_MAX:
+        raise HeaderError(f"DSCP {dscp} out of range 0..{DSCP_MAX}")
+    if payload_size < 0:
+        raise ValueError("payload size cannot be negative")
+    ip = _new(IPv4Header)
+    ip.src = src_ip
+    ip.dst = dst_ip
+    ip.proto = _UDP
+    ip.ttl = 64
+    ip.dscp = dscp
+    ip.ecn = 0
+    ip.total_length = _UDP_HEADERS + payload_size
+    ip.ident = 0
+    udp = _new(UDPHeader)
+    udp.src_port = src_port
+    udp.dst_port = dst_port
+    udp.length = UDPHeader.WIRE_LENGTH + payload_size
+    payload = _new(Payload)
+    payload.size = payload_size
+    payload.content = content
+    payload.encrypted = False
+    packet = _new(Packet)
+    packet.eth = None
+    packet.ip = ip
+    packet.l4 = udp
+    packet.payload = payload
+    packet.created_at = created_at
+    packet.meta = {}
+    packet.packet_id = next(_packet_ids)
     return packet

@@ -140,3 +140,53 @@ class TestSerialization:
     def test_repr_hides_key(self):
         descriptor = CookieDescriptor.create()
         assert descriptor.key.hex() not in repr(descriptor)
+
+
+def _dataclass_path(cookie_id, key):
+    """What ``__post_init__`` checked and stored before it skipped the
+    copy of an exact ``bytes`` key: the reference for the parity test."""
+    if not 0 <= cookie_id <= 2**64 - 1:
+        raise ValueError("cookie_id must fit in 64 bits")
+    if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
+        raise ValueError("descriptor key must be non-empty bytes")
+    return cookie_id, bytes(key)
+
+
+class _Key(bytes):
+    pass
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize(
+    "cookie_id, key",
+    [
+        (0, b"k"),
+        (2**64 - 1, b"k" * 32),
+        (2**64, b"k"),
+        (-1, b"k"),
+        (1, b""),
+        (1, bytearray()),
+        (1, bytearray(b"abc")),
+        (1, _Key(b"abc")),
+        (1, _Key()),
+        (1, "abc"),
+        (1, None),
+    ],
+    ids=["id-0", "id-max", "id-over", "id-negative", "empty-key",
+         "empty-bytearray", "bytearray-key", "bytes-subclass-key",
+         "empty-bytes-subclass", "str-key", "no-key"],
+)
+def test_validation_matches_the_dataclass_path(cookie_id, key):
+    try:
+        want = _dataclass_path(cookie_id, key)
+    except ValueError:
+        with pytest.raises(ValueError):
+            CookieDescriptor(cookie_id=cookie_id, key=key)
+        return
+    descriptor = CookieDescriptor(cookie_id=cookie_id, key=key)
+    assert (descriptor.cookie_id, descriptor.key) == want
+    assert type(descriptor.key) is bytes
+    if type(key) is bytes:
+        assert descriptor.key is key  # already exact: kept, not copied
+    else:
+        assert descriptor.key is not key

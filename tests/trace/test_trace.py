@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import CookieDescriptor, CookieGenerator, DescriptorStore
 from repro.core.transport import default_registry
@@ -209,3 +211,48 @@ class TestThroughputSample:
         sample = ThroughputSample(512, 50, 1000, 0.5)
         text = throughput_report([sample])
         assert "512" in text and "Gbps" in text
+
+
+class TestFlowExpansionCount:
+    @staticmethod
+    def _record(packets):
+        return FlowRecord(
+            start_time=0.0, client_ip="10.0.0.1", client_port=1000,
+            server_ip="1.2.3.4", server_port=443, packets=packets,
+        )
+
+    @given(
+        packets=st.integers(min_value=1, max_value=60),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_yields_exactly_record_packets(self, packets, fraction):
+        expanded = list(flow_to_packets(self._record(packets), downlink_fraction=fraction))
+        assert len(expanded) == packets
+        downlink = sum(p.src_ip == "1.2.3.4" for p in expanded)
+        assert downlink == int((packets - 1) * fraction)
+
+    @pytest.mark.parametrize("packets", [0, -1])
+    def test_refuses_an_empty_flow(self, packets):
+        with pytest.raises(ValueError, match="at least one packet"):
+            list(flow_to_packets(self._record(packets)))
+
+    @pytest.mark.parametrize("fraction", [1.5, -1.0, float("nan")])
+    def test_refuses_a_fraction_outside_the_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="downlink_fraction"):
+            list(flow_to_packets(self._record(5), downlink_fraction=fraction))
+
+    def test_registry_built_only_to_attach_a_cookie(self, monkeypatch):
+        import repro.trace.records as records
+
+        built = []
+        monkeypatch.setattr(
+            records, "default_registry", lambda: built.append(1) or default_registry()
+        )
+        list(flow_to_packets(self._record(5)))
+        assert built == []
+        descriptor = CookieDescriptor.create()
+        cookie = CookieGenerator(descriptor, clock=lambda: 0.0).generate()
+        list(flow_to_packets(self._record(5), cookie=cookie, registry=default_registry()))
+        assert built == []
+        list(flow_to_packets(self._record(5), cookie=cookie))
+        assert built == [1]
