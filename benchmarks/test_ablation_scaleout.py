@@ -8,22 +8,10 @@ This benchmark quantifies both sides on the same workload:
   spreading load across shards;
 - a naive load-balanced pool grants the same cookie once *per shard* —
   measurable double-spending.
-
-``test_scaleout_multicore`` then measures the payoff of doing it with
-real cores: the :class:`ProcessShardExecutor` (shared-memory ring
-transport via ``auto``) at 1/2/4 workers against the in-process pool on
-one verification-bound stream (the paper's §5 linear-scaling claim,
-Fig. 4's regime).  It always writes
-``benchmarks/reports/scaleout_multicore.json`` for the CI step summary
-and asserts the ≥0.9x single-worker floor.
 """
-
-import json
-import pathlib
 
 from repro.core import CookieDescriptor, CookieGenerator, DescriptorStore
 from repro.core.distributed import NaiveVerifierPool, ShardedVerifierPool
-from repro.experiments.scaleout import format_scaleout_report, run_scaleout
 
 SHARDS = 4
 DESCRIPTORS = 200
@@ -136,62 +124,6 @@ def test_ablation_scaleout_scalar_vs_batched(benchmark, report):
 
     assert scalar_grants == batched_grants == COOKIES
     assert speedup >= 1.15, (scalar_cps, batched_cps)
-
-
-MULTICORE_WORKER_COUNTS = (1, 2, 4)
-#: 1 worker must never lose meaningfully to the in-process
-#: pool.  On multi-core boxes the ring transport pipelines encode
-#: against verification; on single-core boxes ``auto`` degrades to
-#: in-process service — either way the 0.45x regression class of the
-#: pipe transport cannot land again.
-SINGLE_WORKER_FLOOR = 0.9
-MULTICORE_JSON = pathlib.Path(__file__).parent / "reports" / "scaleout_multicore.json"
-
-
-def test_scaleout_multicore(benchmark, report):
-    """Fig. 4 scale-out: process shards vs the in-process pool.
-
-    The JSON report is written unconditionally (CI publishes it to the
-    step summary; the checked-in copy documents a reference run).  The
-    ≥0.9x single-worker floor holds everywhere because the degrade
-    ladder guarantees it by construction.
-    """
-    result = benchmark.pedantic(
-        lambda: run_scaleout(worker_counts=MULTICORE_WORKER_COUNTS, rounds=2),
-        rounds=1,
-        iterations=1,
-    )
-
-    MULTICORE_JSON.parent.mkdir(exist_ok=True)
-    MULTICORE_JSON.write_text(json.dumps(result, indent=2) + "\n")
-    for line in format_scaleout_report(result).splitlines():
-        report(line)
-
-    configs = {
-        c["workers"]: c
-        for c in result["configs"]
-        if c["mode"] == "multi-process"
-    }
-    total = result["workload"]["cookies"]
-    # Every configuration grants every cookie exactly once: the stream is
-    # all-valid and unique, and a fresh pool starts each round cold.
-    for config in result["configs"]:
-        assert config["grants"] == total, config
-    one, four = configs[1], configs[4]
-    benchmark.extra_info["cookies_per_s_4_workers"] = four["cookies_per_s"]
-    benchmark.extra_info["speedup_vs_in_process"] = (
-        four["speedup_vs_in_process"]
-    )
-    benchmark.extra_info["transport_4_workers"] = four["transport"]
-    benchmark.extra_info["cpu_count"] = result["cpu_count"]
-
-    # The report must say what it measured: a degrade-mode row can never
-    # masquerade as a multi-core result.
-    for config in configs.values():
-        assert config["transport"] in {"shm", "in-process"}
-        assert config["degraded"] == (config["transport"] == "in-process")
-
-    assert one["speedup_vs_in_process"] >= SINGLE_WORKER_FLOOR, result
 
 
 def test_ablation_scaleout_load_balance(benchmark, report):

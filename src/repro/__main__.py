@@ -115,7 +115,7 @@ def _cmd_sec46(args) -> None:
 def _cmd_stats(args) -> None:
     """One merged telemetry snapshot for a synthetic data-path workload."""
     snapshot = run_stats_workload(
-        flows=args.flows, packets_per_flow=6, pool_workers=args.pool_workers,
+        flows=args.flows, packets_per_flow=6,
         include_audit=args.audit, include_server=args.server,
         include_sweep=args.sweep, include_billing=args.billing,
     )
@@ -123,9 +123,6 @@ def _cmd_stats(args) -> None:
         print(snapshot.to_json())
     else:
         detail = ""
-        if args.pool_workers:
-            detail = (f" + {args.pool_workers}-worker process verifier "
-                      "pool")
         if args.audit:
             detail += " + neutrality-audit campaign"
         if args.server:
@@ -173,7 +170,7 @@ def _cmd_audit(args) -> None:
 
 
 def _cmd_chaos(args) -> None:
-    """Fault-injection soak + outage and shard-kill drills."""
+    """Fault-injection soak + control-plane outage drills."""
     from repro.experiments import ChaosConfig, run_chaos
 
     config = ChaosConfig(seed=args.seed, homes=args.homes,
@@ -191,7 +188,7 @@ def _cmd_chaos(args) -> None:
             print(f"  VIOLATION: {violation.splitlines()[0]}")
 
     if not args.skip_drills:
-        from repro.experiments import run_outage_drill, run_pool_kill_drill
+        from repro.experiments import run_outage_drill
 
         for mode in ("fail-open", "fail-closed"):
             drill = run_outage_drill(mode, seed=args.seed)
@@ -203,12 +200,6 @@ def _cmd_chaos(args) -> None:
             print(f"  breaker opened {drill['breaker_opened']}x, "
                   f"{drill['grace_signings']} grace signings, "
                   f"{drill['rejected_open']} calls shed while open")
-        kill = run_pool_kill_drill(seed=args.seed)
-        print("\npool kill drill — SIGKILL a verifier shard until fallback")
-        print(f"  kills {kill['kills']}, restarts {kill['restarts']}, "
-              f"fallbacks {kill['fallbacks']} "
-              f"(shards {kill['fallback_shards']}), "
-              f"short verdict arrays {kill['short_verdict_arrays']}")
 
     if not report.ok:
         raise SystemExit(1)
@@ -312,24 +303,9 @@ def _cmd_controlplane(args) -> None:
         print(format_controlplane_report(report))
 
 
-def _cmd_scaleout(args) -> None:
-    """Multi-core verification: in-process vs 1/2/4 worker processes."""
-    from repro.experiments import format_scaleout_report, run_scaleout
-
-    workers = tuple(args.workers) if args.workers else None
-    report = run_scaleout(
-        worker_counts=workers or (1, 2, 4),
-        cookies=args.cookies,
-        rounds=args.rounds,
-    )
-    print("§5 scale-out — verification-bound stream, identical batches")
-    print(format_scaleout_report(report))
-
-
 def run_stats_workload(
     flows: int = 200,
     packets_per_flow: int = 6,
-    pool_workers: int | None = None,
     include_audit: bool = False,
     include_server: bool = False,
     include_sweep: bool = False,
@@ -341,12 +317,6 @@ def run_stats_workload(
     The traffic mix exercises every counter family: valid cookies,
     forged cookies, replays, and bare flows, over enough simulated time
     for the replay cache to rotate.
-
-    ``pool_workers`` additionally runs the same cookie mix through a
-    :class:`~repro.core.parallel.ProcessShardExecutor` registered in the
-    same registry — its collector polls each worker process's stats on
-    demand at snapshot time, so the printed snapshot includes live
-    multi-process counters under the ``pool.`` prefix.
 
     ``include_audit`` additionally runs the neutrality-audit campaign
     (:func:`repro.experiments.run_audit`) and merges its verdict counts
@@ -510,26 +480,7 @@ def run_stats_workload(
         # billing.journal.* counters reflect the whole workload.
         accountant.flush_all(now=clock_now)
 
-    snapshot = None
-    if pool_workers:
-        from repro.core.parallel import ProcessShardExecutor
-
-        cookies = [
-            CookieGenerator(descriptor, clock).generate()
-            for _ in range(max(1, flows))
-        ]
-        with ProcessShardExecutor.auto(store, workers=pool_workers) as pool:
-            pool.match_batch(cookies + cookies[: len(cookies) // 4],
-                             clock_now)
-            pool.register_telemetry(registry, prefix="pool")
-            # Transport internals too: ring dispatches and bytes, degrade
-            # flag — the CLI is where an operator would look for them.
-            pool.register_transport_telemetry(registry, prefix="pool.shm")
-            # Snapshot while workers are alive: the pool collector polls
-            # each worker's replay-cache numbers on demand.
-            snapshot = registry.snapshot()
-    if snapshot is None:
-        snapshot = registry.snapshot()
+    snapshot = registry.snapshot()
     if billing_dir is not None:
         import shutil
 
@@ -548,7 +499,6 @@ COMMANDS = {
     "sec3": _cmd_sec3,
     "sec46": _cmd_sec46,
     "stats": _cmd_stats,
-    "scaleout": _cmd_scaleout,
     "controlplane": _cmd_controlplane,
     "chaos": _cmd_chaos,
     "audit": _cmd_audit,
@@ -585,9 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic flows to drive through the path")
     stats.add_argument("--json", action="store_true",
                        help="print the snapshot as JSON")
-    stats.add_argument("--pool-workers", type=int, default=0,
-                       help="also run a process-shard verifier pool with "
-                            "N workers and include its telemetry")
     stats.add_argument("--audit", action="store_true",
                        help="also run the neutrality-audit campaign and "
                             "merge its verdict counts into the snapshot")
@@ -602,14 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="back the middlebox with a journal-backed "
                             "billing accountant and merge its billing.* "
                             "and billing.journal.* counters")
-    scaleout = sub.add_parser(
-        "scaleout",
-        help="multi-core verification: in-process vs worker processes",
-    )
-    scaleout.add_argument("--workers", type=int, nargs="*",
-                          help="worker counts to measure (default: 1 2 4)")
-    scaleout.add_argument("--cookies", type=int, default=24_000)
-    scaleout.add_argument("--rounds", type=int, default=3)
     controlplane = sub.add_parser(
         "controlplane",
         help="sharded async cookie server vs CookieServer at subscriber "
@@ -626,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="print the full report as JSON")
     chaos = sub.add_parser(
         "chaos",
-        help="fault-injection soak + outage and shard-kill drills",
+        help="fault-injection soak + control-plane outage drills",
     )
     chaos.add_argument("--seed", type=int, default=20160822,
                        help="PRNG seed; a run replays bit-identically")
@@ -636,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", action="store_true",
                        help="print the full soak report as JSON")
     chaos.add_argument("--skip-drills", action="store_true",
-                       help="soak only; skip outage and pool-kill drills")
+                       help="soak only; skip the outage drills")
     audit = sub.add_parser(
         "audit",
         help="adversarial neutrality audit: record/replay matched pairs "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 __all__ = ["EmpiricalCDF"]
 
@@ -23,13 +23,14 @@ class EmpiricalCDF:
         return bisect_right(self.samples, x) / len(self.samples)
 
     def quantile(self, q: float) -> float:
-        """Inverse CDF; ``q`` in [0, 1]."""
+        """Inverse CDF: the smallest sample ``x`` with ``at(x) >= q``;
+        ``q`` in [0, 1].  That is the ``ceil(q·n)``-th smallest sample,
+        with ``q = 0`` giving the minimum; the rank search divides the
+        way :meth:`at` does, so the two agree where ``q·n`` is whole."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be within [0, 1]")
-        if q == 0.0:
-            return self.samples[0]
-        index = min(len(self.samples) - 1, int(q * len(self.samples)))
-        return self.samples[index]
+        n = len(self.samples)
+        return self.samples[bisect_left(range(1, n + 1), q, key=lambda r: r / n)]
 
     @property
     def median(self) -> float:

@@ -31,13 +31,6 @@ from .distributed import (
     ShardedVerifierPool,
     rendezvous_shard,
 )
-from .parallel import (
-    ProcessShardExecutor,
-    decode_batch,
-    decode_verdicts,
-    encode_batch,
-    encode_verdicts,
-)
 from .discovery import (
     DHCP_COOKIE_SERVER_OPTION,
     DhcpDiscovery,
@@ -140,11 +133,6 @@ __all__ = [
     "PoolStats",
     "ShardedVerifierPool",
     "rendezvous_shard",
-    "ProcessShardExecutor",
-    "encode_batch",
-    "decode_batch",
-    "encode_verdicts",
-    "decode_verdicts",
     "DHCP_COOKIE_SERVER_OPTION",
     "DhcpDiscovery",
     "Directory",

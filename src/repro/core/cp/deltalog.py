@@ -3,10 +3,10 @@
 ``add`` / ``revoke`` / ``remove`` is the write vocabulary of every
 descriptor store and :func:`apply_record` the one place it is
 interpreted: replicas replay a shard's log through it, the workers of a
-:class:`~repro.core.parallel.ProcessShardExecutor` the frames their
-dispatcher pushes.  Each shard appends one :class:`DeltaRecord` per
-successful mutation; record, snapshot and replaying store each hold a
-descriptor shell of their own around the issuer's attribute block.
+verifier pool the frames their dispatcher pushes.  Each shard appends
+one :class:`DeltaRecord` per successful mutation; record, snapshot and
+replaying store each hold a descriptor shell of their own around the
+issuer's attribute block.
 
 The two invariants everything else leans on, property-tested in
 ``tests/core/test_deltalog.py``:

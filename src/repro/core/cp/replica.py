@@ -30,8 +30,8 @@ class ReplicaUnreachable(Exception):
 
 class VerifierReplica:
     """A descriptor store converging on the sharded control plane;
-    ``store`` may be a :class:`~repro.core.parallel.ProcessShardExecutor`,
-    whose workers are then as current, or as stale, as the replica."""
+    ``store`` may be a verifier pool, whose shards are then as current,
+    or as stale, as the replica."""
 
     def __init__(self, name: str = "replica", store: Any | None = None) -> None:
         self.name = name

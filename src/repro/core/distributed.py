@@ -210,10 +210,9 @@ class ShardedVerifierPool(_VerifierPoolBase):
         Each shard's :class:`~repro.core.matcher.CookieMatcher` registers
         under the *shared* prefix ``{prefix}.matcher``, so the registry
         sums shard counters into pool totals; the pool itself adds the
-        dispatcher's own :class:`PoolStats`.  The process-shard executor
-        (:class:`repro.core.parallel.ProcessShardExecutor`) emits the
-        same metric names, so in-process and multi-process deployments
-        are interchangeable under one dashboard.
+        dispatcher's own :class:`PoolStats`.  Any verifier pool that
+        emits the same metric names is interchangeable with this one
+        under one dashboard.
         """
         registry.register(
             self,

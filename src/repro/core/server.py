@@ -107,10 +107,9 @@ class CookieServer:
     def attach_enforcement_store(self, store: Any) -> None:
         """Register anything that speaks ``add`` / ``revoke`` / ``remove``:
         every grant, revocation and removal is mirrored into it.  A
-        data-path descriptor store, a
-        :class:`~repro.core.parallel.ProcessShardExecutor` (it forwards to
-        its workers) and a :class:`~repro.core.cp.deltalog.DeltaLog` are
-        all attached the same way."""
+        data-path descriptor store, a verifier pool (it forwards to its
+        shards) and a :class:`~repro.core.cp.deltalog.DeltaLog` are all
+        attached the same way."""
         self._enforcement_stores.append(store)
 
     # ------------------------------------------------------------------

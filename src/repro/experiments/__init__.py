@@ -9,7 +9,6 @@ fig5b_fct         Fig. 5(b) flow completion time under Boost
 fig6_accuracy     Fig. 6 matching accuracy (cookies/nDPI/OOB)
 sec3_dpi          §3 DPI-limitation measurements
 sec46_campus      §4.6 campus-trace replay
-scaleout          §5 multi-core verification scale-out
 controlplane      §4.2 cookie server at million-subscriber scale
 ================  ==============================================
 
@@ -44,7 +43,6 @@ from .chaos import (
     ChaosReport,
     run_chaos,
     run_outage_drill,
-    run_pool_kill_drill,
 )
 from .controlplane import (
     DEFAULT_SHARD_COUNTS,
@@ -80,12 +78,6 @@ from .fig6_accuracy import (
     run_ndpi,
     run_oob,
 )
-from .scaleout import (
-    DEFAULT_WORKER_COUNTS,
-    build_verification_stream,
-    format_scaleout_report,
-    run_scaleout,
-)
 from .sec3_dpi import Sec3Result, run_sec3
 from .sec46_campus import Sec46Result, run_sec46
 
@@ -102,7 +94,6 @@ __all__ = [
     "ChaosReport",
     "run_chaos",
     "run_outage_drill",
-    "run_pool_kill_drill",
     "DEFAULT_SHARD_COUNTS",
     "format_controlplane_report",
     "run_controlplane",
@@ -136,8 +127,4 @@ __all__ = [
     "run_sec3",
     "Sec46Result",
     "run_sec46",
-    "DEFAULT_WORKER_COUNTS",
-    "build_verification_stream",
-    "format_scaleout_report",
-    "run_scaleout",
 ]

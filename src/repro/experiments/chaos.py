@@ -27,25 +27,18 @@ three invariants that make the claims hold:
 Everything is a pure function of ``ChaosConfig.seed``, so a failing run
 reproduces bit-identically from its seed (the CI job pins one).
 
-Two focused drills complement the soak:
-
-- :func:`run_outage_drill` — a 30 s cookie-server outage against a
-  resilient agent (retry → breaker → renewal grace) and a
-  :class:`~repro.services.boost.daemon.BoostDaemon` in either degraded
-  mode.
-- :func:`run_pool_kill_drill` — SIGKILLs a
-  :class:`~repro.core.parallel.ProcessShardExecutor` worker until the
-  shard exhausts ``max_restarts`` and retires to its in-process
-  fallback, asserting dispatch never loses a verdict along the way.
+A focused drill complements the soak: :func:`run_outage_drill` — a
+30 s cookie-server outage against a resilient agent (retry → breaker →
+renewal grace) and a
+:class:`~repro.services.boost.daemon.BoostDaemon` in either degraded
+mode.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import shutil
-import signal
 import tempfile
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -58,7 +51,6 @@ __all__ = [
     "ChaosReport",
     "run_chaos",
     "run_outage_drill",
-    "run_pool_kill_drill",
 ]
 
 #: The zero-rated service every chaos home subscribes to.
@@ -645,72 +637,3 @@ def run_outage_drill(mode: str, seed: int = 0) -> dict[str, Any]:
         rejected_open=agent.channel.stats.rejected_open,
     )
     return observed
-
-
-# ----------------------------------------------------------------------
-# Pool kill drill
-# ----------------------------------------------------------------------
-def run_pool_kill_drill(
-    seed: int = 0,
-    kills: int = 3,
-    workers: int = 2,
-    max_restarts: int = 2,
-    batches: int = 12,
-) -> dict[str, Any]:
-    """SIGKILL a verifier shard between dispatches until it falls back.
-
-    With ``kills > max_restarts`` the victim shard must walk the whole
-    recovery ladder — restart with backoff per kill, then permanent
-    in-process fallback — while **every** dispatch still returns a full
-    verdict array.  Returns the tallies the kill test asserts on.
-    """
-    from ..core.parallel import ProcessShardExecutor, VERDICT_UNAVAILABLE
-    from ..core.resilience import RetryPolicy
-    from .scaleout import STREAM_NOW, build_verification_stream
-
-    store, stream = build_verification_stream(
-        descriptors=48, cookies=batches * 64, batch_size=64
-    )
-    rng = random.Random(seed)
-    kill_rounds = sorted(
-        rng.sample(range(1, batches), min(kills, batches - 1))
-    )
-    report: dict[str, Any] = {
-        "kills": 0,
-        "dispatches": 0,
-        "short_verdict_arrays": 0,
-        "unavailable_reasons": 0,
-    }
-    victim = 0
-    with ProcessShardExecutor(
-        store,
-        workers=workers,
-        reply_timeout=10.0,
-        max_restarts=max_restarts,
-        restart_backoff=RetryPolicy(
-            max_attempts=max_restarts + 1, base_delay=0.01, max_delay=0.05
-        ),
-    ) as pool:
-        for round_index, batch in enumerate(stream):
-            if round_index in kill_rounds:
-                pid = pool.worker_pids()[victim]
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    report["kills"] += 1
-            reasons: list[str] = []
-            verdicts = pool.match_batch(batch, STREAM_NOW, reasons=reasons)
-            report["dispatches"] += 1
-            if len(verdicts) != len(batch) or len(reasons) != len(batch):
-                report["short_verdict_arrays"] += 1
-            report["unavailable_reasons"] += reasons.count(
-                VERDICT_UNAVAILABLE
-            )
-        report.update(
-            restarts=pool.stats.shard_restarts,
-            fallbacks=pool.stats.fallbacks,
-            fallback_shards=pool.fallback_shards,
-            unavailable_verdicts=pool.stats.unavailable_verdicts,
-            accepted=pool.stats.accepted,
-            healthy=pool.health(),
-        )
-    return report

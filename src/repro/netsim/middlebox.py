@@ -338,9 +338,8 @@ class BatchDriver:
     records :attr:`done`) when it is exhausted.  ``on_done``, if given,
     fires exactly once at that point, after the final (possibly partial)
     batch was pushed — the hook a harness uses to collect a verifier
-    pool's worker telemetry or shut a
-    :class:`~repro.core.parallel.ProcessShardExecutor` down when the
-    offered stream drains.
+    pool's telemetry or shut the pool down when the offered stream
+    drains.
     """
 
     def __init__(

@@ -60,8 +60,8 @@ class BoostDaemon:
         self.loop = loop
         self.store = store
         # ``verifier`` lets a deployment swap the embedded single-core
-        # matcher for a pool (ShardedVerifierPool / ProcessShardExecutor
-        # over the same store) — anything exposing ``match`` and
+        # matcher for a verifier pool over the same store (e.g.
+        # ShardedVerifierPool) — anything exposing ``match`` and
         # ``register_telemetry`` drops in.
         self.matcher = verifier if verifier is not None else CookieMatcher(store)
         self.switch = CookieSwitch(

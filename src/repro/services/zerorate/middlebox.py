@@ -36,7 +36,6 @@ from ...netsim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from ...core.distributed import ShardedVerifierPool
-    from ...core.parallel import ProcessShardExecutor
     from ...services.billing import BillingAccountant
     from ...telemetry import MetricsRegistry
 
@@ -157,16 +156,13 @@ class ZeroRatingMiddlebox(Element):
 
     ``matcher`` is any verifier exposing ``match(cookie, now)`` — a
     :class:`~repro.core.matcher.CookieMatcher` for a single-box deploy, or
-    a pool (:class:`~repro.core.distributed.ShardedVerifierPool` /
-    :class:`~repro.core.parallel.ProcessShardExecutor`) when verification
-    is scaled out behind one middlebox front-end.
+    a verifier pool (e.g. :class:`~repro.core.distributed.ShardedVerifierPool`)
+    when verification is scaled out behind one middlebox front-end.
     """
 
     def __init__(
         self,
-        matcher: (
-            "CookieMatcher | ShardedVerifierPool | ProcessShardExecutor"
-        ),
+        matcher: "CookieMatcher | ShardedVerifierPool",
         clock: Callable[[], float],
         registry: TransportRegistry | None = None,
         is_subscriber: Callable[[str], bool] | None = None,

@@ -24,6 +24,25 @@ class TestEmpiricalCDF:
     def test_median(self):
         assert EmpiricalCDF([1, 2, 3, 4, 100]).median == 3
 
+    def test_quantile_at_a_whole_rank(self):
+        cdf = EmpiricalCDF([1, 2, 3, 4])
+        assert cdf.at(2) == 0.5
+        assert cdf.quantile(0.5) == 2
+        assert EmpiricalCDF([1, 2]).median == 1
+        twenty = EmpiricalCDF(list(range(1, 21)))
+        assert (twenty.median, twenty.quantile(0.9)) == (10, 18)
+
+    @given(
+        st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=50),
+        st.floats(0, 1),
+    )
+    def test_quantile_inverts_at_property(self, samples, q):
+        cdf = EmpiricalCDF(samples)
+        x = cdf.quantile(q)
+        assert x in samples
+        assert cdf.at(x) >= q
+        assert all(cdf.at(y) < q for y in samples if y < x)
+
     def test_quantile_bounds(self):
         cdf = EmpiricalCDF([5.0])
         assert cdf.quantile(0.0) == 5.0

@@ -220,16 +220,3 @@ class TestHealthAndTelemetry:
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
             pool.match_batch(_batch(generators, 4), NOW)
             assert pool.worker_pids() == [None]
-
-
-class TestKillDrillExperiment:
-    def test_pool_kill_drill_report(self):
-        from repro.experiments import run_pool_kill_drill
-
-        report = run_pool_kill_drill(seed=1, kills=3, batches=8)
-        assert report["kills"] == 3
-        assert report["short_verdict_arrays"] == 0
-        assert report["restarts"] == 2
-        assert report["fallbacks"] == 1
-        assert report["fallback_shards"] == [0]
-        assert all(report["healthy"])
