@@ -15,8 +15,9 @@ import time
 
 from repro.core import CookieMatcher, DescriptorStore
 from repro.core.offload import HardwarePrefilter
+from repro.netsim.flow import FiveTuple
 from repro.netsim.middlebox import Sink
-from repro.services.zerorate import ZeroRatingMiddlebox, flow_key_to_fivetuple
+from repro.services.zerorate import ZeroRatingMiddlebox
 from repro.trace.moongen import PacketGenerator, build_descriptor_pool
 
 FLOWS = 150
@@ -59,7 +60,7 @@ def _run_co_design():
         CookieMatcher(store, nct=600.0),
         clock=clock,
         on_flow_resolved=lambda key, _state: prefilter.offload_flow(
-            flow_key_to_fivetuple(key)
+            FiveTuple(*key)
         ),
     )
     prefilter.software(middlebox)

@@ -3,8 +3,11 @@
 Paper (Click + DPDK, one core): line-rate 10 Gb/s at 512-byte packets and
 50-packet flows; performance drops for smaller packets and shorter flows.
 
-Our middlebox is pure Python, so absolute rates are far lower; what must
-(and does) carry over is the *shape*:
+Our middlebox is pure Python and is timed in 256-packet rx bursts, the
+path that ships.  The generator sends each flow's packets back to back,
+so most of a flow coalesces into one resolved run inside a burst;
+absolute rates are therefore not comparable with the paper's.  What
+must (and does) carry over is the *shape*:
 
 - bits/s grows monotonically with packet size at fixed flow length;
 - packets/s grows with packets-per-flow (cookie work amortizes);
@@ -17,11 +20,7 @@ import os
 
 import pytest
 
-from repro.experiments import (
-    run_clean_vs_faulted,
-    run_point,
-    run_scalar_vs_batched,
-)
+from repro.experiments import run_clean_vs_faulted, run_point
 from repro.trace.stats import ThroughputSample, throughput_report
 
 PACKET_SIZES = (64, 256, 512, 1024, 1500)
@@ -78,70 +77,6 @@ def test_fig4_sweep_shape(benchmark, report, sweep):
 
     # Capacity versus the campus trace's published demand.
     assert headline.new_flows_per_second > 442
-
-
-def test_fig4_scalar_vs_batched(benchmark, report):
-    """The batched data path must at least double packets/sec over the
-    scalar path on the paper's headline workload (512 B, 50 ppf).
-
-    Both modes process the *identical* pre-generated packet stream; the
-    differential suite (tests/…/test_batch_differential*) separately
-    proves the two paths agree byte-for-byte on verdicts, counters, and
-    telemetry, so this ratio is a pure speedup, not a shortcut.  The
-    ratio is also exported as JSON (reports/fig4_scalar_vs_batched.json)
-    for the CI job summary.
-    """
-    comparison = benchmark.pedantic(
-        lambda: run_scalar_vs_batched(512, 50, descriptors=500, flows=120),
-        rounds=1,
-        iterations=1,
-    )
-    report("Fig. 4 — scalar vs batched data path (512 B, 50 ppf)")
-    report(f"  scalar:  {comparison['scalar_pps']:,.0f} pps")
-    report(f"  batched: {comparison['batched_pps']:,.0f} pps")
-    report(f"  speedup: {comparison['speedup']:.2f}x")
-
-    benchmark.extra_info["scalar_pps"] = round(comparison["scalar_pps"])
-    benchmark.extra_info["batched_pps"] = round(comparison["batched_pps"])
-    benchmark.extra_info["speedup"] = round(comparison["speedup"], 3)
-
-    reports_dir = os.path.join(os.path.dirname(__file__), "reports")
-    os.makedirs(reports_dir, exist_ok=True)
-    summary_path = os.path.join(reports_dir, "fig4_scalar_vs_batched.json")
-    with open(summary_path, "w") as handle:
-        json.dump(
-            {key: round(value, 3) for key, value in comparison.items()}, handle
-        )
-
-    assert comparison["speedup"] >= 2.0, comparison
-
-
-def test_fig4_batched_sweep_preserves_shape(report):
-    """The Fig. 4 shape claims hold in batched mode too: bits/s grows
-    with packet size and packets/s grows with flow length."""
-    sizes = (64, 512, 1500)
-    lengths = (10, 50)
-    sweep = {
-        (size, length): run_point(
-            size, length, descriptors=200, flows=60, mode="batched"
-        )
-        for size in sizes
-        for length in lengths
-    }
-    report("Fig. 4 sweep, batched mode")
-    report(throughput_report([point.sample for point in sweep.values()]))
-    for length in lengths:
-        series = [sweep[(size, length)].sample.gbps for size in sizes]
-        assert series[-1] > series[0], series
-    import statistics
-
-    pps = [
-        statistics.median(
-            sweep[(size, length)].sample.packets_per_second for size in sizes
-        )
-        for length in lengths
-    ]
-    assert pps[1] > pps[0], pps
 
 
 def test_fig4_faulted_path(benchmark, report):

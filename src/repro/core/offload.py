@@ -120,26 +120,39 @@ class HardwarePrefilter(Element):
         return len(self._offloaded)
 
     # ------------------------------------------------------------------
-    def _hardware_accepts(self, cookie: Cookie) -> bool:
+    def _hardware_accepts(self, cookie: Cookie, now: float) -> bool:
         """The checks an exact-match + range-compare pipeline can do."""
         if self.check_ids and self.store.get(cookie.cookie_id) is None:
             self.stats.dropped_early_unknown_id += 1
             return False
-        if self.check_timestamp and abs(cookie.timestamp - self.clock()) > self.nct:
+        if self.check_timestamp and abs(cookie.timestamp - now) > self.nct:
             self.stats.dropped_early_stale += 1
             return False
         return True
 
-    def process_batch(self, packets: list[Packet]) -> None:
-        """Batched steering: partition the vector, then one push per path.
+    def handle(self, packet: Packet) -> None:
+        """One packet is a burst of one."""
+        self.process_batch([packet])
 
-        Exactly the scalar per-packet decisions (offload hit → fast with
-        the installed action applied; hardware-visible cookie → software;
-        otherwise fast), but the clock is read once, lookups are bound
-        once, and each target receives its packets as a single batch in
-        arrival order — the shape a real rx-burst pipeline hands to the
-        slow path.
+    def process_batch(self, packets: list[Packet]) -> None:
+        """Steering: partition one rx burst, then one push per path.
+
+        Per packet: offload hit → fast with the installed action
+        applied; hardware-visible cookie → software; otherwise fast.  The
+        clock is read once per burst, so every cookie in it is checked
+        against one observation time.  Each target receives its packets
+        as a single burst, in arrival order within that path; the
+        interleaving across the two paths is not kept.
+
+        The whole burst is steered before software sees any of it, so
+        each packet gets the decision a burst of one would give it
+        against the offload entries installed *before* the burst.  A
+        flow that software resolves mid-burst (``offload_flow`` from
+        the middlebox's resolve hook) is offloaded from the next burst
+        on: its later packets in this burst take the fast path without
+        the action and do not count as ``offloaded_hits``.
         """
+        now = self.clock()
         stats = self.stats
         stats.packets += len(packets)
         offloaded = self._offloaded
@@ -161,7 +174,7 @@ class HardwarePrefilter(Element):
                     to_fast.append(packet)
                     continue
             if any(
-                hardware_accepts(cookie)
+                hardware_accepts(cookie, now)
                 for cookie, _name in extract_all(packet)
             ):
                 stats.to_software += 1
@@ -175,32 +188,3 @@ class HardwarePrefilter(Element):
         fast_target = self.fast_path or self.downstream
         if fast_target is not None and to_fast:
             fast_target.push_batch(to_fast)
-
-    def handle(self, packet: Packet) -> None:
-        self.stats.packets += 1
-        try:
-            key = flow_key_of(packet)
-        except ValueError:
-            key = None
-        if key is not None:
-            action = self._offloaded.get(key)
-            if action is not None:
-                action(packet)
-                self.stats.offloaded_hits += 1
-                self.stats.fast_path += 1
-                target = self.fast_path or self.downstream
-                if target is not None:
-                    target.push(packet)
-                return
-        needs_software = any(
-            self._hardware_accepts(cookie)
-            for cookie, _name in self.registry.extract_all(packet)
-        )
-        if needs_software:
-            self.stats.to_software += 1
-            target = self.software_path or self.downstream
-        else:
-            self.stats.fast_path += 1
-            target = self.fast_path or self.downstream
-        if target is not None:
-            target.push(packet)

@@ -134,33 +134,18 @@ class CookieSwitch(Element):
     # Data path
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:
-        now = self.clock()
-        self.stats.packets += 1
-        try:
-            flow, _is_new = self.flows.observe(packet, now)
-        except ValueError:
-            # Non-IP traffic passes through untouched.
-            self.emit(packet)
-            return
-
-        if flow.service is not None:
-            self._serve_bound(flow, packet, now)
-            self.emit(packet)
-            return
-
-        if flow.packets <= self.sniff_packets:
-            self.stats.packets_sniffed += 1
-            self._try_cookie(flow, packet, now)
-        self.emit(packet)
+        """One packet is a burst of one."""
+        self.process_batch([packet])
 
     def process_batch(self, packets: list[Packet]) -> None:
-        """Batched data path: the whole vector shares one clock reading.
+        """The data path: one rx burst, one clock reading.
 
-        State transitions (flow table, bindings, stats) are identical to
-        a scalar left-to-right pass at the same instant — including
-        intra-batch effects such as a cookie on packet *i* binding the
-        flow that packet *i+1* then rides as a bound flow.  Surviving
-        packets are forwarded downstream as one batch.
+        A burst leaves the switch (flow table, bindings, stats) exactly
+        as the same packets pushed as bursts of one at the same instant
+        would — including intra-burst effects such as a cookie on packet
+        *i* binding the flow that packet *i+1* then rides as a bound
+        flow.  Surviving packets are forwarded downstream as one burst.
+        Non-IP traffic passes through untouched.
         """
         now = self.clock()
         stats = self.stats

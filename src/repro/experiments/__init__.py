@@ -55,7 +55,6 @@ from .fig4_throughput import (
     Fig4Point,
     run_clean_vs_faulted,
     run_point,
-    run_scalar_vs_batched,
     run_sweep,
 )
 from .fig5b_fct import SERVICE_CLASSES, FctResult, run_fig5b, run_trial
@@ -102,7 +101,6 @@ __all__ = [
     "Fig4Point",
     "run_clean_vs_faulted",
     "run_point",
-    "run_scalar_vs_batched",
     "run_sweep",
     "SERVICE_CLASSES",
     "FctResult",

@@ -38,6 +38,16 @@ class Element:
     Subclasses override :meth:`handle` and call :meth:`emit` for each packet
     they forward.  ``>>`` wires elements: ``a >> b`` makes ``b`` the
     downstream of ``a`` and returns ``b`` so chains read left-to-right.
+
+    An element on the rx-burst path (the zero-rating middlebox, the cookie
+    switch, the hardware prefilter) instead overrides
+    :meth:`process_batch` and makes ``handle`` a burst of one; either way
+    a burst must leave the element exactly as the same packets pushed as
+    bursts of one would.  :class:`~repro.netsim.faults.FaultInjector` is
+    the exception: it models the link, and a burst is its reordering
+    window.  The hardware prefilter promises less: it steers a whole
+    burst against the offload entries installed before it (see
+    :meth:`repro.core.offload.HardwarePrefilter.process_batch`).
     """
 
     def __init__(self, name: str = "") -> None:
@@ -76,12 +86,14 @@ class Element:
         self.process_batch(packets)
 
     def process_batch(self, packets: list[Packet]) -> None:
-        """Batch fast path; the default loops the scalar :meth:`handle`.
+        """Process one burst; the default loops :meth:`handle`.
 
-        Overrides must preserve scalar semantics: processing a batch has
-        to leave the element (state, counters, emitted packets and their
-        order) exactly as ``for p in packets: self.handle(p)`` would,
-        with every packet in the batch sharing one observation time.
+        A burst must leave the element (state, counters, emitted packets
+        and their order) exactly as the same packets pushed as bursts of
+        one would, with every packet in the burst sharing one
+        observation time.  An override that makes ``handle`` call
+        ``self.process_batch([packet])`` is the element's one packet
+        path.
         """
         handle = self.handle
         for packet in packets:

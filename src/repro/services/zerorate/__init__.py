@@ -20,7 +20,6 @@ from .middlebox import (
     BillingFlushRequired,
     SubscriberCounters,
     ZeroRatingMiddlebox,
-    flow_key_to_fivetuple,
 )
 
 __all__ = [
@@ -39,6 +38,5 @@ __all__ = [
     "ZERO_RATE_SNIFF_PACKETS",
     "SubscriberCounters",
     "ZeroRatingMiddlebox",
-    "flow_key_to_fivetuple",
     "StatelessZeroRater",
 ]

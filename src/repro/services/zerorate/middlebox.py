@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ...core.matcher import CookieMatcher
 from ...core.transport import TransportRegistry, default_registry
-from ...netsim.flow import FiveTuple
 from ...netsim.headers import IPv4Header as _IPv4Header
 from ...netsim.headers import TCPHeader as _TCPHeader
 from ...netsim.middlebox import Element
@@ -46,7 +45,6 @@ __all__ = [
     "ZERO_RATE_SNIFF_PACKETS",
     "DEFAULT_MAX_FLOWS",
     "DEFAULT_MAX_SUBSCRIBERS",
-    "flow_key_to_fivetuple",
 ]
 
 
@@ -63,16 +61,6 @@ _NO_FLUSH_CALLBACK = (
     "a flush callback"
 )
 
-
-def flow_key_to_fivetuple(key: tuple) -> FiveTuple:
-    """Convert the middlebox's inline flow key to a canonical FiveTuple.
-
-    The inline key is ``(ip, port, ip, port, proto)`` with the endpoints
-    in lexicographic ``(ip, port)`` order — the same canonical ordering
-    :meth:`FiveTuple.canonical` uses — so the conversion is direct.  Used
-    to hand resolved flows to :class:`repro.core.offload.HardwarePrefilter`.
-    """
-    return FiveTuple(*key)
 
 ZERO_RATE_SNIFF_PACKETS = 3
 
@@ -192,6 +180,9 @@ class ZeroRatingMiddlebox(Element):
         #: Invoked once per flow the moment its fate is final (cookie
         #: matched, or the sniff window closed without one).  The §4.6
         #: hardware co-design hooks here to offload the rest of the flow.
+        #: Its ``key`` is the flat ``(ip, port, ip, port, proto)`` with the
+        #: endpoints in :meth:`FiveTuple.canonical` order, so
+        #: ``FiveTuple(*key)`` is the flow's canonical 5-tuple.
         self.on_flow_resolved = on_flow_resolved
         self.max_flows = max_flows
         self.flow_idle_timeout = flow_idle_timeout
@@ -245,103 +236,48 @@ class ZeroRatingMiddlebox(Element):
     # Fast path
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:
-        """Classify, account, tag and emit one packet: the scalar path,
-        and the reference :meth:`process_batch` is held bit-identical
-        to."""
-        now = self.clock()
-        self.packets_processed += 1
-        ip = packet.ip
-        l4 = packet.l4
-        if ip is None or l4 is None:
-            self.emit(packet)
-            return
-        # Canonical bidirectional key without FlowTable overhead: one
-        # flat tuple (a nested key is three objects for the collector to
-        # track per flow, which showed on the new-flow path).
-        src, sport, dst, dport = ip.src, l4.src_port, ip.dst, l4.dst_port
-        if src < dst or (src == dst and sport <= dport):
-            key = (src, sport, dst, dport, ip.proto)
-        else:
-            key = (dst, dport, src, sport, ip.proto)
-        # pop + reinsert moves the entry to the recent end of the dict.
-        flows = self._flows
-        state = flows.pop(key, None)
-        if state is None:
-            self._evict_for_space(now)
-            state = self._new_flow_state(src, dst)
-        elif now - state.last_seen > self.flow_idle_timeout:
-            # The real box would have aged this entry out already; what it
-            # sees now is a brand-new flow.
-            self.flows_evicted_idle += 1
-            state = self._new_flow_state(src, dst)
-        state.last_seen = now
-        flows[key] = state
-        state.packets_seen += 1
-
-        if not state.resolved and state.packets_seen <= self.sniff_packets:
-            found = self.registry.extract(packet)
-            if found is not None:
-                # The cookie was consumed by verification (accepted or
-                # not).  A cookie the box *skipped* — resolved flow, or
-                # past the sniff window — stays unspent on the wire and
-                # is outside the replay cache's protection.
-                packet.meta["cookie_checked"] = True
-                descriptor = self._match_failsafe(found[0], now)
-                if descriptor is not None:
-                    state.zero_rated = True
-                    state.service = descriptor.service_data
-                    self.cookie_hits += 1
-                    self._resolve(key, state)
-                else:
-                    self.cookie_misses += 1
-            if not state.resolved and state.packets_seen >= self.sniff_packets:
-                # Sniff window closed without a valid cookie — whether the
-                # last packet was bare or carried a cookie that failed to
-                # verify, the flow is charged for good and the §4.6
-                # offload hook must still fire.
-                self._resolve(key, state)
-
-        if self._account(state, packet, now):
-            packet.meta["zero_rated"] = True
-        self.emit(packet)
+        """One packet is a burst of one."""
+        self.process_batch([packet])
 
     def process_batch(self, packets: list[Packet]) -> None:
-        """Batched fast path: one tick's packets, one observation time.
+        """The packet path: one rx burst, one observation time.
 
-        Semantically identical to ``for p in packets: self.handle(p)``
-        with the clock frozen for the batch (the scalar path reads the
-        clock per packet; batch arrival means the whole vector is
-        observed at the tick's start) — also when something raises
-        mid-burst: tallies and the packets already processed are flushed
-        on the way out, as the scalar loop would have counted and
-        emitted them.  The per-packet savings:
+        A burst leaves the box (flow and counter state, telemetry,
+        emitted packets and their order) exactly as the same packets
+        pushed as bursts of one would, with the clock frozen for the
+        burst.  That holds when something raises mid-burst too: tallies
+        and the packets already processed are flushed on the way out, as
+        bursts of one would have counted and emitted them.  What a burst
+        saves per packet:
 
-        - the clock is read once per batch, telemetry counters are
-          aggregated in locals and flushed once;
+        - the clock is read once, telemetry counters are aggregated in
+          locals and flushed once;
         - every ``self.`` attribute used on the hot path is bound once;
         - a new flow pays no method hop: the eviction check, the flow
           state, the fail-safe ``try`` around the verifier and the
-          resolve hook are inline (``handle`` keeps the helpers; the
-          differential suites hold the two bit-identical);
+          resolve hook are written out in the loop;
         - consecutive packets of a *resolved* flow (the common burst
           shape — think GRO) coalesce into a run: the head packet pays
           the full dict/LRU path, the rest of the run only compares
           header fields against the head, accumulates bytes, and is
           billed to the flow's counter in one addition.  Final LRU order
-          and counter values are unchanged — consecutive scalar touches
-          of one key neither move it relative to other keys nor bill a
+          and counter values are unchanged — consecutive touches of one
+          key neither move it relative to other keys nor bill a
           different total.
 
-        Billing rides the same loop.  A resolved run — head included,
-        also a run of one — only collects wire lengths and is billed by
-        a single ``billing.account_run``, which splits the run only
-        where a cap bites and hands back each packet's freeness for its
-        ``zero_rated`` mark and the free/charged split — the subscriber,
-        app and server are the flow's, so they are constants of the
-        run.  The run is emitted once it is billed, so a bill that
-        raises drops it where the scalar loop would have dropped its
-        head.  Packets of flows still unresolved are billed one by one
-        through ``billing.account``.
+        Billing rides the same loop.  Without it a packet is free when
+        its flow's cookie verified; with it the subscriber's operator
+        catalog decides, and the counters mirror the billed decision so
+        wire-visible accounting and invoices never disagree.  A resolved
+        run — head included, also a run of one — only collects wire
+        lengths and is billed by a single ``billing.account_run``, which
+        splits the run only where a cap bites and hands back each
+        packet's freeness for its ``zero_rated`` mark and the
+        free/charged split — the subscriber, app and server are the
+        flow's, so they are constants of the run.  The run is emitted
+        once it is billed, so a bill that raises drops it where bursts
+        of one would have dropped its head.  Packets of flows still
+        unresolved are billed one by one through ``billing.account``.
         """
         now = self.clock()
         flows = self._flows
@@ -379,6 +315,8 @@ class ZeroRatingMiddlebox(Element):
                 sport = l4.src_port
                 dport = l4.dst_port
                 proto = ip.proto
+                # One flat tuple: a nested key is three objects per flow
+                # for the cyclic collector to track.
                 if src < dst or (src == dst and sport <= dport):
                     key = (src, sport, dst, dport, proto)
                 else:
@@ -399,7 +337,7 @@ class ZeroRatingMiddlebox(Element):
                         and now - next(iter(flows.values())).last_seen > idle
                     ):
                         self._evict_for_space(now)
-                    # _subscriber_side + _new_flow_state, inline.
+                    # The billed end, by _subscriber_side's rule.
                     if is_subscriber(src) or not is_subscriber(dst):
                         subscriber_ip, remote_ip = src, dst
                     else:
@@ -414,8 +352,11 @@ class ZeroRatingMiddlebox(Element):
                 if not state.resolved and packets_seen <= sniff:
                     found = extract(packet)
                     if found is not None:
+                        # Verification spends the cookie, accepted or not;
+                        # one the box skips stays unspent on the wire.
                         packet.meta["cookie_checked"] = True
-                        # _match_failsafe, inline.
+                        # Fail-safe: a verifier that raises has not said
+                        # yes, so the flow stays charged.
                         try:
                             descriptor = match(found[0], now)
                         except Exception:
@@ -427,14 +368,18 @@ class ZeroRatingMiddlebox(Element):
                             hits += 1
                         else:
                             misses += 1
+                    # A hit, or a sniff window closed without one (bare or
+                    # failed): the flow's fate is final either way, and
+                    # the §4.6 offload hook must fire.
                     if state.zero_rated or packets_seen >= sniff:
-                        # _resolve, inline.
                         state.resolved = True
                         resolved += 1
                         if on_flow_resolved is not None:
                             on_flow_resolved(key, state)
 
-                # Inlined _account for the head packet.
+                # Bill the head packet.  Subscriber recency is kept at
+                # flow granularity: only a flow's first packet moves its
+                # subscriber to the recent end of the LRU.
                 subscriber_ip = state.subscriber_ip
                 sub_counters = counters.get(subscriber_ip)
                 if sub_counters is None:
@@ -500,8 +445,8 @@ class ZeroRatingMiddlebox(Element):
                     continue
                 # Resolved-run fast sub-loop: consume every immediately
                 # following packet of the same conversation (either
-                # direction) without re-touching the dicts.  Nothing the
-                # scalar path would do for these packets survives skipping:
+                # direction) without re-touching the dicts.  Nothing a
+                # burst of one would do for these packets survives skipping:
                 # the LRU entry is already at the recent end with
                 # last_seen == now, the verdict is final (resolved flows
                 # skip cookie work), and byte accounting is additive —
@@ -587,23 +532,6 @@ class ZeroRatingMiddlebox(Element):
             self.flows_resolved += resolved
             self.emit_batch(out)
 
-    def _match_failsafe(self, cookie, now: float):
-        """``matcher.match`` with the fail-safe rule: a verifier *error*
-        (as opposed to a clean rejection) counts as no match, so the flow
-        stays charged.  Free data requires a working verifier saying yes.
-        """
-        try:
-            return self.matcher.match(cookie, now)
-        except Exception:
-            self.verifier_failures += 1
-            return None
-
-    def _resolve(self, key: tuple, state: _FlowState) -> None:
-        state.resolved = True
-        self.flows_resolved += 1
-        if self.on_flow_resolved is not None:
-            self.on_flow_resolved(key, state)
-
     def _evict_for_space(self, now: float) -> None:
         """Make room before inserting a new flow entry.
 
@@ -622,63 +550,6 @@ class ZeroRatingMiddlebox(Element):
         while len(flows) >= self.max_flows:
             del flows[next(iter(flows))]
             self.flows_evicted_cap += 1
-
-    def _new_flow_state(self, src: str, dst: str) -> _FlowState:
-        if _subscriber_side(self.is_subscriber, src, dst) == src:
-            return _FlowState(subscriber_ip=src, remote_ip=dst)
-        return _FlowState(subscriber_ip=dst, remote_ip=src)
-
-    def _account(self, state: _FlowState, packet: Packet, now: float) -> bool:
-        """Bill one packet; returns whether its bytes rode free.
-
-        Without billing, freeness is the flow's cookie verdict (the
-        paper's idealized single operator).  With billing, the verdict
-        only establishes the *app*; the subscriber's operator catalog
-        decides freeness per packet (coverage of the server's tranche,
-        cap state, roaming) and the journal-backed accountant buffers
-        the delta.  The middlebox counters mirror the billed decision so
-        wire-visible accounting and invoices can never disagree.
-
-        Scalar only: :meth:`process_batch` inlines this, and under
-        billing bills a resolved run — head included — with one
-        ``account_run`` instead.
-        """
-        counters = self.counters.get(state.subscriber_ip)
-        if counters is None:
-            while len(self.counters) >= self.max_subscribers:
-                if self.billing is not None and self.on_subscriber_evicted is None:
-                    raise BillingFlushRequired(_NO_FLUSH_CALLBACK)
-                evicted_ip = next(iter(self.counters))
-                evicted = self.counters.pop(evicted_ip)
-                self.subscribers_evicted += 1
-                self.evicted_bytes.free_bytes += evicted.free_bytes
-                self.evicted_bytes.charged_bytes += evicted.charged_bytes
-                if self.on_subscriber_evicted is not None:
-                    self.on_subscriber_evicted(evicted_ip, evicted)
-            counters = SubscriberCounters()
-            self.counters[state.subscriber_ip] = counters
-        elif state.packets_seen == 1:
-            # Subscriber recency is tracked at *flow* granularity: a new
-            # flow moves its subscriber to the recent end of the LRU, but
-            # data packets of existing flows skip the extra dict work.
-            del self.counters[state.subscriber_ip]
-            self.counters[state.subscriber_ip] = counters
-        if self.billing is not None:
-            free = self.billing.account(
-                state.subscriber_ip,
-                state.service if state.zero_rated else None,
-                state.remote_ip,
-                packet.wire_length,
-                cookied=state.zero_rated,
-                now=now,
-            )
-        else:
-            free = state.zero_rated
-        if free:
-            counters.free_bytes += packet.wire_length
-        else:
-            counters.charged_bytes += packet.wire_length
-        return free
 
     # ------------------------------------------------------------------
     # Operations

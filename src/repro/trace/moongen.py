@@ -10,10 +10,9 @@ flow ...").
 
 MoonGen outruns the box it loads.  This stand-in builds a packet in
 ~1 µs (``flow_to_packets``, ~1 M pkt/s on one core of a Xeon-class box
-under CPython 3.11).  That outruns the scalar Fig. 4 middlebox
-(~0.4-0.6 M pkt/s) but is half the ~2 M pkt/s of the burst path the
-ledger's ``fig4-steady`` drives, so every corpus is built before the
-timed region, never inside it.
+under CPython 3.11), a third of the ~3 M pkt/s the Fig. 4 middlebox
+reads in rx bursts at 50 packets per flow, so every corpus is built
+before the timed region, never inside it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
-"""Differential tests: batched vs scalar data paths for the packet-level
-elements — zero-rating middlebox, cookie switch, hardware prefilter.
+"""Differential tests: the burst path of the packet-level elements —
+zero-rating middlebox, cookie switch, hardware prefilter — against a
+per-packet reference.
 
-Each test builds two identical element instances over one descriptor
-store, feeds the scalar one with ``handle``/``push`` per packet and the
-batched one with ``process_batch``/``push_batch`` over clones of the
-same stream, and compares everything observable: emitted packets and
+Each test builds the shipped element and its per-packet twin from
+:mod:`.scalar_reference` over one descriptor store, feeds the twin with
+``handle``/``push`` per packet and the shipped element with
+``process_batch``/``push_batch`` over clones of the same stream, and
+compares everything observable: emitted packets and
 their metadata, per-IP byte counters, flow-table state and LRU order,
 eviction/resolution counters, and telemetry snapshots.  Hypothesis
 drives adversarial traffic: interleaved flows with valid, malformed, and
@@ -47,6 +49,12 @@ from repro.services.zerorate import (
     ZeroRatingMiddlebox,
 )
 from repro.telemetry import MetricsRegistry
+
+from .scalar_reference import (
+    ScalarCookieSwitch,
+    ScalarHardwarePrefilter,
+    ScalarZeroRatingMiddlebox,
+)
 
 COOKIE_KINDS = ("valid", "bad_sig", "none")
 
@@ -169,9 +177,9 @@ def _middlebox_observables(middlebox, sink):
 
 def _twin_middleboxes(store, **kwargs):
     pair = []
-    for _ in range(2):
+    for cls in (ScalarZeroRatingMiddlebox, ZeroRatingMiddlebox):
         clock = kwargs.pop("clock", None) or Clock()
-        middlebox = ZeroRatingMiddlebox(
+        middlebox = cls(
             CookieMatcher(store), clock=clock, **kwargs
         )
         sink = Sink()
@@ -244,7 +252,7 @@ class TestMiddleboxDifferential:
         clock = Clock()
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_evicted, batched_evicted = [], []
-        scalar = ZeroRatingMiddlebox(
+        scalar = ScalarZeroRatingMiddlebox(
             CookieMatcher(store), clock=clock,
             max_flows=2, max_subscribers=2,
             on_subscriber_evicted=lambda ip, counters: scalar_evicted.append(
@@ -274,7 +282,7 @@ class TestMiddleboxDifferential:
         evicts and re-creates flow state identically on both paths."""
         store, descriptor = _store()
         scalar_clock, batched_clock = Clock(), Clock()
-        scalar = ZeroRatingMiddlebox(
+        scalar = ScalarZeroRatingMiddlebox(
             CookieMatcher(store), clock=scalar_clock, flow_idle_timeout=10.0
         )
         batched = ZeroRatingMiddlebox(
@@ -314,7 +322,7 @@ class TestMiddleboxDifferential:
         order = [0, 1, 2] * 4
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_log, batched_log = [], []
-        scalar = ZeroRatingMiddlebox(
+        scalar = ScalarZeroRatingMiddlebox(
             CookieMatcher(store), clock=clock,
             on_flow_resolved=lambda key, state: scalar_log.append(
                 (key, state.zero_rated)
@@ -355,7 +363,10 @@ class TestMiddleboxDifferential:
 
         sides = []
         for feed in ("scalar", "batched"):
-            middlebox = ZeroRatingMiddlebox(
+            middlebox = (
+                ScalarZeroRatingMiddlebox if feed == "scalar"
+                else ZeroRatingMiddlebox
+            )(
                 CookieMatcher(store), clock=clock,
                 on_flow_resolved=refuse_second(),
             )
@@ -415,7 +426,10 @@ class TestMiddleboxDifferential:
         monkeypatch.setattr("repro.core.cookie._WireField.__get__", decode)
         for feed in ("scalar", "batched"):
             matcher = CookieMatcher(store)
-            middlebox = ZeroRatingMiddlebox(matcher, clock=clock)
+            middlebox = (
+                ScalarZeroRatingMiddlebox if feed == "scalar"
+                else ZeroRatingMiddlebox
+            )(matcher, clock=clock)
             clones = [packet.clone() for packet in stream]
             if feed == "scalar":
                 for packet in clones:
@@ -436,7 +450,7 @@ class TestMiddleboxDifferential:
         store, descriptor = _store()
         clock = Clock()
         stream = _flow_packets(descriptor, clock, 0, "valid", 50)
-        scalar = ZeroRatingMiddlebox(CookieMatcher(store), clock=clock)
+        scalar = ScalarZeroRatingMiddlebox(CookieMatcher(store), clock=clock)
         batched = ZeroRatingMiddlebox(CookieMatcher(store), clock=clock)
         for packet in stream:
             scalar.handle(packet.clone())
@@ -453,7 +467,7 @@ class TestMiddleboxDifferential:
         plans = [("valid", 5, "from_text"), ("none", 5, "from_text")]
         order = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
         stream = _interleaved(descriptor, clock, plans, order)
-        scalar = ZeroRatingMiddlebox(CookieMatcher(store), clock=clock)
+        scalar = ScalarZeroRatingMiddlebox(CookieMatcher(store), clock=clock)
         batched = ZeroRatingMiddlebox(CookieMatcher(store), clock=clock)
         for packet in stream:
             scalar.handle(packet.clone())
@@ -619,9 +633,11 @@ class _BillingPair:
             tempfile.mkdtemp(prefix="repro-billing-diff-") for _ in range(2)
         ]
         self.sides = []
-        for directory in self.directories:
+        for directory, cls in zip(
+            self.directories, (ScalarZeroRatingMiddlebox, ZeroRatingMiddlebox)
+        ):
             accountant = _billing_accountant(directory, cap)
-            middlebox = ZeroRatingMiddlebox(
+            middlebox = cls(
                 CookieMatcher(self.store), clock=self.clock,
                 billing=accountant, **kwargs
             )
@@ -942,7 +958,7 @@ class TestSwitchDifferential:
         store, descriptor = _store()
         clock = Clock()
         stream = _interleaved(descriptor, clock, plans, order)
-        scalar = CookieSwitch(CookieMatcher(store), clock=clock)
+        scalar = ScalarCookieSwitch(CookieMatcher(store), clock=clock)
         batched = CookieSwitch(CookieMatcher(store), clock=clock)
         scalar_sink, batched_sink = Sink(), Sink()
         scalar >> scalar_sink
@@ -980,7 +996,7 @@ class TestSwitchDifferential:
         clock = Clock()
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_registry, batched_registry = MetricsRegistry(), MetricsRegistry()
-        scalar = CookieSwitch(CookieMatcher(store), clock=clock)
+        scalar = ScalarCookieSwitch(CookieMatcher(store), clock=clock)
         batched = CookieSwitch(CookieMatcher(store), clock=clock)
         scalar.register_telemetry(scalar_registry)
         batched.register_telemetry(batched_registry)
@@ -994,8 +1010,8 @@ class TestSwitchDifferential:
 
 
 class TestPrefilterDifferential:
-    def _env(self, store):
-        prefilter = HardwarePrefilter(store, clock=lambda: 0.0)
+    def _env(self, store, cls=HardwarePrefilter):
+        prefilter = cls(store, clock=lambda: 0.0)
         software, fast = Sink(), Sink()
         prefilter.software(software)
         prefilter.fast(fast)
@@ -1008,7 +1024,9 @@ class TestPrefilterDifferential:
         store, descriptor = _store()
         clock = Clock()
         stream = _interleaved(descriptor, clock, plans, order)
-        scalar, scalar_software, scalar_fast = self._env(store)
+        scalar, scalar_software, scalar_fast = self._env(
+            store, ScalarHardwarePrefilter
+        )
         batched, batched_software, batched_fast = self._env(store)
         for packet in stream:
             scalar.push(packet.clone())
