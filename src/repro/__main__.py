@@ -16,8 +16,9 @@ Usage::
     python -m repro linklab [--json]    # cable/LTE/satellite scenario lab
     python -m repro billing [--json]    # multi-operator billing + crash drill
 
-Benchmarks (`pytest benchmarks/ --benchmark-only`) assert the shapes; this
-runner just prints them for a human.
+The paper's claims are asserted by `pytest tests/paper` (tier-1 scale)
+and `pytest -m paper` (paper scale); this runner just prints the results
+for a human.
 """
 
 from __future__ import annotations
@@ -114,25 +115,14 @@ def _cmd_sec46(args) -> None:
 
 def _cmd_stats(args) -> None:
     """One merged telemetry snapshot for a synthetic data-path workload."""
-    snapshot = run_stats_workload(
-        flows=args.flows, packets_per_flow=6,
-        include_audit=args.audit, include_server=args.server,
-        include_sweep=args.sweep, include_billing=args.billing,
-    )
+    snapshot = run_stats_workload(flows=args.flows, packets_per_flow=6)
     if args.json:
         print(snapshot.to_json())
     else:
-        detail = ""
-        if args.audit:
-            detail += " + neutrality-audit campaign"
-        if args.server:
-            detail += " + sharded control plane"
-        if args.sweep:
-            detail += " + grid-sweep executor"
-        if args.billing:
-            detail += " + journal-backed billing"
         print(f"telemetry snapshot — {args.flows} flows through "
-              f"cookie switch + zero-rating middlebox{detail}")
+              f"cookie switch + zero-rating middlebox + journal-backed "
+              f"billing, neutrality-audit campaign, sharded control plane "
+              f"and grid-sweep executor")
         print(snapshot.format_text())
 
 
@@ -303,14 +293,7 @@ def _cmd_controlplane(args) -> None:
         print(format_controlplane_report(report))
 
 
-def run_stats_workload(
-    flows: int = 200,
-    packets_per_flow: int = 6,
-    include_audit: bool = False,
-    include_server: bool = False,
-    include_sweep: bool = False,
-    include_billing: bool = False,
-):
+def run_stats_workload(flows: int = 200, packets_per_flow: int = 6):
     """Drive a cookie switch and a zero-rating middlebox (each with its
     own matcher) through one registry and return the merged snapshot.
 
@@ -318,39 +301,47 @@ def run_stats_workload(
     forged cookies, replays, and bare flows, over enough simulated time
     for the replay cache to rotate.
 
-    ``include_audit`` additionally runs the neutrality-audit campaign
-    (:func:`repro.experiments.run_audit`) and merges its verdict counts
-    into the same snapshot under the ``audit.`` prefix — the same
-    collector pattern as every data-plane element.
+    The same snapshot also holds, each under its own prefix:
 
-    ``include_sweep`` additionally runs a small in-process grid sweep
-    through :func:`~repro.core.sweep.run_sweep` with its collector
-    registered, so the snapshot includes ``sweep.*`` counters (cells
-    total/completed, re-dispatches, pool rebuilds).
-
-    ``include_billing`` additionally backs the middlebox with a
-    journal-backed :class:`~repro.services.billing.BillingAccountant`
-    over a one-operator catalog, so the snapshot includes ``billing.*``
-    and ``billing.journal.*`` counters (bytes accounted free/charged,
-    flushes, appends, fsyncs, recovery stats).
-
-    ``include_server`` additionally drives a 2-shard
-    :class:`~repro.core.cp.ShardedControlPlane` (acquire/renew/revoke
-    churn against a registered verifier replica) and merges its
-    telemetry — per-shard ops, log lengths, the broadcast-lag histogram,
-    shed counts — into the same snapshot under the ``cp.`` prefix.
+    - ``billing.*`` and ``billing.journal.*``: the middlebox is backed
+      by a journal-backed
+      :class:`~repro.services.billing.BillingAccountant` over a
+      one-operator catalog (bytes accounted free/charged, flushes,
+      appends, fsyncs, recovery stats);
+    - ``audit.*``: the neutrality-audit campaign
+      (:func:`repro.experiments.run_audit`) and its verdict counts;
+    - ``cp.*``: a 2-shard :class:`~repro.core.cp.ShardedControlPlane`
+      driven through acquire/renew/revoke churn against a registered
+      verifier replica (per-shard ops, log lengths, the broadcast-lag
+      histogram, shed counts);
+    - ``sweep.*``: a small in-process grid sweep through
+      :func:`~repro.core.sweep.run_sweep` (cells total/completed,
+      re-dispatches, pool rebuilds).
     """
+    import shutil
+    import tempfile
+
     from repro.core import (
         CookieDescriptor,
         CookieGenerator,
         CookieMatcher,
         DescriptorStore,
     )
+    from repro.core.cp import ShardedControlPlane, VerifierReplica
+    from repro.core.server import ServiceOffering
+    from repro.core.sweep import SweepCell, run_sweep
     from repro.core.switch import CookieSwitch
     from repro.core.transport import default_registry
+    from repro.experiments import AuditCampaignConfig, run_audit
     from repro.netsim.middlebox import Sink
     from repro.netsim.packet import make_tcp_packet
-    from repro.services.zerorate import ZeroRatingMiddlebox
+    from repro.services.billing import BillingAccountant, BillingJournal
+    from repro.services.zerorate import (
+        AppCoverage,
+        CatalogSet,
+        OperatorCatalog,
+        ZeroRatingMiddlebox,
+    )
     from repro.telemetry import MetricsRegistry
 
     clock_now = 0.0
@@ -364,34 +355,22 @@ def run_stats_workload(
     switch = CookieSwitch(CookieMatcher(store), clock=clock)
     switch.register_telemetry(registry)
     switch.matcher.register_telemetry(registry)
-    accountant = None
-    billing_dir = None
-    if include_billing:
-        import tempfile
-
-        from repro.services.billing import BillingAccountant, BillingJournal
-        from repro.services.zerorate import (
-            AppCoverage,
-            CatalogSet,
-            OperatorCatalog,
-        )
-
-        billing_dir = tempfile.mkdtemp(prefix="repro-stats-billing-")
-        catalogs = CatalogSet(
-            [OperatorCatalog(
-                operator="op-stats",
-                apps=(AppCoverage(
-                    app="zero-rate",
-                    origin_ips=frozenset({"93.184.216.34"}),
-                ),),
-            )],
-            default_operator="op-stats",
-        )
-        accountant = BillingAccountant(
-            catalogs,
-            BillingJournal(billing_dir, source="stats", fsync="never"),
-        )
-        accountant.register_telemetry(registry)
+    billing_dir = tempfile.mkdtemp(prefix="repro-stats-billing-")
+    catalogs = CatalogSet(
+        [OperatorCatalog(
+            operator="op-stats",
+            apps=(AppCoverage(
+                app="zero-rate",
+                origin_ips=frozenset({"93.184.216.34"}),
+            ),),
+        )],
+        default_operator="op-stats",
+    )
+    accountant = BillingAccountant(
+        catalogs,
+        BillingJournal(billing_dir, source="stats", fsync="never"),
+    )
+    accountant.register_telemetry(registry)
     middlebox = ZeroRatingMiddlebox(
         CookieMatcher(store), clock=clock, billing=accountant
     )
@@ -433,59 +412,45 @@ def run_stats_workload(
             )
         flow_sizes.observe(count)
 
-    if include_audit:
-        from repro.experiments import AuditCampaignConfig, run_audit
+    run_audit(AuditCampaignConfig(), telemetry=registry)
 
-        run_audit(AuditCampaignConfig(), telemetry=registry)
+    controlplane = ShardedControlPlane(clock=clock, shards=2)
+    controlplane.offer(ServiceOffering(name="zero-rate"))
+    controlplane.register_replica(VerifierReplica("stats-verifier"))
+    issued = [
+        controlplane.acquire(f"sub-{i}", "zero-rate")
+        for i in range(24)
+    ]
+    controlplane.renew("sub-0", issued[0].cookie_id)
+    controlplane.revoke_batch([d.cookie_id for d in issued[:6]])
+    # One shed of each flavor so the counters are non-zero.
+    controlplane.inflight = controlplane.max_pending
+    controlplane.admit()
+    controlplane.inflight = 0
+    controlplane.register_telemetry(registry, prefix="cp")
 
-    if include_server:
-        from repro.core.cp import ShardedControlPlane, VerifierReplica
-        from repro.core.server import ServiceOffering
+    def sweep_cell(params, seed):
+        # A stand-in cell: enough work to produce honest counters.
+        return sum(range(params["n"])) ^ seed
 
-        controlplane = ShardedControlPlane(clock=clock, shards=2)
-        controlplane.offer(ServiceOffering(name="zero-rate"))
-        controlplane.register_replica(VerifierReplica("stats-verifier"))
-        issued = [
-            controlplane.acquire(f"sub-{i}", "zero-rate")
-            for i in range(24)
-        ]
-        controlplane.renew("sub-0", issued[0].cookie_id)
-        controlplane.revoke_batch([d.cookie_id for d in issued[:6]])
-        # One shed of each flavor so the counters are non-zero.
-        controlplane.inflight = controlplane.max_pending
-        controlplane.admit()
-        controlplane.inflight = 0
-        controlplane.register_telemetry(registry, prefix="cp")
+    # In-process mode (workers=0): the cell function never crosses a
+    # process boundary, so the CLI needs no picklable module-level fn.
+    run_sweep(
+        sweep_cell,
+        [SweepCell(labels=("stats", i), params={"n": 1000})
+         for i in range(8)],
+        campaign_seed=7,
+        workers=0,
+        telemetry=registry,
+    )
 
-    if include_sweep:
-        from repro.core.sweep import SweepCell, run_sweep
-
-        def sweep_cell(params, seed):
-            # A stand-in cell: enough work to produce honest counters.
-            return sum(range(params["n"])) ^ seed
-
-        # In-process mode (workers=0): the cell function never crosses a
-        # process boundary, so the CLI needs no picklable module-level fn.
-        run_sweep(
-            sweep_cell,
-            [SweepCell(labels=("stats", i), params={"n": 1000})
-             for i in range(8)],
-            campaign_seed=7,
-            workers=0,
-            telemetry=registry,
-        )
-
-    if accountant is not None:
-        # Journal every pending delta so the snapshot's billing.* and
-        # billing.journal.* counters reflect the whole workload.
-        accountant.flush_all(now=clock_now)
+    # Journal every pending delta so the snapshot's billing.* and
+    # billing.journal.* counters reflect the whole workload.
+    accountant.flush_all(now=clock_now)
 
     snapshot = registry.snapshot()
-    if billing_dir is not None:
-        import shutil
-
-        accountant.journal.close()
-        shutil.rmtree(billing_dir, ignore_errors=True)
+    accountant.journal.close()
+    shutil.rmtree(billing_dir, ignore_errors=True)
     return snapshot
 
 
@@ -529,26 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     sec46.add_argument("--scale", type=float, default=0.0004)
     stats = sub.add_parser(
         "stats",
-        help="merged telemetry snapshot (matcher + switch + middlebox)",
+        help="merged telemetry snapshot (data path, billing, audit, "
+             "control plane, sweep)",
     )
     stats.add_argument("--flows", type=int, default=200,
                        help="synthetic flows to drive through the path")
     stats.add_argument("--json", action="store_true",
                        help="print the snapshot as JSON")
-    stats.add_argument("--audit", action="store_true",
-                       help="also run the neutrality-audit campaign and "
-                            "merge its verdict counts into the snapshot")
-    stats.add_argument("--server", action="store_true",
-                       help="also drive a sharded control plane and merge "
-                            "its telemetry (per-shard ops, log lengths, "
-                            "broadcast-lag histogram, shed counts)")
-    stats.add_argument("--sweep", action="store_true",
-                       help="also run a small grid sweep and merge the "
-                            "executor's sweep.* counters")
-    stats.add_argument("--billing", action="store_true",
-                       help="back the middlebox with a journal-backed "
-                            "billing accountant and merge its billing.* "
-                            "and billing.journal.* counters")
     controlplane = sub.add_parser(
         "controlplane",
         help="sharded async cookie server vs CookieServer at subscriber "

@@ -72,56 +72,65 @@ class StatelessZeroRater(Element):
         self.verifier_failures = 0
 
     def handle(self, packet: Packet) -> None:
-        self.packets_processed += 1
-        ip = packet.ip
-        if ip is None:
-            self.emit(packet)
-            return
+        self.process_batch([packet])
+
+    def process_batch(self, packets: list[Packet]) -> None:
+        """The data path: one rx burst, one clock reading (PROTOCOL §9).
+
+        Every packet is still judged alone on its own cookie; the burst
+        only shares the observation time.  Nothing is dropped, so the
+        whole burst is forwarded downstream in arrival order.
+        """
         now = self.clock()
-        cookied = False
-        service = None
-        found = self.registry.extract(packet)
-        if found is not None:
-            # Meta parity with the stateful box: a consumed (verified)
-            # cookie is marked so downstream taps — the chaos attacker,
-            # the neutrality auditor — see the same annotations on both
-            # implementations.
-            packet.meta["cookie_checked"] = True
-            try:
-                descriptor = self.matcher.match(found[0], now)
-            except Exception:
-                self.verifier_failures += 1
-                descriptor = None
-            if descriptor is not None:
-                cookied = True
-                service = descriptor.service_data
-                self.cookie_hits += 1
+        for packet in packets:
+            self.packets_processed += 1
+            ip = packet.ip
+            if ip is None:
+                continue
+            cookied = False
+            service = None
+            found = self.registry.extract(packet)
+            if found is not None:
+                # Meta parity with the stateful box: a consumed (verified)
+                # cookie is marked so downstream taps — the chaos attacker,
+                # the neutrality auditor — see the same annotations on both
+                # implementations.
+                packet.meta["cookie_checked"] = True
+                try:
+                    descriptor = self.matcher.match(found[0], now)
+                except Exception:
+                    self.verifier_failures += 1
+                    descriptor = None
+                if descriptor is not None:
+                    cookied = True
+                    service = descriptor.service_data
+                    self.cookie_hits += 1
+                else:
+                    self.cookie_misses += 1
+            subscriber = _subscriber_side(self.is_subscriber, ip.src, ip.dst)
+            if self.billing is not None:
+                remote = ip.dst if subscriber == ip.src else ip.src
+                free = self.billing.account(
+                    subscriber,
+                    service if cookied else None,
+                    remote,
+                    packet.wire_length,
+                    cookied=cookied,
+                    now=now,
+                )
             else:
-                self.cookie_misses += 1
-        subscriber = _subscriber_side(self.is_subscriber, ip.src, ip.dst)
-        if self.billing is not None:
-            remote = ip.dst if subscriber == ip.src else ip.src
-            free = self.billing.account(
-                subscriber,
-                service if cookied else None,
-                remote,
-                packet.wire_length,
-                cookied=cookied,
-                now=now,
-            )
-        else:
-            free = cookied
-        if free:
-            packet.meta["zero_rated"] = True
-        counters = self.counters.get(subscriber)
-        if counters is None:
-            counters = SubscriberCounters()
-            self.counters[subscriber] = counters
-        if free:
-            counters.free_bytes += packet.wire_length
-        else:
-            counters.charged_bytes += packet.wire_length
-        self.emit(packet)
+                free = cookied
+            if free:
+                packet.meta["zero_rated"] = True
+            counters = self.counters.get(subscriber)
+            if counters is None:
+                counters = SubscriberCounters()
+                self.counters[subscriber] = counters
+            if free:
+                counters.free_bytes += packet.wire_length
+            else:
+                counters.charged_bytes += packet.wire_length
+        self.emit_batch(packets)
 
     def counters_for(self, subscriber_ip: str) -> SubscriberCounters:
         return self.counters.get(subscriber_ip, SubscriberCounters())

@@ -15,7 +15,7 @@ from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.flow import FiveTuple, flow_key_of
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet
-from repro.services.zerorate import ZeroRatingMiddlebox
+from repro.services.zerorate import StatelessZeroRater, ZeroRatingMiddlebox
 
 
 def _env(**kwargs):
@@ -64,8 +64,9 @@ class _SteppingClock:
         lambda store, clock: HardwarePrefilter(store, clock=clock, nct=5.0),
         lambda store, clock: CookieSwitch(CookieMatcher(store), clock=clock),
         lambda store, clock: ZeroRatingMiddlebox(CookieMatcher(store), clock=clock),
+        lambda store, clock: StatelessZeroRater(CookieMatcher(store), clock=clock),
     ],
-    ids=["prefilter", "switch", "middlebox"],
+    ids=["prefilter", "switch", "middlebox", "stateless"],
 )
 def test_process_batch_reads_the_clock_once_per_burst(build):
     """One burst, one observation time (PROTOCOL §9): with a clock that

@@ -1,4 +1,6 @@
-"""User-study tests: catalogs, samplers, and the published aggregates."""
+"""User-study tests: catalogs, samplers, validation and determinism.
+
+The published aggregates are asserted in ``tests/paper/``."""
 
 import statistics
 from collections import Counter
@@ -13,17 +15,11 @@ from repro.study import (
     BoostStudy,
     CATEGORY_COUNTS,
     FIG1_SITES,
-    POPULARITY_COUNTS,
     WebsitePreferenceSampler,
     WeightedSampler,
     ZeroRatingSurvey,
     analyze_coverage,
     builtin_programs,
-    ndpi_app_coverage,
-)
-from repro.study.coverage import (
-    MUSIC_FREEDOM_COVERED_MUSIC_APPS,
-    MUSIC_SURVEY_APPS,
 )
 
 
@@ -52,21 +48,9 @@ class TestAlexaIndex:
 
 
 class TestAppCatalog:
-    def test_exactly_106_apps(self):
-        assert len(AppCatalog()) == 106
-
-    def test_category_marginals_match_fig2(self):
-        assert AppCatalog().category_breakdown() == CATEGORY_COUNTS
-
-    def test_popularity_marginals_match_fig2(self):
-        assert AppCatalog().popularity_breakdown() == POPULARITY_COUNTS
-
     def test_names_unique(self):
         names = AppCatalog().names()
         assert len(names) == len(set(names))
-
-    def test_total_weight_is_650(self):
-        assert AppCatalog().total_weight == pytest.approx(650.0)
 
     def test_facebook_is_heaviest(self):
         catalog = AppCatalog()
@@ -114,15 +98,6 @@ class TestWeightedSampler:
 
 
 class TestFig1BoostStudy:
-    def test_aggregates_match_paper(self):
-        """43 % unique preferences, median popularity index 223 (±tolerance),
-        ~161 of 400 homes installing."""
-        result = BoostStudy(seed=2016).run()
-        assert result.homes_offered == 400
-        assert 140 <= result.homes_installed <= 185
-        assert result.unique_preference_fraction == pytest.approx(0.43, abs=0.07)
-        assert 120 <= result.median_popularity_index <= 400
-
     def test_heavy_tail_shape(self):
         from repro.analysis import is_heavy_tailed
 
@@ -170,15 +145,6 @@ class TestWebsiteSampler:
 
 
 class TestFig2Survey:
-    def test_aggregates_match_paper(self):
-        result = ZeroRatingSurvey(seed=2015).run()
-        assert result.respondents == 1000
-        assert result.interest_rate == pytest.approx(0.65, abs=0.05)
-        assert result.distinct_apps >= 90  # paper: 106 named
-        name, count = result.top_app
-        assert name == "facebook"
-        assert 35 <= count <= 70  # paper: ~50
-
     def test_breakdowns_cover_all_categories(self):
         result = ZeroRatingSurvey(seed=2015).run()
         by_category = result.chosen_category_breakdown()
@@ -211,38 +177,11 @@ class TestFig2Survey:
 
 
 class TestCoverage:
-    def test_published_coverage_numbers(self):
-        """Wikipedia Zero 0.4 %, Music Freedom 11.5 % of preferences."""
-        result = ZeroRatingSurvey(seed=2015).run()
-        report = analyze_coverage(result)
-        assert report.program_coverage["Wikipedia Zero"] == pytest.approx(
-            0.004, abs=0.006
-        )
-        assert report.program_coverage["Music Freedom"] == pytest.approx(
-            0.115, abs=0.04
-        )
-
     def test_every_program_misses_most_preferences(self):
         result = ZeroRatingSurvey(seed=2015).run()
         report = analyze_coverage(result)
         assert all(c < 0.25 for c in report.program_coverage.values())
 
-    def test_ndpi_coverage_is_23_of_106(self):
-        known, total = ndpi_app_coverage()
-        assert (known, total) == (23, 106)
-
-    def test_music_freedom_music_apps_17_of_51(self):
-        assert len(MUSIC_SURVEY_APPS) == 51
-        assert len(MUSIC_FREEDOM_COVERED_MUSIC_APPS) == 17
-        assert set(MUSIC_FREEDOM_COVERED_MUSIC_APPS) <= set(MUSIC_SURVEY_APPS)
-
     def test_builtin_programs(self):
         names = {p.name for p in builtin_programs()}
         assert {"Wikipedia Zero", "Music Freedom", "Facebook Zero"} <= names
-
-    def test_report_summary(self):
-        result = ZeroRatingSurvey(seed=2015).run()
-        summary = analyze_coverage(result).summary()
-        assert summary["ndpi_known_apps"] == "23/106"
-        assert summary["music_freedom_music_apps"] == "17/51"
-        assert summary["music_freedom_stations"] == "44/2500"

@@ -1,8 +1,22 @@
 """CLI tests: every subcommand runs and prints its headline."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
+
+
+@pytest.fixture(scope="module")
+def stats_snapshot():
+    """One ``stats --json`` run: every telemetry family lands in the data
+    path's one snapshot."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["stats", "--flows", "40", "--json"]) == 0
+    return json.loads(out.getvalue())
 
 
 class TestParser:
@@ -31,43 +45,6 @@ class TestCommands:
         assert main([]) == 0
         assert "regenerable" in capsys.readouterr().out
 
-    def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "cookies" in out and "diffserv" in out
-
-    def test_fig1(self, capsys):
-        assert main(["fig1"]) == 0
-        out = capsys.readouterr().out
-        assert "unique_preference_fraction" in out
-
-    def test_fig2(self, capsys):
-        assert main(["fig2"]) == 0
-        out = capsys.readouterr().out
-        assert "facebook" in out and "Music Freedom" in out
-
-    def test_sec3(self, capsys):
-        assert main(["sec3"]) == 0
-        assert "255 flows" in capsys.readouterr().out
-
-    def test_sec46_quick(self, capsys):
-        assert main(["sec46", "--scale", "0.0001"]) == 0
-        assert "sustainable_new_flows_per_s" in capsys.readouterr().out
-
-    def test_fig5b_single_trial(self, capsys):
-        assert main(["fig5b", "--trials", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "boosted" in out and "throttled" in out
-
-    def test_fig4_quick(self, capsys):
-        assert main(["fig4", "--quick"]) == 0
-        assert "Gbps" in capsys.readouterr().out
-
-    def test_fig6(self, capsys):
-        assert main(["fig6"]) == 0
-        out = capsys.readouterr().out
-        assert "cnn.com" in out and "oob" in out
-
 
 class TestAuditCommand:
     def test_audit_runs_clean_and_prints_table(self, capsys):
@@ -78,8 +55,6 @@ class TestAuditCommand:
         assert "flagged" in out
 
     def test_audit_json_report(self, capsys):
-        import json
-
         assert main(
             ["audit", "--trials", "8", "--personas", "revocation-ignorer",
              "--json"]
@@ -105,25 +80,20 @@ class TestStatsCommand:
         assert "middlebox.tracked_flows" in out
         assert "workload.flow_packets" in out
 
-    def test_stats_json(self, capsys):
-        import json
+    def test_stats_json(self, stats_snapshot):
+        counters, gauges = stats_snapshot["counters"], stats_snapshot["gauges"]
+        assert counters["switch.packets"] > 0
+        assert counters["middlebox.cookie_hits"] > 0
+        assert gauges["matcher.replay_cache.size"] >= 0
+        assert counters["sweep.cells_total"] == 8
+        assert counters["sweep.cells_completed"] == 8
 
-        assert main(["stats", "--flows", "40", "--json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["counters"]["switch.packets"] > 0
-        assert snapshot["counters"]["middlebox.cookie_hits"] > 0
-        assert snapshot["gauges"]["matcher.replay_cache.size"] >= 0
-
-    def test_stats_audit_merges_auditor_telemetry(self, capsys):
-        import json
-
-        assert main(["stats", "--flows", "40", "--audit", "--json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["counters"]["audit.audits"] > 0
-        assert snapshot["counters"]["audit.false_positives"] == 0
-        assert snapshot["gauges"]["audit.ok"] == 1
+    def test_stats_audit_merges_auditor_telemetry(self, stats_snapshot):
+        assert stats_snapshot["counters"]["audit.audits"] > 0
+        assert stats_snapshot["counters"]["audit.false_positives"] == 0
+        assert stats_snapshot["gauges"]["audit.ok"] == 1
         # The ordinary workload metrics ride in the same snapshot.
-        assert snapshot["counters"]["switch.packets"] > 0
+        assert stats_snapshot["counters"]["switch.packets"] > 0
 
     def test_stats_workload_exercises_failure_paths(self):
         from repro.__main__ import run_stats_workload
@@ -149,8 +119,6 @@ class TestControlPlaneCommands:
         assert "WITHIN BOUND" in out
 
     def test_controlplane_json(self, capsys):
-        import json
-
         assert main(["controlplane", "--subscribers", "2000",
                      "--shards", "1", "--churn-events", "600",
                      "--open-loop-ops", "200", "--json"]) == 0
@@ -159,19 +127,15 @@ class TestControlPlaneCommands:
         assert report["revocation"]["within_bound"]
         assert report["configs"][0]["closed_loop"]["ops_per_s"] > 0
 
-    def test_stats_server_merges_controlplane_telemetry(self, capsys):
-        import json
-
-        assert main(["stats", "--flows", "40", "--server", "--json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["counters"]["cp.acquired"] == 25
-        assert snapshot["counters"]["cp.revoked"] == 6
-        assert snapshot["counters"]["cp.shed_pending"] == 1
-        assert snapshot["gauges"]["cp.shards"] == 2
-        assert "cp.broadcast_lag_s" in snapshot["histograms"]
+    def test_stats_server_merges_controlplane_telemetry(self, stats_snapshot):
+        assert stats_snapshot["counters"]["cp.acquired"] == 25
+        assert stats_snapshot["counters"]["cp.revoked"] == 6
+        assert stats_snapshot["counters"]["cp.shed_pending"] == 1
+        assert stats_snapshot["gauges"]["cp.shards"] == 2
+        assert "cp.broadcast_lag_s" in stats_snapshot["histograms"]
         # Data-path telemetry still present alongside: one registry.
         assert any(k.startswith("switch.") or k.startswith("matcher.")
-                   for k in snapshot["counters"])
+                   for k in stats_snapshot["counters"])
 
 
 class TestBillingCommand:
@@ -186,8 +150,6 @@ class TestBillingCommand:
         assert "VIOLATION" not in out
 
     def test_billing_json(self, capsys):
-        import json
-
         assert main(["billing", "--skip-drill", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
@@ -195,15 +157,11 @@ class TestBillingCommand:
         for row in payload["operators"]:
             assert row["total_bytes"] == row["delivered_bytes"]
 
-    def test_stats_billing_merges_accountant_telemetry(self, capsys):
-        import json
-
-        assert main(["stats", "--flows", "40", "--billing", "--json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        counters = snapshot["counters"]
+    def test_stats_billing_merges_accountant_telemetry(self, stats_snapshot):
+        counters = stats_snapshot["counters"]
         assert counters["billing.packets_accounted"] > 0
         assert counters["billing.journal.records_appended"] > 0
         assert counters["billing.journal.corrupt_records"] == 0
-        assert snapshot["gauges"]["billing.pending_bytes"] == 0
+        assert stats_snapshot["gauges"]["billing.pending_bytes"] == 0
         # Data-path telemetry still present alongside: one registry.
         assert any(k.startswith("middlebox.") for k in counters)
