@@ -103,16 +103,6 @@ class ReplayCache:
                 self.idle_resets += 1
                 break
 
-    def seen_before(self, uuid: bytes, now: float) -> bool:
-        """Check membership without recording."""
-        self._rotate(now)
-        return uuid in self._current or uuid in self._previous
-
-    def record(self, uuid: bytes, now: float) -> None:
-        """Record a uuid as seen at ``now``."""
-        self._rotate(now)
-        self._current.add(uuid)
-
     def check_and_record(self, uuid: bytes, now: float) -> bool:
         """Atomically test-and-set; returns True if this is a replay."""
         # _rotate's own entry condition, tested here so the steady state

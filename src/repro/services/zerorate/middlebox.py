@@ -558,22 +558,6 @@ class ZeroRatingMiddlebox(Element):
         """Counters for one subscriber (zeros if never seen)."""
         return self.counters.get(subscriber_ip, SubscriberCounters())
 
-    def expire_flows(self, keep_last: int = 0) -> int:
-        """Drop flow state, keeping the ``keep_last`` most recently
-        *active* flows (the dict is LRU-ordered, so the retained suffix is
-        the recently-touched set, not the most recently created one).
-
-        Returns how many entries were dropped.
-        """
-        if keep_last <= 0:
-            dropped = len(self._flows)
-            self._flows.clear()
-            return dropped
-        keys = list(self._flows)
-        for key in keys[:-keep_last]:
-            del self._flows[key]
-        return max(0, len(keys) - keep_last)
-
     def expire_idle_flows(self, now: float | None = None) -> int:
         """Eagerly drop every flow idle past the timeout; returns count.
 

@@ -59,7 +59,7 @@ class StatelessZeroRater(Element):
         #: catalog decides freeness, and the accountant journals the
         #: delta.  Because every packet is judged alone, the stateless
         #: and stateful paths produce identical billing decisions for
-        #: the same bytes (pinned by the parity property test).  A
+        #: the same bytes (pinned by ``tests/model/``).  A
         #: cookie is verified on every packet, so there are no runs to
         #: bill at once: ``account()`` stays per packet here.
         self.billing = billing
@@ -79,58 +79,67 @@ class StatelessZeroRater(Element):
 
         Every packet is still judged alone on its own cookie; the burst
         only shares the observation time.  Nothing is dropped, so the
-        whole burst is forwarded downstream in arrival order.
+        whole burst is forwarded downstream in arrival order.  If
+        something raises mid-burst (an accountant that fails), the
+        packets processed before it are still forwarded, as bursts of
+        one would have forwarded them.
         """
         now = self.clock()
-        for packet in packets:
-            self.packets_processed += 1
-            ip = packet.ip
-            if ip is None:
-                continue
-            cookied = False
-            service = None
-            found = self.registry.extract(packet)
-            if found is not None:
-                # Meta parity with the stateful box: a consumed (verified)
-                # cookie is marked so downstream taps — the chaos attacker,
-                # the neutrality auditor — see the same annotations on both
-                # implementations.
-                packet.meta["cookie_checked"] = True
-                try:
-                    descriptor = self.matcher.match(found[0], now)
-                except Exception:
-                    self.verifier_failures += 1
-                    descriptor = None
-                if descriptor is not None:
-                    cookied = True
-                    service = descriptor.service_data
-                    self.cookie_hits += 1
-                else:
-                    self.cookie_misses += 1
-            subscriber = _subscriber_side(self.is_subscriber, ip.src, ip.dst)
-            if self.billing is not None:
-                remote = ip.dst if subscriber == ip.src else ip.src
-                free = self.billing.account(
-                    subscriber,
-                    service if cookied else None,
-                    remote,
-                    packet.wire_length,
-                    cookied=cookied,
-                    now=now,
+        finished = 0  # packets done: the index of the one in hand
+        try:
+            for finished, packet in enumerate(packets):
+                self.packets_processed += 1
+                ip = packet.ip
+                if ip is None:
+                    continue
+                cookied = False
+                service = None
+                found = self.registry.extract(packet)
+                if found is not None:
+                    # Meta parity with the stateful box: a consumed
+                    # (verified) cookie is marked so downstream taps — the
+                    # chaos attacker, the neutrality auditor — see the same
+                    # annotations on both implementations.
+                    packet.meta["cookie_checked"] = True
+                    try:
+                        descriptor = self.matcher.match(found[0], now)
+                    except Exception:
+                        self.verifier_failures += 1
+                        descriptor = None
+                    if descriptor is not None:
+                        cookied = True
+                        service = descriptor.service_data
+                        self.cookie_hits += 1
+                    else:
+                        self.cookie_misses += 1
+                subscriber = _subscriber_side(
+                    self.is_subscriber, ip.src, ip.dst
                 )
-            else:
-                free = cookied
-            if free:
-                packet.meta["zero_rated"] = True
-            counters = self.counters.get(subscriber)
-            if counters is None:
-                counters = SubscriberCounters()
-                self.counters[subscriber] = counters
-            if free:
-                counters.free_bytes += packet.wire_length
-            else:
-                counters.charged_bytes += packet.wire_length
-        self.emit_batch(packets)
+                if self.billing is not None:
+                    remote = ip.dst if subscriber == ip.src else ip.src
+                    free = self.billing.account(
+                        subscriber,
+                        service if cookied else None,
+                        remote,
+                        packet.wire_length,
+                        cookied=cookied,
+                        now=now,
+                    )
+                else:
+                    free = cookied
+                if free:
+                    packet.meta["zero_rated"] = True
+                counters = self.counters.get(subscriber)
+                if counters is None:
+                    counters = SubscriberCounters()
+                    self.counters[subscriber] = counters
+                if free:
+                    counters.free_bytes += packet.wire_length
+                else:
+                    counters.charged_bytes += packet.wire_length
+            finished = len(packets)
+        finally:
+            self.emit_batch(packets[:finished])
 
     def counters_for(self, subscriber_ip: str) -> SubscriberCounters:
         return self.counters.get(subscriber_ip, SubscriberCounters())

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hmac
 import pickle
 
 import pytest
@@ -12,14 +13,17 @@ from repro.core.cookie import (
     SIGNATURE_BYTES,
     UUID_BYTES,
     Cookie,
+    SignerCache,
     sign_cookie_fields,
     verify_operands,
 )
 from repro.core.descriptor import CookieDescriptor
 from repro.core.errors import MalformedCookie
 from repro.core.generator import CookieGenerator
-from repro.core.matcher import CookieMatcher
+from repro.core.matcher import VERDICT_RECORD, CookieMatcher
 from repro.core.store import DescriptorStore
+
+from .cookie_stream import NOW, _signed, _uuid
 
 
 def _cookie(key=b"k" * 32, cookie_id=42, uuid=b"u" * 16, timestamp=123.456):
@@ -342,3 +346,76 @@ class TestSignature:
         a = sign_cookie_fields(b"key", 7, b"u" * UUID_BYTES, 5.0)
         b = sign_cookie_fields(b"key", 7, b"u" * UUID_BYTES, 5.0)
         assert a == b
+
+
+class TestSignerCache:
+    def test_one_shot_descriptors_build_no_states(self):
+        """More distinct descriptors in a batch than the cache holds:
+        each cookie gets the one-shot MAC, nothing is built or evicted,
+        and verdicts equal scalar.  States are for an id that repeats."""
+        store = DescriptorStore()
+        descriptors = [
+            store.add(CookieDescriptor.create()) for _ in range(8192)
+        ]
+        cookies = [
+            _signed(descriptor, _uuid(i), NOW)
+            for i, descriptor in enumerate(descriptors)
+        ]
+        scalar, batched, wire = (CookieMatcher(store) for _ in range(3))
+        assert len(descriptors) > batched._signers.max_keys
+        verdicts = batched.match_batch(cookies, NOW)
+        assert verdicts == [scalar.match(c, NOW) for c in cookies] == descriptors
+        out = bytearray(VERDICT_RECORD.size * len(cookies))
+        wire.match_wire(b"".join(c.to_bytes() for c in cookies), NOW, out)
+        assert [code for code, _ in VERDICT_RECORD.iter_unpack(out)] == (
+            [0] * len(cookies)
+        )
+        assert wire.stats.as_dict() == batched.stats.as_dict()
+        assert len(batched._signers) == len(wire._signers) == 0
+
+        again = [_signed(descriptors[0], _uuid(9000 + i), NOW) for i in range(3)]
+        assert batched.match_batch(again, NOW) == [descriptors[0]] * 3
+        assert len(batched._signers) == 1
+        # Cached now: the next batch's first cookie already finds them.
+        assert batched._signers.peek(descriptors[0].key) != (None, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # 1-200 bytes crosses SHA-256's 64-byte block: longer keys are
+        # hashed before padding (RFC 2104).
+        key=st.binary(min_size=1, max_size=200),
+        cookie_id=st.integers(0, 2**64 - 1),
+        tag=st.integers(0, 2**32 - 1),
+        timestamp=st.floats(
+            0.0, 2**31, allow_nan=False, allow_infinity=False
+        ),
+    )
+    def test_digest_matches_sign_cookie_fields(
+        self, key, cookie_id, tag, timestamp
+    ):
+        cache = SignerCache()
+        uuid = _uuid(tag)
+        expected = sign_cookie_fields(key, cookie_id, uuid, timestamp)
+        # The hand-rolled MAC is the stdlib's HMAC-SHA256, truncated.
+        message = (
+            cookie_id.to_bytes(8, "big")
+            + uuid
+            + round(timestamp * 1_000_000).to_bytes(8, "big")
+        )
+        assert expected == hmac.digest(key, message, "sha256")[:SIGNATURE_BYTES]
+        assert cache.sign(key, cookie_id, uuid, timestamp) == expected
+        # Second call serves from the pre-absorbed states: same digest.
+        assert cache.sign(key, cookie_id, uuid, timestamp) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        keys=st.lists(st.binary(min_size=1, max_size=200), min_size=1, max_size=12),
+        max_keys=st.integers(1, 3),
+    )
+    def test_eviction_preserves_correctness(self, keys, max_keys):
+        cache = SignerCache(max_keys=max_keys)
+        for key in keys + keys:
+            assert cache.sign(key, 1, _uuid(1), NOW) == sign_cookie_fields(
+                key, 1, _uuid(1), NOW
+            )
+            assert len(cache) <= max_keys

@@ -1,9 +1,18 @@
 """Distributed uniqueness verification tests (§4.6 scale-out)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import CookieDescriptor, CookieGenerator, DescriptorStore
-from repro.core.distributed import NaiveVerifierPool, ShardedVerifierPool
+from repro.core.cookie import SIGNATURE_BYTES, Cookie
+from repro.core.distributed import (
+    NaiveVerifierPool,
+    ShardedVerifierPool,
+    rendezvous_shard,
+)
+
+from .cookie_stream import NCT, NOW, _Env, _materialize, _signed, _uuid, batch_specs
 
 
 def _env(shards=4, descriptors=20):
@@ -90,3 +99,51 @@ class TestNaivePool:
         cookie = CookieGenerator(descs[0], clock=lambda: 0.0).generate()
         grants = sum(1 for _ in range(5) if pool.match(cookie, now=0.0))
         assert grants == 1
+
+
+class TestShardedReplayCache:
+    """Replay state in a sharded deployment is one :class:`ReplayCache`
+    per :class:`ShardedVerifierPool` shard, reached by descriptor
+    affinity — nothing is shared and there is no facade over them."""
+
+    @staticmethod
+    def _pool(shards):
+        env = _Env()
+        return env, ShardedVerifierPool(env.store, shards=shards)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cookie_id=st.integers(0, 2**64 - 1), shards=st.integers(1, 8))
+    def test_shard_for_stable_and_in_range(self, cookie_id, shards):
+        _, pool = self._pool(shards)
+        cookie = Cookie(cookie_id, _uuid(1), NOW, b"\x00" * SIGNATURE_BYTES)
+        index = pool.shard_for(cookie)
+        assert 0 <= index < shards
+        assert pool.shard_for(cookie) == index
+        assert index == rendezvous_shard(cookie_id, shards)
+
+    def test_rotation_is_per_shard(self):
+        """Traffic that only touches one shard must not rotate others."""
+        env, pool = self._pool(4)
+        descriptor = env.active[0]
+        for tag, now in enumerate((NOW, NOW + 2 * NCT + 1.0)):
+            assert pool.match(_signed(descriptor, _uuid(tag), now), now)
+        busy = pool.shard_for_descriptor(descriptor)
+        assert [bool(m.replay_cache.rotations) for m in pool.shards] == [
+            index == busy for index in range(4)
+        ]
+
+
+class TestVerifierPoolBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(specs=batch_specs(max_size=16), shards=st.integers(2, 4))
+    def test_naive_pool_batch_equals_scalar_loop(self, specs, shards):
+        """The base-class default must match a per-cookie loop exactly,
+        including the round-robin cursor's progression."""
+        env = _Env()
+        cookies = _materialize(env, specs)
+        loop_pool = NaiveVerifierPool(env.store, shards=shards)
+        batch_pool = NaiveVerifierPool(env.store, shards=shards)
+        loop_verdicts = [loop_pool.match(c, NOW) for c in cookies]
+        batch_verdicts = batch_pool.match_batch(cookies, NOW)
+        assert batch_verdicts == loop_verdicts
+        assert batch_pool._cursor == loop_pool._cursor

@@ -149,32 +149,3 @@ class TestSkewTimesRotation:
         else:
             assert verdict is None
             assert matcher.stats.stale_timestamp == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(skew=st.floats(-3 * NCT, 3 * NCT, allow_nan=False))
-    def test_batched_path_agrees_with_scalar_on_skewed_cookies(self, skew):
-        """The batched matcher gives the same verdicts as two scalar
-        matches for a skewed cookie spent twice at one instant."""
-        store_a, descriptor = _env()
-        store_b = DescriptorStore()
-        store_b.add(descriptor)
-        scalar = CookieMatcher(store_a)
-        batched = CookieMatcher(store_b)
-        cookie = _cookie_at(descriptor, BASE + skew)
-
-        scalar_verdicts = [
-            scalar.match(cookie, BASE) is not None,
-            scalar.match(cookie, BASE) is not None,
-        ]
-        reasons: list[str] = []
-        batch_verdicts = [
-            verdict is not None
-            for verdict in batched.match_batch(
-                [cookie, cookie], BASE, reasons=reasons
-            )
-        ]
-        assert batch_verdicts == scalar_verdicts
-        if abs(skew) <= NCT:
-            assert reasons == ["accepted", "replayed"]
-        else:
-            assert reasons == ["stale_timestamp", "stale_timestamp"]

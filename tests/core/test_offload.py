@@ -1,7 +1,5 @@
 """Hardware prefilter tests (§4.6 hardware/software co-design)."""
 
-import pytest
-
 from repro.core import (
     CookieDescriptor,
     CookieGenerator,
@@ -9,13 +7,12 @@ from repro.core import (
     DescriptorStore,
 )
 from repro.core.offload import HardwarePrefilter
-from repro.core.switch import CookieSwitch
 from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.flow import FiveTuple, flow_key_of
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet
-from repro.services.zerorate import StatelessZeroRater, ZeroRatingMiddlebox
+from repro.services.zerorate import ZeroRatingMiddlebox
 
 
 def _env(**kwargs):
@@ -41,46 +38,6 @@ def _plain(sport=6000):
     return make_tcp_packet(
         "10.0.0.1", sport, "2.2.2.2", 443, payload_size=1200, encrypted=True
     )
-
-
-class _SteppingClock:
-    """Starts at ``now`` and steps ``step`` seconds per read; counts reads."""
-
-    def __init__(self, now, step):
-        self.now = now
-        self.step = step
-        self.reads = 0
-
-    def __call__(self):
-        self.reads += 1
-        now = self.now
-        self.now += self.step
-        return now
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda store, clock: HardwarePrefilter(store, clock=clock, nct=5.0),
-        lambda store, clock: CookieSwitch(CookieMatcher(store), clock=clock),
-        lambda store, clock: ZeroRatingMiddlebox(CookieMatcher(store), clock=clock),
-        lambda store, clock: StatelessZeroRater(CookieMatcher(store), clock=clock),
-    ],
-    ids=["prefilter", "switch", "middlebox", "stateless"],
-)
-def test_process_batch_reads_the_clock_once_per_burst(build):
-    """One burst, one observation time (PROTOCOL §9): with a clock that
-    moves 3 s per read, two cookies minted at t=0 and checked at t=4
-    against NCT 5 s must be judged at the same instant."""
-    store = DescriptorStore()
-    descriptor = store.add(CookieDescriptor.create(service_data="zero-rate"))
-    clock = _SteppingClock(now=4.0, step=3.0)
-    element = build(store, clock)
-    element >> Sink()
-    element.process_batch(
-        [_cookied(descriptor, sport=5000), _cookied(descriptor, sport=5001)]
-    )
-    assert clock.reads == 1
 
 
 class TestSteering:

@@ -34,7 +34,7 @@ from repro.core.parallel import (
     encode_verdicts,
 )
 
-from .test_batch_differential import NOW, _Env, _materialize
+from .cookie_stream import NOW, _Env, _materialize
 
 #: Timestamps on the wire's integer-microsecond grid round-trip to the
 #: exact same float, so Cookie equality is field-exact.

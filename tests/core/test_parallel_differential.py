@@ -1,7 +1,7 @@
 """Differential tests: the multi-process executor against the in-process
 pool and the scalar matcher.
 
-Same discipline as ``test_batch_differential``: one adversarial cookie
+One adversarial cookie (:mod:`.cookie_stream`)
 stream (replays, NCT-straddling timestamps, forged signatures, unknown /
 revoked / expired descriptors) is driven through three verifiers built
 over equivalent stores, and the :class:`ProcessShardExecutor` must be
@@ -16,8 +16,10 @@ restarted shard's replay window provably starts empty, and descriptor
 deltas reach every worker.
 """
 
+import math
 import os
 import signal
+import struct
 
 import hypothesis.strategies as st
 import pytest
@@ -33,15 +35,18 @@ from repro.core.parallel import (
     ProcessShardExecutor,
     batch_reply,
     decode_batch,
+    decode_verdicts,
     encode_batch,
     encode_verdicts,
 )
 from repro.telemetry import MetricsRegistry
 
-from .test_batch_differential import (
+from .cookie_stream import (
+    BIRTHS,
     NCT,
     NOW,
     _cache_state,
+    _born,
     _Env,
     _materialize,
     _signed,
@@ -139,6 +144,52 @@ class TestExecutorDifferential:
             assert executor.shard_count == pool.shard_count
             for cookie in cookies:
                 assert executor.shard_for(cookie) == pool.shard_for(cookie)
+
+    def test_nct_boundary_bit_exact(self):
+        """Timestamps exactly at ±NCT are accepted, and so is the float
+        one ulp beyond: a cookie carries whole microseconds, so that
+        float is stamped *on* the edge.  The first timestamp a cookie
+        can be stale with is one microsecond out — for every birth, and
+        whoever verifies it: a pool worker's in-place path, or the
+        in-process matcher a crashed shard falls back to."""
+        env = _Env()
+        descriptor = env.active[0]
+        timestamps = [
+            NOW + NCT,
+            NOW - NCT,
+            math.nextafter(NOW + NCT, math.inf),
+            math.nextafter(NOW - NCT, -math.inf),
+            NOW + NCT + 1e-6,
+            NOW - NCT - 1e-6,
+        ]
+        expected = [descriptor] * 4 + [None] * 2
+
+        def cookies():
+            return [
+                _born(_signed(descriptor, _uuid(10 + i), ts), birth)
+                for i, ts in enumerate(timestamps)
+            ]
+
+        def worker(matcher):
+            frame = b"B" + struct.pack("!d", NOW) + encode_batch(cookies())
+            return [
+                env.store.get(cookie_id) if code == 0 else None
+                for code, cookie_id in decode_verdicts(
+                    batch_reply(matcher, frame)
+                )
+            ]
+
+        for birth in BIRTHS:
+            wire = CookieMatcher(env.store)
+            assert worker(wire) == expected, birth
+            with ProcessShardExecutor(
+                env.store, workers=2, transport="in-process"
+            ) as fallback:
+                assert fallback.shard_transports() == ["in-process"] * 2
+                assert fallback.match_batch(cookies(), NOW) == expected, birth
+            assert (
+                wire.stats.as_dict() == fallback.collect_match_stats().as_dict()
+            ), birth
 
     def test_empty_batch(self):
         env = _Env()

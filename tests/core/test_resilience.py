@@ -390,22 +390,6 @@ class TestMiddleboxFailSafe:
         default_registry().attach(packet, cookie)
         return packet
 
-    def test_scalar_path_charges_on_verifier_failure(self):
-        box = ZeroRatingMiddlebox(_ExplodingMatcher(), clock=lambda: 1.0)
-        packet = self._cookied_packet()
-        box.push(packet)  # must not raise
-        assert box.verifier_failures == 1
-        counters = box.counters["10.0.0.1"]
-        assert counters.free_bytes == 0
-        assert counters.charged_bytes == packet.wire_length
-
-    def test_batch_path_charges_on_verifier_failure(self):
-        box = ZeroRatingMiddlebox(_ExplodingMatcher(), clock=lambda: 1.0)
-        packets = [self._cookied_packet() for _ in range(3)]
-        box.process_batch(packets)
-        assert box.verifier_failures == 3
-        assert all(c.free_bytes == 0 for c in box.counters.values())
-
     def test_failure_counter_in_telemetry(self):
         registry = MetricsRegistry()
         box = ZeroRatingMiddlebox(_ExplodingMatcher(), clock=lambda: 1.0)

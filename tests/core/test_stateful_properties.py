@@ -5,7 +5,8 @@ Two hypothesis state machines:
 - :class:`ReplayCacheMachine` checks the cache's contract — a uuid seen
   within one coherency window MUST be remembered; one older than two
   windows MUST be forgotten; in between either is acceptable (the
-  timestamp check makes it irrelevant).
+  timestamp check makes it irrelevant); and it holds no uuid inserted two
+  windows or more before its last call.
 - :class:`StoreParityMachine` drives the in-memory and SQLite descriptor
   stores with identical operations and demands identical observable
   state.
@@ -34,39 +35,44 @@ class ReplayCacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cache = ReplayCache(window=WINDOW)
-        self.now = 0.0
+        self.now = self.last_call = 0.0
         self.recorded: dict[bytes, float] = {}
+        self.inserts: list[tuple[float, bytes]] = []
 
     @rule(advance=st.floats(0.0, 12.0))
     def pass_time(self, advance):
         self.now += advance
 
     @rule(tag=st.integers(0, 30))
-    def record(self, tag):
+    def check_and_record(self, tag):
         uuid = tag.to_bytes(16, "big")
-        self.cache.record(uuid, self.now)
-        self.recorded[uuid] = self.now
-
-    @rule(tag=st.integers(0, 30))
-    def check(self, tag):
-        uuid = tag.to_bytes(16, "big")
-        seen = self.cache.seen_before(uuid, self.now)
+        replay = self.cache.check_and_record(uuid, self.now)
+        self.last_call = self.now
         recorded_at = self.recorded.get(uuid)
         if recorded_at is None:
-            assert not seen, "never-recorded uuid reported as seen"
-            return
-        age = self.now - recorded_at
-        if age < WINDOW:
-            assert seen, f"uuid recorded {age:.2f}s ago (< window) forgotten"
-        elif age >= 2 * WINDOW:
-            assert not seen, f"uuid recorded {age:.2f}s ago (>= 2 windows) retained"
-        # Between one and two windows: either outcome is contract-legal.
+            assert not replay, "never-recorded uuid reported as a replay"
+        else:
+            age = self.now - recorded_at
+            if age < WINDOW:
+                assert replay, f"uuid recorded {age:.2f}s ago (< window) forgotten"
+            elif age >= 2 * WINDOW:
+                assert not replay, (
+                    f"uuid recorded {age:.2f}s ago (>= 2 windows) retained"
+                )
+            # Between one and two windows: either outcome is contract-legal.
+        if not replay:
+            self.recorded[uuid] = self.now
+            self.inserts.append((self.now, uuid))
 
     @invariant()
     def memory_is_bounded(self):
-        # Never more than everything recorded (sanity) — tighter bounds
-        # are covered by the ablation benchmark.
-        assert self.cache.size <= max(len(self.recorded), 1) * 2
+        # Two generations of one window each: nothing inserted two or
+        # more windows before the last call is still held.
+        recent = {
+            uuid for time, uuid in self.inserts
+            if self.last_call - time < 2 * WINDOW
+        }
+        assert self.cache.size <= len(recent)
 
 
 TestReplayCacheContract = ReplayCacheMachine.TestCase

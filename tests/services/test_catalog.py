@@ -6,8 +6,8 @@ suspension, versioned mid-flight updates — and the property the whole
 billing pipeline hangs off: invoices reconciled from the journal equal
 the tariff an oracle computes straight from the catalog, under
 hypothesis-driven churn, eviction, and flush interleavings, at the
-pinned seed 20160822.  The stateful and stateless data paths must agree
-byte-for-byte when fed identical per-packet-cookie streams.
+pinned seed 20160822.  (That the stateful and stateless data paths bill
+alike is a script of ``tests/model/test_data_plane.py``.)
 """
 
 import shutil
@@ -17,15 +17,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, seed, settings
 
-from repro.core import (
-    CookieDescriptor,
-    CookieGenerator,
-    CookieMatcher,
-    DescriptorStore,
-)
-from repro.core.transport import default_registry
-from repro.netsim.middlebox import Sink
-from repro.netsim.packet import make_tcp_packet
 from repro.services.billing import (
     BillingAccountant,
     BillingJournal,
@@ -38,8 +29,6 @@ from repro.services.zerorate import (
     AppCoverage,
     CatalogSet,
     OperatorCatalog,
-    StatelessZeroRater,
-    ZeroRatingMiddlebox,
 )
 from repro.web.sites import build_cnn
 
@@ -284,117 +273,3 @@ def test_invoices_equal_tariff_under_churn(stream, cap, update_at):
                 assert key[3] in COVERABLE_CLASSES
     finally:
         shutil.rmtree(journal_dir, ignore_errors=True)
-
-
-# ----------------------------------------------------------------------
-# Stateful == stateless parity on identical per-packet-cookie streams
-# ----------------------------------------------------------------------
-class _Clock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-def _billing_stack(journal_dir, cap):
-    catalogs = CatalogSet([
-        OperatorCatalog(
-            operator="op-par",
-            apps=(AppCoverage(
-                app="zero-rate", origin_ips=frozenset({ORIGIN}),
-                cdn_ips=frozenset({CDN}),
-            ),),
-            cap_bytes=cap,
-        ),
-    ])
-    for subscriber in SUBSCRIBERS:
-        catalogs.assign(subscriber, "op-par")
-    return BillingAccountant(
-        catalogs, BillingJournal(journal_dir, fsync="never")
-    )
-
-
-@seed(PINNED_SEED)
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(
-    flows=st.lists(
-        st.tuples(
-            st.integers(0, len(SUBSCRIBERS) - 1),
-            st.integers(0, len(SERVERS) - 1),
-            st.booleans(),                      # carry a cookie at all
-            st.integers(1, 6),                  # packets in the flow
-        ),
-        min_size=1,
-        max_size=24,
-    ),
-    cap=st.one_of(st.none(), st.integers(0, 40_000)),
-)
-def test_stateful_stateless_billing_parity(flows, cap):
-    """Fed byte-identical streams (a cookie on EVERY packet — the
-    paper's stateless-extreme overhead), the flow-table middlebox and
-    the per-packet rater produce identical invoices, even with the
-    stateful side under eviction pressure."""
-    store = DescriptorStore()
-    descriptor = store.add(CookieDescriptor.create(service_data="zero-rate"))
-    clock = _Clock()
-    transports = default_registry()
-    dirs = {
-        "stateful": tempfile.mkdtemp(prefix="repro-parity-sf-"),
-        "stateless": tempfile.mkdtemp(prefix="repro-parity-sl-"),
-    }
-    try:
-        stateful_billing = _billing_stack(dirs["stateful"], cap)
-        stateless_billing = _billing_stack(dirs["stateless"], cap)
-        stateful = ZeroRatingMiddlebox(
-            CookieMatcher(store), clock=clock,
-            max_subscribers=2,  # force churn through the LRU
-            billing=stateful_billing,
-        )
-        stateless = StatelessZeroRater(
-            CookieMatcher(store), clock=clock, billing=stateless_billing,
-        )
-        stateful >> Sink()
-        stateless >> Sink()
-        for flow_index, (sub_i, srv_i, cookied, count) in enumerate(flows):
-            subscriber = SUBSCRIBERS[sub_i]
-            server = SERVERS[srv_i]
-            for packet_index in range(count):
-                clock.now += 0.01
-                pair = []
-                for _ in range(2):
-                    packet = make_tcp_packet(
-                        subscriber, 40_000 + flow_index, server, 443,
-                        payload_size=400,
-                    )
-                    pair.append(packet)
-                if cookied:
-                    # One generated cookie, attached to both copies:
-                    # the streams stay byte-identical.
-                    cookie = CookieGenerator(descriptor, clock).generate()
-                    for packet in pair:
-                        transports.attach(packet, cookie)
-                assert pair[0].wire_length == pair[1].wire_length
-                stateful.push(pair[0])
-                stateless.push(pair[1])
-        stateful_billing.flush_all()
-        stateful_billing.journal.close()
-        stateless_billing.flush_all()
-        stateless_billing.journal.close()
-        left = reconcile_directories([dirs["stateful"]])
-        right = reconcile_directories([dirs["stateless"]])
-        assert left.invoices.keys() == right.invoices.keys()
-        for operator in left.invoices:
-            assert (left.invoices[operator].to_json()
-                    == right.invoices[operator].to_json())
-        # And the data-plane counters mirror the invoices on both paths.
-        invoice = left.invoices.get("op-par")
-        if invoice is not None:
-            free = sum(
-                counters.free_bytes
-                for counters in stateless.counters.values()
-            )
-            assert free == invoice.free_bytes
-    finally:
-        for path in dirs.values():
-            shutil.rmtree(path, ignore_errors=True)

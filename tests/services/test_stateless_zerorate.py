@@ -12,17 +12,8 @@ from repro.core import (
 )
 from repro.core.transport import default_registry
 from repro.netsim.headers import IPProto, IPv6Header, TCPHeader
-from repro.netsim.middlebox import Sink
 from repro.netsim.packet import Packet, Payload, make_tcp_packet
-from repro.services.billing import BillingAccountant, BillingJournal
-from repro.services.zerorate import (
-    AppCoverage,
-    CatalogSet,
-    OperatorCatalog,
-    StatelessZeroRater,
-    ZeroRatingMiddlebox,
-)
-from repro.telemetry import MetricsRegistry
+from repro.services.zerorate import StatelessZeroRater, ZeroRatingMiddlebox
 
 
 def _env():
@@ -152,64 +143,3 @@ def test_both_boxes_bill_the_same_side(src, dst, billed):
     for box in (stateless, scalar, batch):
         assert list(box.counters) == [billed]
         assert box.counters_for(billed).charged_bytes == packets[0].wire_length
-
-
-class _BrokenVerifier(CookieMatcher):
-    def match(self, cookie, now):
-        raise RuntimeError("HSM unreachable")
-
-
-class TestFailSafe:
-    @pytest.mark.contract
-    def test_raising_verifier_charges_like_the_stateful_box(self, tmp_path):
-        """Regression: a verifier that raised used to propagate out of
-        ``handle`` — the packet neither billed nor emitted.  "A
-        verification failure is charged, never free": both boxes count
-        the failure, charge the same bytes, emit the packet and journal
-        the same records."""
-        store, descriptor, _rater, generator = _env()
-        catalog = OperatorCatalog(
-            "op", apps=(AppCoverage("zero-rate", origin_ips=frozenset({"2.2.2.2"})),)
-        )
-        observed = []
-        for name, box in (
-            ("stateful", ZeroRatingMiddlebox),
-            ("stateless", StatelessZeroRater),
-        ):
-            accountant = BillingAccountant(
-                CatalogSet([catalog], default_operator="op"),
-                BillingJournal(str(tmp_path / name), fsync="never"),
-            )
-            registry = MetricsRegistry()
-            element = box(
-                _BrokenVerifier(store), clock=lambda: 0.0, billing=accountant,
-            )
-            element.register_telemetry(registry, prefix="box")
-            sink = Sink()
-            element >> sink
-            packet = make_tcp_packet(
-                "10.0.0.1", 5000, "2.2.2.2", 443, payload_size=100
-            )
-            default_registry().attach(packet, generator.generate())
-            element.handle(packet)
-            accountant.flush_all()
-            counters = element.counters_for("10.0.0.1")
-            observed.append((
-                element.verifier_failures,
-                registry.snapshot().counters["box.verifier_failures"],
-                (counters.free_bytes, counters.charged_bytes),
-                [(p.wire_length, p.meta.get("zero_rated")) for p in sink.packets],
-                [
-                    (r.subscriber, r.app, r.byte_class, r.free_bytes, r.charged_bytes)
-                    for r in accountant.journal.records()
-                ],
-            ))
-            accountant.journal.close()
-        assert observed[0] == observed[1]
-        failures, exported, billed, emitted, journaled = observed[1]
-        assert failures == exported == 1
-        assert billed == (0, packet.wire_length)
-        assert emitted == [(packet.wire_length, None)]
-        assert journaled == [
-            ("10.0.0.1", "", "uncookied", 0, packet.wire_length)
-        ]

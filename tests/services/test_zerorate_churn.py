@@ -8,8 +8,6 @@ flows plus subscriber counters — stays at its configured bounds while
 the eviction counters and billing flush account for every drop.
 """
 
-import pytest
-
 from repro.core import CookieDescriptor, CookieMatcher, DescriptorStore
 from repro.netsim.packet import make_tcp_packet
 from repro.services.zerorate import ZeroRatingMiddlebox
@@ -108,39 +106,4 @@ def test_unbounded_before_caps_would_have_grown():
             make_tcp_packet("10.0.0.1", 1024 + i, "93.184.216.34", 443)
         )
     assert middlebox.tracked_flows == 5_000
-
-
-@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
-def test_byte_counters_are_monotonic_across_eviction(batched):
-    """``middlebox.free_bytes + charged_bytes`` is every wire byte the box
-    processed, however many subscribers the LRU has dropped since: an
-    eviction must never subtract from an exported counter."""
-    registry = MetricsRegistry()
-    middlebox = ZeroRatingMiddlebox(
-        CookieMatcher(DescriptorStore()), clock=Clock(), max_subscribers=2
-    )
-    middlebox.register_telemetry(registry)
-    packets = [
-        make_tcp_packet(f"10.0.0.{i}", 1024, "93.184.216.34", 443,
-                        payload_size=100)
-        for i in range(1, 6)
-    ]
-    processed = 0
-    last = 0
-    for packet in packets:
-        if batched:
-            middlebox.process_batch([packet])
-        else:
-            middlebox.handle(packet)
-        processed += packet.wire_length
-        counters = registry.snapshot().counters
-        exported = (
-            counters["middlebox.free_bytes"]
-            + counters["middlebox.charged_bytes"]
-        )
-        assert exported == processed
-        assert exported > last
-        last = exported
-    assert middlebox.subscribers_evicted == 3
-    assert registry.snapshot().gauges["middlebox.tracked_subscribers"] == 2
 
