@@ -169,6 +169,7 @@ def _probe_cookie_nat_independence() -> bool:
     # NAT rewrites addresses; the cookie rides above the rewritten fields.
     packet.ip.src = "198.51.100.7"
     packet.l4.src_port = 23_456
+    packet.flow_key = packet.pkt_len = None
     found = registry.extract(packet)
     return found is not None and matcher.match(found[0], now=0.0) is not None
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .cookie import Cookie
 from .descriptor import CookieDescriptor
-from .matcher import NETWORK_COHERENCY_TIME, CookieMatcher
+from .matcher import NETWORK_COHERENCY_TIME, CookieMatcher, judging_instant
 from .store import DescriptorStore
 
 __all__ = [
@@ -97,6 +97,10 @@ class _VerifierPoolBase:
         self.store = store
         self.shards = [CookieMatcher(store, nct=nct) for _ in range(shards)]
         self.stats = PoolStats()
+        #: The pool judges at the latest instant it has read, as each
+        #: shard does (:func:`~repro.core.matcher.judging_instant`), so a
+        #: shard that missed that instant judges like its peers.
+        self.high_water = float("-inf")
 
     @property
     def shard_count(self) -> int:
@@ -107,6 +111,7 @@ class _VerifierPoolBase:
 
     def match(self, cookie: Cookie, now: float) -> CookieDescriptor | None:
         """Verify on whichever shard the dispatcher picks."""
+        now = judging_instant(self, now)
         shard = self.shards[self.shard_for(cookie)]
         descriptor = shard.match(cookie, now)
         if descriptor is None:
@@ -176,6 +181,8 @@ class ShardedVerifierPool(_VerifierPoolBase):
         shard's :class:`~repro.core.matcher.CookieMatcher` amortizes its
         own HMAC/descriptor work via ``match_batch``.
         """
+        if cookies:
+            now = judging_instant(self, now)
         shard_index_for = self._shard_index
         per_shard: dict[int, list[int]] = {}
         for position, cookie in enumerate(cookies):

@@ -60,6 +60,7 @@ __all__ = [
     "MATCH_OUTCOMES",
     "VERDICT_RECORD",
     "NETWORK_COHERENCY_TIME",
+    "judging_instant",
 ]
 
 NETWORK_COHERENCY_TIME = 5.0
@@ -205,6 +206,23 @@ _REJECTIONS = {
 }
 
 
+def judging_instant(verifier, now: float) -> float:
+    """The instant ``verifier`` judges a cookie seen at ``now`` at:
+    ``now``, or its ``high_water`` — the latest instant it has judged a
+    cookie at — if the clock stepped back (PROTOCOL §3).
+
+    A clock stepped back must not reopen the freshness window of a
+    cookie whose replay key the cache has already let go of.  The price
+    is a forward step: until the clock catches up with a far-future
+    ``now``, every fresh cookie is judged at it, and is stale.
+    """
+    high_water = verifier.high_water
+    if now < high_water:
+        return high_water
+    verifier.high_water = now
+    return now
+
+
 class CookieMatcher:
     """Verifies cookies against a descriptor store.
 
@@ -233,6 +251,8 @@ class CookieMatcher:
         self.replay_cache = replay_cache or ReplayCache(window=2 * nct)
         self.stats = MatchStats()
         self._signers = SignerCache()
+        #: The latest ``now`` a cookie was judged at (:func:`judging_instant`).
+        self.high_water = float("-inf")
 
     #: Telemetry declaration: :class:`MatchStats`' fields and the replay
     #: cache's rotation counts are counters, its occupancy is a level.
@@ -256,6 +276,7 @@ class CookieMatcher:
         :meth:`match_batch` and :meth:`match_wire` judge too.
         """
         stats = self.stats
+        now = judging_instant(self, now)
         cookie_id, timestamp, signature, signed = verify_operands(cookie)
         descriptor = self.store.get(cookie_id)
         if descriptor is None:
@@ -363,6 +384,8 @@ class CookieMatcher:
         ``reasons``, if given, receives one :class:`MatchStats` field
         name per cookie (``"accepted"``, ``"replayed"``, ...).
         """
+        if cookies:
+            now = judging_instant(self, now)
         nct = self.nct
         compare = _hmac.compare_digest
         check_and_record = self.replay_cache.check_and_record
@@ -424,6 +447,8 @@ class CookieMatcher:
                 f"{len(body)} bytes is not a whole number of "
                 f"{COOKIE_WIRE_BYTES}-byte cookies"
             )
+        if body:
+            now = judging_instant(self, now)
         nct = self.nct
         compare = _hmac.compare_digest
         check_and_record = self.replay_cache.check_and_record

@@ -69,6 +69,7 @@ from .matcher import (
     VERDICT_RECORD,
     CookieMatcher,
     MatchStats,
+    judging_instant,
 )
 from .resilience import RetryPolicy
 from .shm_ring import DEFAULT_SLOT_BYTES, RingUnavailable, ShmRing
@@ -451,6 +452,8 @@ class ProcessShardExecutor:
         )
         self._sleep = sleep
         self.stats = PoolStats()
+        #: Judged at the latest instant read, as ShardedVerifierPool is.
+        self.high_water = float("-inf")
         self.shm_stats = ShmTransportStats()
         self._degraded = transport == "in-process"
         # fork is milliseconds; spawn is the portable fallback.
@@ -878,6 +881,7 @@ class ProcessShardExecutor:
             ]
         if not cookies:
             return []
+        now = judging_instant(self, now)
         per_shard: dict[int, Sequence[int]]
         if self._worker_count == 1:
             # Rendezvous over one shard is the identity.

@@ -41,6 +41,7 @@ class HttpHeaderCarrier(CookieCarrier):
         value = cookie.to_text() if existing is None else f"{existing},{cookie.to_text()}"
         request.set_header(COOKIE_HEADER, value)
         packet.payload.size += self.overhead_bytes
+        packet.flow_key = packet.pkt_len = None
 
     def extract(self, packet: Packet) -> Cookie | None:
         payload = packet.payload

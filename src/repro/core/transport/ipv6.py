@@ -53,6 +53,7 @@ class Ipv6ExtensionCarrier(CookieCarrier):
             data=cookie.to_bytes(),
         )
         header.extensions.append(extension)
+        packet.flow_key = packet.pkt_len = None
 
     def extract(self, packet: Packet) -> Cookie | None:
         header = packet.ip

@@ -56,6 +56,7 @@ class TcpOptionCarrier(CookieCarrier):
         tcp: TCPHeader = packet.l4  # type: ignore[assignment]
         data = _EXID_PREFIX + cookie.to_bytes()
         tcp.options.append(TCPOption(kind=COOKIE_OPTION_KIND, data=data))
+        packet.flow_key = packet.pkt_len = None
 
     def extract(self, packet: Packet) -> Cookie | None:
         tcp = packet.l4

@@ -43,6 +43,7 @@ class TlsExtensionCarrier(CookieCarrier):
             text = existing + b"," + text
         hello.extensions[COOKIE_EXTENSION_TYPE] = text
         packet.payload.size += self.overhead_bytes
+        packet.flow_key = packet.pkt_len = None
 
     def extract(self, packet: Packet) -> Cookie | None:
         hello = packet.payload.content

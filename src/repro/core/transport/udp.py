@@ -52,6 +52,7 @@ class UdpShimCarrier(CookieCarrier):
         )
         packet.payload.size += self.overhead_bytes
         packet.l4.length += self.overhead_bytes
+        packet.flow_key = packet.pkt_len = None
 
     def extract(self, packet: Packet) -> Cookie | None:
         if not isinstance(packet.l4, UDPHeader):

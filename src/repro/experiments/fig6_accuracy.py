@@ -107,6 +107,7 @@ class _WanRewriter(Element):
             )
             packet.ip.dst = mapping.public_ip
             packet.l4.dst_port = mapping.public_port
+            packet.flow_key = packet.pkt_len = None
         self.emit(packet)
 
 

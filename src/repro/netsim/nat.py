@@ -126,6 +126,7 @@ class _NatOutbound(Element):
         packet.meta.setdefault("nat_original_src", (packet.ip.src, packet.l4.src_port))
         packet.ip.src = mapping.public_ip
         packet.l4.src_port = mapping.public_port
+        packet.flow_key = packet.pkt_len = None
         self.nat.translated_out += 1
         self.emit(packet)
 
@@ -149,5 +150,6 @@ class _NatInbound(Element):
             return
         packet.ip.dst = mapping.private_ip
         packet.l4.dst_port = mapping.private_port
+        packet.flow_key = packet.pkt_len = None
         self.nat.translated_in += 1
         self.emit(packet)

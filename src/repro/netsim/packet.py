@@ -6,6 +6,10 @@ application payload.  Application payloads are modelled as a
 content (e.g. an HTTP request with headers, or a TLS ClientHello) so that
 middleboxes can inspect what a real middlebox could see on the wire, and
 *only* that.
+
+:func:`stamp` is the NIC model: what a DPDK NIC hands software with each
+rx mbuf (its ``pkt_len`` and a 5-tuple hash), stored on the packet so a
+middlebox reads it instead of re-parsing headers.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .headers import (
     UDPHeader,
 )
 
-__all__ = ["Payload", "Packet", "make_tcp_packet", "make_udp_packet"]
+__all__ = ["Payload", "Packet", "make_tcp_packet", "make_udp_packet", "stamp"]
 
 _packet_ids = itertools.count(1)
 
@@ -64,6 +68,13 @@ class Packet:
     allocation in any simulation, and slots shave both per-instance memory
     and attribute-access time on the forwarding hot path.  Simulation-only
     annotations belong in ``meta``, never as ad-hoc attributes.
+
+    ``flow_key`` and ``pkt_len`` are the NIC's stamp (:func:`stamp`):
+    the direction-free flow key and the wire length, or ``None`` on a
+    packet no NIC has seen.  They are derived from the headers, so
+    equality and ``repr`` ignore them, and whatever rewrites an address,
+    a port or a size must clear both (``packet.flow_key =
+    packet.pkt_len = None``).  :meth:`clone` keeps them.
     """
 
     eth: EthernetHeader | None = None
@@ -73,14 +84,19 @@ class Packet:
     created_at: float = 0.0
     meta: dict[str, Any] = field(default_factory=dict)
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    flow_key: tuple | None = field(default=None, compare=False, repr=False)
+    pkt_len: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def wire_length(self) -> int:
-        """Total bytes this packet occupies on the wire."""
-        total = self.payload.size
-        for header in (self.eth, self.ip, self.l4):
-            if header is not None:
-                total += header.wire_length
+        """Total bytes this packet occupies on the wire (the stamped
+        ``pkt_len`` when a NIC has stamped it)."""
+        total = self.pkt_len
+        if total is None:
+            total = self.payload.size
+            for header in (self.eth, self.ip, self.l4):
+                if header is not None:
+                    total += header.wire_length
         return total
 
     @property
@@ -128,7 +144,8 @@ class Packet:
 
         Used by multicast-style delivery and by middleboxes that mirror
         traffic; header objects are copied so mutation of the clone does not
-        affect the original.
+        affect the original.  The clone keeps the NIC's stamp, key tuple
+        and all: its headers are equal.
         """
         new = copy.deepcopy(self)
         new.packet_id = next(_packet_ids)
@@ -146,14 +163,73 @@ class Packet:
         )
 
 
+_ETH_LEN = EthernetHeader.WIRE_LENGTH
+_IPV4_LEN = IPv4Header.WIRE_LENGTH
+_TCP_LEN = TCPHeader.BASE_WIRE_LENGTH
+_UDP_LEN = UDPHeader.WIRE_LENGTH
+
+
+def stamp(packet: Packet) -> tuple | None:
+    """The NIC model: store ``packet``'s flow key and wire length on it,
+    and return the key.
+
+    The key is the flat ``(ip, port, ip, port, proto)`` with the lower
+    endpoint first, so both directions of a conversation share it (the
+    endpoints in :meth:`FiveTuple.canonical` order); a packet without an
+    IP or transport header has none.  The length is
+    :attr:`Packet.wire_length`'s, in constant arithmetic: header types fix
+    most sizes, and only TCP options and IPv6 extension headers ask the
+    header for its own.  A generator that stamps a whole flow stamps one
+    packet and hands its key to the rest, so a middlebox can tell a run
+    of one flow by identity alone.
+    """
+    ip = packet.ip
+    l4 = packet.l4
+    length = packet.payload.size
+    if packet.eth is not None:
+        length += _ETH_LEN
+    if type(ip) is IPv4Header:
+        length += _IPV4_LEN
+        proto = ip.proto
+    elif ip is not None:
+        length += ip.wire_length
+        proto = ip.next_header
+    if type(l4) is TCPHeader:
+        length += l4.wire_length if l4.options else _TCP_LEN
+    elif type(l4) is UDPHeader:
+        length += _UDP_LEN
+    elif l4 is not None:
+        length += l4.wire_length
+    packet.pkt_len = length
+    if ip is None or l4 is None:
+        packet.flow_key = None
+        return None
+    src = ip.src
+    dst = ip.dst
+    sport = l4.src_port
+    dport = l4.dst_port
+    # One flat tuple: a nested key is three objects per flow for the
+    # cyclic collector to track.
+    if src < dst or (src == dst and sport <= dport):
+        key = (src, sport, dst, dport, proto)
+    else:
+        key = (dst, dport, src, sport, proto)
+    packet.flow_key = key
+    return key
+
+
 # The two constructors below build the generator's packets, so they skip
 # the generated ``__init__`` / ``__post_init__`` and store each slot
 # directly (the idiom of ``CookieDescriptor.create``).  The result equals
 # what the dataclass constructors build, field for field, with the same
 # checks raising the same errors: a DSCP outside 0..63 (``HeaderError``)
 # and a negative payload (``ValueError``); ``packet_id`` is drawn only once
-# both pass.  ``tests/netsim/test_packet_constructors.py`` pins the
-# equality, so a field added to a header must be added here too.
+# both pass.  Like the dataclass path they leave the packet unstamped.
+# The optional parameters are not keyword-only: CPython 3.11 fills a
+# missing keyword-only default with a dict lookup per parameter and a
+# positional default by index, ~8 % of a ``make_tcp_packet`` call.
+# ``tests/netsim/test_packet_constructors.py`` pins the equality, so a
+# field added to a header must be added here too.
 _new = object.__new__
 _TCP = IPProto.TCP
 _UDP = IPProto.UDP
@@ -166,7 +242,6 @@ def make_tcp_packet(
     src_port: int,
     dst_ip: str,
     dst_port: int,
-    *,
     payload_size: int = 0,
     content: Any = None,
     flags: int = 0,
@@ -210,6 +285,8 @@ def make_tcp_packet(
     packet.created_at = created_at
     packet.meta = {}
     packet.packet_id = next(_packet_ids)
+    packet.flow_key = None
+    packet.pkt_len = None
     return packet
 
 
@@ -218,7 +295,6 @@ def make_udp_packet(
     src_port: int,
     dst_ip: str,
     dst_port: int,
-    *,
     payload_size: int = 0,
     content: Any = None,
     dscp: int = 0,
@@ -254,4 +330,6 @@ def make_udp_packet(
     packet.created_at = created_at
     packet.meta = {}
     packet.packet_id = next(_packet_ids)
+    packet.flow_key = None
+    packet.pkt_len = None
     return packet

@@ -28,10 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ...core.matcher import CookieMatcher
 from ...core.transport import TransportRegistry, default_registry
-from ...netsim.headers import IPv4Header as _IPv4Header
-from ...netsim.headers import TCPHeader as _TCPHeader
 from ...netsim.middlebox import Element
-from ...netsim.packet import Packet
+from ...netsim.packet import Packet, stamp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from ...core.distributed import ShardedVerifierPool
@@ -133,7 +131,9 @@ class ZeroRatingMiddlebox(Element):
 
     ``is_subscriber`` decides which side of a packet is the subscriber
     (default: any RFC1918-ish "10." / "192.168." address).  Both directions
-    of a flow share one state entry keyed on the canonical 5-tuple.
+    of a flow share one state entry keyed on the canonical 5-tuple: the
+    packet's stamped ``flow_key``.  The box trusts the stamp, so an
+    element that rewrites headers upstream of it must clear it.
 
     ``max_flows`` / ``flow_idle_timeout`` bound flow state;
     ``max_subscribers`` bounds the counter map, with
@@ -256,14 +256,21 @@ class ZeroRatingMiddlebox(Element):
         - a new flow pays no method hop: the eviction check, the flow
           state, the fail-safe ``try`` around the verifier and the
           resolve hook are written out in the loop;
+        - no header is parsed: each packet's flow key and wire length
+          are the NIC's stamp (:func:`~repro.netsim.packet.stamp`), and
+          a packet that arrives unstamped is stamped on the way in.
+          That call costs more than the inline header read it
+          replaced, so a driver of multi-packet bursts stamps them as
+          it builds them (PROTOCOL §9);
         - consecutive packets of a *resolved* flow (the common burst
           shape — think GRO) coalesce into a run: the head packet pays
-          the full dict/LRU path, the rest of the run only compares
-          header fields against the head, accumulates bytes, and is
-          billed to the flow's counter in one addition.  Final LRU order
-          and counter values are unchanged — consecutive touches of one
-          key neither move it relative to other keys nor bill a
-          different total.
+          the full dict/LRU path, the rest of the run joins on its
+          stamped key — the head's very tuple, for a flow the NIC
+          stamped, so one identity test; an equal key stamped apart
+          joins too — adds its stamped length, and is billed to the
+          flow's counter in one addition.  Final LRU order and counter
+          values are unchanged — consecutive touches of one key neither
+          move it relative to other keys nor bill a different total.
 
         Billing rides the same loop.  Without it a packet is free when
         its flow's cookie verified; with it the subscriber's operator
@@ -305,22 +312,12 @@ class ZeroRatingMiddlebox(Element):
                 packet = packets[index]
                 index += 1
                 processed += 1
-                ip = packet.ip
-                l4 = packet.l4
-                if ip is None or l4 is None:
-                    append(packet)
-                    continue
-                src = ip.src
-                dst = ip.dst
-                sport = l4.src_port
-                dport = l4.dst_port
-                proto = ip.proto
-                # One flat tuple: a nested key is three objects per flow
-                # for the cyclic collector to track.
-                if src < dst or (src == dst and sport <= dport):
-                    key = (src, sport, dst, dport, proto)
-                else:
-                    key = (dst, dport, src, sport, proto)
+                key = packet.flow_key
+                if key is None:
+                    key = stamp(packet)
+                    if key is None:  # no IP or transport header
+                        append(packet)
+                        continue
                 state = flows.pop(key, None)
                 if state is not None and now - state.last_seen <= idle:
                     state.last_seen = now
@@ -338,6 +335,9 @@ class ZeroRatingMiddlebox(Element):
                     ):
                         self._evict_for_space(now)
                     # The billed end, by _subscriber_side's rule.
+                    ip = packet.ip
+                    src = ip.src
+                    dst = ip.dst
                     if is_subscriber(src) or not is_subscriber(dst):
                         subscriber_ip, remote_ip = src, dst
                     else:
@@ -399,27 +399,7 @@ class ZeroRatingMiddlebox(Element):
                     del counters[subscriber_ip]
                     counters[subscriber_ip] = sub_counters
                 zero_rated = state.zero_rated
-                # Header *types* are per-flow constants, so the head's
-                # types pick constant-size wire-length arithmetic for the
-                # whole run and only packets carrying options/extensions
-                # fall back to the header's own property.
-                ip_is_v4 = type(ip) is _IPv4Header
-                l4_is_tcp = type(l4) is _TCPHeader
-                wire = packet.payload.size
-                if packet.eth is not None:
-                    wire += 14  # EthernetHeader.WIRE_LENGTH
-                if ip_is_v4:
-                    wire += 20  # IPv4Header.WIRE_LENGTH
-                elif ip.extensions:
-                    wire += ip.wire_length
-                else:
-                    wire += 40  # IPv6Header.BASE_WIRE_LENGTH
-                if not l4_is_tcp:
-                    wire += 8  # UDPHeader.WIRE_LENGTH
-                elif l4.options:
-                    wire += l4.wire_length
-                else:
-                    wire += 20  # TCPHeader.BASE_WIRE_LENGTH
+                wire = packet.pkt_len
                 if billing is not None and state.resolved:
                     # The head joins its run: billed, marked and emitted
                     # with it, below.
@@ -452,57 +432,27 @@ class ZeroRatingMiddlebox(Element):
                 # skip cookie work), and byte accounting is additive —
                 # under billing up to the cap, which account_run applies
                 # to the collected sizes once the run ends.
-                run_packets = 0
+                start = index
                 run_bytes = 0
                 while index < total:
                     nxt = packets[index]
-                    nip = nxt.ip
-                    nl4 = nxt.l4
-                    if nip is None or nl4 is None:
-                        break
-                    nsrc = nip.src
-                    ndst = nip.dst
-                    nsport = nl4.src_port
-                    ndport = nl4.dst_port
-                    if nip.proto != proto or not (
-                        (
-                            nsrc == src
-                            and ndst == dst
-                            and nsport == sport
-                            and ndport == dport
-                        )
-                        or (
-                            nsrc == dst
-                            and ndst == src
-                            and nsport == dport
-                            and ndport == sport
-                        )
-                    ):
-                        break
+                    nkey = nxt.flow_key
+                    if nkey is not key:
+                        # Another flow, a packet stamped on its own, or
+                        # one no NIC has seen: settle it on the key's value.
+                        if nkey is None:
+                            nkey = stamp(nxt)
+                        if nkey != key:
+                            break
                     index += 1
-                    run_packets += 1
-                    wire = nxt.payload.size
-                    if nxt.eth is not None:
-                        wire += 14
-                    if ip_is_v4:
-                        wire += 20
-                    elif nip.extensions:
-                        wire += nip.wire_length
-                    else:
-                        wire += 40
-                    if not l4_is_tcp:
-                        wire += 8
-                    elif nl4.options:
-                        wire += nl4.wire_length
-                    else:
-                        wire += 20
+                    wire = nxt.pkt_len
                     if billing is not None:
                         sizes_append(wire)
                     else:
                         run_bytes += wire
                         if zero_rated:
                             nxt.meta["zero_rated"] = True
-                        append(nxt)
+                run_packets = index - start
                 if billing is not None:
                     flags = billing.account_run(
                         subscriber_ip, state.service if zero_rated else None,
@@ -511,11 +461,12 @@ class ZeroRatingMiddlebox(Element):
                     run_free = sum(compress(sizes, flags))
                     sub_counters.free_bytes += run_free
                     sub_counters.charged_bytes += sum(sizes) - run_free
-                    run = packets[index - run_packets - 1 : index]
+                    run = packets[start - 1 : index]
                     for nxt in compress(run, flags):
                         nxt.meta["zero_rated"] = True
                     out += run
                 elif run_packets:
+                    out += packets[start:index]
                     if zero_rated:
                         sub_counters.free_bytes += run_bytes
                     else:

@@ -115,13 +115,14 @@ class StatelessZeroRater(Element):
                 subscriber = _subscriber_side(
                     self.is_subscriber, ip.src, ip.dst
                 )
+                wire = packet.wire_length
                 if self.billing is not None:
                     remote = ip.dst if subscriber == ip.src else ip.src
                     free = self.billing.account(
                         subscriber,
                         service if cookied else None,
                         remote,
-                        packet.wire_length,
+                        wire,
                         cookied=cookied,
                         now=now,
                     )
@@ -134,9 +135,9 @@ class StatelessZeroRater(Element):
                     counters = SubscriberCounters()
                     self.counters[subscriber] = counters
                 if free:
-                    counters.free_bytes += packet.wire_length
+                    counters.free_bytes += wire
                 else:
-                    counters.charged_bytes += packet.wire_length
+                    counters.charged_bytes += wire
             finished = len(packets)
         finally:
             self.emit_batch(packets[:finished])

@@ -191,6 +191,27 @@ class TestExecutorDifferential:
                 wire.stats.as_dict() == fallback.collect_match_stats().as_dict()
             ), birth
 
+    def test_a_clock_stepped_back_is_judged_at_the_latest_instant(self):
+        """Ids 1 and 2 land on different shards of two; only the first
+        shard reads t=200, but the pool judges the second shard's cookie
+        at 200 too, as the in-process pool does: stale."""
+        from repro.core import CookieDescriptor, CookieGenerator, DescriptorStore
+
+        store = DescriptorStore()
+        first, second = (
+            store.add(CookieDescriptor.create(service_data="svc", cookie_id=i))
+            for i in (1, 2)
+        )
+        late = CookieGenerator(first, clock=lambda: 200.0).generate()
+        early = CookieGenerator(second, clock=lambda: 104.0).generate()
+        pool = ShardedVerifierPool(store, 2)
+        with ProcessShardExecutor(store, workers=2) as executor:
+            for verifier in (pool, executor):
+                assert verifier.shard_for(late) != verifier.shard_for(early)
+                assert verifier.match_batch([late], 200.0) == [first]
+                assert verifier.match_batch([early], 101.0) == [None]
+            assert executor.collect_match_stats().stale_timestamp == 1
+
     def test_empty_batch(self):
         env = _Env()
         with ProcessShardExecutor(env.store, workers=WORKERS) as executor:

@@ -6,10 +6,11 @@ no code with the verifiers and boxes it is compared against.
 A cookie is its 48 wire bytes, ``id | uuid | µs timestamp | signature``.
 :class:`Verifier` runs the ladder unknown → revoked → expired → bad
 signature (``hmac.digest(key, bytes[:32], "sha256")[:16]``) → stale
-(``abs(ts - now) > NCT``) → replayed (key ``bytes[:24]``).  A replay key
-accepted once is never accepted again: the clock only moves forward
-here, and the shipped cache keeps a key for at least 2 × NCT, as long
-as the cookie that spent it stays fresh.  On it sit four boxes: the stateful
+(``abs(ts - now) > NCT``) → replayed (key ``bytes[:24]``), judged at the
+latest instant read, ``max(now, high-water)``.  A replay key accepted once
+is never accepted again: that instant only moves forward, and the shipped
+cache keeps a key for at least 2 × NCT of it, as long as the cookie that
+spent it stays fresh.  On it sit four boxes: the stateful
 zero-rater, the stateless rater, the switch's flow binding and the
 prefilter's steering, plus a :class:`Tariff` for billing.  Each box
 reads its clock once per burst.  A box that raises stops its burst at
@@ -97,8 +98,10 @@ class Verifier:
         self.grants = grants
         self.spent: set[bytes] = set()
         self.stats: Counter = Counter()
+        self.latest = float("-inf")
 
     def judge(self, cookie: bytes, now: float) -> Grant | None:
+        now = self.latest = max(now, self.latest)
         cookie_id, ts_micros = _FIELDS.unpack_from(cookie)
         grant = self.grants.get(cookie_id)
         if grant is None:

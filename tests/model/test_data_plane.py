@@ -13,9 +13,13 @@ that they agree.
 
 Each box and each model twin reads its own clock, so a box that reads
 its clock twice in a burst drifts from its twin once a per-read step is
-set.  The rules add and revoke descriptors, send bursts, move the clock,
-take the verifier down, make the accountant raise and shrink the caps.
-:data:`SCRIPTS` are named cases that run through the same rules.
+set.  The rules add and revoke descriptors, send bursts, move the clock
+either way, take the verifier down, make the accountant raise and
+shrink the caps.  A packet is born unstamped, stamped on its own, or
+stamped with its flow's one shared key as the NIC model stamps a
+generated flow (:data:`NIC`), so a burst mixes a box's identity run
+check with its stamp-on-read fallback.  :data:`SCRIPTS` are named cases
+that run through the same rules.
 """
 
 import base64
@@ -38,7 +42,7 @@ from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.flow import FiveTuple
 from repro.netsim.middlebox import Sink
-from repro.netsim.packet import make_tcp_packet
+from repro.netsim.packet import make_tcp_packet, stamp
 from repro.services.billing import BillingAccountant, BillingJournal
 from repro.services.billing.invoice import build_invoices
 from repro.services.zerorate import (
@@ -63,6 +67,9 @@ FLOWS = [
 ]
 KINDS = ("valid", "forged", "stale", "replayed", "unknown")
 BIRTHS = ("constructed", "from_bytes", "from_text")
+#: How a packet reaches the boxes: as built, stamped alone, or stamped
+#: with the key every packet of its flow shares.
+NIC = ("unstamped", "stamped", "shared")
 REGISTRY = default_registry()
 
 COOKIES = st.tuples(
@@ -77,6 +84,7 @@ PACKETS = st.tuples(
     st.booleans(),  # upstream
     st.sampled_from((1, 40, 512, 1400)),  # payload bytes
     st.none() | COOKIES,
+    st.sampled_from(NIC),
 )
 
 
@@ -158,6 +166,7 @@ class DataPlane(RuleBasedStateMachine):
         self.minted: list[bytes] = []
         self.bursts = 0
         self.frames: dict[int, ref.Frame] = {}
+        self.flow_keys: dict[int, tuple] = {}
         self.clocks: list[Clock] = []
         self.raters: list[Rater] = []
 
@@ -274,6 +283,12 @@ class DataPlane(RuleBasedStateMachine):
         for clock in self.clocks:
             clock.now += seconds
 
+    @rule(seconds=st.floats(0.0, 120.0))
+    def rewind(self, seconds):
+        """Step every clock back: a verifier still judges at the latest
+        instant it has read."""
+        self.advance(-seconds)
+
     @rule(step=st.sampled_from((0.0, 0.5, 2.0)))
     def set_step(self, step):
         for clock in self.clocks:
@@ -299,15 +314,15 @@ class DataPlane(RuleBasedStateMachine):
     def send(self, burst, chunk=8):
         self.bursts += 1
         specs = []
-        for flow, upstream, size, cookie in burst:
+        for flow, upstream, size, cookie, nic in burst:
             wire, birth = self._cookie(*cookie) if cookie else (None, "from_bytes")
-            specs.append((len(self.frames), flow, upstream, size, wire, birth))
+            specs.append((len(self.frames), flow, upstream, size, wire, birth, nic))
             packet = self._packet(specs[-1])
             self.frames[len(self.frames)] = ref.Frame(
                 specs[-1][0], packet.ip.src, packet.l4.src_port, packet.ip.dst,
                 packet.l4.dst_port, packet.wire_length, wire,
             )
-        self._verify_directly([s[4:] for s in specs if s[4] is not None], chunk)
+        self._verify_directly([s[4:6] for s in specs if s[4] is not None], chunk)
         before = [len(rater.sink.packets) for rater in self.raters]
         for sut, model in self.driven:
             raised = []
@@ -353,7 +368,7 @@ class DataPlane(RuleBasedStateMachine):
         return wire, birth
 
     def _packet(self, spec):
-        tag, flow, upstream, size, wire, birth = spec
+        tag, flow, upstream, size, wire, birth, nic = spec
         subscriber, port, server = FLOWS[flow]
         ends = (subscriber, port, server, 443)
         if not upstream:
@@ -366,6 +381,10 @@ class DataPlane(RuleBasedStateMachine):
         if wire is not None:
             carrier = "tls" if text else "tcp"
             REGISTRY.attach(packet, Cookie.from_bytes(wire), allowed=(carrier,))
+        if nic != "unstamped":
+            key = stamp(packet)
+            if nic == "shared":
+                packet.flow_key = self.flow_keys.setdefault(flow, key)
         packet.meta["tag"] = tag
         return packet
 
@@ -526,8 +545,8 @@ def cookie(kind="valid", grant=0, uuid=0, offset=0, birth="from_bytes"):
     return (kind, grant, uuid, offset, birth)
 
 
-def pkt(flow=0, upstream=True, size=512, cookie=None):
-    return (flow, upstream, size, cookie)
+def pkt(flow=0, upstream=True, size=512, cookie=None, nic="unstamped"):
+    return (flow, upstream, size, cookie, nic)
 
 
 def send(*packets, chunk=8):
@@ -598,6 +617,36 @@ SCRIPTS = {
         send(pkt(0), pkt(0, upstream=False), pkt(3)),
     ],
     "an empty burst changes nothing": [grant(), send(), send(pkt(0, cookie=cookie()))],
+    "a clock stepped back does not reopen a spent cookie's window": [
+        # Accepted at 1000 stamped 1004; at 1100 an idle reset empties
+        # the replay cache; back at 1001 the cookie is fresh again unless
+        # it is judged at the latest instant read.
+        grant(), send(pkt(0, cookie=cookie(offset=4_000_000))),
+        ("advance", {"seconds": 100.0}), send(pkt(1, cookie=cookie(uuid=1))),
+        ("rewind", {"seconds": 99.0}), send(pkt(2, cookie=cookie("replayed"))),
+    ],
+    "a far-future read holds the verifiers there until the clock catches up": [
+        # Accepted at 4600; back at 1000 a cookie minted then is judged at
+        # 4600 and is stale; at 4600 again a new one is accepted.
+        grant(), ("advance", {"seconds": 3600.0}), send(pkt(0, cookie=cookie())),
+        ("rewind", {"seconds": 3600.0}), send(pkt(1, cookie=cookie(uuid=1))),
+        ("advance", {"seconds": 3600.0}), send(pkt(2, cookie=cookie(uuid=2))),
+    ],
+    "a pool judges at its latest instant, whichever shard it picks": [
+        # Ids 7 and 8 land on shards 0 and 1 of four: shard 1 never read
+        # 1100, the pool did.
+        grant(7), grant(8), ("advance", {"seconds": 100.0}),
+        send(pkt(0, cookie=cookie(grant=0))), ("rewind", {"seconds": 99.0}),
+        send(pkt(1, cookie=cookie(grant=1, offset=4_000_000))),
+    ],
+    "stamped, shared-key and unstamped packets make one run": [
+        grant(),
+        send(*(pkt(0, upstream=i % 2 == 0, cookie=cookie() if i == 0 else None,
+                   nic=NIC[i % 3]) for i in range(7)),
+             pkt(1, nic="shared"), pkt(1, upstream=False, nic="unstamped"),
+             pkt(0, nic="shared")),
+        send(*(pkt(i % 2, upstream=i % 3 == 0, nic=NIC[i % 3]) for i in range(8))),
+    ],
     "a cookie on every packet: both boxes bill alike, under eviction too": [
         ("setup", {"shards": 1, "cap": 3000}), grant(),
         ("shrink", {"max_flows": 100, "max_subscribers": 1}),
@@ -610,10 +659,10 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.contract
-@pytest.mark.parametrize("name", list(SCRIPTS))
-def test_script(name, tmp_path):
-    machine = DataPlane(str(tmp_path))
+def _play(name: str, directory: str) -> dict:
+    """Run a script, the machine agreeing with the model after every
+    step; returns the model verifier's verdict tallies."""
+    machine = DataPlane(directory)
     steps = SCRIPTS[name]
     if steps[0][0] != "setup":
         steps = [("setup", {"shards": 4})] + steps
@@ -621,5 +670,22 @@ def test_script(name, tmp_path):
         for step, arguments in steps:
             getattr(machine, step)(**arguments)
             machine.agree()
+        return dict(machine.direct.stats)
     finally:
         machine.teardown()
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("name", list(SCRIPTS))
+def test_script(name, tmp_path):
+    _play(name, str(tmp_path))
+
+
+@pytest.mark.contract
+def test_a_far_future_read_makes_fresh_cookies_stale_until_the_clock_catches_up(
+    tmp_path,
+):
+    """The price of judging at the high-water mark (PROTOCOL §3), paid
+    by every verifier and box alike."""
+    name = "a far-future read holds the verifiers there until the clock catches up"
+    assert _play(name, str(tmp_path)) == {"accepted": 2, "stale_timestamp": 1}

@@ -5,11 +5,13 @@ of running the generated ``__init__``.  This contract pins them to the
 dataclass path, field by field (``packet_id`` excluded), over a grid of
 their arguments, and keeps the two refusals they share with it.  Reading
 every dataclass field of every object is what catches a header that gains
-a field the direct stores do not set.
+a field the direct stores do not set.  Both leave the NIC's stamp unset,
+as the dataclass path does.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import fields
 
@@ -23,7 +25,13 @@ from repro.netsim.headers import (
     TCPHeader,
     UDPHeader,
 )
-from repro.netsim.packet import Packet, Payload, make_tcp_packet, make_udp_packet
+from repro.netsim.packet import (
+    Packet,
+    Payload,
+    make_tcp_packet,
+    make_udp_packet,
+    stamp,
+)
 
 DSCPS = (0, 46, 63)
 CONTENTS = (
@@ -120,3 +128,14 @@ def test_each_packet_owns_its_mutable_parts():
     assert a.meta is not b.meta
     assert a.l4.options is not b.l4.options
     assert a.ip is not b.ip and a.payload is not b.payload
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("make", [make_tcp_packet, make_udp_packet])
+def test_a_built_packet_is_unstamped_and_the_stamp_is_not_compared(make):
+    packet = make("1.1.1.1", 1, "2.2.2.2", 2, payload_size=100)
+    assert (packet.flow_key, packet.pkt_len) == (None, None)
+    twin = copy.copy(packet)
+    stamp(packet)
+    assert packet.pkt_len == twin.wire_length
+    assert packet == twin and repr(packet) == repr(twin)

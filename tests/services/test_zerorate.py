@@ -152,6 +152,25 @@ class TestCounting:
         middlebox.handle(Packet())
         assert middlebox.packets_processed == 1
 
+    def test_ipv6_flow_keyed_both_ways_and_counted(self):
+        """The key's protocol is IPv6's next header (an IPv6 packet used
+        to raise ``AttributeError`` on ``ip.proto``)."""
+        from repro.netsim.headers import IPProto, IPv6Header, TCPHeader
+        from repro.netsim.packet import Packet
+
+        def packet(src, sport, dst, dport):
+            return Packet(ip=IPv6Header(src=src, dst=dst),
+                          l4=TCPHeader(src_port=sport, dst_port=dport))
+
+        _clock, _store, _descriptor, middlebox = _env()
+        middlebox.is_subscriber = lambda ip: ip == "2001:db8::10"
+        middlebox.process_batch([packet("2001:db8::10", 5000, "2001:db8::2", 443),
+                                 packet("2001:db8::2", 443, "2001:db8::10", 5000)])
+        assert list(middlebox._flows) == [
+            ("2001:db8::10", 5000, "2001:db8::2", 443, IPProto.TCP)
+        ]
+        assert middlebox.counters_for("2001:db8::10").charged_bytes == 2 * 60
+
 
 class TestAccounting:
     """A carrier's plan is one operator catalog: the middlebox bills
