@@ -9,8 +9,8 @@ including a replica that returns from a partition after log compaction
 (snapshot-then-replay catch-up).
 
 ``benchmarks/reports/controlplane_1m.json`` is written unconditionally
-(CI publishes it to the step summary; the checked-in copy documents a
-reference run).  Shards are a partitioning and replication unit inside
+(CI publishes it to the step summary; it is a run output, not
+tracked).  Shards are a partitioning and replication unit inside
 one process, so no sharded-speedup floor is asserted (PROTOCOL.md §14.4);
 the single-shard floor vs ``CookieServer``, the whole-schedule check and
 the staleness-bound assertions hold on any core count.

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..netsim.flow import FiveTuple, flow_key_of
 from ..netsim.middlebox import Element
-from ..netsim.packet import Packet
+from ..netsim.packet import Packet, stamp
 from .cookie import Cookie
 from .store import DescriptorStore
 from .transport.registry import TransportRegistry, default_registry
@@ -82,7 +81,7 @@ class HardwarePrefilter(Element):
         self.check_timestamp = check_timestamp
         self.software_path: Element | None = None
         self.fast_path: Element | None = None
-        self._offloaded: dict[FiveTuple, Callable[[Packet], None]] = {}
+        self._offloaded: dict[tuple, Callable[[Packet], None]] = {}
         self.stats = PrefilterStats()
 
     def software(self, element: Element) -> Element:
@@ -99,19 +98,20 @@ class HardwarePrefilter(Element):
     # Flow offload: software installs per-flow hardware actions
     # ------------------------------------------------------------------
     def offload_flow(
-        self, key: FiveTuple, action: Callable[[Packet], None] | None = None
+        self, key: tuple, action: Callable[[Packet], None] | None = None
     ) -> None:
         """Install a hardware entry for a resolved flow.
 
         After software binds (or definitively rejects) a flow, it pushes
         the per-packet action — a counter increment, a class marking —
         down to hardware; every later packet of that flow then takes the
-        fast path with the action applied in hardware.  ``key`` must be
-        the canonical (direction-folded) flow key.
+        fast path with the action applied in hardware.  ``key`` is the
+        flow's stamp (:func:`~repro.netsim.packet.stamp`), as the
+        middlebox's ``on_flow_resolved`` hands it over.
         """
         self._offloaded[key] = action or (lambda _p: None)
 
-    def evict_flow(self, key: FiveTuple) -> bool:
+    def evict_flow(self, key: tuple) -> bool:
         """Remove a hardware entry (flow ended or table pressure)."""
         return self._offloaded.pop(key, None) is not None
 
@@ -161,10 +161,7 @@ class HardwarePrefilter(Element):
         to_software: list[Packet] = []
         to_fast: list[Packet] = []
         for packet in packets:
-            try:
-                key = flow_key_of(packet)
-            except ValueError:
-                key = None
+            key = packet.flow_key or stamp(packet)
             if key is not None:
                 action = offloaded.get(key)
                 if action is not None:

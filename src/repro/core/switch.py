@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..netsim.events import EventLoop
-from ..netsim.flow import FiveTuple, Flow, FlowTable
+from ..netsim.flow import Flow, FlowTable
 from ..netsim.middlebox import Element
 from ..netsim.packet import Packet
 from .attributes import Granularity
@@ -200,7 +200,9 @@ class CookieSwitch(Element):
             self.stats.packets_served += 1
             return
         flow.service = descriptor
-        flow.annotations["bound_direction"] = FiveTuple.of_packet(packet)
+        # The binding packet's source endpoint: a later packet of the
+        # flow from any other endpoint travels the reverse way.
+        flow.annotations["bound_direction"] = (packet.ip.src, packet.l4.src_port)
         if attributes.delivery_guarantee:
             flow.annotations["needs_ack"] = True
         self.stats.flows_bound += 1
@@ -214,8 +216,9 @@ class CookieSwitch(Element):
             flow.service = None
             flow.annotations.pop("needs_ack", None)
             return
-        direction = FiveTuple.of_packet(packet)
-        is_reverse = direction != flow.annotations.get("bound_direction")
+        is_reverse = (packet.ip.src, packet.l4.src_port) != flow.annotations.get(
+            "bound_direction"
+        )
         if is_reverse and flow.annotations.pop("needs_ack", False):
             # The delivery guarantee is about the *forward* service having
             # been applied, so the ack rides the first reverse packet even

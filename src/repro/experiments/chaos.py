@@ -167,9 +167,9 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
         Sink,
         SkewedClock,
         Tap,
-        flow_key_of,
         make_tcp_packet,
     )
+    from ..netsim.packet import stamp
     from ..services.billing import BillingAccountant, BillingJournal, reconcile
     from ..services.zerorate import (
         AppCoverage,
@@ -260,7 +260,9 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
             seed=derive_seed(config.seed, "chaos", "faults"),
         ),
         loop=loop,
-        on_corrupt=lambda packet: corrupted_flows.add(flow_key_of(packet)),
+        on_corrupt=lambda packet: corrupted_flows.add(
+            packet.flow_key or stamp(packet)
+        ),
     )
     # Billing rides the same storm: three operator catalogs over the one
     # chaos service — op-a unlimited, op-b behind a cap that bites
@@ -321,7 +323,7 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
             created_at=loop.now,
         )
         transports.attach(packet, cookie)
-        attacker_flows.add(flow_key_of(packet))
+        attacker_flows.add(stamp(packet))
         # Injected straight into the middlebox: the attack must be
         # defeated by verification, not by the attacker's own bad luck
         # with the fault injector.
@@ -331,7 +333,7 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
         if (
             replays_left[0] <= 0
             or not packet.meta.get("cookie_checked")
-            or flow_key_of(packet) in attacker_flows
+            or (packet.flow_key or stamp(packet)) in attacker_flows
         ):
             return
         for cookie, _carrier in transports.extract_all(packet):
@@ -352,7 +354,7 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
     per_ip_delivered: dict[str, int] = {}
 
     def account(packet) -> None:
-        key = flow_key_of(packet)
+        key = packet.flow_key or stamp(packet)
         src = packet.ip.src
         per_ip_delivered[src] = (
             per_ip_delivered.get(src, 0) + packet.wire_length
@@ -383,7 +385,7 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
         )
         if first:
             agent.insert_cookie(packet, CHAOS_SERVICE)
-        legit_flows.add(flow_key_of(packet))
+        legit_flows.add(stamp(packet))
         injector.push(packet)
 
     sport = 20000

@@ -17,7 +17,7 @@ from .faults import (
     SkewedClock,
     TornWrite,
 )
-from .flow import FiveTuple, Flow, FlowTable, flow_key_of
+from .flow import Flow, FlowTable
 from .headers import (
     DSCP_MAX,
     EthernetHeader,
@@ -71,10 +71,8 @@ __all__ = [
     "TornWrite",
     "ScheduledEvent",
     "SimulationError",
-    "FiveTuple",
     "Flow",
     "FlowTable",
-    "flow_key_of",
     "DSCP_MAX",
     "EthernetHeader",
     "EtherType",

@@ -1,10 +1,13 @@
 """Flow identification and tracking.
 
-A *flow* is identified by the classic 5-tuple.  :class:`FiveTuple` is
-direction-sensitive; :meth:`FiveTuple.canonical` folds both directions of a
-conversation onto one key so that per-flow state (cookie service bindings,
-byte counters) covers the reverse path, as the paper's Boost daemon does when
-it adds "this and the reverse flow to the fast lane".
+A flow's key is the NIC's stamp (:func:`~repro.netsim.packet.stamp`): the
+flat ``(ip, port, ip, port, proto)`` with the lower endpoint first, so both
+directions of a conversation share one key and per-flow state (cookie
+service bindings, byte counters) covers the reverse path, as the paper's
+Boost daemon does when it adds "this and the reverse flow to the fast
+lane".  Every box keys its flows by it and stamps an unstamped packet on
+read.  A packet's direction is its source endpoint ``(ip, port)``,
+compared with an endpoint the box stored, so no second key is built.
 
 :class:`FlowTable` tracks live flows with idle-timeout eviction, mirroring
 the state a middlebox must bound.
@@ -15,71 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from .packet import Packet
+from .packet import Packet, stamp
 
-__all__ = ["FiveTuple", "Flow", "FlowTable", "flow_key_of"]
-
-
-@dataclass(frozen=True, slots=True)
-class FiveTuple:
-    """Directional flow key (src ip/port, dst ip/port, protocol)."""
-
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    proto: int
-
-    def reversed(self) -> "FiveTuple":
-        """The same conversation seen from the opposite direction."""
-        return FiveTuple(
-            src_ip=self.dst_ip,
-            src_port=self.dst_port,
-            dst_ip=self.src_ip,
-            dst_port=self.src_port,
-            proto=self.proto,
-        )
-
-    def canonical(self) -> "FiveTuple":
-        """A direction-independent key: the lexicographically smaller
-        (ip, port) pair is placed first, so both directions map to the
-        same canonical tuple."""
-        a = (self.src_ip, self.src_port)
-        b = (self.dst_ip, self.dst_port)
-        if a <= b:
-            return self
-        return self.reversed()
-
-    @classmethod
-    def of_packet(cls, packet: Packet) -> "FiveTuple":
-        """Extract the 5-tuple from a packet (raises if not IP + L4)."""
-        if packet.ip is None or packet.l4 is None:
-            raise ValueError("packet lacks IP or transport header")
-        return cls(
-            src_ip=packet.ip.src,
-            src_port=packet.l4.src_port,
-            dst_ip=packet.ip.dst,
-            dst_port=packet.l4.dst_port,
-            proto=int(packet.proto or 0),
-        )
-
-
-def flow_key_of(packet: Packet) -> FiveTuple:
-    """Canonical (bidirectional) flow key for a packet."""
-    return FiveTuple.of_packet(packet).canonical()
+__all__ = ["Flow", "FlowTable"]
 
 
 @dataclass(slots=True)
 class Flow:
     """Per-flow state tracked by a :class:`FlowTable`.
 
-    ``service`` holds whatever binding a middlebox installed for this flow
-    (e.g. a matched cookie descriptor, or a QoS class); ``packets`` and
-    ``bytes`` count both directions.  Slots-backed: a loaded middlebox
-    tracks tens of thousands of these.
+    ``key`` is the flow's stamp and ``initiator`` the source endpoint
+    ``(ip, port)`` of its first packet, which sets what ``packets_forward``
+    and ``packets_reverse`` count.  ``service`` holds whatever binding a
+    middlebox installed for this flow (e.g. a matched cookie descriptor,
+    or a QoS class); ``packets`` and ``bytes`` count both directions.
+    Slots-backed: a loaded middlebox tracks tens of thousands of these.
     """
 
-    key: FiveTuple
+    key: tuple
+    initiator: tuple
     first_seen: float
     last_seen: float
     packets: int = 0
@@ -94,8 +51,7 @@ class Flow:
         self.last_seen = now
         self.packets += 1
         self.bytes += packet.wire_length
-        direction = FiveTuple.of_packet(packet)
-        if direction == self.key:
+        if (packet.ip.src, packet.l4.src_port) == self.initiator:
             self.packets_forward += 1
         else:
             self.packets_reverse += 1
@@ -105,12 +61,22 @@ class Flow:
         return self.last_seen - self.first_seen
 
 
+def _key(packet: Packet) -> tuple:
+    key = packet.flow_key or stamp(packet)
+    if key is None:
+        raise ValueError("packet lacks IP or transport header")
+    return key
+
+
 class FlowTable:
     """Bidirectional flow tracker with idle-timeout eviction.
 
-    The table is keyed on the canonical 5-tuple.  ``idle_timeout`` bounds
-    state: flows not seen for that long are evicted lazily on access and
-    eagerly via :meth:`expire`.
+    The table is keyed on the packet's stamp, stamping an unstamped
+    packet on read.  ``idle_timeout`` bounds state: flows not seen for
+    that long are evicted lazily on access and eagerly via
+    :meth:`expire`.  A packet without an IP or transport header has no
+    flow: :meth:`lookup`, :meth:`observe` and :meth:`remove` raise
+    ``ValueError`` for it.
     """
 
     def __init__(
@@ -121,7 +87,7 @@ class FlowTable:
         if idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive")
         self.idle_timeout = idle_timeout
-        self._flows: dict[FiveTuple, Flow] = {}
+        self._flows: dict[tuple, Flow] = {}
         self._on_evict = on_evict
         self.evicted_count = 0
 
@@ -133,7 +99,7 @@ class FlowTable:
 
     def lookup(self, packet: Packet) -> Flow | None:
         """Find the flow a packet belongs to, or None if untracked."""
-        return self._flows.get(flow_key_of(packet))
+        return self._flows.get(_key(packet))
 
     def observe(self, packet: Packet, now: float) -> tuple[Flow, bool]:
         """Record a packet; returns ``(flow, is_new)``.
@@ -142,17 +108,19 @@ class FlowTable:
         replaced by a fresh flow record (the middlebox would have lost its
         state, so a new flow is what it would genuinely see).
         """
-        key = flow_key_of(packet)
+        key = _key(packet)
         flow = self._flows.get(key)
         is_new = False
         if flow is not None and now - flow.last_seen > self.idle_timeout:
             self._evict(key, flow)
             flow = None
         if flow is None:
-            # Keep the key oriented the way the first packet travelled so
-            # that forward/reverse counters are meaningful.
-            directional = FiveTuple.of_packet(packet)
-            flow = Flow(key=directional, first_seen=now, last_seen=now)
+            flow = Flow(
+                key=key,
+                initiator=(packet.ip.src, packet.l4.src_port),
+                first_seen=now,
+                last_seen=now,
+            )
             self._flows[key] = flow
             is_new = True
         flow.touch(packet, now)
@@ -171,11 +139,9 @@ class FlowTable:
 
     def remove(self, packet: Packet) -> Flow | None:
         """Explicitly remove the flow a packet belongs to (e.g. on FIN)."""
-        key = flow_key_of(packet)
-        flow = self._flows.pop(key, None)
-        return flow
+        return self._flows.pop(_key(packet), None)
 
-    def _evict(self, key: FiveTuple, flow: Flow) -> None:
+    def _evict(self, key: tuple, flow: Flow) -> None:
         del self._flows[key]
         self.evicted_count += 1
         if self._on_evict is not None:

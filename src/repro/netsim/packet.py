@@ -93,10 +93,7 @@ class Packet:
         ``pkt_len`` when a NIC has stamped it)."""
         total = self.pkt_len
         if total is None:
-            total = self.payload.size
-            for header in (self.eth, self.ip, self.l4):
-                if header is not None:
-                    total += header.wire_length
+            total = _wire_length(self)
         return total
 
     @property
@@ -169,20 +166,10 @@ _TCP_LEN = TCPHeader.BASE_WIRE_LENGTH
 _UDP_LEN = UDPHeader.WIRE_LENGTH
 
 
-def stamp(packet: Packet) -> tuple | None:
-    """The NIC model: store ``packet``'s flow key and wire length on it,
-    and return the key.
-
-    The key is the flat ``(ip, port, ip, port, proto)`` with the lower
-    endpoint first, so both directions of a conversation share it (the
-    endpoints in :meth:`FiveTuple.canonical` order); a packet without an
-    IP or transport header has none.  The length is
-    :attr:`Packet.wire_length`'s, in constant arithmetic: header types fix
-    most sizes, and only TCP options and IPv6 extension headers ask the
-    header for its own.  A generator that stamps a whole flow stamps one
-    packet and hands its key to the rest, so a middlebox can tell a run
-    of one flow by identity alone.
-    """
+def _wire_length(packet: Packet) -> int:
+    """The wire length off the headers, in constant arithmetic: header
+    types fix most sizes, and only TCP options and IPv6 extension
+    headers ask the header for its own."""
     ip = packet.ip
     l4 = packet.l4
     length = packet.payload.size
@@ -190,20 +177,36 @@ def stamp(packet: Packet) -> tuple | None:
         length += _ETH_LEN
     if type(ip) is IPv4Header:
         length += _IPV4_LEN
-        proto = ip.proto
     elif ip is not None:
         length += ip.wire_length
-        proto = ip.next_header
     if type(l4) is TCPHeader:
         length += l4.wire_length if l4.options else _TCP_LEN
     elif type(l4) is UDPHeader:
         length += _UDP_LEN
     elif l4 is not None:
         length += l4.wire_length
-    packet.pkt_len = length
+    return length
+
+
+def stamp(packet: Packet) -> tuple | None:
+    """The NIC model: store ``packet``'s flow key and wire length on it,
+    and return the key.
+
+    The key is the flat ``(ip, port, ip, port, proto)`` with the lower
+    endpoint first, so both directions of a conversation share it; it is
+    the simulator's one flow key (:mod:`repro.netsim.flow`).  A packet
+    without an IP or transport header has none.  The length is
+    :attr:`Packet.wire_length`'s.  A generator that stamps a whole flow
+    stamps one packet and hands its key to the rest, so a middlebox can
+    tell a run of one flow by identity alone.
+    """
+    packet.pkt_len = _wire_length(packet)
+    ip = packet.ip
+    l4 = packet.l4
     if ip is None or l4 is None:
         packet.flow_key = None
         return None
+    proto = ip.proto if type(ip) is IPv4Header else ip.next_header
     src = ip.src
     dst = ip.dst
     sport = l4.src_port

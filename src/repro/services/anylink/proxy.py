@@ -17,9 +17,8 @@ from typing import Callable
 from ...core import CookieMatcher, CookieServer, ServiceOffering
 from ...core.transport import TransportRegistry, default_registry
 from ...netsim.events import EventLoop
-from ...netsim.flow import flow_key_of
 from ...netsim.middlebox import Element, ShaperElement
-from ...netsim.packet import Packet
+from ...netsim.packet import Packet, stamp
 from ...netsim.queues import TokenBucket
 
 __all__ = ["LinkProfile", "STANDARD_PROFILES", "AnyLinkProxy", "make_anylink_server"]
@@ -71,8 +70,8 @@ class AnyLinkProxy(Element):
     shaper; everything else passes at full speed.
 
     Flow→profile bindings are made on the first cookied packet and apply
-    to both directions (the canonical flow key), like every cookie
-    service.
+    to both directions (the packet's stamp is the flow key), like every
+    cookie service.
     """
 
     def __init__(
@@ -140,9 +139,8 @@ class AnyLinkProxy(Element):
         return shaper
 
     def handle(self, packet: Packet) -> None:
-        try:
-            key = flow_key_of(packet)
-        except ValueError:
+        key = packet.flow_key or stamp(packet)
+        if key is None:
             self.emit(packet)
             return
         count = self._flow_packets.pop(key, 0) + 1

@@ -180,9 +180,9 @@ class ZeroRatingMiddlebox(Element):
         #: Invoked once per flow the moment its fate is final (cookie
         #: matched, or the sniff window closed without one).  The §4.6
         #: hardware co-design hooks here to offload the rest of the flow.
-        #: Its ``key`` is the flat ``(ip, port, ip, port, proto)`` with the
-        #: endpoints in :meth:`FiveTuple.canonical` order, so
-        #: ``FiveTuple(*key)`` is the flow's canonical 5-tuple.
+        #: Its ``key`` is the flow's stamp, the flat ``(ip, port, ip, port,
+        #: proto)`` with the lower endpoint first, which every other box
+        #: (``HardwarePrefilter.offload_flow`` included) keys flows by.
         self.on_flow_resolved = on_flow_resolved
         self.max_flows = max_flows
         self.flow_idle_timeout = flow_idle_timeout

@@ -1,5 +1,7 @@
 """Hardware prefilter tests (§4.6 hardware/software co-design)."""
 
+import pytest
+
 from repro.core import (
     CookieDescriptor,
     CookieGenerator,
@@ -9,9 +11,8 @@ from repro.core import (
 from repro.core.offload import HardwarePrefilter
 from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
-from repro.netsim.flow import FiveTuple, flow_key_of
 from repro.netsim.middlebox import Sink
-from repro.netsim.packet import make_tcp_packet
+from repro.netsim.packet import make_tcp_packet, stamp
 from repro.services.zerorate import ZeroRatingMiddlebox
 
 
@@ -83,13 +84,14 @@ class TestSteering:
         assert sink.count == 1
 
 
+@pytest.mark.contract
 class TestFlowOffload:
     def test_offloaded_flow_bypasses_software(self):
         _store, descriptor, prefilter, software, fast = _env()
         first = _cookied(descriptor)
         prefilter.push(first)  # goes to software
         counted = []
-        prefilter.offload_flow(flow_key_of(first), counted.append)
+        prefilter.offload_flow(stamp(first), counted.append)
         follow_up = make_tcp_packet(
             "10.0.0.1", 5000, "2.2.2.2", 443, payload_size=1200
         )
@@ -102,7 +104,7 @@ class TestFlowOffload:
         _store, descriptor, prefilter, _software, fast = _env()
         first = _cookied(descriptor)
         prefilter.push(first)
-        prefilter.offload_flow(flow_key_of(first))
+        prefilter.offload_flow(stamp(first))
         reverse = make_tcp_packet("2.2.2.2", 443, "10.0.0.1", 5000, payload_size=900)
         prefilter.push(reverse)
         assert fast.count == 1
@@ -110,7 +112,7 @@ class TestFlowOffload:
     def test_evict(self):
         _store, descriptor, prefilter, software, _fast = _env()
         first = _cookied(descriptor)
-        key = flow_key_of(first)
+        key = stamp(first)
         prefilter.offload_flow(key)
         assert prefilter.offloaded_flows == 1
         assert prefilter.evict_flow(key)
@@ -124,6 +126,7 @@ class TestFlowOffload:
         assert fast.count == 1 and software.count == 0
 
 
+@pytest.mark.contract
 class TestCoDesignWithZeroRating:
     def test_middlebox_offloads_resolved_flows(self):
         """The full §4.6 co-design: software resolves each flow once,
@@ -137,7 +140,7 @@ class TestCoDesignWithZeroRating:
             CookieMatcher(store),
             clock=lambda: 0.0,
             on_flow_resolved=lambda key, state: prefilter.offload_flow(
-                FiveTuple(*key),
+                key,
                 lambda _p: hw_counted.__setitem__(
                     "packets", hw_counted["packets"] + 1
                 ),
@@ -165,7 +168,7 @@ class TestCoDesignWithZeroRating:
             clock=lambda: 0.0,
             sniff_packets=3,
             on_flow_resolved=lambda key, state: offloads.append(
-                (FiveTuple(*key), state.zero_rated)
+                (key, state.zero_rated)
             ),
         )
         for _ in range(5):

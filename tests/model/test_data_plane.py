@@ -40,7 +40,6 @@ from repro.core.offload import HardwarePrefilter
 from repro.core.switch import CookieSwitch
 from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
-from repro.netsim.flow import FiveTuple
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet, stamp
 from repro.services.billing import BillingAccountant, BillingJournal
@@ -202,7 +201,7 @@ class DataPlane(RuleBasedStateMachine):
         self.prefilter = HardwarePrefilter(store, clock=self.clock())
         software = self._rater(ZeroRatingMiddlebox, CookieMatcher(store), False)
         software.sut.on_flow_resolved = lambda key, _state: (
-            self.prefilter.offload_flow(FiveTuple(*key))
+            self.prefilter.offload_flow(key)
         )
         self.prefilter.software(software.sut)
         self.prefilter.fast(Sink())
@@ -456,10 +455,7 @@ class DataPlane(RuleBasedStateMachine):
         stats = vars(prefilter.stats)
         assert stats == {k: model.stats[k] for k in stats}
         assert [p.meta["tag"] for p in prefilter.fast_path.packets] == model.fast
-        assert {
-            (k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.proto)
-            for k in prefilter._offloaded
-        } == model.offloaded
+        assert set(prefilter._offloaded) == model.offloaded
 
     def _agree_verifier(self, guarded, model):
         assert _stats(guarded.inner) == {k: model.stats[k] for k in MATCH_OUTCOMES}

@@ -1,50 +1,37 @@
-"""Flow key and flow table tests."""
+"""Flow table tests, and the contract that every box keys a flow by the
+NIC's stamp."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim.flow import FiveTuple, FlowTable, flow_key_of
-from repro.netsim.packet import make_tcp_packet
+from repro.core import CookieDescriptor, CookieMatcher, DescriptorStore
+from repro.core.generator import CookieGenerator
+from repro.core.offload import HardwarePrefilter
+from repro.core.switch import CookieSwitch
+from repro.core.transport import default_registry
+from repro.netsim.appmsg import TLSClientHello
+from repro.netsim.events import EventLoop
+from repro.netsim.flow import FlowTable
+from repro.netsim.headers import IPProto, IPv4Header
+from repro.netsim.middlebox import Sink
+from repro.netsim.nat import NAT44
+from repro.netsim.packet import Packet, Payload, make_tcp_packet, stamp
+from repro.services.anylink import AnyLinkProxy
+from repro.services.zerorate import ZeroRatingMiddlebox
 
-
-def _tuple(src="1.1.1.1", sport=100, dst="2.2.2.2", dport=200, proto=6):
-    return FiveTuple(src, sport, dst, dport, proto)
-
+PUBLIC = "198.51.100.7"
+SERVER = "93.184.216.34"
 
 ips = st.tuples(*([st.integers(0, 255)] * 4)).map(lambda t: ".".join(map(str, t)))
 ports = st.integers(0, 65535)
 
 
-class TestFiveTuple:
-    def test_reverse_is_involution(self):
-        key = _tuple()
-        assert key.reversed().reversed() == key
-
-    def test_both_directions_share_canonical(self):
-        key = _tuple()
-        assert key.canonical() == key.reversed().canonical()
-
-    def test_canonical_is_idempotent(self):
-        key = _tuple()
-        assert key.canonical().canonical() == key.canonical()
-
-    def test_of_packet(self):
-        packet = make_tcp_packet("10.0.0.1", 5000, "10.0.0.2", 443)
-        key = FiveTuple.of_packet(packet)
-        assert key.src_ip == "10.0.0.1" and key.dst_port == 443
-
-    def test_of_packet_without_headers_raises(self):
-        from repro.netsim.packet import Packet
-
-        with pytest.raises(ValueError):
-            FiveTuple.of_packet(Packet())
-
-    @given(src=ips, sport=ports, dst=ips, dport=ports)
-    def test_canonical_properties(self, src, sport, dst, dport):
-        key = FiveTuple(src, sport, dst, dport, 6)
-        canonical = key.canonical()
-        assert canonical == key.reversed().canonical()
-        assert canonical.canonical() == canonical
+@given(src=ips, sport=ports, dst=ips, dport=ports)
+def test_both_directions_share_one_key_lower_endpoint_first(src, sport, dst, dport):
+    key = stamp(make_tcp_packet(src, sport, dst, dport))
+    assert key == stamp(make_tcp_packet(dst, dport, src, sport))
+    low, high = sorted([(src, sport), (dst, dport)])
+    assert key == (*low, *high, IPProto.TCP)
 
 
 class TestFlowTable:
@@ -120,10 +107,164 @@ class TestFlowTable:
     def test_flow_key_of_canonicalizes(self):
         forward = make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2)
         reverse = make_tcp_packet("2.2.2.2", 2, "1.1.1.1", 1)
-        assert flow_key_of(forward) == flow_key_of(reverse)
+        assert stamp(forward) == stamp(reverse)
 
     def test_iteration(self):
         table = FlowTable()
         table.observe(make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2), now=0.0)
         table.observe(make_tcp_packet("3.3.3.3", 3, "4.4.4.4", 4), now=0.0)
         assert len(list(table)) == 2
+
+
+# ----------------------------------------------------------------------
+# One key across the boxes
+# ----------------------------------------------------------------------
+def _directional(packet):
+    """The key the flow table used before the stamp: the packet's own
+    direction, protocol from its transport header."""
+    return (packet.ip.src, packet.l4.src_port, packet.ip.dst,
+            packet.l4.dst_port, packet.proto)
+
+
+endpoints = st.tuples(
+    st.sampled_from(["10.0.0.1", "10.0.0.2", SERVER]), st.sampled_from([443, 40000])
+)
+
+NO_FLOW = {
+    "no IP header": lambda: Packet(payload=Payload(size=5)),
+    "no transport header": lambda: Packet(
+        ip=IPv4Header(src="10.0.0.1", dst=SERVER), payload=Payload(size=5)
+    ),
+}
+
+
+@pytest.mark.contract
+class TestOneKeyAcrossTheBoxes:
+    def test_a_natted_flow_has_the_same_key_in_every_box(self):
+        """NAT clears the stamp; each box stamps on read and keys the
+        flow by the post-NAT tuple."""
+        store = DescriptorStore()
+        descriptor = store.add(CookieDescriptor.create(service_data="3g"))
+        private = make_tcp_packet(
+            "10.0.0.1", 40000, SERVER, 443, payload_size=100,
+            content=TLSClientHello(sni="app.example.com"),
+        )
+        default_registry().attach(
+            private, CookieGenerator(descriptor, clock=lambda: 0.0).generate()
+        )
+        nat = NAT44(PUBLIC)
+        wan = nat.outbound >> Sink()
+        nat.outbound.push(private)
+        (natted,) = wan.packets
+        assert natted.flow_key is None
+        port = nat.mapping_for_private("10.0.0.1", 40000, IPProto.TCP).public_port
+        key = (PUBLIC, port, SERVER, 443, IPProto.TCP)
+        # One unstamped copy per box, so each box stamps on its own read.
+        for_table, for_switch, for_prefilter, for_anylink, for_box = (
+            natted.clone() for _ in range(5)
+        )
+
+        flow, is_new = FlowTable().observe(for_table, now=0.0)
+        assert is_new and flow.key == key and for_table.flow_key == key
+        assert flow.initiator == (PUBLIC, port)
+
+        cookie_switch = CookieSwitch(CookieMatcher(store), clock=lambda: 0.0)
+        cookie_switch >> Sink()
+        cookie_switch.push(for_switch)
+        assert [flow.key for flow in cookie_switch.flows] == [key]
+        assert cookie_switch.stats.flows_bound == 1
+
+        hits = []
+        hardware = HardwarePrefilter(store, clock=lambda: 0.0)
+        hardware.software(Sink())
+        hardware.fast(Sink())
+        hardware.offload_flow(key, hits.append)
+        hardware.push(for_prefilter)
+        assert hits == [for_prefilter]
+
+        proxy = AnyLinkProxy(EventLoop(), CookieMatcher(store))
+        proxy >> Sink()
+        proxy.push(for_anylink)
+        assert for_anylink.flow_key == key
+        assert proxy._flow_profiles == {key: "3g"}
+
+        resolved = []
+        box = ZeroRatingMiddlebox(
+            CookieMatcher(store), clock=lambda: 0.0,
+            is_subscriber=lambda ip: ip == PUBLIC,
+            on_flow_resolved=lambda resolved_key, _state: resolved.append(
+                resolved_key
+            ),
+        )
+        box.push(for_box)
+        assert resolved == [key]
+
+    @given(
+        a=endpoints,
+        b=endpoints,
+        forward=st.lists(st.booleans(), min_size=1, max_size=12),
+        prestamped=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    def test_forward_and_reverse_counts_follow_the_first_packet(
+        self, a, b, forward, prestamped
+    ):
+        """A packet counts forward when its own direction is the first
+        packet's, as when the table kept a directional key, stamped on
+        arrival or before."""
+        packets = [
+            make_tcp_packet(*(a + b if ahead else b + a)) for ahead in forward
+        ]
+        for packet, early in zip(packets, prestamped):
+            if early:
+                stamp(packet)
+        table = FlowTable()
+        for packet in packets:
+            flow, _ = table.observe(packet, now=0.0)
+        assert len(table) == 1
+        first = _directional(packets[0])
+        expected = sum(_directional(packet) == first for packet in packets)
+        assert (flow.packets_forward, flow.packets_reverse) == (
+            expected, len(packets) - expected
+        )
+
+    def test_both_directions_counted_and_equal_endpoints_are_forward(self):
+        table = FlowTable()
+        out = make_tcp_packet("10.0.0.1", 40000, SERVER, 443)
+        back = make_tcp_packet(SERVER, 443, "10.0.0.1", 40000)
+        for packet in (out, back, back):
+            flow, _ = table.observe(packet, now=0.0)
+        assert (flow.packets_forward, flow.packets_reverse) == (1, 2)
+        table = FlowTable()
+        for _ in range(3):
+            loop, _ = table.observe(
+                make_tcp_packet("10.0.0.1", 7, "10.0.0.1", 7), now=0.0
+            )
+        assert (loop.packets_forward, loop.packets_reverse) == (3, 0)
+
+    @pytest.mark.parametrize("shape", list(NO_FLOW))
+    def test_a_packet_without_a_flow_takes_each_boxs_old_path(self, shape):
+        make = NO_FLOW[shape]
+        store = DescriptorStore()
+
+        switch = CookieSwitch(CookieMatcher(store), clock=lambda: 0.0)
+        forwarded = switch >> Sink()
+        packet = make()
+        switch.push(packet)
+        assert forwarded.packets == [packet] and len(switch.flows) == 0
+
+        prefilter = HardwarePrefilter(store, clock=lambda: 0.0)
+        software, fast = Sink(), Sink()
+        prefilter.software(software)
+        prefilter.fast(fast)
+        packet = make()
+        prefilter.push(packet)
+        assert fast.packets == [packet] and software.count == 0
+
+        proxy = AnyLinkProxy(EventLoop(), CookieMatcher(store))
+        emitted = proxy >> Sink()
+        packet = make()
+        proxy.push(packet)
+        assert emitted.packets == [packet]
+
+        with pytest.raises(ValueError):
+            FlowTable().observe(make(), now=0.0)

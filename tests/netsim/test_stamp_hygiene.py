@@ -27,7 +27,6 @@ from repro.core.transport import (
 )
 from repro.experiments.fig6_accuracy import _WanRewriter
 from repro.netsim.appmsg import HTTPRequest, TLSClientHello
-from repro.netsim.flow import FiveTuple
 from repro.netsim.headers import (
     EthernetHeader,
     IPProto,
@@ -121,6 +120,21 @@ SHAPES = {
     "no headers": lambda: Packet(payload=Payload(size=5)),
 }
 
+#: Each shape's key: the lower endpoint first, the protocol as the IP
+#: header states it, and none without an IP or transport header.
+KEYS = {
+    "tcp": ("10.0.0.1", 40000, SERVER, 443, IPProto.TCP),
+    "tcp with options": ("10.0.0.1", 40000, SERVER, 443, IPProto.TCP),
+    "ethernet": ("10.0.0.1", 5, SERVER, 5, IPProto.TCP),
+    "udp": ("10.0.0.1", 40000, SERVER, 53, IPProto.UDP),
+    "ipv6": ("2001:db8::1", 40000, "2001:db8::2", 443, IPProto.TCP),
+    "ipv6 with an extension": (
+        "2001:db8::1", 40000, "2001:db8::2", 443, IPProto.TCP
+    ),
+    "no transport header": None,
+    "no headers": None,
+}
+
 
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_the_stamp_is_the_headers_length_and_canonical_key(shape):
@@ -130,14 +144,21 @@ def test_the_stamp_is_the_headers_length_and_canonical_key(shape):
     assert packet.pkt_len == Packet(
         eth=packet.eth, ip=packet.ip, l4=packet.l4, payload=packet.payload
     ).wire_length
-    if packet.ip is None or packet.l4 is None:
-        assert key is None
-    else:
-        assert FiveTuple(*key) == FiveTuple(
-            packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port,
-            packet.ip.proto if isinstance(packet.ip, IPv4Header)
-            else packet.ip.next_header,
-        ).canonical()
+    assert key == KEYS[shape]
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_an_unstamped_wire_length_is_the_stamps(shape):
+    """One length arithmetic: an unstamped packet's ``wire_length`` is
+    what a fresh stamp stores, and both are the headers' own sum."""
+    packet = SHAPES[shape]()
+    unstamped = packet.wire_length
+    stamp(packet)
+    assert unstamped == packet.pkt_len == packet.payload.size + sum(
+        header.wire_length
+        for header in (packet.eth, packet.ip, packet.l4)
+        if header is not None
+    )
 
 
 @pytest.mark.parametrize("name", list(CARRIERS))
@@ -220,9 +241,7 @@ def test_generator_to_nat_to_middlebox_keys_and_bills_the_rewritten_flow():
     )
     box.process_batch(wan.packets)
     port = nat.mapping_for_private("10.0.0.1", 40000, IPProto.TCP).public_port
-    assert [FiveTuple(*key) for key in resolved] == [
-        FiveTuple(PUBLIC, port, SERVER, 443, IPProto.TCP).canonical()
-    ]
+    assert resolved == [(PUBLIC, port, SERVER, 443, IPProto.TCP)]
     # Lengths read off the headers of an unstamped twin, not the stamp.
     wire = sum(Packet(ip=p.ip, l4=p.l4, payload=p.payload).wire_length
                for p in wan.packets)

@@ -16,7 +16,6 @@ Neither count depends on time, so both run on a fixed clock.
 from repro.core import CookieMatcher, DescriptorStore
 from repro.core.matcher import ReplayCache
 from repro.core.offload import HardwarePrefilter
-from repro.netsim.flow import FiveTuple
 from repro.netsim.middlebox import Sink
 from repro.services.zerorate import ZeroRatingMiddlebox
 from repro.trace.moongen import PacketGenerator, build_descriptor_pool
@@ -85,9 +84,7 @@ def _software_packets(prefiltered: bool) -> tuple:
     prefilter = HardwarePrefilter(store, clock=clock, nct=600.0)
     middlebox = ZeroRatingMiddlebox(
         CookieMatcher(store, nct=600.0), clock=clock,
-        on_flow_resolved=lambda key, _state: prefilter.offload_flow(
-            FiveTuple(*key)
-        ),
+        on_flow_resolved=lambda key, _state: prefilter.offload_flow(key),
     )
     prefilter.software(middlebox)
     prefilter.fast(Sink(keep=False))
