@@ -81,7 +81,9 @@ def test_micro_replay_cache_ops(benchmark):
 
     def op():
         counter[0] += 1
-        return cache.check_and_record(counter[0].to_bytes(16, "big"), now=0.0)
+        return cache.check_and_record(
+            counter[0].to_bytes(16, "big"), timestamp=0.0
+        )
 
     assert benchmark(op) is False
 

@@ -768,7 +768,7 @@ class NeutralityAuditor:
         # running ~NCT ahead stays timestamp-fresh for up to 2×NCT
         # after its earliest spend instant.  Spend it now, replay it
         # 1.5×NCT later — the replay cache (window 2×NCT) must still
-        # remember it even though a full NCT-wide cache would not.
+        # remember it, or its floor must have passed the cookie.
         skewed = cookies_for(descriptor, skew=nct * 0.98)
         revoked_cookies = cookies_for(revoked_descriptor)
         ctx.loop.schedule_at(

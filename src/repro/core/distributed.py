@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .cookie import Cookie
 from .descriptor import CookieDescriptor
-from .matcher import NETWORK_COHERENCY_TIME, CookieMatcher, judging_instant
+from .matcher import NETWORK_COHERENCY_TIME, CookieMatcher
 from .store import DescriptorStore
 
 __all__ = [
@@ -97,10 +97,10 @@ class _VerifierPoolBase:
         self.store = store
         self.shards = [CookieMatcher(store, nct=nct) for _ in range(shards)]
         self.stats = PoolStats()
-        #: The pool judges at the latest instant it has read, as each
-        #: shard does (:func:`~repro.core.matcher.judging_instant`), so a
-        #: shard that missed that instant judges like its peers.
-        self.high_water = float("-inf")
+        #: The pool's replay generation: a shard's cache is moved up to
+        #: it before the shard judges and it is read back after, so the
+        #: pool keeps one floor whichever shard it picks.
+        self.generation = 0
 
     @property
     def shard_count(self) -> int:
@@ -111,9 +111,11 @@ class _VerifierPoolBase:
 
     def match(self, cookie: Cookie, now: float) -> CookieDescriptor | None:
         """Verify on whichever shard the dispatcher picks."""
-        now = judging_instant(self, now)
         shard = self.shards[self.shard_for(cookie)]
+        cache = shard.replay_cache
+        cache.enter(self.generation)
         descriptor = shard.match(cookie, now)
+        self.generation = cache.generation
         if descriptor is None:
             self.stats.rejected += 1
         else:
@@ -176,14 +178,16 @@ class ShardedVerifierPool(_VerifierPoolBase):
         a pure function of it, so the memo never goes stale while the
         shard count is fixed).  Cookies keep their relative order within
         each shard's sub-batch, which is the only order replay detection
-        can depend on — all cookies of a descriptor land on one shard —
-        so grants are identical to a scalar left-to-right pass, and each
+        can depend on — all cookies of a descriptor land on one shard.
+        Every shard enters the pool's generation as the batch came in
+        (as a process executor's must); a floor a batch raises stays
+        below ``now`` - NCT.  So grants are identical to
+        a scalar left-to-right pass, and each
         shard's :class:`~repro.core.matcher.CookieMatcher` amortizes its
         own HMAC/descriptor work via ``match_batch``.
         """
-        if cookies:
-            now = judging_instant(self, now)
         shard_index_for = self._shard_index
+        generation = self.generation
         per_shard: dict[int, list[int]] = {}
         for position, cookie in enumerate(cookies):
             per_shard.setdefault(
@@ -193,9 +197,12 @@ class ShardedVerifierPool(_VerifierPoolBase):
         accepted = 0
         for shard_index, positions in per_shard.items():
             shard = self.shards[shard_index]
+            cache = shard.replay_cache
+            cache.enter(generation)
             verdicts = shard.match_batch(
                 [cookies[position] for position in positions], now
             )
+            self.generation = max(self.generation, cache.generation)
             for position, verdict in zip(positions, verdicts):
                 results[position] = verdict
                 if verdict is not None:

@@ -5,7 +5,8 @@ The verifier accepts a cookie iff:
 1. the cookie id is known (a descriptor exists in the store),
 2. the descriptor is usable (not revoked, not expired),
 3. the HMAC digest verifies under the descriptor key,
-4. the timestamp lies within the Network Coherency Time of now, and
+4. the timestamp lies within the Network Coherency Time of now, and at
+   or above the replay cache's floor, and
 5. the uuid has not been seen before *for this descriptor* (no replay).
 
 Replay scope is per descriptor: the cache key is ``cookie_id || uuid``, so
@@ -18,8 +19,10 @@ sharded, and multi-process verdicts identical by construction.
 
 The NCT — "the maximum time we expect a packet to live within the network"
 — defaults to the paper's 5 seconds.  It bounds both clock skew tolerance
-and the replay cache's memory: uuids older than NCT can be forgotten
-because rule 4 already rejects them.
+and the replay cache's memory.  The cache is aged by the timestamps of the
+cookies it checks, not by the clock that reads them: it forgets a key only
+once the key's timestamp is below its floor, and rule 4 rejects a cookie
+below the floor, so no replay gets through whatever the clock does.
 """
 
 from __future__ import annotations
@@ -60,22 +63,19 @@ __all__ = [
     "MATCH_OUTCOMES",
     "VERDICT_RECORD",
     "NETWORK_COHERENCY_TIME",
-    "judging_instant",
 ]
 
 NETWORK_COHERENCY_TIME = 5.0
 
 
 class ReplayCache:
-    """Remembers recently seen cookie uuids for the coherency window.
-
-    Implemented as two rotating generation sets, each covering one NCT-wide
-    interval.  Membership is checked against both generations (so coverage
-    is always at least NCT); inserts go to the current generation.  Memory
-    is bounded by the arrival rate times 2×NCT regardless of how long the
-    verifier runs — the property the paper relies on when it says the
-    timestamp "reduces state kept by the network".
-    """
+    """Remembers recent replay keys in two generations, aged by the
+    cookies' own timestamps: generation *g* covers ``[g·window,
+    (g+1)·window)``, and a key is forgotten only once its timestamp is
+    below :attr:`floor`.  Memory is bounded by the arrival rate times
+    2×window whatever the verifier's clock does — the property the paper
+    relies on when it says the timestamp "reduces state kept by the
+    network"."""
 
     def __init__(self, window: float = NETWORK_COHERENCY_TIME) -> None:
         if window <= 0:
@@ -83,48 +83,43 @@ class ReplayCache:
         self.window = window
         self._current: set[bytes] = set()
         self._previous: set[bytes] = set()
-        self._generation_start = 0.0
-        #: Generation swaps since construction (telemetry: a healthy cache
-        #: rotates ~1/NCT per second under load; a stalled count under
-        #: traffic means the clock is not advancing).
+        #: The generation of the newest timestamp checked.
+        self.generation = 0
+        #: ``(generation - 1) · window``; a verifier rejects a cookie below.
+        self.floor = -window
+        # Where the next generation starts: the steady state's one test.
+        self._next = window
+        #: Generations entered since construction (telemetry: a healthy
+        #: cache rotates ~1/window per second under load).
         self.rotations = 0
-        #: Multi-window idle periods that fast-forwarded both generations.
-        self.idle_resets = 0
 
-    def _rotate(self, now: float) -> None:
-        while now - self._generation_start >= self.window:
-            self._previous = self._current
-            self._current = set()
-            self._generation_start += self.window
-            self.rotations += 1
-            # If we've been idle for multiple windows, fast-forward.
-            if now - self._generation_start >= self.window:
-                self._previous = set()
-                self._generation_start = now
-                self.idle_resets += 1
-                break
+    def enter(self, generation: int) -> None:
+        """Move up to ``generation``, keeping the one left if adjacent."""
+        if generation <= self.generation:
+            return
+        adjacent = generation == self.generation + 1
+        self._previous = self._current if adjacent else set()
+        self._current = set()
+        self.generation = generation
+        self.floor = (generation - 1) * self.window
+        self._next = (generation + 1) * self.window
+        self.rotations += 1
 
-    def check_and_record(self, uuid: bytes, now: float) -> bool:
-        """Atomically test-and-set; returns True if this is a replay."""
-        # _rotate's own entry condition, tested here so the steady state
-        # (same generation) costs no call.
-        if now - self._generation_start >= self.window:
-            self._rotate(now)
+    def check_and_record(self, key: bytes, timestamp: float) -> bool:
+        """Atomically test-and-set ``key`` for a cookie stamped
+        ``timestamp``; returns True if this is a replay."""
+        if timestamp >= self._next:
+            self.enter(int(timestamp // self.window))
         current = self._current
-        if uuid in current or uuid in self._previous:
+        if key in current or key in self._previous:
             return True
-        current.add(uuid)
+        current.add(key)
         return False
 
     @property
     def size(self) -> int:
-        """Number of uuids currently remembered (both generations)."""
+        """Number of keys currently remembered (both generations)."""
         return len(self._current) + len(self._previous)
-
-    @property
-    def generation_age(self) -> float:
-        """Window start of the current generation (simulation seconds)."""
-        return self._generation_start
 
 
 @dataclass
@@ -197,30 +192,13 @@ _REJECTIONS = {
     ),
     _STALE_TIMESTAMP: (
         StaleTimestamp,
-        lambda cookie, now: f"timestamp {cookie.timestamp} outside NCT of {now}",
+        lambda cookie, now: f"timestamp {cookie.timestamp} stale at {now}",
     ),
     _REPLAYED: (
         ReplayDetected,
         lambda cookie, now: f"uuid {cookie.uuid.hex()} already seen",
     ),
 }
-
-
-def judging_instant(verifier, now: float) -> float:
-    """The instant ``verifier`` judges a cookie seen at ``now`` at:
-    ``now``, or its ``high_water`` — the latest instant it has judged a
-    cookie at — if the clock stepped back (PROTOCOL §3).
-
-    A clock stepped back must not reopen the freshness window of a
-    cookie whose replay key the cache has already let go of.  The price
-    is a forward step: until the clock catches up with a far-future
-    ``now``, every fresh cookie is judged at it, and is stale.
-    """
-    high_water = verifier.high_water
-    if now < high_water:
-        return high_water
-    verifier.high_water = now
-    return now
 
 
 class CookieMatcher:
@@ -242,21 +220,17 @@ class CookieMatcher:
             raise ValueError("network coherency time must be positive")
         self.store = store
         self.nct = nct
-        # The cache window is 2×NCT, not NCT: a cookie stamped by a
-        # clock running up to NCT *ahead* stays timestamp-fresh until
-        # ts+NCT — as much as 2×NCT after the earliest instant it could
-        # first be spent (ts-NCT).  A cache retaining only ≥NCT rotates
-        # such a uuid out while the cookie is still acceptable, opening
-        # a replay window (found by the chaos soak under clock skew).
+        # The cache window is 2×NCT, not NCT: honest cookies read at one
+        # instant span 2×NCT of timestamps.  An NCT-wide cache's floor can
+        # pass a cookie from a client NCT behind once it has checked one
+        # from a client NCT ahead, and reject it as stale (PROTOCOL §11).
         self.replay_cache = replay_cache or ReplayCache(window=2 * nct)
         self.stats = MatchStats()
         self._signers = SignerCache()
-        #: The latest ``now`` a cookie was judged at (:func:`judging_instant`).
-        self.high_water = float("-inf")
 
     #: Telemetry declaration: :class:`MatchStats`' fields and the replay
     #: cache's rotation counts are counters, its occupancy is a level.
-    COUNTERS = ("stats", "replay_cache.rotations", "replay_cache.idle_resets")
+    COUNTERS = ("stats", "replay_cache.rotations")
     GAUGES = ("replay_cache.size",)
 
     def register_telemetry(self, registry, prefix: str = "matcher") -> None:
@@ -276,7 +250,6 @@ class CookieMatcher:
         :meth:`match_batch` and :meth:`match_wire` judge too.
         """
         stats = self.stats
-        now = judging_instant(self, now)
         cookie_id, timestamp, signature, signed = verify_operands(cookie)
         descriptor = self.store.get(cookie_id)
         if descriptor is None:
@@ -293,10 +266,11 @@ class CookieMatcher:
         ):
             stats.bad_signature += 1
             return None, _BAD_SIGNATURE
-        if abs(timestamp - now) > self.nct:
+        cache = self.replay_cache
+        if abs(timestamp - now) > self.nct or timestamp < cache.floor:
             stats.stale_timestamp += 1
             return None, _STALE_TIMESTAMP
-        if self.replay_cache.check_and_record(signed[:REPLAY_KEY_BYTES], now):
+        if cache.check_and_record(signed[:REPLAY_KEY_BYTES], timestamp):
             stats.replayed += 1
             return None, _REPLAYED
         stats.accepted += 1
@@ -384,11 +358,10 @@ class CookieMatcher:
         ``reasons``, if given, receives one :class:`MatchStats` field
         name per cookie (``"accepted"``, ``"replayed"``, ...).
         """
-        if cookies:
-            now = judging_instant(self, now)
         nct = self.nct
         compare = _hmac.compare_digest
-        check_and_record = self.replay_cache.check_and_record
+        cache = self.replay_cache
+        check_and_record = cache.check_and_record
         resolve = self._resolve
         with_states = self._with_states
         decided: dict[int, tuple] = {}
@@ -413,10 +386,11 @@ class CookieMatcher:
                 if not compare(mac, signature):
                     descriptor, code = None, _BAD_SIGNATURE
                 # Same predicate as the scalar path (not a precomputed
-                # lo/hi window) so results are bit-identical for any float.
-                elif abs(timestamp - now) > nct:
+                # lo/hi window) so results are bit-identical for any float;
+                # the floor may have moved since the last cookie.
+                elif abs(timestamp - now) > nct or timestamp < cache.floor:
                     descriptor, code = None, _STALE_TIMESTAMP
-                elif check_and_record(signed[:REPLAY_KEY_BYTES], now):
+                elif check_and_record(signed[:REPLAY_KEY_BYTES], timestamp):
                     descriptor, code = None, _REPLAYED
             counts[code] += 1
             append(descriptor)
@@ -447,11 +421,10 @@ class CookieMatcher:
                 f"{len(body)} bytes is not a whole number of "
                 f"{COOKIE_WIRE_BYTES}-byte cookies"
             )
-        if body:
-            now = judging_instant(self, now)
         nct = self.nct
         compare = _hmac.compare_digest
-        check_and_record = self.replay_cache.check_and_record
+        cache = self.replay_cache
+        check_and_record = cache.check_and_record
         resolve = self._resolve
         with_states = self._with_states
         pack_into = VERDICT_RECORD.pack_into
@@ -473,12 +446,13 @@ class CookieMatcher:
                     if inner is None
                     else keyed_mac(inner, outer, signed)
                 )
+                timestamp = ts_micros / TIMESTAMP_SCALE
                 if not compare(mac, signature):
                     code = _BAD_SIGNATURE
-                elif abs(ts_micros / TIMESTAMP_SCALE - now) > nct:
+                elif abs(timestamp - now) > nct or timestamp < cache.floor:
                     code = _STALE_TIMESTAMP
                 elif check_and_record(
-                    body[start : start + REPLAY_KEY_BYTES], now
+                    body[start : start + REPLAY_KEY_BYTES], timestamp
                 ):
                     code = _REPLAYED
             counts[code] += 1

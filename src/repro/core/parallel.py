@@ -69,7 +69,6 @@ from .matcher import (
     VERDICT_RECORD,
     CookieMatcher,
     MatchStats,
-    judging_instant,
 )
 from .resilience import RetryPolicy
 from .shm_ring import DEFAULT_SLOT_BYTES, RingUnavailable, ShmRing
@@ -199,7 +198,7 @@ def decode_verdicts(blob: bytes) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 
 # One-byte opcodes; every frame starts with one.
-_OP_BATCH = b"B"  # ring only: + !d now + batch   -> verdict frame in ring
+_OP_BATCH = b"B"  # ring only: + !dq now, generation + batch -> reply in ring
 _OP_DELTA = b"D"  # + JSON list of delta records  -> b"\x01" ack
 _OP_STATS = b"S"  #                               -> JSON replay-cache stats
 _OP_QUIT = b"Q"   #                               -> b"\x01" ack, exit
@@ -208,16 +207,21 @@ _OP_QUIT = b"Q"   #                               -> b"\x01" ack, exit
 #: its response ring, then rings back.
 _OP_RING = b"R"
 
-#: A batch frame's header: opcode, ``now``, cookie count.
-_BATCH_HEADER = struct.Struct("!cdI")
+#: A batch frame's header: opcode, ``now``, replay generation, count.
+_BATCH_HEADER = struct.Struct("!cdqI")
+#: A batch reply starts with the shard's replay generation after judging;
+#: the verdict frame (its count first) follows.
+_GENERATION = struct.Struct("!q")
+_REPLY_HEADER = struct.Struct("!qI")
 
 
 def batch_reply(matcher: CookieMatcher, frame: bytes) -> bytes:
     """A worker's answer to one batch frame, verified in place.
 
     ``frame`` is what came off the request ring — opcode, ``!d`` now,
-    ``!I`` count, count × 48 cookie bytes, nothing after — and the reply
-    is the verdict frame of :func:`encode_verdicts`.  The cookie bytes go
+    ``!q`` generation, ``!I`` count, count × 48 cookie bytes, nothing
+    after — and the reply is the generation the cache ends in, then the
+    verdict frame of :func:`encode_verdicts`.  The cookie bytes go
     to :meth:`CookieMatcher.match_wire` as they are and the verdict
     records are packed into the reply as they are decided: no ``Cookie``
     is built, nothing is re-packed, no reason string exists
@@ -229,16 +233,18 @@ def batch_reply(matcher: CookieMatcher, frame: bytes) -> bytes:
         raise MalformedCookie(
             f"batch frame too short for header: {len(frame)} bytes"
         )
-    _op, now, count = _BATCH_HEADER.unpack_from(frame)
+    _op, now, generation, count = _BATCH_HEADER.unpack_from(frame)
     body = frame[_BATCH_HEADER.size :]
     if len(body) != count * COOKIE_WIRE_BYTES:
         raise MalformedCookie(
             f"batch frame announces {count} cookies "
             f"({count * COOKIE_WIRE_BYTES} bytes) but carries {len(body)}"
         )
-    reply = bytearray(_COUNT.size + count * VERDICT_RECORD.size)
-    _COUNT.pack_into(reply, 0, count)
-    matcher.match_wire(body, now, reply, _COUNT.size)
+    cache = matcher.replay_cache
+    cache.enter(generation)
+    reply = bytearray(_REPLY_HEADER.size + count * VERDICT_RECORD.size)
+    matcher.match_wire(body, now, reply, _REPLY_HEADER.size)
+    _REPLY_HEADER.pack_into(reply, 0, cache.generation, count)
     return bytes(reply)
 
 
@@ -320,7 +326,7 @@ def _shard_main(
         resp_ring.close()
 
 
-_NO_CACHE_STATS = {"rotations": 0, "idle_resets": 0, "size": 0}
+_NO_CACHE_STATS = {"rotations": 0, "size": 0}
 
 
 def _replay_cache_stats(matcher: CookieMatcher) -> dict[str, int]:
@@ -328,7 +334,6 @@ def _replay_cache_stats(matcher: CookieMatcher) -> dict[str, int]:
     cache = matcher.replay_cache
     return {
         "rotations": cache.rotations,
-        "idle_resets": cache.idle_resets,
         "size": cache.size,
     }
 
@@ -452,8 +457,9 @@ class ProcessShardExecutor:
         )
         self._sleep = sleep
         self.stats = PoolStats()
-        #: Judged at the latest instant read, as ShardedVerifierPool is.
-        self.high_water = float("-inf")
+        #: One floor for every shard, as ShardedVerifierPool keeps: batch
+        #: frames carry it to the workers and their replies carry it back.
+        self.generation = 0
         self.shm_stats = ShmTransportStats()
         self._degraded = transport == "in-process"
         # fork is milliseconds; spawn is the portable fallback.
@@ -470,9 +476,9 @@ class ProcessShardExecutor:
         self.match_stats = [MatchStats() for _ in range(workers)]
         # Replay-cache numbers as each live worker last reported them;
         # a reaped worker's last poll moves into the retired counters,
-        # so merged rotations / idle_resets stay monotonic.
+        # so merged rotations stay monotonic.
         self._last_polled = [dict(_NO_CACHE_STATS) for _ in range(workers)]
-        self._retired_cache_stats = {"rotations": 0, "idle_resets": 0}
+        self._retired_cache_stats = {"rotations": 0}
         self._restart_counts = [0] * workers
         self._fallback_matchers: dict[int, CookieMatcher] = {}
         self._shard_memo: dict[int, int] = {}
@@ -820,23 +826,25 @@ class ProcessShardExecutor:
         by shard and the shards that failed: a worker whose reply is
         garbled is trusted no more than one that is dead or silent.
         Every verdict decoded is counted into the shard's tally, by the
-        code the worker sent."""
+        code the worker sent, and the generation it sent back is kept."""
         sent = {
             shard: self._send_sub_batch(shard, frame) for shard, frame in frames
         }
         verdicts: dict[int, list[tuple[int, int]]] = {}
         for shard, published in sent.items():
             reply = self._collect_sub_batch(shard) if published else None
+            # No reply decodes like a garbled one: too short.
+            frame = (reply or b"")[_GENERATION.size :]
             try:
-                # No reply decodes like a garbled one: too short.
-                decoded = decode_verdicts(reply or b"")
+                decoded = decode_verdicts(frame)
             except MalformedCookie:
                 continue
             if len(decoded) != len(expected[shard]):
                 continue
             verdicts[shard] = decoded
+            self.generation = max(self.generation, *_GENERATION.unpack_from(reply))
             tally = self.match_stats[shard]
-            codes = reply[_COUNT.size :: VERDICT_RECORD.size]
+            codes = frame[_COUNT.size :: VERDICT_RECORD.size]
             for code, outcome in enumerate(VERDICT_REASONS):
                 count = codes.count(code)
                 if count:
@@ -881,7 +889,7 @@ class ProcessShardExecutor:
             ]
         if not cookies:
             return []
-        now = judging_instant(self, now)
+        generation = self.generation  # for every shard, as in-process
         per_shard: dict[int, Sequence[int]]
         if self._worker_count == 1:
             # Rendezvous over one shard is the identity.
@@ -902,7 +910,7 @@ class ProcessShardExecutor:
                 if shard not in self._fallback_matchers:
                     positions = per_shard[shard]
                     yield shard, _BATCH_HEADER.pack(
-                        _OP_BATCH, now, len(positions)
+                        _OP_BATCH, now, generation, len(positions)
                     ) + b"".join(
                         [cookies[position].to_bytes() for position in positions]
                     )
@@ -953,10 +961,15 @@ class ProcessShardExecutor:
                 sub_reasons: list[str] | None = (
                     [] if reason_arr is not None else None
                 )
-                sub_results = self._fallback_matchers[shard].match_batch(
+                matcher = self._fallback_matchers[shard]
+                matcher.replay_cache.enter(generation)
+                sub_results = matcher.match_batch(
                     [cookies[position] for position in positions],
                     now,
                     reasons=sub_reasons,
+                )
+                self.generation = max(
+                    self.generation, matcher.replay_cache.generation
                 )
                 for offset, position in enumerate(positions):
                     results[position] = sub_results[offset]
@@ -1046,8 +1059,8 @@ class ProcessShardExecutor:
         return MatchStats(*map(sum, per_outcome))
 
     def collect_worker_stats(self) -> list[dict[str, int]]:
-        """Every shard's replay-cache numbers (``rotations``,
-        ``idle_resets``, ``size``), one dict per shard — the only stats
+        """Every shard's replay-cache numbers (``rotations`` and
+        ``size``), one dict per shard — the only stats
         a worker is polled for; in-process matchers are read live.
 
         A worker that fails to answer is restarted (counted in

@@ -195,7 +195,8 @@ def stamp(packet: Packet) -> tuple | None:
     The key is the flat ``(ip, port, ip, port, proto)`` with the lower
     endpoint first, so both directions of a conversation share it; it is
     the simulator's one flow key (:mod:`repro.netsim.flow`).  A packet
-    without an IP or transport header has none.  The length is
+    without an IP or transport header has none.  The protocol is the
+    transport header's, as :attr:`Packet.proto` has it.  The length is
     :attr:`Packet.wire_length`'s.  A generator that stamps a whole flow
     stamps one packet and hands its key to the rest, so a middlebox can
     tell a run of one flow by identity alone.
@@ -206,7 +207,8 @@ def stamp(packet: Packet) -> tuple | None:
     if ip is None or l4 is None:
         packet.flow_key = None
         return None
-    proto = ip.proto if type(ip) is IPv4Header else ip.next_header
+    # The transport header's type, as :attr:`Packet.proto` reads it.
+    proto = _TCP if isinstance(l4, TCPHeader) else _UDP
     src = ip.src
     dst = ip.dst
     sport = l4.src_port

@@ -141,7 +141,7 @@ def _cache_state(cache):
     return (
         set(cache._current),
         set(cache._previous),
-        cache._generation_start,
+        cache.generation,
+        cache.floor,
         cache.rotations,
-        cache.idle_resets,
     )

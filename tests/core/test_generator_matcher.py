@@ -175,30 +175,30 @@ class TestVerification:
 class TestReplayCache:
     def test_remembers_within_window(self):
         cache = ReplayCache(window=5.0)
-        assert not cache.check_and_record(b"u" * 16, now=0.0)
-        assert cache.check_and_record(b"u" * 16, now=4.0)
+        assert not cache.check_and_record(b"u" * 16, timestamp=0.0)
+        assert cache.check_and_record(b"u" * 16, timestamp=4.0)
 
     def test_forgets_after_two_windows(self):
         cache = ReplayCache(window=5.0)
-        cache.check_and_record(b"u" * 16, now=0.0)
-        assert not cache.check_and_record(b"u" * 16, now=11.0)
+        cache.check_and_record(b"u" * 16, timestamp=0.0)
+        assert not cache.check_and_record(b"u" * 16, timestamp=11.0)
 
     def test_memory_bounded_by_rotation(self):
         cache = ReplayCache(window=1.0)
         for i in range(10_000):
-            cache.check_and_record(i.to_bytes(16, "big"), now=i * 0.01)
+            cache.check_and_record(i.to_bytes(16, "big"), timestamp=i * 0.01)
         # 100 inserts per window, two generations retained.
         assert cache.size <= 250
 
     def test_check_and_record_atomicity(self):
         cache = ReplayCache(window=5.0)
-        assert not cache.check_and_record(b"a" * 16, now=0.0)
-        assert cache.check_and_record(b"a" * 16, now=0.1)
+        assert not cache.check_and_record(b"a" * 16, timestamp=0.0)
+        assert cache.check_and_record(b"a" * 16, timestamp=0.1)
 
     def test_idle_fast_forward(self):
         cache = ReplayCache(window=1.0)
-        cache.check_and_record(b"a" * 16, now=0.0)
-        assert not cache.check_and_record(b"a" * 16, now=100.0)
+        cache.check_and_record(b"a" * 16, timestamp=0.0)
+        assert not cache.check_and_record(b"a" * 16, timestamp=100.0)
         assert cache.size <= 1
 
     def test_bad_window_rejected(self):

@@ -3,14 +3,16 @@
 The freshness predicate is strict — ``abs(ts - now) > NCT`` rejects —
 so a timestamp exactly NCT old (or exactly NCT in the *future*, from a
 skewed-but-honest host clock) is still acceptable.  That symmetry has a
-state consequence pinned here: a future-skewed cookie stays spendable
-until ``ts + NCT``, up to 2×NCT after the earliest moment it could
-first be spent, so the replay cache must retain uuids for 2×NCT — a
-plain NCT-wide cache rotates them out mid-window and re-grants the
-cookie (the double-spend the chaos soak originally caught).
+state consequence pinned here: honest cookies read at one instant span
+2×NCT of timestamps, so the replay cache's window must be 2×NCT.  The
+cache is aged by the timestamps it checks and the verifier rejects
+anything below its floor, so no width lets a replay through; a plain
+NCT-wide cache instead lets its floor pass an honest cookie from a
+client NCT behind, which then reads stale.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
 from repro.core.descriptor import CookieDescriptor
@@ -60,6 +62,7 @@ class TestExactBoundaries:
         assert matcher.match(future, BASE) is None
         assert matcher.stats.stale_timestamp == 2
 
+    @pytest.mark.contract
     def test_matcher_cache_window_is_twice_nct(self):
         """The retention contract the skew tests below depend on."""
         store, _ = _env()
@@ -67,6 +70,7 @@ class TestExactBoundaries:
         assert matcher.replay_cache.window == 2 * NCT
 
 
+@pytest.mark.contract
 class TestSkewTimesRotation:
     def test_future_skewed_replay_survives_cache_rotation(self):
         """Regression for the soak-found double spend: generation phase
@@ -85,19 +89,26 @@ class TestSkewTimesRotation:
         assert matcher.stats.replayed == 1
 
     def test_nct_wide_cache_exhibits_the_hole(self):
-        """Documents *why* 2×NCT: the same timeline against an
-        explicitly NCT-wide cache re-grants the cookie.  If this test
-        ever fails, the rotation machinery changed and the matcher's
-        2×NCT choice should be revisited."""
+        """Documents *why* 2×NCT, for liveness rather than safety: once
+        an explicitly NCT-wide cache has checked a cookie from a client
+        NCT ahead, its floor passes an honest cookie from a client NCT
+        behind, read at the same instant, and rejects it as stale.  The
+        matcher's own 2×NCT cache accepts both.  If this test ever
+        fails, the aging changed and the matcher's 2×NCT choice should
+        be revisited."""
         store, descriptor = _env()
-        matcher = CookieMatcher(
+        now = 1_002.0
+        narrow = CookieMatcher(
             store, nct=5.0, replay_cache=ReplayCache(window=5.0)
         )
-        other = _cookie_at(descriptor, 11.5)
-        assert matcher.match(other, 11.5) is not None
-        skewed = _cookie_at(descriptor, 16.9)
-        assert matcher.match(skewed, 16.0) is not None
-        assert matcher.match(skewed, 21.7) is not None  # the double spend
+        wide = CookieMatcher(store, nct=5.0)
+        for matcher in (narrow, wide):
+            ahead = _cookie_at(descriptor, now + 5.0)  # NCT-wide floor: 1000
+            assert matcher.match(ahead, now) is not None
+        behind = _cookie_at(descriptor, now - 5.0)
+        assert narrow.match(behind, now) is None  # the hole
+        assert narrow.stats.stale_timestamp == 1
+        assert wide.match(behind, now) is not None
 
     @settings(max_examples=120, deadline=None)
     @given(

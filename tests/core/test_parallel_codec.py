@@ -118,9 +118,15 @@ class TestMalformedBatchFrames:
             decode_batch(wrong)
 
 
-def _worker_frame(blob: bytes, now: float = NOW) -> bytes:
-    """A batch frame as the dispatcher sends it: opcode + now + batch."""
-    return b"B" + struct.pack("!d", now) + blob
+def _worker_frame(blob: bytes, now: float = NOW, generation: int = 0) -> bytes:
+    """A batch frame as the dispatcher sends it: opcode + now + replay
+    generation + batch."""
+    return b"B" + struct.pack("!dq", now, generation) + blob
+
+
+def _verdict_frame(reply: bytes) -> bytes:
+    """A worker's reply past its ``!q`` replay generation."""
+    return reply[8:]
 
 
 class TestMalformedWorkerFrames:
@@ -129,7 +135,7 @@ class TestMalformedWorkerFrames:
     :class:`MalformedCookie` — the exception the worker loop exits on —
     never as a ``struct.error`` traceback."""
 
-    @pytest.mark.parametrize("length", range(1, 13))
+    @pytest.mark.parametrize("length", range(1, 21))
     def test_frame_shorter_than_its_header_rejected(self, length):
         frame = _worker_frame(encode_batch([]))[:length]
         with pytest.raises(MalformedCookie):
@@ -168,7 +174,7 @@ class TestMalformedWorkerFrames:
         reply = batch_reply(
             CookieMatcher(_Env().store), _worker_frame(encode_batch([]))
         )
-        assert decode_verdicts(reply) == []
+        assert decode_verdicts(_verdict_frame(reply)) == []
 
     def test_match_wire_rejects_a_ragged_body(self):
         matcher = CookieMatcher(_Env().store)

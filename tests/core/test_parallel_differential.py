@@ -53,7 +53,7 @@ from .cookie_stream import (
     _uuid,
     batch_specs,
 )
-from .test_parallel_codec import _worker_frame
+from .test_parallel_codec import _verdict_frame, _worker_frame
 
 WORKERS = 2
 #: Each example forks WORKERS processes; keep the example budget modest.
@@ -171,11 +171,11 @@ class TestExecutorDifferential:
             ]
 
         def worker(matcher):
-            frame = b"B" + struct.pack("!d", NOW) + encode_batch(cookies())
+            frame = _worker_frame(encode_batch(cookies()))
             return [
                 env.store.get(cookie_id) if code == 0 else None
                 for code, cookie_id in decode_verdicts(
-                    batch_reply(matcher, frame)
+                    _verdict_frame(batch_reply(matcher, frame))
                 )
             ]
 
@@ -237,7 +237,7 @@ _MICRO = 1e-6
 _WIRE_BATCHES = st.lists(
     st.tuples(
         # Seconds since the previous batch: 0 keeps the generation, the
-        # middle values rotate it (window 2xNCT = 10 s), 31 idles past
+        # middle values rotate it (window 2xNCT = 10 s), 31 jumps past
         # both generations.  The two odd-µs steps put ``now`` where
         # ``ts_micros / 1e6`` and ``ts_micros * 1e-6`` land on different
         # sides of the NCT edge: the wire path must judge the very float
@@ -301,7 +301,7 @@ class TestWireDifferential:
     ``match_batch(decode_batch(frame), reasons=...)`` byte for byte, and
     leave the same :class:`MatchStats` and replay-cache state — over
     several batches at advancing ``now``, so cross-batch replays meet
-    rotated and idle-reset generations."""
+    rotated and skipped generations."""
 
     @settings(max_examples=100, deadline=None)
     @given(batches=_WIRE_BATCHES)
@@ -327,7 +327,8 @@ class TestWireDifferential:
                     for reason, cookie in zip(reasons, cookies)
                 ]
             )
-            assert reply == expected
+            generation = struct.pack("!q", objects.replay_cache.generation)
+            assert reply == generation + expected
             assert wire.stats.as_dict() == objects.stats.as_dict()
             assert _cache_state(wire.replay_cache) == _cache_state(
                 objects.replay_cache
@@ -357,7 +358,7 @@ class TestWireDifferential:
         for now, specs in ((NOW, first), (NOW + 6.0, second)):
             blob = encode_batch([_wire_cookie(env, now, spec) for spec in specs])
             reply = batch_reply(wire, _worker_frame(blob, now))
-            codes.append([reply[4 + 9 * i] for i in range(len(specs))])
+            codes.append([reply[12 + 9 * i] for i in range(len(specs))])
         names = [[VERDICT_REASONS[code] for code in batch] for batch in codes]
         assert names == [
             [

@@ -380,8 +380,8 @@ class TestPolledCacheCounters:
             pool.register_telemetry(registry)
             batch = _batch(generators, 16)
             pool.match_batch(batch, NOW)
-            # A cache's first check at NOW=100 rotates out of the epoch-0
-            # generation, so the victim has a rotation to lose.
+            # The cookies are stamped NOW=100, which moves a cache out of
+            # generation 0, so the victim has a rotation to lose.
             victim = pool.shard_for(batch[0])
             polled = registry.snapshot().counters[rotations]
             assert polled >= 1

@@ -6,13 +6,17 @@ no code with the verifiers and boxes it is compared against.
 A cookie is its 48 wire bytes, ``id | uuid | µs timestamp | signature``.
 :class:`Verifier` runs the ladder unknown → revoked → expired → bad
 signature (``hmac.digest(key, bytes[:32], "sha256")[:16]``) → stale
-(``abs(ts - now) > NCT``) → replayed (key ``bytes[:24]``), judged at the
-latest instant read, ``max(now, high-water)``.  A replay key accepted once
-is never accepted again: that instant only moves forward, and the shipped
-cache keeps a key for at least 2 × NCT of it, as long as the cookie that
-spent it stays fresh.  On it sit four boxes: the stateful
-zero-rater, the stateless rater, the switch's flow binding and the
-prefilter's steering, plus a :class:`Tariff` for billing.  Each box
+(``abs(ts - now) > NCT``, or ``ts`` below the floor) → replayed (key
+``bytes[:24]``), judged at the ``now`` read.  Every cookie that reaches
+the replay rung raises the verifier's generation to ``ts // (2 × NCT)``,
+and the floor is ``(generation - 1) × 2 × NCT``: the shipped cache keeps
+every key whose timestamp is at or above it, so a replay key accepted
+once is never accepted again, whatever the clock does.  (The model's
+replay set forgets nothing; the shipped cache forgets by generation, so
+the two agree as long as a uuid is not reused by a new cookie later.)
+On it sit four boxes: the stateful zero-rater, the stateless rater, the
+switch's flow binding and the prefilter's steering, plus a
+:class:`Tariff` for billing.  Each box
 reads its clock once per burst.  A box that raises stops its burst at
 that packet: the packets before it stay counted and emitted.
 """
@@ -26,6 +30,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 NCT = 5.0
+#: The replay cache's window: a generation covers this much of timestamps.
+WINDOW = 2 * NCT
 SNIFF = 3
 _SIGNED = struct.Struct("!Q16sQ")
 _FIELDS = struct.Struct("!Q16xQ")
@@ -98,11 +104,11 @@ class Verifier:
         self.grants = grants
         self.spent: set[bytes] = set()
         self.stats: Counter = Counter()
-        self.latest = float("-inf")
+        self.generation = 0
 
     def judge(self, cookie: bytes, now: float) -> Grant | None:
-        now = self.latest = max(now, self.latest)
         cookie_id, ts_micros = _FIELDS.unpack_from(cookie)
+        ts = ts_micros / 1_000_000
         grant = self.grants.get(cookie_id)
         if grant is None:
             outcome = "unknown_id"
@@ -112,13 +118,15 @@ class Verifier:
             outcome = "expired"
         elif not hmac.compare_digest(mac(grant.key, cookie[:32]), cookie[32:]):
             outcome = "bad_signature"
-        elif abs(ts_micros / 1_000_000 - now) > NCT:
+        elif abs(ts - now) > NCT or ts < (self.generation - 1) * WINDOW:
             outcome = "stale_timestamp"
-        elif cookie[:24] in self.spent:
-            outcome = "replayed"
         else:
-            outcome = "accepted"
-            self.spent.add(cookie[:24])
+            self.generation = max(self.generation, ts // WINDOW)
+            if cookie[:24] in self.spent:
+                outcome = "replayed"
+            else:
+                outcome = "accepted"
+                self.spent.add(cookie[:24])
         self.stats[outcome] += 1
         self.outcome = outcome  # the last verdict's MatchStats field
         return grant if outcome == "accepted" else None

@@ -284,8 +284,8 @@ class DataPlane(RuleBasedStateMachine):
 
     @rule(seconds=st.floats(0.0, 120.0))
     def rewind(self, seconds):
-        """Step every clock back: a verifier still judges at the latest
-        instant it has read."""
+        """Step every clock back: a cookie below a verifier's floor is
+        still stale."""
         self.advance(-seconds)
 
     @rule(step=st.sampled_from((0.0, 0.5, 2.0)))
@@ -614,26 +614,40 @@ SCRIPTS = {
     ],
     "an empty burst changes nothing": [grant(), send(), send(pkt(0, cookie=cookie()))],
     "a clock stepped back does not reopen a spent cookie's window": [
-        # Accepted at 1000 stamped 1004; at 1100 an idle reset empties
-        # the replay cache; back at 1001 the cookie is fresh again unless
-        # it is judged at the latest instant read.
+        # Accepted at 1000 stamped 1004; the cookie stamped 1100 moves the
+        # replay cache two generations on, so it lets 1004's key go; back
+        # at 1001 the cookie is fresh again but below the floor (1090).
         grant(), send(pkt(0, cookie=cookie(offset=4_000_000))),
         ("advance", {"seconds": 100.0}), send(pkt(1, cookie=cookie(uuid=1))),
         ("rewind", {"seconds": 99.0}), send(pkt(2, cookie=cookie("replayed"))),
     ],
-    "a far-future read holds the verifiers there until the clock catches up": [
-        # Accepted at 4600; back at 1000 a cookie minted then is judged at
-        # 4600 and is stale; at 4600 again a new one is accepted.
+    "a far-future accept makes older cookies stale until the clock catches up": [
+        # Accepted at 4600; back at 1000 a cookie minted then is below the
+        # floor (4590) and is stale; at 4600 again a new one is accepted.
         grant(), ("advance", {"seconds": 3600.0}), send(pkt(0, cookie=cookie())),
         ("rewind", {"seconds": 3600.0}), send(pkt(1, cookie=cookie(uuid=1))),
         ("advance", {"seconds": 3600.0}), send(pkt(2, cookie=cookie(uuid=2))),
     ],
-    "a pool judges at its latest instant, whichever shard it picks": [
-        # Ids 7 and 8 land on shards 0 and 1 of four: shard 1 never read
-        # 1100, the pool did.
+    "a far-future read that accepts nothing leaves the verifiers normal": [
+        # A forged cookie read at 4600 reaches no replay rung, so the
+        # floor stays put and a fresh cookie back at 1000 is accepted.
+        grant(), ("advance", {"seconds": 3600.0}),
+        send(pkt(0, cookie=cookie("forged"))), ("rewind", {"seconds": 3600.0}),
+        send(pkt(1, cookie=cookie(uuid=1))),
+    ],
+    "a pool keeps one floor, whichever shard it picks": [
+        # Ids 7 and 8 land on shards 0 and 1 of four: shard 1 never saw
+        # the cookie stamped 1100, the pool did.
         grant(7), grant(8), ("advance", {"seconds": 100.0}),
         send(pkt(0, cookie=cookie(grant=0))), ("rewind", {"seconds": 99.0}),
         send(pkt(1, cookie=cookie(grant=1, offset=4_000_000))),
+    ],
+    "the NCT edges on two shards in one burst are both fresh": [
+        # At 1005 the cookie stamped 1010 (shard 0) puts the pool's floor
+        # at 1000; the one stamped 1000 (shard 1) sits on it, and is fresh.
+        grant(7), grant(8), ("advance", {"seconds": 5.0}),
+        send(pkt(0, cookie=cookie(grant=0, offset=NCT_US)),
+             pkt(1, cookie=cookie(grant=1, uuid=1, offset=-NCT_US))),
     ],
     "stamped, shared-key and unstamped packets make one run": [
         grant(),
@@ -678,10 +692,24 @@ def test_script(name, tmp_path):
 
 
 @pytest.mark.contract
-def test_a_far_future_read_makes_fresh_cookies_stale_until_the_clock_catches_up(
+def test_a_far_future_accept_makes_older_cookies_stale_until_the_clock_catches_up(
     tmp_path,
 ):
-    """The price of judging at the high-water mark (PROTOCOL §3), paid
-    by every verifier and box alike."""
-    name = "a far-future read holds the verifiers there until the clock catches up"
+    """The one price of aging the replay cache by timestamps (PROTOCOL
+    §3), paid by every verifier and box alike."""
+    name = "a far-future accept makes older cookies stale until the clock catches up"
     assert _play(name, str(tmp_path)) == {"accepted": 2, "stale_timestamp": 1}
+
+
+@pytest.mark.contract
+def test_a_far_future_read_that_accepts_nothing_leaves_the_verifiers_normal(
+    tmp_path,
+):
+    name = "a far-future read that accepts nothing leaves the verifiers normal"
+    assert _play(name, str(tmp_path)) == {"accepted": 1, "bad_signature": 1}
+
+
+@pytest.mark.contract
+def test_the_nct_edges_on_two_shards_in_one_burst_are_both_fresh(tmp_path):
+    name = "the NCT edges on two shards in one burst are both fresh"
+    assert _play(name, str(tmp_path)) == {"accepted": 2}

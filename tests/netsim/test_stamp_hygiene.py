@@ -120,12 +120,12 @@ SHAPES = {
     "no headers": lambda: Packet(payload=Payload(size=5)),
 }
 
-#: Each shape's key: the lower endpoint first, the protocol as the IP
-#: header states it, and none without an IP or transport header.
+#: Each shape's key: the lower endpoint first, the protocol of the
+#: transport header, and none without an IP or transport header.
 KEYS = {
     "tcp": ("10.0.0.1", 40000, SERVER, 443, IPProto.TCP),
     "tcp with options": ("10.0.0.1", 40000, SERVER, 443, IPProto.TCP),
-    "ethernet": ("10.0.0.1", 5, SERVER, 5, IPProto.TCP),
+    "ethernet": ("10.0.0.1", 5, SERVER, 5, IPProto.UDP),
     "udp": ("10.0.0.1", 40000, SERVER, 53, IPProto.UDP),
     "ipv6": ("2001:db8::1", 40000, "2001:db8::2", 443, IPProto.TCP),
     "ipv6 with an extension": (
@@ -145,6 +145,7 @@ def test_the_stamp_is_the_headers_length_and_canonical_key(shape):
         eth=packet.eth, ip=packet.ip, l4=packet.l4, payload=packet.payload
     ).wire_length
     assert key == KEYS[shape]
+    assert (None if key is None else key[4]) == packet.proto
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))

@@ -35,7 +35,7 @@ class UnboundedReplaySet:
     def __init__(self) -> None:
         self._seen: set[bytes] = set()
 
-    def check_and_record(self, uuid: bytes, now: float) -> bool:
+    def check_and_record(self, uuid: bytes, timestamp: float) -> bool:
         if uuid in self._seen:
             return True
         self._seen.add(uuid)
@@ -48,7 +48,9 @@ class UnboundedReplaySet:
 
 def _drive(cache) -> int:
     for i in range(STREAM):
-        cache.check_and_record(i.to_bytes(16, "big"), now=i / ARRIVALS_PER_SECOND)
+        cache.check_and_record(
+            i.to_bytes(16, "big"), timestamp=i / ARRIVALS_PER_SECOND
+        )
     return cache.size
 
 
@@ -66,8 +68,8 @@ def test_ablation_protection_equal_within_window():
     not already cover."""
     uuid = b"r" * 16
     for cache in (ReplayCache(window=WINDOW), UnboundedReplaySet()):
-        assert not cache.check_and_record(uuid, now=0.0)
-        assert cache.check_and_record(uuid, now=WINDOW * 0.9)
+        assert not cache.check_and_record(uuid, timestamp=0.0)
+        assert cache.check_and_record(uuid, timestamp=WINDOW * 0.9)
 
 
 def _software_packets(prefiltered: bool) -> tuple:
