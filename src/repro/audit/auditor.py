@@ -502,35 +502,6 @@ class NeutralityAuditor:
             )
         raise ValueError(f"unknown element {element!r}")
 
-    def audit_zero_rating(
-        self,
-        persona=None,
-        element: str = "stateful",
-    ) -> AuditVerdict:
-        """Audit the zero-rating data path (§4.6) against its advertised
-        policy: cookied traffic is free, everything else is charged, at
-        identical delivery performance, with exact byte accounting.
-
-        ``element`` selects the implementation under audit:
-        ``"stateful"`` (:class:`~repro.services.zerorate.ZeroRatingMiddlebox`)
-        or ``"stateless"``
-        (:class:`~repro.services.zerorate.StatelessZeroRater`).
-        """
-        return self.audit(f"zerorate-{element}", persona)
-
-    def audit_boost(self, persona=None) -> AuditVerdict:
-        """Audit the Boost fast lane (§5.2): cookied flows must ride the
-        fast lane (and measurably finish sooner through the bottleneck);
-        bare flows must never carry the fast-lane mark."""
-        return self.audit("boost", persona)
-
-    def audit_anylink(self, persona=None, profile: str = "2g") -> AuditVerdict:
-        """Audit the AnyLink slow lane (§5): here the *advertised* policy
-        is a performance difference in the opposite direction — cookied
-        flows must be slower (shaped to the emulated profile), bare flows
-        untouched.  The same instrument verifies an inverted policy."""
-        return self.audit(f"anylink-{profile}", persona)
-
     # ------------------------------------------------------------------
     # The campaign: harness -> schedule -> collect -> verdict
     # ------------------------------------------------------------------

@@ -182,10 +182,11 @@ class CookieSwitch(Element):
                 # blows up has not said yes — best effort, never dropped.
                 self.stats.verifier_failures += 1
                 candidate = None
-            if candidate is None:
-                self.stats.cookies_rejected += 1
-                continue
-            if not candidate.attributes.matches_context(self.context):
+            if (
+                candidate is None
+                or not self.serves(candidate)
+                or not candidate.attributes.matches_context(self.context)
+            ):
                 self.stats.cookies_rejected += 1
                 continue
             descriptor = candidate
@@ -208,6 +209,11 @@ class CookieSwitch(Element):
         self.stats.flows_bound += 1
         self.applier(descriptor, packet)
         self.stats.packets_served += 1
+
+    def serves(self, descriptor: CookieDescriptor) -> bool:
+        """Whether this box offers the descriptor's service at all; a
+        cookie for a service it does not offer is rejected."""
+        return True
 
     def _serve_bound(self, flow: Flow, packet: Packet, now: float) -> None:
         descriptor: CookieDescriptor = flow.service

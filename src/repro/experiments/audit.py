@@ -44,9 +44,6 @@ class AuditCampaignConfig:
     #: Restrict the malicious personas to run (None = all of them).
     personas: tuple[str, ...] | None = None
 
-    def audit_config(self) -> AuditConfig:
-        return AuditConfig(seed=self.seed, trials=self.trials, alpha=self.alpha)
-
 
 @dataclass
 class AuditCampaignReport:
@@ -143,7 +140,9 @@ def run_audit(
         unknown = sorted(set(config.personas) - set(PERSONAS))
         if unknown:
             raise ValueError(f"unknown personas: {', '.join(unknown)}")
-    auditor = NeutralityAuditor(config.audit_config())
+    auditor = NeutralityAuditor(
+        AuditConfig(seed=config.seed, trials=config.trials, alpha=config.alpha)
+    )
     report = AuditCampaignReport(
         config={
             "seed": config.seed,

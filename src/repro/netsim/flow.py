@@ -9,18 +9,23 @@ lane".  Every box keys its flows by it and stamps an unstamped packet on
 read.  A packet's direction is its source endpoint ``(ip, port)``,
 compared with an endpoint the box stored, so no second key is built.
 
-:class:`FlowTable` tracks live flows with idle-timeout eviction, mirroring
-the state a middlebox must bound.
+:class:`FlowTable` tracks live flows and bounds itself as the zero-rating
+middlebox bounds its table: idle flows age out and at most
+:data:`MAX_FLOWS` are held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .packet import Packet, stamp
 
-__all__ = ["Flow", "FlowTable"]
+__all__ = ["Flow", "FlowTable", "MAX_FLOWS"]
+
+#: The most flows one table holds; a new flow beyond it evicts the least
+#: recently seen.
+MAX_FLOWS = 100_000
 
 
 @dataclass(slots=True)
@@ -56,10 +61,6 @@ class Flow:
         else:
             self.packets_reverse += 1
 
-    @property
-    def idle_for(self) -> float:
-        return self.last_seen - self.first_seen
-
 
 def _key(packet: Packet) -> tuple:
     key = packet.flow_key or stamp(packet)
@@ -69,26 +70,22 @@ def _key(packet: Packet) -> tuple:
 
 
 class FlowTable:
-    """Bidirectional flow tracker with idle-timeout eviction.
+    """Bidirectional flow tracker, bounded in recency order.
 
     The table is keyed on the packet's stamp, stamping an unstamped
-    packet on read.  ``idle_timeout`` bounds state: flows not seen for
-    that long are evicted lazily on access and eagerly via
-    :meth:`expire`.  A packet without an IP or transport header has no
-    flow: :meth:`lookup`, :meth:`observe` and :meth:`remove` raise
-    ``ValueError`` for it.
+    packet on read, and is kept least recently seen first.  A flow idle
+    for longer than ``idle_timeout`` is gone: a packet of it starts a new
+    flow, and a new flow first evicts the idle flows at the old end, then
+    the least recently seen while the table holds :data:`MAX_FLOWS`.  A
+    packet without an IP or transport header has no flow: :meth:`observe`
+    raises ``ValueError`` for it.
     """
 
-    def __init__(
-        self,
-        idle_timeout: float = 60.0,
-        on_evict: Callable[[Flow], None] | None = None,
-    ) -> None:
+    def __init__(self, idle_timeout: float = 60.0) -> None:
         if idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive")
         self.idle_timeout = idle_timeout
         self._flows: dict[tuple, Flow] = {}
-        self._on_evict = on_evict
         self.evicted_count = 0
 
     def __len__(self) -> int:
@@ -97,52 +94,30 @@ class FlowTable:
     def __iter__(self) -> Iterator[Flow]:
         return iter(self._flows.values())
 
-    def lookup(self, packet: Packet) -> Flow | None:
-        """Find the flow a packet belongs to, or None if untracked."""
-        return self._flows.get(_key(packet))
-
     def observe(self, packet: Packet, now: float) -> tuple[Flow, bool]:
-        """Record a packet; returns ``(flow, is_new)``.
-
-        A flow whose idle timeout has elapsed is treated as expired and
-        replaced by a fresh flow record (the middlebox would have lost its
-        state, so a new flow is what it would genuinely see).
-        """
+        """Record a packet; returns ``(flow, is_new)``."""
         key = _key(packet)
-        flow = self._flows.get(key)
-        is_new = False
-        if flow is not None and now - flow.last_seen > self.idle_timeout:
-            self._evict(key, flow)
+        flows = self._flows
+        idle = self.idle_timeout
+        flow = flows.pop(key, None)
+        if flow is not None and now - flow.last_seen > idle:
+            self.evicted_count += 1
             flow = None
-        if flow is None:
+        elif flow is None:
+            while flows and now - next(iter(flows.values())).last_seen > idle:
+                del flows[next(iter(flows))]
+                self.evicted_count += 1
+            while len(flows) >= MAX_FLOWS:
+                del flows[next(iter(flows))]
+                self.evicted_count += 1
+        is_new = flow is None
+        if is_new:
             flow = Flow(
                 key=key,
                 initiator=(packet.ip.src, packet.l4.src_port),
                 first_seen=now,
                 last_seen=now,
             )
-            self._flows[key] = flow
-            is_new = True
+        flows[key] = flow
         flow.touch(packet, now)
         return flow, is_new
-
-    def expire(self, now: float) -> int:
-        """Evict all flows idle past the timeout; returns eviction count."""
-        stale = [
-            key
-            for key, flow in self._flows.items()
-            if now - flow.last_seen > self.idle_timeout
-        ]
-        for key in stale:
-            self._evict(key, self._flows[key])
-        return len(stale)
-
-    def remove(self, packet: Packet) -> Flow | None:
-        """Explicitly remove the flow a packet belongs to (e.g. on FIN)."""
-        return self._flows.pop(_key(packet), None)
-
-    def _evict(self, key: tuple, flow: Flow) -> None:
-        del self._flows[key]
-        self.evicted_count += 1
-        if self._on_evict is not None:
-            self._on_evict(flow)

@@ -6,6 +6,11 @@ to select an emulated link profile (2G, 3G, DSL, ...), testing how their
 application behaves on slower networks.  Proxy mode means cookie
 inspection is co-located with a web proxy the client explicitly sends its
 traffic through, so no in-path deployment is needed.
+
+:class:`AnyLinkProxy` is a :class:`~repro.core.switch.CookieSwitch` whose
+service is a shaper, as Boost's is a fast lane: the switch sniffs,
+verifies and binds flows, and drops a binding whose descriptor was
+revoked or expired on the flow's next packet.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from ...core import CookieMatcher, CookieServer, ServiceOffering
-from ...core.transport import TransportRegistry, default_registry
+from ...core import CookieDescriptor, CookieMatcher, CookieServer, ServiceOffering
+from ...core.switch import CookieSwitch
+from ...core.transport import TransportRegistry
 from ...netsim.events import EventLoop
 from ...netsim.middlebox import Element, ShaperElement
-from ...netsim.packet import Packet, stamp
+from ...netsim.packet import Packet
 from ...netsim.queues import TokenBucket
 
 __all__ = ["LinkProfile", "STANDARD_PROFILES", "AnyLinkProxy", "make_anylink_server"]
@@ -65,13 +71,13 @@ def make_anylink_server(
     return server
 
 
-class AnyLinkProxy(Element):
-    """The proxy data path: cookied flows go through their profile's
-    shaper; everything else passes at full speed.
+def _mark_profile(descriptor: CookieDescriptor, packet: Packet) -> None:
+    packet.meta["anylink_profile"] = descriptor.service_data
 
-    Flow→profile bindings are made on the first cookied packet and apply
-    to both directions (the packet's stamp is the flow key), like every
-    cookie service.
+
+class AnyLinkProxy(CookieSwitch):
+    """The proxy data path: packets the switch marks with a profile go
+    through that profile's shaper; everything else passes at full speed.
     """
 
     def __init__(
@@ -81,44 +87,37 @@ class AnyLinkProxy(Element):
         profiles: dict[str, LinkProfile] | None = None,
         registry: TransportRegistry | None = None,
         sniff_packets: int = 3,
-        max_flows: int = 100_000,
         name: str = "anylink-proxy",
     ) -> None:
-        super().__init__(name)
-        if max_flows < 1:
-            raise ValueError("max_flows must be at least 1")
+        super().__init__(
+            matcher,
+            loop=loop,
+            registry=registry,
+            applier=_mark_profile,
+            sniff_packets=sniff_packets,
+            name=name,
+        )
         self.loop = loop
-        self.matcher = matcher
-        self.registry = registry or default_registry()
         self.profiles = dict(profiles or STANDARD_PROFILES)
-        self.sniff_packets = sniff_packets
-        self.max_flows = max_flows
         self._shapers: dict[str, ShaperElement] = {}
-        self._flow_profiles: dict[object, str] = {}
-        # LRU-ordered (entries re-inserted on touch): the first key is the
-        # least recently active flow, evicted when max_flows is reached.
-        self._flow_packets: dict[object, int] = {}
-        self.flows_bound = 0
-        self.flows_evicted = 0
-        #: Verifier errors (not rejections): the packet passes unshaped.
-        self.verifier_failures = 0
-
-    COUNTERS = ("flows_bound", "flows_evicted", "verifier_failures")
 
     def register_telemetry(self, registry, prefix: str = "anylink") -> None:
-        """Export proxy bindings and per-profile flow counts into a
-        :class:`~repro.telemetry.MetricsRegistry`."""
-        registry.register(self, prefix, self.COUNTERS, read=self._read_metrics)
+        """The switch's metrics plus shapers and per-profile bound flows."""
+        super().register_telemetry(registry, prefix)
 
     def _read_metrics(self):
-        gauges = {
-            "tracked_flows": len(self._flow_packets),
-            "active_shapers": len(self._shapers),
-        }
-        bound = Counter(self._flow_profiles.values())
+        counters, gauges = super()._read_metrics()
+        gauges["active_shapers"] = len(self._shapers)
+        bound = Counter(
+            flow.service.service_data for flow in self.flows
+            if flow.service is not None
+        )
         for profile_name in self.profiles:
             gauges[f"profile.{profile_name}.flows"] = bound[profile_name]
-        return {}, gauges
+        return counters, gauges
+
+    def serves(self, descriptor: CookieDescriptor) -> bool:
+        return descriptor.service_data in self.profiles
 
     def _shaper_for(self, profile_name: str) -> ShaperElement:
         shaper = self._shapers.get(profile_name)
@@ -138,37 +137,17 @@ class AnyLinkProxy(Element):
             self._shapers[profile_name] = shaper
         return shaper
 
-    def handle(self, packet: Packet) -> None:
-        key = packet.flow_key or stamp(packet)
-        if key is None:
-            self.emit(packet)
-            return
-        count = self._flow_packets.pop(key, 0) + 1
-        if count == 1:
-            while len(self._flow_packets) >= self.max_flows:
-                oldest = next(iter(self._flow_packets))
-                del self._flow_packets[oldest]
-                self._flow_profiles.pop(oldest, None)
-                self.flows_evicted += 1
-        self._flow_packets[key] = count
-        profile_name = self._flow_profiles.get(key)
-        if profile_name is None and count <= self.sniff_packets:
-            found = self.registry.extract(packet)
-            if found is not None:
-                try:
-                    descriptor = self.matcher.match(found[0], self.loop.now)
-                except Exception:
-                    self.verifier_failures += 1
-                    descriptor = None
-                if descriptor is not None and descriptor.service_data in self.profiles:
-                    profile_name = str(descriptor.service_data)
-                    self._flow_profiles[key] = profile_name
-                    self.flows_bound += 1
-        if profile_name is None:
-            self.emit(packet)
-            return
-        packet.meta["anylink_profile"] = profile_name
-        self._shaper_for(profile_name).push(packet)
+    def emit_batch(self, packets: list[Packet]) -> None:
+        plain: list[Packet] = []
+        for packet in packets:
+            profile_name = packet.meta.get("anylink_profile")
+            if profile_name is None:
+                plain.append(packet)
+            else:
+                super().emit_batch(plain)
+                plain = []
+                self._shaper_for(profile_name).push(packet)
+        super().emit_batch(plain)
 
     def __rshift__(self, other: Element) -> Element:
         # Keep existing shapers pointed at the (new) downstream.

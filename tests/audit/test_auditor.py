@@ -12,21 +12,9 @@ ELEMENTS = ["zerorate-stateful", "zerorate-stateless", "boost", "anylink"]
 FAST = AuditConfig(trials=8)
 
 
-def run_element(auditor: NeutralityAuditor, element: str, persona=None):
-    if element == "zerorate-stateful":
-        return auditor.audit_zero_rating(persona, element="stateful")
-    if element == "zerorate-stateless":
-        return auditor.audit_zero_rating(persona, element="stateless")
-    if element == "boost":
-        return auditor.audit_boost(persona)
-    if element == "anylink":
-        return auditor.audit_anylink(persona)
-    raise ValueError(element)
-
-
 @pytest.mark.parametrize("element", ELEMENTS)
 def test_honest_operator_is_never_flagged(element):
-    verdict = run_element(NeutralityAuditor(FAST), element)
+    verdict = NeutralityAuditor(FAST).audit(element)
     assert not verdict.flagged, verdict.violations
     assert verdict.violations == []
     assert verdict.persona == "honest"
@@ -35,7 +23,7 @@ def test_honest_operator_is_never_flagged(element):
 def test_honest_zero_rating_advertised_dimension_is_significant():
     """The flag stays down because the *advertised* difference is present
     — not because the auditor saw nothing at all."""
-    verdict = run_element(NeutralityAuditor(FAST), "zerorate-stateful")
+    verdict = NeutralityAuditor(FAST).audit("zerorate-stateful")
     accounting = verdict.dimensions["accounting"]
     assert accounting.observed_differs
     assert accounting.direction == 1
@@ -49,13 +37,13 @@ def test_honest_zero_rating_advertised_dimension_is_significant():
 
 @pytest.mark.parametrize("element", ELEMENTS)
 def test_verdict_deterministic_under_pinned_seed(element):
-    first = run_element(NeutralityAuditor(FAST), element)
-    second = run_element(NeutralityAuditor(FAST), element)
+    first = NeutralityAuditor(FAST).audit(element)
+    second = NeutralityAuditor(FAST).audit(element)
     assert first.to_json_str() == second.to_json_str()
 
 
 def test_verdict_json_shape():
-    verdict = run_element(NeutralityAuditor(FAST), "boost")
+    verdict = NeutralityAuditor(FAST).audit("boost")
     data = json.loads(verdict.to_json_str())
     assert set(data) == {
         "element", "persona", "service", "seed", "trials",
@@ -69,7 +57,7 @@ def test_verdict_json_shape():
 
 
 def test_flow_outcomes_and_verifications_are_recorded():
-    verdict = run_element(NeutralityAuditor(FAST), "zerorate-stateful")
+    verdict = NeutralityAuditor(FAST).audit("zerorate-stateful")
     assert len(verdict.outcomes) == FAST.trials
     probes = set(verdict.outcomes[0])
     assert {"cookied", "bare", "replayed", "revoked"} <= probes

@@ -30,8 +30,8 @@ def _pair(persona_name=None):
         return PERSONAS[persona_name]() if persona_name else None
 
     auditor = NeutralityAuditor(EVERY)
-    stateful = auditor.audit_zero_rating(build(), element="stateful")
-    stateless = auditor.audit_zero_rating(build(), element="stateless")
+    stateful = auditor.audit("zerorate-stateful", build())
+    stateless = auditor.audit("zerorate-stateless", build())
     return stateful, stateless
 
 

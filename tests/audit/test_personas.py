@@ -5,8 +5,6 @@ import pytest
 
 from repro.audit import PERSONAS, AuditConfig, NeutralityAuditor, persona_catalog
 
-from .test_auditor import run_element
-
 FAST = AuditConfig(trials=8)
 
 # persona -> {element: dimensions that must be flagged}
@@ -57,7 +55,7 @@ CASES = [
 @pytest.mark.parametrize("persona_name,element", CASES)
 def test_persona_is_flagged_on_expected_dimensions(persona_name, element):
     persona = PERSONAS[persona_name]()
-    verdict = run_element(NeutralityAuditor(FAST), element, persona)
+    verdict = NeutralityAuditor(FAST).audit(element, persona)
     assert verdict.flagged
     assert verdict.persona == persona_name
     flagged = {name for name, dim in verdict.dimensions.items() if not dim.ok}

@@ -14,7 +14,7 @@ FAST = AuditConfig(trials=8)
 
 
 def _honest_verdict(element="stateful"):
-    return NeutralityAuditor(FAST).audit_zero_rating(None, element=element)
+    return NeutralityAuditor(FAST).audit(f"zerorate-{element}")
 
 
 def test_replay_probes_exist_in_every_trial():
@@ -50,7 +50,7 @@ def test_replayed_flows_never_ride_free():
 
 def test_replay_honoring_operator_is_caught_by_the_same_probes():
     persona = PERSONAS["replay-honorer"]()
-    verdict = NeutralityAuditor(FAST).audit_zero_rating(persona, element="stateful")
+    verdict = NeutralityAuditor(FAST).audit("zerorate-stateful", persona)
     replay = verdict.dimensions["replay"]
     assert not replay.ok
     assert replay.violations

@@ -289,23 +289,33 @@ class _Binding:
 class Switch(_Box):
     """Flow binding: a cookie accepted in a flow's first ``SNIFF``
     packets binds the flow, both ways, while its grant stays usable.
-    ``out`` holds ``(tag, service or None)``."""
+    ``out`` holds ``(tag, service or None)``.  The flow table ages and
+    caps itself by :class:`ZeroRater`'s rule, in LRU order, and
+    ``evicted`` counts both kinds."""
 
     def __init__(self, verifier, clock, faults, idle: float = 60.0) -> None:
         super().__init__(verifier, clock, faults)
         self.idle = idle
+        self.max_flows = 100_000
         self.flows: dict[tuple, _Binding] = {}
         self.evicted = 0
 
     def one(self, frame: Frame, now: float) -> None:
-        stats = self.stats
+        stats, flows = self.stats, self.flows
         stats["packets"] += 1
         key = flow_key(frame)
-        flow = self.flows.get(key)
+        flow = flows.pop(key, None)
         if flow is not None and now - flow.last > self.idle:
             self.evicted += 1
             flow = None
-        flow = self.flows[key] = flow or _Binding()
+        elif flow is None:
+            while flows and now - next(iter(flows.values())).last > self.idle:
+                del flows[next(iter(flows))]
+                self.evicted += 1
+            while len(flows) >= self.max_flows:
+                del flows[next(iter(flows))]
+                self.evicted += 1
+        flow = flows[key] = flow or _Binding()
         flow.packets += 1
         flow.last = now
         grant = flow.grant

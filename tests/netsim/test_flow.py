@@ -11,6 +11,8 @@ from repro.core.switch import CookieSwitch
 from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.events import EventLoop
+from repro.baselines.dpi import DpiEngine
+from repro.netsim import flow as flow_module
 from repro.netsim.flow import FlowTable
 from repro.netsim.headers import IPProto, IPv4Header
 from repro.netsim.middlebox import Sink
@@ -71,34 +73,17 @@ class TestFlowTable:
         assert is_new and fresh is not old
         assert table.evicted_count == 1
 
-    def test_expire_evicts_stale(self):
+    def test_a_new_flow_evicts_idle_flows_least_recent_first(self):
+        """Recency, not creation, orders the table: flow A, seen again
+        at 4 s, outlives flow B, first seen after it but idle since 1 s."""
         table = FlowTable(idle_timeout=5.0)
-        table.observe(make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2), now=0.0)
-        table.observe(make_tcp_packet("3.3.3.3", 1, "4.4.4.4", 2), now=4.0)
-        assert table.expire(now=7.0) == 1
-        assert len(table) == 1
-
-    def test_eviction_callback(self):
-        evicted = []
-        table = FlowTable(idle_timeout=1.0, on_evict=evicted.append)
-        table.observe(make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2), now=0.0)
-        table.expire(now=5.0)
-        assert len(evicted) == 1
-
-    def test_lookup(self):
-        table = FlowTable()
-        packet = make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2)
-        assert table.lookup(packet) is None
-        flow, _ = table.observe(packet, now=0.0)
-        assert table.lookup(packet) is flow
-
-    def test_remove(self):
-        table = FlowTable()
-        packet = make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2)
-        table.observe(packet, now=0.0)
-        assert table.remove(packet) is not None
-        assert len(table) == 0
-        assert table.remove(packet) is None
+        a = make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2)
+        table.observe(a, now=0.0)
+        table.observe(make_tcp_packet("3.3.3.3", 1, "4.4.4.4", 2), now=1.0)
+        table.observe(a, now=4.0)
+        table.observe(make_tcp_packet("5.5.5.5", 1, "6.6.6.6", 2), now=7.0)
+        assert [flow.key[0] for flow in table] == ["1.1.1.1", "5.5.5.5"]
+        assert table.evicted_count == 1
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +99,34 @@ class TestFlowTable:
         table.observe(make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2), now=0.0)
         table.observe(make_tcp_packet("3.3.3.3", 3, "4.4.4.4", 4), now=0.0)
         assert len(list(table)) == 2
+
+
+@pytest.mark.contract
+class TestBoundedFlowTables:
+    def test_one_packet_flows_age_out_of_switch_and_dpi(self):
+        """20 000 one-packet flows, one a second: a 60 s idle timeout
+        leaves the last 61 in each table, however many came before."""
+        now = [0.0]
+        switch = CookieSwitch(
+            CookieMatcher(DescriptorStore()), clock=lambda: now[0]
+        )
+        switch >> Sink()
+        dpi = DpiEngine(clock=lambda: now[0])
+        dpi >> Sink()
+        for second in range(20_000):
+            now[0] = float(second)
+            for box in (switch, dpi):
+                box.push(make_tcp_packet("10.0.0.1", 1024 + second, SERVER, 443))
+        for box in (switch, dpi):
+            assert (len(box.flows), box.flows.evicted_count) == (61, 19_939)
+
+    def test_a_full_table_evicts_the_least_recently_seen(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "MAX_FLOWS", 4)
+        table = FlowTable()
+        for now, port in enumerate([0, 1, 2, 3, 0, 4, 5, 0, 6, 7, 8, 0, 9]):
+            table.observe(make_tcp_packet("10.0.0.1", port, SERVER, 443), now)
+        assert [flow.key[1] for flow in table] == [7, 8, 0, 9]
+        assert table.evicted_count == 6
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +199,9 @@ class TestOneKeyAcrossTheBoxes:
         proxy >> Sink()
         proxy.push(for_anylink)
         assert for_anylink.flow_key == key
-        assert proxy._flow_profiles == {key: "3g"}
+        assert [
+            (flow.key, flow.service.service_data) for flow in proxy.flows
+        ] == [(key, "3g")]
 
         resolved = []
         box = ZeroRatingMiddlebox(

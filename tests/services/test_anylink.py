@@ -61,7 +61,7 @@ class TestProxy:
         packet = _request_packet()
         agent.insert_cookie(packet, "anylink-2g")
         proxy.push(packet)
-        assert proxy.flows_bound == 1
+        assert proxy.stats.flows_bound == 1
         # Follow-up data rides the 2g shaper: 50 kb/s on ~1.2 KB packets.
         for _ in range(10):
             proxy.push(_data_packet())
@@ -99,8 +99,30 @@ class TestProxy:
         proxy.process_batch([packet, _data_packet()])
         assert sink.count == 2 and loop.now == 0.0
         assert "anylink_profile" not in packet.meta
-        assert (proxy.verifier_failures, proxy.flows_bound) == (1, 0)
+        assert (proxy.stats.verifier_failures, proxy.stats.flows_bound) == (1, 0)
         assert registry.snapshot().counters["anylink.verifier_failures"] == 1
+
+    @pytest.mark.contract
+    def test_a_revoked_descriptor_ends_the_slow_lane_mid_flow(self):
+        """PROTOCOL §3: a mid-flow revocation drops the binding on the
+        next packet, which then passes unshaped."""
+        from repro.telemetry import MetricsRegistry
+
+        loop, server, proxy, sink, agent = _env()
+        registry = MetricsRegistry()
+        proxy.register_telemetry(registry)
+        packet = _request_packet()
+        agent.insert_cookie(packet, "anylink-2g")
+        proxy.push(packet)
+        loop.run_until_idle()
+        assert registry.snapshot().gauges["anylink.profile.2g.flows"] == 1
+        assert server.revoke(agent.descriptor_for("anylink-2g").cookie_id)
+        shaped_until = loop.now
+        after = _data_packet()
+        proxy.push(after)
+        assert sink.packets[-1] is after and loop.now == shaped_until
+        assert "anylink_profile" not in after.meta
+        assert registry.snapshot().gauges["anylink.profile.2g.flows"] == 0
 
     def test_profiles_have_distinct_rates(self):
         def drain_time(profile):
@@ -126,7 +148,7 @@ class TestProxy:
         cookie = CookieGenerator(descriptor, clock=lambda: loop.now).generate()
         default_registry().attach(packet, cookie)
         proxy.push(packet)
-        assert proxy.flows_bound == 0
+        assert proxy.stats.flows_bound == 0
         assert sink.count == 1
 
     def test_rewire_updates_shapers(self):

@@ -64,7 +64,7 @@ EXPECTED_COUNTERS = sorted(
     + _under("middlebox", _BOX + ["flows_evicted_cap", "flows_evicted_idle",
                                   "flows_resolved", "subscribers_evicted"])
     + _under("stateless", _BOX)
-    + _under("anylink", ["flows_bound", "flows_evicted", "verifier_failures"])
+    + _under("anylink", _SWITCH)
     + _under("boost", ["boost_events", "degraded_activations_blocked",
                        "degraded_entered", "superseded_events"])
     + _under("boost.matcher", _MATCHER)
