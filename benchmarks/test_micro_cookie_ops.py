@@ -70,7 +70,7 @@ def test_micro_http_attach_extract(benchmark):
         return registry.extract(packet)
 
     found = benchmark(attach_extract)
-    assert found is not None
+    assert found
 
 
 def test_micro_replay_cache_ops(benchmark):

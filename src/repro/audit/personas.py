@@ -238,7 +238,7 @@ class DescriptorColluder(OperatorPersona):
             if key in self._seen_flows:
                 return packet
             self._seen_flows.add(key)
-            if ctx.transports.extract(packet) is None:
+            if not ctx.transports.extract(packet):
                 ctx.transports.attach(packet, self._generator.generate())
             return packet
 

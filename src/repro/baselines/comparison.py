@@ -2,10 +2,10 @@
 
 Each row of the paper's Table 1 is evaluated here.  Wherever a property is
 checkable by running code, the cell is computed by a live probe against
-the actual implementations in this repository (replay protection,
-authentication, revocability, privacy, NAT independence, transport
-diversity, delivery guarantees).  Structural properties that are claims
-about workflow economics (transaction cost, composability, ...) are
+the actual implementations in this repository (composability, replay
+protection, authentication, revocability, privacy, NAT independence,
+transport diversity, delivery guarantees).  Structural properties that
+are claims about workflow economics (transaction cost, delegation, ...) are
 declared constants with the paper's reasoning in the docstring — they are
 still cross-checked against :data:`PAPER_TABLE1` by the benchmark.
 """
@@ -149,9 +149,7 @@ def _probe_cookie_privacy() -> bool:
     cookie = CookieGenerator(descriptor, clock=lambda: 0.0).generate()
     registry.attach(packet, cookie)  # falls through to the TCP option carrier
     found = registry.extract(packet)
-    if found is None:
-        return False
-    return matcher.match(found[0], now=0.0) is not None
+    return bool(found) and matcher.match(found[0], now=0.0) is not None
 
 
 def _probe_cookie_nat_independence() -> bool:
@@ -171,7 +169,7 @@ def _probe_cookie_nat_independence() -> bool:
     packet.l4.src_port = 23_456
     packet.flow_key = packet.pkt_len = None
     found = registry.extract(packet)
-    return found is not None and matcher.match(found[0], now=0.0) is not None
+    return bool(found) and matcher.match(found[0], now=0.0) is not None
 
 
 def _probe_oob_nat_dependence() -> bool:
@@ -230,7 +228,36 @@ def _probe_cookie_delivery_guarantee() -> bool:
         content=TLSClientHello(sni=""),
     )
     switch.push(reverse)
-    return registry.extract(reverse) is not None
+    return bool(registry.extract(reverse))
+
+
+def _probe_cookie_composition() -> bool:
+    """§4.5's videocall: one packet carries network A's cookie, then
+    network B's.  A's switch serves it, and B's zero-rating middlebox
+    zero-rates it, each on the cookie its own store knows."""
+    from ..core.switch import CookieSwitch
+    from ..netsim.middlebox import Sink
+    from ..services.zerorate import ZeroRatingMiddlebox
+
+    clock = lambda: 0.0  # noqa: E731
+    stores = [DescriptorStore(), DescriptorStore()]
+    registry = default_registry()
+    packet = make_tcp_packet(
+        "192.168.1.5", 5004, "198.51.100.77", 5004,
+        content=TLSClientHello(sni="call.example"),
+    )
+    for store in stores:
+        descriptor = store.add(CookieDescriptor.create(service_data="realtime"))
+        registry.attach(packet, CookieGenerator(descriptor, clock=clock).generate())
+    switch = CookieSwitch(CookieMatcher(stores[0]), clock=clock)
+    middlebox = ZeroRatingMiddlebox(CookieMatcher(stores[1]), clock=clock)
+    for box in (switch, middlebox):
+        box >> Sink()
+    switch.push(packet)
+    middlebox.push(packet)
+    return packet.meta.get("service") == "realtime" and bool(
+        packet.meta.get("zero_rated")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +290,8 @@ def evaluate_table1() -> dict[str, dict[str, bool]]:
     row("high-level preferences", cookies=True, dpi=False, oob=True, diffserv=True)
     # Multiple services on one flow: several cookies or several rules
     # compose; one 6-bit field and one signature label do not.
-    row("composable", cookies=True, dpi=False, oob=True, diffserv=False)
+    row("composable",
+        cookies=_probe_cookie_composition(), dpi=False, oob=True, diffserv=False)
     # A descriptor (or a controller token) can be handed to a content
     # provider; a DPI signature or DSCP value cannot carry a grant.
     row("delegatable", cookies=True, dpi=False, oob=True, diffserv=False)

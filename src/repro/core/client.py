@@ -211,7 +211,7 @@ class UserAgent:
         if generator is None:
             return False
         descriptor = generator.descriptor
-        for cookie, _carrier in self.registry.extract_all(packet):
+        for cookie in self.registry.extract_all(packet):
             if cookie.cookie_id == descriptor.cookie_id and cookie.verify_signature(
                 descriptor
             ):
@@ -243,9 +243,9 @@ class UserAgent:
             self.stats.insertions_failed += 1
             # No carrier fit: record every candidate that was allowed to
             # try, so a degraded transport shows up by name in stats.
-            candidates = allowed if allowed is not None else self.registry.names
-            for name in candidates:
-                if self.registry.get(name) is not None:
+            names = self.registry.names
+            for name in names if allowed is None else allowed:
+                if name in names:
                     self._note_transport_failure(name)
             return None
         self.stats.cookies_inserted += 1

@@ -170,10 +170,7 @@ class HardwarePrefilter(Element):
                     stats.fast_path += 1
                     to_fast.append(packet)
                     continue
-            if any(
-                hardware_accepts(cookie, now)
-                for cookie, _name in extract_all(packet)
-            ):
+            if any(hardware_accepts(cookie, now) for cookie in extract_all(packet)):
                 stats.to_software += 1
                 to_software.append(packet)
             else:

@@ -173,7 +173,7 @@ class CookieSwitch(Element):
         # network); act on the first one THIS switch's store recognizes
         # and whose constraints this switch's context satisfies.
         descriptor = None
-        for cookie, _transport in self.registry.extract_all(packet):
+        for cookie in self.registry.extract_all(packet):
             self.stats.cookies_found += 1
             try:
                 candidate = self.matcher.match(cookie, now)

@@ -4,14 +4,21 @@ The paper deliberately supports several carriers — "a special HTTP header,
 a TLS-handshake extension, an IPv6 extension header" and TCP long options —
 so the right layer can be picked per application and network service.  Each
 carrier implements this small interface; the registry composes them.
+
+Cookies are composable — "users can combine multiple services
+(potentially by different networks) by composing multiple cookies
+together" — so a carrier may hold several, and :meth:`CookieCarrier.extract`
+reads them all, in the order they were attached.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import Sequence
 
 from ...netsim.packet import Packet
 from ..cookie import Cookie
+from ..errors import MalformedCookie
 
 __all__ = ["CookieCarrier"]
 
@@ -20,9 +27,9 @@ class CookieCarrier(abc.ABC):
     """One way of carrying a cookie inside a packet.
 
     Implementations must be symmetric: ``extract`` recovers exactly the
-    cookie a prior ``attach`` embedded, and returns ``None`` (never raises)
-    when scanning a packet that carries nothing — the data path scans every
-    packet.
+    cookies prior ``attach`` calls embedded, and returns an empty
+    sequence (never raises) when scanning a packet that carries nothing —
+    the data path scans every packet.
     """
 
     #: Registry key, also referenced by descriptor ``transports`` attributes.
@@ -41,24 +48,36 @@ class CookieCarrier(abc.ABC):
         carry it (callers should check :meth:`can_carry` first)."""
 
     @abc.abstractmethod
-    def extract(self, packet: Packet) -> Cookie | None:
-        """Recover an embedded cookie, or None if this carrier finds none.
+    def extract(self, packet: Packet) -> Sequence[Cookie]:
+        """Every cookie this carrier holds in the packet, in order.
 
-        Malformed cookie bytes also yield None: on the data path a garbled
-        cookie must degrade to best-effort, not take down the middlebox.
+        A packet with none yields the empty tuple, which allocates
+        nothing.  Malformed cookie bytes are skipped: on the data path a
+        garbled cookie must degrade to best-effort, not take down the
+        middlebox.
         """
-
-    def extract_all(self, packet: Packet) -> list[Cookie]:
-        """All cookies this carrier finds in the packet.
-
-        Cookies are composable — "users can combine multiple services
-        (potentially by different networks) by composing multiple cookies
-        together" — so carriers that can hold several (TCP options, IPv6
-        extension chains, comma-joined text fields) override this.  The
-        default wraps :meth:`extract`.
-        """
-        cookie = self.extract(packet)
-        return [cookie] if cookie is not None else []
 
     def __repr__(self) -> str:
         return f"<carrier {self.name}>"
+
+
+def comma_cookies(value: str | bytes) -> list[Cookie]:
+    """The cookies in a comma-joined base64 text value (HTTP list-header
+    style), garbled items skipped.
+
+    The text carriers parse a value whole first, since one cookie is the
+    common case; a comma-joined or padded list is not valid base64 and
+    comes here.
+    """
+    if isinstance(value, bytes):
+        try:
+            value = value.decode("ascii")
+        except UnicodeDecodeError:
+            return []
+    cookies = []
+    for item in value.split(","):
+        try:
+            cookies.append(Cookie.from_text(item.strip()))
+        except MalformedCookie:
+            continue
+    return cookies

@@ -7,11 +7,13 @@ special HTTP header for unencrypted traffic").
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ...netsim.appmsg import HTTPRequest
 from ...netsim.packet import Packet
 from ..cookie import COOKIE_WIRE_BYTES, Cookie
 from ..errors import MalformedCookie, TransportError
-from .base import CookieCarrier
+from .base import CookieCarrier, comma_cookies
 
 __all__ = ["HttpHeaderCarrier", "COOKIE_HEADER"]
 
@@ -43,33 +45,15 @@ class HttpHeaderCarrier(CookieCarrier):
         packet.payload.size += self.overhead_bytes
         packet.flow_key = packet.pkt_len = None
 
-    def extract(self, packet: Packet) -> Cookie | None:
+    def extract(self, packet: Packet) -> Sequence[Cookie]:
         payload = packet.payload
         request = payload.content
         if not isinstance(request, HTTPRequest) or payload.encrypted:
-            return None
+            return ()
         text = request.header(COOKIE_HEADER)
         if text is None:
-            return None
+            return ()
         try:
-            # One cookie, the common case; a comma-joined or padded list
-            # is not valid base64 and takes the tolerant path below.
-            return Cookie.from_text(text)
+            return [Cookie.from_text(text)]
         except MalformedCookie:
-            cookies = self.extract_all(packet)
-            return cookies[0] if cookies else None
-
-    def extract_all(self, packet: Packet) -> list[Cookie]:
-        if not self.can_carry(packet):
-            return []
-        request: HTTPRequest = packet.payload.content
-        text = request.header(COOKIE_HEADER)
-        if text is None:
-            return []
-        cookies = []
-        for item in text.split(","):
-            try:
-                cookies.append(Cookie.from_text(item.strip()))
-            except MalformedCookie:
-                continue
-        return cookies
+            return comma_cookies(text)

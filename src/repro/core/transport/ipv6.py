@@ -9,6 +9,8 @@ needed and hardware can find it cheaply.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ...netsim.headers import IPv6ExtensionHeader, IPv6Header
 from ...netsim.packet import Packet
 from ..cookie import COOKIE_WIRE_BYTES, Cookie
@@ -55,20 +57,14 @@ class Ipv6ExtensionCarrier(CookieCarrier):
         header.extensions.append(extension)
         packet.flow_key = packet.pkt_len = None
 
-    def extract(self, packet: Packet) -> Cookie | None:
+    def extract(self, packet: Packet) -> Sequence[Cookie]:
+        """Every cookie extension header (extension chains compose)."""
         header = packet.ip
         if not isinstance(header, IPv6Header):
-            return None
+            return ()
+        found: Sequence[Cookie] = ()
         for extension in header.extensions:
             cookie = _extension_cookie(extension)
             if cookie is not None:
-                return cookie
-        return None
-
-    def extract_all(self, packet: Packet) -> list[Cookie]:
-        """All cookie extension headers (extension chains compose)."""
-        if not self.can_carry(packet):
-            return []
-        header: IPv6Header = packet.ip  # type: ignore[assignment]
-        cookies = (_extension_cookie(ext) for ext in header.extensions)
-        return [cookie for cookie in cookies if cookie is not None]
+                found = [*found, cookie]
+        return found

@@ -2,8 +2,11 @@
 
 User agents call :meth:`TransportRegistry.attach` to embed a cookie using
 the first carrier that (a) the descriptor's ``transports`` attribute
-allows and (b) fits the packet.  Middleboxes call :meth:`extract` to scan
-a packet across all carriers.
+allows and (b) fits the packet.  Cookies are read back in one of two
+ways: the zero-rating boxes call :meth:`extract`, which stops at the
+first carrier that holds any; the switch, the prefilter and the user
+agent's ack check call :meth:`extract_all`, which reads every carrier.
+Both return bare cookies, in registry order, then attach order.
 """
 
 from __future__ import annotations
@@ -32,25 +35,9 @@ class TransportRegistry:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate carrier names: {names}")
 
-    def register(self, carrier: CookieCarrier) -> None:
-        """Append a carrier (order matters: earlier carriers are preferred)."""
-        if any(c.name == carrier.name for c in self._carriers):
-            raise ValueError(f"carrier {carrier.name!r} already registered")
-        self._carriers.append(carrier)
-
-    def get(self, name: str) -> CookieCarrier | None:
-        for carrier in self._carriers:
-            if carrier.name == name:
-                return carrier
-        return None
-
     @property
     def names(self) -> list[str]:
         return [c.name for c in self._carriers]
-
-    def carriers_for(self, packet: Packet) -> list[CookieCarrier]:
-        """All carriers that could embed a cookie in this packet."""
-        return [c for c in self._carriers if c.can_carry(packet)]
 
     def attach(
         self,
@@ -74,30 +61,32 @@ class TransportRegistry:
             f"no carrier fits packet {packet.describe()} (allowed={allowed})"
         )
 
-    def extract(self, packet: Packet) -> tuple[Cookie, str] | None:
-        """Scan the packet across all carriers; first hit wins.
+    def extract(self, packet: Packet) -> Sequence[Cookie]:
+        """The cookies of the first carrier, in registry order, that
+        holds any; empty when none does.
 
-        Returns ``(cookie, carrier_name)`` or ``None``.  Never raises: the
-        data path scans every packet and garbled cookies must degrade to
-        best-effort.
+        Never raises: the data path scans every packet and garbled
+        cookies must degrade to best-effort.  The scan stops at the
+        first hit, so cookies composed on a later carrier of the same
+        packet are not read (PROTOCOL §2).
         """
         for carrier in self._carriers:
-            cookie = carrier.extract(packet)
-            if cookie is not None:
-                return cookie, carrier.name
-        return None
+            cookies = carrier.extract(packet)
+            if cookies:
+                return cookies
+        return ()
 
-    def extract_all(self, packet: Packet) -> list[tuple[Cookie, str]]:
+    def extract_all(self, packet: Packet) -> list[Cookie]:
         """Every cookie on the packet, across all carriers.
 
         Composition support: a packet crossing two access networks may
-        carry one cookie per network; each network's switch scans all of
-        them and acts on the ones its own store recognizes.
+        carry one cookie per network, each on whichever carrier its
+        client picked; each network's switch scans all of them and acts
+        on the ones its own store recognizes.
         """
-        found: list[tuple[Cookie, str]] = []
+        found: list[Cookie] = []
         for carrier in self._carriers:
-            for cookie in carrier.extract_all(packet):
-                found.append((cookie, carrier.name))
+            found += carrier.extract(packet)
         return found
 
 

@@ -4,12 +4,13 @@ The binary cookie rides in an experimental TCP option (kind 253, RFC 6994
 shared experiment space, with a 2-byte ExID).  A 48-byte cookie plus
 framing exceeds the classic 40-byte TCP option space, which is why the
 paper cites the Extended Data Offset (EDO) draft; this carrier models an
-EDO-capable stack and records that requirement.
+EDO-capable stack, which the sender and every middlebox on the path need.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Sequence
 
 from ...netsim.headers import TCPHeader, TCPOption
 from ...netsim.packet import Packet
@@ -43,9 +44,6 @@ class TcpOptionCarrier(CookieCarrier):
     name = "tcp"
     # kind (1) + length (1) + ExID (2) + cookie
     overhead_bytes = 4 + COOKIE_WIRE_BYTES
-    #: Classic TCP caps options at 40 bytes; carrying a cookie requires the
-    #: Extended Data Offset extension on both the sender and any middlebox.
-    requires_extended_options = True
 
     def can_carry(self, packet: Packet) -> bool:
         return isinstance(packet.l4, TCPHeader)
@@ -58,21 +56,15 @@ class TcpOptionCarrier(CookieCarrier):
         tcp.options.append(TCPOption(kind=COOKIE_OPTION_KIND, data=data))
         packet.flow_key = packet.pkt_len = None
 
-    def extract(self, packet: Packet) -> Cookie | None:
+    def extract(self, packet: Packet) -> Sequence[Cookie]:
+        """Every cookie option (TCP options repeat naturally, so composed
+        cookies are simply additional options)."""
         tcp = packet.l4
         if not isinstance(tcp, TCPHeader):
-            return None
+            return ()
+        found: Sequence[Cookie] = ()
         for option in tcp.options:
             cookie = _option_cookie(option)
             if cookie is not None:
-                return cookie
-        return None
-
-    def extract_all(self, packet: Packet) -> list[Cookie]:
-        """All cookie options (TCP options repeat naturally, so composed
-        cookies are simply additional options)."""
-        if not self.can_carry(packet):
-            return []
-        tcp: TCPHeader = packet.l4  # type: ignore[assignment]
-        cookies = (_option_cookie(option) for option in tcp.options)
-        return [cookie for cookie in cookies if cookie is not None]
+                found = [*found, cookie]
+        return found

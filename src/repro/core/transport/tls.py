@@ -9,11 +9,13 @@ base64 text form, mirroring the paper's encoding choice.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ...netsim.appmsg import TLSClientHello
 from ...netsim.packet import Packet
 from ..cookie import COOKIE_WIRE_BYTES, Cookie
 from ..errors import MalformedCookie, TransportError
-from .base import CookieCarrier
+from .base import CookieCarrier, comma_cookies
 
 __all__ = ["TlsExtensionCarrier", "COOKIE_EXTENSION_TYPE"]
 
@@ -45,37 +47,16 @@ class TlsExtensionCarrier(CookieCarrier):
         packet.payload.size += self.overhead_bytes
         packet.flow_key = packet.pkt_len = None
 
-    def extract(self, packet: Packet) -> Cookie | None:
+    def extract(self, packet: Packet) -> Sequence[Cookie]:
         hello = packet.payload.content
         if not isinstance(hello, TLSClientHello):
-            return None
+            return ()
         data = hello.extensions.get(COOKIE_EXTENSION_TYPE)
         if data is None:
-            return None
+            return ()
         try:
             # One cookie, the common case: the extension bytes are its
-            # base64 text.  A comma-joined or space-padded value is not
-            # valid base64 and takes the tolerant list path below.
-            return Cookie.from_text(data)
+            # base64 text.
+            return [Cookie.from_text(data)]
         except MalformedCookie:
-            cookies = self.extract_all(packet)
-            return cookies[0] if cookies else None
-
-    def extract_all(self, packet: Packet) -> list[Cookie]:
-        if not self.can_carry(packet):
-            return []
-        hello: TLSClientHello = packet.payload.content
-        data = hello.extensions.get(COOKIE_EXTENSION_TYPE)
-        if data is None:
-            return []
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError:
-            return []
-        cookies = []
-        for item in text.split(","):
-            try:
-                cookies.append(Cookie.from_text(item.strip()))
-            except MalformedCookie:
-                continue
-        return cookies
+            return comma_cookies(data)

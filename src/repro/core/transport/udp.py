@@ -9,7 +9,7 @@ one packet, enabling the paper's stateless "packet-based cookies" mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from ...netsim.headers import UDPHeader
 from ...netsim.packet import Packet
@@ -54,13 +54,13 @@ class UdpShimCarrier(CookieCarrier):
         packet.l4.length += self.overhead_bytes
         packet.flow_key = packet.pkt_len = None
 
-    def extract(self, packet: Packet) -> Cookie | None:
+    def extract(self, packet: Packet) -> Sequence[Cookie]:
         if not isinstance(packet.l4, UDPHeader):
-            return None
+            return ()
         content = packet.payload.content
         if not isinstance(content, CookieShim):
-            return None
+            return ()
         try:
-            return Cookie.from_bytes(content.cookie_bytes)
+            return [Cookie.from_bytes(content.cookie_bytes)]
         except MalformedCookie:
-            return None
+            return ()

@@ -336,7 +336,7 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
             or (packet.flow_key or stamp(packet)) in attacker_flows
         ):
             return
-        for cookie, _carrier in transports.extract_all(packet):
+        for cookie in transports.extract_all(packet):
             if replays_left[0] <= 0:
                 break
             replays_left[0] -= 1

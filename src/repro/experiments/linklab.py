@@ -245,7 +245,7 @@ def _run_renewal(rate_bps: float, latency_s: float, loss: float,
 
         def verify(packet):
             found = transports.extract(packet)
-            if found is None:
+            if not found:
                 return packet
             cookie = found[0]
             flow = packet.meta["renewal_flow"]

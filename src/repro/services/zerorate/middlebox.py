@@ -351,17 +351,22 @@ class ZeroRatingMiddlebox(Element):
 
                 if not state.resolved and packets_seen <= sniff:
                     found = extract(packet)
-                    if found is not None:
-                        # Verification spends the cookie, accepted or not;
+                    if found:
+                        # Verification spends a cookie, accepted or not;
                         # one the box skips stays unspent on the wire.
                         packet.meta["cookie_checked"] = True
-                        # Fail-safe: a verifier that raises has not said
-                        # yes, so the flow stays charged.
-                        try:
-                            descriptor = match(found[0], now)
-                        except Exception:
-                            self.verifier_failures += 1
-                            descriptor = None
+                        # Composed cookies: the first one the verifier
+                        # accepts wins, as on the switch.  Fail-safe: a
+                        # verifier that raises has not said yes, so the
+                        # box moves on and the flow stays charged.
+                        for cookie in found:
+                            try:
+                                descriptor = match(cookie, now)
+                            except Exception:
+                                self.verifier_failures += 1
+                                descriptor = None
+                            if descriptor is not None:
+                                break
                         if descriptor is not None:
                             state.zero_rated = True
                             state.service = descriptor.service_data
@@ -508,24 +513,6 @@ class ZeroRatingMiddlebox(Element):
     def counters_for(self, subscriber_ip: str) -> SubscriberCounters:
         """Counters for one subscriber (zeros if never seen)."""
         return self.counters.get(subscriber_ip, SubscriberCounters())
-
-    def expire_idle_flows(self, now: float | None = None) -> int:
-        """Eagerly drop every flow idle past the timeout; returns count.
-
-        The data path already evicts lazily; this is the operator's
-        sweep (e.g. a periodic timer) for tables that sit below the cap.
-        """
-        if now is None:
-            now = self.clock()
-        stale = [
-            key
-            for key, state in self._flows.items()
-            if now - state.last_seen > self.flow_idle_timeout
-        ]
-        for key in stale:
-            del self._flows[key]
-        self.flows_evicted_idle += len(stale)
-        return len(stale)
 
     @property
     def tracked_flows(self) -> int:

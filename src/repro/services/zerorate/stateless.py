@@ -6,7 +6,7 @@ packet carries a cookie, flow-related state is eliminated (in the expense
 of bandwidth overhead and higher matching rates)."
 
 :class:`StatelessZeroRater` is that extreme: no flow table at all.  Every
-packet is judged on its own cookie — present and valid means free, else
+packet is judged on its own cookies — one valid means free, else
 charged — so a box can restart (or a flow can migrate between boxes)
 without losing accounting state.  Use packet-granularity descriptors and
 a single-packet carrier (IPv6 extension header or the UDP shim).
@@ -95,17 +95,20 @@ class StatelessZeroRater(Element):
                 cookied = False
                 service = None
                 found = self.registry.extract(packet)
-                if found is not None:
+                if found:
                     # Meta parity with the stateful box: a consumed
                     # (verified) cookie is marked so downstream taps — the
                     # chaos attacker, the neutrality auditor — see the same
                     # annotations on both implementations.
                     packet.meta["cookie_checked"] = True
-                    try:
-                        descriptor = self.matcher.match(found[0], now)
-                    except Exception:
-                        self.verifier_failures += 1
-                        descriptor = None
+                    for cookie in found:  # the first accepted one wins
+                        try:
+                            descriptor = self.matcher.match(cookie, now)
+                        except Exception:
+                            self.verifier_failures += 1
+                            descriptor = None
+                        if descriptor is not None:
+                            break
                     if descriptor is not None:
                         cookied = True
                         service = descriptor.service_data

@@ -15,6 +15,14 @@ from repro.core.transport import default_registry
 from repro.netsim.appmsg import HTTPRequest, TLSClientHello
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet
+from repro.services.billing import BillingAccountant, BillingJournal
+from repro.services.zerorate import (
+    AppCoverage,
+    CatalogSet,
+    OperatorCatalog,
+    StatelessZeroRater,
+    ZeroRatingMiddlebox,
+)
 
 
 def _network(service_data, attributes=None, context=None):
@@ -48,8 +56,7 @@ class TestCompositionCarriers:
         )
         registry.attach(packet, a)
         registry.attach(packet, b)
-        found = [c for c, _name in registry.extract_all(packet)]
-        assert found == [a, b]
+        assert registry.extract_all(packet) == [a, b]
 
     def test_tls_carries_multiple(self):
         registry = default_registry()
@@ -59,8 +66,7 @@ class TestCompositionCarriers:
         )
         registry.attach(packet, a)
         registry.attach(packet, b)
-        found = [c for c, _name in registry.extract_all(packet)]
-        assert found == [a, b]
+        assert registry.extract_all(packet) == [a, b]
 
     def test_tcp_options_carry_multiple(self):
         registry = default_registry()
@@ -68,8 +74,7 @@ class TestCompositionCarriers:
         packet = make_tcp_packet("10.0.0.1", 1, "2.2.2.2", 443, encrypted=True)
         registry.attach(packet, a)
         registry.attach(packet, b)
-        found = [c for c, _name in registry.extract_all(packet)]
-        assert found == [a, b]
+        assert registry.extract_all(packet) == [a, b]
 
     def test_extract_all_empty(self):
         registry = default_registry()
@@ -87,8 +92,7 @@ class TestCompositionCarriers:
         packet.payload.content.set_header(
             "X-Network-Cookie", header + ",garbage!!"
         )
-        found = [c for c, _name in registry.extract_all(packet)]
-        assert found == [a]
+        assert registry.extract_all(packet) == [a]
 
 
 class TestCrossNetworkComposition:
@@ -128,6 +132,109 @@ class TestCrossNetworkComposition:
         switch_a.push(packet)
         assert "service" not in sink_a.packets[0].meta
         assert switch_a.stats.cookies_rejected == 1
+
+
+class _Spy:
+    """A verifier that logs the cookies it is asked about and raises on
+    the ones whose bytes are in ``raise_on``."""
+
+    def __init__(self, inner, raise_on=()):
+        self.inner, self.raise_on, self.asked = inner, set(raise_on), []
+
+    def match(self, cookie, now):
+        self.asked.append(cookie.to_bytes())
+        if cookie.to_bytes() in self.raise_on:
+            raise RuntimeError("verifier down")
+        return self.inner.match(cookie, now)
+
+
+SUBSCRIBER, ORIGIN = "192.168.1.5", "198.51.100.77"
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("billed", [False, True], ids=["unbilled", "billed"])
+@pytest.mark.parametrize(
+    "box_cls", [ZeroRatingMiddlebox, StatelessZeroRater], ids=["stateful", "stateless"]
+)
+class TestZeroRatingBoxesCompose:
+    """A packet may carry one cookie per network (§4.5).  Both
+    zero-rating boxes, billed or not, try its cookies in order and act on
+    the first their verifier accepts, as the switch does; a verifier that
+    raises on one cookie is no verdict, and the box tries the next."""
+
+    @pytest.fixture
+    def send(self, box_cls, billed, tmp_path):
+        journals = []
+
+        def send(ours_first=False, raise_on_first=False):
+            store = DescriptorStore()
+            ours = CookieGenerator(
+                store.add(CookieDescriptor.create(service_data="video")),
+                clock=lambda: 0.0,
+            ).generate()
+            foreign = CookieGenerator(
+                CookieDescriptor.create(service_data="video"), clock=lambda: 0.0
+            ).generate()
+            cookies = [ours, foreign] if ours_first else [foreign, ours]
+            packet = make_tcp_packet(
+                SUBSCRIBER, 5004, ORIGIN, 443,
+                content=TLSClientHello(sni="call.example"),
+            )
+            registry = default_registry()
+            for cookie in cookies:
+                registry.attach(packet, cookie)
+            matcher = CookieMatcher(store)
+            spy = _Spy(matcher, [cookies[0].to_bytes()] if raise_on_first else ())
+            billing = None
+            if billed:
+                catalogs = CatalogSet([OperatorCatalog("op", apps=(
+                    AppCoverage(app="video", origin_ips=frozenset({ORIGIN})),
+                ))])
+                catalogs.assign(SUBSCRIBER, "op")
+                journals.append(BillingJournal(str(tmp_path), fsync="never"))
+                billing = BillingAccountant(catalogs, journals[-1])
+            box = box_cls(spy, clock=lambda: 0.0, billing=billing)
+            box >> Sink()
+            box.push(packet)
+            return packet, box, matcher, spy, [c.to_bytes() for c in cookies]
+
+        yield send
+        for journal in journals:
+            journal.close()
+
+    def test_a_foreign_cookie_ahead_of_ours_is_rejected_and_ours_serves(self, send):
+        packet, box, matcher, spy, cookies = send()
+        assert packet.meta["zero_rated"] and packet.meta["cookie_checked"]
+        assert spy.asked == cookies
+        assert (matcher.stats.unknown_id, matcher.stats.accepted) == (1, 1)
+        assert (box.cookie_hits, box.cookie_misses) == (1, 0)
+        counters = box.counters_for(SUBSCRIBER)
+        assert (counters.free_bytes, counters.charged_bytes) == (packet.wire_length, 0)
+
+    def test_our_cookie_first_leaves_the_second_unverified(self, send):
+        packet, box, matcher, spy, cookies = send(ours_first=True)
+        assert packet.meta["zero_rated"]
+        assert spy.asked == cookies[:1]
+        assert matcher.stats.total == matcher.stats.accepted == 1
+        assert (box.cookie_hits, box.cookie_misses) == (1, 0)
+
+    def test_a_verifier_that_raises_on_the_first_cookie_moves_on(self, send):
+        packet, box, matcher, spy, cookies = send(raise_on_first=True)
+        assert packet.meta["zero_rated"]
+        assert spy.asked == cookies
+        assert box.verifier_failures == 1
+        assert matcher.stats.total == matcher.stats.accepted == 1
+        assert (box.cookie_hits, box.cookie_misses) == (1, 0)
+
+    def test_a_raise_on_our_cookie_leaves_the_packet_charged(self, send):
+        packet, box, matcher, spy, cookies = send(ours_first=True, raise_on_first=True)
+        assert not packet.meta.get("zero_rated") and packet.meta["cookie_checked"]
+        assert spy.asked == cookies
+        assert box.verifier_failures == 1
+        assert (matcher.stats.unknown_id, matcher.stats.accepted) == (1, 0)
+        assert (box.cookie_hits, box.cookie_misses) == (0, 1)
+        counters = box.counters_for(SUBSCRIBER)
+        assert (counters.free_bytes, counters.charged_bytes) == (0, packet.wire_length)
 
 
 class TestConstraints:

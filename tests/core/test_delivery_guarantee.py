@@ -99,9 +99,9 @@ class TestDeliveryGuaranteeLoop:
         from repro.core.transport import default_registry
 
         request = _request(agent)
-        sent_cookie, _carrier = default_registry().extract(request)
+        [sent_cookie] = default_registry().extract(request)
         switch.push(request)
         response = _response()
         switch.push(response)
-        ack_cookie, _carrier = default_registry().extract(response)
+        [ack_cookie] = default_registry().extract(response)
         assert ack_cookie.uuid != sent_cookie.uuid

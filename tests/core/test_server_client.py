@@ -235,7 +235,7 @@ class TestUserAgent:
         transport = agent.insert_cookie(packet, "Boost")
         assert transport == "http"
         matcher = CookieMatcher(store)
-        cookie, _name = agent.registry.extract(packet)
+        [cookie] = agent.registry.extract(packet)
         assert matcher.match(cookie, now=clock()) is not None
 
     def test_lazy_acquisition_on_first_insert(self, server, clock):

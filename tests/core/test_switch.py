@@ -178,7 +178,7 @@ class TestDeliveryGuarantee:
         switch.push(_cookied_packet(descriptor, clock))
         reverse = _flow_packet(reverse=True, content=TLSClientHello(sni=""))
         switch.push(reverse)
-        assert default_registry().extract(reverse) is not None
+        assert default_registry().extract(reverse)
         assert switch.stats.acks_attached == 1
 
     def test_ack_only_once(self):
@@ -258,7 +258,7 @@ class TestAckWithoutReverseService:
         switch.push(_cookied_packet(descriptor, clock))
         reverse = _flow_packet(reverse=True, content=TLSClientHello(sni=""))
         switch.push(reverse)
-        assert default_registry().extract(reverse) is not None
+        assert default_registry().extract(reverse)
         assert switch.stats.acks_attached == 1
         # The reverse packet itself is still best-effort.
         assert "qos_class" not in reverse.meta
@@ -274,7 +274,7 @@ class TestAckWithoutReverseService:
         second = _flow_packet(reverse=True, content=TLSClientHello(sni=""))
         switch.push(second)
         assert switch.stats.acks_attached == 1
-        assert default_registry().extract(second) is None
+        assert not default_registry().extract(second)
 
 
 class TestRevocationRebinding:
@@ -351,7 +351,7 @@ class TestRevocationRebinding:
         reverse = _flow_packet(reverse=True, content=TLSClientHello(sni=""))
         switch.push(reverse)
         assert switch.stats.acks_attached == 1
-        ack_cookie, _carrier = default_registry().extract(reverse)
+        [ack_cookie] = default_registry().extract(reverse)
         assert ack_cookie.cookie_id == second.cookie_id
 
 

@@ -56,7 +56,7 @@ class TestHttpCarrier:
         carrier = HttpHeaderCarrier()
         packet = _http_packet()
         carrier.attach(packet, cookie)
-        assert carrier.extract(packet) == cookie
+        assert carrier.extract(packet) == [cookie]
 
     def test_header_is_base64_text(self, cookie):
         packet = _http_packet()
@@ -76,12 +76,12 @@ class TestHttpCarrier:
             HttpHeaderCarrier().attach(_tls_packet(), cookie)
 
     def test_no_cookie_returns_none(self):
-        assert HttpHeaderCarrier().extract(_http_packet()) is None
+        assert not HttpHeaderCarrier().extract(_http_packet())
 
     def test_garbled_header_returns_none(self):
         packet = _http_packet()
         packet.payload.content.set_header(COOKIE_HEADER, "garbage!!")
-        assert HttpHeaderCarrier().extract(packet) is None
+        assert not HttpHeaderCarrier().extract(packet)
 
 
 class TestTlsCarrier:
@@ -89,7 +89,7 @@ class TestTlsCarrier:
         carrier = TlsExtensionCarrier()
         packet = _tls_packet()
         carrier.attach(packet, cookie)
-        assert carrier.extract(packet) == cookie
+        assert carrier.extract(packet) == [cookie]
 
     def test_cannot_carry_plain_http(self, cookie):
         assert not TlsExtensionCarrier().can_carry(_http_packet())
@@ -104,7 +104,7 @@ class TestTlsCarrier:
 
         packet = _tls_packet()
         packet.payload.content.extensions[COOKIE_EXTENSION_TYPE] = b"\xff\xfe"
-        assert TlsExtensionCarrier().extract(packet) is None
+        assert not TlsExtensionCarrier().extract(packet)
 
 
 class TestIpv6Carrier:
@@ -112,7 +112,7 @@ class TestIpv6Carrier:
         carrier = Ipv6ExtensionCarrier()
         packet = _ipv6_packet()
         carrier.attach(packet, cookie)
-        assert carrier.extract(packet) == cookie
+        assert carrier.extract(packet) == [cookie]
 
     def test_cannot_carry_ipv4(self, cookie):
         assert not Ipv6ExtensionCarrier().can_carry(_http_packet())
@@ -137,7 +137,7 @@ class TestTcpCarrier:
         carrier = TcpOptionCarrier()
         packet = make_tcp_packet("10.0.0.1", 1, "2.2.2.2", 2, payload_size=50)
         carrier.attach(packet, cookie)
-        assert carrier.extract(packet) == cookie
+        assert carrier.extract(packet) == [cookie]
 
     def test_carries_on_encrypted_traffic(self, cookie):
         """The TCP option rides below TLS: works on fully opaque flows."""
@@ -146,17 +146,14 @@ class TestTcpCarrier:
         )
         carrier = TcpOptionCarrier()
         carrier.attach(packet, cookie)
-        assert carrier.extract(packet) == cookie
+        assert carrier.extract(packet) == [cookie]
 
     def test_foreign_option_ignored(self):
         from repro.netsim.headers import TCPOption
 
         packet = make_tcp_packet("10.0.0.1", 1, "2.2.2.2", 2)
         packet.l4.options.append(TCPOption(kind=253, data=b"\x00\x01xx"))
-        assert TcpOptionCarrier().extract(packet) is None
-
-    def test_requires_extended_options_documented(self):
-        assert TcpOptionCarrier.requires_extended_options
+        assert not TcpOptionCarrier().extract(packet)
 
     def test_cannot_carry_udp(self, cookie):
         packet = make_udp_packet("1.1.1.1", 1, "2.2.2.2", 2)
@@ -168,7 +165,7 @@ class TestUdpCarrier:
         carrier = UdpShimCarrier()
         packet = make_udp_packet("1.1.1.1", 1, "2.2.2.2", 2, payload_size=100)
         carrier.attach(packet, cookie)
-        assert carrier.extract(packet) == cookie
+        assert carrier.extract(packet) == [cookie]
 
     def test_inner_content_preserved(self, cookie):
         packet = make_udp_packet(
@@ -191,10 +188,11 @@ class TestUdpCarrier:
         assert packet.l4.length == before + UdpShimCarrier.overhead_bytes
 
 
+@pytest.mark.contract
 class TestFirstHitEqualsListHead:
-    """``extract`` takes a direct path for the single-cookie case; it
-    must still answer what ``extract_all(...)[0]`` answers for the
-    values only the tolerant list parser accepts."""
+    """Composed cookies come back from ``extract`` all, in attach order;
+    the text carriers' whole-value fast path and their tolerant list
+    parser agree on the values only the list parser accepts."""
 
     @staticmethod
     def _second():
@@ -216,8 +214,7 @@ class TestFirstHitEqualsListHead:
         second = self._second()
         carrier.attach(packet, cookie)
         carrier.attach(packet, second)
-        assert carrier.extract_all(packet) == [cookie, second]
-        assert carrier.extract(packet) == cookie
+        assert carrier.extract(packet) == [cookie, second]
 
     def test_padded_and_partly_garbled_text_values(self, cookie):
         from repro.core.transport.tls import COOKIE_EXTENSION_TYPE
@@ -226,10 +223,10 @@ class TestFirstHitEqualsListHead:
         for value in (f" {text} ", f"garbage!!,{text}", f"{text},"):
             http = _http_packet()
             http.payload.content.set_header(COOKIE_HEADER, value)
-            assert HttpHeaderCarrier().extract(http) == cookie
+            assert HttpHeaderCarrier().extract(http) == [cookie]
             tls = _tls_packet()
             tls.payload.content.extensions[COOKIE_EXTENSION_TYPE] = value.encode()
-            assert TlsExtensionCarrier().extract(tls) == cookie
+            assert TlsExtensionCarrier().extract(tls) == [cookie]
 
     def test_garbled_binary_cookie_skipped_for_the_next_one(self, cookie):
         from repro.core.transport.ipv6 import COOKIE_OPTION_TYPE
@@ -245,14 +242,13 @@ class TestFirstHitEqualsListHead:
             )
         )
         Ipv6ExtensionCarrier().attach(ipv6, cookie)
-        assert Ipv6ExtensionCarrier().extract(ipv6) == cookie
+        assert Ipv6ExtensionCarrier().extract(ipv6) == [cookie]
 
         tcp = _tls_packet()
         for data in (b"", b"N", COOKIE_EXID.to_bytes(2, "big") + b"short"):
             tcp.l4.options.append(TCPOption(kind=COOKIE_OPTION_KIND, data=data))
         TcpOptionCarrier().attach(tcp, cookie)
-        assert TcpOptionCarrier().extract(tcp) == cookie
-        assert TcpOptionCarrier().extract_all(tcp) == [cookie]
+        assert TcpOptionCarrier().extract(tcp) == [cookie]
 
 
 class TestRegistry:
@@ -287,26 +283,23 @@ class TestRegistry:
         registry = default_registry()
         packet = _ipv6_packet()
         registry.attach(packet, cookie)
-        found = registry.extract(packet)
-        assert found is not None
-        assert found[0] == cookie and found[1] == "ipv6"
+        assert registry.extract(packet) == [cookie]
+
+    @pytest.mark.contract
+    def test_extract_reads_the_first_carrier_that_holds_cookies(self, cookie):
+        """The zero-rating boxes' scan stops at the first carrier with a
+        hit; ``extract_all`` reads every carrier, in registry order."""
+        registry = default_registry()
+        packet = _tls_packet()
+        second = TestFirstHitEqualsListHead._second()
+        registry.attach(packet, cookie, allowed=("tcp",))
+        registry.attach(packet, second, allowed=("tls",))
+        assert registry.extract(packet) == [second]
+        assert registry.extract_all(packet) == [second, cookie]
 
     def test_extract_none_for_clean_packet(self):
-        assert default_registry().extract(_http_packet()) is None
+        assert not default_registry().extract(_http_packet())
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             TransportRegistry([HttpHeaderCarrier(), HttpHeaderCarrier()])
-        registry = TransportRegistry([HttpHeaderCarrier()])
-        with pytest.raises(ValueError):
-            registry.register(HttpHeaderCarrier())
-
-    def test_get_by_name(self):
-        registry = default_registry()
-        assert registry.get("tls") is not None
-        assert registry.get("nope") is None
-
-    def test_carriers_for(self):
-        registry = default_registry()
-        names = [c.name for c in registry.carriers_for(_tls_packet())]
-        assert "tls" in names and "tcp" in names and "http" not in names

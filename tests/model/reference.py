@@ -16,7 +16,9 @@ replay set forgets nothing; the shipped cache forgets by generation, so
 the two agree as long as a uuid is not reused by a new cookie later.)
 On it sit four boxes: the stateful zero-rater, the stateless rater, the
 switch's flow binding and the prefilter's steering, plus a
-:class:`Tariff` for billing.  Each box
+:class:`Tariff` for billing.  A packet may carry several cookies (one
+per network, §4.5): every box tries them in order and acts on the first
+it grants.  Each box
 reads its clock once per burst.  A box that raises stops its burst at
 that packet: the packets before it stay counted and emitted.
 """
@@ -71,7 +73,8 @@ class Faults:
 
 
 class Frame(NamedTuple):
-    """One TCP packet: its wire length, and its cookie's bytes or None."""
+    """One TCP packet: its wire length, and its cookies' bytes in the
+    order they ride (empty: none)."""
 
     tag: int
     src: str
@@ -79,7 +82,7 @@ class Frame(NamedTuple):
     dst: str
     dport: int
     size: int
-    cookie: bytes | None
+    cookies: tuple[bytes, ...]
 
 
 def flow_key(frame: Frame) -> tuple:
@@ -173,6 +176,14 @@ class _Box:
             return None
         return self.verifier.judge(cookie, now)
 
+    def first_grant(self, cookies: tuple[bytes, ...], now: float) -> Grant | None:
+        """The grant of the first cookie that earns one."""
+        for cookie in cookies:
+            grant = self.verify(cookie, now)
+            if grant is not None:
+                return grant
+        return None
+
     def burst(self, frames: list[Frame]) -> None:
         now = self.clock()
         for frame in frames:
@@ -223,9 +234,9 @@ class ZeroRater(_Box):
         flow = flows[key] = flow or _Flow(*ends(frame))
         flow.seen += 1
         flow.last = now
-        checked = not flow.resolved and flow.seen <= SNIFF and bool(frame.cookie)
+        checked = not flow.resolved and flow.seen <= SNIFF and bool(frame.cookies)
         if checked:
-            grant = self.verify(frame.cookie, now)
+            grant = self.first_grant(frame.cookies, now)
             if grant is not None:
                 flow.free, flow.service = True, grant.service
             stats["cookie_hits" if grant else "cookie_misses"] += 1
@@ -266,8 +277,8 @@ class StatelessRater(_Box):
     def one(self, frame: Frame, now: float) -> None:
         self.stats["packets_processed"] += 1
         grant = None
-        if frame.cookie is not None:
-            grant = self.verify(frame.cookie, now)
+        if frame.cookies:
+            grant = self.first_grant(frame.cookies, now)
             self.stats["cookie_hits" if grant else "cookie_misses"] += 1
         subscriber, remote = ends(frame)
         if self.tariff is None:
@@ -276,7 +287,7 @@ class StatelessRater(_Box):
             app = grant.service if grant else None
             free = self.tariff.bill(subscriber, app, remote, frame.size)
         self.counters.setdefault(subscriber, [0, 0])[not free] += frame.size
-        self.out.append((frame.tag, free, frame.cookie is not None))
+        self.out.append((frame.tag, free, bool(frame.cookies)))
 
 
 @dataclass
@@ -323,19 +334,22 @@ class Switch(_Box):
             flow.grant = grant = None  # revocation takes effect mid-flow
         elif grant is None and flow.packets <= SNIFF:
             stats["packets_sniffed"] += 1
-            if frame.cookie is not None:
+            for cookie in frame.cookies:
                 stats["cookies_found"] += 1
-                grant = flow.grant = self.verify(frame.cookie, now)
+                grant = flow.grant = self.verify(cookie, now)
                 stats["cookies_accepted" if grant else "cookies_rejected"] += 1
-                stats["flows_bound"] += grant is not None
+                if grant is not None:
+                    stats["flows_bound"] += 1
+                    break
         stats["packets_served"] += grant is not None
         self.out.append((frame.tag, grant.service if grant else None))
 
 
 class Prefilter:
     """Hardware steering in front of a zero-rater.  An offloaded flow
-    takes the fast path; a cookie with a known id and a fresh timestamp
-    goes to software; anything else takes the fast path.  The whole
+    takes the fast path; a packet with a cookie of known id and fresh
+    timestamp goes to software (its cookies are checked in order up to
+    the first such one); anything else takes the fast path.  The whole
     burst is steered first, then software gets its share."""
 
     def __init__(self, grants, clock, software: ZeroRater) -> None:
@@ -353,18 +367,22 @@ class Prefilter:
         for frame in frames:
             if flow_key(frame) in self.offloaded:
                 stats["offloaded_hits"] += 1
-            elif frame.cookie is not None:
-                cookie_id, ts_micros = _FIELDS.unpack_from(frame.cookie)
-                if cookie_id not in self.grants:
-                    stats["dropped_early_unknown_id"] += 1
-                elif abs(ts_micros / 1_000_000 - now) > NCT:
-                    stats["dropped_early_stale"] += 1
-                else:
-                    stats["to_software"] += 1
-                    software.append(frame)
-                    continue
+            elif any(self.passes(cookie, now) for cookie in frame.cookies):
+                stats["to_software"] += 1
+                software.append(frame)
+                continue
             stats["fast_path"] += 1
             fast.append(frame.tag)
         if software:
             self.software.burst(software)
         self.fast += fast
+
+    def passes(self, cookie: bytes, now: float) -> bool:
+        cookie_id, ts_micros = _FIELDS.unpack_from(cookie)
+        if cookie_id not in self.grants:
+            self.stats["dropped_early_unknown_id"] += 1
+        elif abs(ts_micros / 1_000_000 - now) > NCT:
+            self.stats["dropped_early_stale"] += 1
+        else:
+            return True
+        return False

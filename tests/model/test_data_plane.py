@@ -18,13 +18,16 @@ either way, take the verifier down, make the accountant raise and
 shrink the caps.  A packet is born unstamped, stamped on its own, or
 stamped with its flow's one shared key as the NIC model stamps a
 generated flow (:data:`NIC`), so a burst mixes a box's identity run
-check with its stamp-on-read fallback.  :data:`SCRIPTS` are named cases
-that run through the same rules.
+check with its stamp-on-read fallback.  A packet may carry a foreign
+network's cookie (an id no grant holds) ahead of its own, in the same
+carrier.  :data:`SCRIPTS` are named cases that run through the same
+rules.
 """
 
 import base64
 import shutil
 import tempfile
+from itertools import count
 
 import hypothesis.strategies as st
 import pytest
@@ -84,6 +87,7 @@ PACKETS = st.tuples(
     st.sampled_from((1, 40, 512, 1400)),  # payload bytes
     st.none() | COOKIES,
     st.sampled_from(NIC),
+    st.booleans(),  # a foreign network's cookie ahead of ours
 )
 
 
@@ -313,13 +317,17 @@ class DataPlane(RuleBasedStateMachine):
     def send(self, burst, chunk=8):
         self.bursts += 1
         specs = []
-        for flow, upstream, size, cookie, nic in burst:
+        for flow, upstream, size, cookie, nic, foreign in burst:
             wire, birth = self._cookie(*cookie) if cookie else (None, "from_bytes")
-            specs.append((len(self.frames), flow, upstream, size, wire, birth, nic))
+            wires = (self._foreign(),) if foreign else ()
+            wires += (wire,) if wire is not None else ()
+            specs.append(
+                (len(self.frames), flow, upstream, size, wire, birth, nic, wires)
+            )
             packet = self._packet(specs[-1])
             self.frames[len(self.frames)] = ref.Frame(
                 specs[-1][0], packet.ip.src, packet.l4.src_port, packet.ip.dst,
-                packet.l4.dst_port, packet.wire_length, wire,
+                packet.l4.dst_port, packet.wire_length, wires,
             )
         self._verify_directly([s[4:6] for s in specs if s[4] is not None], chunk)
         before = [len(rater.sink.packets) for rater in self.raters]
@@ -366,8 +374,14 @@ class DataPlane(RuleBasedStateMachine):
         self.minted.append(wire)
         return wire, birth
 
+    def _foreign(self) -> bytes:
+        """A fresh cookie of another network: its own key, an id no
+        grant holds."""
+        cookie_id = next(i for i in count(1) if i not in self.grants)
+        return ref.mint(cookie_id, b"foreign", bytes(16), round(self.now * 1e6))
+
     def _packet(self, spec):
-        tag, flow, upstream, size, wire, birth, nic = spec
+        tag, flow, upstream, size, _wire, birth, nic, wires = spec
         subscriber, port, server = FLOWS[flow]
         ends = (subscriber, port, server, 443)
         if not upstream:
@@ -377,7 +391,7 @@ class DataPlane(RuleBasedStateMachine):
             *ends, payload_size=size,
             content=TLSClientHello(sni="app.example.com") if text else None,
         )
-        if wire is not None:
+        for wire in wires:
             carrier = "tls" if text else "tcp"
             REGISTRY.attach(packet, Cookie.from_bytes(wire), allowed=(carrier,))
         if nic != "unstamped":
@@ -541,8 +555,8 @@ def cookie(kind="valid", grant=0, uuid=0, offset=0, birth="from_bytes"):
     return (kind, grant, uuid, offset, birth)
 
 
-def pkt(flow=0, upstream=True, size=512, cookie=None, nic="unstamped"):
-    return (flow, upstream, size, cookie, nic)
+def pkt(flow=0, upstream=True, size=512, cookie=None, nic="unstamped", foreign=False):
+    return (flow, upstream, size, cookie, nic, foreign)
 
 
 def send(*packets, chunk=8):
@@ -656,6 +670,14 @@ SCRIPTS = {
              pkt(1, nic="shared"), pkt(1, upstream=False, nic="unstamped"),
              pkt(0, nic="shared")),
         send(*(pkt(i % 2, upstream=i % 3 == 0, nic=NIC[i % 3]) for i in range(8))),
+    ],
+    "a foreign network's cookie ahead of ours: every box acts on ours": [
+        grant(),
+        send(pkt(0, cookie=cookie(), foreign=True),
+             pkt(1, cookie=cookie(uuid=1, birth="from_text"), foreign=True),
+             pkt(2, foreign=True), pkt(2, cookie=cookie(uuid=2)), pkt(0)),
+        ("verifier", {"down": True}),
+        send(pkt(3, cookie=cookie(uuid=3), foreign=True)),
     ],
     "a cookie on every packet: both boxes bill alike, under eviction too": [
         ("setup", {"shards": 1, "cap": 3000}), grant(),

@@ -207,7 +207,7 @@ class TestCorruption:
         assert out[0].meta.get("fault_corrupted") is True
         assert seen == [packet]
         found = default_registry().extract(out[0])
-        if found is not None:
+        if found:
             matcher = CookieMatcher(store)
             assert matcher.match(found[0], 50.0) is None
 

@@ -417,15 +417,6 @@ class TestBoundedState:
         middlebox.handle(late)  # valid cookie accepted: new sniff window
         assert late.meta.get("zero_rated")
 
-    def test_expire_idle_flows_sweep(self):
-        clock, _descriptor, middlebox = self._mb(flow_idle_timeout=10.0)
-        middlebox.handle(self._packet(5000))
-        middlebox.handle(self._packet(5001))
-        clock.now = 50.0
-        assert middlebox.expire_idle_flows() == 2
-        assert middlebox.tracked_flows == 0
-        assert middlebox.flows_evicted_idle == 2
-
     def test_subscriber_counters_capped_with_flush_callback(self):
         flushed = []
         clock = Clock()

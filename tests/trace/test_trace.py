@@ -70,8 +70,8 @@ class TestFlowRecord:
         )
         packets = list(flow_to_packets(record, cookie=cookie))
         registry = default_registry()
-        assert registry.extract(packets[0]) is not None
-        assert all(registry.extract(p) is None for p in packets[1:])
+        assert registry.extract(packets[0])
+        assert not any(registry.extract(p) for p in packets[1:])
 
     def test_directions_mixed(self):
         record = FlowRecord(
@@ -131,7 +131,7 @@ class TestPacketGenerator:
         registry = default_registry()
         for flow in generator.flows(10):
             found = registry.extract(flow[0])
-            assert found is not None
+            assert found
             assert matcher.match(found[0], now=clock()) is not None
 
     def test_distinct_flows_distinct_tuples(self):
