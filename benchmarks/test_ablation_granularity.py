@@ -46,13 +46,13 @@ def _run_flow_mode():
 
 
 def _run_packet_mode():
-    """Every packet carries its own cookie; the stateless rater judges
-    each one independently (the §4.6 'packet-based cookies' mode)."""
+    """Every packet carries its own cookie of a packet-granularity
+    grant, so the middlebox judges each one independently and keeps no
+    flow entry (the §4.6 'packet-based cookies' mode)."""
     from repro.core.descriptor import CookieDescriptor
     from repro.core.generator import CookieGenerator
     from repro.core.transport import default_registry
     from repro.netsim.packet import make_tcp_packet
-    from repro.services.zerorate import StatelessZeroRater
 
     store = DescriptorStore()
     descriptor = store.add(
@@ -62,7 +62,7 @@ def _run_packet_mode():
         )
     )
     clock = time.perf_counter
-    rater = StatelessZeroRater(CookieMatcher(store, nct=600.0), clock=clock)
+    rater = ZeroRatingMiddlebox(CookieMatcher(store, nct=600.0), clock=clock)
     registry = default_registry()
     generator = CookieGenerator(descriptor, clock)
     packets = []

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
+from ..core.attributes import CookieAttributes, Granularity
 from ..core.cookie import Cookie
 from ..core.errors import (
     CookieError,
@@ -86,6 +87,12 @@ AUDIT_SEED = 20160822
 #: Simulated wall-clock epoch (cookie timestamps are unsigned on the wire).
 _EPOCH = 1_700_000_000.0
 _SERVER_IP = "93.184.216.34"
+
+
+def _packet_grant(_now: float) -> CookieAttributes:
+    """The stateless element's grants: packet granularity, no expiry."""
+    return CookieAttributes(granularity=Granularity.PACKET)
+
 
 _REASONS_BY_ERROR: tuple[tuple[type, str], ...] = (
     (UnknownDescriptor, "unknown_id"),
@@ -465,7 +472,12 @@ class NeutralityAuditor:
                 seed_path=("zerorate",),
                 epoch=_EPOCH,
                 subnet=64,
-                build=partial(self._build_zero_rating, variant),
+                # The stateless element is the middlebox fed packet
+                # grants (§4.6): the descriptor, not the box, decides.
+                attribute_factory=(
+                    _packet_grant if variant == "stateless" else None
+                ),
+                build=self._build_zero_rating,
                 plan=self._plan_zero_rating,
                 judge=self._judge_zero_rating,
             )
@@ -518,10 +530,12 @@ class NeutralityAuditor:
         build: Callable,
         plan: Callable,
         judge: Callable,
+        attribute_factory: Callable[[float], CookieAttributes] | None = None,
     ) -> AuditVerdict:
         """Run one element × persona audit.
 
-        The public control plane offers ``service`` and nothing else.
+        The public control plane offers ``service`` and nothing else,
+        granted with ``attribute_factory``'s blocks (None: the default).
         ``build(ctx, persona, recorder, operator_store)`` constructs the
         element under audit behind ``recorder``, sets ``ctx.element``, and
         returns the chain probes cross before the tap plus the element's
@@ -545,6 +559,7 @@ class NeutralityAuditor:
                 description=f"audited {service}",
                 lifetime=None,
                 service_data=service_data,
+                attribute_factory=attribute_factory,
             )
         )
         server.attach_enforcement_store(honest_store)
@@ -713,15 +728,11 @@ class NeutralityAuditor:
     # Zero-rating audit
     # ------------------------------------------------------------------
     def _build_zero_rating(
-        self, variant: str, ctx: HarnessContext, persona, recorder, operator_store
+        self, ctx: HarnessContext, persona, recorder, operator_store
     ):
-        from ..services.zerorate import StatelessZeroRater, ZeroRatingMiddlebox
+        from ..services.zerorate import ZeroRatingMiddlebox
 
-        box_type = {
-            "stateful": ZeroRatingMiddlebox,
-            "stateless": StatelessZeroRater,
-        }[variant]
-        box = ctx.element = box_type(recorder, clock=ctx.clock)
+        box = ctx.element = ZeroRatingMiddlebox(recorder, clock=ctx.clock)
         chain = [*persona.front_elements(ctx), box, *persona.rear_elements(ctx)]
         return chain, box.counters_for
 

@@ -193,9 +193,42 @@ def _probe_diffserv_path_dependence() -> bool:
 
 
 def _probe_cookie_transports() -> bool:
-    """Cookies ride over at least HTTP, TLS, IPv6, TCP and UDP carriers."""
-    names = set(default_registry().names)
-    return {"http", "tls", "ipv6", "tcp", "udp"}.issubset(names)
+    """Cookies ride over HTTP, TLS, IPv6, TCP and UDP: a cookie attached
+    through each carrier, to a packet that carrier can carry, crosses a
+    NAT and is zero-rated by a middlebox."""
+    from ..netsim.appmsg import HTTPRequest
+    from ..netsim.headers import IPProto, IPv6Header, TCPHeader
+    from ..netsim.middlebox import Sink
+    from ..netsim.nat import NAT44
+    from ..netsim.packet import Packet, Payload, make_udp_packet
+    from ..services.zerorate import ZeroRatingMiddlebox
+
+    clock = lambda: 0.0  # noqa: E731
+    store = DescriptorStore()
+    generator = CookieGenerator(
+        store.add(CookieDescriptor.create(service_data="zero-rate")), clock=clock
+    )
+    lan, server = "192.168.1.2", "203.0.113.5"
+    packets = {
+        "http": make_tcp_packet(lan, 5001, server, 80,
+                                content=HTTPRequest(host="example.com")),
+        "tls": make_tcp_packet(lan, 5002, server, 443,
+                               content=TLSClientHello(sni="example.com")),
+        "ipv6": Packet(
+            ip=IPv6Header(src="2001:db8::2", dst="2001:db8::5",
+                          next_header=IPProto.TCP),
+            l4=TCPHeader(src_port=5003, dst_port=443), payload=Payload(),
+        ),
+        "tcp": make_tcp_packet(lan, 5004, server, 443),
+        "udp": make_udp_packet(lan, 5005, server, 443),
+    }
+    registry = default_registry()
+    nat = NAT44("198.51.100.7")
+    nat.outbound >> ZeroRatingMiddlebox(CookieMatcher(store), clock=clock) >> Sink()
+    for name, packet in packets.items():
+        registry.attach(packet, generator.generate(), allowed=(name,))
+        nat.outbound.push(packet)
+    return all(packet.meta.get("zero_rated") for packet in packets.values())
 
 
 def _probe_cookie_delivery_guarantee() -> bool:

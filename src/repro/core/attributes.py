@@ -25,6 +25,8 @@ delivery_guarantee:
     acknowledgment cookie to reverse traffic.
 transports:
     Carrier protocols over which cookies from this descriptor may travel.
+    An attach-side attribute: the holder passes it as the registry's
+    ``allowed`` list; no box on the packet path reads it.
 expires_at:
     Absolute expiry (seconds, simulation clock or epoch).  ``None`` means no
     expiry.  Expiry both revokes a service and bounds descriptor leakage.
@@ -111,10 +113,6 @@ class CookieAttributes(
         """True when the descriptor has passed its expiration attribute."""
         expires_at = self.expires_at
         return expires_at is not None and now > expires_at
-
-    def allows_transport(self, transport_name: str) -> bool:
-        """Whether cookies may ride over the named carrier."""
-        return transport_name in self.transports
 
     @property
     def constraints(self) -> Mapping[str, Any]:

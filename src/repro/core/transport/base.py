@@ -35,7 +35,10 @@ class CookieCarrier(abc.ABC):
     #: Registry key, also referenced by descriptor ``transports`` attributes.
     name: str = "abstract"
 
-    #: Extra wire bytes one attached cookie costs on this carrier.
+    #: Wire bytes the first cookie attached to a packet adds on this
+    #: carrier.  ``attach`` grows the packet by what it writes, so a
+    #: composed cookie sharing a text carrier's one extension or header
+    #: costs less.
     overhead_bytes: int = 0
 
     @abc.abstractmethod

@@ -24,7 +24,7 @@ class HttpHeaderCarrier(CookieCarrier):
     """Carries the cookie in the ``X-Network-Cookie`` request header."""
 
     name = "http"
-    # header name + ": " + base64(48 bytes) + CRLF
+    # The first cookie: header name + ": " + base64(48 bytes) + CRLF.
     overhead_bytes = len(COOKIE_HEADER) + 2 + ((COOKIE_WIRE_BYTES + 2) // 3) * 4 + 2
 
     def can_carry(self, packet: Packet) -> bool:
@@ -39,10 +39,12 @@ class HttpHeaderCarrier(CookieCarrier):
         if not self.can_carry(packet):
             raise TransportError("packet does not carry a plaintext HTTP request")
         request: HTTPRequest = packet.payload.content
+        before = request.wire_size()
         existing = request.header(COOKIE_HEADER)
         value = cookie.to_text() if existing is None else f"{existing},{cookie.to_text()}"
         request.set_header(COOKIE_HEADER, value)
-        packet.payload.size += self.overhead_bytes
+        # The bytes written: a composed cookie extends the one header.
+        packet.payload.size += request.wire_size() - before
         packet.flow_key = packet.pkt_len = None
 
     def extract(self, packet: Packet) -> Sequence[Cookie]:

@@ -27,7 +27,7 @@ class TlsExtensionCarrier(CookieCarrier):
     """Carries the cookie in a private TLS ClientHello extension."""
 
     name = "tls"
-    # extension type (2) + length (2) + base64 payload
+    # The first cookie: extension type (2) + length (2) + base64 payload.
     overhead_bytes = 4 + ((COOKIE_WIRE_BYTES + 2) // 3) * 4
 
     def can_carry(self, packet: Packet) -> bool:
@@ -39,12 +39,15 @@ class TlsExtensionCarrier(CookieCarrier):
         if not self.can_carry(packet):
             raise TransportError("packet does not carry a TLS ClientHello")
         hello: TLSClientHello = packet.payload.content
+        before = hello.wire_size()
         existing = hello.extensions.get(COOKIE_EXTENSION_TYPE)
         text = cookie.to_text().encode("ascii")
         if existing is not None:
             text = existing + b"," + text
         hello.extensions[COOKIE_EXTENSION_TYPE] = text
-        packet.payload.size += self.overhead_bytes
+        # The bytes written: a composed cookie adds its text and a comma
+        # to the shared extension, not a second extension header.
+        packet.payload.size += hello.wire_size() - before
         packet.flow_key = packet.pkt_len = None
 
     def extract(self, packet: Packet) -> Sequence[Cookie]:

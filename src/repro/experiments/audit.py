@@ -2,8 +2,8 @@
 
 Runs the record/replay auditor (:mod:`repro.audit.auditor`) across the
 full matrix the acceptance bar names: the honest stack on every element
-(stateful + stateless zero-rating, Boost, AnyLink) must come back clean
-— zero false positives — and every malicious persona from
+(zero-rating on flow and on packet grants, Boost, AnyLink) must come
+back clean — zero false positives — and every malicious persona from
 :mod:`repro.audit.personas` must be flagged on each of its target
 elements.  The campaign is a pure function of the seed; CI runs it with
 the pinned default and renders the personas × verdicts table from the

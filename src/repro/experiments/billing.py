@@ -4,8 +4,9 @@ Two entry points, both deterministic at a pinned seed:
 
 - :func:`run_billing` — three operators with distinct catalogs (partial
   coverage, a biting cap, a roaming profile) enforced concurrently over
-  calibrated page-model traffic on both the stateful and stateless
-  zero-rating paths, under packet faults, LRU eviction pressure, one
+  calibrated page-model traffic on two zero-rating middleboxes, one fed
+  flow grants and one fed packet grants on every packet (§4.6's
+  stateless mode), under packet faults, LRU eviction pressure, one
   injected disk-full, and a mid-flight catalog update.  The journals are
   reconciled against delivered-byte ground truth from a
   :class:`~repro.netsim.capture.PacketCapture`: per operator, every
@@ -133,10 +134,12 @@ class BillingReport:
 def run_billing(config: BillingConfig | None = None) -> BillingReport:
     """One deterministic multi-operator billing soak; see module doc."""
     from ..core import (
+        CookieAttributes,
         CookieDescriptor,
         CookieGenerator,
         CookieMatcher,
         DescriptorStore,
+        Granularity,
     )
     from ..core.transport import default_registry
     from ..netsim import (
@@ -158,7 +161,6 @@ def run_billing(config: BillingConfig | None = None) -> BillingReport:
         AppCoverage,
         CatalogSet,
         OperatorCatalog,
-        StatelessZeroRater,
         ZeroRatingMiddlebox,
     )
     from ..web.sites import build_cnn, build_skai, build_youtube
@@ -200,12 +202,19 @@ def run_billing(config: BillingConfig | None = None) -> BillingReport:
 
     # One shared control plane: a descriptor per app names it in
     # service_data — the cookie, not the server IP, identifies the app.
+    # The stateless half's subscribers hold packet grants (§4.6: a cookie
+    # on every packet, and no flow state).
     store = DescriptorStore()
+    packet_grant = CookieAttributes(granularity=Granularity.PACKET)
     descriptors = {
-        operator: store.add(
-            CookieDescriptor.create(service_data=pages[operator].domain)
+        (operator, stateful): store.add(
+            CookieDescriptor.create(
+                service_data=pages[operator].domain,
+                attributes=None if stateful else packet_grant,
+            )
         )
         for operator in operators
+        for stateful in (True, False)
     }
 
     clock_now = [0.0]
@@ -241,7 +250,7 @@ def run_billing(config: BillingConfig | None = None) -> BillingReport:
         billing=stateful_acc,
         max_subscribers=config.max_stateful_subscribers,
     )
-    stateless_box = StatelessZeroRater(
+    stateless_box = ZeroRatingMiddlebox(
         CookieMatcher(store), clock=clock, billing=stateless_acc
     )
 
@@ -275,7 +284,7 @@ def run_billing(config: BillingConfig | None = None) -> BillingReport:
         stateful = index % 2 == 0
         label = "stateful" if stateful else "stateless"
         injector, _capture = pipelines[label]
-        generator = CookieGenerator(descriptors[operator], clock)
+        generator = CookieGenerator(descriptors[operator, stateful], clock)
         page = pages[operator]
         if index == config.catalog_update_after and not tube_updated:
             # Mid-flight policy change: op-tube raises its cap.  Traffic

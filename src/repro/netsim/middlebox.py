@@ -40,8 +40,7 @@ class Element:
     downstream of ``a`` and returns ``b`` so chains read left-to-right.
 
     An element on the rx-burst path (the zero-rating middlebox, the
-    stateless zero-rater, the cookie switch, the hardware prefilter)
-    instead overrides :meth:`process_batch` and makes ``handle`` a burst
+    cookie switch, the hardware prefilter) instead overrides :meth:`process_batch` and makes ``handle`` a burst
     of one; either way a burst must leave the element exactly as the
     same packets pushed as bursts of one would.  :class:`~repro.netsim.faults.FaultInjector` is
     the exception: it models the link, and a burst is its reordering

@@ -1,7 +1,7 @@
 """Billing accountant: data path -> catalog decision -> journal flush.
 
-The accountant sits between a zero-rating element (stateful or
-stateless) and the durable journal.  Every accounted packet — or run
+The accountant sits between the zero-rating middlebox (fed flow or
+packet grants) and the durable journal.  Every accounted packet — or run
 of packets that differ only in size, see :meth:`account_run` — gets a
 :class:`~repro.services.zerorate.catalog.BillingDecision` from the
 :class:`~repro.services.zerorate.catalog.CatalogSet`; the resulting

@@ -108,8 +108,8 @@ class JournalFull(OSError):
 def record_identity(stream_seed: int, source: str, offset: int) -> int:
     """The stable, globally-unique identity of one journal record.
 
-    Two journals (e.g. the stateful and stateless middleboxes of one
-    deployment) reconciled together can never collide as long as their
+    Two journals (e.g. two middleboxes of one deployment, one fed flow
+    grants and one packet grants) reconciled together can never collide as long as their
     ``source`` labels differ; re-reading the same segment twice yields
     the same ids, which is what makes replay idempotent.
     """

@@ -1,4 +1,4 @@
-"""Cookie-based zero-rating: the two-counter middleboxes and the operator
+"""Cookie-based zero-rating: the two-counter middlebox and the operator
 catalogs that decide freeness (invoices: :mod:`repro.services.billing`)."""
 
 from .catalog import (
@@ -12,7 +12,6 @@ from .catalog import (
     CatalogSet,
     OperatorCatalog,
 )
-from .stateless import StatelessZeroRater
 from .middlebox import (
     DEFAULT_MAX_FLOWS,
     DEFAULT_MAX_SUBSCRIBERS,
@@ -38,5 +37,4 @@ __all__ = [
     "ZERO_RATE_SNIFF_PACKETS",
     "SubscriberCounters",
     "ZeroRatingMiddlebox",
-    "StatelessZeroRater",
 ]

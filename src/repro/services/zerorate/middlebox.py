@@ -7,6 +7,13 @@ search for a cookie (first packets of a flow), search-and-verify (a packet
 that carries one), or simply map the packet to its flow's service — the
 task mix that determines Fig. 4's throughput curve.
 
+Granularity is the descriptor's (§4.3): a cookie of a ``FLOW`` grant
+zero-rates the flow it opens, one of a ``PACKET`` grant only the packet
+that carries it, and that flow keeps no entry.  §4.6's stateless mode —
+"if every packet carries a cookie, flow-related state is eliminated" —
+is this box fed packet grants on every packet: it holds no flow entry,
+and a restarted box loses nothing but the counters.
+
 This is the performance-critical path of the repository, so unlike
 :class:`repro.core.switch.CookieSwitch` it keeps its own minimal flow
 dictionary instead of the full :class:`FlowTable`.
@@ -24,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
+from ...core.attributes import Granularity
 from ...core.matcher import CookieMatcher
 from ...core.transport import TransportRegistry, default_registry
 from ...netsim.middlebox import Element
@@ -62,6 +70,8 @@ _NO_FLUSH_CALLBACK = (
 
 ZERO_RATE_SNIFF_PACKETS = 3
 
+_PACKET = Granularity.PACKET
+
 #: Flow-state cap: at ~100 B/entry this is ~10 MB of worst-case state.
 DEFAULT_MAX_FLOWS = 100_000
 
@@ -92,25 +102,9 @@ class SubscriberCounters:
         return self.free_bytes / total if total else 0.0
 
 
-def byte_totals(pairs: Iterable[SubscriberCounters]) -> dict[str, int]:
-    """The exported ``free_bytes`` / ``charged_bytes`` over counter pairs."""
-    free = charged = 0
-    for pair in pairs:
-        free += pair.free_bytes
-        charged += pair.charged_bytes
-    return {"free_bytes": free, "charged_bytes": charged}
-
-
 def _is_private(ip: str) -> bool:
     """The default ``is_subscriber``: an RFC1918-ish address."""
     return ip.startswith(("10.", "192.168."))
-
-
-def _subscriber_side(is_subscriber: Callable[[str], bool], src: str, dst: str) -> str:
-    """The end of a packet that is billed: ``src`` unless only ``dst`` is a
-    subscriber.  Transit traffic (neither end a subscriber) bills the
-    sender."""
-    return src if is_subscriber(src) or not is_subscriber(dst) else dst
 
 
 @dataclass(slots=True)
@@ -177,8 +171,9 @@ class ZeroRatingMiddlebox(Element):
         self.registry = registry or default_registry()
         self.is_subscriber = is_subscriber or _is_private
         self.sniff_packets = sniff_packets
-        #: Invoked once per flow the moment its fate is final (cookie
-        #: matched, or the sniff window closed without one).  The §4.6
+        #: Invoked once per flow the moment its fate is final (a flow
+        #: grant's cookie matched, or the sniff window closed without
+        #: one; a packet grant decides no flow's fate).  The §4.6
         #: hardware co-design hooks here to offload the rest of the flow.
         #: Its ``key`` is the flow's stamp, the flat ``(ip, port, ip, port,
         #: proto)`` with the lower endpoint first, which every other box
@@ -284,7 +279,8 @@ class ZeroRatingMiddlebox(Element):
         flow's, so they are constants of the run.  The run is emitted
         once it is billed, so a bill that raises drops it where bursts
         of one would have dropped its head.  Packets of flows still
-        unresolved are billed one by one through ``billing.account``.
+        unresolved, and each packet a packet grant serves, are billed one
+        by one through ``billing.account``.
         """
         now = self.clock()
         flows = self._flows
@@ -334,7 +330,9 @@ class ZeroRatingMiddlebox(Element):
                         and now - next(iter(flows.values())).last_seen > idle
                     ):
                         self._evict_for_space(now)
-                    # The billed end, by _subscriber_side's rule.
+                    # The billed end: the source, unless only the
+                    # destination is a subscriber (transit bills the
+                    # sender).
                     ip = packet.ip
                     src = ip.src
                     dst = ip.dst
@@ -377,10 +375,20 @@ class ZeroRatingMiddlebox(Element):
                     # failed): the flow's fate is final either way, and
                     # the §4.6 offload hook must fire.
                     if state.zero_rated or packets_seen >= sniff:
-                        state.resolved = True
-                        resolved += 1
-                        if on_flow_resolved is not None:
-                            on_flow_resolved(key, state)
+                        if (
+                            state.zero_rated
+                            and descriptor.attributes.granularity is _PACKET
+                        ):
+                            # A packet grant (§4.3) serves its packet only:
+                            # the flow keeps no entry, so its next packet
+                            # opens a fresh sniff window, and this one is
+                            # billed alone, unresolved.
+                            del flows[key]
+                        else:
+                            state.resolved = True
+                            resolved += 1
+                            if on_flow_resolved is not None:
+                                on_flow_resolved(key, state)
 
                 # Bill the head packet.  Subscriber recency is kept at
                 # flow granularity: only a flow's first packet moves its
@@ -545,4 +553,8 @@ class ZeroRatingMiddlebox(Element):
     def _read_metrics(self):
         # Retained subscribers plus everything evicted: counters never
         # step backwards when the LRU drops a subscriber.
-        return (byte_totals(chain([self.evicted_bytes], self.counters.values())),)
+        free = charged = 0
+        for pair in chain([self.evicted_bytes], self.counters.values()):
+            free += pair.free_bytes
+            charged += pair.charged_bytes
+        return ({"free_bytes": free, "charged_bytes": charged},)

@@ -4,15 +4,18 @@ marker; CI runs it in the dedicated audit job with ``-m audit``."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from repro.audit import AUDIT_SEED, PERSONAS, AuditConfig, NeutralityAuditor
+from repro.audit.auditor import _EPOCH, _TRIAL_SPACING_S
 from repro.experiments.audit import (
     AuditCampaignConfig,
     AuditCampaignReport,
     run_audit,
 )
+from repro.services.zerorate import ZERO_RATE_SNIFF_PACKETS
 from repro.telemetry import MetricsRegistry
 
 pytestmark = pytest.mark.audit
@@ -109,6 +112,29 @@ def test_campaign_observations_are_pinned(report):
     )
     honest = [run for run in runs if run[1] == "honest"]
     assert len(honest) == 4
+    # Re-recorded when the stateless element became the middlebox fed
+    # packet grants: the verdicts and flow outcomes held, and the revoked
+    # probe's refused cookies on packets 4-10 (7 x 12 trials) left the
+    # record (next test).
     assert _campaign_digest(AuditConfig(cookie_mode="every-packet"), honest) == (
-        "35523a068c3fec05182000f1cc5e294b2ee47fc3be159ed0073c29bc6535ad85"
+        "eeb3de2e331c4c8edbf069627dff3af5d61918654e2ec3dde7deaf87b833888a"
     )
+
+
+def test_every_packet_revoked_probe_closes_one_sniff_window_charged():
+    """A cookie on every packet of the revoked probe: the stateless
+    element verifies the first ``ZERO_RATE_SNIFF_PACKETS`` of them, all
+    refused, then the window closes and the rest of the flow is charged
+    unverified — every byte of it, in every trial."""
+    config = AuditConfig(cookie_mode="every-packet")
+    verdict = NeutralityAuditor(config).audit("zerorate-stateless")
+    verified = Counter(
+        int((record.time - _EPOCH) // _TRIAL_SPACING_S)
+        for record in verdict.verifications
+        if record.probe == "revoked"
+    )
+    assert verified == {trial: ZERO_RATE_SNIFF_PACKETS for trial in range(config.trials)}
+    for trial in verdict.outcomes:
+        revoked = trial["revoked"]
+        assert revoked.billed_free == revoked.free_marked_bytes == 0
+        assert revoked.billed_charged == revoked.delivered_bytes == revoked.sent_bytes

@@ -9,6 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.attributes import CookieAttributes, Granularity
 from repro.core.descriptor import CookieDescriptor
+from repro.core.errors import TransportError
+from repro.core.generator import CookieGenerator
+from repro.core.transport import default_registry
+from repro.netsim.appmsg import HTTPRequest, TLSClientHello
+from repro.netsim.packet import make_tcp_packet
 
 
 class TestDefaults:
@@ -51,15 +56,28 @@ class TestExpiry:
 
 
 class TestTransports:
+    """``transports`` is an attach-side attribute: it is the ``allowed``
+    list a client hands the registry when it attaches a cookie."""
+
     def test_default_allows_all_carriers(self):
         attrs = CookieAttributes()
-        for name in ("http", "tls", "ipv6", "tcp", "udp"):
-            assert attrs.allows_transport(name)
+        assert set(default_registry().names) <= set(attrs.transports)
 
     def test_restricted_transports(self):
         attrs = CookieAttributes(transports=("http",))
-        assert attrs.allows_transport("http")
-        assert not attrs.allows_transport("tls")
+        registry = default_registry()
+        cookie = CookieGenerator(
+            CookieDescriptor.create(attributes=attrs), clock=lambda: 0.0
+        ).generate()
+        request = make_tcp_packet(
+            "10.0.0.1", 5000, "2.2.2.2", 80, content=HTTPRequest(host="x.com")
+        )
+        assert registry.attach(request, cookie, allowed=attrs.transports) == "http"
+        hello = make_tcp_packet(
+            "10.0.0.1", 5001, "2.2.2.2", 443, content=TLSClientHello(sni="x.com")
+        )
+        with pytest.raises(TransportError):
+            registry.attach(hello, cookie, allowed=attrs.transports)
 
 
 class TestSerialization:

@@ -20,7 +20,6 @@ from repro.services.zerorate import (
     AppCoverage,
     CatalogSet,
     OperatorCatalog,
-    StatelessZeroRater,
     ZeroRatingMiddlebox,
 )
 
@@ -153,17 +152,15 @@ SUBSCRIBER, ORIGIN = "192.168.1.5", "198.51.100.77"
 
 @pytest.mark.contract
 @pytest.mark.parametrize("billed", [False, True], ids=["unbilled", "billed"])
-@pytest.mark.parametrize(
-    "box_cls", [ZeroRatingMiddlebox, StatelessZeroRater], ids=["stateful", "stateless"]
-)
 class TestZeroRatingBoxesCompose:
-    """A packet may carry one cookie per network (§4.5).  Both
-    zero-rating boxes, billed or not, try its cookies in order and act on
-    the first their verifier accepts, as the switch does; a verifier that
-    raises on one cookie is no verdict, and the box tries the next."""
+    """A packet may carry one cookie per network (§4.5).  The
+    zero-rating middlebox, billed or not, tries its cookies in order and
+    acts on the first its verifier accepts, as the switch does; a
+    verifier that raises on one cookie is no verdict, and the box tries
+    the next."""
 
     @pytest.fixture
-    def send(self, box_cls, billed, tmp_path):
+    def send(self, billed, tmp_path):
         journals = []
 
         def send(ours_first=False, raise_on_first=False):
@@ -193,7 +190,7 @@ class TestZeroRatingBoxesCompose:
                 catalogs.assign(SUBSCRIBER, "op")
                 journals.append(BillingJournal(str(tmp_path), fsync="never"))
                 billing = BillingAccountant(catalogs, journals[-1])
-            box = box_cls(spy, clock=lambda: 0.0, billing=billing)
+            box = ZeroRatingMiddlebox(spy, clock=lambda: 0.0, billing=billing)
             box >> Sink()
             box.push(packet)
             return packet, box, matcher, spy, [c.to_bytes() for c in cookies]

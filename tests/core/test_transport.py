@@ -9,6 +9,7 @@ from repro.core.errors import TransportError
 from repro.core.generator import CookieGenerator
 from repro.core.transport import (
     COOKIE_HEADER,
+    SHIM_MAGIC,
     CookieShim,
     HttpHeaderCarrier,
     Ipv6ExtensionCarrier,
@@ -249,6 +250,53 @@ class TestFirstHitEqualsListHead:
             tcp.l4.options.append(TCPOption(kind=COOKIE_OPTION_KIND, data=data))
         TcpOptionCarrier().attach(tcp, cookie)
         assert TcpOptionCarrier().extract(tcp) == [cookie]
+
+
+def _written(name, packet):
+    """The bytes of the structure a carrier writes its cookies into."""
+    if name in ("http", "tls"):
+        return packet.payload.content.wire_size()
+    if name == "ipv6":
+        return packet.ip.wire_length
+    if name == "tcp":
+        return packet.l4.wire_length
+    shim = packet.payload.content
+    return len(SHIM_MAGIC) + len(shim.cookie_bytes) if shim is not None else 0
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize(
+    "carrier,make,growth",
+    [
+        (HttpHeaderCarrier(), _http_packet, (84, 149, 214)),
+        (TlsExtensionCarrier(), _tls_packet, (68, 133, 198)),
+        (Ipv6ExtensionCarrier(), _ipv6_packet, (56, 112, 168)),
+        (TcpOptionCarrier(), lambda: make_tcp_packet("10.0.0.1", 5000, "1.2.3.4", 443),
+         (52, 104, 156)),
+        (UdpShimCarrier(), lambda: make_udp_packet("10.0.0.1", 5000, "1.2.3.4", 443),
+         (52,)),
+    ],
+    ids=["http", "tls", "ipv6", "tcp", "udp"],
+)
+def test_carriers_bill_what_they_write(carrier, make, growth):
+    """Invoiced bytes are delivered bytes: k composed cookies grow the
+    packet by exactly what the carrier wrote — a text carrier's shared
+    extension or header grows by a comma and the text, not by a second
+    header's framing.  The UDP shim holds one cookie."""
+    name = carrier.name
+    generator = CookieGenerator(CookieDescriptor.create(), clock=lambda: 1.0)
+    packet = make()
+    wire, written = packet.wire_length, _written(name, packet)
+    grew = []
+    for _ in growth:
+        carrier.attach(packet, generator.generate())
+        assert packet.wire_length - wire == _written(name, packet) - written
+        grew.append(packet.wire_length - wire)
+    assert tuple(grew) == growth
+    assert grew[0] == carrier.overhead_bytes
+    if name == "udp":
+        with pytest.raises(TransportError):
+            carrier.attach(packet, generator.generate())
 
 
 class TestRegistry:

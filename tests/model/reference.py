@@ -14,13 +14,14 @@ every key whose timestamp is at or above it, so a replay key accepted
 once is never accepted again, whatever the clock does.  (The model's
 replay set forgets nothing; the shipped cache forgets by generation, so
 the two agree as long as a uuid is not reused by a new cookie later.)
-On it sit four boxes: the stateful zero-rater, the stateless rater, the
-switch's flow binding and the prefilter's steering, plus a
-:class:`Tariff` for billing.  A packet may carry several cookies (one
-per network, §4.5): every box tries them in order and acts on the first
-it grants.  Each box
-reads its clock once per burst.  A box that raises stops its burst at
-that packet: the packets before it stay counted and emitted.
+On it sit three boxes: the zero-rater, the switch's flow binding and the
+prefilter's steering, plus a :class:`Tariff` for billing.  A grant binds
+the flow its cookie opens, or (``packet``) serves only the packet that
+carries it (§4.3), at every box.  A packet may carry several cookies
+(one per network, §4.5): every box tries them in order and acts on the
+first it grants.  Each box reads its clock once per burst.  A box that
+raises stops its burst at that packet: the packets before it stay
+counted and emitted.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class Grant:
     service: str
     expires_at: float | None = None
     revoked: bool = False
+    packet: bool = False  # packet granularity: serves its packet only
 
     def expired(self, now: float) -> bool:
         return self.expires_at is not None and now > self.expires_at
@@ -202,9 +204,10 @@ class _Flow:
 
 
 class ZeroRater(_Box):
-    """The stateful zero-rater (§4.6).  ``out`` holds ``(tag,
-    zero_rated, cookie_checked)``; ``counters`` maps a subscriber to
-    ``[free, charged]`` bytes.  Both tables are in LRU order."""
+    """The zero-rater (§4.6).  ``out`` holds ``(tag, zero_rated,
+    cookie_checked)``; ``counters`` maps a subscriber to ``[free,
+    charged]`` bytes.  Both tables are in LRU order.  A packet grant
+    frees its packet and drops the flow's entry, unresolved."""
 
     def __init__(self, verifier, clock, faults, tariff: Tariff | None = None,
                  idle: float = 60.0) -> None:
@@ -235,12 +238,15 @@ class ZeroRater(_Box):
         flow.seen += 1
         flow.last = now
         checked = not flow.resolved and flow.seen <= SNIFF and bool(frame.cookies)
+        grant = None
         if checked:
             grant = self.first_grant(frame.cookies, now)
             if grant is not None:
                 flow.free, flow.service = True, grant.service
             stats["cookie_hits" if grant else "cookie_misses"] += 1
-        if not flow.resolved and (flow.free or flow.seen == SNIFF):
+        if grant is not None and grant.packet:
+            del flows[key]
+        elif not flow.resolved and (flow.free or flow.seen == SNIFF):
             flow.resolved = True
             stats["flows_resolved"] += 1
             if self.on_resolved is not None:
@@ -266,30 +272,6 @@ class ZeroRater(_Box):
         self.out.append((frame.tag, free, checked))
 
 
-class StatelessRater(_Box):
-    """Every packet judged on its own cookie; no flow state."""
-
-    def __init__(self, verifier, clock, faults, tariff: Tariff | None = None):
-        super().__init__(verifier, clock, faults)
-        self.tariff = tariff
-        self.counters: dict[str, list[int]] = {}
-
-    def one(self, frame: Frame, now: float) -> None:
-        self.stats["packets_processed"] += 1
-        grant = None
-        if frame.cookies:
-            grant = self.first_grant(frame.cookies, now)
-            self.stats["cookie_hits" if grant else "cookie_misses"] += 1
-        subscriber, remote = ends(frame)
-        if self.tariff is None:
-            free = grant is not None
-        else:
-            app = grant.service if grant else None
-            free = self.tariff.bill(subscriber, app, remote, frame.size)
-        self.counters.setdefault(subscriber, [0, 0])[not free] += frame.size
-        self.out.append((frame.tag, free, bool(frame.cookies)))
-
-
 @dataclass
 class _Binding:
     packets: int = 0
@@ -299,7 +281,8 @@ class _Binding:
 
 class Switch(_Box):
     """Flow binding: a cookie accepted in a flow's first ``SNIFF``
-    packets binds the flow, both ways, while its grant stays usable.
+    packets binds the flow, both ways, while its grant stays usable; a
+    packet grant serves its packet and binds nothing.
     ``out`` holds ``(tag, service or None)``.  The flow table ages and
     caps itself by :class:`ZeroRater`'s rule, in LRU order, and
     ``evicted`` counts both kinds."""
@@ -336,10 +319,12 @@ class Switch(_Box):
             stats["packets_sniffed"] += 1
             for cookie in frame.cookies:
                 stats["cookies_found"] += 1
-                grant = flow.grant = self.verify(cookie, now)
+                grant = self.verify(cookie, now)
                 stats["cookies_accepted" if grant else "cookies_rejected"] += 1
                 if grant is not None:
-                    stats["flows_bound"] += 1
+                    if not grant.packet:
+                        flow.grant = grant
+                        stats["flows_bound"] += 1
                     break
         stats["packets_served"] += grant is not None
         self.out.append((frame.tag, grant.service if grant else None))

@@ -8,14 +8,14 @@ that they agree.
   ``match_wire``, a ``ShardedVerifierPool`` of 1–4 shards and a
   one-shard ``NaiveVerifierPool`` (more naive shards may double-spend).
 - Boxes: ``ZeroRatingMiddlebox`` over a matcher and over a pool, with
-  and without billing; ``StatelessZeroRater`` with and without billing;
-  ``CookieSwitch``; ``HardwarePrefilter`` in front of a middlebox.
+  and without billing; ``CookieSwitch``; ``HardwarePrefilter`` in front
+  of a middlebox.
 
 Each box and each model twin reads its own clock, so a box that reads
 its clock twice in a burst drifts from its twin once a per-read step is
-set.  The rules add and revoke descriptors, send bursts, move the clock
-either way, take the verifier down, make the accountant raise and
-shrink the caps.  A packet is born unstamped, stamped on its own, or
+set.  The rules add and revoke descriptors of flow or packet
+granularity, send bursts, move the clock either way, take the verifier
+down, make the accountant raise and shrink the caps.  A packet is born unstamped, stamped on its own, or
 stamped with its flow's one shared key as the NIC model stamps a
 generated flow (:data:`NIC`), so a burst mixes a box's identity run
 check with its stamp-on-read fallback.  A packet may carry a foreign
@@ -35,7 +35,7 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core import CookieDescriptor, CookieMatcher, DescriptorStore
-from repro.core.attributes import CookieAttributes
+from repro.core.attributes import CookieAttributes, Granularity
 from repro.core.cookie import Cookie
 from repro.core.distributed import NaiveVerifierPool, ShardedVerifierPool
 from repro.core.matcher import MATCH_OUTCOMES, VERDICT_RECORD
@@ -51,7 +51,6 @@ from repro.services.zerorate import (
     AppCoverage,
     CatalogSet,
     OperatorCatalog,
-    StatelessZeroRater,
     ZeroRatingMiddlebox,
 )
 
@@ -189,13 +188,12 @@ class DataPlane(RuleBasedStateMachine):
             "naive": NaiveVerifierPool(store, 1),
         }
         self.spent = {name: [] for name in self.verifiers}
-        for cls, pool in ((ZeroRatingMiddlebox, 0), (ZeroRatingMiddlebox, shards),
-                          (StatelessZeroRater, 0)):
+        for pool in (0, shards):
             for billed in (False, True):
                 verifier = (
                     ShardedVerifierPool(store, pool) if pool else CookieMatcher(store)
                 )
-                self.raters.append(self._rater(cls, verifier, cap if billed else False))
+                self.raters.append(self._rater(verifier, cap if billed else False))
         self.switch_guarded = Guarded(CookieMatcher(store), faults)
         self.switch = CookieSwitch(
             self.switch_guarded, clock=self.clock(), flow_idle_timeout=IDLE
@@ -203,7 +201,7 @@ class DataPlane(RuleBasedStateMachine):
         self.switch >> Sink()
         self.switch_model = ref.Switch(ref.Verifier(grants), self.clock(), faults, IDLE)
         self.prefilter = HardwarePrefilter(store, clock=self.clock())
-        software = self._rater(ZeroRatingMiddlebox, CookieMatcher(store), False)
+        software = self._rater(CookieMatcher(store), False)
         software.sut.on_flow_resolved = lambda key, _state: (
             self.prefilter.offload_flow(key)
         )
@@ -215,7 +213,7 @@ class DataPlane(RuleBasedStateMachine):
         ]
         self.raters.append(software)  # checked as a rater, driven through the prefilter
 
-    def _rater(self, cls, verifier, cap) -> Rater:
+    def _rater(self, verifier, cap) -> Rater:
         accountant = tariff = None
         if cap is not False:
             catalogs = CatalogSet([OperatorCatalog("op", apps=(AppCoverage(
@@ -227,22 +225,15 @@ class DataPlane(RuleBasedStateMachine):
             accountant.faults = self.faults
             tariff = ref.Tariff(MEMBERS, "video", ORIGIN, cap, self.faults)
         rater = Rater(Guarded(verifier, self.faults), accountant)
-        model_verifier = ref.Verifier(self.grants)
-        if cls is StatelessZeroRater:
-            rater.sut = cls(rater.guarded, self.clock(), billing=accountant)
-            rater.model = ref.StatelessRater(
-                model_verifier, self.clock(), self.faults, tariff
-            )
-        else:
-            rater.sut = cls(
-                rater.guarded, self.clock(), flow_idle_timeout=IDLE, billing=accountant,
-                on_subscriber_evicted=lambda ip, c: rater.evictions.append(
-                    (ip, c.free_bytes, c.charged_bytes)
-                ),
-            )
-            rater.model = ref.ZeroRater(
-                model_verifier, self.clock(), self.faults, tariff, IDLE
-            )
+        rater.sut = ZeroRatingMiddlebox(
+            rater.guarded, self.clock(), flow_idle_timeout=IDLE, billing=accountant,
+            on_subscriber_evicted=lambda ip, c: rater.evictions.append(
+                (ip, c.free_bytes, c.charged_bytes)
+            ),
+        )
+        rater.model = ref.ZeroRater(
+            ref.Verifier(self.grants), self.clock(), self.faults, tariff, IDLE
+        )
         rater.sut >> rater.sink
         return rater
 
@@ -261,16 +252,22 @@ class DataPlane(RuleBasedStateMachine):
         key=st.binary(min_size=1, max_size=80),
         service=st.sampled_from(("video", "music")),
         ttl=st.none() | st.floats(-5.0, 60.0),
+        packet=st.booleans(),
     )
-    def add_descriptor(self, cookie_id, key=b"k" * 32, service="video", ttl=None):
+    def add_descriptor(
+        self, cookie_id, key=b"k" * 32, service="video", ttl=None, packet=False
+    ):
         if cookie_id in self.grants:
             return
         expires_at = None if ttl is None else self.now + ttl
+        granularity = Granularity.PACKET if packet else Granularity.FLOW
         self.store.add(CookieDescriptor.create(
             service_data=service, cookie_id=cookie_id, key=key,
-            attributes=CookieAttributes(expires_at=expires_at),
+            attributes=CookieAttributes(granularity, expires_at=expires_at),
         ))
-        self.grants[cookie_id] = ref.Grant(cookie_id, key, service, expires_at)
+        self.grants[cookie_id] = ref.Grant(
+            cookie_id, key, service, expires_at, packet=packet
+        )
 
     @rule(index=st.integers(0, 7))
     def revoke(self, index=0):
@@ -309,9 +306,8 @@ class DataPlane(RuleBasedStateMachine):
     @rule(max_flows=st.integers(1, 4), max_subscribers=st.integers(1, 3))
     def shrink(self, max_flows, max_subscribers):
         for rater in self.raters:
-            if isinstance(rater.model, ref.ZeroRater):
-                for box in (rater.sut, rater.model):
-                    box.max_flows, box.max_subscribers = max_flows, max_subscribers
+            for box in (rater.sut, rater.model):
+                box.max_flows, box.max_subscribers = max_flows, max_subscribers
 
     @rule(burst=st.lists(PACKETS, min_size=1, max_size=8), chunk=st.integers(1, 8))
     def send(self, burst, chunk=8):
@@ -505,14 +501,13 @@ class DataPlane(RuleBasedStateMachine):
             pair[0] += free
             pair[1] += charged
         assert {ip: pair for ip, pair in counters.items() if any(pair)} == emitted
-        if isinstance(sut, ZeroRatingMiddlebox):
-            assert list(sut._flows) == list(model.flows)
-            evicted = [sut.evicted_bytes.free_bytes, sut.evicted_bytes.charged_bytes]
-            assert evicted == model.evicted
-            totals = sut._read_metrics()[0]
-            assert [totals["free_bytes"], totals["charged_bytes"]] == [
-                sum(pair[i] for pair in emitted.values()) for i in (0, 1)
-            ]
+        assert list(sut._flows) == list(model.flows)
+        evicted = [sut.evicted_bytes.free_bytes, sut.evicted_bytes.charged_bytes]
+        assert evicted == model.evicted
+        totals = sut._read_metrics()[0]
+        assert [totals["free_bytes"], totals["charged_bytes"]] == [
+            sum(pair[i] for pair in emitted.values()) for i in (0, 1)
+        ]
         if rater.accountant is not None:
             # After flush_all, each operator's invoice is the bytes delivered.
             rater.accountant.flush_all(now=self.now)
@@ -526,21 +521,15 @@ class DataPlane(RuleBasedStateMachine):
                 for ip, pair in emitted.items()
             }
 
-
-    def same_bills(self):
-        """Billed, the middlebox over a matcher and the stateless rater
-        invoice alike: true of a stream with a cookie on every packet."""
-        lines = []
-        for rater in (self.raters[1], self.raters[5]):  # billed, over a matcher
-            rater.accountant.flush_all(now=self.now)
-            invoices = build_invoices(rater.accountant.journal.records())
-            lines.append({
-                (operator, ip, line.key()): line.nbytes
-                for operator, invoice in invoices.items()
-                for ip, statement in invoice.statements.items()
-                for line in statement.lines.values()
-            })
-        assert lines[0] == lines[1]
+    def no_flow_kept(self):
+        """Every cookie a zero-rater saw was a packet grant it accepted:
+        it keeps no flow entry, and it resolved no flow."""
+        for rater in self.raters:
+            sut = rater.sut
+            assert sut.tracked_flows == sut.flows_resolved == sut.cookie_misses == 0
+            assert sut.cookie_hits == sut.packets_processed
+        unbilled = [r for r in self.raters if r.accountant is None]
+        assert all(p.meta.get("zero_rated") for r in unbilled for p in r.sink.packets)
 
 
 @pytest.mark.contract
@@ -563,8 +552,8 @@ def send(*packets, chunk=8):
     return ("send", {"burst": list(packets), "chunk": chunk})
 
 
-def grant(cookie_id=7, ttl=None):
-    return ("add_descriptor", {"cookie_id": cookie_id, "ttl": ttl})
+def grant(cookie_id=7, ttl=None, packet=False):
+    return ("add_descriptor", {"cookie_id": cookie_id, "ttl": ttl, "packet": packet})
 
 
 EDGES = [(o, b) for o in (NCT_US, -NCT_US, NCT_US + 1, -NCT_US - 1) for b in BIRTHS]
@@ -679,14 +668,29 @@ SCRIPTS = {
         ("verifier", {"down": True}),
         send(pkt(3, cookie=cookie(uuid=3), foreign=True)),
     ],
-    "a cookie on every packet: both boxes bill alike, under eviction too": [
-        ("setup", {"shards": 1, "cap": 3000}), grant(),
+    "a packet-grant cookie on every packet: all free, no flow kept, under eviction too": [
+        ("setup", {"shards": 1, "cap": 3000}), grant(packet=True),
         ("shrink", {"max_flows": 100, "max_subscribers": 1}),
         send(*(pkt(flow, cookie=cookie(uuid=i), size=size) for i, (flow, size) in
                enumerate([(0, 1400), (1, 40), (0, 512), (3, 1400), (4, 512)]))),
         send(*(pkt(flow, upstream=False, cookie=cookie(uuid=i)) for i, flow in
                enumerate([0, 3, 1, 0]))),
-        ("same_bills", {}),
+        ("no_flow_kept", {}),
+    ],
+    "a packet-granularity grant serves its packet only, at every box": [
+        grant(7, packet=True), grant(8),
+        # Flow 0: the grant frees its packet; the next three open a new
+        # window and close it charged, so a later cookie is never read.
+        send(pkt(0, cookie=cookie()), pkt(0), pkt(0, upstream=False), pkt(0),
+             pkt(0, cookie=cookie(uuid=1)), pkt(0)),
+        # Flow 1: a packet grant mid-window reopens the middlebox's
+        # window, where the flow grant after it binds; at the switch that
+        # cookie is past the window.
+        send(pkt(1), pkt(1, cookie=cookie(uuid=2)), pkt(1),
+             pkt(1, cookie=cookie(grant=1, uuid=3)), pkt(1)),
+        # Flow 3 is offloaded only once a flow grant resolves it.
+        send(pkt(3, cookie=cookie(uuid=4)), pkt(3, cookie=cookie(uuid=5))),
+        send(pkt(3), pkt(3, cookie=cookie(grant=1, uuid=6))), send(pkt(3)),
     ],
 }
 

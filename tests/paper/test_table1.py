@@ -52,3 +52,22 @@ def test_cli_prints_the_matrix(rows, monkeypatch, capsys):
     monkeypatch.setattr("repro.baselines.format_table1", lambda: format_table1(rows))
     assert main(["table1"]) == 0
     assert format_table1(rows) in capsys.readouterr().out
+
+
+def test_transports_cell_reads_the_carriers(monkeypatch):
+    """The "multiple transport mechanisms" cell is measured: carriers
+    that carry nothing fail it."""
+    from repro.baselines.comparison import _probe_cookie_transports
+    from repro.core.transport import (
+        HttpHeaderCarrier,
+        Ipv6ExtensionCarrier,
+        TcpOptionCarrier,
+        TlsExtensionCarrier,
+        UdpShimCarrier,
+    )
+
+    assert _probe_cookie_transports()
+    for carrier in (HttpHeaderCarrier, TlsExtensionCarrier, Ipv6ExtensionCarrier,
+                    TcpOptionCarrier, UdpShimCarrier):
+        monkeypatch.setattr(carrier, "extract", lambda self, packet: ())
+    assert not _probe_cookie_transports()

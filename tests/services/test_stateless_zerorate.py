@@ -1,4 +1,7 @@
-"""Stateless (packet-based) zero-rating tests."""
+"""Stateless (packet-based) zero-rating (§4.6): the middlebox fed
+packet-granularity grants.  A packet grant zero-rates only the packet
+that carries it and leaves the box no flow entry, so every packet is
+judged alone."""
 
 import pytest
 
@@ -13,7 +16,7 @@ from repro.core import (
 from repro.core.transport import default_registry
 from repro.netsim.headers import IPProto, IPv6Header, TCPHeader
 from repro.netsim.packet import Packet, Payload, make_tcp_packet
-from repro.services.zerorate import StatelessZeroRater, ZeroRatingMiddlebox
+from repro.services.zerorate import ZeroRatingMiddlebox
 
 
 def _env():
@@ -24,7 +27,7 @@ def _env():
             attributes=CookieAttributes(granularity=Granularity.PACKET),
         )
     )
-    rater = StatelessZeroRater(CookieMatcher(store), clock=lambda: 0.0)
+    rater = ZeroRatingMiddlebox(CookieMatcher(store), clock=lambda: 0.0)
     generator = CookieGenerator(descriptor, clock=lambda: 0.0)
     return store, descriptor, rater, generator
 
@@ -53,7 +56,7 @@ class TestPerPacketAccounting:
 
     def test_same_flow_mixed_outcomes(self):
         """No flow binding: each packet stands alone — the defining
-        difference from the stateful middlebox."""
+        difference from a flow grant."""
         _store, _descriptor, rater, generator = _env()
         registry = default_registry()
         first = make_tcp_packet("10.0.0.1", 5000, "2.2.2.2", 443, payload_size=100)
@@ -95,7 +98,7 @@ class TestPerPacketAccounting:
         packet = make_tcp_packet("10.0.0.1", 5000, "2.2.2.2", 443, payload_size=100)
         registry.attach(packet, generator.generate())
         rater.handle(packet)
-        rebuilt = StatelessZeroRater(CookieMatcher(store), clock=lambda: 0.0)
+        rebuilt = ZeroRatingMiddlebox(CookieMatcher(store), clock=lambda: 0.0)
         fresh = make_tcp_packet("10.0.0.1", 5000, "2.2.2.2", 443, payload_size=100)
         registry.attach(fresh, generator.generate())
         rebuilt.handle(fresh)
@@ -128,18 +131,61 @@ class TestPerPacketAccounting:
     ],
 )
 def test_both_boxes_bill_the_same_side(src, dst, billed):
-    """One subscriber-side rule: the stateless rater, the stateful box's
-    scalar path and its inlined batch path all bill the same end."""
-    store = DescriptorStore()
-    stateless = StatelessZeroRater(CookieMatcher(store), clock=lambda: 0.0)
+    """One subscriber-side rule: a packet grant's packet, the box's
+    scalar path and its batch path all bill the same end."""
+    store, _descriptor, stateless, generator = _env()
     scalar = ZeroRatingMiddlebox(CookieMatcher(store), clock=lambda: 0.0)
     batch = ZeroRatingMiddlebox(CookieMatcher(store), clock=lambda: 0.0)
     packets = [
         make_tcp_packet(src, 5000, dst, 443, payload_size=100) for _ in range(3)
     ]
+    default_registry().attach(packets[0], generator.generate())
     stateless.handle(packets[0])
     scalar.handle(packets[1])
     batch.process_batch([packets[2]])
-    for box in (stateless, scalar, batch):
+    assert list(stateless.counters) == [billed]
+    assert stateless.counters_for(billed).free_bytes == packets[0].wire_length
+    for box in (scalar, batch):
         assert list(box.counters) == [billed]
-        assert box.counters_for(billed).charged_bytes == packets[0].wire_length
+        assert box.counters_for(billed).charged_bytes == packets[1].wire_length
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize(
+    "granularity,every_packet,free,flows,hits",
+    [
+        # The rest of the flow opens a fresh window and resolves charged.
+        (Granularity.PACKET, False, 1, 1, 1),
+        (Granularity.PACKET, True, 10, 0, 10),
+        (Granularity.FLOW, False, 10, 1, 1),
+        (Granularity.FLOW, True, 10, 1, 1),
+    ],
+    ids=["packet-first", "packet-every", "flow-first", "flow-every"],
+)
+def test_granularity_is_the_descriptors(granularity, every_packet, free, flows, hits):
+    """One flow of 10 packets, a cookie on its first or on every packet.
+    A packet grant zero-rates the packets that carry one and keeps no
+    flow entry for them; a flow grant zero-rates the flow its first
+    cookie opens, and later cookies ride the resolved flow unverified."""
+    store = DescriptorStore()
+    descriptor = store.add(CookieDescriptor.create(
+        service_data="zero-rate",
+        attributes=CookieAttributes(granularity=granularity),
+    ))
+    generator = CookieGenerator(descriptor, clock=lambda: 0.0)
+    box = ZeroRatingMiddlebox(CookieMatcher(store), clock=lambda: 0.0)
+    registry = default_registry()
+    packets = []
+    for index in range(10):
+        packet = make_tcp_packet("10.0.0.1", 5000, "2.2.2.2", 443, payload_size=100)
+        if every_packet or index == 0:
+            registry.attach(packet, generator.generate())
+        packets.append(packet)
+        box.handle(packet)
+    assert sum(bool(p.meta.get("zero_rated")) for p in packets) == free
+    assert (box.tracked_flows, box.cookie_hits, box.cookie_misses) == (flows, hits, 0)
+    assert box.flows_resolved == flows
+    counters = box.counters_for("10.0.0.1")
+    zero_rated = [p for p in packets if p.meta.get("zero_rated")]
+    assert counters.free_bytes == sum(p.wire_length for p in zero_rated)
+    assert counters.total_bytes == sum(p.wire_length for p in packets)

@@ -30,7 +30,6 @@ from repro.services.boost import BoostDaemon
 from repro.services.zerorate import (
     CatalogSet,
     OperatorCatalog,
-    StatelessZeroRater,
     ZeroRatingMiddlebox,
 )
 from repro.telemetry import MetricsRegistry
@@ -63,7 +62,6 @@ EXPECTED_COUNTERS = sorted(
     + _under("switch", _SWITCH)
     + _under("middlebox", _BOX + ["flows_evicted_cap", "flows_evicted_idle",
                                   "flows_resolved", "subscribers_evicted"])
-    + _under("stateless", _BOX)
     + _under("anylink", _SWITCH)
     + _under("boost", ["boost_events", "degraded_activations_blocked",
                        "degraded_entered", "superseded_events"])
@@ -110,12 +108,16 @@ REMOVED = {
         "step: there is no idle fast-forward to count"
         for prefix in ("matcher", "boost.matcher", "pool.matcher")
     },
+    **{
+        f"stateless.{name}": "the stateless rater is the middlebox fed "
+        "packet-granularity grants, and counts under its prefix"
+        for name in [*_BOX, "tracked_subscribers"]
+    },
 }
 
 EXPECTED_GAUGES = sorted(
     ["matcher.replay_cache.size", "switch.tracked_flows",
      "middlebox.tracked_flows", "middlebox.tracked_subscribers",
-     "stateless.tracked_subscribers",
      "anylink.active_shapers", "anylink.tracked_flows",
      "boost.boost_active", "boost.degraded",
      "boost.matcher.replay_cache.size", "boost.switch.tracked_flows",
@@ -144,7 +146,6 @@ def test_metric_surface_is_pinned(tmp_path):
     matcher.register_telemetry(registry)
     CookieSwitch(matcher, clock=clock).register_telemetry(registry)
     ZeroRatingMiddlebox(matcher, clock=clock).register_telemetry(registry)
-    StatelessZeroRater(matcher, clock=clock).register_telemetry(registry)
     AnyLinkProxy(loop, matcher).register_telemetry(registry)
     BoostDaemon(loop, store).register_telemetry(registry)
     UserAgent(
