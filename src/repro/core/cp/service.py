@@ -4,9 +4,9 @@
 :class:`~repro.core.server.CookieServer` with N
 :class:`~.shard.ControlPlaneShard` partitions keyed by the data plane's
 rendezvous hash — each of them that same ``CookieServer`` with a delta
-log attached.  The dispatcher mints cookie ids, routes every op to the
-owning shard one request at a time, and layers on the
-distributed-systems duties the shards themselves stay ignorant of:
+log attached.  The dispatcher mints cookie ids, routes each op (a batch's
+grants: each run of entries one shard owns) to its shard, and layers on
+the distributed-systems duties the shards themselves stay ignorant of:
 
 * **Replication** — verifier replicas register here; revocations are
   broadcast eagerly to every reachable replica and an anti-entropy
@@ -31,9 +31,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Callable, Sequence
 
-from ..descriptor import DEFAULT_KEY_BYTES, GRANT_DRAW_BYTES, CookieDescriptor
+from ..descriptor import GRANT_DRAW_BYTES, CookieDescriptor
 from ..distributed import rendezvous_shard
 from ..errors import AcquisitionDenied
 from ..policy import AccessPolicy, OpenAccessPolicy
@@ -177,35 +178,41 @@ class ShardedControlPlane:
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    def _grant(
-        self,
-        user: str,
-        service: str,
-        credentials: dict[str, Any] | None = None,
-        preferences: dict[str, Any] | None = None,
-    ) -> CookieDescriptor:
-        """Mint an id and key in one draw, route on the id, count.
-        Returns the owning shard's live descriptor; the callers below
-        decide how it leaves — rendered (:meth:`acquire_batch`) or
-        cloned (:meth:`acquire`)."""
-        draw = os.urandom(GRANT_DRAW_BYTES)
-        cookie_id = int.from_bytes(draw[:-DEFAULT_KEY_BYTES], "big")
+    def _issue(
+        self, requests: Sequence[Sequence[Any]]
+    ) -> list[CookieDescriptor | Exception]:
+        """A batch granted at one instant from one draw, ids minted before
+        routing: each run of consecutive entries one shard owns, in order."""
+        now = self.clock()
+        draw = os.urandom(GRANT_DRAW_BYTES * len(requests))
+        if self.shard_count == 1:
+            return self._run_on(0, requests, now, draw, {})
+        results, blocks, start = [], {}, 0
+        for owner, run in groupby(
+            self.shard_of(int.from_bytes(draw[at : at + 8], "big"))
+            for at in range(0, len(draw), GRANT_DRAW_BYTES)
+        ):
+            stop = start + len(list(run))
+            span = draw[start * GRANT_DRAW_BYTES : stop * GRANT_DRAW_BYTES]
+            results += self._run_on(owner, requests[start:stop], now, span, blocks)
+            start = stop
+        return results
+
+    def _run_on(self, owner, requests, now, draw, blocks):
+        """Shard ``owner``'s grant loop (:meth:`CookieServer.grant_batch`), counted."""
+        shard = self._shards[owner]
+        acquired, denied = shard.acquired, shard.denied
         try:
-            descriptor = self._shards[self.shard_of(cookie_id)].acquire(
-                user, service, credentials, preferences,
-                cookie_id=cookie_id, key=draw[-DEFAULT_KEY_BYTES:],
-            )
-        except AcquisitionDenied:
-            self.stats.denied += 1
-            raise
-        self.stats.acquired += 1
-        return descriptor
+            return shard.grant_batch(requests, now, draw, blocks)
+        finally:  # a store that raises mid-run: count what the shard did
+            self.stats.acquired += shard.acquired - acquired
+            self.stats.denied += shard.denied - denied
 
     def acquire_batch(
         self, requests: Sequence[Sequence[Any]]
     ) -> list[dict[str, Any]]:
         """Issue descriptors for ``(user, service[, credentials,
-        preferences])`` entries, one shard visit each.
+        preferences])`` entries, as one batch (:meth:`_issue`).
 
         Returns one ``{"ok": ..., "descriptor"/"error": ...}`` per
         request, in order — the wire shape, each descriptor rendered to
@@ -215,15 +222,13 @@ class ShardedControlPlane:
         policy refusals only, as on a single :meth:`acquire`).
         """
         results: list[dict[str, Any]] = []
-        for entry in requests:
-            try:
-                descriptor = self._grant(*entry)
-            except AcquisitionDenied as exc:
-                results.append({"ok": False, "error": str(exc)})
-            except (TypeError, ValueError) as exc:
-                results.append({"ok": False, "error": f"bad request: {exc}"})
+        for granted in self._issue(requests):
+            if granted.__class__ is CookieDescriptor:
+                results.append({"ok": True, "descriptor": granted.to_json()})
+            elif isinstance(granted, AcquisitionDenied):
+                results.append({"ok": False, "error": str(granted)})
             else:
-                results.append({"ok": True, "descriptor": descriptor.to_json()})
+                results.append({"ok": False, "error": f"bad request: {granted}"})
         self.breaker.record_success()
         return results
 
@@ -234,12 +239,15 @@ class ShardedControlPlane:
         credentials: dict[str, Any] | None = None,
         preferences: dict[str, Any] | None = None,
     ) -> CookieDescriptor:
-        """Single-descriptor acquisition, as :meth:`CookieServer.acquire`.  The
-        descriptor returned is a clone: its ``revoked`` flag is the caller's."""
+        """A batch of one, as :meth:`CookieServer.acquire`.  The descriptor
+        returned is a clone: its ``revoked`` flag is the caller's."""
         try:
-            return self._grant(user, service, credentials, preferences).clone()
+            (granted,) = self._issue(((user, service, credentials, preferences),))
         finally:
             self.breaker.record_success()
+        if isinstance(granted, Exception):
+            raise granted
+        return granted.clone()
 
     def revoke_batch(self, cookie_ids: Sequence[int]) -> list[bool]:
         """Revoke many descriptors, then broadcast to replicas at once."""

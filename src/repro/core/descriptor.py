@@ -21,8 +21,8 @@ __all__ = ["CookieDescriptor", "COOKIE_ID_BITS", "DEFAULT_KEY_BYTES",
 COOKIE_ID_BITS = 64
 _COOKIE_ID_MAX = 2**COOKIE_ID_BITS - 1
 DEFAULT_KEY_BYTES = 32
-#: A grant's randomness is one ``os.urandom`` draw: the id's 8 bytes,
-#: read big-endian as ``secrets.randbits`` reads them, then the key.
+#: A grant's randomness, its slice of one ``os.urandom`` draw: the id's 8
+#: bytes, read big-endian as ``secrets.randbits`` reads them, then the key.
 GRANT_DRAW_BYTES = COOKIE_ID_BITS // 8 + DEFAULT_KEY_BYTES
 
 

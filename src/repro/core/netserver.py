@@ -103,7 +103,7 @@ _encode = _make_encode()
 _decode = _make_decode()
 
 
-def _grant_text() -> list[str]:
+def _cut_grant_text() -> list[str]:
     """The fixed text of a grant line whose block is the default one,
     cut where its five variable fields go: a real reply, encoded with
     each of those fields set to one marker string."""
@@ -117,7 +117,7 @@ def _grant_text() -> list[str]:
     return pieces
 
 
-_GRANT_TEXT = _grant_text()
+_GRANT_TEXT = _cut_grant_text()
 #: The default block's field objects: a grant's block is the default
 #: one when it holds these very objects in every field but expires_at.
 (_GRANULARITY, _FLOW_FIELDS, _APPLY_REVERSE, _SHARED, _ACK_COOKIE,

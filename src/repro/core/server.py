@@ -20,17 +20,23 @@ delta log attached as one more enforcement store, and
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .attributes import CookieAttributes
 from ..audit.log import AuditEvent, AuditLog, NullAuditLog
-from .descriptor import CookieDescriptor
+from .descriptor import DEFAULT_KEY_BYTES, GRANT_DRAW_BYTES, CookieDescriptor
 from .errors import AcquisitionDenied
 from .policy import NO_ARGUMENTS, AccessPolicy, AcquisitionRequest, OpenAccessPolicy
 from .store import DescriptorStore
 
 __all__ = ["ServiceOffering", "CookieServer", "GrantReply", "serve_json"]
+
+
+def _entry(user, service, credentials=None, preferences=None):
+    """A batch entry's four fields; any other arity is a ``TypeError``."""
+    return user, service, credentials, preferences
 
 
 @dataclass
@@ -128,65 +134,81 @@ class CookieServer:
         service: str,
         credentials: dict[str, Any] | None = None,
         preferences: dict[str, Any] | None = None,
-        cookie_id: int | None = None,
-        key: bytes | None = None,
     ) -> CookieDescriptor:
-        """Issue a descriptor for ``service`` to ``user``.
+        """Issue a descriptor for ``service`` to ``user``: a batch of one,
+        raising what failed it (:class:`AcquisitionDenied`: unknown or refused)."""
+        entry = (user, service, credentials, preferences)
+        draw = os.urandom(GRANT_DRAW_BYTES)
+        (granted,) = self.grant_batch([entry], self.clock(), draw, {})
+        if isinstance(granted, Exception):
+            raise granted
+        return granted
 
-        Raises :class:`AcquisitionDenied` when the service is unknown or
-        the policy refuses.  On success the descriptor is mirrored to all
-        enforcement stores and the grant is audited.  ``cookie_id`` is a
-        pre-minted id (a dispatcher routed on it) and ``key`` the rest of
-        its draw; the server mints its own otherwise.
-        """
-        now = self.clock()
-        # The copies are the request's own, and copying is what turns a
-        # non-object into a bad request; absent ones share NO_ARGUMENTS.
-        request = AcquisitionRequest(
-            user,
-            service,
-            dict(credentials) if credentials else NO_ARGUMENTS,
-            dict(preferences) if preferences else NO_ARGUMENTS,
-            now,
-        )
-        audited = self._audited
-        if audited:
-            self.audit_log.record(now, AuditEvent.REQUESTED, user, service)
-        offering = self.offerings.get(service)
-        try:
-            if offering is None:
-                raise AcquisitionDenied(f"service {service!r} is not offered")
-            self.policy.authorize(request)
-        except AcquisitionDenied as exc:
-            self.denied += 1
-            if audited:
-                reason = "unknown service" if offering is None else str(exc)
-                self.audit_log.record(
-                    now, AuditEvent.DENIED, user, service, reason=reason
-                )
-            raise
-        service_data = offering.service_data
-        descriptor = CookieDescriptor.create(
-            offering.name if service_data is None else service_data,
-            offering.build_attributes(now),
-            cookie_id,
-            key,
-        )
-        self.issued.add(descriptor)
-        for store in self._enforcement_stores:
-            store.add(descriptor)
-        self.policy.on_granted(request)
-        self.acquired += 1
-        if audited:
-            self.audit_log.record(
-                now,
-                AuditEvent.GRANTED,
-                user,
-                service,
-                cookie_id=descriptor.cookie_id,
-                expires_at=descriptor.attributes.expires_at,
-            )
-        return descriptor
+    def grant_batch(
+        self, requests: Sequence[Sequence[Any]], now: float, draw: bytes,
+        blocks: dict[str, CookieAttributes],
+    ) -> list[CookieDescriptor | Exception]:
+        """The grant loop: ``(user, service[, credentials, preferences])``
+        entries, each granted as on its own but all at ``now``, entry *i* from
+        the *i*-th :data:`GRANT_DRAW_BYTES` of ``draw`` (id's 8 bytes big-endian,
+        then key).  ``blocks``, new per batch, holds each factory-less offering's
+        one block.  Returns per entry the descriptor, or what failed it."""
+        authorize, on_granted = self.policy.authorize, self.policy.on_granted
+        offerings, issue, stores = self.offerings, self.issued.add, self._enforcement_stores
+        audit = self.audit_log.record if self._audited else None
+        results: list[CookieDescriptor | Exception] = []
+        end = 0
+        for entry in requests:
+            at, end = end, end + GRANT_DRAW_BYTES
+            try:
+                user, service, credentials, preferences = _entry(*entry)
+                # The copies are the request's own, and copying is what turns
+                # a non-object into a bad request; absent ones share NO_ARGUMENTS.
+                # tuple.__new__: the namedtuple's own __new__ is Python code.
+                request = tuple.__new__(AcquisitionRequest, (
+                    user, service,
+                    dict(credentials) if credentials else NO_ARGUMENTS,
+                    dict(preferences) if preferences else NO_ARGUMENTS, now,
+                ))
+                if audit is not None:
+                    audit(now, AuditEvent.REQUESTED, user, service)
+                offering = offerings.get(service)
+                if offering is None:
+                    raise AcquisitionDenied(f"service {service!r} is not offered")
+                authorize(request)
+                block = blocks.get(service)
+                if block is None:
+                    block = offering.build_attributes(now)
+                    if offering.attribute_factory is None:
+                        blocks[service] = block
+                data, key_at = offering.service_data, end - DEFAULT_KEY_BYTES
+                # CookieDescriptor.create's build: a drawn id is valid.
+                descriptor = object.__new__(CookieDescriptor)
+                descriptor.cookie_id = int.from_bytes(draw[at:key_at], "big")
+                descriptor.key = draw[key_at:end]
+                descriptor.service_data = offering.name if data is None else data
+                descriptor.attributes = block
+                descriptor.revoked = False
+                issue(descriptor)
+                for store in stores:
+                    store.add(descriptor)
+                on_granted(request)
+                self.acquired += 1
+                if audit is not None:
+                    audit(now, AuditEvent.GRANTED, user, service,
+                          cookie_id=descriptor.cookie_id, expires_at=block.expires_at)
+            except AcquisitionDenied as exc:
+                self.denied += 1
+                if audit is not None:
+                    reason = "unknown service" if offering is None else str(exc)
+                    audit(now, AuditEvent.DENIED, user, service, reason=reason)
+                # No traceback: its frame holds ``results``, a cycle to collect.
+                results.append(exc.with_traceback(None))
+            except (TypeError, ValueError) as exc:
+                results.append(exc.with_traceback(None))
+            else:
+                results.append(descriptor)
+        return results
 
     def revoke(self, cookie_id: int, by: str = "network") -> bool:
         """Revoke an issued descriptor everywhere; False for an unknown id.

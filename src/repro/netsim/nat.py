@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .headers import IPv4Header
 from .middlebox import Element
 from .packet import Packet
 
@@ -38,7 +39,9 @@ class NAT44:
     Outbound packets from private sources get their source (ip, port)
     rewritten to (``public_ip``, allocated port).  Inbound packets addressed
     to a mapped public port are rewritten back.  Inbound packets with no
-    mapping are dropped, as a home router would.
+    mapping are dropped, as a home router would.  NAT44 translates IPv4
+    only: a packet that lacks an IPv4 or a transport header (an IPv6
+    packet, say) passes either face untouched.
 
     Use :attr:`outbound` and :attr:`inbound` as pipeline elements::
 
@@ -117,7 +120,7 @@ class _NatOutbound(Element):
         self.nat = nat
 
     def handle(self, packet: Packet) -> None:
-        if packet.ip is None or packet.l4 is None:
+        if not isinstance(packet.ip, IPv4Header) or packet.l4 is None:
             self.emit(packet)
             return
         mapping = self.nat.mapping_for_private(
@@ -139,7 +142,7 @@ class _NatInbound(Element):
         self.nat = nat
 
     def handle(self, packet: Packet) -> None:
-        if packet.ip is None or packet.l4 is None:
+        if not isinstance(packet.ip, IPv4Header) or packet.l4 is None:
             self.emit(packet)
             return
         mapping = self.nat.mapping_for_public(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Callable
 
-from ...core.attributes import Granularity
+from ...core.attributes import DEFAULT_ATTRIBUTES, Granularity
 from ...core.matcher import CookieMatcher
 from ...core.transport import TransportRegistry, default_registry
 from ...netsim.middlebox import Element
@@ -71,6 +71,8 @@ _NO_FLUSH_CALLBACK = (
 ZERO_RATE_SNIFF_PACKETS = 3
 
 _PACKET = Granularity.PACKET
+#: The ``extra`` of every block granted without one: no constraints.
+_NO_EXTRA = DEFAULT_ATTRIBUTES.extra
 
 #: Flow-state cap: at ~100 B/entry this is ~10 MB of worst-case state.
 DEFAULT_MAX_FLOWS = 100_000
@@ -356,7 +358,10 @@ class ZeroRatingMiddlebox(Element):
                         # Composed cookies: the first one the verifier
                         # accepts wins, as on the switch.  Fail-safe: a
                         # verifier that raises has not said yes, so the
-                        # box moves on and the flow stays charged.
+                        # box moves on and the flow stays charged.  The
+                        # box attests no context, so a descriptor with
+                        # constraints fails closed, as on a switch that
+                        # lacks the constrained key (§3 rule 7).
                         for cookie in found:
                             try:
                                 descriptor = match(cookie, now)
@@ -364,7 +369,13 @@ class ZeroRatingMiddlebox(Element):
                                 self.verifier_failures += 1
                                 descriptor = None
                             if descriptor is not None:
-                                break
+                                attributes = descriptor.attributes
+                                if (
+                                    attributes.extra is _NO_EXTRA
+                                    or attributes.matches_context({})
+                                ):
+                                    break
+                                descriptor = None
                         if descriptor is not None:
                             state.zero_rated = True
                             state.service = descriptor.service_data

@@ -268,6 +268,37 @@ class TestConstraints:
         switch.push(packet)
         assert "service" not in sink.packets[0].meta
 
+    @pytest.mark.parametrize(
+        "extra, zero_rated",
+        [({"constraints": {"network": "home-wifi"}}, False), ({"note": 1}, True), (None, True)],
+        ids=["fenced", "unfenced-extra", "default"],
+    )
+    def test_the_middlebox_attests_no_context(self, extra, zero_rated):
+        """The middlebox has no context: a descriptor fenced to one
+        network is charged there, where a switch on that network serves
+        it; a block whose extras hold no constraints zero-rates."""
+        store = DescriptorStore()
+        descriptor = store.add(
+            CookieDescriptor.create("zero-rate", CookieAttributes(extra=extra))
+        )
+        box = ZeroRatingMiddlebox(CookieMatcher(store), clock=lambda: 0.0)
+        box >> Sink()
+        packet = make_tcp_packet(
+            "192.168.1.5", 5000, "1.2.3.4", 443,
+            content=TLSClientHello(sni="x.com"),
+        )
+        default_registry().attach(
+            packet, CookieGenerator(descriptor, clock=lambda: 0.0).generate()
+        )
+        box.push(packet)
+        counters = box.counters_for("192.168.1.5")
+        assert bool(packet.meta.get("zero_rated")) is zero_rated
+        assert (box.cookie_hits, box.cookie_misses) == (int(zero_rated), int(not zero_rated))
+        charged = 0 if zero_rated else packet.wire_length
+        assert (counters.free_bytes, counters.charged_bytes) == (
+            packet.wire_length - charged, charged
+        )
+
     def test_unattested_context_fails_closed(self):
         """A geo-fenced cookie must not work on a switch that cannot
         attest its region."""

@@ -19,8 +19,10 @@ from hypothesis import given, settings
 from repro.core import (
     AcquisitionDenied,
     AuthenticatedUsersPolicy,
+    CookieAttributes,
     CookieServer,
     DescriptorStore,
+    QuotaPolicy,
     ServiceOffering,
 )
 from repro.core.cp import (
@@ -331,17 +333,24 @@ def test_two_front_doors_one_core():
 
 
 class _Draws:
-    """Stands in for ``os.urandom``: one grant's draw at a time, a
+    """Stands in for ``os.urandom``: a batch of n grants draws once,
+    ``n * GRANT_DRAW_BYTES``, served as n successive grants' draws — a
     numbered id (big-endian) then a key of that number's bytes."""
 
     def __init__(self) -> None:
-        self.count = 0
+        self.count = 0  # grants' draws served
+        self.calls = 0
 
     def urandom(self, nbytes: int) -> bytes:
-        assert nbytes == GRANT_DRAW_BYTES, "a grant draws once"
+        grants, rest = divmod(nbytes, GRANT_DRAW_BYTES)
+        assert grants and not rest, "a batch draws whole grants"
+        self.calls += 1
+        return b"".join(self._one() for _ in range(grants))
+
+    def _one(self) -> bytes:
         self.count += 1
         cookie_id = (0x0123456789ABCDEF * self.count) % 2**64
-        return cookie_id.to_bytes(8, "big") + bytes([self.count]) * (nbytes - 8)
+        return cookie_id.to_bytes(8, "big") + bytes([self.count]) * (GRANT_DRAW_BYTES - 8)
 
 
 #: The first grant either door makes below, as its reply carries it.
@@ -421,7 +430,9 @@ def test_grant_bytes_are_the_recorded_ones(monkeypatch):
     assert (len(lines), digest(lines)) == (
         17, "8eac1a6ccd6016eff00effad494743945feddf15da3db55a1d650a29c3b89e5e"
     )
-    draws.count = 0
+    # One draw per batch: acquire, renew, acquire — each a batch of one.
+    assert (draws.calls, draws.count) == (3, 3)
+    draws.count = draws.calls = 0
     lines = plane()
     assert lines[0].startswith(
         '{"ok": true, "results": [{"ok": true, "descriptor": ' + FIRST_GRANT
@@ -429,6 +440,179 @@ def test_grant_bytes_are_the_recorded_ones(monkeypatch):
     assert (len(lines), digest(lines)) == (
         7, "1c51aff3547744ebbe353412a57a69979ad52fb52d93c7acf5d08370d371ca36"
     )
+    # The batch of two draws once; acquire and renew are batches of one.
+    assert (draws.calls, draws.count) == (3, 4)
+
+
+def _reply(grant):
+    """What ``acquire_batch`` puts in a slot, from what a single
+    ``acquire`` returned or raised."""
+    try:
+        descriptor = grant()
+    except AcquisitionDenied as exc:
+        return {"ok": False, "error": str(exc)}
+    except (TypeError, ValueError) as exc:
+        return {"ok": False, "error": f"bad request: {exc}"}
+    return {"ok": True, "descriptor": descriptor.to_json()}
+
+
+class _TickingClock(ManualClock):
+    """A clock that moves on every reading."""
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def _tiered(now: float) -> CookieAttributes:
+    return CookieAttributes(expires_at=now + 60.0, extra={"tier": 2})
+
+
+@pytest.mark.contract
+class TestABatchIsOneInstant:
+    """A batch is granted at one instant from one draw, and the grants
+    of one offering without a factory share one block (PROTOCOL §14.1):
+    what comes out is what the same entries, granted one by one at that
+    instant from the same draws, give."""
+
+    ENTRIES = [
+        ("alice", "Boost", {"secret": "a"}),
+        ("bob", "Boost", {"secret": "b"}),  # Boost again: one block
+        ("mallory", "Boost", {"secret": "guess"}),  # the policy refuses
+        ("carol", "Forever", [1]),  # malformed: fails alone
+        ("alice", "Nope", {"secret": "a"}),  # not offered
+        ("carol", "Forever", {"secret": "c"}, {"lang": "fr"}),
+        ("dave", "Tiered", {"secret": "d"}),  # a factory: a block each
+        ("alice", "Tiered", {"secret": "a"}),
+    ]
+
+    @staticmethod
+    def _offer(door):
+        door.offer(ServiceOffering(name="Boost"))
+        door.offer(ServiceOffering(name="Forever", lifetime=None, service_data={"tier": 1}))
+        door.offer(ServiceOffering(name="Tiered", attribute_factory=_tiered))
+
+    @staticmethod
+    def _policy():
+        return AuthenticatedUsersPolicy({"alice": "a", "bob": "b", "carol": "c", "dave": "d"})
+
+    def _plane(self, shards):
+        controlplane = _controlplane(shards=shards, policy=self._policy())
+        self._offer(controlplane)
+        replica = controlplane.register_replica(VerifierReplica("mb0"))
+        return controlplane, replica
+
+    @staticmethod
+    def _state(controlplane, replica, replies):
+        controlplane.sync_replicas()
+        shards = range(controlplane.shard_count)
+        ask = controlplane.handle_request
+        return [
+            json.dumps(replies),
+            *(json.dumps(ask({"op": "deltas_since", "shard": i, "offset": 0})) for i in shards),
+            *(json.dumps(ask({"op": "snapshot", "shard": i})) for i in shards),
+            json.dumps(sorted((d.to_json() for d in replica.store), key=str)),
+            json.dumps(controlplane.stats.as_dict()),
+            json.dumps(controlplane.shard_stats()),
+        ]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_batch_is_the_entries_one_by_one(self, monkeypatch, shards):
+        draws = _Draws()
+        monkeypatch.setattr(os, "urandom", draws.urandom)
+        controlplane, replica = self._plane(shards)
+        batch = self._state(controlplane, replica, controlplane.acquire_batch(self.ENTRIES))
+        assert (draws.calls, draws.count) == (1, len(self.ENTRIES))
+
+        draws.count = draws.calls = 0
+        controlplane, replica = self._plane(shards)
+        replies = [_reply(lambda e=e: controlplane.acquire(*e)) for e in self.ENTRIES]
+        assert draws.calls == len(self.ENTRIES)
+        assert batch == self._state(controlplane, replica, replies)
+        assert [r["ok"] for r in replies] == [True, True, False, False, False, True, True, True]
+        assert replies[3]["error"].startswith("bad request")
+        assert controlplane.stats.denied == 2 and controlplane.stats.acquired == 5
+        if shards > 1:  # the draws stand in for ids that hop shards
+            ids = [r["descriptor"]["cookie_id"] for r in replies if r["ok"]]
+            assert {controlplane.shard_of(i) for i in ids} == {0, 1}
+
+    def test_plain_server_audits_a_batch_as_its_grants(self, monkeypatch):
+        draws = _Draws()
+        monkeypatch.setattr(os, "urandom", draws.urandom)
+
+        def server():
+            door = CookieServer(clock=ManualClock(), policy=self._policy())
+            self._offer(door)
+            return door
+
+        batched = server()
+        draw = os.urandom(GRANT_DRAW_BYTES * len(self.ENTRIES))
+        granted = batched.grant_batch(self.ENTRIES, 1000.0, draw, {})
+        draws.count = 0
+        single = server()
+        for entry in self.ENTRIES:
+            _reply(lambda: single.acquire(*entry))
+        assert batched.audit_log.to_jsonl() == single.audit_log.to_jsonl()
+        assert (batched.acquired, batched.denied) == (single.acquired, single.denied) == (5, 2)
+        assert [d.to_json() for d in batched.issued] == [d.to_json() for d in single.issued]
+        assert [type(g).__name__ for g in granted] == [
+            "CookieDescriptor", "CookieDescriptor", "AcquisitionDenied", "TypeError",
+            "AcquisitionDenied", "CookieDescriptor", "CookieDescriptor", "CookieDescriptor",
+        ]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_block_per_default_offering(self, shards):
+        controlplane, _ = self._plane(shards)
+        replies = controlplane.acquire_batch(self.ENTRIES + [("bob", "Forever", {"secret": "b"})])
+        held = [
+            controlplane.lookup(r["descriptor"]["cookie_id"]) if r["ok"] else None
+            for r in replies
+        ]
+        alice, bob, carol, dave, alice_tiered, bob_forever = (
+            held[0], held[1], held[5], held[6], held[7], held[8]
+        )
+        assert alice.attributes is bob.attributes
+        assert carol.attributes is bob_forever.attributes
+        assert alice.attributes is not carol.attributes
+        assert dave.attributes == alice_tiered.attributes
+        assert dave.attributes is not alice_tiered.attributes
+        # ... and nothing of the batch outlives it: the next batch's block is its own.
+        (again,) = controlplane.acquire_batch([("bob", "Boost", {"secret": "b"})])
+        assert controlplane.lookup(again["descriptor"]["cookie_id"]).attributes is not alice.attributes
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_clock_reading_per_batch(self, shards):
+        clock = _TickingClock()
+        with _controlplane(shards=shards, clock=clock) as controlplane:
+            # A factory builds each grant's block at the grant's instant.
+            controlplane.offer(ServiceOffering(name="Tiered", attribute_factory=_tiered))
+            replies = controlplane.acquire_batch([(f"u{i}", "Tiered") for i in range(16)])
+            assert len({r["descriptor"]["attributes"]["expires_at"] for r in replies}) == 1
+            later = controlplane.acquire("u", "Tiered").attributes.expires_at
+            assert later > replies[0]["descriptor"]["attributes"]["expires_at"]
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_a_shared_quota_decides_as_sequential_replay(self, monkeypatch, shards):
+        entries = [(user, "Boost") for user in "abababaacbbcaacc"]
+
+        def decide(grant_all):
+            draws = _Draws()
+            monkeypatch.setattr(os, "urandom", draws.urandom)
+            controlplane = _controlplane(shards=shards, policy=QuotaPolicy(3, period=60.0))
+            return grant_all(controlplane), controlplane
+
+        batch, plane = decide(lambda cp: [r["ok"] for r in cp.acquire_batch(entries)])
+        one_by_one, _ = decide(
+            lambda cp: [_reply(lambda e=e: cp.acquire(*e))["ok"] for e in entries]
+        )
+        assert batch == one_by_one
+        assert batch == [True] * 6 + [False, False, True, False, False, True, False, False, True, False]
+        # The entries hop shards: more runs than shards they land on, so
+        # the order is the dispatcher's to keep, not a shard's.
+        draws = _Draws()
+        owners = [plane.shard_of(int.from_bytes(draws._one()[:8], "big")) for _ in entries]
+        runs = 1 + sum(a != b for a, b in zip(owners, owners[1:]))
+        assert shards == 1 or 1 < len(set(owners)) < runs
 
 
 class TestReplication:

@@ -107,3 +107,35 @@ class TestLifecycle:
         nat.outbound.downstream = sink
         nat.outbound.push(Packet())
         assert sink.count == 1
+
+
+def _ipv6(src, sport, dst, dport):
+    from repro.netsim.headers import IPProto, IPv6Header, TCPHeader
+    from repro.netsim.packet import Packet, stamp
+
+    packet = Packet(
+        ip=IPv6Header(src=src, dst=dst, next_header=IPProto.TCP),
+        l4=TCPHeader(src_port=sport, dst_port=dport),
+    )
+    stamp(packet)
+    return packet
+
+
+@pytest.mark.parametrize("face", ["outbound", "inbound"])
+def test_ipv6_passes_either_face_untouched(face):
+    """NAT44 translates IPv4 only: an IPv6 packet keeps its addresses,
+    ports and NIC stamp, makes no mapping and is not dropped."""
+    nat = NAT44(public_ip="198.51.100.7")
+    sink = Sink()
+    element = getattr(nat, face)
+    element.downstream = sink
+    packet = _ipv6("2001:db8::2", 5000, "2001:db8::5", 443)
+    before = (packet.ip.src, packet.l4.src_port, packet.ip.dst, packet.l4.dst_port)
+    stamped = (packet.flow_key, packet.pkt_len)
+    element.push(packet)
+    assert sink.packets == [packet]
+    assert (packet.ip.src, packet.l4.src_port, packet.ip.dst, packet.l4.dst_port) == before
+    assert (packet.flow_key, packet.pkt_len) == stamped
+    assert "nat_original_src" not in packet.meta
+    assert nat.active_mappings == 0
+    assert (nat.translated_out, nat.translated_in, nat.dropped_inbound) == (0, 0, 0)
