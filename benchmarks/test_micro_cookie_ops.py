@@ -89,7 +89,7 @@ def test_micro_replay_cache_ops(benchmark):
 
 
 # ----------------------------------------------------------------------
-# SQLite descriptor store: the PR-8 control-plane tuning, before/after.
+# SQLite descriptor store: the control-plane tuning.
 # ----------------------------------------------------------------------
 
 def _sqlite_store(tmp_path, name):
@@ -97,81 +97,6 @@ def _sqlite_store(tmp_path, name):
     from repro.core import SQLiteDescriptorStore
 
     return SQLiteDescriptorStore(str(tmp_path / f"{name}.db"))
-
-
-def _expiring_descriptors(count, expired_fraction=0.5):
-    from repro.core.attributes import CookieAttributes
-
-    cutoff = int(count * expired_fraction)
-    return [
-        CookieDescriptor.create(
-            service_data="Boost",
-            attributes=CookieAttributes(
-                expires_at=50.0 if i < cutoff else 1e9
-            ),
-        )
-        for i in range(count)
-    ]
-
-
-def test_micro_sqlite_bulk_add(benchmark, tmp_path):
-    """add_many (one transaction) vs a commit per descriptor."""
-    import time
-
-    descriptors = _expiring_descriptors(500)
-
-    per_row_store = _sqlite_store(tmp_path, "per_row")
-    start = time.perf_counter()
-    for descriptor in descriptors:
-        per_row_store.add(descriptor)
-    per_row_s = time.perf_counter() - start
-    per_row_store.close()
-
-    rounds: list[float] = []
-
-    def bulk():
-        store = _sqlite_store(tmp_path, f"bulk{len(rounds)}")
-        start = time.perf_counter()
-        try:
-            return store.add_many(descriptors)
-        finally:
-            rounds.append(time.perf_counter() - start)
-            store.close()
-
-    added = benchmark.pedantic(bulk, rounds=3, iterations=1)
-    assert added == len(descriptors)
-    # Timed here, not read from benchmark.stats, which
-    # --benchmark-disable leaves unset.
-    bulk_s = min(rounds)
-    benchmark.extra_info["per_row_s"] = round(per_row_s, 6)
-    benchmark.extra_info["speedup"] = round(per_row_s / bulk_s, 2)
-    # One transaction must beat 500 commits (by a lot; 2x is the floor).
-    assert bulk_s < per_row_s / 2, (bulk_s, per_row_s)
-
-
-def test_micro_sqlite_purge_indexed(benchmark, tmp_path):
-    """The indexed DELETE that is ``purge_expired``."""
-    import time
-
-    descriptors = _expiring_descriptors(2_000)
-    counter = [0]
-
-    def indexed():
-        counter[0] += 1
-        store = _sqlite_store(tmp_path, f"indexed{counter[0]}")
-        try:
-            store.add_many(descriptors)
-            start = time.perf_counter()
-            purged = store.purge_expired(now=100.0)
-            elapsed = time.perf_counter() - start
-            assert len(store) == len(descriptors) - purged
-            return purged, elapsed
-        finally:
-            store.close()
-
-    purged, indexed_s = benchmark.pedantic(indexed, rounds=3, iterations=1)
-    assert purged == 1_000
-    benchmark.extra_info["indexed_s"] = round(indexed_s, 6)
 
 
 def test_micro_sqlite_wal_enabled(tmp_path):

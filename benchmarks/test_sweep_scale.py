@@ -5,7 +5,9 @@ CPU-bound cells, i.e. the pool's start-up, IPC and pickle overhead is
 bounded (>= 0.9x).  The two are timed alternately, ``PAIRS`` times each,
 and the floor holds the median of the per-pair ratios: a pair's two
 sweeps run back to back, so a slow phase of a shared box slows both,
-and one outlying pair does not decide the floor.  And
+and one outlying pair does not decide the floor.  Which side runs first
+alternates from pair to pair, so a box that speeds up or slows down
+within a pair favours neither side.  And
 the merged JSON must be byte-identical across worker counts — the whole
 point of label-derived per-cell seeds.
 
@@ -28,7 +30,7 @@ REPORTS_DIR = pathlib.Path(__file__).parent / "reports"
 CELLS = 16
 CELL_ITERATIONS = 1_200_000
 SINGLE_WORKER_FLOOR = 0.9
-PAIRS = 5
+PAIRS = 9
 
 
 def heavy_cell(params: dict, seed: int) -> dict:
@@ -61,22 +63,26 @@ def timed_sweep(workers: int) -> tuple[str, float]:
 def test_sweep_scaling_and_determinism(report):
     cpus = os.cpu_count() or 1
     inproc, one = [], []
-    for _ in range(PAIRS):
-        inproc.append(timed_sweep(0))
-        one.append(timed_sweep(1))
+    for pair in range(PAIRS):
+        if pair % 2:
+            one.append(timed_sweep(1))
+            inproc.append(timed_sweep(0))
+        else:
+            inproc.append(timed_sweep(0))
+            one.append(timed_sweep(1))
     merged_inproc = inproc[0][0]
     t_inproc = statistics.median(elapsed for _, elapsed in inproc)
     t_one = statistics.median(elapsed for _, elapsed in one)
 
-    single_worker_ratio = statistics.median(
-        a / b for (_, a), (_, b) in zip(inproc, one)
-    )
+    pair_ratios = [a / b for (_, a), (_, b) in zip(inproc, one)]
+    single_worker_ratio = statistics.median(pair_ratios)
     payload = {
         "cpus": cpus,
         "cells": CELLS,
         "pairs": PAIRS,
         "in_process_s": round(t_inproc, 4),
         "one_worker_s": round(t_one, 4),
+        "pair_ratios": [round(ratio, 3) for ratio in pair_ratios],
         "single_worker_ratio": round(single_worker_ratio, 3),
         "single_worker_floor": SINGLE_WORKER_FLOOR,
         "merged_json_identical": all(

@@ -20,7 +20,6 @@ __all__ = [
     "cdf_to_csv",
     "counts_to_csv",
     "series_to_csv",
-    "telemetry_to_csv",
     "figure_bundle_to_json",
 ]
 
@@ -82,19 +81,6 @@ def series_to_csv(
     writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue()
-
-
-def telemetry_to_csv(snapshot: TelemetrySnapshot) -> str:
-    """A telemetry snapshot as flat ``kind,name,value`` rows.
-
-    Histograms are flattened to ``count`` / ``sum`` / ``mean`` / ``p50``
-    / ``p99`` rows, so the whole snapshot fits one rectangular table for
-    spreadsheets and plotting tools.
-    """
-    rows = snapshot.rows()
-    if not rows:
-        raise ValueError("snapshot has no metrics")
-    return series_to_csv(rows, columns=["kind", "name", "value"])
 
 
 def figure_bundle_to_json(figures: dict[str, Any]) -> str:

@@ -38,7 +38,6 @@ full personas-times-elements campaign.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -274,9 +273,6 @@ class RecordingVerifier:
                 )
             )
 
-    def by_probe(self, probe: str) -> list[VerificationRecord]:
-        return [r for r in self.records if r.probe == probe]
-
 
 @dataclass
 class DimensionResult:
@@ -385,9 +381,6 @@ class AuditVerdict:
                 name: dim.to_json() for name, dim in self.dimensions.items()
             },
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 @dataclass

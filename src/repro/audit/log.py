@@ -10,7 +10,6 @@ all cookie descriptor requests".  :class:`AuditLog` is that database;
 
 from __future__ import annotations
 
-import json
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -82,34 +81,12 @@ class AuditLog:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def by_user(self, user: str) -> list[AuditRecord]:
-        return [r for r in self._records if r.user == user]
-
-    def by_service(self, service: str) -> list[AuditRecord]:
-        return [r for r in self._records if r.service == service]
 
     def by_event(self, event: str) -> list[AuditRecord]:
         return [r for r in self._records if r.event == event]
 
     def grants(self) -> list[AuditRecord]:
         return self.by_event(AuditEvent.GRANTED)
-
-    def denials(self) -> list[AuditRecord]:
-        return self.by_event(AuditEvent.DENIED)
-
-    def grant_latency(self, user: str, service: str) -> float | None:
-        """Seconds between a user's first request and first grant for a
-        service — the quantity the FCC's "within three days" rule bounds.
-        Returns None if either event is missing."""
-        requested = None
-        for record in self._records:
-            if record.user != user or record.service != service:
-                continue
-            if record.event == AuditEvent.REQUESTED and requested is None:
-                requested = record.time
-            if record.event == AuditEvent.GRANTED and requested is not None:
-                return record.time - requested
-        return None
 
     # ------------------------------------------------------------------
     # Reporting
@@ -141,10 +118,6 @@ class AuditLog:
             for service, data in services.items()
         }
         return {"services": report, "total_records": len(self._records)}
-
-    def to_jsonl(self) -> str:
-        """Serialize the full log as JSON lines (the public database)."""
-        return "\n".join(json.dumps(r.to_json()) for r in self._records)
 
 
 class NullAuditLog(AuditLog):

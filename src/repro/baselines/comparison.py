@@ -4,9 +4,9 @@ Each row of the paper's Table 1 is evaluated here.  Wherever a property is
 checkable by running code, the cell is computed by a live probe against
 the actual implementations in this repository (composability, replay
 protection, authentication, revocability, privacy, NAT independence,
-transport diversity, delivery guarantees).  Structural properties that
-are claims about workflow economics (transaction cost, delegation, ...) are
-declared constants with the paper's reasoning in the docstring — they are
+transport diversity, delivery guarantees, delegation).  Structural
+properties that are claims about workflow economics (transaction cost,
+...) are declared constants with the paper's reasoning in the docstring — they are
 still cross-checked against :data:`PAPER_TABLE1` by the benchmark.
 """
 
@@ -20,14 +20,17 @@ from ..core import (
     CookieServer,
     CookieDescriptor,
     CookieAttributes,
+    DelegatedParty,
+    DelegationError,
     DescriptorStore,
     ServiceOffering,
+    UserAgent,
     default_registry,
 )
 from ..netsim.appmsg import TLSClientHello
-from ..netsim.packet import make_tcp_packet
+from ..netsim.packet import Packet, make_tcp_packet
 from .diffserv import BoundaryRemarker, DscpClassTable, DscpEnforcer, OpportunisticMarker
-from .oob import FlowDescription, OobSwitch
+from .oob import FlowDescription, OobController, OobSwitch
 
 __all__ = ["MECHANISMS", "PAPER_TABLE1", "evaluate_table1", "format_table1"]
 
@@ -81,6 +84,18 @@ def _probe_oob_spoofing() -> bool:
     switch.install_rule(FlowDescription(dst_ip="10.9.9.9", dst_port=443), "fast")
     spoofed = make_tcp_packet("172.16.0.66", 4242, "10.9.9.9", 443)
     return switch.service_of(spoofed) is None
+
+
+def _probe_oob_revocation() -> bool:
+    """A withdrawn OOB rule stops serving the flow it described."""
+    switch = OobSwitch()
+    controller = OobController(switch)
+    description = FlowDescription(dst_ip="10.9.9.9", dst_port=443)
+    packet = make_tcp_packet("192.168.1.2", 5000, "10.9.9.9", 443)
+    controller.request_service("alice", description, "fast")
+    served = switch.service_of(packet) == "fast"
+    controller.withdraw_service(description)
+    return served and switch.service_of(packet) is None
 
 
 def _probe_cookie_authentication() -> bool:
@@ -233,35 +248,69 @@ def _probe_cookie_transports() -> bool:
 
 def _probe_cookie_delivery_guarantee() -> bool:
     """A switch with a delivery-guarantee descriptor attaches an
-    acknowledgment cookie to reverse traffic."""
+    acknowledgment cookie to reverse traffic, and the user agent that
+    holds the descriptor recognises it; a reverse packet that did not
+    cross the switch carries no acknowledgment."""
     from ..core.switch import CookieSwitch
     from ..netsim.middlebox import Sink
 
     store = DescriptorStore()
-    descriptor = store.add(
-        CookieDescriptor.create(
-            service_data="Boost",
-            attributes=CookieAttributes(delivery_guarantee=True),
-        )
-    )
-    matcher = CookieMatcher(store)
-    switch = CookieSwitch(matcher, clock=lambda: 0.0)
-    sink = Sink()
-    switch >> sink
-    registry = default_registry()
+    server = CookieServer(clock=lambda: 0.0)
+    server.offer(ServiceOffering(
+        name="Boost",
+        attribute_factory=lambda _now: CookieAttributes(delivery_guarantee=True),
+    ))
+    server.attach_enforcement_store(store)
+    agent = UserAgent("alice", clock=lambda: 0.0, channel=server.handle_request)
+    agent.acquire("Boost")
+    switch = CookieSwitch(CookieMatcher(store), clock=lambda: 0.0)
+    switch >> Sink()
     forward = make_tcp_packet(
         "192.168.1.2", 5000, "203.0.113.5", 443,
         content=TLSClientHello(sni="x.com"),
     )
-    cookie = CookieGenerator(descriptor, clock=lambda: 0.0).generate()
-    registry.attach(forward, cookie)
+    agent.insert_cookie(forward, "Boost")
     switch.push(forward)
-    reverse = make_tcp_packet(
+
+    def reverse() -> Packet:
+        return make_tcp_packet(
+            "203.0.113.5", 443, "192.168.1.2", 5000,
+            content=TLSClientHello(sni=""),
+        )
+
+    acknowledged = reverse()
+    switch.push(acknowledged)
+    return agent.check_delivery_ack(acknowledged, "Boost") and not (
+        agent.check_delivery_ack(reverse(), "Boost")
+    )
+
+
+def _probe_cookie_delegation() -> bool:
+    """A content provider handed a shared descriptor stamps cookies that
+    the network's matcher accepts; a descriptor not marked shared is
+    refused."""
+    store = DescriptorStore()
+    shared = store.add(CookieDescriptor.create(
+        service_data="video", attributes=CookieAttributes(shared=True),
+    ))
+    private = store.add(CookieDescriptor.create(service_data="video"))
+    provider = DelegatedParty("cdn.example", clock=lambda: 0.0)
+    try:
+        provider.accept_delegation(private)
+        return False
+    except DelegationError:
+        pass
+    provider.accept_delegation(shared)
+    downlink = make_tcp_packet(
         "203.0.113.5", 443, "192.168.1.2", 5000,
         content=TLSClientHello(sni=""),
     )
-    switch.push(reverse)
-    return bool(registry.extract(reverse))
+    provider.stamp(downlink, shared.cookie_id)
+    matcher = CookieMatcher(store)
+    return any(
+        matcher.match(cookie, now=0.0) is not None
+        for cookie in default_registry().extract(downlink)
+    )
 
 
 def _probe_cookie_composition() -> bool:
@@ -327,7 +376,8 @@ def evaluate_table1() -> dict[str, dict[str, bool]]:
         cookies=_probe_cookie_composition(), dpi=False, oob=True, diffserv=False)
     # A descriptor (or a controller token) can be handed to a content
     # provider; a DPI signature or DSCP value cannot carry a grant.
-    row("delegatable", cookies=True, dpi=False, oob=True, diffserv=False)
+    row("delegatable",
+        cookies=_probe_cookie_delegation(), dpi=False, oob=True, diffserv=False)
 
     # --- Tussle aware -------------------------------------------------
     row("protection from replay, spoofing",
@@ -347,7 +397,7 @@ def evaluate_table1() -> dict[str, dict[str, bool]]:
     row("revocable",
         cookies=_probe_cookie_revocation(),
         dpi=False,  # a user cannot make an ISP un-recognize her traffic
-        oob=True,  # rules can be withdrawn
+        oob=_probe_oob_revocation(),
         diffserv=False)  # the opportunistic console cannot be revoked
     # --- Deployable ----------------------------------------------------
     row("independent from headerspace, payload, path",

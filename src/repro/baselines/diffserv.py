@@ -54,10 +54,6 @@ class DscpClassTable:
     def service_of(self, dscp: int) -> str | None:
         return self.classes.get(dscp)
 
-    @property
-    def available_codepoints(self) -> int:
-        return DSCP_MAX + 1 - len(self.reserved) - len(self.classes)
-
 
 class EndpointMarker(Element):
     """An application or OS marking its own traffic with a DSCP value.

@@ -100,16 +100,6 @@ class DpiEngine(Element):
             packet.meta["dpi_app"] = label
         self.emit(packet)
 
-    # ------------------------------------------------------------------
-    # Introspection used by coverage studies
-    # ------------------------------------------------------------------
-    @property
-    def known_apps(self) -> set[str]:
-        return {rule.app for rule in self.rules}
-
-    def recognizes(self, app: str) -> bool:
-        return app in self.known_apps
-
 
 class DpiBooster(Element):
     """A DPI-driven fast lane: boost packets the engine attributes to the

@@ -37,27 +37,6 @@ class FlowDescription:
     dst_port: int | None = None
     proto: int | None = None
 
-    def matches(self, packet: Packet) -> bool:
-        """Match a packet in either direction (services cover replies)."""
-        return self._matches_oriented(
-            packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port, packet.proto
-        ) or self._matches_oriented(
-            packet.dst_ip, packet.dst_port, packet.src_ip, packet.src_port, packet.proto
-        )
-
-    def _matches_oriented(self, src_ip, src_port, dst_ip, dst_port, proto) -> bool:
-        if self.src_ip is not None and self.src_ip != src_ip:
-            return False
-        if self.src_port is not None and self.src_port != src_port:
-            return False
-        if self.dst_ip is not None and self.dst_ip != dst_ip:
-            return False
-        if self.dst_port is not None and self.dst_port != dst_port:
-            return False
-        if self.proto is not None and self.proto != proto:
-            return False
-        return True
-
     @classmethod
     def of_packet(cls, packet: Packet, mode: str = "dst_only") -> "FlowDescription":
         """Describe a flow as seen at the endpoint.

@@ -31,14 +31,6 @@ from .distributed import (
     ShardedVerifierPool,
     rendezvous_shard,
 )
-from .discovery import (
-    DHCP_COOKIE_SERVER_OPTION,
-    DhcpDiscovery,
-    Directory,
-    HardcodedDiscovery,
-    MdnsDiscovery,
-    ServerRecord,
-)
 from .errors import (
     AcquisitionDenied,
     ChannelUnavailable,
@@ -133,12 +125,6 @@ __all__ = [
     "PoolStats",
     "ShardedVerifierPool",
     "rendezvous_shard",
-    "DHCP_COOKIE_SERVER_OPTION",
-    "DhcpDiscovery",
-    "Directory",
-    "HardcodedDiscovery",
-    "MdnsDiscovery",
-    "ServerRecord",
     "AcquisitionDenied",
     "ChannelUnavailable",
     "CookieError",

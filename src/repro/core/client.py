@@ -1,8 +1,8 @@
 """The user agent (§4.2, component 1).
 
-The agent is the user's representative: it discovers the cookie server,
-acquires and caches descriptors, renews them as they expire, and inserts
-cookies into outgoing packets using whatever transport fits.  GUIs (the
+The agent is the user's representative: it acquires and caches
+descriptors, renews them as they expire, and inserts cookies into
+outgoing packets using whatever transport fits.  GUIs (the
 Boost browser extension) sit on top of this class; it holds no policy about
 *which* traffic deserves a cookie — that is the preference layer's job.
 """
@@ -104,12 +104,6 @@ class UserAgent:
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
-    def discover_services(self) -> list[dict[str, Any]]:
-        """Ask the server what it offers."""
-        response = self.channel({"op": "list_services"})
-        if not response.get("ok"):
-            raise AcquisitionDenied(response.get("error", "discovery failed"))
-        return list(response.get("services", []))
 
     def acquire(self, service: str, preferences: dict[str, Any] | None = None) -> CookieDescriptor:
         """Acquire (or re-acquire) a descriptor for ``service``."""
@@ -128,16 +122,6 @@ class UserAgent:
         self._generators[service] = CookieGenerator(descriptor, self.clock)
         self.stats.descriptors_acquired += 1
         return descriptor
-
-    def descriptor_for(self, service: str) -> CookieDescriptor | None:
-        generator = self._generators.get(service)
-        return generator.descriptor if generator is not None else None
-
-    def drop_service(self, service: str) -> None:
-        """Forget a service locally — the user-side revocation: "when users
-        want to stop using a service, they just have to stop adding a
-        cookie to their traffic"."""
-        self._generators.pop(service, None)
 
     def request_revocation(self, service: str) -> bool:
         """Ask the network to invalidate the descriptor (for traffic the

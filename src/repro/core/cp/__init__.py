@@ -12,7 +12,7 @@ store.  This package is the control-plane counterpart:
 * :mod:`.shard` — one :class:`ControlPlaneShard` owns the descriptors
   whose ids rendezvous-hash to it.  It *is* a
   :class:`~repro.core.server.CookieServer` — the one acquire / renew /
-  revoke / remove / purge path and its op counters — with its delta log
+  revoke / remove path and its op counters — with its delta log
   attached as one more enforcement store.  Shards are plain objects in
   the dispatcher's process — a partitioning and replication unit, not a
   speedup (§14.4).

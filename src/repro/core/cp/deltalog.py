@@ -269,15 +269,6 @@ class StoreSnapshot:
         """Fresh shells for one store (see :meth:`DeltaRecord.materialize`)."""
         return [_materialize(d) for d in self.descriptors]
 
-    def install(self, store: Any) -> int:
-        """Replace ``store``'s contents with the snapshot; returns the
-        descriptor count."""
-        for cookie_id in [d.cookie_id for d in store]:
-            store.remove(cookie_id)
-        for descriptor in self.materialize():
-            store.add(descriptor)
-        return len(self.descriptors)
-
     def to_json(self) -> dict[str, Any]:
         return {
             "offset": self.offset,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Any, Callable, Sequence
 
@@ -55,15 +55,24 @@ BROADCAST_LAG_BUCKETS = (
 )
 
 
+#: The op counters each shard (a ``CookieServer``) keeps; the plane's
+#: are their sums, read off the shards.
+SHARD_COUNTERS = ("acquired", "denied", "revoked", "removed")
+
+
+def _summed(name: str) -> property:
+    return property(lambda stats: sum(getattr(s, name) for s in stats.shards))
+
+
 @dataclass
 class ControlPlaneStats:
-    """Dispatcher-level accounting (each shard, a ``CookieServer``, keeps
-    its own four op counters)."""
+    """Dispatcher-level accounting, plus the shards' op counters summed."""
 
-    acquired: int = 0
-    denied: int = 0
-    revoked: int = 0
-    removed: int = 0
+    shards: Sequence[Any] = field(default=(), repr=False, compare=False)
+    acquired = _summed("acquired")
+    denied = _summed("denied")
+    revoked = _summed("revoked")
+    removed = _summed("removed")
     renewed: int = 0
     shed_pending: int = 0
     shed_breaker: int = 0
@@ -72,7 +81,10 @@ class ControlPlaneStats:
     snapshot_catchups: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self.__dict__)
+        flat = {name: getattr(self, name) for name in SHARD_COUNTERS}
+        flat.update(self.__dict__)
+        del flat["shards"]
+        return flat
 
 
 class ShardedControlPlane:
@@ -110,7 +122,6 @@ class ShardedControlPlane:
             else CircuitBreaker(failure_threshold=5, reset_timeout=5.0, clock=clock)
         )
         self.offerings: dict[str, ServiceOffering] = {}
-        self.stats = ControlPlaneStats()
         self.inflight = 0
         self._lag_histogram = Histogram(
             "cp.broadcast_lag_s", buckets=BROADCAST_LAG_BUCKETS
@@ -121,6 +132,7 @@ class ShardedControlPlane:
         self._shards = [
             ControlPlaneShard(i, clock, policy=self.policy) for i in range(shards)
         ]
+        self.stats = ControlPlaneStats(self._shards)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -131,11 +143,6 @@ class ShardedControlPlane:
         for shard in self._shards:
             shard.offer(offering)
         return offering
-
-    def withdraw_offering(self, name: str) -> None:
-        self.offerings.pop(name, None)
-        for shard in self._shards:
-            shard.withdraw_offering(name)
 
     def list_services(self) -> list[dict[str, Any]]:
         return [o.advertisement() for o in self.offerings.values()]
@@ -186,7 +193,7 @@ class ShardedControlPlane:
         now = self.clock()
         draw = os.urandom(GRANT_DRAW_BYTES * len(requests))
         if self.shard_count == 1:
-            return self._run_on(0, requests, now, draw, {})
+            return self._shards[0].grant_batch(requests, now, draw, {})
         results, blocks, start = [], {}, 0
         for owner, run in groupby(
             self.shard_of(int.from_bytes(draw[at : at + 8], "big"))
@@ -194,19 +201,11 @@ class ShardedControlPlane:
         ):
             stop = start + len(list(run))
             span = draw[start * GRANT_DRAW_BYTES : stop * GRANT_DRAW_BYTES]
-            results += self._run_on(owner, requests[start:stop], now, span, blocks)
+            results += self._shards[owner].grant_batch(
+                requests[start:stop], now, span, blocks
+            )
             start = stop
         return results
-
-    def _run_on(self, owner, requests, now, draw, blocks):
-        """Shard ``owner``'s grant loop (:meth:`CookieServer.grant_batch`), counted."""
-        shard = self._shards[owner]
-        acquired, denied = shard.acquired, shard.denied
-        try:
-            return shard.grant_batch(requests, now, draw, blocks)
-        finally:  # a store that raises mid-run: count what the shard did
-            self.stats.acquired += shard.acquired - acquired
-            self.stats.denied += shard.denied - denied
 
     def acquire_batch(
         self, requests: Sequence[Sequence[Any]]
@@ -261,9 +260,8 @@ class ShardedControlPlane:
             already = shard.revoked
             revoked.append(shard.revoke(cookie_id))
             # Repeat revokes answer True but log nothing: only a shard
-            # that appended has anything to count or broadcast.
+            # that appended has anything to broadcast.
             if shard.revoked > already:
-                self.stats.revoked += 1
                 touched[shard_index] = shard.log.next_offset - 1
         self.breaker.record_success()
         if touched and self._replicas:
@@ -299,11 +297,6 @@ class ShardedControlPlane:
 
     def lookup(self, cookie_id: int) -> CookieDescriptor | None:
         return self._shards[self.shard_of(cookie_id)].lookup(cookie_id)
-
-    def purge_expired(self, now: float | None = None) -> int:
-        purged = sum(len(shard.purge_expired(now)) for shard in self._shards)
-        self.stats.removed += purged
-        return purged
 
     # ------------------------------------------------------------------
     # Replication

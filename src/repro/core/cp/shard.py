@@ -5,8 +5,8 @@ A shard owns every descriptor whose cookie id rendezvous-hashes to it
 the data-plane pools use, so a control-plane shard and its data-plane
 counterpart agree on ownership for free).  The dispatcher mints cookie
 ids and routes; the shard is the acquisition core of
-:mod:`repro.core.server` — it authorizes, stores, revokes, removes and
-purges there, not here — and what this module adds is the replication
+:mod:`repro.core.server` — it authorizes, stores, revokes and removes
+there, not here — and what this module adds is the replication
 feed: the shard's :class:`~.deltalog.DeltaLog` is attached as one more
 enforcement store, so every successful mutation appends a
 :class:`~.deltalog.DeltaRecord` stamped from the shard's clock, and

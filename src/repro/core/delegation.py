@@ -93,9 +93,6 @@ class DelegatedParty:
             descriptor, self.clock
         )
 
-    def holds(self, cookie_id: int) -> bool:
-        return cookie_id in self._generators
-
     def stamp(self, packet: Packet, cookie_id: int) -> str:
         """Generate a cookie from the delegated descriptor and attach it."""
         generator = self._generators.get(cookie_id)

@@ -211,13 +211,6 @@ class ShardedVerifierPool(_VerifierPoolBase):
         self.stats.rejected += len(cookies) - accepted
         return results
 
-    def shard_for_descriptor(self, descriptor: CookieDescriptor) -> int:
-        """Where this descriptor's cookies will always land (for
-        provisioning, e.g. steering its flows to that box).  Computed
-        straight from the descriptor id — dispatch never hashes anything
-        but the id, so no probe cookie is needed."""
-        return self._shard_index(descriptor.cookie_id)
-
     def register_telemetry(self, registry, prefix: str = "pool") -> None:
         """Export the pool into a :class:`~repro.telemetry.MetricsRegistry`.
 

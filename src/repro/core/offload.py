@@ -40,10 +40,6 @@ class PrefilterStats:
     dropped_early_unknown_id: int = 0
     dropped_early_stale: int = 0
 
-    @property
-    def software_fraction(self) -> float:
-        return self.to_software / self.packets if self.packets else 0.0
-
 
 class HardwarePrefilter(Element):
     """Steers only cookie-relevant packets to the software slow path.
@@ -110,10 +106,6 @@ class HardwarePrefilter(Element):
         middlebox's ``on_flow_resolved`` hands it over.
         """
         self._offloaded[key] = action or (lambda _p: None)
-
-    def evict_flow(self, key: tuple) -> bool:
-        """Remove a hardware entry (flow ended or table pressure)."""
-        return self._offloaded.pop(key, None) is not None
 
     @property
     def offloaded_flows(self) -> int:

@@ -764,9 +764,6 @@ class ProcessShardExecutor:
         """Same memoized rendezvous assignment as the in-process pool."""
         return self._shard_index(cookie.cookie_id)
 
-    def shard_for_descriptor(self, descriptor: CookieDescriptor) -> int:
-        return self._shard_index(descriptor.cookie_id)
-
     def _roundtrip(self, index: int, frame: bytes) -> bytes:
         """One control op (delta, stats, probe): send the frame over the
         pipe and wait for the reply, bounded by the timeout; raises on a

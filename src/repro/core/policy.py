@@ -151,9 +151,6 @@ class QuotaPolicy(AccessPolicy):
             t for t in history if request.time - t < self.period
         ]
 
-    def grants_in_window(self, user: str, now: float) -> int:
-        return len([t for t in self._grants.get(user, []) if now - t < self.period])
-
 
 class PrepaidPolicy(AccessPolicy):
     """Each grant debits a per-user balance ("pay per burst").
@@ -187,11 +184,6 @@ class PrepaidPolicy(AccessPolicy):
         self.balances[request.user] = self.balances.get(
             request.user, 0.0
         ) - self.price_of(request.service)
-
-    def top_up(self, user: str, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("top-up must be non-negative")
-        self.balances[user] = self.balances.get(user, 0.0) + amount
 
 
 class AllOfPolicy(AccessPolicy):

@@ -105,11 +105,6 @@ class CookieServer:
         self.offerings[offering.name] = offering
         return offering
 
-    def withdraw_offering(self, name: str) -> None:
-        """Stop advertising a service (already-issued descriptors remain
-        valid until expiry or revocation)."""
-        self.offerings.pop(name, None)
-
     def attach_enforcement_store(self, store: Any) -> None:
         """Register anything that speaks ``add`` / ``revoke`` / ``remove``:
         every grant, revocation and removal is mirrored into it.  A
@@ -248,15 +243,6 @@ class CookieServer:
             store.remove(cookie_id)
         self.removed += 1
         return True
-
-    def purge_expired(self, now: float | None = None) -> list[int]:
-        """:meth:`remove` every descriptor past expiry; returns their ids."""
-        if now is None:
-            now = self.clock()
-        stale = [d.cookie_id for d in self.issued if d.attributes.is_expired(now)]
-        for cookie_id in stale:
-            self.remove(cookie_id)
-        return stale
 
     def renew(
         self,

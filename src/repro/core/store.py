@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .attributes import CookieAttributes
 from .descriptor import CookieDescriptor
@@ -41,14 +41,6 @@ class DescriptorStore:
         self._descriptors[descriptor.cookie_id] = descriptor
         return descriptor
 
-    def add_many(self, descriptors: Iterable[CookieDescriptor]) -> int:
-        """Bulk insert; returns how many were added."""
-        count = 0
-        for descriptor in descriptors:
-            self._descriptors[descriptor.cookie_id] = descriptor
-            count += 1
-        return count
-
     def get(self, cookie_id: int) -> CookieDescriptor | None:
         return self._descriptors.get(cookie_id)
 
@@ -64,17 +56,6 @@ class DescriptorStore:
         descriptor.revoke()
         return True
 
-    def purge_expired(self, now: float) -> int:
-        """Drop descriptors past expiry; returns how many were dropped."""
-        stale = [
-            cookie_id
-            for cookie_id, descriptor in self._descriptors.items()
-            if descriptor.attributes.is_expired(now)
-        ]
-        for cookie_id in stale:
-            del self._descriptors[cookie_id]
-        return len(stale)
-
 
 class SQLiteDescriptorStore:
     """Persistent descriptor store over sqlite3.
@@ -89,12 +70,9 @@ class SQLiteDescriptorStore:
 
     * **WAL journal** + ``synchronous=NORMAL`` — writers append to the
       log instead of rewriting pages, and readers never block on them.
-    * **Expiry column + partial index** — :meth:`purge_expired` is one
-      indexed ``DELETE``, not a scan that JSON-decodes every row's
-      attributes.  A database file without the column is refused, not
-      migrated.
-    * **Single-transaction bulk ops** — :meth:`add_many` does one
-      ``executemany`` commit instead of a commit per descriptor.
+    * **Expiry column + partial index** — ``expires_at`` is a column of
+      its own, indexed where set.  A database file without the column is
+      refused, not migrated.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
@@ -168,19 +146,6 @@ class SQLiteDescriptorStore:
             self._conn.commit()
         return descriptor
 
-    def add_many(self, descriptors: Iterable[CookieDescriptor]) -> int:
-        """Bulk insert in ONE transaction; returns how many were added.
-
-        A per-descriptor :meth:`add` pays a commit (an fsync under
-        rollback journaling) per row; seeding a million-subscriber
-        catalog that way is pathological.
-        """
-        rows = [self._row_from_descriptor(d) for d in descriptors]
-        with self._lock:
-            self._conn.executemany(self._INSERT_SQL, rows)
-            self._conn.commit()
-        return len(rows)
-
     def get(self, cookie_id: int) -> CookieDescriptor | None:
         with self._lock:
             row = self._conn.execute(
@@ -211,21 +176,6 @@ class SQLiteDescriptorStore:
             )
             self._conn.commit()
         return cursor.rowcount > 0
-
-    def purge_expired(self, now: float) -> int:
-        """One indexed DELETE in one transaction.
-
-        ``is_expired`` is ``now > expires_at``, so the predicate is a
-        strict ``expires_at < now`` over the partial index.
-        """
-        with self._lock:
-            cursor = self._conn.execute(
-                "DELETE FROM descriptors"
-                " WHERE expires_at IS NOT NULL AND expires_at < ?",
-                (now,),
-            )
-            self._conn.commit()
-        return cursor.rowcount
 
     @staticmethod
     def _row_to_descriptor(row: tuple) -> CookieDescriptor:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["HTTPRequest", "HTTPResponse", "TLSClientHello", "TLSRecord"]
+__all__ = ["HTTPRequest", "TLSClientHello", "TLSRecord"]
 
 
 @dataclass
@@ -51,29 +51,6 @@ class HTTPRequest:
         for key, value in self.headers.items():
             size += len(key) + 2 + len(value) + 2
         return size + 2
-
-
-@dataclass
-class HTTPResponse:
-    """A plaintext HTTP/1.1 response head."""
-
-    status: int = 200
-    headers: dict[str, str] = field(default_factory=dict)
-    body_size: int = 0
-
-    def header(self, name: str) -> str | None:
-        lowered = name.lower()
-        for key, value in self.headers.items():
-            if key.lower() == lowered:
-                return value
-        return None
-
-    def set_header(self, name: str, value: str) -> None:
-        lowered = name.lower()
-        for key in list(self.headers):
-            if key.lower() == lowered:
-                del self.headers[key]
-        self.headers[name] = value
 
 
 @dataclass

@@ -2,16 +2,12 @@
 
 A :class:`PacketCapture` element records a compact, immutable record per
 packet that passes it — timestamps, the 5-tuple, sizes, DSCP, and any
-requested ``meta`` keys — with an optional BPF-style predicate.  Captures
-support the queries experiments actually ask ("how many bytes did the
-fast lane carry between t=1 and t=2?") and export to CSV for external
-tooling.
+requested ``meta`` keys — with an optional BPF-style predicate.  Callers
+iterate the records, as the audit's tap and the billing experiment do.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -117,60 +113,5 @@ class PacketCapture(Element):
     def records(self) -> list[CaptureRecord]:
         return list(self._records)
 
-    def between(self, start: float, end: float) -> list[CaptureRecord]:
-        """Records with ``start <= time < end``."""
-        return [r for r in self._records if start <= r.time < end]
-
-    def bytes_total(self, predicate: Callable[[CaptureRecord], bool] | None = None) -> int:
-        return sum(
-            r.wire_length
-            for r in self._records
-            if predicate is None or predicate(r)
-        )
-
-    def throughput_bps(self, start: float, end: float) -> float:
-        """Average bits/second observed over [start, end)."""
-        if end <= start:
-            raise ValueError("end must be after start")
-        return sum(r.wire_length for r in self.between(start, end)) * 8 / (end - start)
-
-    def conversations(self) -> dict[tuple, int]:
-        """Packet counts per canonical (bidirectional) conversation."""
-        counts: dict[tuple, int] = {}
-        for record in self._records:
-            a = (record.src_ip, record.src_port)
-            b = (record.dst_ip, record.dst_port)
-            key = (a, b, record.proto) if a <= b else (b, a, record.proto)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def clear(self) -> None:
         self._records.clear()
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def to_csv(self) -> str:
-        """Serialize the capture as CSV (annotations as extra columns)."""
-        buffer = io.StringIO()
-        fields = [
-            "time", "src_ip", "src_port", "dst_ip", "dst_port",
-            "proto", "wire_length", "dscp", *self.keep_meta,
-        ]
-        writer = csv.DictWriter(buffer, fieldnames=fields)
-        writer.writeheader()
-        for record in self._records:
-            row = {
-                "time": record.time,
-                "src_ip": record.src_ip,
-                "src_port": record.src_port,
-                "dst_ip": record.dst_ip,
-                "dst_port": record.dst_port,
-                "proto": record.proto,
-                "wire_length": record.wire_length,
-                "dscp": record.dscp,
-            }
-            for key in self.keep_meta:
-                row[key] = record.annotation(key, "")
-            writer.writerow(row)
-        return buffer.getvalue()

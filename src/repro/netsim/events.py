@@ -98,10 +98,6 @@ class PeriodicEvent:
         self._stopped = False
         self._event = loop.schedule(interval, self._fire)
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def stop(self) -> None:
         """End the series; a pending occurrence is cancelled."""
         if self._stopped:

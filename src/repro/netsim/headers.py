@@ -284,25 +284,6 @@ class TCPHeader:
         opts = sum(o.wire_length for o in options)
         return self.BASE_WIRE_LENGTH + ((opts + 3) // 4) * 4
 
-    @property
-    def is_syn(self) -> bool:
-        return bool(self.flags & self.FLAG_SYN)
-
-    @property
-    def is_fin(self) -> bool:
-        return bool(self.flags & self.FLAG_FIN)
-
-    @property
-    def is_ack(self) -> bool:
-        return bool(self.flags & self.FLAG_ACK)
-
-    def find_option(self, kind: int) -> TCPOption | None:
-        """Return the first option of ``kind``, or None."""
-        for option in self.options:
-            if option.kind == kind:
-                return option
-        return None
-
 
 @dataclass(slots=True)
 class UDPHeader:

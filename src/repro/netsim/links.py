@@ -118,11 +118,3 @@ class Link(Element):
 
     def _deliver_propagated(self) -> None:
         self.emit(self._propagating.popleft())
-
-    @property
-    def utilization_bytes(self) -> int:
-        return self.transmitted_bytes
-
-    @property
-    def busy(self) -> bool:
-        return self._busy

@@ -128,10 +128,6 @@ class Pipeline:
     def push(self, packet: Packet) -> None:
         self.head.push(packet)
 
-    def push_many(self, packets: Iterable[Packet]) -> None:
-        for packet in packets:
-            self.head.push(packet)
-
     def push_batch(self, packets: list[Packet]) -> None:
         """Feed one batch into the head element's batched fast path."""
         self.head.push_batch(packets)
@@ -312,10 +308,6 @@ class ShaperElement(Element):
             self._backlog.pop(0)
             self.emit(head)
         self._schedule_drain()
-
-    @property
-    def backlog(self) -> int:
-        return len(self._backlog)
 
 
 class FunctionElement(Element):

@@ -102,10 +102,6 @@ class NAT44:
                 return candidate
         raise NatError("NAT port pool exhausted")
 
-    @property
-    def active_mappings(self) -> int:
-        return len(self._by_private)
-
     def clear(self) -> None:
         """Drop all bindings (router reboot)."""
         self._by_private.clear()

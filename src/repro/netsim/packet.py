@@ -101,10 +101,6 @@ class Packet:
         return isinstance(self.l4, TCPHeader)
 
     @property
-    def is_udp(self) -> bool:
-        return isinstance(self.l4, UDPHeader)
-
-    @property
     def src_ip(self) -> str | None:
         return self.ip.src if self.ip is not None else None
 

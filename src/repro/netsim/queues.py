@@ -73,10 +73,6 @@ class DropTailQueue:
         return len(self._queue)
 
     @property
-    def byte_depth(self) -> int:
-        return self._bytes
-
-    @property
     def is_empty(self) -> bool:
         return not self._queue
 

@@ -152,15 +152,3 @@ class HomeNetwork:
         work-conserving, so the paper calls this out as a limitation —
         deactivation restores the full link to everyone."""
         self.throttle_active = False
-
-    def attach_wan_sink(self, sink: Element) -> None:
-        """Observe uplink traffic after NAT (the head-end vantage point)."""
-        self.wan_egress >> sink
-
-    def send_from_wan(self, packet: Packet) -> None:
-        """Inject a downlink packet at the WAN side."""
-        self.wan_ingress.push(packet)
-
-    def send_from_lan(self, packet: Packet) -> None:
-        """Inject an uplink packet from a LAN device."""
-        self.lan_ingress.push(packet)

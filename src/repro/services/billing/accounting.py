@@ -13,9 +13,7 @@ silent revenue loss).
 
 Cap accounting (``cap_used``) tracks *free* bytes per (operator,
 subscriber) and is consulted before the pending buffer is journaled, so
-the cap bites in real time, not at flush granularity.  After a crash,
-:meth:`seed_cap_usage` re-primes the cap state from reconciled
-invoices so a recovered deployment keeps enforcing where it left off.
+the cap bites in real time, not at flush granularity.
 
 A :class:`~repro.services.billing.journal.JournalFull` during flush
 keeps the delta pending (nothing lost, counted in ``flush_failures``);
@@ -213,15 +211,6 @@ class BillingAccountant:
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
-    def seed_cap_usage(self, free_by_subscriber: dict[str, dict[str, int]]) -> None:
-        """Re-prime cap state from reconciled invoices after recovery.
-
-        ``free_by_subscriber`` is operator -> subscriber -> free bytes
-        already granted (an invoice's per-statement ``free_bytes``).
-        """
-        for operator, per_subscriber in free_by_subscriber.items():
-            for subscriber, free in per_subscriber.items():
-                self._cap_used[(operator, subscriber)] = free
 
     def cap_used(self, subscriber_ip: str) -> int:
         operator = self.catalogs.operator_of(subscriber_ip)

@@ -119,10 +119,6 @@ class OperatorInvoice:
     def amount_due(self) -> float:
         return self.charged_bytes / GB * self.charged_rate_per_gb
 
-    def subscriber_total(self, subscriber: str) -> int:
-        statement = self.statements.get(subscriber)
-        return statement.total_bytes if statement else 0
-
     def per_subscriber_totals(self) -> dict[str, int]:
         return {
             ip: self.statements[ip].total_bytes for ip in sorted(self.statements)

@@ -72,15 +72,9 @@ class BoostAgent:
             self.clock() + self.tab_boost_lifetime
         )
 
-    def unboost_tab(self, tab: Tab) -> None:
-        self.preferences.boosted_tabs.pop(tab.tab_id, None)
-
     def always_boost(self, domain: str) -> None:
         """Remember: whenever the user visits ``domain``, boost it."""
         self.preferences.always_boost.add(domain.lower())
-
-    def remove_always_boost(self, domain: str) -> None:
-        self.preferences.always_boost.discard(domain.lower())
 
     def attach(self, browser: Browser) -> None:
         """Install the request hook into a browser."""
@@ -112,11 +106,3 @@ class BoostAgent:
         transport = self.agent.insert_cookie(packet, BOOST_SERVICE)
         if transport is not None:
             self.cookies_inserted += 1
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def boosted_websites(self) -> list[str]:
-        """The preference list Fig. 1 aggregates across users."""
-        return sorted(self.preferences.always_boost)

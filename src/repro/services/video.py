@@ -37,10 +37,6 @@ class PlaybackStats:
     startup_delay: float | None = None
     finished_at: float | None = None
 
-    @property
-    def smooth(self) -> bool:
-        return self.rebuffer_events == 0
-
 
 class VideoPlayer:
     """A buffer-driven streaming client over the simulated network.
@@ -118,11 +114,6 @@ class VideoPlayer:
             self._buffer_seconds -= drained
             self._played_seconds += drained
         self._buffer_updated_at = now
-
-    @property
-    def buffer_seconds(self) -> float:
-        self._sync_buffer()
-        return self._buffer_seconds
 
     @property
     def finished(self) -> bool:

@@ -316,20 +316,13 @@ class CatalogSet:
     def update_catalog(self, catalog: OperatorCatalog) -> None:
         """Install a new version of an operator's catalog mid-flight.
 
-        The operator must already exist (an update, not an onboarding —
-        use the constructor or :meth:`add_catalog` for new operators).
+        The operator must already exist (an update, not an onboarding:
+        operators are onboarded by the constructor).
         """
         if catalog.operator not in self.catalogs:
             raise ValueError(f"unknown operator {catalog.operator!r}")
         self.catalogs[catalog.operator] = catalog
         self.catalog_updates += 1
-
-    def add_catalog(self, catalog: OperatorCatalog) -> None:
-        if catalog.operator in self.catalogs:
-            raise ValueError(
-                f"operator {catalog.operator!r} already onboarded"
-            )
-        self.catalogs[catalog.operator] = catalog
 
     # ------------------------------------------------------------------
     # Decisions

@@ -297,9 +297,6 @@ class AppCatalog:
     def names(self) -> list[str]:
         return [a.name for a in self.apps]
 
-    def music_apps(self) -> list[App]:
-        return [a for a in self.apps if a.music]
-
     def category_breakdown(self) -> dict[str, int]:
         """App counts per category (the Fig. 2 table's left column)."""
         counts: dict[str, int] = {}

@@ -117,14 +117,6 @@ class SubscriberPopulation:
         index = bisect_left(self._marks, point, 1) - 1
         return index * ZIPF_BLOCK + bisect_left(self._block(index), point, 1) - 1
 
-    def service_popularity(self) -> dict[str, int]:
-        """Subscribers per preferred service (the offered catalog skew)."""
-        counts: dict[str, int] = {}
-        for index in self._preference:
-            name = self.service_names[index]
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
     def events(
         self,
         rate: float,

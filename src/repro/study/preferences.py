@@ -50,9 +50,6 @@ class WeightedSampler:
         )
         return map(bisect_left, repeat(cumulative), points)
 
-    def draw_many(self, count: int) -> list:
-        return list(map(self.items.__getitem__, self.draw_indices(count)))
-
 
 class WebsitePreferenceSampler:
     """Samples a home user's "always boost" website.

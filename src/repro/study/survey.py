@@ -50,33 +50,12 @@ class SurveyResult:
         name, count = self.choices.most_common(1)[0]
         return name, count
 
-    def users_for(self, app_name: str) -> int:
-        return self.choices.get(app_name, 0)
-
     def preference_fraction(self, app_names: set[str]) -> float:
         """Fraction of expressed preferences landing on ``app_names`` —
         the quantity zero-rating coverage is measured in."""
         covered = sum(count for name, count in self.choices.items() if name in app_names)
         total = sum(self.choices.values())
         return covered / total if total else 0.0
-
-    def chosen_category_breakdown(self) -> dict[str, int]:
-        """Distinct chosen apps per category (Fig. 2's left table)."""
-        counts: dict[str, int] = {}
-        for name in self.choices:
-            app = self.catalog.get(name)
-            category = app.category if app is not None else "other"
-            counts[category] = counts.get(category, 0) + 1
-        return counts
-
-    def chosen_popularity_breakdown(self) -> dict[str, int]:
-        """Distinct chosen apps per install bucket (the right table)."""
-        counts: dict[str, int] = {}
-        for name in self.choices:
-            app = self.catalog.get(name)
-            bucket = app.installs_bucket if app is not None else "N/A"
-            counts[bucket] = counts.get(bucket, 0) + 1
-        return counts
 
     def figure2_bars(self, limit: int = 30) -> list[tuple[str, int]]:
         """The bar chart: apps by respondent count, descending."""

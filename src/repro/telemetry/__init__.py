@@ -18,7 +18,7 @@ Quick use::
     print(registry.snapshot().format_text())
 
 ``python -m repro stats`` prints exactly this view for a synthetic
-workload; :func:`repro.analysis.export.telemetry_to_csv` exports it.
+workload.
 """
 
 from .metrics import (

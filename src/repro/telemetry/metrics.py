@@ -17,7 +17,7 @@ histograms
 
 Snapshots — not live instruments — are the unit of exchange: a component
 is *read* into a :class:`TelemetrySnapshot`, snapshots merge into one
-view, and that view exports to JSON, CSV-friendly rows, or aligned text.
+view, and that view exports to JSON or aligned text.
 The live hot-path counters stay plain Python ints inside each component;
 telemetry never adds per-packet overhead.
 """
@@ -157,8 +157,8 @@ class TelemetrySnapshot:
     This is the exchange format of the telemetry layer: every component
     produces one, :meth:`merge` folds many into one (summing counters and
     gauges, adding histograms bucket-wise), and the result exports as
-    JSON (:meth:`to_json`), flat rows (:meth:`rows`, for CSV), or an
-    aligned human listing (:meth:`format_text`).
+    JSON (:meth:`to_json`) or an aligned human listing
+    (:meth:`format_text`).
     """
 
     counters: dict[str, float] = field(default_factory=dict)
@@ -189,10 +189,6 @@ class TelemetrySnapshot:
             result = result.merge(snapshot)
         return result
 
-    @property
-    def empty(self) -> bool:
-        return not (self.counters or self.gauges or self.histograms)
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "counters": dict(sorted(self.counters.items())),
@@ -220,25 +216,6 @@ class TelemetrySnapshot:
     @classmethod
     def from_json(cls, text: str) -> "TelemetrySnapshot":
         return cls.from_dict(json.loads(text))
-
-    def rows(self) -> list[dict[str, Any]]:
-        """Flat ``{kind, name, value}`` records (histograms flattened to
-        count / sum / mean / p50 / p99), ready for CSV export."""
-        out: list[dict[str, Any]] = []
-        for kind, section in (("counter", self.counters), ("gauge", self.gauges)):
-            for name, value in sorted(section.items()):
-                out.append({"kind": kind, "name": name, "value": value})
-        for name, data in sorted(self.histograms.items()):
-            for stat, value in (
-                ("count", data.count),
-                ("sum", data.sum),
-                ("mean", data.mean),
-                ("p50", data.quantile(0.5)),
-                ("p99", data.quantile(0.99)),
-            ):
-                out.append({"kind": "histogram", "name": f"{name}.{stat}",
-                            "value": value})
-        return out
 
     def format_text(self) -> str:
         """An aligned, sectioned listing for humans (the CLI's output)."""

@@ -9,8 +9,6 @@ and builds the :class:`TelemetrySnapshot`, reading the attributes with
 ints on their hot path and the data path pays nothing.  A distribution
 has no plain-int form, so ``registry.histogram(...)`` creates (or returns
 the existing) live :class:`Histogram` that code ``observe``s into.
-``register_collector(name, fn)`` remains for ad-hoc sources that are not
-a component (a callable returning a snapshot, replaced by name).
 
 ``snapshot()`` merges everything into one :class:`TelemetrySnapshot`.
 Registration is keyed on *(prefix, the component object)*: the same
@@ -48,11 +46,10 @@ def _read_declared(component: Any, names: Iterable[str]) -> dict[str, Any]:
 
 
 class MetricsRegistry:
-    """Owns histograms, polls collectors, produces merged snapshots."""
+    """Owns histograms, polls components, produces merged snapshots."""
 
     def __init__(self) -> None:
         self._histograms: dict[str, Histogram] = {}
-        self._collectors: dict[str, CollectorFn] = {}
         self._components: dict[tuple[str, int], CollectorFn] = {}
 
     def histogram(
@@ -120,32 +117,14 @@ class MetricsRegistry:
         self._components[prefix, id(component)] = collect
 
     # ------------------------------------------------------------------
-    # Ad-hoc collectors
-    # ------------------------------------------------------------------
-    def register_collector(self, name: str, fn: CollectorFn) -> None:
-        """Register (or replace) the named collector."""
-        if not name:
-            raise ValueError("collector name must be non-empty")
-        self._collectors[name] = fn
-
-    def unregister_collector(self, name: str) -> bool:
-        """Remove a collector; True if it existed."""
-        return self._collectors.pop(name, None) is not None
-
-    @property
-    def collector_names(self) -> list[str]:
-        return sorted(self._collectors)
-
-    # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> TelemetrySnapshot:
-        """Everything — owned histograms, named collectors, then
-        components in registration order — merged."""
+        """Everything — owned histograms, then components in
+        registration order — merged."""
         own = TelemetrySnapshot(
             histograms={n: h.snapshot() for n, h in self._histograms.items()},
         )
-        named = [fn for _name, fn in sorted(self._collectors.items())]
         return TelemetrySnapshot.merged(
-            [own] + [fn() for fn in (*named, *self._components.values())]
+            [own] + [collect() for collect in self._components.values()]
         )

@@ -101,10 +101,6 @@ class Browser:
         self.tabs[tab.tab_id] = tab
         return tab
 
-    def close_tab(self, tab: Tab) -> None:
-        tab.closed = True
-        self.tabs.pop(tab.tab_id, None)
-
     def _ephemeral_port(self) -> int:
         port = self._next_port
         self._next_port += 1

@@ -110,25 +110,6 @@ class TestTelemetryExport:
             histograms={"flow_packets": histogram.snapshot()},
         )
 
-    def test_telemetry_to_csv_rows(self):
-        from repro.analysis.export import telemetry_to_csv
-
-        csv_text = telemetry_to_csv(self._snapshot())
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "kind,name,value"
-        assert "counter,middlebox.cookie_hits,5" in lines
-        assert "gauge,middlebox.tracked_flows,2" in lines
-        assert any(line.startswith("histogram,flow_packets.p50") for line in lines)
-
-    def test_empty_snapshot_rejected(self):
-        import pytest
-
-        from repro.analysis.export import telemetry_to_csv
-        from repro.telemetry import TelemetrySnapshot
-
-        with pytest.raises(ValueError):
-            telemetry_to_csv(TelemetrySnapshot())
-
     def test_bundle_encodes_snapshot(self):
         import json
 

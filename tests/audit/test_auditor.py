@@ -39,12 +39,12 @@ def test_honest_zero_rating_advertised_dimension_is_significant():
 def test_verdict_deterministic_under_pinned_seed(element):
     first = NeutralityAuditor(FAST).audit(element)
     second = NeutralityAuditor(FAST).audit(element)
-    assert first.to_json_str() == second.to_json_str()
+    assert first.to_json() == second.to_json()
 
 
 def test_verdict_json_shape():
     verdict = NeutralityAuditor(FAST).audit("boost")
-    data = json.loads(verdict.to_json_str())
+    data = json.loads(json.dumps(verdict.to_json()))
     assert set(data) == {
         "element", "persona", "service", "seed", "trials",
         "flagged", "violations", "dimensions",

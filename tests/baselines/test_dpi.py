@@ -107,11 +107,6 @@ class TestClassification:
         late_hello = _tls("www.youtube.com", sport=6002)
         assert engine.label_of(late_hello) is None
 
-    def test_recognizes(self):
-        engine = DpiEngine()
-        assert engine.recognizes("youtube")
-        assert not engine.recognizes("skai")
-
     def test_stats(self):
         engine = DpiEngine()
         engine.label_of(_tls("www.youtube.com"))

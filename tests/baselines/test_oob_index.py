@@ -22,9 +22,23 @@ PROTOS = (IPProto.TCP, IPProto.UDP)
 SERVICES = ("boost", "throttle", "zero-rate")
 
 
+def matches(description: FlowDescription, packet: Packet) -> bool:
+    """``None`` fields are wildcards; a rule covers both directions."""
+    forward = (packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port)
+    reverse = (packet.dst_ip, packet.dst_port, packet.src_ip, packet.src_port)
+    fields = (description.src_ip, description.src_port,
+              description.dst_ip, description.dst_port)
+    if description.proto is not None and description.proto != packet.proto:
+        return False
+    return any(
+        all(want is None or want == have for want, have in zip(fields, seen))
+        for seen in (forward, reverse)
+    )
+
+
 def scan(rules: dict[FlowDescription, str], packet: Packet) -> str | None:
     for description, service in rules.items():
-        if description.matches(packet):
+        if matches(description, packet):
             return service
     return None
 

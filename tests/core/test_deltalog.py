@@ -96,7 +96,8 @@ def test_snapshot_plus_suffix_replay_equals_direct_state(ops, data):
 
     # …hands its snapshot to a cold store, which replays the suffix.
     cold = DescriptorStore()
-    snapshot.install(cold)
+    for descriptor in snapshot.materialize():
+        cold.add(descriptor)
     applied = replay(cold, log.since(cut), applied_offset=cut)
     assert applied == log.next_offset
     assert _state(cold) == _state(direct)
@@ -400,6 +401,7 @@ def test_snapshot_installs_the_same_store_from_either_form():
     _at(shard, 9.0).revoke(ids[0])
     from_objects.store.revoke(ids[3])
     cold = DescriptorStore()
-    taken.install(cold)
+    for descriptor in taken.materialize():
+        cold.add(descriptor)
     assert not cold.get(ids[0]).revoked and not cold.get(ids[3]).revoked
     assert not from_json.store.get(ids[3]).revoked

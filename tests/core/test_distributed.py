@@ -38,7 +38,7 @@ class TestShardedPool:
         generator = CookieGenerator(descs[0], clock=lambda: 0.0)
         shards = {pool.shard_for(generator.generate()) for _ in range(50)}
         assert len(shards) == 1
-        assert shards.pop() == pool.shard_for_descriptor(descs[0])
+        assert shards.pop() == rendezvous_shard(descs[0].cookie_id, len(pool.shards))
 
     def test_double_spend_impossible(self):
         """Replaying anywhere in the pool is rejected: affinity makes the
@@ -57,7 +57,7 @@ class TestShardedPool:
         """Different descriptors spread over shards (rendezvous balance)."""
         store, descs = _env(shards=4, descriptors=200)
         pool = ShardedVerifierPool(store, shards=4)
-        used = {pool.shard_for_descriptor(d) for d in descs}
+        used = {rendezvous_shard(d.cookie_id, len(pool.shards)) for d in descs}
         assert used == {0, 1, 2, 3}
 
     def test_assignment_stability_on_scale_out(self):
@@ -69,7 +69,8 @@ class TestShardedPool:
         moved = sum(
             1
             for d in descs
-            if before.shard_for_descriptor(d) != after.shard_for_descriptor(d)
+            if rendezvous_shard(d.cookie_id, len(before.shards))
+            != rendezvous_shard(d.cookie_id, len(after.shards))
         )
         assert moved / len(descs) < 0.35  # ~0.20 expected, bound loosely
 
@@ -127,7 +128,7 @@ class TestShardedReplayCache:
         descriptor = env.active[0]
         for tag, now in enumerate((NOW, NOW + 2 * NCT + 1.0)):
             assert pool.match(_signed(descriptor, _uuid(tag), now), now)
-        busy = pool.shard_for_descriptor(descriptor)
+        busy = rendezvous_shard(descriptor.cookie_id, len(pool.shards))
         assert [bool(m.replay_cache.rotations) for m in pool.shards] == [
             index == busy for index in range(4)
         ]

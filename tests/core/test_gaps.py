@@ -2,10 +2,7 @@
 
 import asyncio
 
-import pytest
-
 from repro.core import (
-    AcquisitionDenied,
     CookieServer,
     ServiceOffering,
     UserAgent,
@@ -72,17 +69,6 @@ class TestOfferingDetails:
         server = CookieServer(clock=lambda: 0.0)
         server.offer(ServiceOffering(name="Boost"))
         assert server.acquire("u", "Boost").service_data == "Boost"
-
-
-class TestAgentDiscoveryFailure:
-    def test_failed_discovery_raises(self):
-        agent = UserAgent(
-            "alice",
-            clock=lambda: 0.0,
-            channel=lambda req: {"ok": False, "error": "down for maintenance"},
-        )
-        with pytest.raises(AcquisitionDenied):
-            agent.discover_services()
 
 
 class TestFlowExpansionEdges:

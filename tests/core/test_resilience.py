@@ -300,14 +300,13 @@ class TestAgentDegradation:
     def test_revoked_descriptor_renews_when_reachable(self):
         now, upstream, agent = self._agent()
         descriptor = agent.acquire("svc")
-        agent.descriptor_for("svc").revoke()
+        descriptor.revoke()
         fresh = agent.generate_cookie("svc")
         assert fresh.cookie_id != descriptor.cookie_id
 
     def test_revoked_descriptor_never_graced_during_outage(self):
         now, upstream, agent = self._agent(grace=1000.0)
-        agent.acquire("svc")
-        agent.descriptor_for("svc").revoke()
+        agent.acquire("svc").revoke()
         upstream.down = True
         # Revocation is a policy decision, not weather: no grace signing
         # even with a huge grace window — the outage propagates instead.

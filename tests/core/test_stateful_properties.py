@@ -123,10 +123,6 @@ class StoreParityMachine(RuleBasedStateMachine):
         b = self.sqlite.remove(descriptor.cookie_id)
         assert (a is None) == (b is None)
 
-    @rule(now=st.floats(0, 200))
-    def purge(self, now):
-        assert self.memory.purge_expired(now) == self.sqlite.purge_expired(now)
-
     @invariant()
     def same_size(self):
         assert len(self.memory) == len(self.sqlite)

@@ -52,17 +52,6 @@ class TestCommonInterface:
         assert store.get(descriptor.cookie_id).revoked
         assert not store.revoke(999_999)
 
-    def test_purge_expired(self, store):
-        keeper = CookieDescriptor.create()
-        expiring = CookieDescriptor.create(
-            attributes=CookieAttributes(expires_at=10.0)
-        )
-        store.add(keeper)
-        store.add(expiring)
-        assert store.purge_expired(now=20.0) == 1
-        assert len(store) == 1
-        assert store.get(keeper.cookie_id) is not None
-
     def test_iteration(self, store):
         ids = {store.add(CookieDescriptor.create()).cookie_id for _ in range(3)}
         assert {d.cookie_id for d in store} == ids
@@ -129,18 +118,7 @@ class TestSQLitePersistence:
 
 
 class TestControlPlaneTuning:
-    """SQLite tuning: WAL, bulk inserts, indexed expiry purge."""
-
-    def _expiring(self, count, expired=0):
-        return [
-            CookieDescriptor.create(
-                service_data="Boost",
-                attributes=CookieAttributes(
-                    expires_at=50.0 if i < expired else 1e9
-                ),
-            )
-            for i in range(count)
-        ]
+    """SQLite tuning: WAL, and the expiry column every database has."""
 
     def test_wal_mode_on_file_database(self, tmp_path):
         store = SQLiteDescriptorStore(str(tmp_path / "wal.db"))
@@ -148,44 +126,6 @@ class TestControlPlaneTuning:
             store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
         )
         store.close()
-
-    def test_add_many_bulk_insert(self, tmp_path):
-        store = SQLiteDescriptorStore(str(tmp_path / "bulk.db"))
-        descriptors = self._expiring(50)
-        assert store.add_many(descriptors) == 50
-        assert len(store) == 50
-        for descriptor in descriptors:
-            assert store.get(descriptor.cookie_id) is not None
-        store.close()
-
-    def test_in_memory_add_many(self):
-        store = DescriptorStore()
-        assert store.add_many(self._expiring(10)) == 10
-        assert len(store) == 10
-
-    def test_indexed_purge_matches_scan_semantics(self, tmp_path):
-        """The indexed DELETE agrees exactly with the in-memory store's
-        scan over ``is_expired`` on the same descriptors — including the
-        strict ``now > expires_at`` boundary."""
-        boundary = CookieDescriptor.create(
-            service_data="Boost",
-            attributes=CookieAttributes(expires_at=100.0),
-        )
-        immortal = CookieDescriptor.create(service_data="Boost")
-        descriptors = self._expiring(20, expired=8) + [boundary, immortal]
-        indexed = SQLiteDescriptorStore(str(tmp_path / "purge.db"))
-        scanned = DescriptorStore()
-        for store in (indexed, scanned):
-            store.add_many(descriptors)
-        for now, purged in ((100.0, 8), (100.5, 1)):  # strict: not yet
-            assert indexed.purge_expired(now) == purged
-            assert scanned.purge_expired(now) == purged
-            assert {d.cookie_id for d in indexed} == {
-                d.cookie_id for d in scanned
-            }
-        assert indexed.get(immortal.cookie_id) is not None
-        assert len(indexed) == 13
-        indexed.close()
 
     def test_database_without_the_expiry_column_is_refused(self, tmp_path):
         """No deployment has a database from before the expiry column,

@@ -54,7 +54,7 @@ class TestBoostEndToEnd:
         ))
         packets = browser.load_page(browser.open_tab("example.com"), page)
         for packet in packets:
-            home.send_from_wan(packet)
+            home.wan_ingress.push(packet)
         # Bounded horizon: running to idle would also fire the one-hour
         # boost-expiry timer and deactivate the throttle again.
         loop.run(until=5.0)
@@ -171,4 +171,4 @@ class TestAccuracyIntegration:
         assert result.matched_fraction > 0.9
         assert result.false_packets == 0
         page = build_cnn()
-        assert result.target_packets == page.total_packet_count
+        assert result.target_packets == sum(f.total_packets for f in page.flows)

@@ -100,7 +100,7 @@ class TestPayPerBurstStory:
 
         with pytest.raises(AcquisitionDenied):
             agent.acquire("burst")
-        policy.top_up("researcher", 5.0)
+        policy.balances["researcher"] += 5.0
         agent.acquire("burst")  # solvent again
         # Denial is visible to the auditor alongside the grants.
         report = server.audit_log.regulator_report()["services"]["burst"]

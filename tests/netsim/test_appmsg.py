@@ -1,6 +1,6 @@
 """Application message model tests: HTTP, TLS ClientHello visibility."""
 
-from repro.netsim.appmsg import HTTPRequest, HTTPResponse, TLSClientHello, TLSRecord
+from repro.netsim.appmsg import HTTPRequest, TLSClientHello, TLSRecord
 
 
 class TestHTTPRequest:
@@ -24,18 +24,6 @@ class TestHTTPRequest:
             host="example.com", headers={"X-Network-Cookie": "A" * 64}
         )
         assert loaded.wire_size() > bare.wire_size()
-
-
-class TestHTTPResponse:
-    def test_header_roundtrip(self):
-        response = HTTPResponse(status=200)
-        response.set_header("Content-Type", "video/mp4")
-        assert response.header("content-type") == "video/mp4"
-
-    def test_set_replaces(self):
-        response = HTTPResponse(headers={"x-a": "1"})
-        response.set_header("X-A", "2")
-        assert len(response.headers) == 1
 
 
 class TestTLS:

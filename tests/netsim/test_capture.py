@@ -75,45 +75,8 @@ class TestQueries:
         loop.run_until_idle()
         return capture
 
-    def test_between(self):
-        capture = self._loaded()
-        assert len(capture.between(1.0, 3.0)) == 2
-
-    def test_bytes_total(self):
-        capture = self._loaded()
-        assert capture.bytes_total() == sum(r.wire_length for r in capture)
-        # 200 B and 300 B payloads = 240 and 340 wire bytes.
-        assert capture.bytes_total(lambda r: r.wire_length > 200) == 580
-
-    def test_throughput(self):
-        capture = self._loaded()
-        bits = (240 + 340) * 8  # packets at t=1.5 and 2.5 incl headers
-        assert capture.throughput_bps(1.0, 3.0) == pytest.approx(bits / 2.0)
-        with pytest.raises(ValueError):
-            capture.throughput_bps(3.0, 1.0)
-
-    def test_conversations_bidirectional(self):
-        capture = PacketCapture()
-        capture.push(make_tcp_packet("10.0.0.1", 1000, "2.2.2.2", 443))
-        capture.push(make_tcp_packet("2.2.2.2", 443, "10.0.0.1", 1000))
-        assert list(capture.conversations().values()) == [2]
-
     def test_clear(self):
         capture = self._loaded()
         capture.clear()
         assert len(capture) == 0
 
-
-class TestExport:
-    def test_csv_roundtrip(self):
-        import csv as csv_module
-        import io
-
-        capture = PacketCapture(keep_meta=("qos_class",))
-        capture.push(_packet(qos_class=0))
-        capture.push(_packet(sport=1001))
-        rows = list(csv_module.DictReader(io.StringIO(capture.to_csv())))
-        assert len(rows) == 2
-        assert rows[0]["src_ip"] == "10.0.0.1"
-        assert rows[0]["qos_class"] == "0"
-        assert rows[1]["qos_class"] == ""

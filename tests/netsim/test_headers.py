@@ -161,16 +161,6 @@ class TestTCP:
     def test_nop_option_is_one_byte(self):
         assert TCPOption(kind=1).wire_length == 1
 
-    def test_flags(self):
-        header = TCPHeader(flags=TCPHeader.FLAG_SYN | TCPHeader.FLAG_ACK)
-        assert header.is_syn and header.is_ack and not header.is_fin
-
-    def test_find_option(self):
-        opt = TCPOption(kind=253, data=b"z")
-        header = TCPHeader(options=[TCPOption(kind=1), opt])
-        assert header.find_option(253) is opt
-        assert header.find_option(99) is None
-
     def test_option_too_long_raises(self):
         with pytest.raises(HeaderError):
             TCPOption(kind=253, data=b"x" * 254).pack()

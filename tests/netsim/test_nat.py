@@ -33,7 +33,7 @@ class TestOutbound:
         first = _outbound(nat)
         second = _outbound(nat)
         assert first.l4.src_port == second.l4.src_port
-        assert nat.active_mappings == 1
+        assert len(nat._by_private) == 1
 
     def test_distinct_endpoints_distinct_ports(self):
         nat = NAT44(public_ip="198.51.100.7")
@@ -75,7 +75,7 @@ class TestLifecycle:
         nat = NAT44(public_ip="198.51.100.7")
         _outbound(nat)
         nat.clear()
-        assert nat.active_mappings == 0
+        assert not nat._by_private
 
     def test_port_pool_exhaustion(self):
         nat = NAT44(public_ip="198.51.100.7", port_range=(20_000, 20_003))
@@ -137,5 +137,5 @@ def test_ipv6_passes_either_face_untouched(face):
     assert (packet.ip.src, packet.l4.src_port, packet.ip.dst, packet.l4.dst_port) == before
     assert (packet.flow_key, packet.pkt_len) == stamped
     assert "nat_original_src" not in packet.meta
-    assert nat.active_mappings == 0
+    assert not nat._by_private
     assert (nat.translated_out, nat.translated_in, nat.dropped_inbound) == (0, 0, 0)

@@ -32,7 +32,7 @@ class TestPacket:
         assert packet.dst_ip == "10.0.0.2"
         assert packet.src_port == 5000
         assert packet.dst_port == 443
-        assert packet.is_tcp and not packet.is_udp
+        assert packet.is_tcp
 
     def test_packet_ids_unique(self):
         a = make_tcp_packet("1.1.1.1", 1, "2.2.2.2", 2)

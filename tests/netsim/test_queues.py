@@ -47,14 +47,6 @@ class TestDropTail:
     def test_empty_dequeue_returns_none(self):
         assert DropTailQueue().dequeue() is None
 
-    def test_byte_depth_tracks(self):
-        queue = DropTailQueue()
-        packet = _packet(size=60)
-        queue.enqueue(packet)
-        assert queue.byte_depth == packet.wire_length
-        queue.dequeue()
-        assert queue.byte_depth == 0
-
     def test_drop_rate(self):
         queue = DropTailQueue(capacity_packets=1)
         queue.enqueue(_packet())

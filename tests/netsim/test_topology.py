@@ -90,8 +90,8 @@ class TestUplink:
         loop = EventLoop()
         home = _home(loop)
         sink = Sink()
-        home.attach_wan_sink(sink)
-        home.send_from_lan(make_tcp_packet("192.168.1.2", 5000, "8.8.8.8", 443))
+        home.wan_egress >> sink
+        home.lan_ingress.push(make_tcp_packet("192.168.1.2", 5000, "8.8.8.8", 443))
         loop.run_until_idle()
         assert sink.count == 1
         assert sink.packets[0].ip.src == home.config.public_ip
@@ -99,7 +99,7 @@ class TestUplink:
     def test_wan_egress_counter(self):
         loop = EventLoop()
         home = _home(loop)
-        home.send_from_lan(make_tcp_packet("192.168.1.2", 5000, "8.8.8.8", 443))
+        home.lan_ingress.push(make_tcp_packet("192.168.1.2", 5000, "8.8.8.8", 443))
         loop.run_until_idle()
         assert home.wan_egress.count == 1
 

@@ -116,7 +116,8 @@ class TestProxy:
         proxy.push(packet)
         loop.run_until_idle()
         assert registry.snapshot().gauges["anylink.profile.2g.flows"] == 1
-        assert server.revoke(agent.descriptor_for("anylink-2g").cookie_id)
+        [cookie] = agent.registry.extract(packet)
+        assert server.revoke(cookie.cookie_id)
         shaped_until = loop.now
         after = _data_packet()
         proxy.push(after)

@@ -99,15 +99,9 @@ class TestAgentPreferences:
         agent.attach(browser)
         tab = browser.open_tab("x.com")
         agent.boost_tab(tab)
-        browser.close_tab(tab)
+        tab.closed = True
         browser.load_page(tab, _page())
         assert agent.cookies_inserted == 0
-
-    def test_remove_always_boost(self, boost_env):
-        _server, _store, agent = boost_env
-        agent.always_boost("example.com")
-        agent.remove_always_boost("example.com")
-        assert agent.boosted_websites == []
 
     def test_preference_case_insensitive(self, boost_env, clock):
         _server, _store, agent = boost_env
@@ -170,14 +164,14 @@ class TestDaemon:
     def test_boost_activates_throttle(self, clock):
         loop, server, _store, daemon, home = self._env(clock)
         packet, _descriptor = self._cookied_packet(server, loop)
-        home.send_from_wan(packet)
+        home.wan_ingress.push(packet)
         assert daemon.boost_active
         assert home.throttle_active
 
     def test_boost_expires(self, clock):
         loop, server, _store, daemon, home = self._env(clock)
         packet, _descriptor = self._cookied_packet(server, loop)
-        home.send_from_wan(packet)
+        home.wan_ingress.push(packet)
         loop.run(until=daemon.boost_lifetime + 1.0)
         assert not daemon.boost_active
         assert not home.throttle_active
@@ -186,15 +180,15 @@ class TestDaemon:
         loop, server, _store, daemon, home = self._env(clock)
         first, first_descriptor = self._cookied_packet(server, loop, sport=5000)
         second, second_descriptor = self._cookied_packet(server, loop, sport=6000)
-        home.send_from_wan(first)
-        home.send_from_wan(second)
+        home.wan_ingress.push(first)
+        home.wan_ingress.push(second)
         assert daemon.active_descriptor_id == second_descriptor.cookie_id
         assert daemon.superseded_events == 1
 
     def test_cancel_boost(self, clock):
         loop, server, _store, daemon, home = self._env(clock)
         packet, _descriptor = self._cookied_packet(server, loop)
-        home.send_from_wan(packet)
+        home.wan_ingress.push(packet)
         daemon.cancel_boost()
         assert not daemon.boost_active
         assert not home.throttle_active
@@ -203,7 +197,7 @@ class TestDaemon:
     def test_boosted_packets_stamped_fast_lane(self, clock):
         loop, server, _store, daemon, home = self._env(clock)
         packet, _descriptor = self._cookied_packet(server, loop)
-        home.send_from_wan(packet)
+        home.wan_ingress.push(packet)
         loop.run_until_idle()
         assert packet.meta.get("qos_class") == 0
         assert packet.meta.get("qos_class_name") == "video"

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,7 @@ class TestPopulation:
 
     def test_preferences_follow_catalog_heavy_tail(self):
         population = SubscriberPopulation(5_000)
-        counts = population.service_popularity()
+        counts = Counter(population.service_names[i] for i in population._preference)
         assert sum(counts.values()) == 5_000
         head = max(counts.values())
         # The Fig. 2 skew: the head app dwarfs a uniform share.

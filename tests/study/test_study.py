@@ -59,7 +59,7 @@ class TestAppCatalog:
 
     def test_music_flags(self):
         catalog = AppCatalog()
-        music = {a.name for a in catalog.music_apps()}
+        music = {a.name for a in catalog.apps if a.music}
         assert "spotify" in music and "soma.fm" in music
         assert "netflix" not in music
 
@@ -75,7 +75,7 @@ class TestWeightedSampler:
         import random
 
         sampler = WeightedSampler(["a", "b"], [9.0, 1.0], random.Random(1))
-        draws = Counter(sampler.draw_many(2000))
+        draws = Counter(sampler.items[i] for i in sampler.draw_indices(2000))
         assert draws["a"] > draws["b"] * 5
 
     def test_validation(self):
@@ -94,7 +94,9 @@ class TestWeightedSampler:
         import random
 
         sampler = WeightedSampler(["x", "y", "z"], [1.0, 2.0, 3.0], random.Random(seed))
-        assert all(item in ("x", "y", "z") for item in sampler.draw_many(50))
+        assert all(
+            sampler.items[i] in ("x", "y", "z") for i in sampler.draw_indices(50)
+        )
 
 
 class TestFig1BoostStudy:
@@ -147,7 +149,9 @@ class TestWebsiteSampler:
 class TestFig2Survey:
     def test_breakdowns_cover_all_categories(self):
         result = ZeroRatingSurvey(seed=2015).run()
-        by_category = result.chosen_category_breakdown()
+        by_category = Counter(
+            result.catalog.get(name).category for name in result.choices
+        )
         assert set(by_category) <= set(CATEGORY_COUNTS)
         assert by_category["av_streaming"] >= 20
 
@@ -155,7 +159,9 @@ class TestFig2Survey:
         """Some users choose >500M-install apps, others <1M — the paper's
         headline heavy-tail observation."""
         result = ZeroRatingSurvey(seed=2015).run()
-        by_bucket = result.chosen_popularity_breakdown()
+        by_bucket = Counter(
+            result.catalog.get(name).installs_bucket for name in result.choices
+        )
         assert by_bucket.get(">500M", 0) > 0
         assert by_bucket.get("<1M", 0) > 0
 

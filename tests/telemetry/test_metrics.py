@@ -86,13 +86,6 @@ class TestSnapshotExport:
         assert restored.histograms["h"].counts == original.histograms["h"].counts
         assert restored.histograms["h"].buckets[-1] == float("inf")
 
-    def test_rows_flatten_histograms(self):
-        histogram = Histogram("h", buckets=(1, 2))
-        histogram.observe(1)
-        rows = TelemetrySnapshot(histograms={"h": histogram.snapshot()}).rows()
-        names = {row["name"] for row in rows}
-        assert {"h.count", "h.sum", "h.mean", "h.p50", "h.p99"} <= names
-
     def test_format_text_sections(self):
         text = TelemetrySnapshot(
             counters={"a.hits": 3}, gauges={"a.level": 2}
@@ -101,11 +94,14 @@ class TestSnapshotExport:
         assert "a.hits" in text
 
     def test_empty_snapshot(self):
-        snapshot = TelemetrySnapshot()
-        assert snapshot.empty
-        assert "no telemetry" in snapshot.format_text()
+        assert "no telemetry" in TelemetrySnapshot().format_text()
 
 
+class Component:
+    """A bare component: its attributes are its metrics."""
+
+    def __init__(self, **values):
+        vars(self).update(values)
 class TestRegistry:
     def test_instruments_idempotent(self):
         registry = MetricsRegistry()
@@ -114,52 +110,34 @@ class TestRegistry:
             registry.histogram("")
 
     def test_polled_gauge_reads_at_snapshot_time(self):
-        """A collector is evaluated by ``snapshot()``, not at
-        registration: the level is always current."""
+        """A component is read by ``snapshot()``, not at registration:
+        the level is always current."""
         registry = MetricsRegistry()
         table = {}
-        registry.register_collector(
-            "table", lambda: TelemetrySnapshot(gauges={"flows": len(table)})
-        )
+        registry.register(table, "table", read=lambda: ({}, {"flows": len(table)}))
         table["a"] = 1
         table["b"] = 2
-        assert registry.snapshot().gauges["flows"] == 2
+        assert registry.snapshot().gauges["table.flows"] == 2
 
     def test_collector_merged_into_snapshot(self):
         registry = MetricsRegistry()
         registry.histogram("own", buckets=(1, 2)).observe(1)
-        registry.register_collector(
-            "component",
-            lambda: TelemetrySnapshot(counters={"component.hits": 9}),
-        )
+        registry.register(Component(hits=9), "component", counters=("hits",))
         snapshot = registry.snapshot()
         assert snapshot.counters == {"component.hits": 9}
         assert snapshot.histograms["own"].count == 1
 
     def test_collector_replacement_is_idempotent(self):
         registry = MetricsRegistry()
-        registry.register_collector(
-            "c", lambda: TelemetrySnapshot(counters={"c.n": 1})
-        )
-        registry.register_collector(
-            "c", lambda: TelemetrySnapshot(counters={"c.n": 2})
-        )
+        component = Component(n=1)
+        registry.register(component, "c", counters=("n",))
+        component.n = 2
+        registry.register(component, "c", counters=("n",))
         assert registry.snapshot().counters == {"c.n": 2}
-        assert registry.collector_names == ["c"]
-
-    def test_unregister_collector(self):
-        registry = MetricsRegistry()
-        registry.register_collector("c", TelemetrySnapshot)
-        assert registry.unregister_collector("c")
-        assert not registry.unregister_collector("c")
-        assert registry.snapshot().empty
 
     def test_duplicate_names_across_collectors_sum(self):
-        """Two shards registering the same metric names → fleet totals."""
+        """Three shards under one prefix → fleet totals."""
         registry = MetricsRegistry()
-        for shard in range(3):
-            registry.register_collector(
-                f"shard-{shard}",
-                lambda: TelemetrySnapshot(counters={"mb.packets": 10}),
-            )
+        for _shard in range(3):
+            registry.register(Component(packets=10), "mb", counters=("packets",))
         assert registry.snapshot().counters["mb.packets"] == 30
