@@ -1,7 +1,7 @@
 """Netsim kernel micros: events/s and packets/s vs the pre-PR kernel.
 
 The fast-path work (``__slots__`` events, lazy-deletion heap,
-``schedule_periodic`` re-arm, closure-free link transmission) claims a
+closure-free link transmission) claims a
 real constant-factor win on the kernel hot loop.  Rather than pinning
 absolute numbers — which would tie the suite to one machine — this
 benchmark embeds a faithful copy of the *pre-PR* kernel and link

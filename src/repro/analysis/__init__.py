@@ -1,12 +1,6 @@
 """Analysis helpers: empirical CDFs and heavy-tail metrics."""
 
 from .cdf import EmpiricalCDF
-from .export import (
-    cdf_to_csv,
-    counts_to_csv,
-    figure_bundle_to_json,
-    series_to_csv,
-)
 from .tails import (
     coverage_curve,
     head_coverage,
@@ -16,10 +10,6 @@ from .tails import (
 
 __all__ = [
     "EmpiricalCDF",
-    "cdf_to_csv",
-    "counts_to_csv",
-    "figure_bundle_to_json",
-    "series_to_csv",
     "coverage_curve",
     "head_coverage",
     "is_heavy_tailed",

@@ -274,10 +274,6 @@ class _StaleReplicaStore:
     def revoke(self, cookie_id: int) -> bool:
         return cookie_id in self._replica or self.inner.get(cookie_id) is not None
 
-    def remove(self, cookie_id: int) -> CookieDescriptor | None:
-        self._replica.pop(cookie_id, None)
-        return self.inner.get(cookie_id)
-
 
 class RevocationIgnorer(OperatorPersona):
     """Silently ignores revocation: the verifier runs against a stale

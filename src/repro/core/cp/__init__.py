@@ -5,15 +5,16 @@ over shared-memory rings) while descriptor acquisition stayed a
 single-threaded :class:`~repro.core.server.CookieServer` over a flat
 store.  This package is the control-plane counterpart:
 
-* :mod:`.deltalog` — the append-only per-shard delta log plus snapshots;
+* :mod:`.deltalog` — the append-only per-shard delta log of ``add`` and
+  ``revoke`` records, plus snapshots;
   ``snapshot + replay(log)`` reconstructs exact store state, and replay
   from a stale offset is idempotent (records below the applied offset are
   skipped), which is what makes replica catch-up after a partition safe.
 * :mod:`.shard` — one :class:`ControlPlaneShard` owns the descriptors
   whose ids rendezvous-hash to it.  It *is* a
   :class:`~repro.core.server.CookieServer` — the one acquire / renew /
-  revoke / remove path and its op counters — with its delta log
-  attached as one more enforcement store.  Shards are plain objects in
+  revoke path and its op counters — with its delta log attached as one
+  more enforcement store.  Shards are plain objects in
   the dispatcher's process — a partitioning and replication unit, not a
   speedup (§14.4).
 * :mod:`.replica` — :class:`VerifierReplica`, a data-path descriptor

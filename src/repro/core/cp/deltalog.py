@@ -1,12 +1,12 @@
 """Append-only descriptor delta log + snapshots (PROTOCOL.md §14.2).
 
-``add`` / ``revoke`` / ``remove`` is the write vocabulary of every
-descriptor store and :func:`apply_record` the one place it is
-interpreted: replicas replay a shard's log through it, the workers of a
-verifier pool the frames their dispatcher pushes.  Each shard appends
-one :class:`DeltaRecord` per successful mutation; record, snapshot and
-replaying store each hold a descriptor shell of their own around the
-issuer's attribute block.
+``add`` / ``revoke`` is the write vocabulary of every descriptor store
+(a descriptor is never deleted: it expires or is revoked) and
+:func:`apply_record` the one place it is interpreted: replicas replay a
+shard's log through it, the workers of a verifier pool the frames their
+dispatcher pushes.  Each shard appends one :class:`DeltaRecord` per
+successful mutation; record, snapshot and replaying store each hold a
+descriptor shell of their own around the issuer's attribute block.
 
 The two invariants everything else leans on, property-tested in
 ``tests/core/test_deltalog.py``:
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Ops a record may carry.
-DELTA_OPS = ("add", "revoke", "remove")
+DELTA_OPS = ("add", "revoke")
 
 
 class LogTruncated(Exception):
@@ -137,8 +137,8 @@ class DeltaLog:
     Offsets are dense and monotonic: the first record ever appended has
     offset 0, and compaction never renumbers — it only advances
     ``base_offset`` past the dropped prefix.  ``clock`` stamps the records
-    written through :meth:`add` / :meth:`revoke` / :meth:`remove`;
-    :meth:`append` takes its time from the caller.
+    written through :meth:`add` / :meth:`revoke`; :meth:`append` takes
+    its time from the caller.
     """
 
     def __init__(
@@ -203,9 +203,6 @@ class DeltaLog:
     def revoke(self, cookie_id: int) -> None:
         self.append("revoke", cookie_id, self.clock())
 
-    def remove(self, cookie_id: int) -> None:
-        self.append("remove", cookie_id, self.clock())
-
     def covers(self, offset: int) -> bool:
         """Whether ``since(offset)`` can be served without a snapshot."""
         return self.base_offset <= offset <= self.next_offset
@@ -248,8 +245,8 @@ class StoreSnapshot:
     ``offset`` is the log's ``next_offset`` at capture time: replaying
     records from ``offset`` onward lands exactly on the live state.
     ``descriptors`` holds clones when taken in-process and JSON
-    documents when parsed off the wire; :meth:`cookie_ids`,
-    :meth:`materialize` and :meth:`to_json` read either form.
+    documents when parsed off the wire; :meth:`materialize` and
+    :meth:`to_json` read either form.
     """
 
     offset: int
@@ -258,12 +255,6 @@ class StoreSnapshot:
     @classmethod
     def take(cls, store: Any, offset: int) -> "StoreSnapshot":
         return cls(offset=offset, descriptors=[d.clone() for d in store])
-
-    def cookie_ids(self) -> set[int]:
-        return {
-            d.cookie_id if isinstance(d, CookieDescriptor) else int(d["cookie_id"])
-            for d in self.descriptors
-        }
 
     def materialize(self) -> list[CookieDescriptor]:
         """Fresh shells for one store (see :meth:`DeltaRecord.materialize`)."""
@@ -287,16 +278,14 @@ def apply_record(store: Any, record: DeltaRecord) -> None:
     """Apply one record to anything written like a descriptor store;
     an ``add`` puts in ``record.materialize()``, a shell only it holds.
 
-    Tolerant of redelivery on its own (``revoke``/``remove`` of a missing
-    id are no-ops) but NOT of reordering — use :func:`replay` with an
+    Tolerant of redelivery on its own (a ``revoke`` of a missing id is a
+    no-op) but NOT of reordering — use :func:`replay` with an
     applied offset to get the full idempotence guarantee.
     """
     if record.op == "add":
         store.add(record.materialize())
     elif record.op == "revoke":
         store.revoke(record.cookie_id)
-    elif record.op == "remove":
-        store.remove(record.cookie_id)
     else:  # pragma: no cover - append() validates ops
         raise ValueError(f"unknown delta op {record.op!r}")
 

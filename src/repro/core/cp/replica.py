@@ -90,33 +90,16 @@ class VerifierReplica:
                     )
         return len(fresh)
 
-    def install_snapshot(
-        self, shard: int, snapshot: StoreSnapshot, shard_count: int | None = None
-    ) -> int:
+    def install_snapshot(self, shard: int, snapshot: StoreSnapshot) -> int:
         """Adopt a full snapshot for ``shard`` (catch-up past truncation).
 
         The replica's store holds the union of all shards, so installing
-        must not clobber other shards' descriptors: it adds/overwrites
-        everything the snapshot carries, and — when ``shard_count`` is
-        given — drops descriptors this replica still holds that hash to
-        ``shard`` but are absent from the snapshot (they were removed
-        upstream before the compaction horizon, so no delta record for
-        them survives).  Subsequent removes are covered by replaying the
-        log from ``snapshot.offset``.
+        adds/overwrites everything the snapshot carries and leaves other
+        shards' descriptors alone.  Nothing needs dropping: a shard's
+        store only grows (a descriptor is revoked, never removed), so the
+        snapshot holds every id this replica already has from ``shard``.
         """
         self._check_reachable()
-        from ..distributed import rendezvous_shard
-
-        if shard_count is not None:
-            covered = snapshot.cookie_ids()
-            stale = [
-                d.cookie_id
-                for d in self.store
-                if d.cookie_id not in covered
-                and rendezvous_shard(d.cookie_id, shard_count) == shard
-            ]
-            for cookie_id in stale:
-                self.store.remove(cookie_id)
         for descriptor in snapshot.materialize():
             self.store.add(descriptor)
         self.applied[shard] = snapshot.offset

@@ -57,7 +57,7 @@ BROADCAST_LAG_BUCKETS = (
 
 #: The op counters each shard (a ``CookieServer``) keeps; the plane's
 #: are their sums, read off the shards.
-SHARD_COUNTERS = ("acquired", "denied", "revoked", "removed")
+SHARD_COUNTERS = ("acquired", "denied", "revoked")
 
 
 def _summed(name: str) -> property:
@@ -72,7 +72,6 @@ class ControlPlaneStats:
     acquired = _summed("acquired")
     denied = _summed("denied")
     revoked = _summed("revoked")
-    removed = _summed("removed")
     renewed: int = 0
     shed_pending: int = 0
     shed_breaker: int = 0
@@ -351,9 +350,7 @@ class ShardedControlPlane:
                         records = shard.log.since(applied)
                     except LogTruncated:
                         snapshot = shard.snapshot()
-                        replica.install_snapshot(
-                            shard_index, snapshot, self.shard_count
-                        )
+                        replica.install_snapshot(shard_index, snapshot)
                         self.stats.snapshot_catchups += 1
                         records = []
                     if records:

@@ -5,12 +5,14 @@ A shard owns every descriptor whose cookie id rendezvous-hashes to it
 the data-plane pools use, so a control-plane shard and its data-plane
 counterpart agree on ownership for free).  The dispatcher mints cookie
 ids and routes; the shard is the acquisition core of
-:mod:`repro.core.server` — it authorizes, stores, revokes and removes
-there, not here — and what this module adds is the replication
-feed: the shard's :class:`~.deltalog.DeltaLog` is attached as one more
-enforcement store, so every successful mutation appends a
-:class:`~.deltalog.DeltaRecord` stamped from the shard's clock, and
-``shard.snapshot()`` + ``shard.log.since(offset)`` is always complete.
+:mod:`repro.core.server` — it authorizes, stores and revokes there, not
+here — and what this module adds is the replication feed: the shard's
+:class:`~.deltalog.DeltaLog` is attached as one more enforcement store,
+so every successful mutation appends a :class:`~.deltalog.DeltaRecord`
+stamped from the shard's clock, and ``shard.snapshot()`` +
+``shard.log.since(offset)`` is always complete.  Nothing deletes a
+descriptor, so the shard's store only grows: a snapshot holds every id
+the shard ever issued.
 
 Shards run unaudited, behind a no-op audit log (PROTOCOL.md §14.1), as
 plain objects in the dispatcher's process (§14.4 has the measurement
@@ -53,7 +55,6 @@ class ControlPlaneShard(CookieServer):
             "acquired": self.acquired,
             "denied": self.denied,
             "revoked": self.revoked,
-            "removed": self.removed,
             "descriptors": len(self.issued),
             "log_len": len(self.log),
             "log_base": self.log.base_offset,

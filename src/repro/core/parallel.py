@@ -390,10 +390,10 @@ class ProcessShardExecutor:
     :meth:`auto` to pick this automatically).
 
     Descriptors: the executor snapshots ``store`` into each worker at
-    spawn and from then on is written like it: :meth:`add` /
-    :meth:`revoke` / :meth:`remove` apply to ``store`` and push the
-    change to every worker before returning (so revocation takes effect
-    pool-wide); reads go to ``store``.  Mutating ``store`` behind the
+    spawn and from then on is written like it: :meth:`add` and
+    :meth:`revoke` apply to ``store`` and push the change to every
+    worker before returning (so revocation takes effect pool-wide);
+    reads go to ``store``.  Mutating ``store`` behind the
     executor's back leaves worker replicas stale — attach the executor
     where you would attach its store (``attach_enforcement_store(pool)``,
     ``VerifierReplica(store=pool)``, ``replay(pool, records)``).
@@ -938,8 +938,8 @@ class ProcessShardExecutor:
             if shard_verdicts is not None:
                 # Resolve descriptor ids against the dispatcher's own
                 # store — descriptor objects never cross the process
-                # boundary.  An id removed from it since dispatch
-                # resolves to None: fail closed, count as rejected.
+                # boundary.  An id it does not hold resolves to None:
+                # fail closed, count as rejected.
                 for position, (code, descriptor_id) in zip(
                     positions, shard_verdicts
                 ):
@@ -1025,13 +1025,6 @@ class ProcessShardExecutor:
         known = self.store.revoke(cookie_id)
         self._push("revoke", cookie_id)
         return known
-
-    def remove(self, cookie_id: int) -> CookieDescriptor | None:
-        """Delete pool-wide (stronger than revocation)."""
-        self._require_open()
-        removed = self.store.remove(cookie_id)
-        self._push("remove", cookie_id)
-        return removed
 
     def get(self, cookie_id: int) -> CookieDescriptor | None:
         return self.store.get(cookie_id)

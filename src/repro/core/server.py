@@ -95,7 +95,6 @@ class CookieServer:
         self.acquired = 0
         self.denied = 0
         self.revoked = 0
-        self.removed = 0
 
     # ------------------------------------------------------------------
     # Configuration
@@ -106,11 +105,12 @@ class CookieServer:
         return offering
 
     def attach_enforcement_store(self, store: Any) -> None:
-        """Register anything that speaks ``add`` / ``revoke`` / ``remove``:
-        every grant, revocation and removal is mirrored into it.  A
-        data-path descriptor store, a verifier pool (it forwards to its
-        shards) and a :class:`~repro.core.cp.deltalog.DeltaLog` are all
-        attached the same way."""
+        """Register anything that speaks ``add`` / ``revoke``: every
+        grant and revocation is mirrored into it.  A data-path descriptor
+        store, a :class:`~repro.core.parallel.ProcessShardExecutor` (it
+        pushes to its workers) and a
+        :class:`~repro.core.cp.deltalog.DeltaLog` are all attached the
+        same way."""
         self._enforcement_stores.append(store)
 
     # ------------------------------------------------------------------
@@ -232,16 +232,6 @@ class CookieServer:
                 str(descriptor.service_data),
                 cookie_id=cookie_id,
             )
-        return True
-
-    def remove(self, cookie_id: int) -> bool:
-        """Forget a descriptor here and in every enforcement store
-        (stronger than revocation); False for an unknown id."""
-        if self.issued.remove(cookie_id) is None:
-            return False
-        for store in self._enforcement_stores:
-            store.remove(cookie_id)
-        self.removed += 1
         return True
 
     def renew(

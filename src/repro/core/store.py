@@ -44,10 +44,6 @@ class DescriptorStore:
     def get(self, cookie_id: int) -> CookieDescriptor | None:
         return self._descriptors.get(cookie_id)
 
-    def remove(self, cookie_id: int) -> CookieDescriptor | None:
-        """Delete a descriptor entirely (stronger than revocation)."""
-        return self._descriptors.pop(cookie_id, None)
-
     def revoke(self, cookie_id: int) -> bool:
         """Revoke in place; returns False if the id is unknown."""
         descriptor = self._descriptors.get(cookie_id)
@@ -70,9 +66,6 @@ class SQLiteDescriptorStore:
 
     * **WAL journal** + ``synchronous=NORMAL`` — writers append to the
       log instead of rewriting pages, and readers never block on them.
-    * **Expiry column + partial index** — ``expires_at`` is a column of
-      its own, indexed where set.  A database file without the column is
-      refused, not migrated.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
@@ -89,15 +82,8 @@ class SQLiteDescriptorStore:
                 key_hex TEXT NOT NULL,
                 service_data TEXT NOT NULL,
                 attributes TEXT NOT NULL,
-                revoked INTEGER NOT NULL DEFAULT 0,
-                expires_at REAL
+                revoked INTEGER NOT NULL DEFAULT 0
             )
-            """
-        )
-        self._conn.execute(
-            """
-            CREATE INDEX IF NOT EXISTS idx_descriptors_expires_at
-            ON descriptors(expires_at) WHERE expires_at IS NOT NULL
             """
         )
         self._conn.commit()
@@ -129,13 +115,12 @@ class SQLiteDescriptorStore:
             json.dumps(descriptor.service_data),
             json.dumps(descriptor.attributes.to_json()),
             int(descriptor.revoked),
-            descriptor.attributes.expires_at,
         )
 
     _INSERT_SQL = (
         "INSERT OR REPLACE INTO descriptors"
-        " (cookie_id, key_hex, service_data, attributes, revoked, expires_at)"
-        " VALUES (?, ?, ?, ?, ?, ?)"
+        " (cookie_id, key_hex, service_data, attributes, revoked)"
+        " VALUES (?, ?, ?, ?, ?)"
     )
 
     def add(self, descriptor: CookieDescriptor) -> CookieDescriptor:
@@ -156,17 +141,6 @@ class SQLiteDescriptorStore:
         if row is None:
             return None
         return self._row_to_descriptor(row)
-
-    def remove(self, cookie_id: int) -> CookieDescriptor | None:
-        descriptor = self.get(cookie_id)
-        if descriptor is not None:
-            with self._lock:
-                self._conn.execute(
-                    "DELETE FROM descriptors WHERE cookie_id = ?",
-                    (_id_to_db(cookie_id),),
-                )
-                self._conn.commit()
-        return descriptor
 
     def revoke(self, cookie_id: int) -> bool:
         with self._lock:

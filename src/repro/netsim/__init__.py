@@ -33,13 +33,9 @@ from .headers import (
 )
 from .links import Link
 from .middlebox import (
-    BatchDriver,
-    Classifier,
     Counter,
     Element,
-    Filter,
     FunctionElement,
-    Pipeline,
     ShaperElement,
     Sink,
     Tap,
@@ -55,7 +51,7 @@ from .queues import (
     WMMScheduler,
     WMM_ACCESS_CATEGORIES,
 )
-from .tcpmodel import CbrSource, OnOffSource, TcpTransfer, TransferEndpoint
+from .tcpmodel import TcpTransfer, TransferEndpoint
 from .topology import HomeNetwork, HomeNetworkConfig
 
 __all__ = [
@@ -85,13 +81,9 @@ __all__ = [
     "TCPOption",
     "UDPHeader",
     "Link",
-    "Classifier",
     "Counter",
-    "BatchDriver",
     "Element",
-    "Filter",
     "FunctionElement",
-    "Pipeline",
     "ShaperElement",
     "Sink",
     "Tap",
@@ -109,8 +101,6 @@ __all__ = [
     "WeightedScheduler",
     "WMMScheduler",
     "WMM_ACCESS_CATEGORIES",
-    "CbrSource",
-    "OnOffSource",
     "TcpTransfer",
     "TransferEndpoint",
     "HomeNetwork",

@@ -7,7 +7,7 @@ drains, TCP timers, periodic capacity probes) is driven by one
 reproducible.
 
 The kernel is a hot path: a single link-lab sweep runs hundreds of
-simulations, each firing hundreds of thousands of events.  Three
+simulations, each firing hundreds of thousands of events.  Two
 optimisations keep it fast without changing semantics:
 
 - :class:`ScheduledEvent` is a ``__slots__`` class with a hand-written
@@ -17,9 +17,6 @@ optimisations keep it fast without changing semantics:
   tombstones dominate the heap (TCP re-arms its RTO on every ACK, cancelling
   the previous timer each time) the loop compacts the heap in one
   ``heapify`` pass so memory stays bounded by *live* timers.
-- :meth:`EventLoop.schedule_periodic` drives recurring work (link ticks,
-  CBR sources, capacity probes) by re-arming a single reusable event object
-  instead of allocating a fresh closure + event per occurrence.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
-__all__ = ["EventLoop", "ScheduledEvent", "PeriodicEvent", "SimulationError"]
+__all__ = ["EventLoop", "ScheduledEvent", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -74,47 +71,6 @@ class ScheduledEvent:
         return f"<ScheduledEvent t={self.time} seq={self.seq}{state}>"
 
 
-class PeriodicEvent:
-    """A recurring callback created by :meth:`EventLoop.schedule_periodic`.
-
-    One :class:`ScheduledEvent` object is re-armed for every occurrence, so
-    steady-state periodic work allocates nothing per tick.  ``callback`` may
-    call :meth:`stop` to end the series (the current firing completes);
-    re-arming happens *after* the callback returns, matching the
-    schedule-at-end-of-tick pattern the substrate used before this
-    primitive existed.
-    """
-
-    __slots__ = ("loop", "interval", "callback", "_event", "_stopped")
-
-    def __init__(
-        self, loop: "EventLoop", interval: float, callback: Callable[[], Any]
-    ) -> None:
-        if interval <= 0:
-            raise SimulationError("periodic interval must be positive")
-        self.loop = loop
-        self.interval = interval
-        self.callback = callback
-        self._stopped = False
-        self._event = loop.schedule(interval, self._fire)
-
-    def stop(self) -> None:
-        """End the series; a pending occurrence is cancelled."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._event.cancel()
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self.callback()
-        if not self._stopped:
-            # Reuse the just-fired event object: the loop has already
-            # popped it, so mutating time/seq and re-pushing is safe.
-            self._event = self.loop._rearm(self._event, self.interval)
-
-
 class EventLoop:
     """Deterministic discrete-event loop with virtual time in seconds."""
 
@@ -154,33 +110,6 @@ class EventLoop:
         seq = self._seq
         self._seq = seq + 1
         event = ScheduledEvent(when, seq, callback, self)
-        heappush(self._heap, event)
-        return event
-
-    def schedule_periodic(
-        self, interval: float, callback: Callable[[], Any]
-    ) -> PeriodicEvent:
-        """Run ``callback`` every ``interval`` seconds until stopped.
-
-        The first occurrence fires ``interval`` seconds from now.  Returns
-        a :class:`PeriodicEvent` handle; the underlying heap entry is
-        recycled between occurrences, so a long-lived periodic process
-        costs no per-tick allocation.
-        """
-        return PeriodicEvent(self, interval, callback)
-
-    def _rearm(self, event: ScheduledEvent, delay: float) -> ScheduledEvent:
-        """Re-push a popped event ``delay`` seconds from now (kernel use).
-
-        Only safe for events that are no longer on the heap (just fired,
-        or cancelled and already discarded); :class:`PeriodicEvent` is the
-        intended caller.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        event.time = self._now + delay
-        event.seq = seq
-        event.cancelled = False
         heappush(self._heap, event)
         return event
 

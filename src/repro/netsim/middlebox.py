@@ -5,14 +5,14 @@ this module mirrors that composition model in miniature.  An
 :class:`Element` receives packets via :meth:`Element.push` and forwards them
 to its downstream element(s).  Pipelines are wired with ``a >> b >> c``.
 
-Elements provided here are generic plumbing (counters, taps, filters,
-shapers); protocol-aware middleboxes (cookie matchers, DPI, NAT) subclass
-:class:`Element` in their own modules.
+Elements provided here are generic plumbing (sinks, counters, taps,
+shapers, function adapters); protocol-aware middleboxes (cookie
+matchers, DPI, NAT) subclass :class:`Element` in their own modules.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from .events import EventLoop
 from .packet import Packet
@@ -20,15 +20,11 @@ from .queues import TokenBucket
 
 __all__ = [
     "Element",
-    "Pipeline",
     "Sink",
     "Counter",
     "Tap",
-    "Filter",
-    "Classifier",
     "ShaperElement",
     "FunctionElement",
-    "BatchDriver",
 ]
 
 
@@ -107,32 +103,6 @@ class Element:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class Pipeline:
-    """Convenience wrapper holding the head of an element chain."""
-
-    def __init__(self, *elements: Element) -> None:
-        if not elements:
-            raise ValueError("pipeline needs at least one element")
-        self.elements = list(elements)
-        for upstream, downstream in zip(elements, elements[1:]):
-            upstream >> downstream
-
-    @property
-    def head(self) -> Element:
-        return self.elements[0]
-
-    @property
-    def tail(self) -> Element:
-        return self.elements[-1]
-
-    def push(self, packet: Packet) -> None:
-        self.head.push(packet)
-
-    def push_batch(self, packets: list[Packet]) -> None:
-        """Feed one batch into the head element's batched fast path."""
-        self.head.push_batch(packets)
-
-
 class Sink(Element):
     """Terminal element that collects every packet it receives."""
 
@@ -185,63 +155,6 @@ class Tap(Element):
     def handle(self, packet: Packet) -> None:
         self.callback(packet)
         self.emit(packet)
-
-
-class Filter(Element):
-    """Forwards only packets matching ``predicate``; counts the rest."""
-
-    def __init__(
-        self, predicate: Callable[[Packet], bool], name: str = ""
-    ) -> None:
-        super().__init__(name)
-        self.predicate = predicate
-        self.passed = 0
-        self.filtered = 0
-
-    def handle(self, packet: Packet) -> None:
-        if self.predicate(packet):
-            self.passed += 1
-            self.emit(packet)
-        else:
-            self.filtered += 1
-
-    def process_batch(self, packets: list[Packet]) -> None:
-        predicate = self.predicate
-        passed = [packet for packet in packets if predicate(packet)]
-        self.passed += len(passed)
-        self.filtered += len(packets) - len(passed)
-        self.emit_batch(passed)
-
-
-class Classifier(Element):
-    """Routes packets to one of several named outputs.
-
-    ``classify`` returns an output name; unmatched packets go to the
-    ``default`` output.  Outputs are attached with :meth:`connect`.
-    """
-
-    def __init__(
-        self,
-        classify: Callable[[Packet], str | None],
-        default: str = "default",
-        name: str = "",
-    ) -> None:
-        super().__init__(name)
-        self.classify = classify
-        self.default = default
-        self.outputs: dict[str, Element] = {}
-
-    def connect(self, output: str, element: Element) -> Element:
-        self.outputs[output] = element
-        return element
-
-    def handle(self, packet: Packet) -> None:
-        key = self.classify(packet)
-        target = self.outputs.get(key if key is not None else self.default)
-        if target is None:
-            target = self.outputs.get(self.default)
-        if target is not None:
-            target.push(packet)
 
 
 class ShaperElement(Element):
@@ -327,67 +240,3 @@ class FunctionElement(Element):
         result = self.fn(packet)
         if result is not None:
             self.emit(result)
-
-
-class BatchDriver:
-    """Feeds a packet source into an element in per-tick batches.
-
-    Real line cards hand software a *vector* of packets per poll (DPDK's
-    rx burst); this driver reproduces that arrival model inside the event
-    loop: every ``tick`` seconds it pulls up to ``batch_size`` packets
-    from ``source`` and delivers them with one :meth:`Element.push_batch`
-    call, so downstream batched elements see genuine per-tick bursts.
-    ``source`` is any packet iterable/iterator; the driver stops (and
-    records :attr:`done`) when it is exhausted.  ``on_done``, if given,
-    fires exactly once at that point, after the final (possibly partial)
-    batch was pushed — the hook a harness uses to collect a verifier
-    pool's telemetry or shut the pool down when the offered stream
-    drains.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        source: Iterable[Packet],
-        target: Element,
-        batch_size: int = 64,
-        tick: float = 0.001,
-        on_done: Callable[[], None] | None = None,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if tick <= 0:
-            raise ValueError("tick must be positive")
-        self.loop = loop
-        self.source = iter(source)
-        self.target = target
-        self.batch_size = batch_size
-        self.tick = tick
-        self.on_done = on_done
-        self.batches_fed = 0
-        self.packets_fed = 0
-        self.done = False
-
-    def start(self) -> "BatchDriver":
-        """Schedule the first tick; returns self for chaining."""
-        self.loop.schedule(0.0, self._tick)
-        return self
-
-    def _tick(self) -> None:
-        batch: list[Packet] = []
-        source = self.source
-        for _ in range(self.batch_size):
-            try:
-                batch.append(next(source))
-            except StopIteration:
-                self.done = True
-                break
-        if batch:
-            self.batches_fed += 1
-            self.packets_fed += len(batch)
-            self.target.push_batch(batch)
-        if not self.done:
-            self.loop.schedule(self.tick, self._tick)
-        elif self.on_done is not None:
-            callback, self.on_done = self.on_done, None
-            callback()

@@ -24,10 +24,9 @@ from .events import EventLoop, ScheduledEvent
 from .middlebox import Element
 from .packet import Packet, make_tcp_packet
 
-__all__ = ["TcpTransfer", "TransferEndpoint", "CbrSource", "OnOffSource"]
+__all__ = ["TcpTransfer", "TransferEndpoint"]
 
 MSS = 1460
-TCP_OVERHEAD = 40  # IPv4 + TCP headers without options
 
 
 class TransferEndpoint(Element):
@@ -282,145 +281,3 @@ class TcpTransfer:
             self.state.rto_event = None
         if self.on_complete is not None:
             self.on_complete(self)
-
-
-class CbrSource:
-    """Constant-bit-rate UDP source for background load."""
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        path: Element,
-        rate_bps: float,
-        *,
-        packet_size: int = 1200,
-        src_ip: str = "203.0.113.200",
-        dst_ip: str = "192.168.1.101",
-        qos_class: int | None = None,
-        qos_class_name: str | None = None,
-    ) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
-        self.loop = loop
-        self.path = path
-        self.rate_bps = rate_bps
-        self.packet_size = packet_size
-        self.src_ip, self.dst_ip = src_ip, dst_ip
-        self.qos_class = qos_class
-        self.qos_class_name = qos_class_name
-        self.packets_sent = 0
-        self._running = False
-        self._stop_at: float | None = None
-        self._timer = None
-
-    @property
-    def interval(self) -> float:
-        return (self.packet_size + TCP_OVERHEAD) * 8.0 / self.rate_bps
-
-    def start(self, duration: float | None = None) -> None:
-        """Emit packets every ``interval`` seconds until ``duration`` elapses."""
-        if self._timer is not None:
-            self._timer.stop()
-        self._running = True
-        self._stop_at = None if duration is None else self.loop.now + duration
-        self._tick()
-        if self._running:
-            # One recycled periodic event drives the whole emission
-            # schedule — no closure or event allocation per packet.
-            self._timer = self.loop.schedule_periodic(self.interval, self._tick)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        if self._stop_at is not None and self.loop.now >= self._stop_at:
-            self.stop()
-            return
-        from .packet import make_udp_packet
-
-        packet = make_udp_packet(
-            self.src_ip,
-            40_000,
-            self.dst_ip,
-            40_001,
-            payload_size=self.packet_size,
-            created_at=self.loop.now,
-        )
-        if self.qos_class is not None:
-            packet.meta["qos_class"] = self.qos_class
-        if self.qos_class_name is not None:
-            packet.meta["qos_class_name"] = self.qos_class_name
-        self.path.push(packet)
-        self.packets_sent += 1
-
-
-class OnOffSource:
-    """Background source alternating exponential on/off periods.
-
-    During "on" periods it behaves as a CBR source at ``rate_bps``; "off"
-    periods are silent.  Randomness comes from the injected ``rng`` so runs
-    are reproducible and trials differ only by seed — this produces the
-    spread in the Fig. 5(b) completion-time CDFs.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        path: Element,
-        rate_bps: float,
-        rng,
-        *,
-        mean_on: float = 2.0,
-        mean_off: float = 1.0,
-        packet_size: int = 1200,
-        src_ip: str = "203.0.113.201",
-        dst_ip: str = "192.168.1.102",
-        qos_class: int | None = None,
-        qos_class_name: str | None = None,
-    ) -> None:
-        self.loop = loop
-        self.rng = rng
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self.cbr = CbrSource(
-            loop,
-            path,
-            rate_bps,
-            packet_size=packet_size,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            qos_class=qos_class,
-            qos_class_name=qos_class_name,
-        )
-        self._active = False
-
-    @property
-    def packets_sent(self) -> int:
-        return self.cbr.packets_sent
-
-    def start(self) -> None:
-        self._active = True
-        self._enter_on()
-
-    def stop(self) -> None:
-        self._active = False
-        self.cbr.stop()
-
-    def _enter_on(self) -> None:
-        if not self._active:
-            return
-        duration = self.rng.expovariate(1.0 / self.mean_on)
-        self.cbr.start(duration=duration)
-        self.loop.schedule(duration, self._enter_off)
-
-    def _enter_off(self) -> None:
-        if not self._active:
-            return
-        self.cbr.stop()
-        duration = self.rng.expovariate(1.0 / self.mean_off)
-        self.loop.schedule(duration, self._enter_on)

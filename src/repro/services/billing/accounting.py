@@ -13,7 +13,11 @@ silent revenue loss).
 
 Cap accounting (``cap_used``) tracks *free* bytes per (operator,
 subscriber) and is consulted before the pending buffer is journaled, so
-the cap bites in real time, not at flush granularity.
+the cap bites in real time, not at flush granularity.  An accountant
+built over a journal that already holds records (a restart over a
+recovered directory) starts ``cap_used`` at the free bytes those
+records carry, so a crash does not hand anyone a fresh cap; records a
+compaction already deleted are not counted.
 
 A :class:`~repro.services.billing.journal.JournalFull` during flush
 keeps the delta pending (nothing lost, counted in ``flush_failures``);
@@ -47,8 +51,15 @@ class BillingAccountant:
         #: subscriber -> its keys in ``_pending``, oldest first (two
         #: after a re-``assign``), so a flush touches only its own
         self._pending_keys: dict[str, list[tuple[str, str]]] = {}
-        #: (operator, subscriber) -> free bytes counted against the cap
+        #: (operator, subscriber) -> free bytes counted against the cap,
+        #: starting from what the journal already holds
         self._cap_used: dict[tuple[str, str], int] = {}
+        if journal.next_offset:  # an empty journal is not read (or synced)
+            for record in journal.records():
+                key = (record.operator, record.subscriber)
+                self._cap_used[key] = (
+                    self._cap_used.get(key, 0) + record.free_bytes
+                )
         self.packets_accounted = 0
         self.bytes_accounted = 0
         self.free_bytes = 0
@@ -207,10 +218,6 @@ class BillingAccountant:
             del self._pending_keys[subscriber]
         self.flushes += 1
         return written
-
-    # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
 
     def cap_used(self, subscriber_ip: str) -> int:
         operator = self.catalogs.operator_of(subscriber_ip)

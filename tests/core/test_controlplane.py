@@ -104,9 +104,9 @@ class TestRoutingAndLifecycle:
             assert controlplane.revoke(min(issued))
             assert controlplane.lookup(min(issued)).revoked
             snapshotted = [
-                cookie_id
+                descriptor.cookie_id
                 for shard in controlplane._shards
-                for cookie_id in shard.snapshot().cookie_ids()
+                for descriptor in shard.snapshot().materialize()
             ]
             assert sorted(snapshotted) == sorted(issued)
 
@@ -212,9 +212,6 @@ class _Calls:
     def revoke(self, cookie_id: int) -> None:
         self.seen.append(("revoke", cookie_id))
 
-    def remove(self, cookie_id: int) -> None:
-        self.seen.append(("remove", cookie_id))
-
 
 @pytest.mark.contract
 class TestPlainServerIsTheSameCore:
@@ -245,18 +242,6 @@ class TestPlainServerIsTheSameCore:
             ("revoke", cookie_id, 1001.0),
         ]
         assert store.get(cookie_id).revoked and server.revoked == 1
-
-    def test_remove_reaches_every_attached_store(self):
-        clock, server, store, log, calls = self._server()
-        removed = server.acquire("bob", "Boost").cookie_id
-        kept = server.acquire("carol", "Boost").cookie_id
-        assert server.remove(removed) and not server.remove(removed)
-        assert [d.cookie_id for d in server.issued] == [kept]
-        assert [d.cookie_id for d in store] == [kept]
-        assert server.lookup(removed) is None and server.removed == 1
-        gone = [("remove", removed)]
-        assert calls.seen[2:] == gone
-        assert [(r.op, r.cookie_id) for r in log][2:] == gone
 
 
 GRANTED, UNKNOWN = "<the first id this door granted>", 0xDEAD
@@ -652,15 +637,11 @@ class TestReplication:
         with _controlplane(shards=2, clock=clock) as controlplane:
             replica = controlplane.register_replica(VerifierReplica("mb0"))
             kept = controlplane.acquire("alice", "Boost")
-            removed = controlplane.acquire("bob", "Boost")
             controlplane.sync_replicas()
-            assert replica.store.get(removed.cookie_id) is not None
 
             replica.partition()
             revoked = controlplane.acquire("carol", "Boost")
             controlplane.revoke(revoked.cookie_id)
-            for shard in controlplane._shards:
-                shard.remove(removed.cookie_id)
             # Compaction drops the window the replica still needed.
             controlplane.compact_logs(aggressive=True)
             clock.advance(0.2)
@@ -671,8 +652,6 @@ class TestReplication:
             assert replica.snapshots_installed >= 1
             assert replica.store.get(kept.cookie_id) is not None
             assert replica.store.get(revoked.cookie_id).revoked
-            # The id removed during the partition was purged on install.
-            assert replica.store.get(removed.cookie_id) is None
             assert (
                 controlplane.max_broadcast_lag()
                 <= controlplane.staleness_bound

@@ -32,11 +32,11 @@ from repro.core.store import DescriptorStore
 
 SLOTS = 6
 
-#: (op, slot): ``slot`` names a logical descriptor; revoke/remove target
+#: (op, slot): ``slot`` names a logical descriptor; revoke targets
 #: whatever id that slot last minted (None → no-op, like the shard).
 ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["add", "revoke", "remove"]),
+        st.sampled_from(["add", "revoke"]),
         st.integers(0, SLOTS - 1),
     ),
     max_size=40,
@@ -58,14 +58,10 @@ def _drive(ops):
                 "add", descriptor.cookie_id, t, descriptor.to_json()
             )
             slot_ids[slot] = descriptor.cookie_id
-        elif op == "revoke":
+        else:  # revoke
             cookie_id = slot_ids.get(slot)
             if cookie_id is not None and direct.revoke(cookie_id):
                 log.append("revoke", cookie_id, t)
-        else:  # remove
-            cookie_id = slot_ids.get(slot)
-            if cookie_id is not None and direct.remove(cookie_id):
-                log.append("remove", cookie_id, t)
     return log, direct
 
 
@@ -206,7 +202,7 @@ FIELDS = ("cookie_id", "key", "service_data", "attributes", "revoked")
 #: that and then drops the whole log (nobody needs the prefix any more).
 shard_ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["add", "add", "revoke", "remove", "sync", "compact"]),
+        st.sampled_from(["add", "add", "revoke", "sync", "compact"]),
         st.integers(0, SLOTS - 1),
     ),
     max_size=40,
@@ -251,7 +247,7 @@ def _at(shard: ControlPlaneShard, now: float) -> ControlPlaneShard:
 @example(
     ops=[
         ("add", 0), ("revoke", 0), ("revoke", 0), ("sync", 0), ("add", 1),
-        ("revoke", 0), ("compact", 0), ("revoke", 1), ("remove", 0), ("add", 0),
+        ("revoke", 0), ("compact", 0), ("revoke", 1), ("add", 0),
     ]
 )
 def test_object_form_replication_equals_json_form(ops):
@@ -303,9 +299,6 @@ def test_object_form_replication_equals_json_form(ops):
             ):
                 revoked.add(cookie_id)
                 logged("revoke", cookie_id, t)
-        elif op == "remove":
-            if cookie_id is not None and _at(shard, t).remove(cookie_id):
-                logged("remove", cookie_id, t)
         else:
             sync()
             if op == "compact":
@@ -382,16 +375,12 @@ def test_snapshot_installs_the_same_store_from_either_form():
     shard = _shard()
     ids = [_at(shard, float(i)).acquire(f"user{i}", "Fenced").cookie_id for i in range(6)]
     _at(shard, 7.0).revoke(ids[1])
-    _at(shard, 8.0).remove(ids[2])
     taken = shard.snapshot()
     parsed = StoreSnapshot.from_json(json.loads(json.dumps(taken.to_json())))
-    assert taken.cookie_ids() == parsed.cookie_ids() == set(ids) - {ids[2]}
 
     from_objects, from_json = VerifierReplica("objects"), VerifierReplica("json")
     for replica, snapshot in ((from_objects, taken), (from_json, parsed)):
-        # A leftover the snapshot no longer carries is purged on install.
-        replica.store.add(CookieDescriptor(cookie_id=ids[2], key=b"stale"))
-        assert replica.install_snapshot(0, snapshot, shard_count=1) == 5
+        assert replica.install_snapshot(0, snapshot) == 6
         assert replica.applied_offset(0) == shard.log.next_offset
     assert (
         _fields(from_objects.store) == _fields(from_json.store) == _fields(shard.store)

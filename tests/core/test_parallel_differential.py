@@ -514,16 +514,6 @@ class TestDescriptorDeltas:
             assert executor.match(after, NOW) is None
             assert executor.collect_match_stats().revoked == 1
 
-    def test_remove_descriptor_pool_wide(self):
-        env = _Env()
-        descriptor = env.active[3]
-        with ProcessShardExecutor(env.store, workers=WORKERS) as executor:
-            removed = executor.remove(descriptor.cookie_id)
-            assert removed is descriptor
-            cookie = _signed(descriptor, _uuid(70), NOW)
-            assert executor.match(cookie, NOW) is None
-            assert executor.collect_match_stats().unknown_id == 1
-
     @staticmethod
     def _worker_verdict(pool, descriptor, tag):
         """(result, reason, the one worker's own tally) for a fresh cookie."""

@@ -117,12 +117,6 @@ class StoreParityMachine(RuleBasedStateMachine):
             descriptor.cookie_id
         )
 
-    @rule(descriptor=descriptors)
-    def remove(self, descriptor):
-        a = self.memory.remove(descriptor.cookie_id)
-        b = self.sqlite.remove(descriptor.cookie_id)
-        assert (a is None) == (b is None)
-
     @invariant()
     def same_size(self):
         assert len(self.memory) == len(self.sqlite)

@@ -37,14 +37,6 @@ class TestCommonInterface:
         assert descriptor.cookie_id in store
         assert len(store) == 1
 
-    def test_remove(self, store):
-        descriptor = CookieDescriptor.create()
-        store.add(descriptor)
-        removed = store.remove(descriptor.cookie_id)
-        assert removed is not None
-        assert len(store) == 0
-        assert store.remove(descriptor.cookie_id) is None
-
     def test_revoke(self, store):
         descriptor = CookieDescriptor.create()
         store.add(descriptor)
@@ -118,7 +110,7 @@ class TestSQLitePersistence:
 
 
 class TestControlPlaneTuning:
-    """SQLite tuning: WAL, and the expiry column every database has."""
+    """SQLite tuning: WAL, and databases written by the older schema."""
 
     def test_wal_mode_on_file_database(self, tmp_path):
         store = SQLiteDescriptorStore(str(tmp_path / "wal.db"))
@@ -127,19 +119,37 @@ class TestControlPlaneTuning:
         )
         store.close()
 
-    def test_database_without_the_expiry_column_is_refused(self, tmp_path):
-        """No deployment has a database from before the expiry column,
-        so there is no migration: opening one fails, loudly."""
+    def test_database_with_the_old_expiry_column_still_serves(self, tmp_path):
+        """A file written when the table still had an ``expires_at``
+        column (and its partial index) opens, adds, gets and revokes:
+        the store names its columns, so the extra one is left NULL."""
         import sqlite3
 
-        path = str(tmp_path / "legacy.db")
+        path = str(tmp_path / "with-expiry.db")
         conn = sqlite3.connect(path)
         conn.execute(
             "CREATE TABLE descriptors (cookie_id INTEGER PRIMARY KEY,"
             " key_hex TEXT NOT NULL, service_data TEXT NOT NULL,"
-            " attributes TEXT NOT NULL, revoked INTEGER NOT NULL DEFAULT 0)"
+            " attributes TEXT NOT NULL, revoked INTEGER NOT NULL DEFAULT 0,"
+            " expires_at REAL)"
+        )
+        conn.execute(
+            "CREATE INDEX idx_descriptors_expires_at ON descriptors(expires_at)"
+            " WHERE expires_at IS NOT NULL"
         )
         conn.commit()
         conn.close()
-        with pytest.raises(sqlite3.OperationalError, match="expires_at"):
-            SQLiteDescriptorStore(path)
+
+        store = SQLiteDescriptorStore(path)
+        descriptor = CookieDescriptor.create(
+            service_data="Boost",
+            attributes=CookieAttributes(expires_at=42.0),
+        )
+        store.add(descriptor)
+        fetched = store.get(descriptor.cookie_id)
+        assert fetched.key == descriptor.key
+        assert fetched.attributes.expires_at == 42.0
+        assert store.revoke(descriptor.cookie_id)
+        assert store.get(descriptor.cookie_id).revoked
+        assert len(store) == 1
+        store.close()

@@ -1,5 +1,4 @@
-"""Batched element plumbing: push_batch/process_batch/emit_batch and the
-per-tick BatchDriver.
+"""Batched element plumbing: push_batch/process_batch/emit_batch.
 
 The contract under test is the one ``Element.process_batch`` documents:
 a batch must leave every element exactly as the equivalent scalar loop
@@ -11,15 +10,7 @@ never opted into batching.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.netsim.events import EventLoop
-from repro.netsim.middlebox import (
-    BatchDriver,
-    Counter,
-    Element,
-    Filter,
-    Pipeline,
-    Sink,
-)
+from repro.netsim.middlebox import Counter, Element, Sink
 from repro.netsim.packet import make_tcp_packet
 
 
@@ -93,106 +84,11 @@ class TestBatchedElements:
         assert (batched.count, batched.bytes) == (scalar.count, scalar.bytes)
         assert batched.packets == scalar.packets
 
-    @settings(max_examples=25, deadline=None)
-    @given(threshold=st.integers(0, 300), count=st.integers(0, 20))
-    def test_filter_batch_equals_scalar(self, threshold, count):
-        packets = _packets(count)
-        predicate = lambda packet: packet.wire_length > threshold
-        scalar, batched = Filter(predicate), Filter(predicate)
-        scalar_sink, batched_sink = Sink(), Sink()
-        scalar >> scalar_sink
-        batched >> batched_sink
-        for packet in packets:
-            scalar.push(packet)
-        batched.push_batch(packets)
-        assert (batched.passed, batched.filtered) == (
-            scalar.passed,
-            scalar.filtered,
-        )
-        assert [p.packet_id for p in batched_sink.packets] == [
-            p.packet_id for p in scalar_sink.packets
-        ]
-
     def test_pipeline_push_batch_traverses_chain(self):
         packets = _packets(7)
-        counter, sink = Counter(), Sink()
-        pipeline = Pipeline(Filter(lambda p: True), counter, sink)
-        pipeline.push_batch(packets)
-        assert counter.count == sink.count == 7
+        head, counter, sink = Counter(), Counter(), Sink()
+        head >> counter >> sink
+        head.push_batch(packets)
+        assert head.count == counter.count == sink.count == 7
         assert sink.packets == packets
 
-
-class TestBatchDriver:
-    def test_feeds_source_in_per_tick_bursts(self):
-        loop = EventLoop()
-        packets = _packets(10)
-        sink = Sink()
-        driver = BatchDriver(
-            loop, packets, sink, batch_size=4, tick=0.001
-        ).start()
-        loop.run_until_idle()
-        assert driver.done
-        assert driver.packets_fed == 10
-        assert driver.batches_fed == 3  # 4 + 4 + 2
-        assert sink.packets == packets
-
-    def test_batch_size_caps_each_burst(self):
-        loop = EventLoop()
-        delivered = []
-
-        class Recorder(Element):
-            def process_batch(self, batch):
-                delivered.append(len(batch))
-
-        BatchDriver(
-            loop, _packets(9), Recorder(), batch_size=3, tick=0.5
-        ).start()
-        loop.run_until_idle()
-        assert delivered == [3, 3, 3]
-        # One burst per tick: the last burst fires two ticks in.
-        assert loop.now >= 1.0
-
-    def test_on_done_fires_once_after_final_batch(self):
-        loop = EventLoop()
-        sink = Sink()
-        events = []
-        driver = BatchDriver(
-            loop,
-            _packets(5),
-            sink,
-            batch_size=2,
-            on_done=lambda: events.append(sink.count),
-        ).start()
-        loop.run_until_idle()
-        assert driver.done
-        # Fired exactly once, after the final (partial) batch was pushed.
-        assert events == [5]
-        assert driver.on_done is None
-
-    def test_on_done_fires_for_empty_source(self):
-        loop = EventLoop()
-        fired = []
-        BatchDriver(
-            loop, [], Sink(), batch_size=4, on_done=lambda: fired.append(True)
-        ).start()
-        loop.run_until_idle()
-        assert fired == [True]
-
-    def test_empty_source_stops_immediately(self):
-        loop = EventLoop()
-        sink = Sink()
-        driver = BatchDriver(loop, [], sink, batch_size=8).start()
-        loop.run_until_idle()
-        assert driver.done
-        assert driver.batches_fed == 0
-        assert sink.count == 0
-
-    def test_rejects_bad_parameters(self):
-        loop = EventLoop()
-        for kwargs in ({"batch_size": 0}, {"tick": 0.0}):
-            try:
-                BatchDriver(loop, [], Sink(), **kwargs)
-            except ValueError:
-                pass
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"expected ValueError for {kwargs}")

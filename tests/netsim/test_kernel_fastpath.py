@@ -1,7 +1,7 @@
 """Differential tests for the event-kernel fast path.
 
-The kernel rewrite (slots, lazy-deletion heap with compaction, periodic
-re-arm, memoized header packing) must be *invisible*: every optimisation
+The kernel rewrite (slots, lazy-deletion heap with compaction,
+memoized header packing) must be *invisible*: every optimisation
 is checked against a straightforward reference implementation on random
 workloads, and the observable order of callback execution must match
 exactly — same times, same tie-breaks, same skips for cancelled events.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.netsim.events import EventLoop, SimulationError
+from repro.netsim.events import EventLoop
 from repro.netsim.headers import (
     EthernetHeader,
     IPv4Header,
@@ -186,68 +186,6 @@ def test_double_cancel_counts_once():
     event.cancel()
     event.cancel()
     assert loop._tombstones == 1
-
-
-def test_schedule_periodic_matches_manual_chain():
-    manual_loop = EventLoop()
-    manual_ticks: list[float] = []
-
-    def manual_tick():
-        manual_ticks.append(manual_loop.now)
-        if len(manual_ticks) < 50:
-            manual_loop.schedule(0.25, manual_tick)
-
-    manual_loop.schedule(0.25, manual_tick)
-    manual_loop.run(until=100.0)
-
-    periodic_loop = EventLoop()
-    periodic_ticks: list[float] = []
-    timer = periodic_loop.schedule_periodic(
-        0.25, lambda: periodic_ticks.append(periodic_loop.now)
-    )
-
-    def stop_at_50():
-        if len(periodic_ticks) >= 50:
-            timer.stop()
-
-    checker = periodic_loop.schedule_periodic(0.25, stop_at_50)
-    periodic_loop.run(until=100.0)
-    checker.stop()
-
-    assert periodic_ticks == manual_ticks
-
-
-def test_periodic_stop_from_inside_callback():
-    loop = EventLoop()
-    ticks: list[float] = []
-    holder: dict = {}
-
-    def tick():
-        ticks.append(loop.now)
-        if len(ticks) == 3:
-            holder["timer"].stop()
-
-    holder["timer"] = loop.schedule_periodic(1.0, tick)
-    loop.run(until=10.0)
-    assert ticks == [1.0, 2.0, 3.0]
-
-
-def test_periodic_reuses_one_event_object():
-    loop = EventLoop()
-    timer = loop.schedule_periodic(0.5, lambda: None)
-    first = timer._event
-    loop.run(until=5.0)
-    assert timer._event is first  # re-armed, never reallocated
-
-
-def test_periodic_interval_validation():
-    loop = EventLoop()
-    try:
-        loop.schedule_periodic(0.0, lambda: None)
-    except SimulationError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("zero interval must be rejected")
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,9 @@
-"""Element pipeline tests: wiring, filters, classifiers, shapers."""
-
-import pytest
+"""Element pipeline tests: wiring, sinks, taps, function elements, shapers."""
 
 from repro.netsim.events import EventLoop
 from repro.netsim.middlebox import (
-    Classifier,
     Counter,
-    Filter,
     FunctionElement,
-    Pipeline,
     ShaperElement,
     Sink,
     Tap,
@@ -28,17 +23,6 @@ class TestWiring:
         a.push(_packet())
         assert a.count == b.count == sink.count == 1
 
-    def test_pipeline_wires_elements(self):
-        counter, sink = Counter(), Sink()
-        pipeline = Pipeline(counter, sink)
-        pipeline.push(_packet())
-        assert sink.count == 1
-        assert pipeline.head is counter and pipeline.tail is sink
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            Pipeline()
-
     def test_emit_at_end_is_silent(self):
         Counter().push(_packet())  # no downstream: packet dropped quietly
 
@@ -57,17 +41,6 @@ class TestSink:
         assert sink.count == 1 and sink.packets == []
 
 
-class TestFilter:
-    def test_predicate_filters(self):
-        sink = Sink()
-        flt = Filter(lambda p: p.payload.size > 50)
-        flt >> sink
-        flt.push(_packet(size=10))
-        flt.push(_packet(size=100))
-        assert sink.count == 1
-        assert flt.passed == 1 and flt.filtered == 1
-
-
 class TestTap:
     def test_callback_sees_every_packet(self):
         seen = []
@@ -76,35 +49,6 @@ class TestTap:
         tap >> sink
         tap.push(_packet())
         assert len(seen) == 1 and sink.count == 1
-
-
-class TestClassifier:
-    def test_routes_by_key(self):
-        a_sink, b_sink = Sink(), Sink()
-        classifier = Classifier(lambda p: "a" if p.payload.size < 50 else "b")
-        classifier.connect("a", a_sink)
-        classifier.connect("b", b_sink)
-        classifier.push(_packet(size=10))
-        classifier.push(_packet(size=100))
-        assert a_sink.count == 1 and b_sink.count == 1
-
-    def test_unknown_key_goes_to_default(self):
-        default = Sink()
-        classifier = Classifier(lambda p: "missing")
-        classifier.connect("default", default)
-        classifier.push(_packet())
-        assert default.count == 1
-
-    def test_none_key_goes_to_default(self):
-        default = Sink()
-        classifier = Classifier(lambda p: None)
-        classifier.connect("default", default)
-        classifier.push(_packet())
-        assert default.count == 1
-
-    def test_no_output_drops(self):
-        classifier = Classifier(lambda p: "nowhere")
-        classifier.push(_packet())  # silently dropped
 
 
 class TestFunctionElement:

@@ -1,14 +1,12 @@
 """TCP model tests: completion, congestion response, loss recovery."""
 
-import random
-
 import pytest
 
 from repro.netsim.events import EventLoop
 from repro.netsim.links import Link
 from repro.netsim.middlebox import Sink
 from repro.netsim.queues import DropTailQueue
-from repro.netsim.tcpmodel import CbrSource, OnOffSource, TcpTransfer, TransferEndpoint
+from repro.netsim.tcpmodel import TcpTransfer, TransferEndpoint
 
 
 def _path(loop, rate_bps=6e6, queue_packets=100):
@@ -135,42 +133,3 @@ class TestEndpoint:
 
         endpoint.push(make_udp_packet("1.1.1.1", 1, "2.2.2.2", 2, payload_size=10))
         assert endpoint.untracked_packets == 1
-
-
-class TestSources:
-    def test_cbr_rate(self):
-        loop = EventLoop()
-        sink = Sink(keep=False)
-        source = CbrSource(loop, sink, rate_bps=1_000_000, packet_size=1210)
-        source.start(duration=1.0)
-        loop.run(until=2.0)
-        sent_bits = source.packets_sent * (1210 + 40) * 8
-        assert sent_bits == pytest.approx(1_000_000, rel=0.05)
-
-    def test_cbr_stop(self):
-        loop = EventLoop()
-        sink = Sink(keep=False)
-        source = CbrSource(loop, sink, rate_bps=1e6)
-        source.start()
-        loop.run(until=0.5)
-        source.stop()
-        count = source.packets_sent
-        loop.run(until=2.0)
-        assert source.packets_sent == count
-
-    def test_cbr_validation(self):
-        with pytest.raises(ValueError):
-            CbrSource(EventLoop(), Sink(), rate_bps=0)
-
-    def test_onoff_produces_bursts(self):
-        loop = EventLoop()
-        sink = Sink(keep=False)
-        source = OnOffSource(
-            loop, sink, rate_bps=1e6, rng=random.Random(1), mean_on=0.5, mean_off=0.5
-        )
-        source.start()
-        loop.run(until=10.0)
-        source.stop()
-        # On average half the time is on: clearly fewer packets than CBR.
-        full_rate_count = 10.0 / source.cbr.interval
-        assert 0.05 * full_rate_count < source.packets_sent < 0.95 * full_rate_count

@@ -221,3 +221,33 @@ def test_journal_full_keeps_delta_pending_for_retry(tmp_path):
     accountant.journal.close()
     report = reconcile_directories([str(tmp_path)])
     assert report.invoices["op-ev"].free_bytes == 700
+
+
+def test_restarted_accountant_keeps_enforcing_the_cap(tmp_path):
+    """Cap state survives a crash: an accountant rebuilt over the
+    recovered journal starts from the free bytes already journaled, so
+    a subscriber who used the cap before the crash is charged after it."""
+    journal_dir = str(tmp_path)
+    first = _accountant(journal_dir)
+    first.catalogs.catalogs["op-ev"] = OperatorCatalog(
+        operator="op-ev",
+        apps=(AppCoverage(app="zero-rate", origin_ips=frozenset({ORIGIN})),),
+        cap_bytes=1000,
+    )
+    capped, other = SUBSCRIBERS[0], SUBSCRIBERS[1]
+    assert first.account(capped, "zero-rate", ORIGIN, 800, cookied=True)
+    assert first.account(other, "zero-rate", ORIGIN, 100, cookied=True)
+    first.flush_all()
+    first.journal.close()  # the crash: nothing but the journal survives
+
+    restarted = BillingAccountant(
+        first.catalogs, BillingJournal(journal_dir, fsync="never")
+    )
+    assert restarted.journal.recovery.records_recovered == 2
+    assert restarted.cap_used(capped) == 800
+    assert restarted.cap_used(other) == 100
+    assert not restarted.account(capped, "zero-rate", ORIGIN, 300, cookied=True)
+    assert restarted.account(capped, "zero-rate", ORIGIN, 200, cookied=True)
+    assert restarted.account(other, "zero-rate", ORIGIN, 900, cookied=True)
+    assert restarted.cap_used(capped) == restarted.cap_used(other) == 1000
+    restarted.journal.close()
